@@ -119,7 +119,7 @@ type (
 	// accounting, including files abandoned after corruption.
 	JournalTailStats = persist.TailStats
 
-	// SiteSet manages cross-site standby controllers: journal replication
+	// SiteSet manages standby controller sites: journal replication
 	// over the network, time-bounded leases, and fenced failover.
 	SiteSet = wan.SiteSet
 	// SiteOptions tunes a SiteSet.
@@ -233,7 +233,7 @@ func DefaultClassSpec() *ClassSpec { return te.DefaultClassSpec() }
 // "" selects nil — classless operation).
 func ParseClassSpec(s string) (*ClassSpec, error) { return te.ParseClassSpec(s) }
 
-// NewSiteSet builds cross-site standby controllers for the leader whose
+// NewSiteSet builds the standby controller sites of the leader whose
 // state directory is leaderDir: each site applies the leader's replicated
 // journal into its own directory under sitesRoot and promotes behind a
 // time-bounded lease on leader silence (see internal/wan).

@@ -9,11 +9,11 @@ import (
 )
 
 // This file holds the storage-corruption half of the failover matrix: the
-// deterministic mutations a dead leader's state directory can suffer
-// between its last fsync and a standby's takeover. They operate on real
+// deterministic mutations a standby site's state directory can suffer
+// between its last applied record and its takeover. They operate on real
 // directories (the failover scenarios run controllers against the OS
-// filesystem, where flock arbitration is real) and are exact — no
-// randomness — so a corrupted-recovery trace replays bit-identically.
+// filesystem) and are exact — no randomness — so a corrupted-recovery
+// trace replays bit-identically.
 //
 // The persist on-disk names are part of its documented layout (snap-<seq>,
 // journal-<base>-<gen>, both zero-padded hex, so lexicographic order is
@@ -45,10 +45,10 @@ func stateFiles(dir string) (journals, snaps []string, err error) {
 }
 
 // TornJournalTail truncates the newest journal in dir by n bytes — the
-// classic torn write: the leader died after the filesystem shortened its
+// classic torn write: the process died after the filesystem shortened its
 // final append. Records are packed back to back, so any n in (0, size of
 // the last record) leaves a checksum-failing torn tail that recovery and
-// standby tailing must both stop before. It fails rather than guess if dir
+// journal tailing must both stop before. It fails rather than guess if dir
 // holds no journal or n would amputate the whole file.
 func TornJournalTail(dir string, n int) error {
 	if n <= 0 {

@@ -12,9 +12,10 @@ var updateFailoverGolden = flag.Bool("update-failover-golden", false,
 	"rewrite the failover event golden file with the current trace")
 
 // TestFailoverGoldenReplay pins the ordered event log of the fixed-seed F1
-// failover trace — leader epochs, standby tailing, heartbeat misses,
-// election, fenced promotion, fleet re-assert, the post-failover epoch,
-// and the zombie's fenced write — to a committed golden file. Every line
+// failover trace — leader epochs, site mirroring, heartbeat misses, lease
+// expiry, election, fenced promotion with its fence-probe pings, fleet
+// re-assert, the post-failover epoch, and the zombie's fenced write — to a
+// committed golden file. Every line
 // is float-free and wall-clock-free by construction (the EventLog contract),
 // so the comparison is exact: any diff means the failover control flow
 // itself changed and must be reviewed (regenerate with `go test

@@ -1,9 +1,7 @@
 package wan
 
 import (
-	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"time"
 )
@@ -35,10 +33,10 @@ func DefaultSwitchConfig() SwitchConfig {
 // "guarantees a consistent allocation of resource costs" (§5) and the
 // resulting linear update time of Fig 11b.
 type SwitchAgent struct {
+	*server // the agent's listener: Addr, and an idempotent Close
+
 	Name string
 	cfg  SwitchConfig
-
-	ln net.Listener
 
 	mu           sync.Mutex
 	tunnels      map[int][]int
@@ -47,74 +45,21 @@ type SwitchAgent struct {
 	genLeader    string // leader id that claimed maxGen ("" = unnamed)
 	lastSeq      uint64 // highest sequence seen from that generation
 	fenceRejects int
-
-	connMu sync.Mutex
-	conns  map[*conn]struct{}
-
-	wg        sync.WaitGroup
-	closed    chan struct{}
-	closeOnce sync.Once
 }
 
 // NewSwitchAgent starts an agent listening on a fresh loopback port.
 func NewSwitchAgent(name string, cfg SwitchConfig) (*SwitchAgent, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, fmt.Errorf("wan: listen: %w", err)
-	}
 	a := &SwitchAgent{
-		Name: name, cfg: cfg, ln: ln,
+		Name: name, cfg: cfg,
 		tunnels: make(map[int][]int),
 		rates:   make(map[string]float64),
-		conns:   make(map[*conn]struct{}),
-		closed:  make(chan struct{}),
 	}
-	a.wg.Add(1)
-	go a.acceptLoop()
+	srv, err := newServer(a.handle)
+	if err != nil {
+		return nil, err
+	}
+	a.server = srv
 	return a, nil
-}
-
-// Addr returns the agent's listen address.
-func (a *SwitchAgent) Addr() string { return a.ln.Addr().String() }
-
-// Close stops the agent and waits for its handlers: the listener and every
-// live connection are severed, so serve goroutines blocked mid-read unwind
-// instead of pinning Close forever (an agent "restart" must not depend on
-// the controller hanging up first). Close is idempotent, so test helpers
-// can register it with t.Cleanup while tests also close explicitly.
-func (a *SwitchAgent) Close() error {
-	var err error
-	a.closeOnce.Do(func() {
-		close(a.closed)
-		err = a.ln.Close()
-		a.connMu.Lock()
-		for c := range a.conns {
-			c.close()
-		}
-		a.connMu.Unlock()
-		a.wg.Wait()
-	})
-	return err
-}
-
-// track registers a live connection for shutdown; it returns false when the
-// agent is already closing and the connection should be dropped.
-func (a *SwitchAgent) track(c *conn) bool {
-	a.connMu.Lock()
-	defer a.connMu.Unlock()
-	select {
-	case <-a.closed:
-		return false
-	default:
-	}
-	a.conns[c] = struct{}{}
-	return true
-}
-
-func (a *SwitchAgent) untrack(c *conn) {
-	a.connMu.Lock()
-	delete(a.conns, c)
-	a.connMu.Unlock()
 }
 
 // MaxGen returns the highest controller generation this agent has accepted
@@ -149,49 +94,6 @@ func (a *SwitchAgent) Rates() map[string]float64 {
 		out[k] = v
 	}
 	return out
-}
-
-func (a *SwitchAgent) acceptLoop() {
-	defer a.wg.Done()
-	for {
-		c, err := a.ln.Accept()
-		if err != nil {
-			select {
-			case <-a.closed:
-				return
-			default:
-			}
-			if errors.Is(err, net.ErrClosed) {
-				return
-			}
-			continue
-		}
-		cn := newConn(c)
-		if !a.track(cn) {
-			cn.close()
-			continue
-		}
-		a.wg.Add(1)
-		go func() {
-			defer a.wg.Done()
-			defer a.untrack(cn)
-			a.serve(cn)
-		}()
-	}
-}
-
-func (a *SwitchAgent) serve(c *conn) {
-	defer c.close()
-	for {
-		var req Request
-		if err := c.readRequest(&req); err != nil {
-			return
-		}
-		resp := a.handle(&req)
-		if err := c.writeResponse(resp); err != nil {
-			return
-		}
-	}
 }
 
 func (a *SwitchAgent) handle(req *Request) *Response {

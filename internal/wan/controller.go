@@ -238,7 +238,7 @@ func (c *Controller) Close() error {
 // leader whose storage lease was revoked out from under it (or whose
 // process was killed, with the flock dying with it) while the process
 // itself keeps running. The released controller keeps stamping its old
-// generation, so once a standby claims the directory and bumps the
+// generation, so once a standby site claims leadership under a higher
 // generation, every surviving RPC from this zombie is fenced by the
 // agents as Stale. Journaling becomes a no-op. Safe with no store
 // attached; not undoable — attach state to a fresh controller instead.

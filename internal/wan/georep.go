@@ -3,7 +3,6 @@ package wan
 import (
 	"errors"
 	"fmt"
-	"net"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -13,20 +12,20 @@ import (
 	"prete/internal/persist"
 )
 
-// This file is the cross-site half of controller HA. PR 8's ReplicaSet
-// assumes every replica shares one state directory — one fate-sharing
-// domain, with the flock as the promotion arbiter. A SiteSet removes both
-// assumptions: each standby site owns its *own* persist directory, fed by a
-// persist.Replicator shipping CRC-framed records over wan.Transport (so the
-// whole stream is fault-injectable), and leadership is a time-bounded
-// wan.Lease renewed by heartbeats instead of a counted miss streak. With no
-// shared flock, the only split-brain defense left is the agents' generation
-// fence: a promoting site floors its generation above the highest leader
-// generation its lease observed (persist.Options.MinGeneration), names
-// itself in every fenced RPC, and the agents reject both the zombie's older
-// generation and any equal-generation sibling claimant. The failover matrix
-// rows F10-F14 prove that defense sufficient under partitions, corruption,
-// lag, and load.
+// This file is the controller's one standby mechanism. Each standby site
+// owns its *own* persist directory, fed by a persist.Replicator shipping
+// CRC-framed records over wan.Transport (so the whole stream is
+// fault-injectable), and leadership is a time-bounded wan.Lease renewed by
+// heartbeats. An in-site hot standby is the same thing on loopback: a lease
+// of N ticks expires on exactly the tick the N-th consecutive heartbeat miss
+// lands. No lock is shared between sites, so the only split-brain defense is
+// the agents' generation fence: a promoting site floors its generation above
+// the highest leader generation its lease observed
+// (persist.Options.MinGeneration), names itself in every fenced RPC, and the
+// agents reject both the zombie's older generation and any equal-generation
+// sibling claimant. The failover matrix (internal/fault, rows F1-F14) proves
+// that defense sufficient under crashes, partitions, corruption, lag, and
+// load.
 
 // ErrLeaseValid reports a promotion attempt while the leader's lease is
 // still live: claiming now could split the brain purely by impatience, so
@@ -44,120 +43,23 @@ var ErrClaimFenced = errors.New("wan: promotion claim fenced by a sibling")
 // and whether it wants a snapshot re-sync. Like the other wan endpoints it
 // dies with its listener, so closing it models a site partition or crash.
 type SiteServer struct {
-	apply func(frame []byte, snapshot bool) (ack uint64, resync bool, errstr string)
-	ln    net.Listener
-
-	connMu sync.Mutex
-	conns  map[*conn]struct{}
-
-	wg        sync.WaitGroup
-	closed    chan struct{}
-	closeOnce sync.Once
+	*server
 }
 
 // NewSiteServer starts a replication ingress on a fresh loopback port.
 // apply must be safe for concurrent use.
-func NewSiteServer(apply func(frame []byte, snapshot bool) (uint64, bool, string)) (*SiteServer, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, fmt.Errorf("wan: site listen: %w", err)
-	}
-	s := &SiteServer{
-		apply:  apply,
-		ln:     ln,
-		conns:  make(map[*conn]struct{}),
-		closed: make(chan struct{}),
-	}
-	s.wg.Add(1)
-	go s.acceptLoop()
-	return s, nil
-}
-
-// Addr returns the ingress's listen address.
-func (s *SiteServer) Addr() string { return s.ln.Addr().String() }
-
-// Close severs the listener and every live connection. Idempotent.
-func (s *SiteServer) Close() error {
-	var err error
-	s.closeOnce.Do(func() {
-		close(s.closed)
-		err = s.ln.Close()
-		s.connMu.Lock()
-		for c := range s.conns {
-			c.close()
+func NewSiteServer(apply func(frame []byte, snapshot bool) (ack uint64, resync bool, errstr string)) (*SiteServer, error) {
+	srv, err := newServer(func(req *Request) *Response {
+		if req.Type != MsgReplRecord && req.Type != MsgReplSnapshot {
+			return &Response{Err: fmt.Sprintf("site: unsupported message %q", req.Type)}
 		}
-		s.connMu.Unlock()
-		s.wg.Wait()
+		ack, resync, errstr := apply(req.Frame, req.Type == MsgReplSnapshot)
+		return &Response{OK: errstr == "" && !resync, Err: errstr, Ack: ack, Resync: resync}
 	})
-	return err
-}
-
-func (s *SiteServer) track(c *conn) bool {
-	s.connMu.Lock()
-	defer s.connMu.Unlock()
-	select {
-	case <-s.closed:
-		return false
-	default:
+	if err != nil {
+		return nil, err
 	}
-	s.conns[c] = struct{}{}
-	return true
-}
-
-func (s *SiteServer) untrack(c *conn) {
-	s.connMu.Lock()
-	delete(s.conns, c)
-	s.connMu.Unlock()
-}
-
-func (s *SiteServer) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		c, err := s.ln.Accept()
-		if err != nil {
-			select {
-			case <-s.closed:
-				return
-			default:
-			}
-			if errors.Is(err, net.ErrClosed) {
-				return
-			}
-			continue
-		}
-		cn := newConn(c)
-		if !s.track(cn) {
-			cn.close()
-			continue
-		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer s.untrack(cn)
-			s.serve(cn)
-		}()
-	}
-}
-
-func (s *SiteServer) serve(c *conn) {
-	defer c.close()
-	for {
-		var req Request
-		if err := c.readRequest(&req); err != nil {
-			return
-		}
-		var resp *Response
-		switch req.Type {
-		case MsgReplRecord, MsgReplSnapshot:
-			ack, resync, errstr := s.apply(req.Frame, req.Type == MsgReplSnapshot)
-			resp = &Response{OK: errstr == "" && !resync, Err: errstr, Ack: ack, Resync: resync}
-		default:
-			resp = &Response{Err: fmt.Sprintf("site: unsupported message %q", req.Type)}
-		}
-		if err := c.writeResponse(resp); err != nil {
-			return
-		}
-	}
+	return &SiteServer{srv}, nil
 }
 
 // sitePipe adapts one wan.Conn to the persist.Pipe shipping contract.
@@ -189,15 +91,13 @@ func (p sitePipe) Ship(frame []byte, snapshot bool) (uint64, bool, error) {
 
 // SiteOptions tunes a SiteSet.
 type SiteOptions struct {
-	// Sites is the number of cross-site standbys (site IDs 1..Sites).
+	// Sites is the number of standby sites (site IDs 1..Sites). 0 is a
+	// valid, empty set.
 	Sites int
 	// LeaseTicks is the lease duration in logical-clock ticks; <= 0 selects
 	// 3. A site may claim leadership only after going a full lease duration
 	// without a successful heartbeat.
 	LeaseTicks uint64
-	// Clock is the lease time source; nil selects an internal LogicalClock
-	// advanced once per Tick.
-	Clock *LogicalClock
 	// HeartbeatTimeout bounds one heartbeat round trip; <= 0 selects 500 ms.
 	HeartbeatTimeout time.Duration
 	// RetainRecords caps the leader-side replication buffer (see
@@ -241,7 +141,7 @@ func (o SiteOptions) withDefaults() SiteOptions {
 	return o
 }
 
-// site is one cross-site standby: its own persist directory and store, the
+// site is one standby: its own persist directory and store, the
 // apply path fed by the leader's replicator, a lease renewed by heartbeats,
 // and enough bookkeeping to audit a promotion.
 type site struct {
@@ -259,6 +159,7 @@ type site struct {
 	lastApplied uint64
 	takenOver   bool // promotion owns the directory; apply path detached
 	missing     bool // currently in a heartbeat-miss streak
+	crashed     bool // dead site: no applies, no heartbeats, no claims
 	promoted    bool
 	fenced      int // claims lost at the agents
 	resyncs     int64
@@ -280,11 +181,12 @@ type SiteStatus struct {
 	Resyncs int64
 	// FencedClaims counts promotion claims this site lost at the agents.
 	FencedClaims int
-	// Promoted reports the site now leads.
-	Promoted bool
+	// Crashed reports the site is dead (CrashSite); Promoted that it now
+	// leads.
+	Crashed, Promoted bool
 }
 
-// SitePromotion is the outcome of a successful cross-site takeover.
+// SitePromotion is the outcome of a successful takeover.
 type SitePromotion struct {
 	// SiteID is the site that took over.
 	SiteID int
@@ -306,7 +208,7 @@ type SitePromotion struct {
 	Elapsed time.Duration
 }
 
-// SiteSet manages the cross-site standbys of one controller: per-tick
+// SiteSet manages the standby sites of one controller: per-tick
 // replication shipping, lease-renewing heartbeats, and promotion once a
 // lease expires. Everything observable is tick-driven on a logical clock
 // and seeded, so which site promotes, at what logical time, after how many
@@ -324,7 +226,7 @@ type SiteSet struct {
 	lastDead    int64
 }
 
-// NewSiteSet builds opt.Sites cross-site standbys for the leader whose
+// NewSiteSet builds opt.Sites standby sites for the leader whose
 // state directory is leaderDir and whose lease listens at leaseAddr. Each
 // site i owns sitesRoot/site-<i> as its local state directory; agents is
 // the switch fleet a promoted site will dial.
@@ -333,10 +235,6 @@ func NewSiteSet(leaderDir, sitesRoot, leaseAddr string, agents map[string]string
 		return nil, fmt.Errorf("wan: site set needs leader and site directories")
 	}
 	opt = opt.withDefaults()
-	clock := opt.Clock
-	if clock == nil {
-		clock = NewLogicalClock()
-	}
 	repl, err := persist.NewReplicator(leaderDir, persist.ReplicatorOptions{
 		RetainRecords: opt.RetainRecords,
 		Metrics:       opt.Metrics,
@@ -344,7 +242,7 @@ func NewSiteSet(leaderDir, sitesRoot, leaseAddr string, agents map[string]string
 	if err != nil {
 		return nil, err
 	}
-	ss := &SiteSet{agents: agents, opt: opt, clock: clock, repl: repl}
+	ss := &SiteSet{agents: agents, opt: opt, clock: NewLogicalClock(), repl: repl}
 	for id := 1; id <= opt.Sites; id++ {
 		if err := ss.addSite(id, sitesRoot, leaseAddr); err != nil {
 			ss.Close()
@@ -470,6 +368,22 @@ func (ss *SiteSet) SetLeaderReachable(ok bool) {
 	ss.unreachable = !ok
 }
 
+// CrashSite marks a site as dead: the leader stops shipping to it, it stops
+// heartbeating, and elections skip it — the failover matrix's
+// standby-outage axis.
+func (ss *SiteSet) CrashSite(id int) error {
+	s := ss.findSite(id)
+	if s == nil {
+		return fmt.Errorf("wan: no site %d", id)
+	}
+	ss.mu.Lock()
+	s.crashed = true
+	ss.mu.Unlock()
+	ss.repl.RemoveTarget(fmt.Sprintf("site-%d", id))
+	ss.opt.Log.Addf("site %d crashed", id)
+	return nil
+}
+
 // Promoted reports whether a site from this set has taken over.
 func (ss *SiteSet) Promoted() bool {
 	ss.mu.Lock()
@@ -490,6 +404,7 @@ func (ss *SiteSet) Status() []SiteStatus {
 			LeaseGen:       s.lease.Gen(),
 			Resyncs:        s.resyncs,
 			FencedClaims:   s.fenced,
+			Crashed:        s.crashed,
 			Promoted:       s.promoted,
 		}
 		if s.mirror != nil {
@@ -500,9 +415,9 @@ func (ss *SiteSet) Status() []SiteStatus {
 	return out
 }
 
-// Tick advances the cross-site machinery one deterministic step: the
+// Tick advances the standby machinery one deterministic step: the
 // logical clock moves one tick, the leader ships pending journal records to
-// every site, every un-promoted site heartbeats the lease, and if any
+// every site, every live standby site heartbeats the lease, and if any
 // site's lease has expired the lowest such site claims leadership. Tick
 // returns the SitePromotion on success, (nil, nil) while the leader's lease
 // holds, and ErrClaimFenced (wrapped) when a claim lost at the agents.
@@ -512,7 +427,12 @@ func (ss *SiteSet) Tick() (*SitePromotion, error) {
 	ss.mu.Lock()
 	unreachable := ss.unreachable
 	promoted := ss.promoted
-	sites := append([]*site(nil), ss.sites...)
+	var standbys []*site
+	for _, s := range ss.sites {
+		if !s.promoted && !s.crashed {
+			standbys = append(standbys, s)
+		}
+	}
 	ss.mu.Unlock()
 	if !unreachable {
 		if err := ss.repl.Tick(); err != nil {
@@ -528,19 +448,13 @@ func (ss *SiteSet) Tick() (*SitePromotion, error) {
 			ss.opt.Log.Addf("repl dead files n=%d", dead)
 		}
 	}
-	for _, s := range sites {
-		if s.promoted {
-			continue
-		}
+	for _, s := range standbys {
 		ss.heartbeatSite(s)
 	}
 	if promoted {
 		return nil, nil
 	}
-	for _, s := range sites {
-		if s.promoted {
-			continue
-		}
+	for _, s := range standbys {
 		if s.lease.Expired() {
 			ss.opt.Metrics.Counter("wan.georep.elections").Inc()
 			ss.opt.Log.Addf("election site=%d t=%d", s.id, now)
@@ -601,21 +515,27 @@ func (ss *SiteSet) findSite(id int) *site {
 // agents — a fence probe (ping) followed by a re-assert of the recovered
 // last-good rates. A claim the agents refuse (a sibling already fenced the
 // fleet) steps down: the controller is torn back down, the site re-opens as
-// a standby, and ErrClaimFenced is returned. Unlike the shared-directory
-// ReplicaSet there is NO cross-site lock — a partitioned sibling can always
-// *claim*; the agents rejecting stale and tied generations are the sole
-// defense, which is exactly what the F11 matrix row proves.
+// a standby, and ErrClaimFenced is returned. There is NO lock between sites
+// — a partitioned sibling can always *claim*, concurrently even; the agents
+// rejecting stale and tied generations are the sole arbiter, which is
+// exactly what the F5 and F11 matrix rows prove. Every claimant walks the
+// agents in the same name order and stops at its first refusal, so among
+// equal-generation claimants whoever reaches the first agent first wins the
+// whole fleet.
 func (ss *SiteSet) Promote(id int) (*SitePromotion, error) {
 	s := ss.findSite(id)
 	if s == nil {
 		return nil, fmt.Errorf("wan: no site %d", id)
 	}
 	ss.mu.Lock()
-	if s.promoted {
-		ss.mu.Unlock()
-		return nil, fmt.Errorf("wan: site %d already leads", id)
-	}
+	promoted, crashed := s.promoted, s.crashed
 	ss.mu.Unlock()
+	switch {
+	case promoted:
+		return nil, fmt.Errorf("wan: site %d already leads", id)
+	case crashed:
+		return nil, fmt.Errorf("wan: site %d is crashed", id)
+	}
 	if !s.lease.Expired() {
 		return nil, fmt.Errorf("wan: site %d: %w", id, ErrLeaseValid)
 	}

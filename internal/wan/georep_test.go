@@ -1,7 +1,10 @@
 package wan
 
 import (
+	"crypto/sha256"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -26,7 +29,7 @@ func newSiteHarness(t *testing.T, n int) (tb *Testbed, lease *LeaseServer, ss *S
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { lease.Close() })
-	ss, err = NewSiteSet(dir, t.TempDir(), lease.Addr(), agentAddrs(tb), SiteOptions{
+	ss, err = NewSiteSet(dir, t.TempDir(), lease.Addr(), tb.AgentAddrs(), SiteOptions{
 		Sites:            n,
 		LeaseTicks:       3,
 		HeartbeatTimeout: 100 * time.Millisecond,
@@ -189,6 +192,160 @@ func TestSitePromotionLeaseGate(t *testing.T) {
 	}
 	if _, err := ss.Promote(9); err == nil || errors.Is(err, ErrLeaseValid) {
 		t.Fatalf("unknown site claim: err = %v, want a not-found error", err)
+	}
+	if err := ss.CrashSite(9); err == nil {
+		t.Fatal("crashed an unknown site")
+	}
+}
+
+// TestDoublePromotionRace: two sites whose leases have both lapsed claim
+// leadership concurrently. No lock is shared between them — both open their
+// own directory at the same floored generation — so the agents' named
+// equal-generation tie-break is the only arbiter: exactly one claim wins,
+// the loser fails typed with ErrClaimFenced and is a standby again, and the
+// run is clean under -race.
+func TestDoublePromotionRace(t *testing.T) {
+	checkGoroutineLeaks(t)
+	tb, lease, ss := newSiteHarness(t, 2)
+	if _, err := tb.RunScenario(7); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ss.Tick(); err != nil {
+		t.Fatal(err)
+	}
+	lease.Close()
+	ss.Clock().Advance(3) // a full lease duration of silence: both leases lapse
+
+	type outcome struct {
+		p   *SitePromotion
+		err error
+	}
+	results := make([]outcome, 2)
+	var wg sync.WaitGroup
+	for i, id := range []int{1, 2} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p, err := ss.Promote(id)
+			results[i] = outcome{p, err}
+		}()
+	}
+	wg.Wait()
+
+	winner := 0
+	for i, r := range results {
+		switch {
+		case r.p != nil && r.err == nil:
+			if winner != 0 {
+				t.Fatalf("both claims won: sites %d and %d", winner, i+1)
+			}
+			winner = i + 1
+			t.Cleanup(func() { r.p.Ctl.Close() })
+			if !r.p.Recovery.Warm || r.p.Recovery.Generation != 2 {
+				t.Errorf("winner recovery = %+v, want warm gen 2", r.p.Recovery)
+			}
+		case errors.Is(r.err, ErrClaimFenced):
+		default:
+			t.Errorf("unexpected race outcome for site %d: promotion=%v err=%v", i+1, r.p, r.err)
+		}
+	}
+	if winner == 0 {
+		t.Fatal("neither claim won")
+	}
+	if !ss.Promoted() {
+		t.Error("set not marked promoted after the race")
+	}
+	for _, st := range ss.Status() {
+		if st.ID == winner {
+			if !st.Promoted || st.FencedClaims != 0 {
+				t.Errorf("winning site status: %+v", st)
+			}
+			continue
+		}
+		// The loser stepped down and re-opened its directory for standby
+		// duty with its applied prefix intact.
+		if st.Promoted || st.FencedClaims != 1 || st.Applied != 1 {
+			t.Errorf("losing site status: %+v", st)
+		}
+	}
+	for _, a := range tb.Agents {
+		if got := a.MaxGen(); got != 2 {
+			t.Errorf("agent %s fence = gen %d, want 2", a.Name, got)
+		}
+	}
+}
+
+// TestReplicasQuietByteIdentity pins the compatibility guarantee of an
+// empty site set: a leader watched by a SiteSet with Sites: 0 — replicator
+// tailing its directory, ticked every epoch, sharing its event log —
+// produces exactly the same event sequence, the same agent-visible rates,
+// and byte-identical state-directory files as a leader with no SiteSet at
+// all.
+func TestReplicasQuietByteIdentity(t *testing.T) {
+	checkGoroutineLeaks(t)
+	run := func(watched bool) (events []string, rates []map[string]float64, files map[string][32]byte) {
+		dir := t.TempDir()
+		tb := newStateTestbed(t)
+		if _, err := tb.OpenState(dir); err != nil {
+			t.Fatal(err)
+		}
+		var ss *SiteSet
+		if watched {
+			lease, err := NewLeaseServer(tb.Ctl.Generation)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { lease.Close() })
+			ss, err = NewSiteSet(dir, t.TempDir(), lease.Addr(), tb.AgentAddrs(), SiteOptions{
+				Sites:   0,
+				Metrics: obs.NewRegistry(),
+				Log:     tb.Ctl.Log,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { ss.Close() })
+		}
+		for i := 0; i < 2; i++ {
+			if _, err := tb.RunScenario(7); err != nil {
+				t.Fatal(err)
+			}
+			if ss != nil {
+				if p, err := ss.Tick(); p != nil || err != nil {
+					t.Fatalf("quiet tick: promotion=%v err=%v", p, err)
+				}
+			}
+		}
+		for _, a := range tb.Agents {
+			rates = append(rates, a.Rates())
+		}
+		names, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = make(map[string][32]byte, len(names))
+		for _, de := range names {
+			b, err := os.ReadFile(filepath.Join(dir, de.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[de.Name()] = sha256.Sum256(b)
+		}
+		return tb.Ctl.Log.Events(), rates, files
+	}
+
+	plainEvents, plainRates, plainFiles := run(false)
+	watchEvents, watchRates, watchFiles := run(true)
+	if !reflect.DeepEqual(watchEvents, plainEvents) {
+		t.Errorf("leader event sequence diverged under watch:\n with: %v\n want: %v",
+			watchEvents, plainEvents)
+	}
+	if !reflect.DeepEqual(watchRates, plainRates) {
+		t.Errorf("agent rates diverged under watch: %v vs %v", watchRates, plainRates)
+	}
+	if !reflect.DeepEqual(watchFiles, plainFiles) {
+		t.Errorf("state-directory bytes diverged under watch:\n with: %v\n want: %v",
+			watchFiles, plainFiles)
 	}
 }
 

@@ -1,21 +1,17 @@
 package wan
 
-import "sync"
+import (
+	"fmt"
+	"sync"
+)
 
-// Clock is the time source leases run on. It is a seam, not a convenience:
-// cross-site failover decisions must replay bit-identically from a seed, so
-// everything the lease compares is expressed in abstract ticks and the
-// production wall clock is just one implementation. Now never goes
-// backwards.
-type Clock interface {
-	Now() uint64
-}
-
-// LogicalClock is the deterministic Clock: a counter advanced explicitly by
-// the harness (SiteSet advances it once per Tick). Two runs that perform
-// the same tick sequence observe the same times, which is what keeps lease
-// expiries — and therefore elections and promotions — byte-identical in
-// the failover matrix. Safe for concurrent use.
+// LogicalClock is the time source leases run on: a counter advanced
+// explicitly by the harness (SiteSet advances it once per Tick), because
+// failover decisions must replay bit-identically from a seed and so may
+// never read the wall clock. Two runs that perform the same tick sequence
+// observe the same times, which is what keeps lease expiries — and
+// therefore elections and promotions — byte-identical in the failover
+// matrix. Safe for concurrent use.
 type LogicalClock struct {
 	mu sync.Mutex
 	t  uint64
@@ -53,7 +49,7 @@ func (c *LogicalClock) Advance(n uint64) uint64 {
 // has never reached its leader does not instantly promote at boot. Safe
 // for concurrent use.
 type Lease struct {
-	clock    Clock
+	clock    *LogicalClock
 	duration uint64
 
 	mu     sync.Mutex
@@ -64,7 +60,7 @@ type Lease struct {
 
 // NewLease returns a lease on clock that expires duration ticks after its
 // last renewal, initially granted one full duration from now.
-func NewLease(clock Clock, duration uint64) *Lease {
+func NewLease(clock *LogicalClock, duration uint64) *Lease {
 	return &Lease{clock: clock, duration: duration, expiry: clock.Now() + duration}
 }
 
@@ -116,4 +112,33 @@ func (l *Lease) Renews() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.renews
+}
+
+// LeaseServer is the leader-liveness endpoint of a replicated controller:
+// a loopback listener speaking the existing JSON request/response protocol,
+// answering MsgPing with the leader's current fence generation. Standby
+// sites heartbeat it through any wan.Transport — which is exactly what
+// makes the election seam fault-injectable: wrapping a site's heartbeat
+// transport with fault.Transport drops or partitions heartbeats
+// deterministically, and killing the leader process is modeled by closing
+// the server (Close is idempotent), so a kill -9 takes the lease down with
+// it.
+type LeaseServer struct {
+	*server
+}
+
+// NewLeaseServer starts a lease endpoint on a fresh loopback port. gen is
+// polled on every heartbeat (pass Controller.Generation); it must be safe
+// for concurrent use.
+func NewLeaseServer(gen func() uint64) (*LeaseServer, error) {
+	srv, err := newServer(func(req *Request) *Response {
+		if req.Type != MsgPing {
+			return &Response{Err: fmt.Sprintf("lease: unsupported message %q", req.Type)}
+		}
+		return &Response{OK: true, Gen: gen()}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &LeaseServer{srv}, nil
 }

@@ -1,6 +1,10 @@
 package wan
 
-import "testing"
+import (
+	"sync/atomic"
+	"testing"
+	"time"
+)
 
 func TestLogicalClock(t *testing.T) {
 	c := NewLogicalClock()
@@ -66,5 +70,45 @@ func TestLeaseLifecycle(t *testing.T) {
 	l.Renew(5)
 	if l.Expired() {
 		t.Fatal("renewed lease still expired")
+	}
+}
+
+// TestLeaseServerProtocol: the lease answers pings with the leader's live
+// generation and refuses anything else without dying.
+func TestLeaseServerProtocol(t *testing.T) {
+	checkGoroutineLeaks(t)
+	var gen atomic.Uint64
+	gen.Store(7)
+	lease, err := NewLeaseServer(gen.Load)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { lease.Close() })
+	cn, err := TCPTransport{}.Dial("lease/1", lease.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cn.Close() })
+	resp, err := cn.RoundTrip(&Request{Type: MsgPing}, time.Second)
+	if err != nil || resp == nil || !resp.OK || resp.Gen != 7 {
+		t.Fatalf("ping = %+v, %v; want OK gen 7", resp, err)
+	}
+	gen.Store(9)
+	resp, err = cn.RoundTrip(&Request{Type: MsgPing}, time.Second)
+	if err != nil || !resp.OK || resp.Gen != 9 {
+		t.Fatalf("second ping = %+v, %v; want OK gen 9", resp, err)
+	}
+	if resp, _ := cn.RoundTrip(&Request{Type: MsgUpdateRates}, time.Second); resp == nil || resp.OK {
+		t.Fatalf("lease accepted a non-ping request: %+v", resp)
+	}
+	// The connection survives the refusal.
+	if resp, err := cn.RoundTrip(&Request{Type: MsgPing}, time.Second); err != nil || !resp.OK {
+		t.Fatalf("ping after refusal = %+v, %v", resp, err)
+	}
+	if err := lease.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := lease.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
 	}
 }

@@ -580,6 +580,16 @@ func (tb *Testbed) primeSolver() {
 	tb.Ctl.Log.Addf("warmstart primed")
 }
 
+// AgentAddrs returns the switch fleet as the name -> address map a
+// controller (or a SiteSet's promoted controller) dials.
+func (tb *Testbed) AgentAddrs() map[string]string {
+	agents := make(map[string]string, len(tb.Agents))
+	for _, a := range tb.Agents {
+		agents[a.Name] = a.Addr()
+	}
+	return agents
+}
+
 // RestartController simulates a controller process restart: the old
 // incarnation is torn down (dropping its connections and releasing its
 // state-directory lock) and a fresh controller dials the same agents
@@ -587,15 +597,11 @@ func (tb *Testbed) primeSolver() {
 // event log) but none of the in-memory state — that comes back, if at all,
 // through OpenState.
 func (tb *Testbed) RestartController(tr Transport) error {
-	agents := make(map[string]string, len(tb.Agents))
-	for _, a := range tb.Agents {
-		agents[a.Name] = a.Addr()
-	}
 	old := tb.Ctl
 	if old != nil {
 		old.Close()
 	}
-	ctl, err := NewControllerTransport(tr, agents)
+	ctl, err := NewControllerTransport(tr, tb.AgentAddrs())
 	if err != nil {
 		return err
 	}
