@@ -8,7 +8,7 @@
 //	prete-testbed -fast -metrics           # JSON metrics snapshot after the run
 //	prete-testbed -debug-addr 127.0.0.1:0  # live /metrics + pprof while running
 //	prete-testbed -fast -faults 'seed=7,drop=0.1,delay=1:50ms'  # chaos run
-//	prete-testbed -fast -budget 60          # anytime TE solve: 60 work units
+//	prete-testbed -fast -budget 20          # anytime TE solve: 20 work units
 //	prete-testbed -budget 5000:150ms        # units + wall-clock safety net
 //	prete-testbed -fast -state-dir /tmp/st -sites 2     # leader + 2 standby sites fed by journal replication
 //

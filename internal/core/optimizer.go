@@ -472,7 +472,7 @@ func (o *Optimizer) polish(in *te.Input, classes []Class, delta []bool, phiCap f
 	phi := prob.AddVar(0, "phi")
 	tunnelVar := make(map[routing.TunnelID]int, len(in.Tunnels.Tunnels))
 	for _, t := range in.Tunnels.Tunnels {
-		tunnelVar[t.ID] = prob.AddVar(0, fmt.Sprintf("a_t%d", t.ID))
+		tunnelVar[t.ID] = prob.AddVar(0, "a")
 	}
 	linkTerms := make(map[int][]lp.Term)
 	for _, t := range in.Tunnels.Tunnels {
@@ -507,7 +507,7 @@ func (o *Optimizer) polish(in *te.Input, classes []Class, delta []bool, phiCap f
 			return nil, err
 		}
 	}
-	if _, err := prob.AddUpperBound(phi, phiCap+1e-7, "phi<=phi*"); err != nil {
+	if err := prob.AddUpperBound(phi, phiCap+1e-7, "phi<=phi*"); err != nil {
 		return nil, err
 	}
 	// Secondary objective: maximize the probability-weighted satisfied
@@ -517,13 +517,13 @@ func (o *Optimizer) polish(in *te.Input, classes []Class, delta []bool, phiCap f
 	// takes it; a plain per-flow satisfaction term would happily
 	// concentrate a flow onto one tunnel and die with its fiber.
 	const polishClassFloor = 1e-4 // skip classes too rare to move the objective
-	for ci, c := range classes {
+	for _, c := range classes {
 		d := in.Demands[c.Flow]
 		if d <= 0 || c.Prob < polishClassFloor || len(c.Avail) == 0 {
 			continue
 		}
-		s := prob.AddVar(-c.Prob, fmt.Sprintf("s_c%d", ci))
-		if _, err := prob.AddUpperBound(s, 1, "s<=1"); err != nil {
+		s := prob.AddVar(-c.Prob, "s")
+		if err := prob.AddUpperBound(s, 1, "s<=1"); err != nil {
 			return nil, err
 		}
 		terms := []lp.Term{{Var: s, Coeff: d}}
@@ -575,7 +575,7 @@ func (o *Optimizer) solveSubproblem(in *te.Input, classes []Class, delta []bool,
 	phi := prob.AddVar(1, "phi")
 	tunnelVar := make(map[routing.TunnelID]int, len(in.Tunnels.Tunnels))
 	for _, t := range in.Tunnels.Tunnels {
-		tunnelVar[t.ID] = prob.AddVar(0, fmt.Sprintf("a_t%d", t.ID))
+		tunnelVar[t.ID] = prob.AddVar(0, "a")
 	}
 	// Constraint (3): link capacities over pre-established AND new tunnels.
 	type capRow struct {
@@ -597,7 +597,7 @@ func (o *Optimizer) solveSubproblem(in *te.Input, classes []Class, delta []bool,
 	sort.Ints(linkIDs)
 	for _, lid := range linkIDs {
 		c := in.Net.Links[lid].Capacity
-		row, err := prob.AddConstraint(linkTerms[lid], lp.LE, c, fmt.Sprintf("cap_e%d", lid))
+		row, err := prob.AddConstraint(linkTerms[lid], lp.LE, c, "cap")
 		if err != nil {
 			return nil, err
 		}
@@ -605,7 +605,7 @@ func (o *Optimizer) solveSubproblem(in *te.Input, classes []Class, delta []bool,
 	}
 	// Constraint (4) for selected classes: sum a + d*phi >= d. The per-class
 	// term lists are assembled in parallel (tunnelVar is read-only by now);
-	// rows are added to the LP in class order so the tableau — and the
+	// rows are added to the LP in class order so the LP — and the
 	// simplex pivot sequence — is identical at every parallelism level.
 	type covRow struct {
 		class int
@@ -631,13 +631,13 @@ func (o *Optimizer) solveSubproblem(in *te.Input, classes []Class, delta []bool,
 		if terms == nil {
 			continue
 		}
-		row, err := prob.AddConstraint(terms, lp.GE, in.Demands[classes[ci].Flow], fmt.Sprintf("cov_c%d", ci))
+		row, err := prob.AddConstraint(terms, lp.GE, in.Demands[classes[ci].Flow], "cov")
 		if err != nil {
 			return nil, err
 		}
 		covRows = append(covRows, covRow{class: ci, row: row})
 	}
-	if _, err := prob.AddUpperBound(phi, 1, "phi<=1"); err != nil {
+	if err := prob.AddUpperBound(phi, 1, "phi<=1"); err != nil {
 		return nil, err
 	}
 	start := m.subSolve.Start()
@@ -694,10 +694,10 @@ func (o *Optimizer) solveMaster(in *te.Input, classes []Class, cuts []bendersCut
 	deltaVars := make([]int, len(classes))
 	for i := range classes {
 		if exact {
-			deltaVars[i] = m.AddBinaryVar(0, fmt.Sprintf("delta_%d", i))
+			deltaVars[i] = m.AddBinaryVar(0, "delta")
 		} else {
-			v := m.AddVar(0, fmt.Sprintf("delta_%d", i))
-			if _, err := m.AddUpperBound(v, 1, "delta<=1"); err != nil {
+			v := m.AddVar(0, "delta")
+			if err := m.AddUpperBound(v, 1, "delta<=1"); err != nil {
 				return nil, 0, err
 			}
 			deltaVars[i] = v
@@ -714,12 +714,12 @@ func (o *Optimizer) solveMaster(in *te.Input, classes []Class, cuts []bendersCut
 	}
 	sort.Slice(flows, func(i, j int) bool { return flows[i] < flows[j] })
 	for _, f := range flows {
-		if _, err := m.AddConstraint(perFlow[f], lp.GE, in.Beta, fmt.Sprintf("beta_f%d", f)); err != nil {
+		if _, err := m.AddConstraint(perFlow[f], lp.GE, in.Beta, "beta"); err != nil {
 			return nil, 0, err
 		}
 	}
 	// Optimality cuts: Phi - sum coef*delta >= con - sum coef.
-	for k, cut := range cuts {
+	for _, cut := range cuts {
 		terms := []lp.Term{{Var: phi, Coeff: 1}}
 		rhs := cut.con
 		for ci, w := range cut.coef {
@@ -729,11 +729,11 @@ func (o *Optimizer) solveMaster(in *te.Input, classes []Class, cuts []bendersCut
 			terms = append(terms, lp.Term{Var: deltaVars[ci], Coeff: -w})
 			rhs -= w
 		}
-		if _, err := m.AddConstraint(terms, lp.GE, rhs, fmt.Sprintf("cut_%d", k)); err != nil {
+		if _, err := m.AddConstraint(terms, lp.GE, rhs, "cut"); err != nil {
 			return nil, 0, err
 		}
 	}
-	if _, err := m.AddUpperBound(phi, 1, "phi<=1"); err != nil {
+	if err := m.AddUpperBound(phi, 1, "phi<=1"); err != nil {
 		return nil, 0, err
 	}
 	if exact {
@@ -819,16 +819,16 @@ func SolveExact(in *te.Input, nodeLimit int) (*Result, error) {
 	phi := m.AddVar(1, "phi")
 	tunnelVar := make(map[routing.TunnelID]int)
 	for _, t := range in.Tunnels.Tunnels {
-		tunnelVar[t.ID] = m.AddVar(0, fmt.Sprintf("a_t%d", t.ID))
+		tunnelVar[t.ID] = m.AddVar(0, "a")
 	}
 	lVars := make([]int, len(classes))
 	dVars := make([]int, len(classes))
 	for i := range classes {
-		lVars[i] = m.AddVar(0, fmt.Sprintf("l_%d", i))
-		if _, err := m.AddUpperBound(lVars[i], 1, "l<=1"); err != nil {
+		lVars[i] = m.AddVar(0, "l")
+		if err := m.AddUpperBound(lVars[i], 1, "l<=1"); err != nil {
 			return nil, err
 		}
-		dVars[i] = m.AddBinaryVar(0, fmt.Sprintf("delta_%d", i))
+		dVars[i] = m.AddBinaryVar(0, "delta")
 	}
 	// (3) capacity, in deterministic link order
 	linkTerms := make(map[int][]lp.Term)
@@ -876,11 +876,11 @@ func SolveExact(in *te.Input, nodeLimit int) (*Result, error) {
 	}
 	sort.Slice(exactFlows, func(i, j int) bool { return exactFlows[i] < exactFlows[j] })
 	for _, f := range exactFlows {
-		if _, err := m.AddConstraint(perFlow[f], lp.GE, in.Beta, fmt.Sprintf("beta_f%d", f)); err != nil {
+		if _, err := m.AddConstraint(perFlow[f], lp.GE, in.Beta, "beta"); err != nil {
 			return nil, err
 		}
 	}
-	if _, err := m.AddUpperBound(phi, 1, "phi<=1"); err != nil {
+	if err := m.AddUpperBound(phi, 1, "phi<=1"); err != nil {
 		return nil, err
 	}
 	sol := m.SolveMIP(lp.MIPOptions{MaxNodes: nodeLimit})

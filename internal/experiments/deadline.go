@@ -24,10 +24,12 @@ func init() {
 // every row replays bit-identically from the seed at any parallelism.
 func deadline(w io.Writer, opts Options) error {
 	topos := []string{"B4", "IBM"}
-	budgets := []int64{1, 25, 100, 400, 1600, 6400, 25600, 0}
+	// The ladder brackets both rung boundaries of an unlimited solve (B4:
+	// first incumbent at 202 units, done at 357; IBM: 274 and 467).
+	budgets := []int64{1, 25, 100, 200, 300, 600, 1600, 0}
 	if opts.Quick {
 		topos = []string{"B4"}
-		budgets = []int64{1, 100, 1600, 0}
+		budgets = []int64{1, 100, 300, 0}
 	}
 	header(w, "topology", "budget", "phi", "gap", "rung", "first_incumbent", "work_units")
 	for _, topo := range topos {

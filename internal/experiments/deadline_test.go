@@ -33,6 +33,7 @@ func TestDeadlineExperiment(t *testing.T) {
 		t.Fatalf("deadline quick sweep printed %d rows, want 4:\n%s", len(rows), out)
 	}
 	prevGap := -1.0
+	rungs := map[string]bool{}
 	for i, row := range rows {
 		if len(row) != 7 {
 			t.Fatalf("row %d has %d columns, want 7: %v", i, len(row), row)
@@ -47,9 +48,15 @@ func TestDeadlineExperiment(t *testing.T) {
 		prevGap = gap
 		switch row[4] {
 		case "optimal", "truncated", "heuristic":
+			rungs[row[4]] = true
 		default:
 			t.Errorf("row %d rung = %q", i, row[4])
 		}
+	}
+	// The ladder is fixed, the solver's pivot counts are not: a cheaper
+	// solve can slide under a budget and lose the sweep a rung.
+	if len(rungs) != 3 {
+		t.Errorf("quick ladder shows rungs %v, want all of heuristic, truncated, optimal — rescale deadline's budgets:\n%s", rungs, out)
 	}
 	last := rows[len(rows)-1]
 	if last[1] != "inf" || last[4] != "optimal" {

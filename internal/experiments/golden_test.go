@@ -74,7 +74,12 @@ func compareGolden(t *testing.T, want, got string) {
 			wv, werr := strconv.ParseFloat(strings.TrimSuffix(wf[ti], ","), 64)
 			gv, gerr := strconv.ParseFloat(strings.TrimSuffix(gf[ti], ","), 64)
 			isFloat := strings.Contains(wf[ti], ".")
-			if werr == nil && gerr == nil && isFloat && math.Abs(wv-gv) <= floatTol {
+			// Both sides are printed to six decimals, so two values that
+			// differ at all differ by a whole number of floatTol steps, and
+			// one step apart reads as 1.0000000000288e-06 in binary. The
+			// 1e-9 relative slack lets one step — floatTol — pass whichever
+			// way that last bit rounds.
+			if werr == nil && gerr == nil && isFloat && math.Abs(wv-gv) <= floatTol*(1+1e-9) {
 				continue
 			}
 			t.Errorf("line %d token %d: got %q, golden %q\nline: %q", li+1, ti+1, gf[ti], wf[ti], gotLines[li])

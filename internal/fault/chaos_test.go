@@ -21,6 +21,9 @@ type chaosRun struct {
 	Faults         []string
 	Degraded       bool
 	SolveTruncated bool
+	// The TE solves' deterministic cost, from the optimizer's own series:
+	// work units spent and the units at which an incumbent first existed.
+	SolveUnits, FirstIncumbentUnits int64
 }
 
 func runChaosScenario(t *testing.T, spec Spec, workloadSeed uint64) chaosRun {
@@ -53,6 +56,8 @@ func runChaosScenarioBudget(t *testing.T, spec Spec, workloadSeed uint64, solveU
 	run := chaosRun{
 		Events: tb.Ctl.Log.Events(), Faults: inj.History(),
 		Degraded: timing.Degraded, SolveTruncated: timing.SolveTruncated,
+		SolveUnits:          reg.Counter("core.budget.spent").Value(),
+		FirstIncumbentUnits: int64(reg.Histogram("core.anytime.first_incumbent_units", obs.CountBuckets()).Sum()),
 	}
 	for _, a := range tb.Agents {
 		run.Rates = append(run.Rates, a.Rates())
@@ -145,9 +150,15 @@ func TestChaosTightSolveBudget(t *testing.T) {
 		Seed: 1234, Drop: 0.15, DelayProb: 0.3,
 		DelayMin: 500 * time.Microsecond, DelayMax: 2 * time.Millisecond,
 	}
-	// The unfaulted testbed solve takes ~70 units with its first incumbent
-	// near 55: 2 units forces the heuristic rung, 60 a truncated incumbent.
-	for _, units := range []int64{2, 60} {
+	// Budgets come from the unbudgeted solve of the same workload rather
+	// than from a pivot count that changes with the LP core: one unit short
+	// of its first incumbent forces the heuristic rung, one unit short of
+	// its total a truncated incumbent.
+	ref := runChaosScenarioBudget(t, Spec{Seed: spec.Seed}, 7, 0)
+	if ref.SolveTruncated || ref.FirstIncumbentUnits < 2 || ref.FirstIncumbentUnits >= ref.SolveUnits {
+		t.Fatalf("reference solve: truncated=%v, first incumbent at %d of %d units", ref.SolveTruncated, ref.FirstIncumbentUnits, ref.SolveUnits)
+	}
+	for _, units := range []int64{ref.FirstIncumbentUnits - 1, ref.SolveUnits - 1} {
 		a := runChaosScenarioBudget(t, spec, 7, units)
 		if !a.SolveTruncated {
 			t.Fatalf("units=%d: solve was not truncated; budget too generous for the test", units)

@@ -1,9 +1,8 @@
 package lp
 
 import (
-	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // MIP wraps a Problem with binary restrictions on a subset of variables.
@@ -23,10 +22,7 @@ func NewMIP() *MIP {
 func (m *MIP) AddBinaryVar(objCoeff float64, name string) int {
 	v := m.Problem.AddVar(objCoeff, name)
 	m.binary[v] = true
-	// Relaxation bound x <= 1 (x >= 0 is implicit).
-	if _, err := m.Problem.AddUpperBound(v, 1, name+"<=1"); err != nil {
-		panic(err) // unreachable: v was just created
-	}
+	m.upper[v] = 1 // the relaxation's bound; x >= 0 is the default
 	return v
 }
 
@@ -150,23 +146,19 @@ func (m *MIP) SolveMIP(opts MIPOptions) *Solution {
 	return incumbent
 }
 
-// solveWithFixings solves the LP relaxation with some binaries fixed via
-// temporary equality rows.
+// solveWithFixings solves the LP relaxation with some binaries fixed, each
+// by collapsing its bounds onto the value. A value outside the variable's
+// own bounds (a binary whose upper bound was tightened to 0, fixed at 1)
+// makes the node infeasible.
 func (m *MIP) solveWithFixings(fixed map[int]float64, budget *Budget) *Solution {
-	sub := &Problem{
-		numVars:     m.numVars,
-		objective:   m.objective,
-		names:       m.names,
-		constraints: append([]Constraint(nil), m.constraints...),
-	}
-	vars := make([]int, 0, len(fixed))
-	for v := range fixed {
-		vars = append(vars, v)
-	}
-	sort.Ints(vars) // deterministic row order regardless of map iteration
-	for _, v := range vars {
-		if _, err := sub.AddConstraint([]Term{{Var: v, Coeff: 1}}, EQ, fixed[v], fmt.Sprintf("fix x%d=%g", v, fixed[v])); err != nil {
-			return &Solution{Status: Infeasible}
+	sub := *m.Problem
+	if len(fixed) > 0 {
+		sub.lower, sub.upper = slices.Clone(m.lower), slices.Clone(m.upper)
+		for v, val := range fixed {
+			if val < m.lower[v] || val > m.upper[v] {
+				return &Solution{Status: Infeasible}
+			}
+			sub.lower[v], sub.upper[v] = val, val
 		}
 	}
 	return sub.SolveBudget(budget)

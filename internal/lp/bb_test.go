@@ -16,7 +16,7 @@ func TestMIPKnapsack(t *testing.T) {
 	if _, err := m.AddConstraint([]Term{{a, 1}, {b, 1}, {c, 1}}, LE, 2, "cap"); err != nil {
 		t.Fatal(err)
 	}
-	sol := m.SolveMIP(MIPOptions{})
+	sol := certifyMIP(t, m, m.SolveMIP(MIPOptions{}))
 	if sol.Status != Optimal {
 		t.Fatalf("status = %v", sol.Status)
 	}
@@ -37,7 +37,7 @@ func TestMIPFractionalRelaxation(t *testing.T) {
 	if _, err := m.AddConstraint([]Term{{a, 6}, {b, 5}}, LE, 8, "w"); err != nil {
 		t.Fatal(err)
 	}
-	sol := m.SolveMIP(MIPOptions{})
+	sol := certifyMIP(t, m, m.SolveMIP(MIPOptions{}))
 	if sol.Status != Optimal || math.Abs(sol.Objective+5) > 1e-6 {
 		t.Fatalf("sol = %+v", sol)
 	}
@@ -55,8 +55,29 @@ func TestMIPInfeasible(t *testing.T) {
 	if _, err := m.AddConstraint([]Term{{a, 1}}, GE, 2, "impossible"); err != nil {
 		t.Fatal(err)
 	}
-	if sol := m.SolveMIP(MIPOptions{}); sol.Status != Infeasible {
+	if sol := certifyMIP(t, m, m.SolveMIP(MIPOptions{})); sol.Status != Infeasible {
 		t.Fatalf("status = %v", sol.Status)
+	}
+}
+
+// TestMIPFixingRespectsBounds: a fixing is intersected with the variable's
+// own bounds, not written over them. A binary tightened to a <= 0.5 is
+// fractional at the root; its a = 1 branch must be infeasible, leaving a = 0.
+func TestMIPFixingRespectsBounds(t *testing.T) {
+	m := NewMIP()
+	a := m.AddBinaryVar(-1, "a")
+	if err := m.AddUpperBound(a, 0.5, "a<=0.5"); err != nil {
+		t.Fatal(err)
+	}
+	if sol := m.solveWithFixings(map[int]float64{a: 1}, nil); sol.Status != Infeasible {
+		t.Fatalf("a fixed at 1 above its upper bound 0.5: status = %v", sol.Status)
+	}
+	if sol := m.solveWithFixings(map[int]float64{a: 0}, nil); sol.Status != Optimal || sol.X[a] != 0 {
+		t.Fatalf("a fixed at 0: %+v", sol)
+	}
+	sol := certifyMIP(t, m, m.SolveMIP(MIPOptions{}))
+	if sol.Status != Optimal || sol.X[a] != 0 || sol.Objective != 0 {
+		t.Fatalf("sol = %+v, want a = 0", sol)
 	}
 }
 
@@ -69,7 +90,7 @@ func TestMIPMixed(t *testing.T) {
 	if _, err := m.AddConstraint([]Term{{x, 1}, {g, -10}}, LE, 0, "gate"); err != nil {
 		t.Fatal(err)
 	}
-	sol := m.SolveMIP(MIPOptions{})
+	sol := certifyMIP(t, m, m.SolveMIP(MIPOptions{}))
 	if sol.Status != Optimal || math.Abs(sol.Objective+7) > 1e-6 {
 		t.Fatalf("sol = %+v", sol)
 	}
@@ -98,7 +119,7 @@ func TestMIPAgainstBruteForce(t *testing.T) {
 		if _, err := m.AddConstraint(terms, LE, cap, "cap"); err != nil {
 			t.Fatal(err)
 		}
-		sol := m.SolveMIP(MIPOptions{})
+		sol := certifyMIP(t, m, m.SolveMIP(MIPOptions{}))
 		if sol.Status != Optimal {
 			t.Fatalf("trial %d: status %v", trial, sol.Status)
 		}
@@ -131,7 +152,7 @@ func TestMIPNodeLimitReturnsIncumbent(t *testing.T) {
 	if _, err := m.AddConstraint(terms, LE, 7, "cap"); err != nil {
 		t.Fatal(err)
 	}
-	sol := m.SolveMIP(MIPOptions{MaxNodes: 3})
+	sol := certifyMIP(t, m, m.SolveMIP(MIPOptions{MaxNodes: 3}))
 	// With a tiny node budget the solver may or may not prove optimality,
 	// but it must return something sane, never panic.
 	if sol.Status != Optimal && sol.Status != IterationLimit && sol.Status != Infeasible {

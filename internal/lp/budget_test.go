@@ -28,6 +28,20 @@ func budgetLP(t *testing.T) *Problem {
 	return p
 }
 
+// solveBudgetLP and solveBudgetMIP solve a fresh fixture under a budget and
+// check the certificate of an Optimal outcome.
+func solveBudgetLP(t *testing.T, b *Budget) *Solution {
+	t.Helper()
+	p := budgetLP(t)
+	return certify(t, p, p.SolveBudget(b))
+}
+
+func solveBudgetMIP(t *testing.T, opts MIPOptions) *Solution {
+	t.Helper()
+	m := budgetMIP(t)
+	return certifyMIP(t, m, m.SolveMIP(opts))
+}
+
 func TestNilBudgetUnlimited(t *testing.T) {
 	var b *Budget
 	if !b.Spend(1 << 40) {
@@ -40,7 +54,7 @@ func TestNilBudgetUnlimited(t *testing.T) {
 		t.Fatalf("nil budget Spent/Remaining = %d/%d", b.Spent(), b.Remaining())
 	}
 	p := budgetLP(t)
-	if got, want := p.SolveBudget(nil), p.Solve(); got.Status != want.Status || got.Objective != want.Objective {
+	if got, want := certify(t, p, p.SolveBudget(nil)), p.Solve(); got.Status != want.Status || got.Objective != want.Objective {
 		t.Fatalf("SolveBudget(nil) = %v/%v, Solve() = %v/%v", got.Status, got.Objective, want.Status, want.Objective)
 	}
 }
@@ -87,7 +101,7 @@ func TestBudgetDeadline(t *testing.T) {
 }
 
 func TestSimplexTruncates(t *testing.T) {
-	full := budgetLP(t).Solve()
+	full := solveBudgetLP(t, nil)
 	if full.Status != Optimal {
 		t.Fatalf("reference solve: %v", full.Status)
 	}
@@ -95,7 +109,7 @@ func TestSimplexTruncates(t *testing.T) {
 		t.Fatalf("test LP too easy: %d pivots", full.Pivots)
 	}
 	for units := int64(1); units < int64(full.Pivots); units++ {
-		sol := budgetLP(t).SolveBudget(NewBudget(units))
+		sol := solveBudgetLP(t, NewBudget(units))
 		if sol.Status != Truncated {
 			t.Fatalf("budget %d (< %d pivots): status %v, want truncated", units, full.Pivots, sol.Status)
 		}
@@ -103,15 +117,15 @@ func TestSimplexTruncates(t *testing.T) {
 			t.Fatalf("budget %d: %d pivots performed", units, sol.Pivots)
 		}
 	}
-	sol := budgetLP(t).SolveBudget(NewBudget(int64(full.Pivots)))
+	sol := solveBudgetLP(t, NewBudget(int64(full.Pivots)))
 	if sol.Status != Optimal || sol.Objective != full.Objective {
 		t.Fatalf("exact budget: %v/%v, want %v/%v", sol.Status, sol.Objective, Optimal, full.Objective)
 	}
 }
 
 func TestSimplexBudgetDeterministic(t *testing.T) {
-	a := budgetLP(t).SolveBudget(NewBudget(2))
-	b := budgetLP(t).SolveBudget(NewBudget(2))
+	a := solveBudgetLP(t, NewBudget(2))
+	b := solveBudgetLP(t, NewBudget(2))
 	if a.Status != b.Status || a.Pivots != b.Pivots {
 		t.Fatalf("equal budgets diverge: %v/%d vs %v/%d", a.Status, a.Pivots, b.Status, b.Pivots)
 	}
@@ -139,18 +153,18 @@ func budgetMIP(t *testing.T) *MIP {
 }
 
 func TestMIPTruncates(t *testing.T) {
-	full := budgetMIP(t).SolveMIP(MIPOptions{})
+	full := solveBudgetMIP(t, MIPOptions{})
 	if full.Status != Optimal {
 		t.Fatalf("reference MIP: %v", full.Status)
 	}
-	sol := budgetMIP(t).SolveMIP(MIPOptions{Budget: NewBudget(1)})
+	sol := solveBudgetMIP(t, MIPOptions{Budget: NewBudget(1)})
 	if sol.Status != Truncated {
 		t.Fatalf("1-unit budget: status %v, want truncated", sol.Status)
 	}
 	// A generous-but-finite budget must return either the optimum or a
 	// truncated feasible/relaxation point — never Infeasible.
 	for units := int64(1); units <= 200; units *= 2 {
-		sol := budgetMIP(t).SolveMIP(MIPOptions{Budget: NewBudget(units)})
+		sol := solveBudgetMIP(t, MIPOptions{Budget: NewBudget(units)})
 		if sol.Status == Infeasible || sol.Status == Unbounded {
 			t.Fatalf("budget %d: status %v on a feasible MIP", units, sol.Status)
 		}
@@ -164,11 +178,11 @@ func TestMIPTruncates(t *testing.T) {
 // MaxNodes with open nodes must surface the cap in Solution.Status, not
 // silently return the incumbent as optimal.
 func TestMIPNodeLimitSurfaced(t *testing.T) {
-	sol := budgetMIP(t).SolveMIP(MIPOptions{MaxNodes: 2})
+	sol := solveBudgetMIP(t, MIPOptions{MaxNodes: 2})
 	if sol.Status != StatusIterLimit && sol.Status != Optimal {
 		t.Fatalf("node-capped MIP: status %v", sol.Status)
 	}
-	full := budgetMIP(t).SolveMIP(MIPOptions{})
+	full := solveBudgetMIP(t, MIPOptions{})
 	if sol.Status == Optimal && sol.Objective != full.Objective {
 		t.Fatalf("node-capped MIP claims optimal %v but optimum is %v", sol.Objective, full.Objective)
 	}

@@ -29,13 +29,14 @@ func (r *fuzzReader) coeff() float64 { return (float64(r.byte()) - 128) / 16 }
 // pos01 maps one byte to a nonnegative value in [0, 4).
 func (r *fuzzReader) pos01() float64 { return float64(r.byte()) / 64 }
 
-// FuzzSimplex drives the two-phase simplex with random LPs built around a
-// known feasible point x0: every constraint's RHS is derived from a.x0 so
-// the problem is feasible by construction. The solver must never panic,
-// never report Infeasible, and when it claims Optimal the returned point
-// must satisfy every constraint and beat (or match) x0's objective —
-// Unbounded and IterationLimit are legitimate outcomes for minimization
-// with free negative directions or degenerate cycling.
+// FuzzSimplex drives the simplex with random LPs built around a known
+// feasible point x0: every constraint's RHS is derived from a.x0 and every
+// variable bound contains x0, so the problem is feasible by construction.
+// The solver must never panic, never report Infeasible, and agree with the
+// dense-tableau oracle (tableau_test.go) on the status and, when Optimal, on
+// the objective within 1e-7; an Optimal solution must also carry a valid
+// duality certificate and beat (or match) x0's objective. Unbounded is a
+// legitimate outcome for minimization with free negative directions.
 func FuzzSimplex(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 7, 1, 200, 50, 130, 0, 100, 9, 255, 128, 64, 32, 16, 8, 4, 2, 1})
@@ -52,12 +53,6 @@ func FuzzSimplex(f *testing.F) {
 			p.AddVar(r.coeff(), "x")
 			x0[i] = r.pos01()
 		}
-		type row struct {
-			terms []Term
-			op    Op
-			rhs   float64
-		}
-		rows := make([]row, 0, nCons)
 		for c := 0; c < nCons; c++ {
 			nTerms := 1 + int(r.byte())%nVars
 			terms := make([]Term, 0, nTerms)
@@ -79,52 +74,42 @@ func FuzzSimplex(f *testing.F) {
 			if _, err := p.AddConstraint(terms, op, rhs, "c"); err != nil {
 				t.Fatalf("constraint rejected: %v", err)
 			}
-			rows = append(rows, row{terms, op, rhs})
+		}
+		// Bounds come last in the stream, so an input without them decodes
+		// to the same rows as before bounds were fuzzed.
+		for i := 0; i < nVars; i++ {
+			switch r.byte() % 4 {
+			case 1: // loose upper bound
+				p.upper[i] = x0[i] + r.pos01()
+			case 2: // upper bound tight at x0 (u = 0 when x0 is)
+				p.upper[i] = x0[i]
+			case 3: // fixed, as branch-and-bound fixes a binary
+				p.lower[i], p.upper[i] = x0[i], x0[i]
+			}
 		}
 
 		sol := p.Solve()
+		want := tableauSolve(p)
+		if sol.Status != want.Status {
+			t.Fatalf("status %v, tableau oracle %v", sol.Status, want.Status)
+		}
 		switch sol.Status {
 		case Infeasible:
 			t.Fatalf("solver claims infeasible but x0=%v is feasible by construction", x0)
-		case Unbounded, IterationLimit:
+		case Optimal:
+		default:
 			return
 		}
-
-		// Optimal: the returned point must be primal-feasible and at least as
-		// good as the known feasible point.
-		const tol = 1e-6
-		if len(sol.X) != nVars {
-			t.Fatalf("solution has %d vars, want %d", len(sol.X), nVars)
+		if math.Abs(sol.Objective-want.Objective) > 1e-7*(1+math.Abs(want.Objective)) {
+			t.Fatalf("objective %v, tableau oracle %v", sol.Objective, want.Objective)
 		}
+		certify(t, p, sol)
 		objX0 := 0.0
-		for i := 0; i < nVars; i++ {
-			if sol.X[i] < -tol || math.IsNaN(sol.X[i]) || math.IsInf(sol.X[i], 0) {
-				t.Fatalf("x[%d] = %v violates x >= 0", i, sol.X[i])
-			}
-			objX0 += p.objective[i] * x0[i]
+		for i, x := range x0 {
+			objX0 += p.objective[i] * x
 		}
-		if sol.Objective > objX0+tol {
+		if sol.Objective > objX0+1e-6 {
 			t.Fatalf("optimal objective %v worse than feasible point's %v", sol.Objective, objX0)
-		}
-		for ci, c := range rows {
-			lhs := 0.0
-			for _, term := range c.terms {
-				lhs += term.Coeff * sol.X[term.Var]
-			}
-			switch c.op {
-			case LE:
-				if lhs > c.rhs+tol {
-					t.Fatalf("constraint %d violated: %v <= %v", ci, lhs, c.rhs)
-				}
-			case GE:
-				if lhs < c.rhs-tol {
-					t.Fatalf("constraint %d violated: %v >= %v", ci, lhs, c.rhs)
-				}
-			case EQ:
-				if math.Abs(lhs-c.rhs) > tol {
-					t.Fatalf("constraint %d violated: %v == %v", ci, lhs, c.rhs)
-				}
-			}
 		}
 	})
 }

@@ -1,16 +1,34 @@
 // Package lp implements the optimization machinery PreTE's TE formulation
-// (Eqns. 2-8) needs without any external solver: a two-phase primal simplex
-// for linear programs (with dual values, which Benders decomposition
-// consumes for its optimality cuts) and a branch-and-bound solver for the
-// small binary programs that appear as Benders master problems.
+// (Eqns. 2-8) needs without any external solver: a simplex for linear
+// programs (with dual values, which Benders decomposition consumes for its
+// optimality cuts) and a branch-and-bound solver for the small binary
+// programs that appear as Benders master problems.
 //
-// The solver is deliberately a dense-tableau simplex: the TE instances this
-// repository produces (hundreds of rows after failure-equivalence-class
-// merging, see internal/core) are comfortably within its reach, and the
-// implementation is simple enough to audit.
+// There is one LP core (simplex.go, factor.go): a revised simplex over a
+// sparse column store with native variable bounds. Every variable — the
+// structural ones and one slack per row — lives in [lo, up] and is nonbasic
+// at either end; the basis is held as a sparse LU factorisation, updated by
+// one product-form eta per pivot and rebuilt every refactorEvery pivots. A
+// solve starts at the slack basis with every structural variable on the
+// bound its cost sign prefers, which is dual feasible for every LP this
+// repository builds, so the dual simplex (with bound flipping in its ratio
+// test) needs no phase 1 and no artificial columns; a cost that has no such
+// bound (negative, no upper bound) is shifted to zero for the dual pass and
+// a primal pass over the same factorisation finishes with the true costs.
+//
+// Determinism contract: a solve is a pure function of the Problem. Pricing
+// and ratio tests scan variables in index order and break ties by a fixed
+// rule, the cost perturbation that keeps the dual simplex from stalling is
+// a fixed function of the variable index, and every solve allocates its own
+// workspace, so a result depends neither on what was solved before nor on
+// how many solves run concurrently (internal/par) — identical Problems
+// pivot identically and return bit-identical Solutions.
 package lp
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Op is a constraint comparison operator.
 type Op int
@@ -49,23 +67,32 @@ type Constraint struct {
 }
 
 // Problem is a linear program: minimize Objective . x subject to the
-// constraints, with x >= 0 elementwise. Upper bounds are expressed as
-// explicit constraints (AddUpperBound).
+// constraints and to lower <= x <= upper elementwise. A new variable has
+// bounds [0, +Inf); AddUpperBound tightens the upper one, and
+// branch-and-bound fixes a variable by setting both to one value.
 type Problem struct {
-	numVars     int
-	objective   []float64
-	constraints []Constraint
-	names       []string
+	numVars      int
+	objective    []float64
+	lower, upper []float64
+	constraints  []Constraint
+
+	// mergeTerms scratch: mark[v] > markBase means v already occurred in the
+	// row being merged, at index mark[v]-markBase-1.
+	mark     []int
+	markBase int
 }
 
 // NewProblem returns an empty minimization problem.
 func NewProblem() *Problem { return &Problem{} }
 
 // AddVar introduces a variable with the given objective coefficient and
-// returns its index. All variables are implicitly >= 0.
+// bounds [0, +Inf), and returns its index. The name only labels the call
+// site; it is not stored.
 func (p *Problem) AddVar(objCoeff float64, name string) int {
 	p.objective = append(p.objective, objCoeff)
-	p.names = append(p.names, name)
+	p.lower = append(p.lower, 0)
+	p.upper = append(p.upper, math.Inf(1))
+	p.mark = append(p.mark, 0)
 	p.numVars++
 	return p.numVars - 1
 }
@@ -82,39 +109,48 @@ func (p *Problem) SetObjective(v int, coeff float64) {
 }
 
 // AddConstraint appends a constraint and returns its row index. Terms with
-// repeated variable indices are summed.
+// repeated variable indices are summed and zero coefficients dropped, in
+// place: the Problem takes ownership of terms.
 func (p *Problem) AddConstraint(terms []Term, op Op, rhs float64, name string) (int, error) {
 	for _, t := range terms {
 		if t.Var < 0 || t.Var >= p.numVars {
 			return 0, fmt.Errorf("lp: constraint %q references unknown variable %d", name, t.Var)
 		}
 	}
-	merged := mergeTerms(terms)
-	p.constraints = append(p.constraints, Constraint{Terms: merged, Op: op, RHS: rhs, Name: name})
+	p.constraints = append(p.constraints, Constraint{Terms: p.mergeTerms(terms), Op: op, RHS: rhs, Name: name})
 	return len(p.constraints) - 1, nil
 }
 
-// AddUpperBound adds x_v <= ub as an explicit row and returns its index.
-func (p *Problem) AddUpperBound(v int, ub float64, name string) (int, error) {
-	return p.AddConstraint([]Term{{Var: v, Coeff: 1}}, LE, ub, name)
+// AddUpperBound imposes x_v <= ub. It is a bound on the variable, not a
+// constraint row: it adds no entry to Solution.Duals.
+func (p *Problem) AddUpperBound(v int, ub float64, name string) error {
+	if v < 0 || v >= p.numVars {
+		return fmt.Errorf("lp: bound %q references unknown variable %d", name, v)
+	}
+	p.upper[v] = math.Min(p.upper[v], ub)
+	return nil
 }
 
-func mergeTerms(terms []Term) []Term {
-	m := make(map[int]float64, len(terms))
-	order := make([]int, 0, len(terms))
+// mergeTerms sums repeated variables into their first occurrence and drops
+// zero coefficients, reusing the backing array of terms.
+func (p *Problem) mergeTerms(terms []Term) []Term {
+	out := terms[:0]
 	for _, t := range terms {
-		if _, ok := m[t.Var]; !ok {
-			order = append(order, t.Var)
+		if k := p.mark[t.Var] - p.markBase; k > 0 {
+			out[k-1].Coeff += t.Coeff
+			continue
 		}
-		m[t.Var] += t.Coeff
+		out = append(out, t)
+		p.mark[t.Var] = p.markBase + len(out)
 	}
-	out := make([]Term, 0, len(order))
-	for _, v := range order {
-		if m[v] != 0 {
-			out = append(out, Term{Var: v, Coeff: m[v]})
+	p.markBase += len(terms)
+	kept := out[:0]
+	for _, t := range out {
+		if t.Coeff != 0 {
+			kept = append(kept, t)
 		}
 	}
-	return out
+	return kept
 }
 
 // Status reports the outcome of a solve.
@@ -168,9 +204,10 @@ type Solution struct {
 	Objective float64
 	X         []float64 // primal values, len NumVars
 	Duals     []float64 // one per constraint row, len NumConstraints
-	// Pivots counts simplex pivots across both phases — the solver-iteration
-	// figure the observability layer records (internal/obs); identical runs
-	// pivot identically, so it is deterministic diagnostic output.
+	// Pivots counts simplex pivots across the dual and primal passes — the
+	// solver-iteration figure the observability layer records
+	// (internal/obs); identical runs pivot identically, so it is
+	// deterministic diagnostic output.
 	Pivots int
 	// Nodes counts branch-and-bound nodes explored (MIP solves only).
 	Nodes int

@@ -1,340 +1,601 @@
 package lp
 
-import (
-	"math"
-)
+import "math"
 
 const (
+	// eps is the primal and dual feasibility tolerance and the smallest
+	// magnitude accepted as a pivot.
 	eps = 1e-9
 	// blandTrigger: after this many consecutive degenerate pivots the
 	// solver switches to Bland's rule, which cannot cycle.
 	blandTrigger = 64
+	// refactorEvery is the number of pivots between two factorisations of
+	// the basis; in between, each pivot appends one eta.
+	refactorEvery = 64
+	// perturbation scales the cost perturbation of the dual pass, an
+	// anti-stalling device: when most costs are zero nearly every dual
+	// ratio ties at zero. Its size and shape are arbitrary; the primal pass
+	// restores the true costs afterwards.
+	perturbation = 1e-7
 )
 
-// Solve runs a two-phase dense-tableau primal simplex and returns the
-// optimal solution with primal values and duals. Duals[i] is the shadow
-// price dObjective/dRHS of constraint i (so <=0 for binding LE rows and
-// >=0 for binding GE rows of a minimization).
+// Solve runs the simplex and returns the optimal solution with primal values
+// and duals. Duals[i] is the shadow price dObjective/dRHS of constraint i (so
+// <=0 for binding LE rows and >=0 for binding GE rows of a minimization).
 func (p *Problem) Solve() *Solution { return p.SolveBudget(nil) }
 
-// SolveBudget is Solve under a cooperative compute budget: the pivot loop
-// spends one work unit per pivot and returns Status == Truncated (with the
-// pivots performed so far recorded) the moment the budget expires. A nil
-// budget is unlimited, making SolveBudget(nil) identical to Solve.
+// SolveBudget is Solve under a cooperative compute budget: each pivot spends
+// one work unit, and the solve returns Status == Truncated (with the pivots
+// performed so far recorded) the moment the budget expires. A nil budget is
+// unlimited, making SolveBudget(nil) identical to Solve.
 func (p *Problem) SolveBudget(budget *Budget) *Solution {
-	t := newTableau(p)
-	t.budget = budget
-	// Phase 1: minimize the sum of artificials.
-	if t.numArt > 0 {
-		t.priceOut(t.phase1Costs())
-		status := t.iterate(true)
-		if status != Optimal {
-			return &Solution{Status: status, Pivots: t.pivots}
-		}
-		if t.rhsValue() > 1e-6 {
-			return &Solution{Status: Infeasible, Pivots: t.pivots}
-		}
-		t.evictArtificials()
+	s := newSolver(p, budget)
+	sol := &Solution{Status: s.solve(), Pivots: s.pivots}
+	if sol.Status == Optimal {
+		s.extract(sol)
 	}
-	// Phase 2: original objective, artificials barred from entering.
-	t.priceOut(t.phase2Costs())
-	status := t.iterate(false)
-	if status != Optimal {
-		return &Solution{Status: status, Pivots: t.pivots}
+	if solveHook != nil {
+		solveHook(p, sol)
 	}
-	return t.extract()
+	return sol
 }
 
-// tableau is the dense simplex tableau. Columns are laid out as
-// [structural | slack+surplus | artificial | RHS]; the last row is the
-// reduced-cost (objective) row.
-type tableau struct {
-	p       *Problem
-	m       int // constraint rows
-	nStruct int
-	nSlack  int
-	numArt  int
-	cols    int // total variable columns (excl. RHS)
+// solveHook is nil outside this package's tests, which set it (before any
+// solve runs) to capture the LPs other packages build.
+var solveHook func(*Problem, *Solution)
 
-	a     [][]float64 // (m+1) x (cols+1)
-	basis []int       // basic column per row
-
-	slackCol   []int     // per row: its slack/surplus column, or -1
-	artCol     []int     // per row: its artificial column, or -1
-	rowSign    []float64 // +1, or -1 when the row was flipped to make RHS >= 0
-	degenerate int       // consecutive degenerate pivot counter
+// solver is the workspace of one solve. Variables 0..n-1 are the Problem's,
+// variable n+i is the slack of row i (row_i . x + slack_i = rhs_i, bounded
+// by the row's operator), so every basis is a set of m of the n+m columns
+// [A | I] and the all-slack basis is the identity.
+type solver struct {
+	p          *Problem
+	n          int // structural variables; slacks follow
+	budget     *Budget
+	pivots     int
 	iterLimit  int
-	pivots     int     // total pivots across both phases (Solution.Pivots)
-	budget     *Budget // cooperative cancellation; nil = unlimited
+	degenerate int // consecutive zero-step pivots
+
+	// The structural columns, compressed; rows are read from p.constraints.
+	colPtr, colRow []int32
+	colVal         []float64
+
+	rowNorm []float64 // 2-norm of each constraint row (1 for an empty one)
+
+	lo, up  []float64 // bounds, per variable
+	cost    []float64 // working costs: perturbed in the dual pass, true after
+	x       []float64 // current value, per variable
+	d       []float64 // reduced cost, per variable (0 on basic ones)
+	atUpper []bool    // nonbasic variable sits at up, not lo
+	basic   []int32   // basis position -> variable
+	pos     []int32   // variable -> basis position, -1 when nonbasic
+
+	f     *factor
+	y     []float64 // row duals of the last computeDuals
+	row   []float64 // row-indexed scratch
+	col   []float64 // position-indexed scratch
+	alpha []float64 // the pivot row, valid on the variables listed in nz
+	nz    []int32   // variables with a non-zero in the pivot row, in row order
+	inNZ  []bool    // structural variable is listed in nz
+	cand  []int32   // dual ratio test candidates
 }
 
-func newTableau(p *Problem) *tableau {
-	m := len(p.constraints)
-	t := &tableau{
-		p:        p,
-		m:        m,
-		nStruct:  p.numVars,
-		slackCol: make([]int, m),
-		artCol:   make([]int, m),
-		rowSign:  make([]float64, m),
-		basis:    make([]int, m),
+func newSolver(p *Problem, budget *Budget) *solver {
+	m, n := len(p.constraints), p.numVars
+	s := &solver{
+		p: p, n: n, budget: budget, iterLimit: 200 * (2*m + n + 10),
+		colPtr: make([]int32, n+1), rowNorm: make([]float64, m),
+		lo: make([]float64, n+m), up: make([]float64, n+m), cost: make([]float64, n+m),
+		x: make([]float64, n+m), d: make([]float64, n+m), atUpper: make([]bool, n+m),
+		basic: make([]int32, m), pos: make([]int32, n+m),
+		f: newFactor(m),
+		y: make([]float64, m), row: make([]float64, m), col: make([]float64, m),
+		alpha: make([]float64, n+m), inNZ: make([]bool, n),
 	}
-	// Count slack and artificial columns. After flipping rows to RHS >= 0:
-	//   LE  -> slack (basic)
-	//   GE  -> surplus (-1) + artificial (basic)
-	//   EQ  -> artificial (basic)
-	type rowKind struct {
-		op   Op
-		sign float64
-	}
-	kinds := make([]rowKind, m)
+	nnz := 0
 	for i, c := range p.constraints {
-		sign := 1.0
-		op := c.Op
-		if c.RHS < 0 {
-			sign = -1
-			switch op {
-			case LE:
-				op = GE
-			case GE:
-				op = LE
-			}
+		nnz += len(c.Terms)
+		sq := 0.0
+		for _, t := range c.Terms {
+			s.colPtr[t.Var+1]++
+			sq += t.Coeff * t.Coeff
 		}
-		kinds[i] = rowKind{op: op, sign: sign}
-		t.rowSign[i] = sign
-		if op == LE || op == GE {
-			t.nSlack++
-		}
-		if op == GE || op == EQ {
-			t.numArt++
+		s.rowNorm[i] = 1
+		if sq > 0 {
+			s.rowNorm[i] = math.Sqrt(sq)
 		}
 	}
-	t.cols = t.nStruct + t.nSlack + t.numArt
-	t.a = make([][]float64, m+1)
-	for i := range t.a {
-		t.a[i] = make([]float64, t.cols+1)
+	for j := 0; j < n; j++ {
+		s.colPtr[j+1] += s.colPtr[j]
 	}
-	slackNext := t.nStruct
-	artNext := t.nStruct + t.nSlack
+	s.colRow, s.colVal = make([]int32, nnz), make([]float64, nnz)
+	next := make([]int32, n)
+	copy(next, s.colPtr)
 	for i, c := range p.constraints {
-		row := t.a[i]
-		sign := t.rowSign[i]
-		for _, term := range c.Terms {
-			row[term.Var] += sign * term.Coeff
+		for _, t := range c.Terms {
+			s.colRow[next[t.Var]], s.colVal[next[t.Var]] = int32(i), t.Coeff
+			next[t.Var]++
 		}
-		row[t.cols] = sign * c.RHS
-		t.slackCol[i] = -1
-		t.artCol[i] = -1
-		switch kinds[i].op {
+		j := n + i
+		switch c.Op {
 		case LE:
-			row[slackNext] = 1
-			t.slackCol[i] = slackNext
-			t.basis[i] = slackNext
-			slackNext++
+			s.up[j] = math.Inf(1)
 		case GE:
-			row[slackNext] = -1
-			t.slackCol[i] = slackNext
-			slackNext++
-			row[artNext] = 1
-			t.artCol[i] = artNext
-			t.basis[i] = artNext
-			artNext++
-		case EQ:
-			row[artNext] = 1
-			t.artCol[i] = artNext
-			t.basis[i] = artNext
-			artNext++
+			s.lo[j] = math.Inf(-1)
+		}
+		s.basic[i], s.pos[j] = int32(j), int32(i)
+	}
+	copy(s.lo, p.lower)
+	copy(s.up, p.upper)
+	copy(s.cost, p.objective)
+	return s
+}
+
+// solve runs the two passes: a dual simplex from the slack basis under
+// costs made dual feasible (and perturbed), which ends primal feasible or
+// proves infeasibility, then a primal simplex under the true costs, which
+// has nothing to do unless a cost was shifted or the perturbation left a
+// reduced cost on the wrong side of zero.
+func (s *solver) solve() Status {
+	for j := 0; j < s.n; j++ {
+		s.pos[j] = -1
+		lo, up := s.lo[j], s.up[j]
+		if lo > up {
+			return Infeasible
+		}
+		s.x[j] = lo
+		if lo == up {
+			continue // fixed: any reduced cost is dual feasible
+		}
+		// Any positive xi would do. It grows with the index only so that the
+		// perturbed optimum agrees with the ratio tests' tie-break — among
+		// interchangeable columns the lowest index is loaded first, which
+		// TestSimplexTiePrefersLowestIndex pins because callers' results
+		// depend on it.
+		xi := perturbation * (1 + float64(j)/float64(s.n))
+		switch {
+		case s.cost[j] >= 0:
+			s.cost[j] += xi
+		case !math.IsInf(up, 1):
+			s.park(int32(j), true)
+			s.cost[j] -= xi
+		default:
+			s.cost[j] = xi // no bound to hold a negative cost: shifted to zero
 		}
 	}
-	t.iterLimit = 200 * (m + t.cols + 10)
-	return t
-}
-
-// phase1Costs is 1 on artificial columns, 0 elsewhere.
-func (t *tableau) phase1Costs() []float64 {
-	c := make([]float64, t.cols)
-	for i := t.nStruct + t.nSlack; i < t.cols; i++ {
-		c[i] = 1
-	}
-	return c
-}
-
-// phase2Costs is the user objective on structural columns.
-func (t *tableau) phase2Costs() []float64 {
-	c := make([]float64, t.cols)
-	copy(c, t.p.objective)
-	return c
-}
-
-// priceOut rebuilds the reduced-cost row for cost vector c given the
-// current basis.
-func (t *tableau) priceOut(c []float64) {
-	obj := t.a[t.m]
-	for j := 0; j <= t.cols; j++ {
-		obj[j] = 0
-	}
-	copy(obj, c)
-	for i := 0; i < t.m; i++ {
-		cb := c[t.basis[i]]
-		if cb == 0 {
-			continue
+	s.refactor()
+	for {
+		if status := s.dual(); status != Optimal {
+			return status
 		}
-		row := t.a[i]
-		for j := 0; j <= t.cols; j++ {
-			obj[j] -= cb * row[j]
+		copy(s.cost, s.p.objective)
+		s.degenerate = 0
+		if status := s.primal(); status != Optimal {
+			return status
 		}
-	}
-}
-
-// rhsValue returns the current objective value (phase cost of the basis).
-func (t *tableau) rhsValue() float64 { return -t.a[t.m][t.cols] }
-
-// iterate pivots until optimality. In phase 2 (phase1 == false) artificial
-// columns may not enter the basis.
-func (t *tableau) iterate(phase1 bool) Status {
-	barFrom := t.cols
-	if !phase1 {
-		barFrom = t.nStruct + t.nSlack
-	}
-	for iter := 0; iter < t.iterLimit; iter++ {
-		col := t.chooseColumn(barFrom)
-		if col < 0 {
+		// primal ends on a fresh factorisation, which can expose a bound
+		// violation its updates had hidden; dual (the costs are now true
+		// and dual feasible) repairs it.
+		if s.leavingRow() < 0 {
 			return Optimal
 		}
-		row := t.chooseRow(col)
-		if row < 0 {
-			return Unbounded
+	}
+}
+
+// refactor rebuilds the factorisation of the current basis and recomputes
+// the basic values and the reduced costs from it, discarding whatever error
+// the updates since the last one accumulated.
+func (s *solver) refactor() {
+	s.f.build(s)
+	// x_B = B^-1 (rhs - N x_N); nonbasic slacks sit at 0.
+	for i, c := range s.p.constraints {
+		s.row[i] = c.RHS
+	}
+	for j := 0; j < s.n; j++ {
+		if xj := s.x[j]; s.pos[j] < 0 && xj != 0 {
+			for k := s.colPtr[j]; k < s.colPtr[j+1]; k++ {
+				s.row[s.colRow[k]] -= xj * s.colVal[k]
+			}
+		}
+	}
+	s.f.ftran(s.row, s.col)
+	for i, v := range s.basic {
+		s.x[v] = s.col[i]
+	}
+	s.computeDuals()
+}
+
+// computeDuals sets y = c_B B^-1 and d_j = c_j - y . A_j under the working
+// costs.
+func (s *solver) computeDuals() {
+	for i, v := range s.basic {
+		s.col[i] = s.cost[v]
+	}
+	s.f.btran(s.col, s.y)
+	for j := 0; j < s.n; j++ {
+		t := 0.0
+		if s.pos[j] < 0 {
+			t = s.cost[j]
+			for k := s.colPtr[j]; k < s.colPtr[j+1]; k++ {
+				t -= s.y[s.colRow[k]] * s.colVal[k]
+			}
+		}
+		s.d[j] = t
+	}
+	for i, yi := range s.y {
+		if j := s.n + i; s.pos[j] < 0 {
+			s.d[j] = -yi
+		} else {
+			s.d[j] = 0
+		}
+	}
+}
+
+// park puts nonbasic variable v exactly on its upper or its lower bound.
+func (s *solver) park(v int32, atUpper bool) {
+	s.atUpper[v] = atUpper
+	if atUpper {
+		s.x[v] = s.up[v]
+	} else {
+		s.x[v] = s.lo[v]
+	}
+}
+
+// shiftBasics moves every basic variable by -step times its entry in s.col.
+func (s *solver) shiftBasics(step float64) {
+	for i, a := range s.col {
+		if a != 0 {
+			s.x[s.basic[i]] -= step * a
+		}
+	}
+}
+
+// evict makes the variable at basis position pos nonbasic at the bound
+// nearest its value, leaving the position empty (-1) for enter.
+func (s *solver) evict(pos int32) {
+	v := s.basic[pos]
+	s.park(v, s.up[v]-s.x[v] < s.x[v]-s.lo[v])
+	s.pos[v], s.basic[pos] = -1, -1
+}
+
+// enter makes variable v basic at position pos.
+func (s *solver) enter(pos, v int32) {
+	s.basic[pos], s.pos[v] = v, pos
+}
+
+// ftranColumn leaves B^-1 A_v in s.col.
+func (s *solver) ftranColumn(v int32) {
+	clear(s.row)
+	if int(v) >= s.n {
+		s.row[int(v)-s.n] = 1
+	} else {
+		for k := s.colPtr[v]; k < s.colPtr[v+1]; k++ {
+			s.row[s.colRow[k]] = s.colVal[k]
+		}
+	}
+	s.f.ftran(s.row, s.col)
+}
+
+// pivot performs the basis change at position r once s.col holds the
+// entering column: the entering variable q moves by step, every basic
+// variable follows, and the leaving one lands exactly on bound (its upper
+// one when toUpper).
+func (s *solver) pivot(r, q int32, step float64, toUpper bool) {
+	s.shiftBasics(step)
+	s.x[q] += step
+	p := s.basic[r]
+	s.park(p, toUpper)
+	s.pos[p] = -1
+	s.enter(r, q)
+	s.f.push(r, s.col)
+}
+
+// countPivot books one pivot and, from the length of the step it took in
+// the pass's own objective, the degenerate streak.
+func (s *solver) countPivot(step float64) {
+	s.pivots++
+	if math.Abs(step) <= eps {
+		s.degenerate++
+	} else {
+		s.degenerate = 0
+	}
+}
+
+// bland reports whether the anti-cycling rule is in force.
+func (s *solver) bland() bool { return s.degenerate >= blandTrigger }
+
+// dual is the bounded dual simplex: pick the basic variable furthest
+// outside its bounds, let the ratio test over its row choose what enters
+// (flipping boxed variables whose breakpoints it passes), pivot. It returns
+// Optimal once the basis is primal feasible under a fresh factorisation.
+func (s *solver) dual() Status {
+	for {
+		r := s.leavingRow()
+		if r < 0 {
+			if s.f.etas() == 0 {
+				return Optimal
+			}
+			s.refactor()
+			continue
+		}
+		if s.pivots >= s.iterLimit {
+			return IterationLimit
+		}
+		p := s.basic[r]
+		toUpper := s.x[p] > s.up[p]
+		s.pivotRow(r)
+		q := s.dualRatio(p, toUpper)
+		if q < 0 {
+			// Nothing can enter: the row proves infeasibility, if it is
+			// exact. Believe it only from a fresh factorisation.
+			if s.f.etas() == 0 {
+				return Infeasible
+			}
+			s.refactor()
+			continue
 		}
 		// One pivot = one deterministic work unit; stop before performing a
 		// pivot the budget cannot pay for, so equal budgets truncate at the
-		// same tableau.
-		if !t.budget.Spend(1) {
+		// same basis.
+		if !s.budget.Spend(1) {
 			return Truncated
 		}
-		t.pivot(row, col)
-	}
-	return IterationLimit
-}
-
-// chooseColumn picks the entering column: Dantzig's rule normally, Bland's
-// rule while escaping degeneracy. Columns >= barFrom may not enter.
-func (t *tableau) chooseColumn(barFrom int) int {
-	obj := t.a[t.m]
-	if t.degenerate >= blandTrigger {
-		for j := 0; j < barFrom; j++ {
-			if obj[j] < -eps {
-				return j
+		s.ftranColumn(q)
+		bound := s.lo[p]
+		if toUpper {
+			bound = s.up[p]
+		}
+		stepD := s.d[q] / s.alpha[q]
+		for _, j := range s.nz {
+			if s.pos[j] < 0 {
+				s.d[j] -= stepD * s.alpha[j]
 			}
 		}
-		return -1
+		s.d[p], s.d[q] = -stepD, 0
+		s.pivot(r, q, (s.x[p]-bound)/s.col[r], toUpper)
+		s.countPivot(stepD)
+		if s.f.etas() >= refactorEvery {
+			s.refactor()
+		}
 	}
-	best, bestVal := -1, -eps
-	for j := 0; j < barFrom; j++ {
-		if obj[j] < bestVal {
-			best, bestVal = j, obj[j]
+}
+
+// leavingRow returns the basis position of the basic variable that is
+// furthest outside its bounds (under Bland's rule, of the infeasible one of
+// lowest index), or -1 when all are within bounds. A slack's violation is
+// measured in units of its row's norm — the distance from the current point
+// to the violated constraint's hyperplane — so the choice does not change
+// when a row is multiplied by a constant; a structural variable's is taken
+// as it is.
+func (s *solver) leavingRow() int32 {
+	best, worst := int32(-1), 0.0
+	for i, v := range s.basic {
+		x := s.x[v]
+		infeas := s.lo[v] - x
+		if x > s.up[v] {
+			infeas = x - s.up[v]
+		}
+		if infeas <= eps {
+			continue
+		}
+		if s.bland() {
+			if best < 0 || v < s.basic[best] {
+				best = int32(i)
+			}
+			continue
+		}
+		if int(v) >= s.n {
+			infeas /= s.rowNorm[int(v)-s.n]
+		}
+		if infeas > worst {
+			best, worst = int32(i), infeas
 		}
 	}
 	return best
 }
 
-// chooseRow runs the minimum-ratio test for the entering column, breaking
-// ties by smallest basis column (Bland-compatible).
-func (t *tableau) chooseRow(col int) int {
-	best := -1
-	bestRatio := math.Inf(1)
-	for i := 0; i < t.m; i++ {
-		aij := t.a[i][col]
-		if aij <= eps {
+// pivotRow computes row r of B^-1 [A | I]: its non-zeros are listed in s.nz,
+// their values left in s.alpha.
+func (s *solver) pivotRow(r int32) {
+	clear(s.col)
+	s.col[r] = 1
+	s.f.btran(s.col, s.row)
+	s.nz = s.nz[:0]
+	for i, ri := range s.row {
+		if ri == 0 {
 			continue
 		}
-		ratio := t.a[i][t.cols] / aij
-		if ratio < bestRatio-eps || (ratio < bestRatio+eps && (best < 0 || t.basis[i] < t.basis[best])) {
-			best, bestRatio = i, ratio
+		s.alpha[s.n+i] = ri
+		s.nz = append(s.nz, int32(s.n+i))
+		for _, t := range s.p.constraints[i].Terms {
+			if !s.inNZ[t.Var] {
+				s.inNZ[t.Var] = true
+				s.alpha[t.Var] = 0
+				s.nz = append(s.nz, int32(t.Var))
+			}
+			s.alpha[t.Var] += ri * t.Coeff
 		}
 	}
-	return best
+	for _, j := range s.nz {
+		if int(j) < s.n {
+			s.inNZ[j] = false
+		}
+	}
 }
 
-// pivot makes (row, col) the new basic position.
-func (t *tableau) pivot(row, col int) {
-	t.pivots++
-	if t.a[row][t.cols] <= eps {
-		t.degenerate++
-	} else {
-		t.degenerate = 0
+// dualRatio picks the entering variable for leaving variable p (moving to
+// its upper bound when toUpper, else its lower): the nonbasic variable whose
+// reduced cost reaches zero first as the dual step grows, preferring the
+// larger pivot among ties. A boxed candidate whose whole range does not
+// absorb p's remaining infeasibility is flipped to its other bound instead
+// — its reduced cost changes sign at that breakpoint, which the flip makes
+// feasible again — and the search goes on to the next breakpoint. It
+// returns -1 when nothing can enter: the row proves the LP infeasible.
+func (s *solver) dualRatio(p int32, toUpper bool) int32 {
+	sign, infeas := -1.0, s.lo[p]-s.x[p]
+	if toUpper {
+		sign, infeas = 1, s.x[p]-s.up[p]
 	}
-	pr := t.a[row]
-	inv := 1 / pr[col]
-	for j := 0; j <= t.cols; j++ {
-		pr[j] *= inv
-	}
-	pr[col] = 1 // exact
-	for i := 0; i <= t.m; i++ {
-		if i == row {
+	s.cand = s.cand[:0]
+	for _, j := range s.nz {
+		if s.pos[j] >= 0 || s.lo[j] == s.up[j] {
 			continue
 		}
-		f := t.a[i][col]
-		if f == 0 {
-			continue
+		if a := sign * s.alpha[j]; (s.atUpper[j] && a < -eps) || (!s.atUpper[j] && a > eps) {
+			s.cand = append(s.cand, j)
 		}
-		ri := t.a[i]
-		for j := 0; j <= t.cols; j++ {
-			ri[j] -= f * pr[j]
-		}
-		ri[col] = 0 // exact
 	}
-	t.basis[row] = col
+	flipped := false
+	for len(s.cand) > 0 {
+		// Smallest ratio; among (near-)equal ones the largest pivot, or under
+		// Bland's rule the lowest index; equal pivots go to the lowest index.
+		best, bestRatio, bestAbs := 0, math.Inf(1), 0.0
+		for k, j := range s.cand {
+			abs := math.Abs(s.alpha[j])
+			ratio := math.Abs(s.d[j]) / abs
+			if s.bland() {
+				abs = 0
+			}
+			if ratio < bestRatio-1e-12 || (ratio <= bestRatio+1e-12 && (abs > bestAbs || (abs == bestAbs && j < s.cand[best]))) {
+				best, bestRatio, bestAbs = k, ratio, abs
+			}
+		}
+		q := s.cand[best]
+		rest := infeas - math.Abs(s.alpha[q])*(s.up[q]-s.lo[q])
+		if s.bland() || !(rest > eps) {
+			if flipped {
+				s.applyFlips()
+			}
+			return q
+		}
+		// Flip q: p's infeasibility shrinks by |alpha_q| * range.
+		infeas = rest
+		if !flipped {
+			clear(s.row)
+			flipped = true
+		}
+		delta := -s.x[q]
+		s.park(q, !s.atUpper[q])
+		delta += s.x[q]
+		if int(q) >= s.n {
+			s.row[int(q)-s.n] += delta
+		} else {
+			for k := s.colPtr[q]; k < s.colPtr[q+1]; k++ {
+				s.row[s.colRow[k]] += delta * s.colVal[k]
+			}
+		}
+		s.cand[best] = s.cand[len(s.cand)-1]
+		s.cand = s.cand[:len(s.cand)-1]
+	}
+	if flipped {
+		s.applyFlips()
+	}
+	return -1
 }
 
-// evictArtificials pivots basic artificials (at value 0 after phase 1) out
-// of the basis where possible; rows where it is impossible are linearly
-// dependent and harmless to leave as-is.
-func (t *tableau) evictArtificials() {
-	artFrom := t.nStruct + t.nSlack
-	for i := 0; i < t.m; i++ {
-		if t.basis[i] < artFrom {
+// applyFlips moves the basic variables by -B^-1 (sum of A_j * delta_j), the
+// flipped columns' combined move that dualRatio accumulated in s.row.
+func (s *solver) applyFlips() {
+	s.f.ftran(s.row, s.col)
+	s.shiftBasics(1)
+}
+
+// primal is the bounded primal simplex from a primal feasible basis: price
+// by largest reduced-cost violation, ratio-test the entering column against
+// both bounds of every basic variable and the entering variable's own
+// range, pivot or flip. Reduced costs are recomputed from the factorisation
+// every iteration — this pass is short, it only cleans up after dual.
+func (s *solver) primal() Status {
+	for {
+		s.computeDuals()
+		q, dir := s.entering()
+		if q < 0 {
+			if s.f.etas() == 0 {
+				return Optimal
+			}
+			s.refactor()
 			continue
 		}
-		for j := 0; j < artFrom; j++ {
-			if math.Abs(t.a[i][j]) > eps {
-				t.pivot(i, j)
+		if s.pivots >= s.iterLimit {
+			return IterationLimit
+		}
+		s.ftranColumn(q)
+		// The entering variable moves by dir*step; basic variable i by
+		// -dir*step*col[i]. leave stays -1 when q's own range binds first.
+		step, leave, leaveAbs := s.up[q]-s.lo[q], int32(-1), 0.0
+		for i, a := range s.col {
+			abs := math.Abs(a)
+			if abs <= eps {
+				continue
+			}
+			v := s.basic[i]
+			room := s.up[v] - s.x[v]
+			if a*dir > 0 {
+				room = s.x[v] - s.lo[v]
+			}
+			ratio := math.Max(room, 0) / abs
+			// As in dualRatio: smallest ratio, then the largest pivot (no
+			// such preference under Bland's rule), then the lowest index.
+			if s.bland() {
+				abs = 0
+			}
+			tie := ratio <= step+1e-12 && leave >= 0 && (abs > leaveAbs || (abs == leaveAbs && v < s.basic[leave]))
+			if ratio < step-1e-12 || tie {
+				step, leave, leaveAbs = ratio, int32(i), abs
+			}
+		}
+		if math.IsInf(step, 1) {
+			return Unbounded
+		}
+		if !s.budget.Spend(1) {
+			return Truncated
+		}
+		if leave < 0 {
+			// Bound flip: q crosses its whole range, the basis stays.
+			s.shiftBasics(dir * step)
+			s.park(q, !s.atUpper[q])
+			s.countPivot(step)
+			continue
+		}
+		s.pivot(leave, q, dir*step, s.col[leave]*dir < 0)
+		s.countPivot(step)
+		if s.f.etas() >= refactorEvery {
+			s.refactor()
+		}
+	}
+}
+
+// entering returns the nonbasic variable whose reduced cost violates dual
+// feasibility the most (under Bland's rule, the violating one of lowest
+// index) and the direction it must move, or -1 when none does.
+func (s *solver) entering() (q int32, dir float64) {
+	q, worst := -1, eps
+	for j, dj := range s.d {
+		if s.pos[j] >= 0 || s.lo[j] == s.up[j] {
+			continue
+		}
+		if s.atUpper[j] {
+			dj = -dj
+		}
+		if dj < -worst {
+			q, worst = int32(j), -dj
+			if s.bland() {
 				break
 			}
 		}
 	}
+	if q >= 0 && s.atUpper[q] {
+		return q, -1
+	}
+	return q, 1
 }
 
-// extract reads the primal solution and duals off the final tableau.
-func (t *tableau) extract() *Solution {
-	x := make([]float64, t.nStruct)
-	for i := 0; i < t.m; i++ {
-		if b := t.basis[i]; b < t.nStruct {
-			x[b] = t.a[i][t.cols]
-		}
+// extract reads the solution off an optimal basis whose duals computeDuals
+// has just set under the true costs.
+func (s *solver) extract(sol *Solution) {
+	sol.X, sol.Duals = make([]float64, s.n), s.y
+	for j := range sol.X {
+		sol.X[j] = math.Min(math.Max(s.x[j], s.lo[j]), s.up[j])
+		sol.Objective += s.p.objective[j] * sol.X[j]
 	}
-	var obj float64
-	for j, c := range t.p.objective {
-		obj += c * x[j]
-	}
-	// Duals: y_i = -reducedCost(slack_i) for rows with a +1 slack,
-	// y_i = +reducedCost(surplus_i) for rows with a -1 surplus, and
-	// y_i = -reducedCost(artificial_i) for EQ rows (the artificial column
-	// is e_i with zero phase-2 cost). Flipped rows flip the sign back.
-	duals := make([]float64, t.m)
-	objRow := t.a[t.m]
-	for i := 0; i < t.m; i++ {
-		var y float64
-		switch {
-		case t.slackCol[i] >= 0 && t.p.constraints[i].Op == LE != (t.rowSign[i] < 0):
-			// internally a LE row: slack coefficient +1
-			y = -objRow[t.slackCol[i]]
-		case t.slackCol[i] >= 0:
-			// internally a GE row: surplus coefficient -1
-			y = objRow[t.slackCol[i]]
-		default:
-			y = -objRow[t.artCol[i]]
-		}
-		duals[i] = t.rowSign[i] * y
-	}
-	return &Solution{Status: Optimal, Objective: obj, X: x, Duals: duals, Pivots: t.pivots}
 }

@@ -26,7 +26,7 @@ func TestSimplexBasicMax(t *testing.T) {
 	mustConstraint(t, p, []Term{{x, 1}}, LE, 4, "c1")
 	mustConstraint(t, p, []Term{{y, 2}}, LE, 12, "c2")
 	mustConstraint(t, p, []Term{{x, 3}, {y, 2}}, LE, 18, "c3")
-	sol := p.Solve()
+	sol := certify(t, p, p.Solve())
 	if sol.Status != Optimal {
 		t.Fatalf("status = %v", sol.Status)
 	}
@@ -45,7 +45,7 @@ func TestSimplexEquality(t *testing.T) {
 	y := p.AddVar(2, "y")
 	mustConstraint(t, p, []Term{{x, 1}, {y, 1}}, EQ, 10, "sum")
 	mustConstraint(t, p, []Term{{x, 1}}, LE, 6, "cap")
-	sol := p.Solve()
+	sol := certify(t, p, p.Solve())
 	if sol.Status != Optimal || math.Abs(sol.Objective-14) > 1e-6 {
 		t.Fatalf("sol = %+v", sol)
 	}
@@ -60,7 +60,7 @@ func TestSimplexGE(t *testing.T) {
 	y := p.AddVar(3, "y")
 	mustConstraint(t, p, []Term{{x, 1}, {y, 1}}, GE, 4, "cover")
 	mustConstraint(t, p, []Term{{x, 1}, {y, -1}}, GE, -2, "skew")
-	sol := p.Solve()
+	sol := certify(t, p, p.Solve())
 	if sol.Status != Optimal || math.Abs(sol.Objective-8) > 1e-6 {
 		t.Fatalf("sol = %+v", sol)
 	}
@@ -71,7 +71,7 @@ func TestSimplexNegativeRHS(t *testing.T) {
 	p := NewProblem()
 	x := p.AddVar(1, "x")
 	mustConstraint(t, p, []Term{{x, -1}}, LE, -5, "flip")
-	sol := p.Solve()
+	sol := certify(t, p, p.Solve())
 	if sol.Status != Optimal || math.Abs(sol.X[x]-5) > 1e-6 {
 		t.Fatalf("sol = %+v", sol)
 	}
@@ -82,7 +82,7 @@ func TestSimplexInfeasible(t *testing.T) {
 	x := p.AddVar(1, "x")
 	mustConstraint(t, p, []Term{{x, 1}}, LE, 1, "le")
 	mustConstraint(t, p, []Term{{x, 1}}, GE, 2, "ge")
-	if sol := p.Solve(); sol.Status != Infeasible {
+	if sol := certify(t, p, p.Solve()); sol.Status != Infeasible {
 		t.Fatalf("status = %v, want infeasible", sol.Status)
 	}
 }
@@ -91,7 +91,7 @@ func TestSimplexUnbounded(t *testing.T) {
 	p := NewProblem()
 	x := p.AddVar(-1, "x") // maximize x with no cap
 	mustConstraint(t, p, []Term{{x, -1}}, LE, 0, "noop")
-	if sol := p.Solve(); sol.Status != Unbounded {
+	if sol := certify(t, p, p.Solve()); sol.Status != Unbounded {
 		t.Fatalf("status = %v, want unbounded", sol.Status)
 	}
 }
@@ -106,12 +106,44 @@ func TestSimplexDegenerate(t *testing.T) {
 	mustConstraint(t, p, []Term{{x1, 0.25}, {x2, -60}, {x3, -1.0 / 25}, {x4, 9}}, LE, 0, "r1")
 	mustConstraint(t, p, []Term{{x1, 0.5}, {x2, -90}, {x3, -1.0 / 50}, {x4, 3}}, LE, 0, "r2")
 	mustConstraint(t, p, []Term{{x3, 1}}, LE, 1, "r3")
-	sol := p.Solve()
+	sol := certify(t, p, p.Solve())
 	if sol.Status != Optimal {
 		t.Fatalf("status = %v", sol.Status)
 	}
 	if math.Abs(sol.Objective-(-0.05)) > 1e-6 {
 		t.Fatalf("objective = %v, want -0.05", sol.Objective)
+	}
+}
+
+// TestSimplexTiePrefersLowestIndex pins the one tie-break other packages
+// lean on: among columns that are interchangeable in the LP — same cost,
+// same rows — the optimal vertex returned loads the lowest-index one first.
+// The TE builders add a flow's tunnels shortest first, and bench/ref's
+// Flexile table is the plan this preference produces; a change of pricing,
+// perturbation or ratio-test order that flips it must fail here, not only
+// in the external reference.
+func TestSimplexTiePrefersLowestIndex(t *testing.T) {
+	// Two "flows" of three parallel zero-cost columns each; every column
+	// crosses its own capacity row, and each flow must be covered.
+	p := NewProblem()
+	var a [6]int
+	for i := range a {
+		a[i] = p.AddVar(0, "a")
+		mustConstraint(t, p, []Term{{a[i], 1}}, LE, 10, "cap")
+	}
+	mustConstraint(t, p, []Term{{a[0], 1}, {a[1], 1}, {a[2], 1}}, GE, 4, "cov")
+	mustConstraint(t, p, []Term{{a[3], 1}, {a[4], 1}, {a[5], 1}}, GE, 14, "cov")
+	sol := certify(t, p, p.Solve())
+	if sol.Status != Optimal {
+		t.Fatalf("status = %v", sol.Status)
+	}
+	// Flow 0 fits on its first column; flow 1 fills its first and spills
+	// the rest onto its second.
+	want := []float64{4, 0, 0, 10, 4, 0}
+	for i, w := range want {
+		if math.Abs(sol.X[a[i]]-w) > 1e-9 {
+			t.Fatalf("X = %v, want %v: equal columns must fill in index order", sol.X, want)
+		}
 	}
 }
 
@@ -123,7 +155,7 @@ func TestSimplexDualsLE(t *testing.T) {
 	y := p.AddVar(-1, "y")
 	r1 := mustConstraint(t, p, []Term{{x, 1}, {y, 1}}, LE, 10, "sum")
 	r2 := mustConstraint(t, p, []Term{{x, 1}}, LE, 6, "xcap")
-	sol := p.Solve()
+	sol := certify(t, p, p.Solve())
 	if sol.Status != Optimal {
 		t.Fatalf("status = %v", sol.Status)
 	}
@@ -140,7 +172,7 @@ func TestSimplexDualsGE(t *testing.T) {
 	p := NewProblem()
 	x := p.AddVar(3, "x")
 	r := mustConstraint(t, p, []Term{{x, 1}}, GE, 4, "floor")
-	sol := p.Solve()
+	sol := certify(t, p, p.Solve())
 	if sol.Status != Optimal || math.Abs(sol.Duals[r]-3) > 1e-6 {
 		t.Fatalf("sol = %+v", sol)
 	}
@@ -154,7 +186,7 @@ func TestSimplexDualsEQ(t *testing.T) {
 	y := p.AddVar(1, "y")
 	r1 := mustConstraint(t, p, []Term{{x, 1}, {y, 1}}, EQ, 7, "sum")
 	mustConstraint(t, p, []Term{{y, 1}}, LE, 3, "ycap")
-	sol := p.Solve()
+	sol := certify(t, p, p.Solve())
 	if sol.Status != Optimal || math.Abs(sol.Objective-11) > 1e-6 {
 		t.Fatalf("sol = %+v", sol)
 	}
@@ -217,7 +249,7 @@ func TestSimplexRandomTransportation(t *testing.T) {
 			}
 			mustConstraint(t, p, terms, GE, demand[j], "demand")
 		}
-		sol := p.Solve()
+		sol := certify(t, p, p.Solve())
 		if sol.Status != Optimal {
 			t.Fatalf("trial %d: status %v", trial, sol.Status)
 		}
@@ -283,7 +315,7 @@ func TestQuickStrongDuality(t *testing.T) {
 				return false
 			}
 		}
-		sol := p.Solve()
+		sol := certify(t, p, p.Solve())
 		if sol.Status == Unbounded || sol.Status == Infeasible {
 			return true // nothing to check (all-zero columns with negative cost)
 		}

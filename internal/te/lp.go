@@ -38,7 +38,7 @@ func solveMinMaxLoss(net *topology.Network, ts *routing.TunnelSet, demands Deman
 	phi := prob.AddVar(phiWeight, "phi")
 	tunnelVar := make(map[routing.TunnelID]int, len(ts.Tunnels))
 	for _, t := range ts.Tunnels {
-		tunnelVar[t.ID] = prob.AddVar(0, fmt.Sprintf("a_f%d_t%d", t.Flow, t.ID))
+		tunnelVar[t.ID] = prob.AddVar(0, "a")
 	}
 	// capacity rows over all tunnels, in deterministic link order so
 	// degenerate optima resolve to the same vertex run-to-run
@@ -60,12 +60,12 @@ func solveMinMaxLoss(net *topology.Network, ts *routing.TunnelSet, demands Deman
 		if c, ok := capOverride[l]; ok {
 			capacity = c
 		}
-		if _, err := prob.AddConstraint(linkTerms[l], lp.LE, capacity, fmt.Sprintf("cap_e%d", lid)); err != nil {
+		if _, err := prob.AddConstraint(linkTerms[l], lp.LE, capacity, "cap"); err != nil {
 			return nil, 0, err
 		}
 	}
 	// coverage rows: sum a + d*Phi >= d
-	for i, row := range rows {
+	for _, row := range rows {
 		d := demands[row.Flow]
 		if d <= 0 {
 			continue
@@ -74,12 +74,12 @@ func solveMinMaxLoss(net *topology.Network, ts *routing.TunnelSet, demands Deman
 		for _, tid := range row.Tunnels {
 			terms = append(terms, lp.Term{Var: tunnelVar[tid], Coeff: 1})
 		}
-		if _, err := prob.AddConstraint(terms, lp.GE, d, fmt.Sprintf("cov_%d_f%d", i, row.Flow)); err != nil {
+		if _, err := prob.AddConstraint(terms, lp.GE, d, "cov"); err != nil {
 			return nil, 0, err
 		}
 	}
 	// Phi <= 1: loss is normalized (constraint 8)
-	if _, err := prob.AddUpperBound(phi, 1, "phi<=1"); err != nil {
+	if err := prob.AddUpperBound(phi, 1, "phi<=1"); err != nil {
 		return nil, 0, err
 	}
 	// Satisfaction variables: s_f <= 1, s_f <= sum_t a_{f,t} / d_f over the
@@ -89,8 +89,8 @@ func solveMinMaxLoss(net *topology.Network, ts *routing.TunnelSet, demands Deman
 		if d <= 0 {
 			continue
 		}
-		s := prob.AddVar(-1, fmt.Sprintf("s_f%d", fl.ID))
-		if _, err := prob.AddUpperBound(s, 1, "s<=1"); err != nil {
+		s := prob.AddVar(-1, "s")
+		if err := prob.AddUpperBound(s, 1, "s<=1"); err != nil {
 			return nil, 0, err
 		}
 		terms := []lp.Term{{Var: s, Coeff: d}}

@@ -141,6 +141,32 @@ func TestMinMaxLossPlanFullCapacity(t *testing.T) {
 	}
 }
 
+// TestMinMaxLossPrefersFirstTunnel pins which of the many loss-free plans
+// the min-max-loss LP returns: a flow whose demand fits on its first
+// (shortest) tunnel is carried there, and only there. The LP itself is
+// indifferent — the detour is just as optimal — so this is the solver's
+// lowest-index tie-break showing through; Flexile's availability (and
+// bench/ref's table) depends on it, because a flow spread over more fibers
+// is hit by more cuts.
+func TestMinMaxLossPrefersFirstTunnel(t *testing.T) {
+	in := triangleInput(t, 4)
+	plan, err := MinMaxLossPlan(in, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fl := range in.Tunnels.Flows {
+		tids := in.Tunnels.TunnelsOf(fl.ID)
+		if got := plan.Alloc[tids[0]]; math.Abs(got-4) > 1e-9 {
+			t.Errorf("flow %d: first tunnel carries %v, want the whole demand 4", fl.ID, got)
+		}
+		for _, tid := range tids[1:] {
+			if plan.Alloc[tid] != 0 {
+				t.Errorf("flow %d: tunnel %d carries %v, want 0", fl.ID, tid, plan.Alloc[tid])
+			}
+		}
+	}
+}
+
 func TestMinMaxLossPlanUnderCut(t *testing.T) {
 	// Cut fiber 0 (s1s2): flow 0 must detour via s1->s3->s2; both flows
 	// then squeeze into fiber 1's 10 units, so at demand 10 each the best
