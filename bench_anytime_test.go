@@ -93,3 +93,18 @@ func BenchmarkSolveBudgetOverhead(b *testing.B) {
 		})
 	}
 }
+
+// TestAnytimeReferenceWork pins the B4 reference instance's deterministic
+// work: the pivot, node and iteration counts are decided by the exact
+// column, row and term order of every LP the solve builds (relaxed masters
+// with subproblem cuts and greedy rounding included), so a builder refactor
+// that moves any of them shows here.
+func TestAnytimeReferenceWork(t *testing.T) {
+	ref, err := core.DefaultOptimizer().Solve(anytimeInput(t, "B4"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.WorkUnits != 357 || ref.FirstIncumbentUnits != 202 {
+		t.Fatalf("B4 reference solve: %d work units, first incumbent at %d; want 357 and 202", ref.WorkUnits, ref.FirstIncumbentUnits)
+	}
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -49,6 +50,67 @@ func TestBuildClassesParallelMatchesSerial(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: BuildClassesP(%d) diverges from serial (%d vs %d classes)",
 					topo, p, len(got), len(want))
+			}
+		}
+	}
+}
+
+// naiveClasses is the reference class builder: one cut-set map per scenario,
+// Tunnel.AvailableUnder per tunnel, merge by the printed surviving set —
+// the definition of a failure-equivalence class, with no attention to cost.
+func naiveClasses(ts *routing.TunnelSet, set *scenario.Set) []Class {
+	var out []Class
+	for _, fl := range ts.Flows {
+		at := make(map[string]int)
+		for _, sc := range set.Scenarios {
+			var avail []routing.TunnelID
+			for _, tid := range ts.TunnelsOf(fl.ID) {
+				if ts.Tunnel(tid).AvailableUnder(sc.CutSet()) {
+					avail = append(avail, tid)
+				}
+			}
+			i, ok := at[fmt.Sprint(avail)]
+			if !ok {
+				i = len(out)
+				at[fmt.Sprint(avail)] = i
+				out = append(out, Class{Flow: fl.ID, Avail: avail})
+			}
+			out[i].Prob += sc.Prob
+		}
+	}
+	return out
+}
+
+// TestBuildClassesMatchesOracle compares BuildClassesP with naiveClasses —
+// Flow, Avail, Prob bit for bit, and order — at every parallelism level. The
+// third tunnel set has been through three degradations, so some flows carry
+// more than four tunnels, reactive ones among them.
+func TestBuildClassesMatchesOracle(t *testing.T) {
+	b4, ibm := realInput(t, "B4", 11), realInput(t, "IBM", 11)
+	updated := b4.Tunnels
+	for _, fiber := range []topology.FiberID{3, 7, 12} {
+		res, err := UpdateTunnels(updated, fiber, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		updated = res.Tunnels
+	}
+	if updated.NumTunnels() == b4.Tunnels.NumTunnels() {
+		t.Fatal("three degradations established no reactive tunnel")
+	}
+	for _, tc := range []struct {
+		name string
+		ts   *routing.TunnelSet
+		set  *scenario.Set
+	}{
+		{"B4", b4.Tunnels, b4.Scenarios},
+		{"IBM", ibm.Tunnels, ibm.Scenarios},
+		{"B4 after three UpdateTunnels", updated, b4.Scenarios},
+	} {
+		want := naiveClasses(tc.ts, tc.set)
+		for _, p := range []int{1, 2, 8} {
+			if got := BuildClassesP(tc.ts, tc.set, p); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: BuildClassesP(%d) differs from the naive builder (%d vs %d classes)", tc.name, p, len(got), len(want))
 			}
 		}
 	}

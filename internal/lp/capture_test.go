@@ -1,6 +1,7 @@
 package lp_test
 
 import (
+	"hash/fnv"
 	"slices"
 	"sync"
 	"testing"
@@ -14,10 +15,9 @@ import (
 	"prete/internal/topology"
 )
 
-// stormSolve runs one cold Benders solve of the named topology with one
-// fiber's failure probability raised the way a predicted degradation raises
-// it, and returns the LPs core built for it with their solutions.
-func stormSolve(t testing.TB, topo string) ([]*lp.Problem, []*lp.Solution) {
+// stormInput is the named topology with one fiber's failure probability
+// raised the way a predicted degradation raises it.
+func stormInput(t testing.TB, topo string) *te.Input {
 	t.Helper()
 	net, err := topology.ByName(topo)
 	if err != nil {
@@ -41,12 +41,22 @@ func stormSolve(t testing.TB, topo string) ([]*lp.Problem, []*lp.Solution) {
 	for i := range demands {
 		demands[i] = 10 + 5*rng.Float64()
 	}
-	in := &te.Input{Net: net, Tunnels: ts, Demands: demands, Scenarios: set, Beta: 0.99}
-	return lp.CaptureSolves(func() {
+	return &te.Input{Net: net, Tunnels: ts, Demands: demands, Scenarios: set, Beta: 0.99}
+}
+
+// stormSolve runs one cold Benders solve of stormInput and returns the LPs
+// core built for it with their solutions.
+func stormSolve(t testing.TB, topo string) ([]*lp.Problem, []*lp.Solution) {
+	t.Helper()
+	return lp.CaptureSolves(stormSolveOf(t, stormInput(t, topo)))
+}
+
+func stormSolveOf(t testing.TB, in *te.Input) func() {
+	return func() {
 		if _, err := core.DefaultOptimizer().Solve(in); err != nil {
 			t.Fatal(err)
 		}
-	})
+	}
 }
 
 // TestCertifyCoreLPs checks the duality certificate of every LP one B4 and
@@ -65,6 +75,57 @@ func TestCertifyCoreLPs(t *testing.T) {
 				t.Errorf("%s LP %d (%d x %d): %v", topo, i, p.NumConstraints(), p.NumVars(), err)
 			}
 			t.Logf("%s LP %d: %d rows x %d vars, %d pivots", topo, i, p.NumConstraints(), p.NumVars(), solutions[i].Pivots)
+		}
+	}
+}
+
+// TestCoreLPsUnchanged pins the LPs themselves, not only their optima: every
+// Problem core and te hand the solver for these inputs must hash to the value
+// recorded before the builders were folded into one positional model. The
+// LPs are degenerate at their optimum, so bench/ref, fig8_quick.golden and
+// lp.pivots all depend on the column, row and term order staying exactly
+// this.
+func TestCoreLPsUnchanged(t *testing.T) {
+	b4 := stormInput(t, "B4")
+	plan := func(s te.Scheme) func() {
+		return func() {
+			if _, err := s.Plan(b4); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Four B4 flows under few scenarios stay below core's exact-master limit,
+	// so this case walks the MIP master, several Benders rounds and
+	// SolveExact's monolithic MIP, none of which the storm solves reach.
+	small := *b4
+	small.Tunnels, _ = routing.BuildTunnels(b4.Net, b4.Tunnels.Flows[:4], 4)
+	small.Demands = te.Demands{900, 900, 900, 900}
+	small.Scenarios = &scenario.Set{Scenarios: b4.Scenarios.Scenarios[:12]}
+	small.Beta = 0.95
+	for _, tc := range []struct {
+		name  string
+		solve func()
+		lps   int
+		want  uint64
+	}{
+		{"B4 storm", stormSolveOf(t, b4), 3, 0x199fe65dee74a893},
+		{"IBM storm", stormSolveOf(t, stormInput(t, "IBM")), 3, 0xdfd6e412bdf039ca},
+		{"B4 four flows, Benders then exact", func() {
+			stormSolveOf(t, &small)()
+			if _, err := core.SolveExact(&small, 500); err != nil {
+				t.Fatal(err)
+			}
+		}, 19, 0x2e5327f6f8ccd276},
+		{"B4 MinMaxLossPlan", plan(te.Flexile{}), 1, 0xed4c2b4b352b6abd},
+		{"B4 FFC-1", plan(te.FFC{K: 1}), 1, 0x9aa7086efeacf2d2},
+	} {
+		problems, _ := lp.CaptureSolves(tc.solve)
+		h := fnv.New64a()
+		for _, p := range problems {
+			lp.HashProblem(h, p)
+		}
+		if got := h.Sum64(); len(problems) != tc.lps || got != tc.want {
+			t.Errorf("%s: %d LPs hashing to %#x, want %d LPs hashing to %#x", tc.name, len(problems), got, tc.lps, tc.want)
 		}
 	}
 }

@@ -1,6 +1,11 @@
 package lp
 
-import "sync"
+import (
+	"encoding/binary"
+	"hash"
+	"math"
+	"sync"
+)
 
 // CaptureSolves runs fn with every solve finished inside it — from any
 // package, on any goroutine — appended to the returned slices. Not safe to
@@ -15,4 +20,33 @@ func CaptureSolves(fn func()) (problems []*Problem, solutions []*Solution) {
 	defer func() { solveHook = nil }()
 	fn()
 	return problems, solutions
+}
+
+// HashProblem folds everything a solve reads of p — objective, bounds, then
+// each row's operator, right-hand side and terms in stored order — into h.
+// Two Problems that hash alike pivot alike (the determinism contract), so a
+// refactor of an LP builder that keeps the hash keeps the vertex.
+func HashProblem(h hash.Hash64, p *Problem) {
+	var buf [8]byte
+	u := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	f := func(v float64) { u(math.Float64bits(v)) }
+	u(uint64(p.numVars))
+	for v := 0; v < p.numVars; v++ {
+		f(p.objective[v])
+		f(p.lower[v])
+		f(p.upper[v])
+	}
+	u(uint64(len(p.constraints)))
+	for _, c := range p.constraints {
+		u(uint64(c.Op))
+		f(c.RHS)
+		u(uint64(len(c.Terms)))
+		for _, t := range c.Terms {
+			u(uint64(t.Var))
+			f(t.Coeff)
+		}
+	}
 }
