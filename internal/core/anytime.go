@@ -46,10 +46,12 @@ func (t *Truncation) Error() string {
 // The construction is deterministic: tunnels and classes are walked in their
 // canonical slice order, so equal inputs produce bit-identical plans.
 func HeuristicPlan(in *te.Input) (te.Allocation, float64) {
-	return heuristicPlan(in, BuildClasses(in.Tunnels, in.Scenarios))
+	sm := &solveModel{in: in, classes: BuildClasses(in.Tunnels, in.Scenarios)}
+	return sm.heuristicPlan()
 }
 
-func heuristicPlan(in *te.Input, classes []Class) (te.Allocation, float64) {
+func (sm *solveModel) heuristicPlan() (te.Allocation, float64) {
+	in := sm.in
 	alloc := make(te.Allocation)
 	for _, fl := range in.Tunnels.Flows {
 		d := in.Demands[fl.ID]
@@ -102,7 +104,7 @@ func heuristicPlan(in *te.Input, classes []Class) (te.Allocation, float64) {
 	}
 	// phi: worst loss over every equivalence class under this allocation.
 	var phi float64
-	for _, c := range classes {
+	for _, c := range sm.classes {
 		d := in.Demands[c.Flow]
 		if d <= 0 {
 			continue

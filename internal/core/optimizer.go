@@ -12,6 +12,7 @@ import (
 	"prete/internal/routing"
 	"prete/internal/scenario"
 	"prete/internal/te"
+	"prete/internal/topology"
 )
 
 // Class is a failure-equivalence class: the scenarios q under which flow f
@@ -38,44 +39,104 @@ func BuildClasses(ts *routing.TunnelSet, set *scenario.Set) []Class {
 // the result is bit-identical at every parallelism level (<= 0 means
 // GOMAXPROCS).
 func BuildClassesP(ts *routing.TunnelSet, set *scenario.Set, parallelism int) []Class {
+	classes, _ := buildClasses(ts, set, parallelism)
+	return classes
+}
+
+// buildClasses returns the class list flow-major — flows in ts.Flows order,
+// each flow's classes in first-seen scenario order — with flowAt[i] the
+// index of the first class of the flow at position i (len(flows)+1 entries).
+func buildClasses(ts *routing.TunnelSet, set *scenario.Set, parallelism int) (classes []Class, flowAt []int) {
 	perFlow := par.Map(len(ts.Flows), parallelism, func(i int) []Class {
 		return buildFlowClasses(ts, set, ts.Flows[i].ID)
 	})
-	var out []Class
-	for _, classes := range perFlow {
-		out = append(out, classes...)
+	flowAt = make([]int, 1, len(perFlow)+1)
+	for _, fc := range perFlow {
+		classes = append(classes, fc...)
+		flowAt = append(flowAt, len(classes))
 	}
-	return out
+	return classes, flowAt
 }
 
 // buildFlowClasses merges the scenario set into one flow's equivalence
 // classes, in first-seen scenario order.
 func buildFlowClasses(ts *routing.TunnelSet, set *scenario.Set, flow routing.FlowID) []Class {
 	tids := ts.TunnelsOf(flow)
-	byKey := make(map[string]*Class)
-	var order []string
+	at := make(map[string]int) // surviving-set key -> index in out
+	var out []Class
+	var key []byte
+	avail := make([]routing.TunnelID, 0, len(tids))
 	for _, sc := range set.Scenarios {
-		cut := sc.CutSet()
-		var avail []routing.TunnelID
+		avail = avail[:0]
 		for _, tid := range tids {
-			if ts.Tunnel(tid).AvailableUnder(cut) {
+			if survives(ts.Tunnel(tid), sc.Cut) {
 				avail = append(avail, tid)
 			}
 		}
-		key := tunnelKey(avail)
-		c, ok := byKey[key]
+		key = routing.AppendKey(key[:0], avail)
+		i, ok := at[string(key)]
 		if !ok {
-			c = &Class{Flow: flow, Avail: avail}
-			byKey[key] = c
-			order = append(order, key)
+			i = len(out)
+			at[string(key)] = i
+			out = append(out, Class{Flow: flow, Avail: append([]routing.TunnelID(nil), avail...)})
 		}
-		c.Prob += sc.Prob
-	}
-	out := make([]Class, 0, len(order))
-	for _, k := range order {
-		out = append(out, *byKey[k])
+		out[i].Prob += sc.Prob
 	}
 	return out
+}
+
+// survives is Tunnel.AvailableUnder over a scenario's cut list, without the
+// per-scenario set.
+func survives(t *routing.Tunnel, cut []topology.FiberID) bool {
+	for _, f := range cut {
+		if t.UsesFiber(f) {
+			return false
+		}
+	}
+	return true
+}
+
+// solveModel is everything one solve reads, built once by newSolveModel and
+// addressed by position from then on: the validated input, the class list,
+// and each flow's class range. Every LP row over classes (coverage, beta,
+// cuts) follows this order, and the order decides the simplex vertex — see
+// te.AllocLP.
+type solveModel struct {
+	in      *te.Input
+	classes []Class
+	// classes[flowAt[i]:flowAt[i+1]] belong to the flow at position i.
+	flowAt []int
+}
+
+// span bounds the classes of the flow at position i.
+func (sm *solveModel) span(i int) (lo, hi int) { return sm.flowAt[i], sm.flowAt[i+1] }
+
+func newSolveModel(in *te.Input, parallelism int) (*solveModel, error) {
+	if err := in.Validate(); err != nil {
+		return nil, err
+	}
+	if in.Scenarios == nil || len(in.Scenarios.Scenarios) == 0 {
+		return nil, fmt.Errorf("core: no failure scenarios")
+	}
+	classes, flowAt := buildClasses(in.Tunnels, in.Scenarios, parallelism)
+	return &solveModel{in: in, classes: classes, flowAt: flowAt}, nil
+}
+
+// addBetaRows adds constraint (5) to p, one row per flow in flow order: the
+// probability mass of the flow's selected classes reaches beta.
+// deltaVars[ci] is the selection column of class ci.
+func (sm *solveModel) addBetaRows(p *lp.Problem, deltaVars []int) error {
+	for i := range sm.in.Tunnels.Flows {
+		lo, hi := sm.span(i)
+		terms := make([]lp.Term, 0, hi-lo)
+		for ci := lo; ci < hi; ci++ {
+			terms = append(terms, lp.Term{Var: deltaVars[ci], Coeff: sm.classes[ci].Prob})
+		}
+		if _, err := p.AddConstraint(terms, lp.GE, sm.in.Beta, "beta"); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // classMinLoss lower-bounds a class's achievable loss from its surviving
@@ -105,14 +166,6 @@ func classMinLoss(in *te.Input, c Class) float64 {
 	return 1 - capSum/d
 }
 
-func tunnelKey(tids []routing.TunnelID) string {
-	b := make([]byte, 0, len(tids)*3)
-	for _, t := range tids {
-		b = append(b, byte(t), byte(t>>8), ',')
-	}
-	return string(b)
-}
-
 // Optimizer solves the PreTE formulation (Eqns. 2-8) with Benders
 // decomposition (Algorithm 2).
 type Optimizer struct {
@@ -129,12 +182,11 @@ type Optimizer struct {
 	// DisablePolish skips the satisfaction-maximizing re-solve (ablation
 	// knob: allocations then stop at exactly (1-Phi)d per flow).
 	DisablePolish bool
-	// Parallelism bounds the worker count of the optimizer's parallel
-	// stages (per-flow class construction, structural-cut seeding, and
-	// subproblem row assembly): <= 0 selects runtime.GOMAXPROCS(0), 1
-	// forces the serial path. Results are bit-identical at every setting —
-	// work is partitioned by index and merged in a fixed order (see
-	// internal/par).
+	// Parallelism bounds the worker count of per-flow class construction,
+	// the optimizer's one parallel stage: <= 0 selects
+	// runtime.GOMAXPROCS(0), 1 forces the serial path. Results are
+	// bit-identical at every setting — work is partitioned by index and
+	// merged in a fixed order (see internal/par).
 	Parallelism int
 	// BudgetUnits caps the deterministic work one Solve may consume —
 	// simplex pivots + branch-and-bound nodes + Benders iterations, each
@@ -209,6 +261,23 @@ func (m optObs) observeLP(sol *lp.Solution) {
 	m.pivotsPerSolve.Observe(float64(sol.Pivots))
 }
 
+// solveLP runs one LP under the budget, timed by t and counted: a truncated
+// solve is errBudgetExhausted, any other non-optimal status an error naming
+// the LP.
+func (m optObs) solveLP(t *obs.Timer, p *lp.Problem, budget *lp.Budget, name string) (*lp.Solution, error) {
+	start := t.Start()
+	sol := p.SolveBudget(budget)
+	t.Stop(start)
+	m.observeLP(sol)
+	switch sol.Status {
+	case lp.Optimal:
+		return sol, nil
+	case lp.Truncated:
+		return nil, errBudgetExhausted
+	}
+	return nil, fmt.Errorf("%s %v", name, sol.Status)
+}
+
 // DefaultOptimizer returns production-ish settings.
 func DefaultOptimizer() *Optimizer {
 	return &Optimizer{Epsilon: 1e-4, MaxIters: 30, MasterNodes: 2000}
@@ -263,49 +332,42 @@ func (o *Optimizer) Solve(in *te.Input) (*Result, error) {
 // — the caller always gets an installable plan. A nil budget is unlimited
 // and reproduces Solve's historical behaviour exactly.
 func (o *Optimizer) SolveBudget(in *te.Input, budget *lp.Budget) (*Result, error) {
-	res, _, err := o.solveBudget(in, budget, nil)
+	sm, err := newSolveModel(in, o.Parallelism)
+	if err != nil {
+		return nil, err
+	}
+	res, _, err := o.solve(sm, budget, nil)
 	return res, err
 }
 
-// solveState carries a completed solve's reusable artifacts — the class
-// list and the full cut pool (structural + subproblem optimality cuts) —
-// out to the cross-epoch SolveCache.
-type solveState struct {
-	classes []Class
-	cuts    []bendersCut
-}
-
-// solveBudget is SolveBudget with a warm-start seam. warm, when non-nil, is
-// a pool of optimality cuts already remapped to this input's class order
-// (see SolveCache): the solve then skips structural-cut seeding (the warm
-// pool subsumes it), seeds the master with the full pool, and — because the
-// cuts are valid for the new problem — lifts the lower bound from the
-// initial master solve, so a quiet epoch converges in one or two Benders
-// iterations. With warm nil the behaviour is bit-identical to the historic
-// SolveBudget, which the warm-cache invariant tests pin.
-func (o *Optimizer) solveBudget(in *te.Input, budget *lp.Budget, warm []bendersCut) (*Result, *solveState, error) {
-	if err := in.Validate(); err != nil {
-		return nil, nil, err
-	}
-	if in.Scenarios == nil || len(in.Scenarios.Scenarios) == 0 {
-		return nil, nil, fmt.Errorf("core: no failure scenarios")
-	}
+// solve is SolveBudget on a built model, with a warm-start seam; beside the
+// result it returns the full cut pool (structural + subproblem optimality
+// cuts) for the cross-epoch SolveCache. warm, when non-nil, is a pool of
+// optimality cuts already remapped to this model's class order (see
+// SolveCache): the solve then skips structural-cut seeding (the warm pool
+// subsumes it), seeds the master with the full pool, and — because the cuts
+// are valid for the new problem — lifts the lower bound from the initial
+// master solve, so a quiet epoch converges in one or two Benders iterations.
+// With warm nil the behaviour is bit-identical to the historic SolveBudget,
+// which the warm-cache invariant tests pin.
+func (o *Optimizer) solve(sm *solveModel, budget *lp.Budget, warm []bendersCut) (*Result, []bendersCut, error) {
+	in, classes := sm.in, sm.classes
 	if budget == nil {
 		// Unlimited, but still account work units uniformly.
 		budget = lp.NewBudget(0)
 	}
 	spentAt := budget.Spent()
 	m := o.metrics()
-	classes := BuildClassesP(in.Tunnels, in.Scenarios, o.Parallelism)
 	m.classes.Set(float64(len(classes)))
 	// Feasibility of constraint (5): every flow must be able to reach beta.
-	perFlowMass := make(map[routing.FlowID]float64)
-	for _, c := range classes {
-		perFlowMass[c.Flow] += c.Prob
-	}
-	for f, mass := range perFlowMass {
+	for i, fl := range in.Tunnels.Flows {
+		lo, hi := sm.span(i)
+		var mass float64
+		for _, c := range classes[lo:hi] {
+			mass += c.Prob
+		}
 		if mass < in.Beta-1e-12 {
-			return nil, nil, fmt.Errorf("core: flow %d has only %.6f scenario mass for beta %.6f; widen the scenario cutoff", f, mass, in.Beta)
+			return nil, nil, fmt.Errorf("core: flow %d has only %.6f scenario mass for beta %.6f; widen the scenario cutoff", fl.ID, mass, in.Beta)
 		}
 	}
 
@@ -322,12 +384,8 @@ func (o *Optimizer) solveBudget(in *te.Input, budget *lp.Budget, warm []bendersC
 	if warm != nil {
 		cuts = append(cuts, warm...)
 	} else if !o.DisableStructuralCuts {
-		// Each class's bound is independent of the others, so the bottleneck
-		// scans fan out; cut assembly stays in class order.
-		minLoss := par.Map(len(classes), o.Parallelism, func(ci int) float64 {
-			return classMinLoss(in, classes[ci])
-		})
-		for ci, ml := range minLoss {
+		for ci, c := range classes {
+			ml := classMinLoss(in, c)
 			if ml <= 0 {
 				continue
 			}
@@ -346,7 +404,7 @@ func (o *Optimizer) solveBudget(in *te.Input, budget *lp.Budget, warm []bendersC
 	}
 	lb, ub := 0.0, 1.0
 	if len(cuts) > 0 {
-		d, masterPhi, err := o.solveMaster(in, classes, cuts, m, budget)
+		d, masterPhi, err := o.solveMaster(sm, cuts, m, budget)
 		if err == nil {
 			delta = d
 			if warm != nil && masterPhi > lb {
@@ -375,7 +433,7 @@ func (o *Optimizer) solveBudget(in *te.Input, budget *lp.Budget, warm []bendersC
 		}
 		m.iterations.Inc()
 		// Step 1: solve the subproblem with delta fixed.
-		sp, err := o.solveSubproblem(in, classes, delta, m, budget)
+		sp, err := o.solveSubproblem(sm, delta, m, budget)
 		if err != nil {
 			if errors.Is(err, errBudgetExhausted) {
 				truncated = true
@@ -399,7 +457,7 @@ func (o *Optimizer) solveBudget(in *te.Input, budget *lp.Budget, warm []bendersC
 			break
 		}
 		// Step 2: solve the master with the accumulated optimality cuts.
-		newDelta, masterPhi, err := o.solveMaster(in, classes, cuts, m, budget)
+		newDelta, masterPhi, err := o.solveMaster(sm, cuts, m, budget)
 		if err != nil {
 			if errors.Is(err, errBudgetExhausted) {
 				truncated = true
@@ -426,7 +484,7 @@ func (o *Optimizer) solveBudget(in *te.Input, budget *lp.Budget, warm []bendersC
 		// feasible incumbent existed, so hand back the proportional heuristic
 		// — always capacity-feasible, always installable.
 		fallback = true
-		bestAlloc, bestPhi = heuristicPlan(in, classes)
+		bestAlloc, bestPhi = sm.heuristicPlan()
 		ub = bestPhi
 	}
 	// Polish: with delta fixed at the incumbent, re-solve for the most
@@ -435,7 +493,7 @@ func (o *Optimizer) solveBudget(in *te.Input, budget *lp.Budget, warm []bendersC
 	// downstream availability accounting degenerate. Runs under the same
 	// budget; when it truncates, the unpolished incumbent stands.
 	if !o.DisablePolish && !fallback {
-		if polished, err := o.polish(in, classes, bestDelta, bestPhi, m, budget); err == nil {
+		if polished, err := o.polish(sm, bestDelta, bestPhi, m, budget); err == nil {
 			bestAlloc = polished
 		} else if errors.Is(err, errBudgetExhausted) {
 			// Converged, but the budget died inside the polish LP: the
@@ -462,52 +520,35 @@ func (o *Optimizer) solveBudget(in *te.Input, budget *lp.Budget, warm []bendersC
 		Iterations: iters, LB: lb, UB: ub, Selected: bestDelta,
 		Truncated: truncated, Fallback: fallback,
 		WorkUnits: workUnits, FirstIncumbentUnits: firstIncumbentUnits,
-	}, &solveState{classes: classes, cuts: cuts}, nil
+	}, cuts, nil
+}
+
+// selectedLP starts the LP the subproblem and the polish share: the
+// allocation skeleton (constraint 3), constraint (4) — sum a + d*phi >= d —
+// for every selected class with demand, and Phi <= phiCap. covRow[ci] is
+// class ci's coverage row, -1 when it has none.
+func (sm *solveModel) selectedLP(phiCost float64, delta []bool, phiCap float64) (prob *te.AllocLP, covRow []int, err error) {
+	in := sm.in
+	if prob, err = te.NewAllocLP(lp.NewProblem(), phiCost, in.Net, in.Tunnels, nil); err != nil {
+		return nil, nil, err
+	}
+	covRow = make([]int, len(sm.classes))
+	for ci, c := range sm.classes {
+		covRow[ci] = -1
+		if d := in.Demands[c.Flow]; delta[ci] && d > 0 {
+			if covRow[ci], err = prob.AddCoverage(te.Phi, d, c.Avail); err != nil {
+				return nil, nil, err
+			}
+		}
+	}
+	return prob, covRow, prob.AddUpperBound(te.Phi, phiCap, "phi<=cap")
 }
 
 // polish maximizes total satisfied demand fraction subject to the
 // converged delta and loss bound.
-func (o *Optimizer) polish(in *te.Input, classes []Class, delta []bool, phiCap float64, m optObs, budget *lp.Budget) (te.Allocation, error) {
-	prob := lp.NewProblem()
-	phi := prob.AddVar(0, "phi")
-	tunnelVar := make(map[routing.TunnelID]int, len(in.Tunnels.Tunnels))
-	for _, t := range in.Tunnels.Tunnels {
-		tunnelVar[t.ID] = prob.AddVar(0, "a")
-	}
-	linkTerms := make(map[int][]lp.Term)
-	for _, t := range in.Tunnels.Tunnels {
-		v := tunnelVar[t.ID]
-		for _, lid := range t.Links {
-			linkTerms[int(lid)] = append(linkTerms[int(lid)], lp.Term{Var: v, Coeff: 1})
-		}
-	}
-	linkIDs := make([]int, 0, len(linkTerms))
-	for lid := range linkTerms {
-		linkIDs = append(linkIDs, lid)
-	}
-	sort.Ints(linkIDs) // deterministic row order => deterministic vertex
-	for _, lid := range linkIDs {
-		if _, err := prob.AddConstraint(linkTerms[lid], lp.LE, in.Net.Links[lid].Capacity, "cap"); err != nil {
-			return nil, err
-		}
-	}
-	for ci, c := range classes {
-		if !delta[ci] {
-			continue
-		}
-		d := in.Demands[c.Flow]
-		if d <= 0 {
-			continue
-		}
-		terms := []lp.Term{{Var: phi, Coeff: d}}
-		for _, tid := range c.Avail {
-			terms = append(terms, lp.Term{Var: tunnelVar[tid], Coeff: 1})
-		}
-		if _, err := prob.AddConstraint(terms, lp.GE, d, "cov"); err != nil {
-			return nil, err
-		}
-	}
-	if err := prob.AddUpperBound(phi, phiCap+1e-7, "phi<=phi*"); err != nil {
+func (o *Optimizer) polish(sm *solveModel, delta []bool, phiCap float64, m optObs, budget *lp.Budget) (te.Allocation, error) {
+	prob, _, err := sm.selectedLP(0, delta, phiCap+1e-7)
+	if err != nil {
 		return nil, err
 	}
 	// Secondary objective: maximize the probability-weighted satisfied
@@ -517,40 +558,20 @@ func (o *Optimizer) polish(in *te.Input, classes []Class, delta []bool, phiCap f
 	// takes it; a plain per-flow satisfaction term would happily
 	// concentrate a flow onto one tunnel and die with its fiber.
 	const polishClassFloor = 1e-4 // skip classes too rare to move the objective
-	for _, c := range classes {
-		d := in.Demands[c.Flow]
+	for _, c := range sm.classes {
+		d := sm.in.Demands[c.Flow]
 		if d <= 0 || c.Prob < polishClassFloor || len(c.Avail) == 0 {
 			continue
 		}
-		s := prob.AddVar(-c.Prob, "s")
-		if err := prob.AddUpperBound(s, 1, "s<=1"); err != nil {
-			return nil, err
-		}
-		terms := []lp.Term{{Var: s, Coeff: d}}
-		for _, tid := range c.Avail {
-			terms = append(terms, lp.Term{Var: tunnelVar[tid], Coeff: -1})
-		}
-		if _, err := prob.AddConstraint(terms, lp.LE, 0, "sat"); err != nil {
+		if err := prob.AddSatisfaction(c.Prob, d, c.Avail); err != nil {
 			return nil, err
 		}
 	}
-	start := m.polishSolve.Start()
-	sol := prob.SolveBudget(budget)
-	m.polishSolve.Stop(start)
-	m.observeLP(sol)
-	if sol.Status == lp.Truncated {
-		return nil, errBudgetExhausted
+	sol, err := m.solveLP(m.polishSolve, prob.Problem, budget, "polish LP")
+	if err != nil {
+		return nil, err
 	}
-	if sol.Status != lp.Optimal {
-		return nil, fmt.Errorf("polish LP %v", sol.Status)
-	}
-	alloc := make(te.Allocation)
-	for tid, v := range tunnelVar {
-		if x := sol.X[v]; x > 1e-9 {
-			alloc[tid] = x
-		}
-	}
-	return alloc, nil
+	return prob.Allocation(sol), nil
 }
 
 // bendersCut is an optimality cut Phi >= sum(coef_i * delta_i) + constant.
@@ -570,111 +591,37 @@ type spSolution struct {
 // DESIGN.md) for a fixed delta and derives the Appendix A.4 optimality cut
 // from its duals: w_{f,c} = d_f * y_{f,c} reconstructs a dual-feasible point
 // of the full SP of Appendix A.5.
-func (o *Optimizer) solveSubproblem(in *te.Input, classes []Class, delta []bool, m optObs, budget *lp.Budget) (*spSolution, error) {
-	prob := lp.NewProblem()
-	phi := prob.AddVar(1, "phi")
-	tunnelVar := make(map[routing.TunnelID]int, len(in.Tunnels.Tunnels))
-	for _, t := range in.Tunnels.Tunnels {
-		tunnelVar[t.ID] = prob.AddVar(0, "a")
-	}
-	// Constraint (3): link capacities over pre-established AND new tunnels.
-	type capRow struct {
-		row int
-		cap float64
-	}
-	var capRows []capRow
-	linkTerms := make(map[int][]lp.Term) // linkID -> terms
-	for _, t := range in.Tunnels.Tunnels {
-		v := tunnelVar[t.ID]
-		for _, lid := range t.Links {
-			linkTerms[int(lid)] = append(linkTerms[int(lid)], lp.Term{Var: v, Coeff: 1})
-		}
-	}
-	linkIDs := make([]int, 0, len(linkTerms))
-	for lid := range linkTerms {
-		linkIDs = append(linkIDs, lid)
-	}
-	sort.Ints(linkIDs)
-	for _, lid := range linkIDs {
-		c := in.Net.Links[lid].Capacity
-		row, err := prob.AddConstraint(linkTerms[lid], lp.LE, c, "cap")
-		if err != nil {
-			return nil, err
-		}
-		capRows = append(capRows, capRow{row: row, cap: c})
-	}
-	// Constraint (4) for selected classes: sum a + d*phi >= d. The per-class
-	// term lists are assembled in parallel (tunnelVar is read-only by now);
-	// rows are added to the LP in class order so the LP — and the
-	// simplex pivot sequence — is identical at every parallelism level.
-	type covRow struct {
-		class int
-		row   int
-	}
-	covTerms := par.Map(len(classes), o.Parallelism, func(ci int) []lp.Term {
-		if !delta[ci] {
-			return nil
-		}
-		d := in.Demands[classes[ci].Flow]
-		if d <= 0 {
-			return nil
-		}
-		terms := make([]lp.Term, 0, 1+len(classes[ci].Avail))
-		terms = append(terms, lp.Term{Var: phi, Coeff: d})
-		for _, tid := range classes[ci].Avail {
-			terms = append(terms, lp.Term{Var: tunnelVar[tid], Coeff: 1})
-		}
-		return terms
-	})
-	var covRows []covRow
-	for ci, terms := range covTerms {
-		if terms == nil {
-			continue
-		}
-		row, err := prob.AddConstraint(terms, lp.GE, in.Demands[classes[ci].Flow], "cov")
-		if err != nil {
-			return nil, err
-		}
-		covRows = append(covRows, covRow{class: ci, row: row})
-	}
-	if err := prob.AddUpperBound(phi, 1, "phi<=1"); err != nil {
+func (o *Optimizer) solveSubproblem(sm *solveModel, delta []bool, m optObs, budget *lp.Budget) (*spSolution, error) {
+	prob, covRow, err := sm.selectedLP(1, delta, 1)
+	if err != nil {
 		return nil, err
 	}
-	start := m.subSolve.Start()
-	sol := prob.SolveBudget(budget)
-	m.subSolve.Stop(start)
-	m.observeLP(sol)
-	if sol.Status == lp.Truncated {
-		return nil, errBudgetExhausted
-	}
-	if sol.Status != lp.Optimal {
-		return nil, fmt.Errorf("subproblem LP %v", sol.Status)
-	}
-	alloc := make(te.Allocation)
-	for tid, v := range tunnelVar {
-		if x := sol.X[v]; x > 1e-9 {
-			alloc[tid] = x
-		}
+	sol, err := m.solveLP(m.subSolve, prob.Problem, budget, "subproblem LP")
+	if err != nil {
+		return nil, err
 	}
 	// Cut assembly: Phi >= sum_c w_c (delta_c - 1) + [sum_c w_c + sum_e c_e u_e']
 	// where w_c = d_f * y_c (y = coverage-row dual >= 0) and the capacity
 	// contribution is c_e * dual_e (dual_e <= 0 for LE rows).
-	cut := bendersCut{coef: make([]float64, len(classes)), value: sol.X[phi]}
-	for _, cr := range covRows {
-		y := sol.Duals[cr.row]
+	cut := bendersCut{coef: make([]float64, len(covRow)), value: sol.X[te.Phi]}
+	for ci, row := range covRow {
+		if row < 0 {
+			continue
+		}
+		y := sol.Duals[row]
 		if y < 0 {
 			y = 0 // numerical guard; GE-row duals are nonnegative
 		}
-		w := in.Demands[classes[cr.class].Flow] * y
-		cut.coef[cr.class] = w
+		w := sm.in.Demands[sm.classes[ci].Flow] * y
+		cut.coef[ci] = w
 		cut.con += w // from sum d_f v_{fc} with v = y
 	}
-	for _, cr := range capRows {
-		cut.con += cr.cap * sol.Duals[cr.row] // dual <= 0: subtracts capacity value
+	for row, c := range prob.Caps {
+		cut.con += c * sol.Duals[row] // dual <= 0: subtracts capacity value
 	}
 	// The cut at the producing delta evaluates to sum w(1-1) + con = con,
 	// which must equal the SP optimum by strong duality.
-	return &spSolution{alloc: alloc, phi: sol.X[phi], cut: cut}, nil
+	return &spSolution{alloc: prob.Allocation(sol), phi: sol.X[te.Phi], cut: cut}, nil
 }
 
 // exactMasterLimit is the class count up to which the master is solved as
@@ -687,7 +634,8 @@ const exactMasterLimit = 48
 // solveMaster solves the MP: min Phi s.t. all optimality cuts, the
 // availability constraint (5) per flow, delta binary. It returns the next
 // delta and a valid lower bound on the optimal Phi.
-func (o *Optimizer) solveMaster(in *te.Input, classes []Class, cuts []bendersCut, mo optObs, budget *lp.Budget) ([]bool, float64, error) {
+func (o *Optimizer) solveMaster(sm *solveModel, cuts []bendersCut, mo optObs, budget *lp.Budget) ([]bool, float64, error) {
+	classes := sm.classes
 	exact := len(classes) <= exactMasterLimit
 	m := lp.NewMIP()
 	phi := m.AddVar(1, "phi")
@@ -704,19 +652,8 @@ func (o *Optimizer) solveMaster(in *te.Input, classes []Class, cuts []bendersCut
 		}
 	}
 	// Constraint (5): per flow, sum of selected class probabilities >= beta.
-	perFlow := make(map[routing.FlowID][]lp.Term)
-	for i, c := range classes {
-		perFlow[c.Flow] = append(perFlow[c.Flow], lp.Term{Var: deltaVars[i], Coeff: c.Prob})
-	}
-	flows := make([]routing.FlowID, 0, len(perFlow))
-	for f := range perFlow {
-		flows = append(flows, f)
-	}
-	sort.Slice(flows, func(i, j int) bool { return flows[i] < flows[j] })
-	for _, f := range flows {
-		if _, err := m.AddConstraint(perFlow[f], lp.GE, in.Beta, "beta"); err != nil {
-			return nil, 0, err
-		}
+	if err := sm.addBetaRows(m.Problem, deltaVars); err != nil {
+		return nil, 0, err
 	}
 	// Optimality cuts: Phi - sum coef*delta >= con - sum coef.
 	for _, cut := range cuts {
@@ -756,24 +693,18 @@ func (o *Optimizer) solveMaster(in *te.Input, classes []Class, cuts []bendersCut
 		return delta, sol.X[phi], nil
 	}
 	// Relaxation lower bound + greedy rounding.
-	start := mo.masterSolve.Start()
-	sol := m.Problem.SolveBudget(budget)
-	mo.masterSolve.Stop(start)
-	mo.observeLP(sol)
-	if sol.Status == lp.Truncated {
-		return nil, 0, errBudgetExhausted
+	sol, err := mo.solveLP(mo.masterSolve, m.Problem, budget, "master relaxation")
+	if err != nil {
+		return nil, 0, err
 	}
-	if sol.Status != lp.Optimal {
-		return nil, 0, fmt.Errorf("master relaxation %v", sol.Status)
-	}
-	delta := greedyRound(in.Beta, classes, cuts)
-	return delta, sol.X[phi], nil
+	return sm.greedyRound(cuts), sol.X[phi], nil
 }
 
 // greedyRound builds a feasible delta: per flow, deselect the classes that
 // carry the largest cut weights (they force Phi up) while keeping the
 // selected probability mass at or above beta.
-func greedyRound(beta float64, classes []Class, cuts []bendersCut) []bool {
+func (sm *solveModel) greedyRound(cuts []bendersCut) []bool {
+	classes := sm.classes
 	weight := make([]float64, len(classes))
 	for _, cut := range cuts {
 		for i, w := range cut.coef {
@@ -783,22 +714,24 @@ func greedyRound(beta float64, classes []Class, cuts []bendersCut) []bool {
 		}
 	}
 	delta := make([]bool, len(classes))
-	byFlow := make(map[routing.FlowID][]int)
-	mass := make(map[routing.FlowID]float64)
+	order := make([]int, len(classes))
 	for i := range delta {
 		delta[i] = true
-		byFlow[classes[i].Flow] = append(byFlow[classes[i].Flow], i)
-		mass[classes[i].Flow] += classes[i].Prob
+		order[i] = i
 	}
-	for f, idxs := range byFlow {
-		order := append([]int(nil), idxs...)
-		sort.Slice(order, func(a, b int) bool { return weight[order[a]] > weight[order[b]] })
-		remaining := mass[f]
-		for _, i := range order {
+	for f := range sm.in.Tunnels.Flows {
+		lo, hi := sm.span(f)
+		own := order[lo:hi]
+		sort.Slice(own, func(a, b int) bool { return weight[own[a]] > weight[own[b]] })
+		var remaining float64
+		for _, c := range classes[lo:hi] {
+			remaining += c.Prob
+		}
+		for _, i := range own {
 			if weight[i] <= 0 {
 				break // the rest are free to keep selected
 			}
-			if remaining-classes[i].Prob >= beta {
+			if remaining-classes[i].Prob >= sm.in.Beta {
 				delta[i] = false
 				remaining -= classes[i].Prob
 			}
@@ -811,15 +744,16 @@ func greedyRound(beta float64, classes []Class, cuts []bendersCut) []bool {
 // 2-8 verbatim) by branch-and-bound. Exponential in the class count — used
 // by tests to certify the Benders implementation on small instances.
 func SolveExact(in *te.Input, nodeLimit int) (*Result, error) {
-	if err := in.Validate(); err != nil {
+	sm, err := newSolveModel(in, 1)
+	if err != nil {
 		return nil, err
 	}
-	classes := BuildClasses(in.Tunnels, in.Scenarios)
+	classes := sm.classes
 	m := lp.NewMIP()
-	phi := m.AddVar(1, "phi")
-	tunnelVar := make(map[routing.TunnelID]int)
-	for _, t := range in.Tunnels.Tunnels {
-		tunnelVar[t.ID] = m.AddVar(0, "a")
+	// (3) capacity
+	prob, err := te.NewAllocLP(m.Problem, 1, in.Net, in.Tunnels, nil)
+	if err != nil {
+		return nil, err
 	}
 	lVars := make([]int, len(classes))
 	dVars := make([]int, len(classes))
@@ -830,57 +764,24 @@ func SolveExact(in *te.Input, nodeLimit int) (*Result, error) {
 		}
 		dVars[i] = m.AddBinaryVar(0, "delta")
 	}
-	// (3) capacity, in deterministic link order
-	linkTerms := make(map[int][]lp.Term)
-	for _, t := range in.Tunnels.Tunnels {
-		v := tunnelVar[t.ID]
-		for _, lid := range t.Links {
-			linkTerms[int(lid)] = append(linkTerms[int(lid)], lp.Term{Var: v, Coeff: 1})
-		}
-	}
-	exactLinkIDs := make([]int, 0, len(linkTerms))
-	for lid := range linkTerms {
-		exactLinkIDs = append(exactLinkIDs, lid)
-	}
-	sort.Ints(exactLinkIDs)
-	for _, lid := range exactLinkIDs {
-		if _, err := m.AddConstraint(linkTerms[lid], lp.LE, in.Net.Links[lid].Capacity, "cap"); err != nil {
-			return nil, err
-		}
-	}
 	for i, c := range classes {
 		d := in.Demands[c.Flow]
 		// (4): sum a >= (1 - l) d  <=>  sum a + d*l >= d
-		terms := []lp.Term{{Var: lVars[i], Coeff: d}}
-		for _, tid := range c.Avail {
-			terms = append(terms, lp.Term{Var: tunnelVar[tid], Coeff: 1})
-		}
-		if _, err := m.AddConstraint(terms, lp.GE, d, "cov"); err != nil {
+		if _, err := prob.AddCoverage(lVars[i], d, c.Avail); err != nil {
 			return nil, err
 		}
 		// (6): Phi >= l - 1 + delta
 		if _, err := m.AddConstraint([]lp.Term{
-			{Var: phi, Coeff: 1}, {Var: lVars[i], Coeff: -1}, {Var: dVars[i], Coeff: -1},
+			{Var: te.Phi, Coeff: 1}, {Var: lVars[i], Coeff: -1}, {Var: dVars[i], Coeff: -1},
 		}, lp.GE, -1, "phibound"); err != nil {
 			return nil, err
 		}
 	}
-	// (5), flows in deterministic order
-	perFlow := make(map[routing.FlowID][]lp.Term)
-	for i, c := range classes {
-		perFlow[c.Flow] = append(perFlow[c.Flow], lp.Term{Var: dVars[i], Coeff: c.Prob})
+	// (5)
+	if err := sm.addBetaRows(m.Problem, dVars); err != nil {
+		return nil, err
 	}
-	exactFlows := make([]routing.FlowID, 0, len(perFlow))
-	for f := range perFlow {
-		exactFlows = append(exactFlows, f)
-	}
-	sort.Slice(exactFlows, func(i, j int) bool { return exactFlows[i] < exactFlows[j] })
-	for _, f := range exactFlows {
-		if _, err := m.AddConstraint(perFlow[f], lp.GE, in.Beta, "beta"); err != nil {
-			return nil, err
-		}
-	}
-	if err := m.AddUpperBound(phi, 1, "phi<=1"); err != nil {
+	if err := m.AddUpperBound(te.Phi, 1, "phi<=1"); err != nil {
 		return nil, err
 	}
 	sol := m.SolveMIP(lp.MIPOptions{MaxNodes: nodeLimit})
@@ -902,13 +803,7 @@ func SolveExact(in *te.Input, nodeLimit int) (*Result, error) {
 	default:
 		return nil, fmt.Errorf("core: exact MIP %v", sol.Status)
 	}
-	alloc := make(te.Allocation)
-	for tid, v := range tunnelVar {
-		if x := sol.X[v]; x > 1e-9 {
-			alloc[tid] = x
-		}
-	}
-	res := &Result{Alloc: alloc, Phi: sol.X[phi], Selected: make([]bool, len(classes)), Truncated: truncated}
+	res := &Result{Alloc: prob.Allocation(sol), Phi: sol.X[te.Phi], Selected: make([]bool, len(classes)), Truncated: truncated}
 	for i, v := range dVars {
 		res.Selected[i] = sol.X[v] > 0.5
 	}

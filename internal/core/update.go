@@ -56,7 +56,7 @@ func UpdateTunnels(ts *routing.TunnelSet, degraded topology.FiberID, ratio float
 			if t.UsesFiber(degraded) {
 				lambda++
 			}
-			existing[pathKey(t.Links)] = true
+			existing[routing.PathKey(t.Links)] = true
 		}
 		if lambda == 0 {
 			continue
@@ -75,10 +75,10 @@ func UpdateTunnels(ts *routing.TunnelSet, degraded topology.FiberID, ratio float
 			if added >= want {
 				break
 			}
-			if touchesBanned(p, banned) || existing[pathKey(p)] {
+			if touchesBanned(p, banned) || existing[routing.PathKey(p)] {
 				continue
 			}
-			existing[pathKey(p)] = true
+			existing[routing.PathKey(p)] = true
 			res.Tunnels.AddTunnel(fl.ID, p)
 			added++
 		}
@@ -112,12 +112,4 @@ func touchesBanned(p routing.Path, banned map[topology.LinkID]bool) bool {
 		}
 	}
 	return false
-}
-
-func pathKey(p routing.Path) string {
-	b := make([]byte, 0, len(p)*3)
-	for _, l := range p {
-		b = append(b, byte(l), byte(l>>8), ',')
-	}
-	return string(b)
 }

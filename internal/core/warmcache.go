@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"prete/internal/obs"
+	"prete/internal/routing"
 	"prete/internal/scenario"
 	"prete/internal/te"
 )
@@ -127,32 +128,35 @@ func (o *Optimizer) SolveCached(in *te.Input, cache *SolveCache) (*Result, error
 	}
 	cache.stats.LastDelta = delta
 
-	switch delta.Class {
-	case scenario.DeltaUnchanged:
+	if delta.Class == scenario.DeltaUnchanged {
 		cache.stats.Hits++
 		m.hits.Inc()
 		return cloneResult(cache.result), nil
+	}
 
-	case scenario.DeltaProbOnly:
-		classes := BuildClassesP(in.Tunnels, in.Scenarios, o.Parallelism)
-		keys := classKeys(classes)
-		warm := remapCuts(cache.cuts, cache.classKeys, keys)
-		if warm == nil {
-			// Class identity drifted in a way the scenario delta did not
-			// predict — never reuse on a mismatch; fall through to cold.
-			break
-		}
-		res, state, err := o.solveBudget(in, o.newBudget(), warm)
+	// Past a hit every rung needs the classes: built here, once.
+	sm, err := newSolveModel(in, o.Parallelism)
+	if delta.Class == scenario.DeltaProbOnly {
 		if err != nil {
 			cache.evictLocked(m)
 			return nil, err
 		}
-		cache.stats.Revalidations++
-		cache.stats.CutsReused += uint64(len(warm))
-		m.revalidated.Inc()
-		m.cutsReused.Add(int64(len(warm)))
-		cache.storeLocked(fp, in.Scenarios, state, res)
-		return res, nil
+		// A nil pool means class identity drifted in a way the scenario
+		// delta did not predict — never reuse on a mismatch; fall through
+		// to cold.
+		if warm := remapCuts(cache.cuts, cache.classKeys, classKeys(sm.classes)); warm != nil {
+			res, cuts, err := o.solve(sm, o.newBudget(), warm)
+			if err != nil {
+				cache.evictLocked(m)
+				return nil, err
+			}
+			cache.stats.Revalidations++
+			cache.stats.CutsReused += uint64(len(warm))
+			m.revalidated.Inc()
+			m.cutsReused.Add(int64(len(warm)))
+			cache.storeLocked(fp, sm, cuts, res)
+			return res, nil
+		}
 	}
 
 	// Cold path: structural delta, input change, or defensive fallback.
@@ -161,20 +165,23 @@ func (o *Optimizer) SolveCached(in *te.Input, cache *SolveCache) (*Result, error
 	}
 	cache.stats.Misses++
 	m.misses.Inc()
-	res, state, err := o.solveBudget(in, o.newBudget(), nil)
 	if err != nil {
 		return nil, err
 	}
-	cache.storeLocked(fp, in.Scenarios, state, res)
+	res, cuts, err := o.solve(sm, o.newBudget(), nil)
+	if err != nil {
+		return nil, err
+	}
+	cache.storeLocked(fp, sm, cuts, res)
 	return res, nil
 }
 
-func (c *SolveCache) storeLocked(fp uint64, set *scenario.Set, state *solveState, res *Result) {
+func (c *SolveCache) storeLocked(fp uint64, sm *solveModel, cuts []bendersCut, res *Result) {
 	c.valid = true
 	c.inputFP = fp
-	c.set = set
-	c.classKeys = classKeys(state.classes)
-	c.cuts = state.cuts
+	c.set = sm.in.Scenarios
+	c.classKeys = classKeys(sm.classes)
+	c.cuts = cuts
 	c.result = cloneResult(res)
 }
 
@@ -213,7 +220,7 @@ func (o *Optimizer) cacheMetrics() cacheObs {
 func classKeys(classes []Class) []string {
 	keys := make([]string, len(classes))
 	for i, c := range classes {
-		keys[i] = fmt.Sprintf("%d|%s", c.Flow, tunnelKey(c.Avail))
+		keys[i] = fmt.Sprintf("%d|%s", c.Flow, routing.AppendKey(nil, c.Avail))
 	}
 	return keys
 }

@@ -138,7 +138,7 @@ func KShortest(n *topology.Network, src, dst topology.NodeID, k int, w Weight) [
 		cost float64
 	}
 	var candidates []candidate
-	seen := map[string]bool{pathKey(first): true}
+	seen := map[string]bool{PathKey(first): true}
 
 	for len(paths) < k {
 		prevPath := paths[len(paths)-1]
@@ -166,7 +166,7 @@ func KShortest(n *topology.Network, src, dst topology.NodeID, k int, w Weight) [
 				continue
 			}
 			total := append(append(Path(nil), rootPath...), spur...)
-			key := pathKey(total)
+			key := PathKey(total)
 			if seen[key] {
 				continue
 			}
@@ -195,13 +195,19 @@ func samePrefix(p Path, root Path, i int) bool {
 	return true
 }
 
-func pathKey(p Path) string {
-	b := make([]byte, 0, len(p)*3)
-	for _, l := range p {
-		b = append(b, byte(l), byte(l>>8), ',')
+// AppendKey appends the canonical map key of an ID list (link IDs of a
+// path, tunnel IDs of a surviving set; order matters) to b. It is the one
+// identity paths are deduplicated by and failure-equivalence classes are
+// merged by. An ID contributes its low 16 bits.
+func AppendKey[T ~int](b []byte, ids []T) []byte {
+	for _, id := range ids {
+		b = append(b, byte(id), byte(id>>8), ',')
 	}
-	return string(b)
+	return b
 }
+
+// PathKey returns a path's AppendKey as a string.
+func PathKey(p Path) string { return string(AppendKey(nil, p)) }
 
 // FiberDisjointPaths returns up to k paths from src to dst that pairwise
 // share no fiber: after each path is found, every link riding any of its

@@ -126,7 +126,7 @@ func TestKShortestOnB4(t *testing.T) {
 	// strictly deduplicated
 	seen := map[string]bool{}
 	for _, p := range paths {
-		k := pathKey(p)
+		k := PathKey(p)
 		if seen[k] {
 			t.Fatal("duplicate path returned")
 		}

@@ -101,7 +101,7 @@ func tunnelPathsForFlow(n *topology.Network, src, dst topology.NodeID, perFlow i
 		if len(out) >= perFlow {
 			return
 		}
-		k := pathKey(p)
+		k := PathKey(p)
 		if seen[k] {
 			return
 		}

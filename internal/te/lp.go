@@ -2,12 +2,104 @@ package te
 
 import (
 	"fmt"
-	"sort"
 
 	"prete/internal/lp"
 	"prete/internal/routing"
 	"prete/internal/topology"
 )
+
+// Phi is the column of the loss bound in every AllocLP.
+const Phi = 0
+
+// AllocLP lays out the part every allocation LP of this repository shares
+// (Eqns. 2-4), by position: column Phi is the loss bound, column 1+t is
+// tunnel t's allocation (TunnelIDs are dense indices), and rows
+// 0..len(Caps)-1 are the capacity rows (3), one per link that carries a
+// tunnel, in link order with terms in tunnel order. Callers append their own
+// columns and rows through the embedded Problem. The LPs are degenerate at
+// their optimum, so this order decides which optimal vertex the simplex
+// returns: changing it changes plans (lp.TestCoreLPsUnchanged pins it).
+type AllocLP struct {
+	*lp.Problem
+	// Caps[r] is the capacity on the right-hand side of row r.
+	Caps    []float64
+	tunnels int
+}
+
+// NewAllocLP adds the shared columns and the capacity rows to prob, which
+// must be empty. phiCost is Phi's objective coefficient; capOverride
+// (optional) replaces the capacity of specific links — partially restored
+// links in ARROW's model.
+func NewAllocLP(prob *lp.Problem, phiCost float64, net *topology.Network, ts *routing.TunnelSet, capOverride map[topology.LinkID]float64) (*AllocLP, error) {
+	m := &AllocLP{Problem: prob, tunnels: len(ts.Tunnels)}
+	prob.AddVar(phiCost, "phi")
+	for range ts.Tunnels {
+		prob.AddVar(0, "a")
+	}
+	onLink := make([][]lp.Term, len(net.Links))
+	for _, t := range ts.Tunnels {
+		for _, lid := range t.Links {
+			onLink[lid] = append(onLink[lid], lp.Term{Var: m.Tunnel(t.ID), Coeff: 1})
+		}
+	}
+	for lid, terms := range onLink {
+		if len(terms) == 0 {
+			continue
+		}
+		capacity := net.Links[lid].Capacity
+		if c, ok := capOverride[topology.LinkID(lid)]; ok {
+			capacity = c
+		}
+		if _, err := prob.AddConstraint(terms, lp.LE, capacity, "cap"); err != nil {
+			return nil, err
+		}
+		m.Caps = append(m.Caps, capacity)
+	}
+	return m, nil
+}
+
+// Tunnel returns the column of tunnel t's allocation.
+func (m *AllocLP) Tunnel(t routing.TunnelID) int { return 1 + int(t) }
+
+// AddCoverage adds one instance of constraint (4), sum of the surviving
+// tunnels' allocations + d*loss >= d, and returns its row. lossVar is Phi,
+// or a per-class loss column in the monolithic MIP.
+func (m *AllocLP) AddCoverage(lossVar int, d float64, tunnels []routing.TunnelID) (int, error) {
+	return m.AddConstraint(m.row(lossVar, d, 1, tunnels), lp.GE, d, "cov")
+}
+
+// AddSatisfaction adds a column s in [0, 1] rewarded with weight in the
+// (minimized) objective and the row d*s - sum of the tunnels' allocations
+// <= 0: s is the fraction of demand d the tunnels carry.
+func (m *AllocLP) AddSatisfaction(weight, d float64, tunnels []routing.TunnelID) error {
+	s := m.AddVar(-weight, "s")
+	if err := m.AddUpperBound(s, 1, "s<=1"); err != nil {
+		return err
+	}
+	_, err := m.AddConstraint(m.row(s, d, -1, tunnels), lp.LE, 0, "sat")
+	return err
+}
+
+// row is d*lead + sign * sum of the tunnels' allocations.
+func (m *AllocLP) row(lead int, d, sign float64, tunnels []routing.TunnelID) []lp.Term {
+	terms := make([]lp.Term, 0, 1+len(tunnels))
+	terms = append(terms, lp.Term{Var: lead, Coeff: d})
+	for _, tid := range tunnels {
+		terms = append(terms, lp.Term{Var: m.Tunnel(tid), Coeff: sign})
+	}
+	return terms
+}
+
+// Allocation reads the tunnel columns of a solution.
+func (m *AllocLP) Allocation(sol *lp.Solution) Allocation {
+	alloc := make(Allocation)
+	for t := routing.TunnelID(0); int(t) < m.tunnels; t++ {
+		if x := sol.X[m.Tunnel(t)]; x > 1e-9 {
+			alloc[t] = x
+		}
+	}
+	return alloc
+}
 
 // coverageRow demands that flow Flow's surviving tunnels Tunnels carry
 // (1 - Phi) of its demand — one instance of constraint (4).
@@ -23,9 +115,7 @@ type coverageRow struct {
 //	     per row:  sum of surviving allocations >= (1-Phi) d  (constraint 4)
 //	     0 <= Phi, 0 <= a
 //
-// It returns the allocation and the optimal Phi. capOverride (optional)
-// replaces the capacity of specific links — partially restored links in
-// ARROW's model.
+// It returns the allocation and the optimal Phi.
 func solveMinMaxLoss(net *topology.Network, ts *routing.TunnelSet, demands Demands, rows []coverageRow, capOverride map[topology.LinkID]float64) (Allocation, float64, error) {
 	// The objective is lexicographic in spirit: first minimize the max loss
 	// Phi, then — because a bare min-Phi LP is content to leave every flow
@@ -33,85 +123,34 @@ func solveMinMaxLoss(net *topology.Network, ts *routing.TunnelSet, demands Deman
 	// fraction sum_f s_f, s_f = min(1, sum_t a_{f,t}/d_f). A single LP with
 	// Phi weighted above the largest possible satisfaction gain gives the
 	// same Phi and a non-degenerate allocation.
-	prob := lp.NewProblem()
-	phiWeight := float64(len(ts.Flows)+1) * 10
-	phi := prob.AddVar(phiWeight, "phi")
-	tunnelVar := make(map[routing.TunnelID]int, len(ts.Tunnels))
-	for _, t := range ts.Tunnels {
-		tunnelVar[t.ID] = prob.AddVar(0, "a")
+	m, err := NewAllocLP(lp.NewProblem(), float64(len(ts.Flows)+1)*10, net, ts, capOverride)
+	if err != nil {
+		return nil, 0, err
 	}
-	// capacity rows over all tunnels, in deterministic link order so
-	// degenerate optima resolve to the same vertex run-to-run
-	linkTerms := make(map[topology.LinkID][]lp.Term)
-	for _, t := range ts.Tunnels {
-		v := tunnelVar[t.ID]
-		for _, lid := range t.Links {
-			linkTerms[lid] = append(linkTerms[lid], lp.Term{Var: v, Coeff: 1})
-		}
-	}
-	linkIDs := make([]int, 0, len(linkTerms))
-	for lid := range linkTerms {
-		linkIDs = append(linkIDs, int(lid))
-	}
-	sort.Ints(linkIDs)
-	for _, lid := range linkIDs {
-		l := topology.LinkID(lid)
-		capacity := net.Link(l).Capacity
-		if c, ok := capOverride[l]; ok {
-			capacity = c
-		}
-		if _, err := prob.AddConstraint(linkTerms[l], lp.LE, capacity, "cap"); err != nil {
-			return nil, 0, err
-		}
-	}
-	// coverage rows: sum a + d*Phi >= d
 	for _, row := range rows {
-		d := demands[row.Flow]
-		if d <= 0 {
-			continue
-		}
-		terms := []lp.Term{{Var: phi, Coeff: d}}
-		for _, tid := range row.Tunnels {
-			terms = append(terms, lp.Term{Var: tunnelVar[tid], Coeff: 1})
-		}
-		if _, err := prob.AddConstraint(terms, lp.GE, d, "cov"); err != nil {
-			return nil, 0, err
+		if d := demands[row.Flow]; d > 0 {
+			if _, err := m.AddCoverage(Phi, d, row.Tunnels); err != nil {
+				return nil, 0, err
+			}
 		}
 	}
 	// Phi <= 1: loss is normalized (constraint 8)
-	if err := prob.AddUpperBound(phi, 1, "phi<=1"); err != nil {
+	if err := m.AddUpperBound(Phi, 1, "phi<=1"); err != nil {
 		return nil, 0, err
 	}
-	// Satisfaction variables: s_f <= 1, s_f <= sum_t a_{f,t} / d_f over the
-	// flow's full tunnel set; objective rewards sum s_f.
+	// One satisfaction column per flow over its full tunnel set.
 	for _, fl := range ts.Flows {
-		d := demands[fl.ID]
-		if d <= 0 {
-			continue
-		}
-		s := prob.AddVar(-1, "s")
-		if err := prob.AddUpperBound(s, 1, "s<=1"); err != nil {
-			return nil, 0, err
-		}
-		terms := []lp.Term{{Var: s, Coeff: d}}
-		for _, tid := range ts.TunnelsOf(fl.ID) {
-			terms = append(terms, lp.Term{Var: tunnelVar[tid], Coeff: -1})
-		}
-		if _, err := prob.AddConstraint(terms, lp.LE, 0, "sat"); err != nil {
-			return nil, 0, err
+		if d := demands[fl.ID]; d > 0 {
+			if err := m.AddSatisfaction(1, d, ts.TunnelsOf(fl.ID)); err != nil {
+				return nil, 0, err
+			}
 		}
 	}
-	sol := prob.Solve()
+	sol := m.Solve()
 	if sol.Status != lp.Optimal {
 		return nil, 0, fmt.Errorf("te: min-max-loss LP %v", sol.Status)
 	}
-	alloc := make(Allocation, len(tunnelVar))
-	for tid, v := range tunnelVar {
-		if x := sol.X[v]; x > 1e-9 {
-			alloc[tid] = x
-		}
-	}
-	return alloc, sol.X[phi], nil
+	return m.Allocation(sol), sol.X[Phi], nil
 }
 
 // MinMaxLossPlan computes the failure-oblivious optimal plan: every flow

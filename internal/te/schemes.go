@@ -101,7 +101,7 @@ func (f FFC) Plan(in *Input) (*Plan, error) {
 				continue // unprotectable scenario; skipping mirrors FFC's
 				// restriction to scenarios with surviving tunnels
 			}
-			key := availKey(avail)
+			key := string(routing.AppendKey(nil, avail))
 			if seen[key] {
 				continue
 			}
@@ -114,16 +114,6 @@ func (f FFC) Plan(in *Input) (*Plan, error) {
 		return nil, err
 	}
 	return &Plan{Alloc: alloc, MaxLoss: phi, Tunnels: in.Tunnels}, nil
-}
-
-// availKey canonicalizes a surviving tunnel set (IDs are already ordered
-// by the per-flow tunnel list).
-func availKey(tids []routing.TunnelID) string {
-	b := make([]byte, 0, len(tids)*3)
-	for _, t := range tids {
-		b = append(b, byte(t), byte(t>>8), ',')
-	}
-	return string(b)
 }
 
 // enumerateCuts lists all fiber cut sets of size 0..k.

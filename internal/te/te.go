@@ -68,6 +68,11 @@ func (in *Input) Validate() error {
 	if len(in.Demands) != len(in.Tunnels.Flows) {
 		return fmt.Errorf("te: %d demands for %d flows", len(in.Demands), len(in.Tunnels.Flows))
 	}
+	for i, fl := range in.Tunnels.Flows {
+		if int(fl.ID) != i {
+			return fmt.Errorf("te: flow at position %d has ID %d; flow IDs index the demand matrix and must be positions", i, fl.ID)
+		}
+	}
 	for f, d := range in.Demands {
 		if d < 0 {
 			return fmt.Errorf("te: negative demand %v for flow %d", d, f)
