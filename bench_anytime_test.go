@@ -5,12 +5,16 @@ package prete
 // rung a deadline-bounded TE round lands on. Each op runs the solve with
 // the budget pinned at exactly the first-incumbent work-unit count (learned
 // from one unlimited reference solve), so ns/op IS the time-to-first-
-// incumbent; the value is also reported under the explicit tti-ns/op unit
-// for prete-benchdiff's extra-metric tracking against BENCH_baseline.json.
+// incumbent. The B4 instance's solve time, work units and cache behaviour
+// are the benchmark's (bench/: core.solve_ms_p50, core.work_units,
+// core.cache_* on storm-b4, drift-classed-b4 and quiet-b4); what stays here
+// is the IBM instance, the budget-accounting overhead pair, and the two
+// tests that pin the B4 reference solve's work and the cache hit's speedup.
 
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"prete/internal/core"
 	"prete/internal/routing"
@@ -47,8 +51,8 @@ func anytimeInput(b testing.TB, topo string) *te.Input {
 	return &te.Input{Net: net, Tunnels: ts, Demands: demands, Scenarios: set, Beta: 0.99}
 }
 
-func benchSolveAnytime(b *testing.B, topo string) {
-	in := anytimeInput(b, topo)
+func BenchmarkSolveAnytimeIBM(b *testing.B) {
+	in := anytimeInput(b, "IBM")
 	ref, err := core.DefaultOptimizer().Solve(in)
 	if err != nil {
 		b.Fatal(err)
@@ -69,12 +73,8 @@ func benchSolveAnytime(b *testing.B, topo string) {
 		}
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "tti-ns/op")
 	b.ReportMetric(float64(ref.FirstIncumbentUnits), "tti-units")
 }
-
-func BenchmarkSolveAnytimeB4(b *testing.B)  { benchSolveAnytime(b, "B4") }
-func BenchmarkSolveAnytimeIBM(b *testing.B) { benchSolveAnytime(b, "IBM") }
 
 // BenchmarkSolveBudgetOverhead pins the cost of budget accounting itself:
 // an unlimited budgeted solve vs the historical unbudgeted path is the same
@@ -106,5 +106,35 @@ func TestAnytimeReferenceWork(t *testing.T) {
 	}
 	if ref.WorkUnits != 357 || ref.FirstIncumbentUnits != 202 {
 		t.Fatalf("B4 reference solve: %d work units, first incumbent at %d; want 357 and 202", ref.WorkUnits, ref.FirstIncumbentUnits)
+	}
+}
+
+// TestQuietResolveSpeedup pins the ISSUE's acceptance bar outside the bench
+// harness: an unchanged-epoch cached re-solve must be at least 5x faster
+// than the cold solve (measured: orders of magnitude, so the margin is
+// wide enough for a loaded CI machine).
+func TestQuietResolveSpeedup(t *testing.T) {
+	if testing.Short() {
+		t.Skip("wall-clock measurement; skipped in -short mode")
+	}
+	in := anytimeInput(t, "B4")
+	o := core.DefaultOptimizer()
+	cache := &core.SolveCache{}
+	coldStart := time.Now()
+	if err := o.Prime(in, cache); err != nil {
+		t.Fatal(err)
+	}
+	cold := time.Since(coldStart)
+	const reps = 10
+	warmStart := time.Now()
+	for i := 0; i < reps; i++ {
+		if _, err := o.SolveCached(in, cache); err != nil {
+			t.Fatal(err)
+		}
+	}
+	warm := time.Since(warmStart) / reps
+	if warm*5 > cold {
+		t.Errorf("quiet cached re-solve %v vs cold %v: speedup %.1fx < 5x",
+			warm, cold, float64(cold)/float64(warm))
 	}
 }

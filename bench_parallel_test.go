@@ -1,29 +1,27 @@
 package prete
 
-// Serial-vs-parallel benchmark pairs for the three hot paths the internal/par
-// engine drives: failure-equivalence class construction, the Fig 13-scale
-// evaluation sweep, and the batch telemetry pipeline. Every benchmark runs
+// Serial-vs-parallel benchmark pairs for the internal/par fan-outs the
+// repository's benchmark (bench/, whose eval-b4 workload reports
+// sim.table_serial_s and sim.par_speedup for the evaluator) does not time:
+// failure-equivalence class construction, the Benders solve's internal
+// fan-out, and the batch telemetry pipeline. Every benchmark runs
 // the same work at Parallelism=1 (the serial path: a plain loop on the
 // calling goroutine) and Parallelism=GOMAXPROCS, so
 //
 //	go test -bench=BenchmarkParallel -benchmem
 //
 // prints the speedup directly. On a single-core machine the pair is expected
-// to tie (the parallel path adds only goroutine bookkeeping); see
-// EXPERIMENTS.md for measured numbers.
+// to tie (the parallel path adds only goroutine bookkeeping).
 
 import (
 	"fmt"
-	"io"
 	"runtime"
 	"testing"
 
 	"prete/internal/core"
-	"prete/internal/experiments"
 	"prete/internal/optical"
 	"prete/internal/routing"
 	"prete/internal/scenario"
-	"prete/internal/sim"
 	"prete/internal/stats"
 	"prete/internal/te"
 	"prete/internal/telemetry"
@@ -99,48 +97,6 @@ func BenchmarkParallelBendersIBM(b *testing.B) {
 					Net: net, Tunnels: ts, Demands: demands, Beta: 0.99, PI: pi,
 					Signals: []core.DegradationSignal{{Fiber: 3, PNN: 0.5}},
 				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkParallelEvaluate measures one PreTE availability evaluation on
-// B4 — the per-degradation-scenario fan-out inside the evaluator.
-func BenchmarkParallelEvaluate(b *testing.B) {
-	cfg := sim.DefaultConfig()
-	cfg.ScenarioOpts.MaxScenarios = 120
-	cfg.MaxDegScenarios = 6
-	env, err := sim.BuildEnv("B4", 2025, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, p := range parLevels() {
-		b.Run(fmt.Sprintf("p%d", p), func(b *testing.B) {
-			pcfg := cfg
-			pcfg.Parallelism = p
-			for i := 0; i < b.N; i++ {
-				// Fresh evaluator per iteration: plan caches would otherwise
-				// collapse later iterations to pure accumulation.
-				ev := sim.NewEvaluator(env, pcfg)
-				if _, err := ev.Evaluate("PreTE", 1.5); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkParallelExpFig13 measures the full Fig 13 sweep (the per-(scheme,
-// scale, topology) evaluation matrix) in Quick mode — the PR's headline
-// end-to-end speedup target.
-func BenchmarkParallelExpFig13(b *testing.B) {
-	for _, p := range parLevels() {
-		b.Run(fmt.Sprintf("p%d", p), func(b *testing.B) {
-			opts := experiments.Options{Seed: 2025, Quick: true, Parallelism: p}
-			for i := 0; i < b.N; i++ {
-				if err := experiments.Run("fig13", io.Discard, opts); err != nil {
 					b.Fatal(err)
 				}
 			}

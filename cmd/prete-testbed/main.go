@@ -30,7 +30,6 @@ import (
 
 	"prete/internal/core"
 	"prete/internal/fault"
-	"prete/internal/ingest"
 	"prete/internal/obs"
 	"prete/internal/optical"
 	"prete/internal/par"
@@ -47,8 +46,8 @@ func main() {
 		faults       = flag.String("faults", "", "fault-injection spec, e.g. 'seed=7,drop=0.1,delay=0.5:10ms-50ms,crash=0.01:25' (empty = no faults)")
 		budget       = flag.String("budget", "", "TE solve budget 'UNITS[:TIMEOUT]', e.g. '5000', '5000:150ms', ':2s' (empty = unlimited); units are deterministic, the timeout is a wall-clock safety net")
 		stateDir     = flag.String("state-dir", "", "directory for crash-safe controller state (journaled snapshots); restarting with the same directory warm-restarts from the last journaled epoch (empty = stateless)")
-		ingestRate   = flag.Int("ingest-rate", 0, "feed the VOA script through the streaming ingest pipeline at this many samples per tick (0 = classic batch detector path)")
-		ingestShards = flag.Int("ingest-shards", 0, "ingest worker shard count when -ingest-rate is set (0 = default)")
+		ingestRate   = flag.Int("ingest-rate", 1, "samples per tick at which the VOA script is fed through the streaming ingest pipeline (>= 1)")
+		ingestShards = flag.Int("ingest-shards", 0, "ingest worker shard count (0 = default)")
 		sites        = flag.Int("sites", 0, "standby sites (in-site or cross-site): each owns its own state directory under <state-dir>/sites/, fed by journal replication over the network, and would promote behind a time-bounded lease on leader death (requires -state-dir)")
 		classes      = flag.String("classes", "", "SLO tier spec 'name:share:weight[:policy],...' or 'default' (lc:0.2:100:protect,std:0.5:10:defer,bulk:0.3:1:shed); per-class demands run the strict-priority classed solve and the predictive admission ladder (empty = classless)")
 	)
@@ -60,6 +59,10 @@ func main() {
 		os.Exit(2)
 	}
 
+	if *ingestRate < 1 {
+		fmt.Fprintln(os.Stderr, "prete-testbed: -ingest-rate must be >= 1")
+		os.Exit(2)
+	}
 	if *sites < 0 {
 		fmt.Fprintln(os.Stderr, "prete-testbed: -sites must be >= 0")
 		os.Exit(2)
@@ -175,23 +178,13 @@ func main() {
 		fmt.Printf("controller replication: leader + %d standby site(s) under %s\n", *sites, filepath.Join(*stateDir, "sites"))
 	}
 
-	var timing *wan.PipelineTiming
-	if *ingestRate > 0 {
-		var st ingest.Stats
-		timing, st, err = tb.RunScenarioStream(*seed, *ingestShards, *ingestRate)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "prete-testbed: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("streaming ingest: %d samples/tick, %d ingested = %d emitted + %d dropped + %d merged + %d queued (%d watermark crossings)\n",
-			*ingestRate, st.Ingested, st.Emitted, st.Dropped, st.Merged, st.Queued, st.WatermarkCrossings)
-	} else {
-		timing, err = tb.RunScenario(*seed)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "prete-testbed: %v\n", err)
-			os.Exit(1)
-		}
+	timing, st, err := tb.RunScenarioStream(*seed, *ingestShards, *ingestRate)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "prete-testbed: %v\n", err)
+		os.Exit(1)
 	}
+	fmt.Printf("streaming ingest: %d samples/tick, %d ingested = %d emitted + %d dropped + %d merged + %d queued (%d watermark crossings)\n",
+		*ingestRate, st.Ingested, st.Emitted, st.Dropped, st.Merged, st.Queued, st.WatermarkCrossings)
 	fmt.Println("PreTE reaction pipeline (Fig 11a):")
 	fmt.Printf("  detection        %8.2f ms\n", ms(timing.Detection))
 	fmt.Printf("  model inference  %8.2f ms\n", ms(timing.Inference))

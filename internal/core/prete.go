@@ -115,20 +115,34 @@ type EpochPlan struct {
 //  4. solve the unified optimization (Eqns. 2-8) over pre-established and
 //     new tunnels with Benders decomposition.
 func (p *PreTE) PlanEpoch(in EpochInput) (*EpochPlan, error) {
-	return p.planEpoch(in, nil)
-}
-
-// PlanEpochCached is PlanEpoch with cross-epoch solve reuse: the optimize
-// step goes through Optimizer.SolveCached against cache, so quiet epochs
-// (unchanged calibrated probabilities) return the cached plan and
-// probability-only drift warm-starts Benders from the previous cut pool. A
-// nil cache is exactly PlanEpoch.
-func (p *PreTE) PlanEpochCached(in EpochInput, cache *SolveCache) (*EpochPlan, error) {
-	return p.planEpoch(in, cache)
+	prep, err := p.prepareEpoch(in)
+	if err != nil {
+		return nil, err
+	}
+	probs, tunnels, update, set := prep.probs, prep.tunnels, prep.update, prep.set
+	reg := p.Opt.Metrics
+	// Step 4: optimize.
+	teIn := &te.Input{
+		Net: in.Net, Tunnels: tunnels, Demands: in.Demands,
+		Scenarios: set, Beta: in.Beta,
+	}
+	optT := reg.Timer("core.epoch.optimize")
+	optStart := optT.Start()
+	res, err := p.Opt.Solve(teIn)
+	optT.Stop(optStart)
+	if err != nil {
+		return nil, err
+	}
+	return &EpochPlan{
+		Plan:       &te.Plan{Alloc: res.Alloc, MaxLoss: res.Phi, Tunnels: tunnels},
+		Update:     update,
+		Calibrated: probs,
+		Result:     res,
+	}, nil
 }
 
 // epochPrep is the output of the pipeline's pre-optimize stages (calibrate,
-// tunnel update, scenario regen), shared by planEpoch and PlanEpochClassed.
+// tunnel update, scenario regen), shared by PlanEpoch and PlanEpochClassed.
 type epochPrep struct {
 	probs   []float64
 	tunnels *routing.TunnelSet
@@ -193,36 +207,4 @@ func (p *PreTE) prepareEpoch(in EpochInput) (*epochPrep, error) {
 		return nil, err
 	}
 	return &epochPrep{probs: probs, tunnels: tunnels, update: update, set: set}, nil
-}
-
-func (p *PreTE) planEpoch(in EpochInput, cache *SolveCache) (*EpochPlan, error) {
-	prep, err := p.prepareEpoch(in)
-	if err != nil {
-		return nil, err
-	}
-	probs, tunnels, update, set := prep.probs, prep.tunnels, prep.update, prep.set
-	reg := p.Opt.Metrics
-	// Step 4: optimize.
-	teIn := &te.Input{
-		Net: in.Net, Tunnels: tunnels, Demands: in.Demands,
-		Scenarios: set, Beta: in.Beta,
-	}
-	optT := reg.Timer("core.epoch.optimize")
-	optStart := optT.Start()
-	var res *Result
-	if cache != nil {
-		res, err = p.Opt.SolveCached(teIn, cache)
-	} else {
-		res, err = p.Opt.Solve(teIn)
-	}
-	optT.Stop(optStart)
-	if err != nil {
-		return nil, err
-	}
-	return &EpochPlan{
-		Plan:       &te.Plan{Alloc: res.Alloc, MaxLoss: res.Phi, Tunnels: tunnels},
-		Update:     update,
-		Calibrated: probs,
-		Result:     res,
-	}, nil
 }

@@ -141,13 +141,6 @@ func sortedKeys[V any](m map[string]V) []string {
 	return keys
 }
 
-// DurationBucketsMS returns histogram edges (in milliseconds) covering
-// sub-millisecond to multi-minute stages on a roughly logarithmic grid —
-// the default bucket layout for solve-time histograms.
-func DurationBucketsMS() []float64 {
-	return []float64{0.1, 0.5, 1, 5, 10, 50, 100, 500, 1000, 5000, 10000, 60000}
-}
-
 // CountBuckets returns histogram edges for iteration/pivot-style counts on
 // a power-of-two-ish grid.
 func CountBuckets() []float64 {

@@ -217,13 +217,6 @@ func (s *Store) LastSeq() uint64 {
 	return s.lastSeq
 }
 
-// JournalLen returns the number of records in the current journal.
-func (s *Store) JournalLen() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.count
-}
-
 // NeedCompact reports whether the journal has reached the compaction
 // cadence (Options.CompactEvery) and the caller should Compact.
 func (s *Store) NeedCompact() bool {

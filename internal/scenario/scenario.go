@@ -12,6 +12,8 @@ package scenario
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"prete/internal/topology"
@@ -75,16 +77,110 @@ func DefaultOptions() Options {
 // probs (indexed by FiberID). It is a pure, deterministic function of
 // (probs, opts): the same inputs always produce a bit-identical set, which
 // is the property FingerprintProbs and the cross-epoch solve cache rely on.
-// Enumerate is the single-shard serial case of EnumerateSharded.
 func Enumerate(probs []float64, opts Options) (*Set, error) {
-	return EnumerateSharded(probs, opts, 1, 1)
-}
+	for i, p := range probs {
+		if p < 0 || p > 1 || math.IsNaN(p) {
+			return nil, fmt.Errorf("scenario: fiber %d has invalid probability %v", i, p)
+		}
+	}
+	if opts.MaxFailures < 1 {
+		opts.MaxFailures = 1
+	}
+	if opts.MaxScenarios < 1 {
+		opts.MaxScenarios = 1
+	}
+	n := len(probs)
+	// Per-scenario probability computed directly as
+	// prod_{i in cut} p_i * prod_{i not in cut} (1 - p_i). The direct
+	// product (rather than dividing (1-p_i) factors out of the all-up
+	// probability) stays exact when some p_i is 0 or 1 — PreTE's
+	// evaluation conditions on "this fiber will certainly cut" (p = 1).
+	scenProb := func(cut ...int) float64 {
+		p := 1.0
+		for i, pi := range probs {
+			if slices.Contains(cut, i) {
+				p *= pi
+			} else {
+				p *= 1 - pi
+			}
+		}
+		return p
+	}
+	var out []Scenario
+	out = append(out, Scenario{Prob: scenProb()})
+	// single failures
+	for i := 0; i < n; i++ {
+		p := scenProb(i)
+		if p >= opts.Cutoff && p > 0 {
+			out = append(out, Scenario{Cut: []topology.FiberID{topology.FiberID(i)}, Prob: p})
+		}
+	}
+	// double failures
+	if opts.MaxFailures >= 2 {
+		for i := 0; i < n; i++ {
+			if probs[i] <= 0 {
+				continue
+			}
+			for j := i + 1; j < n; j++ {
+				p := scenProb(i, j)
+				if p >= opts.Cutoff && p > 0 {
+					out = append(out, Scenario{
+						Cut:  []topology.FiberID{topology.FiberID(i), topology.FiberID(j)},
+						Prob: p,
+					})
+				}
+			}
+		}
+	}
+	// Triple failures are enumerated only when MaxFailures >= 3. Under the
+	// paper's quiet-epoch probabilities their mass is far below any
+	// tractable cutoff (hence the default of 2), but a degradation storm
+	// calibrates several fibers to high probability at once, where the
+	// triples carry percent-level mass that beta-feasibility needs.
+	if opts.MaxFailures >= 3 {
+		for i := 0; i < n; i++ {
+			if probs[i] <= 0 {
+				continue
+			}
+			for j := i + 1; j < n; j++ {
+				if probs[j] <= 0 {
+					continue
+				}
+				for k := j + 1; k < n; k++ {
+					p := scenProb(i, j, k)
+					if p >= opts.Cutoff && p > 0 {
+						out = append(out, Scenario{
+							Cut:  []topology.FiberID{topology.FiberID(i), topology.FiberID(j), topology.FiberID(k)},
+							Prob: p,
+						})
+					}
+				}
+			}
+		}
+	}
+	// Quadruples and beyond are omitted: even storm calibrations leave
+	// their mass below the cutoffs that keep the optimization tractable.
 
-// sortScenarios orders scenarios by descending probability, stably, so the
-// order of equal-probability scenarios is the append order of the
-// enumeration loops.
-func sortScenarios(out []Scenario) {
+	// Descending probability, stably, so equal-probability scenarios keep
+	// the append order of the loops above.
 	sort.SliceStable(out, func(a, b int) bool { return out[a].Prob > out[b].Prob })
+	if len(out) > opts.MaxScenarios {
+		out = out[:opts.MaxScenarios]
+	}
+	// The empty scenario must always survive the cap.
+	if len(out[0].Cut) != 0 {
+		for i := range out {
+			if len(out[i].Cut) == 0 {
+				out[0], out[i] = out[i], out[0]
+				break
+			}
+		}
+	}
+	set := &Set{Scenarios: out}
+	for _, s := range out {
+		set.Covered += s.Prob
+	}
+	return set, nil
 }
 
 // Calibrated computes Eqn. 1's per-fiber failure probabilities for a

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -234,5 +235,63 @@ func TestQuickCalibrationOrdering(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEnumerateTriples pins the MaxFailures >= 3 extension: a storm-like
+// input (two fibers calibrated to high failure probability) leaves
+// percent-level mass in triple-failure scenarios, which MaxFailures: 3
+// recovers while MaxFailures: 2 output stays exactly as before.
+func TestEnumerateTriples(t *testing.T) {
+	probs := []float64{0.81, 0.81, 0.02, 0.01, 0.015, 0.005}
+	opts2 := Options{Cutoff: 1e-9, MaxFailures: 2, MaxScenarios: 2000}
+	opts3 := opts2
+	opts3.MaxFailures = 3
+	set2 := mustEnumerate(t, probs, opts2)
+	set3 := mustEnumerate(t, probs, opts3)
+	if set3.Covered <= set2.Covered {
+		t.Fatalf("triples did not add mass: %v vs %v", set3.Covered, set2.Covered)
+	}
+	// With both storm fibers at 0.81, the doubles-only set misses the
+	// {0, 1, other} triples whose mass is ~0.81^2 * sum of the rest.
+	if set2.Covered > 0.99 || set3.Covered < 0.99 {
+		t.Fatalf("mass split unexpected: doubles %v, triples %v", set2.Covered, set3.Covered)
+	}
+	var sawTriple bool
+	for _, s := range set3.Scenarios {
+		switch len(s.Cut) {
+		case 0, 1, 2:
+		case 3:
+			sawTriple = true
+			// Probability must be the exact direct product.
+			want := 1.0
+			cut := s.CutSet()
+			for i, p := range probs {
+				if cut[topology.FiberID(i)] {
+					want *= p
+				} else {
+					want *= 1 - p
+				}
+			}
+			if s.Prob != want {
+				t.Fatalf("triple %v prob %v, want exact %v", s.Cut, s.Prob, want)
+			}
+			// Cut indices are strictly ascending.
+			if !(s.Cut[0] < s.Cut[1] && s.Cut[1] < s.Cut[2]) {
+				t.Fatalf("triple cut not ascending: %v", s.Cut)
+			}
+		default:
+			t.Fatalf("scenario with %d cuts enumerated: %v", len(s.Cut), s.Cut)
+		}
+	}
+	if !sawTriple {
+		t.Fatal("no triple-failure scenario enumerated at MaxFailures 3")
+	}
+	// MaxFailures 4 is accepted but adds nothing beyond triples.
+	opts4 := opts3
+	opts4.MaxFailures = 4
+	set4 := mustEnumerate(t, probs, opts4)
+	if !reflect.DeepEqual(set4, set3) {
+		t.Fatal("MaxFailures 4 diverged from 3: quadruples should be omitted")
 	}
 }

@@ -165,7 +165,7 @@ func (ev *Evaluator) stormIntegrate(storm []int, ok func(f routing.FlowID, cut m
 		return nil, err
 	}
 	ev.metrics().scenarios.Add(int64(len(fs.Scenarios)))
-	return ev.integrateScenarios(fs, len(ev.Env.Tunnels.Flows), func(q scenario.Scenario, row []float64) error {
+	return integrateScenarios(fs, len(ev.Env.Tunnels.Flows), func(q scenario.Scenario, row []float64) error {
 		cut := q.CutSet()
 		for fi := range row {
 			if ok(routing.FlowID(fi), cut) {

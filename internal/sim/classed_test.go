@@ -104,10 +104,9 @@ func TestStormClassedDeterministicAcrossParallelism(t *testing.T) {
 	env := b4Env(t, cfg)
 	spec := te.DefaultClassSpec()
 	storm := env.StormFibers(2)
-	run := func(parallelism, shards int) (ClassedAvailability, Availability) {
+	run := func(parallelism int) (ClassedAvailability, Availability) {
 		c := cfg
 		c.Parallelism = parallelism
-		c.ScenarioShards = shards
 		ev := NewEvaluator(env, c)
 		ca, _, err := ev.EvaluateStormClassed(2, storm, spec)
 		if err != nil {
@@ -119,8 +118,8 @@ func TestStormClassedDeterministicAcrossParallelism(t *testing.T) {
 		}
 		return ca, ua
 	}
-	ca1, ua1 := run(1, 1)
-	ca4, ua4 := run(4, 3)
+	ca1, ua1 := run(1)
+	ca4, ua4 := run(4)
 	if !reflect.DeepEqual(ca1, ca4) {
 		t.Errorf("classed storm evaluation differs across parallelism:\n p1 %+v\n p4 %+v", ca1, ca4)
 	}

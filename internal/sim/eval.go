@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"prete/internal/core"
@@ -106,57 +107,16 @@ func (ev *Evaluator) enumerate(probs []float64) (*scenario.Set, error) {
 // integrateScenarios reduces one degradation-scenario task's evaluation
 // matrix: contrib fills row (length nFlows, zeroed) with failure scenario
 // q's per-flow contribution, and the rows are summed in scenario order.
-// With Cfg.ScenarioShards > 1 the contrib calls are partitioned into
-// contiguous scenario shards — each shard's work-unit quota is its slice of
-// the scenario count, quotas never truncate work — and fanned across par
-// workers; the reduction stays serial in scenario order either way, so the
-// result is bit-identical at every shard count and parallelism level.
-func (ev *Evaluator) integrateScenarios(fs *scenario.Set, nFlows int, contrib func(q scenario.Scenario, row []float64) error) ([]float64, error) {
-	n := len(fs.Scenarios)
+func integrateScenarios(fs *scenario.Set, nFlows int, contrib func(q scenario.Scenario, row []float64) error) ([]float64, error) {
 	out := make([]float64, nFlows)
-	shards := ev.Cfg.ScenarioShards
-	if shards > n {
-		shards = n
-	}
-	if shards <= 1 {
-		// Historical single-pass path: one reusable row, accumulated as
-		// each scenario is evaluated.
-		row := make([]float64, nFlows)
-		for _, q := range fs.Scenarios {
-			for i := range row {
-				row[i] = 0
-			}
-			if err := contrib(q, row); err != nil {
-				return nil, err
-			}
-			for i, v := range row {
-				out[i] += v
-			}
+	row := make([]float64, nFlows)
+	for _, q := range fs.Scenarios {
+		for i := range row {
+			row[i] = 0
 		}
-		return out, nil
-	}
-	ev.metrics().shardBatches.Inc()
-	// Sharded path: per-scenario rows computed by shard workers (quota =
-	// contiguous ceil(n/shards) slice each), reduced serially afterwards.
-	rows := make([][]float64, n)
-	quota := (n + shards - 1) / shards
-	if _, err := par.MapErr(shards, ev.Cfg.Parallelism, func(s int) (struct{}, error) {
-		lo, hi := s*quota, (s+1)*quota
-		if hi > n {
-			hi = n
+		if err := contrib(q, row); err != nil {
+			return nil, err
 		}
-		for qi := lo; qi < hi; qi++ {
-			row := make([]float64, nFlows)
-			if err := contrib(fs.Scenarios[qi], row); err != nil {
-				return struct{}{}, err
-			}
-			rows[qi] = row
-		}
-		return struct{}{}, nil
-	}); err != nil {
-		return nil, err
-	}
-	for _, row := range rows {
 		for i, v := range row {
 			out[i] += v
 		}
@@ -248,7 +208,6 @@ type evalObs struct {
 	cacheMisses  *obs.Counter
 	enumHits     *obs.Counter // scenario enumerations served from the memo
 	enumMisses   *obs.Counter // scenario enumerations actually run
-	shardBatches *obs.Counter // integration passes that ran sharded
 }
 
 func (ev *Evaluator) metrics() evalObs {
@@ -261,7 +220,6 @@ func (ev *Evaluator) metrics() evalObs {
 		cacheMisses:  r.Counter("sim.plan_cache.misses"),
 		enumHits:     r.Counter("sim.enum_cache.hits"),
 		enumMisses:   r.Counter("sim.enum_cache.misses"),
-		shardBatches: r.Counter("sim.scenario_shards.batches"),
 	}
 }
 
@@ -289,7 +247,7 @@ func (ev *Evaluator) evaluateStatic(schemeName string, planned, truth te.Demands
 		}
 		m.scenarios.Add(int64(len(fs.Scenarios)))
 		// the un-enumerated failure tail counts as loss for every flow
-		return ev.integrateScenarios(fs, nFlows, func(q scenario.Scenario, row []float64) error {
+		return integrateScenarios(fs, nFlows, func(q scenario.Scenario, row []float64) error {
 			cut := q.CutSet()
 			for fi := range row {
 				credit := ev.credit(schemeName, plan, planned, truth, routing.FlowID(fi), cut)
@@ -345,20 +303,24 @@ func (ev *Evaluator) credit(schemeName string, plan *te.Plan, planned, truth te.
 }
 
 // cached returns the plan stored under key in cache, computing and storing
-// it via build on a miss. Concurrent workers may duplicate a miss; the
-// deterministic build makes both results identical, and the first store
-// wins so every later reader sees one canonical *te.Plan.
-func (ev *Evaluator) cached(cache map[string]*te.Plan, key string, build func() *te.Plan) *te.Plan {
+// it via build on a miss; a build error is returned and nothing is stored.
+// Concurrent workers may duplicate a miss; the deterministic build makes
+// both results identical, and the first store wins so every later reader
+// sees one canonical *te.Plan.
+func (ev *Evaluator) cached(cache map[string]*te.Plan, key string, build func() (*te.Plan, error)) (*te.Plan, error) {
 	m := ev.metrics()
 	ev.mu.Lock()
 	p, ok := cache[key]
 	ev.mu.Unlock()
 	if ok {
 		m.cacheHits.Inc()
-		return p
+		return p, nil
 	}
 	m.cacheMisses.Inc()
-	p = build()
+	p, err := build()
+	if err != nil {
+		return nil, err
+	}
 	ev.mu.Lock()
 	if prev, ok := cache[key]; ok {
 		p = prev
@@ -366,24 +328,24 @@ func (ev *Evaluator) cached(cache map[string]*te.Plan, key string, build func() 
 		cache[key] = p
 	}
 	ev.mu.Unlock()
-	return p
+	return p, nil
 }
 
 // flexileRecompute returns (and caches) the post-failure optimal plan.
 func (ev *Evaluator) flexileRecompute(demands te.Demands, cut map[topology.FiberID]bool) *te.Plan {
 	key := cutKey(cut) + fmt.Sprintf("|%f", demands[0])
-	return ev.cached(ev.recomputeCache, key, func() *te.Plan {
+	p, _ := ev.cached(ev.recomputeCache, key, func() (*te.Plan, error) {
 		in := &te.Input{
 			Net: ev.Env.Net, Tunnels: ev.Env.Tunnels, Demands: demands,
 			Scenarios: &scenario.Set{Scenarios: []scenario.Scenario{{Prob: 1}}, Covered: 1},
 			Beta:      ev.Cfg.Beta,
 		}
-		p, err := te.Flexile{}.Recompute(in, cut)
-		if err != nil {
-			p = nil
-		}
-		return p
+		// A failed recompute is cached as its nil plan (no credit), not
+		// retried per scenario.
+		p, _ := te.Flexile{}.Recompute(in, cut)
+		return p, nil
 	})
+	return p
 }
 
 // arrowRestore returns (and caches) the plan on the partially restored
@@ -391,7 +353,8 @@ func (ev *Evaluator) flexileRecompute(demands te.Demands, cut map[topology.Fiber
 // their capacity.
 func (ev *Evaluator) arrowRestore(demands te.Demands, cut map[topology.FiberID]bool) *te.Plan {
 	key := "arrow|" + cutKey(cut) + fmt.Sprintf("|%f", demands[0])
-	return ev.cached(ev.restoreCache, key, func() *te.Plan {
+	// As in flexileRecompute, a failed solve is cached as its nil plan.
+	p, _ := ev.cached(ev.restoreCache, key, func() (*te.Plan, error) {
 		caps := make(map[topology.LinkID]float64)
 		for f := range cut {
 			if !cut[f] {
@@ -406,31 +369,21 @@ func (ev *Evaluator) arrowRestore(demands te.Demands, cut map[topology.FiberID]b
 			Scenarios: &scenario.Set{Scenarios: []scenario.Scenario{{Prob: 1}}, Covered: 1},
 			Beta:      ev.Cfg.Beta,
 		}
-		p, err := te.MinMaxLossPlanWithCaps(in, nil, caps)
-		if err != nil {
-			p = nil
-		}
-		return p
+		p, _ := te.MinMaxLossPlanWithCaps(in, nil, caps)
+		return p, nil
 	})
+	return p
 }
 
+// cutKey is the canonical plan-cache key of a cut: routing.AppendKey over
+// the map's fiber IDs in ascending order.
 func cutKey(cut map[topology.FiberID]bool) string {
-	b := make([]byte, len(cut)*3)
-	i := 0
-	// map iteration order doesn't matter if we sort by accumulating bits
-	var bits [64]bool
+	ids := make([]topology.FiberID, 0, len(cut))
 	for f := range cut {
-		if int(f) < 64 {
-			bits[f] = true
-		}
+		ids = append(ids, f)
 	}
-	for f, on := range bits {
-		if on {
-			b[i] = byte(f)
-			i++
-		}
-	}
-	return string(b[:i])
+	slices.Sort(ids)
+	return string(routing.AppendKey(nil, ids))
 }
 
 // evaluateOracle: per failure scenario, the oracle switches (ahead of the
@@ -452,9 +405,9 @@ func (ev *Evaluator) evaluateOracle(planned, truth te.Demands) (Availability, er
 			return nil, err
 		}
 		m.scenarios.Add(int64(len(fs.Scenarios)))
-		return ev.integrateScenarios(fs, nFlows, func(q scenario.Scenario, row []float64) error {
+		return integrateScenarios(fs, nFlows, func(q scenario.Scenario, row []float64) error {
 			cut := q.CutSet()
-			plan, err := ev.oraclePlan(planned, q.Cut)
+			plan, err := ev.oraclePlan(planned, q.Cut, cut)
 			if err != nil {
 				return err
 			}
@@ -472,48 +425,28 @@ func (ev *Evaluator) evaluateOracle(planned, truth te.Demands) (Availability, er
 	return summarize(par.SumVectors(partials, nFlows)), nil
 }
 
-func (ev *Evaluator) oraclePlan(demands te.Demands, cutList []topology.FiberID) (*te.Plan, error) {
-	cut := make(map[topology.FiberID]bool, len(cutList))
-	for _, f := range cutList {
-		cut[f] = true
-	}
+// oraclePlan returns (and caches) the optimal plan for the network after
+// scenario q's cut, given as q.Cut and its set form.
+func (ev *Evaluator) oraclePlan(demands te.Demands, cutList []topology.FiberID, cut map[topology.FiberID]bool) (*te.Plan, error) {
 	key := cutKey(cut) + fmt.Sprintf("|%f", demands[0])
-	m := ev.metrics()
-	ev.mu.Lock()
-	p, ok := ev.oracleCache[key]
-	ev.mu.Unlock()
-	if ok {
-		m.cacheHits.Inc()
-		return p, nil
-	}
-	m.cacheMisses.Inc()
-	// With future knowledge the oracle pre-establishes detour tunnels for
-	// the fibers about to fail (the Fig 3 behaviour).
-	tunnels := ev.Env.Tunnels
-	for _, f := range cutList {
-		res, err := core.UpdateTunnels(tunnels, f, 1)
-		if err != nil {
-			return nil, err
+	return ev.cached(ev.oracleCache, key, func() (*te.Plan, error) {
+		// With future knowledge the oracle pre-establishes detour tunnels
+		// for the fibers about to fail (the Fig 3 behaviour).
+		tunnels := ev.Env.Tunnels
+		for _, f := range cutList {
+			res, err := core.UpdateTunnels(tunnels, f, 1)
+			if err != nil {
+				return nil, err
+			}
+			tunnels = res.Tunnels
 		}
-		tunnels = res.Tunnels
-	}
-	in := &te.Input{
-		Net: ev.Env.Net, Tunnels: tunnels, Demands: demands,
-		Scenarios: &scenario.Set{Scenarios: []scenario.Scenario{{Prob: 1}}, Covered: 1},
-		Beta:      ev.Cfg.Beta,
-	}
-	p, err := te.MinMaxLossPlan(in, cut)
-	if err != nil {
-		return nil, err
-	}
-	ev.mu.Lock()
-	if prev, ok := ev.oracleCache[key]; ok {
-		p = prev
-	} else {
-		ev.oracleCache[key] = p
-	}
-	ev.mu.Unlock()
-	return p, nil
+		in := &te.Input{
+			Net: ev.Env.Net, Tunnels: tunnels, Demands: demands,
+			Scenarios: &scenario.Set{Scenarios: []scenario.Scenario{{Prob: 1}}, Covered: 1},
+			Beta:      ev.Cfg.Beta,
+		}
+		return te.MinMaxLossPlan(in, cut)
+	})
 }
 
 // evaluatePreTE: the quiet scenario uses the Theorem 4.1-calibrated static
@@ -620,7 +553,7 @@ func (ev *Evaluator) accumulate(branchProb float64, truth te.Demands, plan *te.P
 		return nil, err
 	}
 	ev.metrics().scenarios.Add(int64(len(fs.Scenarios)))
-	return ev.integrateScenarios(fs, len(ev.Env.Tunnels.Flows), func(q scenario.Scenario, row []float64) error {
+	return integrateScenarios(fs, len(ev.Env.Tunnels.Flows), func(q scenario.Scenario, row []float64) error {
 		cut := q.CutSet()
 		for fi := range row {
 			if te.Satisfied(plan, routing.FlowID(fi), truth[fi], cut) {

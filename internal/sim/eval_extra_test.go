@@ -133,4 +133,14 @@ func TestCutKeyCanonical(t *testing.T) {
 	if cutKey(nil) != "" {
 		t.Fatal("empty cut should yield empty key")
 	}
+	// Past 64 fibers (TWAN has ~52, a larger WAN more) every fiber must
+	// still reach the key: two cuts differing only there are two plans.
+	lo := cutKey(map[topology.FiberID]bool{3: true})
+	hi := cutKey(map[topology.FiberID]bool{3: true, 69: true})
+	if lo == hi {
+		t.Fatal("cutKey drops fibers >= 64: cuts {3} and {3, 69} share a key")
+	}
+	if cutKey(map[topology.FiberID]bool{64: true}) == cutKey(map[topology.FiberID]bool{69: true}) {
+		t.Fatal("cutKey maps fibers 64 and 69 to one key")
+	}
 }

@@ -7,7 +7,7 @@ import (
 	"prete/internal/obs"
 )
 
-// shardTestEnv builds a small B4 environment shared by the sharding and
+// shardTestEnv builds a small B4 environment shared by the
 // enumeration-memo tests.
 func shardTestEnv(t *testing.T) (*Env, Config) {
 	t.Helper()
@@ -20,47 +20,6 @@ func shardTestEnv(t *testing.T) (*Env, Config) {
 		t.Fatal(err)
 	}
 	return env, cfg
-}
-
-// TestEvaluateDeterministicAcrossShards pins the sharding contract:
-// per-flow availability is bit-identical at every ScenarioShards setting
-// (including shard counts exceeding the scenario count), for schemes
-// covering all three evaluation paths, at multiple parallelism levels.
-func TestEvaluateDeterministicAcrossShards(t *testing.T) {
-	if testing.Short() {
-		t.Skip("minutes-long evaluation sweep; skipped in -short mode")
-	}
-	env, cfg := shardTestEnv(t)
-	schemes := []string{"TeaVar", "Oracle", "PreTE"}
-	want := make(map[string]Availability)
-	ev := NewEvaluator(env, cfg)
-	for _, s := range schemes {
-		a, err := ev.Evaluate(s, 1.5)
-		if err != nil {
-			t.Fatalf("%s unsharded: %v", s, err)
-		}
-		want[s] = a
-	}
-	for _, shards := range []int{2, 7, 1000} {
-		for _, p := range []int{1, 4} {
-			scfg := cfg
-			scfg.ScenarioShards = shards
-			scfg.Parallelism = p
-			sev := NewEvaluator(env, scfg)
-			for _, s := range schemes {
-				got, err := sev.Evaluate(s, 1.5)
-				if err != nil {
-					t.Fatalf("%s shards=%d p=%d: %v", s, shards, p, err)
-				}
-				if !reflect.DeepEqual(got.PerFlow, want[s].PerFlow) {
-					t.Errorf("%s shards=%d p=%d: per-flow availability diverges from unsharded", s, shards, p)
-				}
-				if got.Min != want[s].Min || got.Mean != want[s].Mean {
-					t.Errorf("%s shards=%d p=%d: min/mean diverge", s, shards, p)
-				}
-			}
-		}
-	}
 }
 
 // TestEnumerationMemo pins the bugfix: repeated evaluations against the

@@ -56,16 +56,6 @@ type Config struct {
 	// are bit-identical at every setting — per-scenario partial vectors are
 	// merged in scenario order (see internal/par).
 	Parallelism int
-	// ScenarioShards splits the per-failure-scenario credit-integration
-	// matrix inside each degradation-scenario task into contiguous scenario
-	// shards with (near-)equal per-shard work-unit quotas, fanned across
-	// par workers; <= 1 keeps the historical single-pass loop. Shards
-	// produce per-scenario rows that are reduced serially in scenario
-	// order, so availability results are bit-identical at every shard
-	// count — sharding moves work, never answers. It pays off when
-	// ScenarioOpts.MaxScenarios is large relative to the degradation
-	// fan-out's own parallelism.
-	ScenarioShards int
 	// SolveBudget caps the deterministic work units each TE solve may
 	// consume (see core.Optimizer.BudgetUnits); 0 is unlimited. Budgeted
 	// solves stay bit-identical at every Parallelism setting, but may

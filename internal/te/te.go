@@ -140,15 +140,3 @@ func CheckCapacity(net *topology.Network, p *Plan) error {
 	}
 	return nil
 }
-
-// UniformDemands builds a demand matrix where every flow asks for the given
-// fraction of its shortest tunnel's bottleneck capacity — a simple
-// gravity-free baseline used by tests; the simulation layer generates the
-// 24 diurnal matrices.
-func UniformDemands(ts *routing.TunnelSet, gbps float64) Demands {
-	d := make(Demands, len(ts.Flows))
-	for i := range d {
-		d[i] = gbps
-	}
-	return d
-}

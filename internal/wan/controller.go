@@ -180,10 +180,6 @@ func sortedNames(m map[string]string) []string {
 	return names
 }
 
-// SeedBackoffJitter reseeds the jitter stream (part of a chaos experiment's
-// reproducible identity; the default seed is fixed, so this is optional).
-func (c *Controller) SeedBackoffJitter(seed uint64) { c.rng = stats.NewRNG(seed) }
-
 // BeginRound bounds the cumulative retry+backoff time of the reaction round
 // starting now: once budget has elapsed, in-flight RPCs stop sleeping
 // through further backoffs and fail with ErrRetryBudget so the degradation

@@ -232,44 +232,25 @@ func (tb *Testbed) Close() {
 }
 
 // RunScenario replays the §5 VOA script (healthy 0-65 s, degraded
-// 65-110 s, cut at 110 s) against the telemetry detector and, on the
-// degradation signal, executes the full PreTE reaction pipeline, returning
-// its timing breakdown. The optical timeline is replayed at full speed —
-// wall-clock costs are only incurred by the real computations and the real
-// TCP round-trips to the switch agents.
+// 65-110 s, cut at 110 s) through the streaming ingest pipeline at its
+// defaults (RunScenarioStream(seed, 0, 0), without the ingest stats) and,
+// on the degradation signal, executes the full PreTE reaction pipeline,
+// returning its timing breakdown. The optical timeline is replayed at full
+// speed — wall-clock costs are only incurred by the real computations and
+// the real TCP round-trips to the switch agents.
 func (tb *Testbed) RunScenario(seed uint64) (*PipelineTiming, error) {
-	fiberSim := optical.NewFiberSim(100, stats.NewRNG(seed))
-	samples := optical.TestbedScript().Replay(fiberSim, 0)
-	det := telemetry.NewDetector(2)
-	var timing PipelineTiming
-	for _, s := range samples {
-		detectStart := time.Now()
-		events := det.Observe(s)
-		for _, ev := range events {
-			if ev.Type != telemetry.DegradationStart {
-				continue
-			}
-			timing.Detection = time.Since(detectStart)
-			t, err := tb.reactToDegradation(ev)
-			if err != nil {
-				return nil, err
-			}
-			t.Detection = timing.Detection
-			return t, nil
-		}
-	}
-	return nil, fmt.Errorf("wan: the VOA script produced no degradation event")
+	timing, _, err := tb.RunScenarioStream(seed, 0, 0)
+	return timing, err
 }
 
-// RunScenarioStream is RunScenario with the bare detector replaced by the
-// streaming ingest pipeline (internal/ingest): the VOA script's samples
-// arrive ratePerTick at a time on fiber 0, flow through the sharded rings,
-// and the controller reacts to the first flushed DegradationStart exactly
-// as the batch path does. shards <= 0 and ratePerTick <= 0 select the
-// defaults (4 shards, one sample per tick). The returned ingest.Stats
+// RunScenarioStream is RunScenario with the ingest knobs exposed: the VOA
+// script's samples arrive ratePerTick at a time on fiber 0, flow through
+// the sharded rings of internal/ingest, and the controller reacts to the
+// first flushed DegradationStart. shards <= 0 and ratePerTick <= 0 select
+// the defaults (4 shards, one sample per tick). The returned ingest.Stats
 // carries the pipeline's exact drop/merge accounting for the run; at
-// default capacities the script never crosses the watermark, so the timing
-// breakdown matches RunScenario's.
+// default capacities the script never crosses the watermark, so the
+// reaction is the same at every setting.
 func (tb *Testbed) RunScenarioStream(seed uint64, shards, ratePerTick int) (*PipelineTiming, ingest.Stats, error) {
 	fiberSim := optical.NewFiberSim(100, stats.NewRNG(seed))
 	samples := optical.TestbedScript().Replay(fiberSim, 0)
@@ -410,11 +391,7 @@ func (tb *Testbed) reactToDegradation(ev telemetry.Event) (*PipelineTiming, erro
 	t0 = time.Now()
 	tb.Ctl.Log.Addf("stage te-compute")
 	opt, cache := tb.solver()
-	teIn := &te.Input{
-		Net: tb.Net, Tunnels: planTunnels,
-		Demands:   te.Demands{50, 50},
-		Scenarios: set, Beta: 0.99,
-	}
+	teIn := tb.teInput(planTunnels, set)
 	var alloc te.Allocation
 	var classed *core.ClassedResult
 	if tb.Classes.Enabled() {
@@ -430,34 +407,14 @@ func (tb *Testbed) reactToDegradation(ev telemetry.Event) (*PipelineTiming, erro
 			truncated = truncated || tier.Res.Truncated
 			fellBack = fellBack || tier.Res.Fallback
 		}
-		if truncated {
-			timing.SolveTruncated = true
-			tb.Ctl.Metrics.Counter("wan.solve.truncated_rounds").Inc()
-			tb.Ctl.Log.Addf("te-solve truncated")
-		}
-		if fellBack {
-			timing.Degraded = true
-			tb.Ctl.Metrics.Counter("wan.solve.fallback_rounds").Inc()
-			tb.Ctl.Log.Addf("te-solve fallback")
-		}
+		tb.markSolve(&timing, truncated, fellBack)
 		alloc = classed.Alloc
 	} else {
 		res, err := opt.SolveCached(teIn, cache)
 		if err != nil {
 			return nil, err
 		}
-		if res.Truncated {
-			timing.SolveTruncated = true
-			tb.Ctl.Metrics.Counter("wan.solve.truncated_rounds").Inc()
-			tb.Ctl.Log.Addf("te-solve truncated")
-		}
-		if res.Fallback {
-			// The heuristic plan is valid but unoptimized: record the round
-			// as degraded, like the other ladder rungs.
-			timing.Degraded = true
-			tb.Ctl.Metrics.Counter("wan.solve.fallback_rounds").Inc()
-			tb.Ctl.Log.Addf("te-solve fallback")
-		}
+		tb.markSolve(&timing, res.Truncated, res.Fallback)
 		alloc = res.Alloc
 	}
 	timing.TECompute = time.Since(t0)
@@ -507,6 +464,34 @@ func (tb *Testbed) reactToDegradation(ev telemetry.Event) (*PipelineTiming, erro
 		return nil, fmt.Errorf("wan: epoch completed but not journaled: %w", err)
 	}
 	return &timing, nil
+}
+
+// teInput is the testbed's TE instance — 50 Gbps per flow at beta 0.99 —
+// over the given tunnel set and scenario set; the reaction round and the
+// warm-restart priming must build the same input for the cache to hit.
+func (tb *Testbed) teInput(tunnels *routing.TunnelSet, set *scenario.Set) *te.Input {
+	return &te.Input{
+		Net: tb.Net, Tunnels: tunnels,
+		Demands:   te.Demands{50, 50},
+		Scenarios: set, Beta: 0.99,
+	}
+}
+
+// markSolve records rung three of the ladder on the round: a truncated
+// solve installed an anytime incumbent, a fallback installed the heuristic
+// plan — valid but unoptimized, so the round counts as degraded like the
+// other rungs.
+func (tb *Testbed) markSolve(timing *PipelineTiming, truncated, fellBack bool) {
+	if truncated {
+		timing.SolveTruncated = true
+		tb.Ctl.Metrics.Counter("wan.solve.truncated_rounds").Inc()
+		tb.Ctl.Log.Addf("te-solve truncated")
+	}
+	if fellBack {
+		timing.Degraded = true
+		tb.Ctl.Metrics.Counter("wan.solve.fallback_rounds").Inc()
+		tb.Ctl.Log.Addf("te-solve fallback")
+	}
 }
 
 // OpenState attaches a crash-safe state store under dir to the testbed's
@@ -567,12 +552,7 @@ func (tb *Testbed) primeSolver() {
 		return
 	}
 	opt, cache := tb.solver()
-	in := &te.Input{
-		Net: tb.Net, Tunnels: upd.Tunnels,
-		Demands:   te.Demands{50, 50},
-		Scenarios: set, Beta: 0.99,
-	}
-	if err := opt.Prime(in, cache); err != nil {
+	if err := opt.Prime(tb.teInput(upd.Tunnels, set), cache); err != nil {
 		tb.Ctl.Log.Addf("warmstart prime failed")
 		return
 	}
@@ -617,11 +597,17 @@ func (tb *Testbed) RestartController(tr Transport) error {
 	// cache comes back, if at all, through OpenState's journal-driven
 	// priming. The classed-path state (per-tier caches, admission backlog
 	// and last-good decision) is equally in-memory and equally lost.
+	tb.dropSolverState()
+	return nil
+}
+
+// dropSolverState forgets everything a controller process holds only in
+// memory: the optimizer, its warm-start caches and the admission ladder.
+func (tb *Testbed) dropSolverState() {
 	tb.opt = nil
 	tb.solveCache = nil
 	tb.tierCaches = nil
 	tb.adm = nil
-	return nil
 }
 
 // AdoptPromoted installs a promoted replica's controller as the testbed's
@@ -635,10 +621,7 @@ func (tb *Testbed) RestartController(tr Transport) error {
 func (tb *Testbed) AdoptPromoted(ctl *Controller) (zombie *Controller) {
 	zombie = tb.Ctl
 	tb.Ctl = ctl
-	tb.opt = nil
-	tb.solveCache = nil
-	tb.tierCaches = nil
-	tb.adm = nil
+	tb.dropSolverState()
 	if len(ctl.LastProbs()) > 0 {
 		tb.primeSolver()
 	}

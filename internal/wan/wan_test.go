@@ -1,6 +1,8 @@
 package wan
 
 import (
+	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -307,36 +309,60 @@ func TestBackoffSchedule(t *testing.T) {
 	}
 }
 
-// TestRunScenarioStream pins the streaming reaction path to the batch one:
-// the ingest pipeline must surface the same degradation, the reaction
-// timing must be fully populated, and — with default ring capacities — the
-// VOA script must never trigger backpressure, at any shard count or
-// arrival rate.
+// TestRunScenarioStream drives the reaction through the ingest pipeline at
+// several (shards, rate) settings and requires exact drop/merge accounting —
+// and that RunScenario, the same entry at the defaults, leaves the same
+// event log and the same rate table on every agent.
 func TestRunScenarioStream(t *testing.T) {
 	checkGoroutineLeaks(t)
-	for _, tc := range []struct{ shards, rate int }{{0, 0}, {1, 1}, {3, 7}, {8, 50}} {
+	run := func(name string, scenario func(tb *Testbed) (*PipelineTiming, error)) ([]string, []map[string]float64) {
 		tb, err := NewTestbed(fastSwitch(), func(f optical.Features) float64 { return 0.8 })
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer tb.Close()
 		tb.Ctl.Metrics = obs.NewRegistry()
-		timing, st, err := tb.RunScenarioStream(7, tc.shards, tc.rate)
+		tb.Ctl.Log = NewEventLog()
+		timing, err := scenario(tb)
 		if err != nil {
-			tb.Close()
-			t.Fatalf("shards=%d rate=%d: %v", tc.shards, tc.rate, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		if timing.TunnelUpdate <= 0 || timing.TECompute <= 0 || timing.ScenarioRegen <= 0 {
-			t.Errorf("shards=%d rate=%d: missing stage timings: %+v", tc.shards, tc.rate, timing)
+			t.Errorf("%s: missing stage timings: %+v", name, timing)
 		}
-		if st.Dropped != 0 || st.Merged != 0 {
-			t.Errorf("shards=%d rate=%d: VOA script triggered backpressure: %+v", tc.shards, tc.rate, st)
+		rates := make([]map[string]float64, len(tb.Agents))
+		for i, a := range tb.Agents {
+			rates[i] = a.Rates()
 		}
-		if st.Ingested == 0 || st.Ingested != st.Emitted+st.Queued {
-			t.Errorf("shards=%d rate=%d: accounting off: %+v", tc.shards, tc.rate, st)
+		return tb.Ctl.Log.Events(), rates
+	}
+	wantEvents, wantRates := run("RunScenario", func(tb *Testbed) (*PipelineTiming, error) { return tb.RunScenario(7) })
+	if len(wantEvents) == 0 || len(wantRates[0]) == 0 {
+		t.Fatalf("RunScenario left no evidence: %d events, rates %v", len(wantEvents), wantRates)
+	}
+	for _, tc := range []struct{ shards, rate int }{{0, 0}, {1, 1}, {3, 7}, {8, 50}} {
+		name := fmt.Sprintf("shards=%d rate=%d", tc.shards, tc.rate)
+		events, rates := run(name, func(tb *Testbed) (*PipelineTiming, error) {
+			timing, st, err := tb.RunScenarioStream(7, tc.shards, tc.rate)
+			if err != nil {
+				return nil, err
+			}
+			if st.Dropped != 0 || st.Merged != 0 {
+				t.Errorf("%s: VOA script triggered backpressure: %+v", name, st)
+			}
+			if st.Ingested == 0 || st.Ingested != st.Emitted+st.Queued {
+				t.Errorf("%s: accounting off: %+v", name, st)
+			}
+			if v := tb.Ctl.Metrics.Counter("ingest.samples.ingested").Value(); v != st.Ingested {
+				t.Errorf("%s: registry ingested = %d, stats = %d", name, v, st.Ingested)
+			}
+			return timing, nil
+		})
+		if !reflect.DeepEqual(events, wantEvents) {
+			t.Errorf("%s: event log differs from RunScenario's:\n got %q\nwant %q", name, events, wantEvents)
 		}
-		if v := tb.Ctl.Metrics.Counter("ingest.samples.ingested").Value(); v != st.Ingested {
-			t.Errorf("shards=%d rate=%d: registry ingested = %d, stats = %d", tc.shards, tc.rate, v, st.Ingested)
+		if !reflect.DeepEqual(rates, wantRates) {
+			t.Errorf("%s: agent rate tables differ from RunScenario's:\n got %v\nwant %v", name, rates, wantRates)
 		}
-		tb.Close()
 	}
 }

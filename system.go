@@ -152,28 +152,39 @@ func (s *System) Observe(fiber FiberID, sample Sample) ([]telemetry.Event, error
 	}
 	events := det.Observe(sample)
 	for _, ev := range events {
-		switch ev.Type {
-		case telemetry.DegradationStart:
-			pNN := 0.40 // the measured P(cut | degradation) fallback
-			if s.predictor != nil && len(ev.Window) > 0 {
-				f := s.net.Fiber(fiber)
-				feats, err := optical.ExtractFeatures(ev.Window, int(fiber), f.Region, f.Vendor, f.LengthKm)
-				if err == nil {
-					pNN = s.predictor.PredictProb(feats)
-				}
-			}
-			// §3.1: fibers sharing a conduit degrade (and will likely cut)
-			// together — the signal covers the whole group.
-			for _, member := range s.conduits[fiber] {
-				s.signals[member] = DegradationSignal{Fiber: member, PNN: pNN}
-			}
-		case telemetry.DegradationEnd, telemetry.Repaired:
-			for _, member := range s.conduits[fiber] {
-				delete(s.signals, member)
-			}
+		var feats optical.Features
+		var hasFeats bool
+		if ev.Type == telemetry.DegradationStart && s.predictor != nil && len(ev.Window) > 0 {
+			f := s.net.Fiber(fiber)
+			var err error
+			feats, err = optical.ExtractFeatures(ev.Window, int(fiber), f.Region, f.Vendor, f.LengthKm)
+			hasFeats = err == nil
 		}
+		s.applyEvent(fiber, ev.Type, feats, hasFeats)
 	}
 	return events, nil
+}
+
+// applyEvent folds one detector event into the degradation-signal state;
+// the caller holds s.mu. A DegradationStart asks the predictor (when one is
+// installed and the event carries features) and a DegradationEnd or Repaired
+// clears the signal. §3.1: fibers sharing a conduit degrade (and will
+// likely cut) together, so either way the whole conduit group moves.
+func (s *System) applyEvent(fiber FiberID, typ telemetry.EventType, feats optical.Features, hasFeats bool) {
+	switch typ {
+	case telemetry.DegradationStart:
+		pNN := 0.40 // the measured P(cut | degradation) fallback
+		if s.predictor != nil && hasFeats {
+			pNN = s.predictor.PredictProb(feats)
+		}
+		for _, member := range s.conduits[fiber] {
+			s.signals[member] = DegradationSignal{Fiber: member, PNN: pNN}
+		}
+	case telemetry.DegradationEnd, telemetry.Repaired:
+		for _, member := range s.conduits[fiber] {
+			delete(s.signals, member)
+		}
+	}
 }
 
 // ObserveBatch ingests whole per-fiber sample series at once — the
@@ -253,20 +264,7 @@ func (s *System) ObserveBatch(series []telemetry.FiberSeries) ([][]telemetry.Eve
 		out[i] = results[i].events
 		nEvents += int64(len(results[i].events))
 		for ei, ev := range results[i].events {
-			switch ev.Type {
-			case telemetry.DegradationStart:
-				pNN := 0.40 // the measured P(cut | degradation) fallback
-				if s.predictor != nil && results[i].hasFeats[ei] {
-					pNN = s.predictor.PredictProb(results[i].feats[ei])
-				}
-				for _, member := range s.conduits[FiberID(fs.Fiber)] {
-					s.signals[member] = DegradationSignal{Fiber: member, PNN: pNN}
-				}
-			case telemetry.DegradationEnd, telemetry.Repaired:
-				for _, member := range s.conduits[FiberID(fs.Fiber)] {
-					delete(s.signals, member)
-				}
-			}
+			s.applyEvent(FiberID(fs.Fiber), ev.Type, results[i].feats[ei], results[i].hasFeats[ei])
 		}
 	}
 	reg.Counter("telemetry.batch.events").Add(nEvents)
@@ -338,20 +336,7 @@ func (st *Stream) apply(batches []ingest.FiberEvents) {
 	defer s.mu.Unlock()
 	for _, b := range batches {
 		for _, ev := range b.Events {
-			switch ev.Type {
-			case telemetry.DegradationStart:
-				pNN := 0.40 // the measured P(cut | degradation) fallback
-				if s.predictor != nil && ev.HasFeatures {
-					pNN = s.predictor.PredictProb(ev.Features)
-				}
-				for _, member := range s.conduits[FiberID(b.Fiber)] {
-					s.signals[member] = DegradationSignal{Fiber: member, PNN: pNN}
-				}
-			case telemetry.DegradationEnd, telemetry.Repaired:
-				for _, member := range s.conduits[FiberID(b.Fiber)] {
-					delete(s.signals, member)
-				}
-			}
+			s.applyEvent(FiberID(b.Fiber), ev.Type, ev.Features, ev.HasFeatures)
 		}
 	}
 }
