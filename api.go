@@ -2,7 +2,6 @@ package prete
 
 import (
 	"prete/internal/core"
-	"prete/internal/ingest"
 	"prete/internal/ml"
 	"prete/internal/obs"
 	"prete/internal/optical"
@@ -11,7 +10,6 @@ import (
 	"prete/internal/scenario"
 	"prete/internal/sim"
 	"prete/internal/te"
-	"prete/internal/telemetry"
 	"prete/internal/topology"
 	"prete/internal/trace"
 	"prete/internal/wan"
@@ -93,17 +91,6 @@ type (
 	Trace = trace.Trace
 	// LabeledExample is one (features, failed) training sample.
 	LabeledExample = trace.LabeledExample
-
-	// IngestConfig tunes the streaming telemetry pipeline behind
-	// System.OpenStream: shard count, ring capacity, watermark, drain
-	// budget, and flush window (see internal/ingest).
-	IngestConfig = ingest.Config
-	// IngestArrival is one (fiber, sample) pair arriving on a stream.
-	IngestArrival = ingest.Arrival
-	// IngestStats is the pipeline's exact drop/merge accounting snapshot.
-	IngestStats = ingest.Stats
-	// IngestFiberEvents is one fiber's events from a stream flush.
-	IngestFiberEvents = ingest.FiberEvents
 
 	// JournalReplicator ships a state directory's journal records and
 	// snapshots to remote appliers with exact shipped/acked/resent
@@ -211,18 +198,10 @@ func Delivered(p *Plan, f FlowID, demand float64, cut map[FiberID]bool) float64 
 	return te.Delivered(p, f, demand, cut)
 }
 
-// NewDetector returns a per-fiber degradation/cut detector requiring
-// confirm consecutive samples per transition.
-func NewDetector(confirm int) *telemetry.Detector { return telemetry.NewDetector(confirm) }
-
 // NewMetricsRegistry returns an empty observability registry. Hand it to
 // Config.Metrics (or sim.Config.Metrics, wan.Controller.Metrics, ...) to
 // collect counters and stage timings; results are unaffected.
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
-
-// DefaultIngestConfig returns the streaming-ingest defaults (4 shards,
-// 1024-sample rings, 0.75 watermark, flush every tick).
-func DefaultIngestConfig() IngestConfig { return ingest.DefaultConfig() }
 
 // DefaultClassSpec returns the built-in three-tier SLO spec:
 // lc:0.2:100:protect, std:0.5:10:defer, bulk:0.3:1:shed.

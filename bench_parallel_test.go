@@ -3,8 +3,8 @@ package prete
 // Serial-vs-parallel benchmark pairs for the internal/par fan-outs the
 // repository's benchmark (bench/, whose eval-b4 workload reports
 // sim.table_serial_s and sim.par_speedup for the evaluator) does not time:
-// failure-equivalence class construction, the Benders solve's internal
-// fan-out, and the batch telemetry pipeline. Every benchmark runs
+// failure-equivalence class construction and the Benders solve's internal
+// fan-out. Every benchmark runs
 // the same work at Parallelism=1 (the serial path: a plain loop on the
 // calling goroutine) and Parallelism=GOMAXPROCS, so
 //
@@ -19,12 +19,10 @@ import (
 	"testing"
 
 	"prete/internal/core"
-	"prete/internal/optical"
 	"prete/internal/routing"
 	"prete/internal/scenario"
 	"prete/internal/stats"
 	"prete/internal/te"
-	"prete/internal/telemetry"
 	"prete/internal/topology"
 )
 
@@ -97,44 +95,6 @@ func BenchmarkParallelBendersIBM(b *testing.B) {
 					Net: net, Tunnels: ts, Demands: demands, Beta: 0.99, PI: pi,
 					Signals: []core.DegradationSignal{{Fiber: 3, PNN: 0.5}},
 				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkParallelTelemetryBatch measures the per-fiber batch pipeline
-// (interpolate, detect, extract features) over a 64-fiber TWAN slice with
-// 10-minute series.
-func BenchmarkParallelTelemetryBatch(b *testing.B) {
-	net, err := topology.TWAN(1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	nFibers := len(net.Fibers)
-	if nFibers > 64 {
-		nFibers = 64
-	}
-	series := make([]telemetry.FiberSeries, nFibers)
-	for i := 0; i < nFibers; i++ {
-		rng := stats.SubRNG(9, uint64(i))
-		fsim := optical.NewFiberSim(net.Fibers[i].LengthKm, rng)
-		samples, err := fsim.EpisodeSeries(optical.DegradationProfile{
-			DegreeDB: 4 + 4*rng.Float64(), GradientDB: 0.05,
-			FluctAmpDB: 0.3, FluctPeriodS: 20,
-			DurationS: 480, LeadsToCut: i%3 == 0, CutDelayS: 400, RepairS: 60,
-			OnsetUnixS: 1700000000 + int64(i)*11, MissingSample: 0.05,
-		}, 60)
-		if err != nil {
-			b.Fatal(err)
-		}
-		series[i] = telemetry.FiberSeries{Fiber: i, Samples: samples}
-	}
-	for _, p := range parLevels() {
-		b.Run(fmt.Sprintf("p%d", p), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := telemetry.ProcessBatch(net, series, 2, p); err != nil {
 					b.Fatal(err)
 				}
 			}

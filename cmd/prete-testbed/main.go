@@ -39,17 +39,16 @@ import (
 
 func main() {
 	var (
-		fast         = flag.Bool("fast", false, "millisecond-scale switch latencies")
-		seed         = flag.Uint64("seed", 2025, "random seed")
-		metrics      = flag.Bool("metrics", false, "print a JSON metrics snapshot after the run")
-		debugAddr    = flag.String("debug-addr", "", "serve /metrics, /debug/vars, and /debug/pprof on this address while running")
-		faults       = flag.String("faults", "", "fault-injection spec, e.g. 'seed=7,drop=0.1,delay=0.5:10ms-50ms,crash=0.01:25' (empty = no faults)")
-		budget       = flag.String("budget", "", "TE solve budget 'UNITS[:TIMEOUT]', e.g. '5000', '5000:150ms', ':2s' (empty = unlimited); units are deterministic, the timeout is a wall-clock safety net")
-		stateDir     = flag.String("state-dir", "", "directory for crash-safe controller state (journaled snapshots); restarting with the same directory warm-restarts from the last journaled epoch (empty = stateless)")
-		ingestRate   = flag.Int("ingest-rate", 1, "samples per tick at which the VOA script is fed through the streaming ingest pipeline (>= 1)")
-		ingestShards = flag.Int("ingest-shards", 0, "ingest worker shard count (0 = default)")
-		sites        = flag.Int("sites", 0, "standby sites (in-site or cross-site): each owns its own state directory under <state-dir>/sites/, fed by journal replication over the network, and would promote behind a time-bounded lease on leader death (requires -state-dir)")
-		classes      = flag.String("classes", "", "SLO tier spec 'name:share:weight[:policy],...' or 'default' (lc:0.2:100:protect,std:0.5:10:defer,bulk:0.3:1:shed); per-class demands run the strict-priority classed solve and the predictive admission ladder (empty = classless)")
+		fast       = flag.Bool("fast", false, "millisecond-scale switch latencies")
+		seed       = flag.Uint64("seed", 2025, "random seed")
+		metrics    = flag.Bool("metrics", false, "print a JSON metrics snapshot after the run")
+		debugAddr  = flag.String("debug-addr", "", "serve /metrics, /debug/vars, and /debug/pprof on this address while running")
+		faults     = flag.String("faults", "", "fault-injection spec, e.g. 'seed=7,drop=0.1,delay=0.5:10ms-50ms,crash=0.01:25' (empty = no faults)")
+		budget     = flag.String("budget", "", "TE solve budget 'UNITS[:TIMEOUT]', e.g. '5000', '5000:150ms', ':2s' (empty = unlimited); units are deterministic, the timeout is a wall-clock safety net")
+		stateDir   = flag.String("state-dir", "", "directory for crash-safe controller state (journaled snapshots); restarting with the same directory warm-restarts from the last journaled epoch (empty = stateless)")
+		ingestRate = flag.Int("ingest-rate", 1, "samples per tick at which the VOA script is fed through the streaming ingest pipeline (>= 1)")
+		sites      = flag.Int("sites", 0, "standby sites (in-site or cross-site): each owns its own state directory under <state-dir>/sites/, fed by journal replication over the network, and would promote behind a time-bounded lease on leader death (requires -state-dir)")
+		classes    = flag.String("classes", "", "SLO tier spec 'name:share:weight[:policy],...' or 'default' (lc:0.2:100:protect,std:0.5:10:defer,bulk:0.3:1:shed); per-class demands run the strict-priority classed solve and the predictive admission ladder (empty = classless)")
 	)
 	flag.Parse()
 
@@ -178,7 +177,7 @@ func main() {
 		fmt.Printf("controller replication: leader + %d standby site(s) under %s\n", *sites, filepath.Join(*stateDir, "sites"))
 	}
 
-	timing, st, err := tb.RunScenarioStream(*seed, *ingestShards, *ingestRate)
+	timing, st, err := tb.RunScenarioStream(*seed, *ingestRate)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "prete-testbed: %v\n", err)
 		os.Exit(1)

@@ -26,7 +26,7 @@ const ingestEpochTicks = 120
 
 // b4IngestSeries synthesizes one epoch of per-second telemetry for every
 // B4 fiber: degradation episodes with missing samples, a third of them
-// leading to cuts — the same shapes BenchmarkParallelTelemetryBatch uses.
+// leading to cuts.
 func b4IngestSeries(tb testing.TB, ticks int) (*topology.Network, []telemetry.FiberSeries) {
 	tb.Helper()
 	net, err := topology.B4()
@@ -114,7 +114,7 @@ func epochReplayBaseline(tb testing.TB, net *topology.Network, series []telemetr
 		if !grew {
 			break
 		}
-		if _, err := telemetry.ProcessBatch(net, window, 2, 1); err != nil {
+		if _, err := telemetry.ProcessBatch(net, window, 2); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -133,12 +133,7 @@ func TestIngestSustainedSpeedup(t *testing.T) {
 	// with the window, so a longer run both reflects sustained operation and
 	// keeps the measured ratio out of timer noise.
 	net, series := b4IngestSeries(t, 2*ingestEpochTicks)
-	// 19 fibers is far below the scale where shard fan-out pays for its
-	// goroutine handoffs, so measure the serial configuration — the
-	// determinism contract makes its output identical to any other.
 	cfg := ingest.DefaultConfig()
-	cfg.Shards = 1
-	cfg.Parallelism = 1
 	best := func(run func() int) float64 {
 		run() // warm-up: heap growth and cache fills stay out of the timings
 		rate := 0.0

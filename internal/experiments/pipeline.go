@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"prete/internal/core"
+	"prete/internal/ingest"
 	"prete/internal/optical"
 	"prete/internal/sim"
 	"prete/internal/stats"
@@ -17,12 +18,13 @@ func init() {
 }
 
 // fig8 exercises the whole Fig 8 loop once on B4: synthesize one telemetry
-// collection interval per fiber (two fibers carry a degradation episode),
-// push the batch through the per-fiber detector pipeline, turn the detected
-// degradations into prediction signals, run the Benders-based epoch
-// optimization with those signals, and close with a PreTE availability
-// evaluation. It is also the experiment `prete-sim -metrics` points at to
-// light up every layer's observability series in one run.
+// collection interval per fiber (one fiber carries a degradation episode),
+// replay it through the ingest pipeline at one sample per fiber per tick,
+// turn the detected degradations into prediction signals, run the
+// Benders-based epoch optimization with those signals, and close with a
+// PreTE availability evaluation. It is also the experiment
+// `prete-sim -metrics` points at to light up every layer's observability
+// series in one run.
 func fig8(w io.Writer, opts Options) error {
 	cfg := evalConfig(opts)
 	env, err := sim.BuildEnv("B4", opts.Seed, cfg)
@@ -56,7 +58,13 @@ func fig8(w io.Writer, opts Options) error {
 		}
 		series[i] = telemetry.FiberSeries{Fiber: i, Samples: fsim.HealthySeries(1700000000, healthyS)}
 	}
-	batch, err := telemetry.ProcessBatchObs(env.Net, series, 2, opts.Parallelism, opts.Metrics)
+	icfg := ingest.DefaultConfig()
+	icfg.Metrics = opts.Metrics
+	pipe, err := ingest.New(env.Net, icfg)
+	if err != nil {
+		return err
+	}
+	batch, err := pipe.RunReplay(series)
 	if err != nil {
 		return err
 	}

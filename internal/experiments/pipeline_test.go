@@ -12,7 +12,7 @@ import (
 // with and without a registry — and checks (a) the printed artifact is
 // byte-identical, and (b) the instrumented run lights up every layer the
 // acceptance criteria name: Benders iterations, scenario evaluations, and
-// telemetry batching.
+// telemetry ingest.
 func TestFig8PipelineMetrics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full pipeline experiment; skipped in -short mode")
@@ -38,8 +38,8 @@ func TestFig8PipelineMetrics(t *testing.T) {
 		"core.benders.iterations",
 		"sim.scenarios.evaluated",
 		"sim.deg_scenarios.evaluated",
-		"telemetry.batch.runs",
-		"telemetry.batch.fibers",
+		"ingest.samples.ingested",
+		"ingest.flushes",
 		"telemetry.samples.observed",
 		"telemetry.degradations.detected",
 	} {
@@ -47,8 +47,8 @@ func TestFig8PipelineMetrics(t *testing.T) {
 			t.Errorf("counter %s is zero after fig8", c)
 		}
 	}
-	if reg.Timer("telemetry.batch.latency").Count() == 0 {
-		t.Error("telemetry batch latency not timed")
+	if reg.Timer("ingest.tick.latency").Count() == 0 {
+		t.Error("ingest tick latency not timed")
 	}
 	if reg.Timer("sim.scenario.eval_time").Count() == 0 {
 		t.Error("scenario eval time not timed")

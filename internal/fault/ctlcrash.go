@@ -41,6 +41,10 @@ func (e *Halt) Unwrap() error { return wan.ErrControllerHalted }
 // per-peer decision sequence up to the crash replays bit-identically.
 // CrashPoint derives the count from a seed for randomized-but-reproducible
 // sweeps.
+//
+// The same attempt count also times ArmHook's callback, so "promote a
+// standby while the leader is mid-epoch" (matrix row F12) is an exact point
+// in the leader's RPC sequence and replays bit-identically.
 type CtlCrash struct {
 	inner   wan.Transport
 	metrics *obs.Registry
@@ -49,6 +53,8 @@ type CtlCrash struct {
 	remaining int64 // attempts left before the halt; -1 = disarmed
 	halted    bool
 	attempts  int64
+	hookAt    int64  // run hook before this 1-based attempt
+	hook      func() // nil = no hook armed (or it already ran)
 }
 
 // NewCtlCrash wraps inner, armed to halt on RPC attempt budget+1 (Arm
@@ -78,6 +84,17 @@ func (t *CtlCrash) Disarm() {
 	t.halted = false
 }
 
+// ArmHook schedules fn to run exactly once, before global RPC attempt
+// number at (1-based) starts — ahead of that attempt's halt decision, and
+// outside the transport's lock. Re-arming replaces a hook that has not run.
+// Arm and Disarm leave the hook alone.
+func (t *CtlCrash) ArmHook(at int64, fn func()) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.hookAt = at
+	t.hook = fn
+}
+
 // Halted reports whether the crash has triggered and not been re-armed.
 func (t *CtlCrash) Halted() bool {
 	t.mu.Lock()
@@ -92,15 +109,22 @@ func (t *CtlCrash) Attempts() int64 {
 	return t.attempts
 }
 
-// tick consumes one RPC attempt and returns non-nil once the process is
-// dead.
+// tick consumes one RPC attempt, runs the armed hook if this is its attempt,
+// and returns non-nil once the process is dead.
 func (t *CtlCrash) tick(peer string) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.attempts++
+	attempt := t.attempts
+	if fn := t.hook; fn != nil && attempt >= t.hookAt {
+		t.hook = nil
+		t.mu.Unlock()
+		fn()
+		t.mu.Lock()
+	}
 	if t.halted {
 		t.metrics.Counter("fault.ctlcrash.refused").Inc()
-		return &Halt{Peer: peer, Attempt: t.attempts}
+		return &Halt{Peer: peer, Attempt: attempt}
 	}
 	if t.remaining < 0 {
 		return nil
@@ -108,7 +132,7 @@ func (t *CtlCrash) tick(peer string) error {
 	if t.remaining == 0 {
 		t.halted = true
 		t.metrics.Counter("fault.ctlcrash.halts").Inc()
-		return &Halt{Peer: peer, Attempt: t.attempts}
+		return &Halt{Peer: peer, Attempt: attempt}
 	}
 	t.remaining--
 	return nil

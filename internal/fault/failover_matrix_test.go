@@ -142,8 +142,7 @@ func runFailoverScenario(t *testing.T, fc failoverCase) failoverRun {
 
 	ct := NewCtlCrash(wan.TCPTransport{}, 0, reg)
 	ct.Disarm()
-	hook := NewCtlHook(ct)
-	tb, err := wan.NewTestbedTransport(fastSwitch(), func(f optical.Features) float64 { return 0.8 }, hook)
+	tb, err := wan.NewTestbedTransport(fastSwitch(), func(f optical.Features) float64 { return 0.8 }, ct)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +234,9 @@ func runFailoverScenario(t *testing.T, fc failoverCase) failoverRun {
 		// next epoch — the claim races a live solve.
 		ss.Clock().Advance(fc.leaseTicks + 1)
 		var hookErr error
-		hook.Arm(hook.Attempts()+fc.hookOffset, func() {
+		fired := false
+		ct.ArmHook(ct.Attempts()+fc.hookOffset, func() {
+			fired = true
 			prom, hookErr = ss.Promote(1)
 		})
 		if _, zerr := tb.RunScenario(7); zerr != nil {
@@ -244,8 +245,8 @@ func runFailoverScenario(t *testing.T, fc failoverCase) failoverRun {
 		if hookErr != nil {
 			t.Fatalf("mid-epoch promotion: %v", hookErr)
 		}
-		if prom == nil || !hook.Fired() {
-			t.Fatalf("promotion hook never fired (fired=%v)", hook.Fired())
+		if prom == nil || !fired {
+			t.Fatalf("promotion hook never fired (fired=%v)", fired)
 		}
 	} else {
 		switch {

@@ -34,10 +34,10 @@ func fuzzNet(tb testing.TB) *topology.Network {
 
 // FuzzIngest feeds arbitrary — malformed, out-of-order, duplicate-
 // timestamp, gappy, non-finite — arrival schedules through the streaming
-// pipeline. The pipeline must never panic; with backpressure disabled the
-// serial and sharded executions must agree with each other and with the
-// batch replay (telemetry.ProcessBatch); and under fuzz-chosen backpressure
-// the accounting identity ingested = emitted + dropped + merged must hold
+// pipeline. The pipeline must never panic; with backpressure disabled it
+// must agree with the batch replay (telemetry.ProcessBatch) at a per-tick
+// and a fuzz-chosen flush window; and under fuzz-chosen backpressure the
+// accounting identity ingested = emitted + dropped + merged must hold
 // exactly once the stream is flushed.
 func FuzzIngest(f *testing.F) {
 	f.Add([]byte{}, uint8(2), uint8(3), uint8(8), uint8(1), uint8(4))
@@ -47,7 +47,7 @@ func FuzzIngest(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 1, 0, 0, 1, 200, 0, 2, 0, 200, 0}, uint8(3), uint8(4), uint8(4), uint8(2), uint8(2))
 	// out-of-order timestamps (negative dt) across all three fibers
 	f.Add([]byte{1, 255, 60, 0, 0, 1, 30, 0, 2, 129, 90, 1, 1, 255, 60, 0}, uint8(1), uint8(5), uint8(2), uint8(1), uint8(3))
-	f.Fuzz(func(t *testing.T, data []byte, confirm, shards, ringCap, drain, flushEvery uint8) {
+	f.Fuzz(func(t *testing.T, data []byte, confirm, window, ringCap, drain, flushEvery uint8) {
 		net := fuzzNet(t)
 		// Decode: each 4-byte group is one sample — fiber selector, signed
 		// time delta (out-of-order and duplicate timestamps allowed), excess
@@ -82,47 +82,39 @@ func FuzzIngest(f *testing.F) {
 		}
 		conf := int(confirm%8) + 1
 
-		// Leg 1: no backpressure — serial, sharded, and batch replay must
-		// all agree byte for byte (NaN prints identically, so compare the
-		// printed form like FuzzProcessBatch does).
-		want, errB := telemetry.ProcessBatch(net, series, conf, 1)
-		replay := func(nShards, parallelism int) ([][]telemetry.FiberEvent, error) {
+		// Leg 1: no backpressure — the stream must equal the batch replay
+		// byte for byte at every flush window (NaN prints identically, so
+		// compare the printed form).
+		want, errB := telemetry.ProcessBatch(net, series, conf)
+		for _, flushTicks := range []int{1, int(window%16) + 1} {
 			cfg := DefaultConfig()
-			cfg.Shards = nShards
-			cfg.Parallelism = parallelism
+			cfg.FlushTicks = flushTicks
 			cfg.ConfirmSamples = conf
 			cfg.RingCapacity = 4
 			p, err := New(net, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return p.RunReplay(series)
-		}
-		serial, errS := replay(1, 1)
-		sharded, errP := replay(int(shards%6)+2, 0)
-		if (errS == nil) != (errP == nil) || (errS == nil) != (errB == nil) {
-			t.Fatalf("error disagreement: batch=%v serial=%v sharded=%v", errB, errS, errP)
-		}
-		if errS != nil {
-			return
-		}
-		if fmt.Sprintf("%#v", serial) != fmt.Sprintf("%#v", sharded) {
-			t.Fatalf("shard count changed the output:\nserial:  %v\nsharded: %v", serial, sharded)
-		}
-		if fmt.Sprintf("%#v", serial) != fmt.Sprintf("%#v", want) {
-			t.Fatalf("stream diverges from batch replay:\nstream: %v\nbatch:  %v", serial, want)
+			got, errS := p.RunReplay(series)
+			if (errS == nil) != (errB == nil) {
+				t.Fatalf("flush=%d: error disagreement: batch=%v stream=%v", flushTicks, errB, errS)
+			}
+			if errS != nil {
+				return
+			}
+			if fmt.Sprintf("%#v", got) != fmt.Sprintf("%#v", want) {
+				t.Fatalf("flush=%d: stream diverges from batch replay:\nstream: %v\nbatch:  %v", flushTicks, got, want)
+			}
 		}
 
 		// Leg 2: fuzz-chosen backpressure — whatever is shed, the exact
 		// accounting identity must survive, per fiber and in total.
 		cfg := Config{
-			Shards:         int(shards%4) + 1,
 			RingCapacity:   int(ringCap%16) + 1,
 			HighWatermark:  0.5,
 			DrainPerTick:   int(drain % 4), // 0 = unlimited
 			FlushTicks:     int(flushEvery%8) + 1,
 			ConfirmSamples: conf,
-			Parallelism:    1,
 		}
 		p, err := New(net, cfg)
 		if err != nil {

@@ -1,37 +1,35 @@
-// Package ingest is the streaming telemetry front-end: it scales the batch
-// replay API (telemetry.ProcessBatch) to sustained line-rate ingest of
-// per-second optical samples from an entire WAN, with deterministic
-// backpressure when arrivals outrun compute.
+// Package ingest is the telemetry front-end, §3.1's one stage from
+// per-second optical samples to detector events: every production path
+// (prete.System.Observe, the testbed, fig8, the benchmark) feeds samples
+// through a Pipeline, with deterministic backpressure when arrivals outrun
+// compute. telemetry.ProcessBatch is the whole-series reference it is
+// checked against.
 //
-// Dataflow, one logical tick at a time:
+// Dataflow, one logical tick at a time, one serial loop over fibers:
 //
 //	arrivals ──admit──▶ per-fiber ring ──drain──▶ per-fiber run ──flush──▶ Detector ──▶ events
-//	             │  (fixed capacity,      (per-shard compute        (interpolation +
+//	             │  (fixed capacity,      (pipeline-wide            (interpolation +
 //	             │   watermark policy)     budget, fiber order)      feature extraction)
 //	             ▼
 //	      drop / merge (exact accounting, never silent)
 //
-// Fibers map to shards by a stable FNV-1a hash, each shard owning the rings
-// and detectors of its fibers; shards execute in parallel through
-// internal/par but share no state, so output is bit-identical at every
-// Parallelism setting. Admission runs serially in arrival order: while a
-// ring sits below its high watermark every sample is accepted; between the
-// watermark and capacity, consecutive same-state samples are merged
-// (coalesced into the newest buffered sample — the freshest reading wins,
-// state transitions are never merged away); at capacity, the incoming
-// sample is merged when possible and otherwise dropped. Every admission
-// decision is a pure function of the ring's occupancy, so for a fixed
-// arrival schedule, configuration, and shard count the drop/merge decisions
-// replay bit-identically — and when backpressure never triggers, the
-// emitted events equal telemetry.ProcessBatch byte for byte (pinned by the
-// equivalence tests, enforced under mutation by FuzzIngest).
+// Admission runs in arrival order: while a ring sits below its high
+// watermark every sample is accepted; between the watermark and capacity,
+// consecutive same-state samples are merged (coalesced into the newest
+// buffered sample — the freshest reading wins, state transitions are never
+// merged away); at capacity, the incoming sample is merged when possible
+// and otherwise dropped. Every admission decision is a pure function of the
+// ring's occupancy, so for a fixed arrival schedule and configuration the
+// drop/merge decisions replay bit-identically — and when backpressure never
+// triggers, the emitted events equal telemetry.ProcessBatch byte for byte
+// (pinned by the equivalence tests, enforced under mutation by FuzzIngest).
 //
 // Accounting is exact by construction: after a final Flush,
 //
 //	ingested == emitted + dropped + merged
 //
 // with per-fiber drop/merge tallies in Stats and the same totals mirrored
-// into the ingest.* metrics (counters, per-shard queue-depth gauges, and a
+// into the ingest.* metrics (counters, a queue-depth gauge, and a
 // watermark-crossing counter) of an attached obs.Registry, so shed load is
 // always auditable.
 package ingest
@@ -41,7 +39,6 @@ import (
 
 	"prete/internal/obs"
 	"prete/internal/optical"
-	"prete/internal/par"
 	"prete/internal/telemetry"
 	"prete/internal/topology"
 )
@@ -58,13 +55,6 @@ type Arrival struct {
 // Config tunes a Pipeline. The zero value is not usable; start from
 // DefaultConfig.
 type Config struct {
-	// Shards is the number of ingest workers; fibers map to shards by a
-	// stable hash, so the assignment is reproducible across runs and
-	// processes. Values <= 0 select 1. Shard count changes how the per-shard
-	// drain budget is shared and therefore which samples are shed under
-	// overload; with backpressure never triggered the output is identical at
-	// every shard count.
-	Shards int
 	// RingCapacity is each fiber's ring size in samples; an arrival finding
 	// its ring full is merged or dropped, never queued unboundedly.
 	// Values <= 0 select 1024.
@@ -73,10 +63,11 @@ type Config struct {
 	// switches from accept-everything to merge mode. Values outside (0,1]
 	// select 0.75. The watermark row in samples is at least 1.
 	HighWatermark float64
-	// DrainPerTick bounds how many queued samples each shard worker hands to
-	// its detectors per tick — the deterministic stand-in for finite compute.
-	// Values <= 0 disable the bound (compute keeps up with any arrival rate,
-	// so backpressure never triggers).
+	// DrainPerTick bounds how many queued samples the pipeline hands to its
+	// detectors per tick, shared round-robin across fibers in ascending
+	// order — the deterministic stand-in for finite compute. Values <= 0
+	// disable the bound (compute keeps up with any arrival rate, so
+	// backpressure never triggers).
 	DrainPerTick int
 	// FlushTicks is the flush window: every FlushTicks ticks each fiber's
 	// drained sample run goes through interpolation, the detector state
@@ -86,22 +77,17 @@ type Config struct {
 	// ConfirmSamples is the per-transition confirmation count of the
 	// per-fiber detectors (telemetry.Detector).
 	ConfirmSamples int
-	// Parallelism bounds the worker count of the per-shard fan-out: <= 0
-	// selects runtime.GOMAXPROCS(0), 1 forces the serial path. Shards share
-	// no state, so emitted events and drop decisions are bit-identical at
-	// every setting (see internal/par).
-	Parallelism int
-	// Metrics, when non-nil, receives the ingest.* observability series.
-	// Metrics are write-only: admission and drain decisions never read them.
+	// Metrics, when non-nil, receives the ingest.* observability series and,
+	// through the detectors, the telemetry.* counters. Metrics are
+	// write-only: admission and drain decisions never read them.
 	Metrics *obs.Registry
 }
 
-// DefaultConfig returns a production-shaped configuration: 4 shards,
-// 1024-sample rings with a 0.75 watermark, unlimited drain (no
-// backpressure), per-tick flush, and the paper's 2-sample confirmation.
+// DefaultConfig returns a production-shaped configuration: 1024-sample
+// rings with a 0.75 watermark, unlimited drain (no backpressure), per-tick
+// flush, and the paper's 2-sample confirmation.
 func DefaultConfig() Config {
 	return Config{
-		Shards:         4,
 		RingCapacity:   1024,
 		HighWatermark:  0.75,
 		FlushTicks:     1,
@@ -112,9 +98,6 @@ func DefaultConfig() Config {
 // withDefaults resolves the zero/invalid fields to their documented
 // defaults without mutating the caller's copy.
 func (c Config) withDefaults() Config {
-	if c.Shards <= 0 {
-		c.Shards = 1
-	}
 	if c.RingCapacity <= 0 {
 		c.RingCapacity = 1024
 	}
@@ -318,26 +301,16 @@ func (fs *fiberState) process(final bool) ([]telemetry.FiberEvent, error) {
 	return out, nil
 }
 
-// shard is one ingest worker's slice of the fiber space. Shards never touch
-// each other's state, which is the whole determinism argument for running
-// them in parallel.
-type shard struct {
-	fibers  []*fiberState // ascending fiber id
-	emitted int64
-	depthG  *obs.Gauge
-}
-
-// Pipeline is the streaming ingest front-end. It is driven by one
-// goroutine: Tick admits a tick's arrivals, drains each shard's compute
-// budget, and (on window boundaries) flushes detector runs; Flush ends the
-// stream. The per-shard work inside a Tick fans out through internal/par;
-// the Pipeline itself is not safe for concurrent Tick calls.
+// Pipeline is the telemetry front-end. It is driven by one goroutine: Tick
+// admits a tick's arrivals, drains the compute budget, and (on window
+// boundaries) flushes detector runs; Flush ends the stream. Everything runs
+// serially on the caller's goroutine, so the Pipeline is not safe for
+// concurrent calls.
 type Pipeline struct {
 	net    *topology.Network
 	cfg    Config
-	wmark  int // watermark row in samples, >= 1
-	fibers []*fiberState
-	shards []*shard
+	wmark  int           // watermark row in samples, >= 1
+	fibers []*fiberState // ascending fiber id
 
 	tick    int64
 	flushes int64
@@ -347,11 +320,12 @@ type Pipeline struct {
 	ingestedC, emittedC, droppedC, mergedC *obs.Counter
 	crossingsC, eventsC, ticksC, flushesC  *obs.Counter
 	tickT                                  *obs.Timer
+	depthG                                 *obs.Gauge
 }
 
 // New builds a pipeline over the network's fibers. Every fiber gets a
-// state slot up front (rings allocate lazily), so shard assignment and
-// flush order are fixed at construction.
+// state slot up front (rings allocate lazily), so drain and flush order are
+// fixed at construction.
 func New(net *topology.Network, cfg Config) (*Pipeline, error) {
 	if net == nil {
 		return nil, fmt.Errorf("ingest: nil network")
@@ -363,17 +337,10 @@ func New(net *topology.Network, cfg Config) (*Pipeline, error) {
 		wmark: watermarkRow(cfg.RingCapacity, cfg.HighWatermark),
 	}
 	p.fibers = make([]*fiberState, len(net.Fibers))
-	p.shards = make([]*shard, cfg.Shards)
-	for i := range p.shards {
-		p.shards[i] = &shard{}
-	}
 	for i := range net.Fibers {
 		det := telemetry.NewDetector(cfg.ConfirmSamples)
 		det.SetMetrics(cfg.Metrics)
-		fs := &fiberState{id: i, fib: net.Fibers[i], det: det}
-		p.fibers[i] = fs
-		sh := p.shards[ShardOf(i, cfg.Shards)]
-		sh.fibers = append(sh.fibers, fs) // ascending: i is ascending
+		p.fibers[i] = &fiberState{id: i, fib: net.Fibers[i], det: det}
 	}
 	reg := cfg.Metrics
 	p.ingestedC = reg.Counter("ingest.samples.ingested")
@@ -385,9 +352,7 @@ func New(net *topology.Network, cfg Config) (*Pipeline, error) {
 	p.ticksC = reg.Counter("ingest.ticks")
 	p.flushesC = reg.Counter("ingest.flushes")
 	p.tickT = reg.Timer("ingest.tick.latency")
-	for i, sh := range p.shards {
-		sh.depthG = reg.Gauge(fmt.Sprintf("ingest.shard.%d.depth", i))
-	}
+	p.depthG = reg.Gauge("ingest.depth")
 	return p, nil
 }
 
@@ -402,22 +367,6 @@ func watermarkRow(capacity int, frac float64) int {
 		w = capacity
 	}
 	return w
-}
-
-// ShardOf maps a fiber id to its shard by a stable FNV-1a hash: the
-// assignment depends only on (fiber, shards), never on map iteration or a
-// per-process hash seed, so schedules replay identically everywhere.
-func ShardOf(fiber, shards int) int {
-	if shards <= 1 {
-		return 0
-	}
-	h := uint64(14695981039346656037)
-	v := uint64(fiber)
-	for i := 0; i < 8; i++ {
-		h = (h ^ (v & 0xff)) * 1099511628211
-		v >>= 8
-	}
-	return int(h % uint64(shards))
 }
 
 // Config returns the pipeline's resolved configuration (defaults applied).
@@ -468,14 +417,15 @@ func (p *Pipeline) admit(a Arrival) {
 	}
 }
 
-// drain moves up to the shard's per-tick budget from rings to flush runs,
-// one sample per fiber per round (round-robin in ascending fiber order), so
-// a single hot fiber cannot starve its shard-mates.
-func (sh *shard) drain(budget, wmark int) {
+// drain moves up to budget queued samples (budget <= 0: all of them) from
+// rings to flush runs, one sample per fiber per round (round-robin in
+// ascending fiber order), so a single hot fiber cannot starve the others.
+func (p *Pipeline) drain(budget int) {
 	unlimited := budget <= 0
-	for {
-		progressed := false
-		for _, fs := range sh.fibers {
+	var emitted int64
+	for progressed := true; progressed; {
+		progressed = false
+		for _, fs := range p.fibers {
 			if fs.ring.n == 0 {
 				continue
 			}
@@ -487,32 +437,25 @@ func (sh *shard) drain(budget, wmark int) {
 				budget--
 			}
 			fs.run = append(fs.run, fs.ring.pop())
-			sh.emitted++
+			emitted++
 			progressed = true
 		}
-		if !progressed {
-			break
-		}
 	}
-	for _, fs := range sh.fibers {
-		if fs.above && fs.ring.n < wmark {
+	p.emitted += emitted
+	p.emittedC.Add(emitted)
+	var depth int
+	for _, fs := range p.fibers {
+		if fs.above && fs.ring.n < p.wmark {
 			fs.above = false
 		}
+		depth += fs.ring.n
 	}
-}
-
-// depth is the shard's total ring occupancy.
-func (sh *shard) depth() int {
-	var d int
-	for _, fs := range sh.fibers {
-		d += fs.ring.n
-	}
-	return d
+	p.depthG.Set(float64(depth))
 }
 
 // Tick advances the pipeline by one logical tick: arrivals are admitted in
-// order under the watermark policy, each shard drains its compute budget in
-// parallel, and on a flush boundary every fiber's drained run goes through
+// order under the watermark policy, the pipeline drains its compute budget,
+// and on a flush boundary every fiber's drained run goes through
 // interpolation, detection, and feature extraction. The returned batches
 // (nil between flush boundaries) are ordered by ascending fiber id.
 func (p *Pipeline) Tick(arrivals []Arrival) ([]FiberEvents, error) {
@@ -528,7 +471,7 @@ func (p *Pipeline) Tick(arrivals []Arrival) ([]FiberEvents, error) {
 	p.tick++
 	p.ticksC.Inc()
 	flush := p.tick%int64(p.cfg.FlushTicks) == 0
-	out, err := p.runShards(flush, false)
+	out, err := p.run(flush, false)
 	p.tickT.Stop(t0)
 	return out, err
 }
@@ -539,82 +482,38 @@ func (p *Pipeline) Tick(arrivals []Arrival) ([]FiberEvents, error) {
 // accounting identity holds exactly. The pipeline stays usable — a later
 // Tick starts a fresh window against the preserved detector state.
 func (p *Pipeline) Flush() ([]FiberEvents, error) {
-	return p.runShards(true, true)
+	return p.run(true, true)
 }
 
-// runShards fans the drain (and, when flushing, the detector/feature
-// compute) out across shards, then merges per-shard results serially in
-// ascending fiber order — completion order never shows in the output.
-func (p *Pipeline) runShards(flush, final bool) ([]FiberEvents, error) {
-	type shardOut struct {
-		batches []FiberEvents
+// run drains the compute budget (all of it when final) and, when flushing,
+// runs every fiber's drained samples through the detector in ascending
+// fiber order.
+func (p *Pipeline) run(flush, final bool) ([]FiberEvents, error) {
+	budget := p.cfg.DrainPerTick
+	if final {
+		budget = 0 // unlimited: end-of-stream drains everything
 	}
-	results, err := par.MapErr(len(p.shards), p.cfg.Parallelism, func(si int) (shardOut, error) {
-		sh := p.shards[si]
-		budget := p.cfg.DrainPerTick
-		if final {
-			budget = 0 // unlimited: end-of-stream drains everything
-		}
-		sh.drain(budget, p.wmark)
-		sh.depthG.Set(float64(sh.depth()))
-		var so shardOut
-		if !flush {
-			return so, nil
-		}
-		for _, fs := range sh.fibers {
-			if len(fs.run) == 0 && !(final && len(fs.pending) > 0) {
-				continue
-			}
-			evs, err := fs.process(final)
-			if err != nil {
-				return so, err
-			}
-			if len(evs) > 0 {
-				so.batches = append(so.batches, FiberEvents{Fiber: fs.id, Events: evs})
-			}
-		}
-		return so, nil
-	})
-	// Account the drained samples after the barrier (serial, deterministic).
-	var emitted int64
-	for _, sh := range p.shards {
-		emitted += sh.emitted
-		sh.emitted = 0
-	}
-	p.emitted += emitted
-	p.emittedC.Add(emitted)
-	if err != nil {
-		return nil, err
-	}
+	p.drain(budget)
 	if !flush {
 		return nil, nil
 	}
-	p.flushes++
-	p.flushesC.Inc()
-	// Merge in ascending fiber order: per-shard batches are already sorted,
-	// so an n-way merge by smallest head suffices and is deterministic.
 	var out []FiberEvents
 	var nEvents int64
-	idx := make([]int, len(results))
-	for {
-		best, bestFiber := -1, 0
-		for si, so := range results {
-			if idx[si] >= len(so.batches) {
-				continue
-			}
-			f := so.batches[idx[si]].Fiber
-			if best < 0 || f < bestFiber {
-				best, bestFiber = si, f
-			}
+	for _, fs := range p.fibers {
+		if len(fs.run) == 0 && !(final && len(fs.pending) > 0) {
+			continue
 		}
-		if best < 0 {
-			break
+		evs, err := fs.process(final)
+		if err != nil {
+			return nil, err
 		}
-		b := results[best].batches[idx[best]]
-		idx[best]++
-		out = append(out, b)
-		nEvents += int64(len(b.Events))
+		if len(evs) > 0 {
+			out = append(out, FiberEvents{Fiber: fs.id, Events: evs})
+			nEvents += int64(len(evs))
+		}
 	}
+	p.flushes++
+	p.flushesC.Inc()
 	p.eventsC.Add(nEvents)
 	return out, nil
 }

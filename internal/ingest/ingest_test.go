@@ -1,7 +1,6 @@
 package ingest
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -44,15 +43,14 @@ func testSeries(t *testing.T, net *topology.Network, seed uint64) []telemetry.Fi
 
 // TestReplayMatchesProcessBatch pins the tentpole contract: with
 // backpressure never triggered, the streaming pipeline's output equals the
-// batch replay byte for byte — across shard counts, parallelism settings,
-// and flush windows.
+// batch replay byte for byte — across flush windows.
 func TestReplayMatchesProcessBatch(t *testing.T) {
 	net, err := topology.ByName("B4")
 	if err != nil {
 		t.Fatal(err)
 	}
 	series := testSeries(t, net, 11)
-	want, err := telemetry.ProcessBatch(net, series, 2, 1)
+	want, err := telemetry.ProcessBatch(net, series, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,52 +61,45 @@ func TestReplayMatchesProcessBatch(t *testing.T) {
 	if events == 0 {
 		t.Fatal("degenerate fixture: batch replay produced no events")
 	}
-	for _, shards := range []int{1, 2, 4, 7, 32} {
-		for _, parallelism := range []int{1, 0} {
-			for _, flushTicks := range []int{1, 16, 1000000} {
-				cfg := DefaultConfig()
-				cfg.Shards = shards
-				cfg.Parallelism = parallelism
-				cfg.FlushTicks = flushTicks
-				cfg.RingCapacity = 4 // tiny ring, but unlimited drain keeps it empty
-				p, err := New(net, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := p.RunReplay(series)
-				if err != nil {
-					t.Fatalf("shards=%d p=%d flush=%d: %v", shards, parallelism, flushTicks, err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("shards=%d p=%d flush=%d: stream output diverges from ProcessBatch", shards, parallelism, flushTicks)
-				}
-				st := p.Stats()
-				if st.Dropped != 0 || st.Merged != 0 {
-					t.Fatalf("shards=%d p=%d flush=%d: unexpected backpressure: %+v", shards, parallelism, flushTicks, st)
-				}
-				if st.Queued != 0 {
-					t.Fatalf("shards=%d p=%d flush=%d: %d samples still queued after Flush", shards, parallelism, flushTicks, st.Queued)
-				}
-				if st.Ingested != st.Emitted {
-					t.Fatalf("shards=%d p=%d flush=%d: ingested %d != emitted %d without shedding", shards, parallelism, flushTicks, st.Ingested, st.Emitted)
-				}
-			}
+	for _, flushTicks := range []int{1, 16, 1000000} {
+		cfg := DefaultConfig()
+		cfg.FlushTicks = flushTicks
+		cfg.RingCapacity = 4 // tiny ring, but unlimited drain keeps it empty
+		p, err := New(net, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := p.RunReplay(series)
+		if err != nil {
+			t.Fatalf("flush=%d: %v", flushTicks, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("flush=%d: stream output diverges from ProcessBatch", flushTicks)
+		}
+		st := p.Stats()
+		if st.Dropped != 0 || st.Merged != 0 {
+			t.Fatalf("flush=%d: unexpected backpressure: %+v", flushTicks, st)
+		}
+		if st.Queued != 0 {
+			t.Fatalf("flush=%d: %d samples still queued after Flush", flushTicks, st.Queued)
+		}
+		if st.Ingested != st.Emitted {
+			t.Fatalf("flush=%d: ingested %d != emitted %d without shedding", flushTicks, st.Ingested, st.Emitted)
 		}
 	}
 }
 
 // overloadReplay runs the series through a deliberately starved pipeline
-// (tiny rings, one-sample drain) and returns the pipeline for inspection.
-func overloadReplay(t *testing.T, net *topology.Network, series []telemetry.FiberSeries, shards int) *Pipeline {
+// (tiny rings, drain budget well below the arrival rate) and returns the
+// pipeline for inspection.
+func overloadReplay(t *testing.T, net *topology.Network, series []telemetry.FiberSeries, drain int) *Pipeline {
 	t.Helper()
 	cfg := Config{
-		Shards:         shards,
 		RingCapacity:   8,
 		HighWatermark:  0.5,
-		DrainPerTick:   1, // each shard's compute is one sample per tick: ingest outruns it
+		DrainPerTick:   drain, // compute is a few samples per tick: ingest outruns it
 		FlushTicks:     4,
 		ConfirmSamples: 2,
-		Parallelism:    1,
 	}
 	p, err := New(net, cfg)
 	if err != nil {
@@ -160,9 +151,9 @@ func TestOverloadAccountingExact(t *testing.T) {
 }
 
 // TestOverloadDeterministicReplay pins that drop/merge decisions are
-// bit-identical across runs for a fixed schedule, configuration, and shard
-// count — shed load replays exactly, including its per-fiber lineage and
-// the emitted events.
+// bit-identical across runs for a fixed schedule and configuration — shed
+// load replays exactly, including its per-fiber lineage and the emitted
+// events.
 func TestOverloadDeterministicReplay(t *testing.T) {
 	net, err := topology.ByName("B4")
 	if err != nil {
@@ -171,8 +162,8 @@ func TestOverloadDeterministicReplay(t *testing.T) {
 	series := testSeries(t, net, 29)
 	run := func() (Stats, [][]telemetry.FiberEvent) {
 		cfg := Config{
-			Shards: 3, RingCapacity: 8, HighWatermark: 0.5,
-			DrainPerTick: 2, FlushTicks: 4, ConfirmSamples: 2,
+			RingCapacity: 8, HighWatermark: 0.5,
+			DrainPerTick: 6, FlushTicks: 4, ConfirmSamples: 2,
 		}
 		p, err := New(net, cfg)
 		if err != nil {
@@ -207,8 +198,8 @@ func TestMergePreservesTransitions(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{
-		Shards: 1, RingCapacity: 4, HighWatermark: 0.25,
-		DrainPerTick: 1, FlushTicks: 1, ConfirmSamples: 1, Parallelism: 1,
+		RingCapacity: 4, HighWatermark: 0.25,
+		DrainPerTick: 1, FlushTicks: 1, ConfirmSamples: 1,
 	}
 	p, err := New(net, cfg)
 	if err != nil {
@@ -272,9 +263,9 @@ func TestMetricsMirrorStats(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	cfg := Config{
-		Shards: 2, RingCapacity: 8, HighWatermark: 0.5,
-		DrainPerTick: 1, FlushTicks: 4, ConfirmSamples: 2,
-		Parallelism: 1, Metrics: reg,
+		RingCapacity: 8, HighWatermark: 0.5,
+		DrainPerTick: 2, FlushTicks: 4, ConfirmSamples: 2,
+		Metrics: reg,
 	}
 	p, err := New(net, cfg)
 	if err != nil {
@@ -308,39 +299,15 @@ func TestMetricsMirrorStats(t *testing.T) {
 	if got := reg.Counter("ingest.events.emitted").Value(); got != nEvents {
 		t.Errorf("ingest.events.emitted = %d, want %d", got, nEvents)
 	}
-	// Per-shard queue-depth gauges exist and read zero after the final Flush.
-	for si := 0; si < cfg.Shards; si++ {
-		if got := reg.Gauge(fmt.Sprintf("ingest.shard.%d.depth", si)).Value(); got != 0 {
-			t.Errorf("shard %d depth gauge = %v after Flush, want 0", si, got)
-		}
-	}
-}
-
-// TestShardOfStable pins the fiber→shard map: stable across calls, in
-// range, and non-degenerate (more than one shard actually used).
-func TestShardOfStable(t *testing.T) {
-	used := map[int]bool{}
-	for f := 0; f < 64; f++ {
-		s := ShardOf(f, 4)
-		if s < 0 || s >= 4 {
-			t.Fatalf("ShardOf(%d, 4) = %d out of range", f, s)
-		}
-		if s != ShardOf(f, 4) {
-			t.Fatalf("ShardOf(%d, 4) unstable", f)
-		}
-		used[s] = true
-	}
-	if len(used) < 2 {
-		t.Fatalf("hash degenerates to %d shard(s)", len(used))
-	}
-	if ShardOf(7, 1) != 0 || ShardOf(7, 0) != 0 {
-		t.Fatal("single-shard map must be identically zero")
+	// The queue-depth gauge exists and reads zero after the final Flush.
+	if got := reg.Gauge("ingest.depth").Value(); got != 0 {
+		t.Errorf("depth gauge = %v after Flush, want 0", got)
 	}
 }
 
 // TestTickValidation pins the error paths: out-of-range fibers are rejected
 // before any admission side effect, and duplicate fibers in a replay are
-// rejected like System.ObserveBatch rejects them.
+// rejected like telemetry.ProcessBatch rejects them.
 func TestTickValidation(t *testing.T) {
 	net, err := topology.ByName("B4")
 	if err != nil {
@@ -375,7 +342,7 @@ func TestConfigDefaultsResolved(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := p.Config()
-	want := Config{Shards: 1, RingCapacity: 1024, HighWatermark: 0.75, FlushTicks: 1, ConfirmSamples: 1}
+	want := Config{RingCapacity: 1024, HighWatermark: 0.75, FlushTicks: 1, ConfirmSamples: 1}
 	if got != want {
 		t.Fatalf("resolved config = %+v, want %+v", got, want)
 	}

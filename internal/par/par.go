@@ -1,10 +1,12 @@
 // Package par is the concurrency layer of the repository: a bounded worker
 // pool with deterministic, index-ordered fan-out/merge semantics. Every hot
 // path that parallelizes — failure-equivalence-class construction and
-// structural-cut seeding in internal/core, the degradation-scenario and
-// (scheme, scale) sweeps in internal/sim and internal/experiments, and the
-// per-fiber telemetry batch pipeline in internal/telemetry — goes through
-// this package, so the determinism argument lives in one place:
+// structural-cut seeding in internal/core, and the degradation-scenario and
+// (scheme, scale) sweeps in internal/sim and internal/experiments — goes
+// through this package, so the determinism argument lives in one place.
+// (Telemetry ingest, internal/ingest, is deliberately serial: a B4 tick is
+// 19 samples, far below the scale where a fan-out pays for its handoffs.)
+// The rules:
 //
 //   - Work is partitioned by index; workers pull indices from a shared
 //     atomic counter, so scheduling is dynamic but the unit of work a task
@@ -17,7 +19,7 @@
 //
 // Under those rules the output of any helper here is bit-identical for
 // every parallelism level, including 1 — which is exactly what the
-// equivalence tests in core, sim, and telemetry assert.
+// equivalence tests in core and sim assert.
 //
 // The parallelism knobs on core.Optimizer, sim.Config, prete.Config, and
 // experiments.Options all funnel into Limit: values <= 0 select

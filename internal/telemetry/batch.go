@@ -3,16 +3,12 @@ package telemetry
 import (
 	"fmt"
 
-	"prete/internal/obs"
 	"prete/internal/optical"
-	"prete/internal/par"
 	"prete/internal/topology"
 )
 
-// FiberSeries is one fiber's raw telemetry series, the unit of work of the
-// batch pipeline. Deployments that replay a collection interval (or a whole
-// trace) hand the per-fiber series to ProcessBatch instead of feeding
-// samples one at a time through a live detector.
+// FiberSeries is one fiber's raw telemetry series, the unit of a
+// whole-series replay (ProcessBatch, ingest.Pipeline.RunReplay).
 type FiberSeries struct {
 	Fiber   int
 	Samples []optical.Sample
@@ -40,26 +36,17 @@ func (d *Detector) ObserveSeries(samples []optical.Sample) []Event {
 }
 
 // ProcessBatch runs the full per-fiber telemetry pipeline — interpolation
-// of missing samples, state-machine detection, and feature extraction for
-// every event with a degradation window — over many fibers at once.
-// parallelism bounds the worker count (<= 0 selects runtime.GOMAXPROCS(0),
-// 1 forces the serial path); each fiber is an independent task with its own
-// detector, and results are returned in input order, so the output is
-// identical at every parallelism setting (see internal/par).
+// of missing samples over the whole series, state-machine detection, and
+// feature extraction for every event with a degradation window — over many
+// fibers, one after another, each with a fresh detector. It is the
+// whole-series reference the streaming front-end (internal/ingest) is
+// checked against: with backpressure never engaged, ingest's output equals
+// this byte for byte.
 //
 // Each fiber may appear at most once per batch (its detector is owned by
-// one task) — the same contract System.ObserveBatch enforces.
-//
-// The returned slice is parallel to series: out[i] holds fiber i's events.
-func ProcessBatch(net *topology.Network, series []FiberSeries, confirmSamples, parallelism int) ([][]FiberEvent, error) {
-	return ProcessBatchObs(net, series, confirmSamples, parallelism, nil)
-}
-
-// ProcessBatchObs is ProcessBatch reporting into a registry: per-batch run,
-// fiber, and event counters plus a telemetry.batch.latency wall-clock timer,
-// and — through each per-fiber detector — the telemetry.samples/events
-// counters. A nil registry is the uninstrumented ProcessBatch.
-func ProcessBatchObs(net *topology.Network, series []FiberSeries, confirmSamples, parallelism int, reg *obs.Registry) ([][]FiberEvent, error) {
+// one row). The returned slice is parallel to series: out[i] holds fiber
+// i's events.
+func ProcessBatch(net *topology.Network, series []FiberSeries, confirmSamples int) ([][]FiberEvent, error) {
 	seen := make(map[int]bool, len(series))
 	for _, fs := range series {
 		if fs.Fiber < 0 || fs.Fiber >= len(net.Fibers) {
@@ -70,17 +57,11 @@ func ProcessBatchObs(net *topology.Network, series []FiberSeries, confirmSamples
 		}
 		seen[fs.Fiber] = true
 	}
-	reg.Counter("telemetry.batch.runs").Inc()
-	reg.Counter("telemetry.batch.fibers").Add(int64(len(series)))
-	batchT := reg.Timer("telemetry.batch.latency")
-	batchStart := batchT.Start()
-	out, err := par.MapErr(len(series), parallelism, func(i int) ([]FiberEvent, error) {
-		fs := series[i]
+	out := make([][]FiberEvent, len(series))
+	for i, fs := range series {
 		f := net.Fiber(topology.FiberID(fs.Fiber))
-		det := NewDetector(confirmSamples)
-		det.SetMetrics(reg)
-		events := det.ObserveSeries(Interpolate(fs.Samples))
-		out := make([]FiberEvent, len(events))
+		events := NewDetector(confirmSamples).ObserveSeries(Interpolate(fs.Samples))
+		out[i] = make([]FiberEvent, len(events))
 		for ei, ev := range events {
 			fe := FiberEvent{Event: ev}
 			if len(ev.Window) > 0 {
@@ -91,17 +72,8 @@ func ProcessBatchObs(net *topology.Network, series []FiberSeries, confirmSamples
 				fe.Features = feats
 				fe.HasFeatures = true
 			}
-			out[ei] = fe
+			out[i][ei] = fe
 		}
-		return out, nil
-	})
-	batchT.Stop(batchStart)
-	if err == nil {
-		var n int64
-		for _, evs := range out {
-			n += int64(len(evs))
-		}
-		reg.Counter("telemetry.batch.events").Add(n)
 	}
-	return out, err
+	return out, nil
 }

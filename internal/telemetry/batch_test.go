@@ -38,8 +38,8 @@ func batchSeries(t *testing.T, net *topology.Network, seed uint64) []FiberSeries
 	return series
 }
 
-// serialReference runs the same pipeline as ProcessBatch with plain loops,
-// independently of internal/par, as the ground truth.
+// serialReference runs the same pipeline as ProcessBatch with plain
+// per-sample loops, as the ground truth.
 func serialReference(t *testing.T, net *topology.Network, series []FiberSeries, confirm int) [][]FiberEvent {
 	t.Helper()
 	out := make([][]FiberEvent, len(series))
@@ -73,14 +73,12 @@ func TestProcessBatchMatchesSerialAtEveryParallelism(t *testing.T) {
 	}
 	series := batchSeries(t, net, 7)
 	want := serialReference(t, net, series, 2)
-	for _, p := range []int{1, 2, 8, 0} {
-		got, err := ProcessBatch(net, series, 2, p)
-		if err != nil {
-			t.Fatalf("parallelism %d: %v", p, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("parallelism %d: batch output diverges from serial pipeline", p)
-		}
+	got, err := ProcessBatch(net, series, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("batch output diverges from the per-sample pipeline")
 	}
 	// Sanity: the synthesized episodes actually produce events with features.
 	var events, withFeatures int
@@ -102,7 +100,7 @@ func TestProcessBatchRejectsOutOfRangeFiber(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = ProcessBatch(net, []FiberSeries{{Fiber: len(net.Fibers)}}, 2, 1)
+	_, err = ProcessBatch(net, []FiberSeries{{Fiber: len(net.Fibers)}}, 2)
 	if err == nil {
 		t.Fatal("out-of-range fiber accepted")
 	}
@@ -130,9 +128,8 @@ func TestObserveSeriesMatchesPerSampleObserve(t *testing.T) {
 }
 
 // TestProcessBatchRejectsDuplicateFiber pins the duplicate-fiber contract:
-// a fiber's detector is owned by one task, so a batch naming the same fiber
-// twice is rejected — the same rule System.ObserveBatch enforces (the
-// system-level parity half of this test lives in system_test.go).
+// a fiber's detector is owned by one row, so a batch naming the same fiber
+// twice is rejected — the same rule ingest.Pipeline.RunReplay enforces.
 func TestProcessBatchRejectsDuplicateFiber(t *testing.T) {
 	net, err := topology.ByName("B4")
 	if err != nil {
@@ -143,7 +140,7 @@ func TestProcessBatchRejectsDuplicateFiber(t *testing.T) {
 	_, err = ProcessBatch(net, []FiberSeries{
 		{Fiber: 3, Samples: samples},
 		{Fiber: 3, Samples: samples},
-	}, 2, 1)
+	}, 2)
 	if err == nil {
 		t.Fatal("duplicate fiber accepted")
 	}

@@ -47,6 +47,12 @@ type Event struct {
 	Window []optical.Sample
 }
 
+// maxWindow bounds an episode's window: one TE period at 1 Hz. The window
+// only feeds feature extraction, and nothing reads features over a longer
+// span, so a standing degradation keeps its first maxWindow samples (the
+// onset anchors HourOfDay) instead of growing without bound.
+const maxWindow = 300
+
 // Detector is a per-fiber-entity state machine. ConfirmSamples consecutive
 // samples in a new state are required before a transition fires, which
 // keeps single-sample noise from generating events.
@@ -56,7 +62,7 @@ type Detector struct {
 	state     optical.State
 	candidate optical.State
 	streak    int
-	window    []optical.Sample // degraded samples of the current episode
+	window    []optical.Sample // degraded samples of the current episode, at most maxWindow
 
 	// Metric handles, resolved once by SetMetrics; nil handles no-op, so an
 	// uninstrumented detector pays two nil checks per sample.
@@ -102,7 +108,7 @@ func (d *Detector) Observe(s optical.Sample) []Event {
 		d.candidate = d.state
 		d.streak = 0
 		if d.state == optical.Degraded {
-			d.window = append(d.window, s)
+			d.collect(s)
 		}
 		return nil
 	}
@@ -115,7 +121,7 @@ func (d *Detector) Observe(s optical.Sample) []Event {
 	if d.state == optical.Degraded {
 		// Keep collecting while the transition is unconfirmed: these
 		// samples are part of the episode either way.
-		d.window = append(d.window, s)
+		d.collect(s)
 	}
 	if d.streak < d.ConfirmSamples {
 		return nil
@@ -155,6 +161,14 @@ func (d *Detector) Observe(s optical.Sample) []Event {
 		}
 	}
 	return events
+}
+
+// collect appends s to the episode window unless it already holds
+// maxWindow samples.
+func (d *Detector) collect(s optical.Sample) {
+	if len(d.window) < maxWindow {
+		d.window = append(d.window, s)
+	}
 }
 
 func snapshot(w []optical.Sample) []optical.Sample {

@@ -213,3 +213,25 @@ func TestDetectorWindowGrowsDuringDegradation(t *testing.T) {
 		t.Fatalf("window = %d samples, want the whole episode", got)
 	}
 }
+
+// TestDetectorWindowBounded pins the episode window's bound: a degradation
+// standing for twice maxWindow samples ends with a window of the episode's
+// first maxWindow samples, not the whole episode.
+func TestDetectorWindowBounded(t *testing.T) {
+	d := NewDetector(1)
+	excesses := []float64{0}
+	for i := 0; i < 2*maxWindow; i++ {
+		excesses = append(excesses, 5)
+	}
+	events := feed(d, append(excesses, 0))
+	if len(events) != 2 || events[1].Type != DegradationEnd {
+		t.Fatalf("events = %v", events)
+	}
+	w := events[1].Window
+	if len(w) > maxWindow {
+		t.Fatalf("end window = %d samples, want at most %d", len(w), maxWindow)
+	}
+	if len(w) != maxWindow || w[0].UnixS != 1 {
+		t.Fatalf("end window = %d samples from t=%d, want the first %d from the onset", len(w), w[0].UnixS, maxWindow)
+	}
+}

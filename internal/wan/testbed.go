@@ -232,32 +232,28 @@ func (tb *Testbed) Close() {
 }
 
 // RunScenario replays the §5 VOA script (healthy 0-65 s, degraded
-// 65-110 s, cut at 110 s) through the streaming ingest pipeline at its
-// defaults (RunScenarioStream(seed, 0, 0), without the ingest stats) and,
-// on the degradation signal, executes the full PreTE reaction pipeline,
-// returning its timing breakdown. The optical timeline is replayed at full
-// speed — wall-clock costs are only incurred by the real computations and
-// the real TCP round-trips to the switch agents.
+// 65-110 s, cut at 110 s) through the streaming ingest pipeline at one
+// sample per tick (RunScenarioStream(seed, 0), without the ingest stats)
+// and, on the degradation signal, executes the full PreTE reaction
+// pipeline, returning its timing breakdown. The optical timeline is
+// replayed at full speed — wall-clock costs are only incurred by the real
+// computations and the real TCP round-trips to the switch agents.
 func (tb *Testbed) RunScenario(seed uint64) (*PipelineTiming, error) {
-	timing, _, err := tb.RunScenarioStream(seed, 0, 0)
+	timing, _, err := tb.RunScenarioStream(seed, 0)
 	return timing, err
 }
 
-// RunScenarioStream is RunScenario with the ingest knobs exposed: the VOA
+// RunScenarioStream is RunScenario with the ingest rate exposed: the VOA
 // script's samples arrive ratePerTick at a time on fiber 0, flow through
-// the sharded rings of internal/ingest, and the controller reacts to the
-// first flushed DegradationStart. shards <= 0 and ratePerTick <= 0 select
-// the defaults (4 shards, one sample per tick). The returned ingest.Stats
-// carries the pipeline's exact drop/merge accounting for the run; at
-// default capacities the script never crosses the watermark, so the
-// reaction is the same at every setting.
-func (tb *Testbed) RunScenarioStream(seed uint64, shards, ratePerTick int) (*PipelineTiming, ingest.Stats, error) {
+// the rings of internal/ingest, and the controller reacts to the first
+// flushed DegradationStart. ratePerTick <= 0 selects one sample per tick.
+// The returned ingest.Stats carries the pipeline's exact drop/merge
+// accounting for the run; at default capacities the script never crosses
+// the watermark, so the reaction is the same at every rate.
+func (tb *Testbed) RunScenarioStream(seed uint64, ratePerTick int) (*PipelineTiming, ingest.Stats, error) {
 	fiberSim := optical.NewFiberSim(100, stats.NewRNG(seed))
 	samples := optical.TestbedScript().Replay(fiberSim, 0)
 	cfg := ingest.DefaultConfig()
-	if shards > 0 {
-		cfg.Shards = shards
-	}
 	cfg.ConfirmSamples = 2
 	cfg.Metrics = tb.Ctl.Metrics
 	pipe, err := ingest.New(tb.Net, cfg)

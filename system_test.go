@@ -1,14 +1,11 @@
 package prete
 
 import (
-	"reflect"
-	"sort"
 	"sync"
 	"testing"
 
 	"prete/internal/optical"
 	"prete/internal/stats"
-	"prete/internal/telemetry"
 )
 
 func b4System(t *testing.T) *System {
@@ -190,171 +187,28 @@ func TestConcurrentObserve(t *testing.T) {
 	wg.Wait()
 }
 
-func TestObserveBatchMatchesObserve(t *testing.T) {
-	// Per-fiber series: fibers 0 and 2 degrade (0 shares a conduit with 1),
-	// fiber 3 stays healthy, fiber 4 degrades then recovers.
-	mk := func(excesses ...float64) []Sample {
-		out := make([]Sample, len(excesses))
-		for i, e := range excesses {
-			out[i] = degradedSample(int64(i+1), e)
-		}
-		return out
-	}
-	series := []telemetry.FiberSeries{
-		{Fiber: 0, Samples: mk(0, 5, 5, 5)},
-		{Fiber: 2, Samples: mk(6, 6)},
-		{Fiber: 3, Samples: mk(0, 0, 0)},
-		{Fiber: 4, Samples: mk(5, 5, 0, 0)},
-	}
-	// Reference: the per-sample Observe path on an identical system.
-	ref := b4System(t)
-	ref.SetPredictor(constPredictor(0.66))
-	want := make([][]telemetry.Event, len(series))
-	for i, fs := range series {
-		for _, s := range fs.Samples {
-			evs, err := ref.Observe(FiberID(fs.Fiber), s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want[i] = append(want[i], evs...)
-		}
-	}
-	wantSigs := ref.ActiveSignals()
-	for _, p := range []int{1, 2, 8, 0} {
-		sys := b4System(t)
-		sys.cfg.Parallelism = p
-		sys.SetPredictor(constPredictor(0.66))
-		got, err := sys.ObserveBatch(series)
-		if err != nil {
-			t.Fatalf("parallelism %d: %v", p, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("parallelism %d: batch events diverge from Observe:\ngot  %+v\nwant %+v", p, got, want)
-		}
-		gotSigs := sys.ActiveSignals()
-		sort.Slice(gotSigs, func(a, b int) bool { return gotSigs[a].Fiber < gotSigs[b].Fiber })
-		ws := append([]DegradationSignal(nil), wantSigs...)
-		sort.Slice(ws, func(a, b int) bool { return ws[a].Fiber < ws[b].Fiber })
-		if !reflect.DeepEqual(gotSigs, ws) {
-			t.Fatalf("parallelism %d: signals = %+v, want %+v", p, gotSigs, ws)
-		}
-	}
-	// Validation: out-of-range and duplicate fibers are rejected.
+// TestObserveInterpolatesLostSamples pins §3.1's interpolation rule on the
+// facade: lost samples inside a degradation are filled from their degraded
+// neighbours, not classified by their raw (healthy-looking) values, so the
+// signal survives the gap.
+func TestObserveInterpolatesLostSamples(t *testing.T) {
 	sys := b4System(t)
-	if _, err := sys.ObserveBatch([]telemetry.FiberSeries{{Fiber: 99}}); err == nil {
-		t.Fatal("out-of-range fiber accepted")
+	lost := func(at int64) Sample {
+		s := degradedSample(at, 0)
+		s.Missing = true
+		return s
 	}
-	dup := []telemetry.FiberSeries{{Fiber: 1}, {Fiber: 1}}
-	if _, err := sys.ObserveBatch(dup); err == nil {
-		t.Fatal("duplicate fiber accepted")
-	}
-}
-
-func TestStreamMatchesObserveBatch(t *testing.T) {
-	// The streaming path (OpenStream → Tick/Flush) must produce the same
-	// events and leave the same signal state as ObserveBatch over the same
-	// per-fiber series, at every shard count, as long as backpressure never
-	// triggers.
-	mk := func(excesses ...float64) []Sample {
-		out := make([]Sample, len(excesses))
-		for i, e := range excesses {
-			out[i] = degradedSample(int64(i+1), e)
-		}
-		return out
-	}
-	series := []telemetry.FiberSeries{
-		{Fiber: 0, Samples: mk(0, 5, 5, 5)},
-		{Fiber: 2, Samples: mk(6, 6)},
-		{Fiber: 3, Samples: mk(0, 0, 0)},
-		{Fiber: 4, Samples: mk(5, 5, 0, 0)},
-	}
-	ref := b4System(t)
-	ref.SetPredictor(constPredictor(0.66))
-	want, err := ref.ObserveBatch(series)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantSigs := ref.ActiveSignals()
-	sort.Slice(wantSigs, func(a, b int) bool { return wantSigs[a].Fiber < wantSigs[b].Fiber })
-
-	for _, shards := range []int{1, 3, 8} {
-		sys := b4System(t)
-		sys.SetPredictor(constPredictor(0.66))
-		cfg := DefaultIngestConfig()
-		cfg.Shards = shards
-		st, err := sys.OpenStream(cfg)
+	for _, s := range []Sample{degradedSample(1, 5), degradedSample(2, 5), lost(3), lost(4), degradedSample(5, 5)} {
+		evs, err := sys.Observe(2, s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// One sample per fiber per tick, like a live collection interval.
-		// ObserveBatch leaves eventless rows nil, so rows here start nil too.
-		got := make([][]telemetry.Event, len(series))
-		byFiber := make(map[int]int, len(series))
-		for i, fs := range series {
-			byFiber[fs.Fiber] = i
-		}
-		collect := func(batches []IngestFiberEvents) {
-			for _, b := range batches {
-				for _, fe := range b.Events {
-					got[byFiber[b.Fiber]] = append(got[byFiber[b.Fiber]], fe.Event)
-				}
-			}
-		}
-		for tick := 0; ; tick++ {
-			var arrivals []IngestArrival
-			for _, fs := range series {
-				if tick < len(fs.Samples) {
-					arrivals = append(arrivals, IngestArrival{Fiber: fs.Fiber, Sample: fs.Samples[tick]})
-				}
-			}
-			if len(arrivals) == 0 {
-				break
-			}
-			batches, err := st.Tick(arrivals)
-			if err != nil {
-				t.Fatal(err)
-			}
-			collect(batches)
-		}
-		batches, err := st.Flush()
-		if err != nil {
-			t.Fatal(err)
-		}
-		collect(batches)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("shards %d: stream events diverge from ObserveBatch:\ngot  %+v\nwant %+v", shards, got, want)
-		}
-		ss := st.Stats()
-		if ss.Dropped != 0 || ss.Merged != 0 {
-			t.Fatalf("shards %d: unexpected backpressure: %+v", shards, ss)
-		}
-		gotSigs := sys.ActiveSignals()
-		sort.Slice(gotSigs, func(a, b int) bool { return gotSigs[a].Fiber < gotSigs[b].Fiber })
-		if !reflect.DeepEqual(gotSigs, wantSigs) {
-			t.Fatalf("shards %d: signals = %+v, want %+v", shards, gotSigs, wantSigs)
+		if s.UnixS > 2 && len(evs) != 0 {
+			t.Fatalf("t=%d: events %+v inside a standing degradation", s.UnixS, evs)
 		}
 	}
-}
-
-func TestBatchEntryPointValidationParity(t *testing.T) {
-	// ProcessBatch and System.ObserveBatch must accept and reject the same
-	// inputs: both validate fiber range and duplicate fibers.
-	sys := b4System(t)
-	cases := []struct {
-		name   string
-		series []telemetry.FiberSeries
-	}{
-		{"valid", []telemetry.FiberSeries{{Fiber: 0}, {Fiber: 3}}},
-		{"out-of-range", []telemetry.FiberSeries{{Fiber: 99}}},
-		{"negative", []telemetry.FiberSeries{{Fiber: -1}}},
-		{"duplicate", []telemetry.FiberSeries{{Fiber: 1}, {Fiber: 2}, {Fiber: 1}}},
-	}
-	for _, tc := range cases {
-		_, errBatch := telemetry.ProcessBatch(sys.net, tc.series, 2, 1)
-		_, errSys := sys.ObserveBatch(tc.series)
-		if (errBatch == nil) != (errSys == nil) {
-			t.Errorf("%s: ProcessBatch err=%v but ObserveBatch err=%v", tc.name, errBatch, errSys)
-		}
+	if sigs := sys.ActiveSignals(); len(sigs) != 1 || sigs[0].Fiber != 2 {
+		t.Fatalf("signals after the gap = %+v, want fiber 2's degradation", sigs)
 	}
 }
 
@@ -377,10 +231,6 @@ func TestPublicHelpers(t *testing.T) {
 	}
 	if len(tr.Episodes) == 0 {
 		t.Fatal("empty trace")
-	}
-	det := NewDetector(1)
-	if det == nil {
-		t.Fatal("nil detector")
 	}
 	if NewMetricsRegistry() == nil {
 		t.Fatal("nil registry")
