@@ -18,9 +18,9 @@ type Store struct {
 
 	mu        sync.Mutex
 	lock      io.Closer
-	journal   File
-	journBase uint64
-	count     int // records in the current journal
+	journal   File   // nil until the first Append after Open or Compact
+	journBase uint64 // the sequence the next fresh journal is based at
+	count     int    // records in the current journal
 	lastSeq   uint64
 	gen       uint64
 	snaps     []uint64 // known snapshot seqs, ascending
@@ -30,8 +30,9 @@ type Store struct {
 }
 
 // Open locks dir (creating it if needed), durably increments the
-// generation counter, recovers the newest valid state, and starts a fresh
-// journal based at the recovered sequence. A directory held by another
+// generation counter and recovers the newest valid state. The first Append
+// starts a fresh journal based at the recovered sequence, so an incarnation
+// that journals nothing leaves no file behind. A directory held by another
 // live store fails fast with a typed *LockError. The recovered state (nil
 // payload on a cold start) is available via Recovered.
 func Open(dir string, opt Options) (*Store, error) {
@@ -111,9 +112,11 @@ func (s *Store) open() error {
 	}
 	m.Gauge("persist.generation").Set(float64(s.gen))
 
-	// Never append to an inherited journal (its tail may be torn): start a
-	// fresh one based at the recovered sequence, named with our generation.
-	return s.rotateJournal(s.lastSeq)
+	// Never append to an inherited journal (its tail may be torn): the first
+	// Append starts a fresh one based at the recovered sequence, named with
+	// our generation.
+	s.journBase = s.lastSeq
+	return nil
 }
 
 // readGen returns the persisted generation counter, 0 when absent or
@@ -169,16 +172,10 @@ func (s *Store) writeAtomic(name string, b []byte) error {
 	return s.fs.SyncDir(s.dir)
 }
 
-// rotateJournal closes the current journal (if any) and starts an empty
-// one based at base.
-func (s *Store) rotateJournal(base uint64) error {
-	if s.journal != nil {
-		if err := s.journal.Close(); err != nil {
-			return fmt.Errorf("persist: close journal: %w", err)
-		}
-		s.journal = nil
-	}
-	name := journalName(base, s.gen)
+// startJournal creates the empty journal based at journBase, named with
+// this incarnation's generation.
+func (s *Store) startJournal() error {
+	name := journalName(s.journBase, s.gen)
 	f, err := s.fs.OpenAppend(s.dir + "/" + name)
 	if err != nil {
 		return fmt.Errorf("persist: open journal %s: %w", name, err)
@@ -196,8 +193,6 @@ func (s *Store) rotateJournal(base uint64) error {
 		return err
 	}
 	s.journal = f
-	s.journBase = base
-	s.count = 0
 	return nil
 }
 
@@ -242,6 +237,12 @@ func (s *Store) Append(seq uint64, body []byte) error {
 	if seq <= s.lastSeq {
 		return fmt.Errorf("persist: append seq %d not after %d", seq, s.lastSeq)
 	}
+	if s.journal == nil {
+		if err := s.startJournal(); err != nil {
+			s.broken = err
+			return err
+		}
+	}
 	buf := appendRecord(nil, seq, body)
 	if _, err := s.journal.Write(buf); err != nil {
 		s.broken = err
@@ -262,10 +263,10 @@ func (s *Store) Append(seq uint64, body []byte) error {
 	return nil
 }
 
-// Compact writes the full state at seq as an atomic snapshot, rotates the
-// journal to an empty one based at seq, and prunes files that recovery no
-// longer needs (the newest two snapshots are kept: the previous one is the
-// fallback if the newest is ever damaged).
+// Compact writes the full state at seq as an atomic snapshot, closes the
+// journal (the next Append starts a fresh one based at seq), and prunes
+// files that recovery no longer needs (the newest two snapshots are kept:
+// the previous one is the fallback if the newest is ever damaged).
 func (s *Store) Compact(seq uint64, snapshot []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -287,10 +288,16 @@ func (s *Store) Compact(seq uint64, snapshot []byte) error {
 	s.lastSeq = seq
 	s.snaps = append(s.snaps, seq)
 	sort.Slice(s.snaps, func(i, j int) bool { return s.snaps[i] < s.snaps[j] })
-	if err := s.rotateJournal(seq); err != nil {
-		s.broken = err
-		return err
+	if s.journal != nil {
+		err := s.journal.Close()
+		s.journal = nil
+		if err != nil {
+			s.broken = err
+			return fmt.Errorf("persist: close journal: %w", err)
+		}
 	}
+	s.journBase = seq
+	s.count = 0
 	s.prune()
 	s.opt.Metrics.Counter("persist.snapshots").Inc()
 	return nil

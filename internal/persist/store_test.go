@@ -292,6 +292,52 @@ func TestRecoverEmptyAndGarbageDirs(t *testing.T) {
 	}
 }
 
+// TestOpenWithoutAppendLeavesNoJournal: an incarnation that journals
+// nothing leaves no journal file behind, so a controller that crash-loops
+// between Open and its first epoch cannot grow its state directory without
+// bound. The generation claim still advances on every open.
+func TestOpenWithoutAppendLeavesNoJournal(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Append(1, body(1)); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	journals := func() (n int) {
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range ents {
+			if _, _, ok := parseJournalName(e.Name()); ok {
+				n++
+			}
+		}
+		return n
+	}
+	before := journals()
+	for i := 0; i < 5; i++ {
+		st, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := st.Generation(), uint64(i+2); got != want {
+			t.Fatalf("open %d claimed generation %d, want %d", i, got, want)
+		}
+		st.Close()
+	}
+	if got := journals(); got != before {
+		t.Fatalf("five opens without an append left %d journal files, want %d", got, before)
+	}
+	rec, err := Recover(dir)
+	if err != nil || rec.Seq != 1 {
+		t.Fatalf("recovered seq=%d err=%v, want epoch 1", rec.Seq, err)
+	}
+}
+
 // TestGenerationSurvivesCrash checks the fence counter is monotone across
 // an "unclean" shutdown (no Close: the flock dies with the fd when the
 // store is garbage collected, but we close explicitly to release it).
