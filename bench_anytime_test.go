@@ -121,7 +121,7 @@ func TestQuietResolveSpeedup(t *testing.T) {
 	o := core.DefaultOptimizer()
 	cache := &core.SolveCache{}
 	coldStart := time.Now()
-	if err := o.Prime(in, cache); err != nil {
+	if _, err := o.SolveCached(in, cache); err != nil {
 		t.Fatal(err)
 	}
 	cold := time.Since(coldStart)

@@ -9,10 +9,11 @@
 //
 // The root package is the stable facade: the System type wires the
 // telemetry -> prediction -> tunnel update -> optimization pipeline of the
-// paper's Fig 8, and the re-exported constructors expose the substrates
-// (topologies, tunnel routing, the synthetic production trace, the model
-// zoo, and the large-scale evaluation harness) that the examples,
-// experiments, and benchmarks are built on.
+// paper's Fig 8 as one ingest pipeline feeding one controller loop
+// (internal/core's Loop, which the §5 testbed runs too), and the
+// re-exported constructors expose the substrates (topologies, tunnel
+// routing, the synthetic production trace and the model zoo) that the
+// examples are built on.
 //
 // Quick start:
 //

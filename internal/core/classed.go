@@ -182,49 +182,3 @@ func expectedLoss(in *te.Input, alloc te.Allocation, demands te.Demands, offered
 	}
 	return loss
 }
-
-// ClassedEpochPlan is the full classed PreTE output for one TE period.
-type ClassedEpochPlan struct {
-	// Plans holds one plan per tier (all sharing the updated tunnel
-	// table), for per-tier availability evaluation.
-	Plans []*te.Plan
-	// Classed carries the per-tier optimizer results and merged
-	// allocation.
-	Classed *ClassedResult
-	// Update is non-nil when Algorithm 1 ran (degradation present).
-	Update *UpdateResult
-	// Calibrated are the Eqn. 1 per-fiber failure probabilities used.
-	Calibrated []float64
-}
-
-// PlanEpochClassed runs the Fig 8 pipeline with per-class demands: the
-// calibrate / tunnel-update / scenario-regen stages are exactly PlanEpoch's
-// (shared code), and the optimize stage is the strict-priority classed
-// solve.
-func (p *PreTE) PlanEpochClassed(in EpochInput, spec *te.ClassSpec) (*ClassedEpochPlan, error) {
-	prep, err := p.prepareEpoch(in)
-	if err != nil {
-		return nil, err
-	}
-	teIn := &te.Input{
-		Net: in.Net, Tunnels: prep.tunnels, Demands: in.Demands,
-		Scenarios: prep.set, Beta: in.Beta,
-	}
-	optT := p.Opt.Metrics.Timer("core.epoch.optimize")
-	optStart := optT.Start()
-	res, err := p.Opt.SolveClassed(teIn, spec)
-	optT.Stop(optStart)
-	if err != nil {
-		return nil, err
-	}
-	plans := make([]*te.Plan, len(res.Tiers))
-	for k, tier := range res.Tiers {
-		plans[k] = &te.Plan{Alloc: tier.Res.Alloc, MaxLoss: tier.Res.Phi, Tunnels: prep.tunnels}
-	}
-	return &ClassedEpochPlan{
-		Plans:      plans,
-		Classed:    res,
-		Update:     prep.update,
-		Calibrated: prep.probs,
-	}, nil
-}

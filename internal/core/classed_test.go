@@ -180,30 +180,32 @@ func TestPlanEpochClassed(t *testing.T) {
 		PI:      []float64{0.005, 0.005, 0.005},
 		Signals: []DegradationSignal{{Fiber: 0, PNN: 0.9}},
 	}
-	ep, err := p.PlanEpochClassed(in, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ep.Plans) != 3 {
-		t.Fatalf("got %d plans, want 3", len(ep.Plans))
-	}
-	if ep.Update == nil || ep.Update.NewTunnels == 0 {
-		t.Error("degradation signal should establish new tunnels (Algorithm 1)")
-	}
-	// The prep stages are shared with PlanEpoch: same calibration.
 	uni, err := p.PlanEpoch(in)
 	if err != nil {
 		t.Fatal(err)
 	}
+	in.Classes = spec
+	ep, err := p.PlanEpoch(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ep.Classed == nil || len(ep.Classed.Tiers) != 3 {
+		t.Fatalf("got %+v, want 3 tier plans", ep.Classed)
+	}
+	if ep.Update == nil || ep.Update.NewTunnels == 0 {
+		t.Error("degradation signal should establish new tunnels (Algorithm 1)")
+	}
+	// The prep stages are shared with the uniform epoch: same calibration.
 	if !reflect.DeepEqual(ep.Calibrated, uni.Calibrated) {
 		t.Errorf("calibrated probs diverge: %v vs %v", ep.Calibrated, uni.Calibrated)
 	}
 	// The protected tier survives the predicted cut: its plan satisfies
 	// its split of every flow's demand with fiber 0 down.
 	cut := map[topology.FiberID]bool{0: true}
-	lcDemands := ep.Classed.Tiers[0].Demands
-	for f, d := range lcDemands {
-		if !te.Satisfied(ep.Plans[0], ts.Flows[f].ID, d, cut) {
+	lc := ep.Classed.Tiers[0]
+	lcPlan := &te.Plan{Alloc: lc.Res.Alloc, MaxLoss: lc.Res.Phi, Tunnels: ep.Plan.Tunnels}
+	for f, d := range lc.Demands {
+		if !te.Satisfied(lcPlan, ts.Flows[f].ID, d, cut) {
 			t.Errorf("protected tier flow %d unsatisfied under predicted cut (demand %v)", f, d)
 		}
 	}

@@ -91,18 +91,6 @@ func (c *SolveCache) Reset() {
 	c.stats = CacheStats{}
 }
 
-// Prime runs one cold solve through the cache so that a subsequent epoch
-// with the same scenario set hits. A warm-restarted controller calls this
-// with the journaled probability vector's re-enumerated set before serving
-// its first epoch, converting recovery state into solver warm-start state.
-func (o *Optimizer) Prime(in *te.Input, cache *SolveCache) error {
-	if cache == nil {
-		return nil
-	}
-	_, err := o.SolveCached(in, cache)
-	return err
-}
-
 // SolveCached is Solve with cross-epoch reuse through cache. A nil cache
 // degenerates to Solve. The call classifies in.Scenarios against the cached
 // set (plus an input fingerprint over topology, tunnels, demands, beta, and

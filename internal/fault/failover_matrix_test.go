@@ -38,7 +38,7 @@ type failoverCase struct {
 	epochs     int    // healthy epochs before the failure
 	retain     int    // leader-side replication buffer cap (0 = default)
 	classes    *te.ClassSpec
-	storm      []core.DegradationSignal // extra degraded fibers per reaction (degradation storm)
+	storm      []core.DegradationSignal // fibers degraded alongside the VOA's (degradation storm)
 
 	// Injection point.
 	crashSites  []int                  // sites dead before the leader fails (SiteSet.CrashSite)
@@ -152,7 +152,9 @@ func runFailoverScenario(t *testing.T, fc failoverCase) failoverRun {
 	tb.Ctl.Log = log
 	tb.Ctl.Retry = retry
 	tb.Classes = fc.classes
-	tb.StormSignals = fc.storm
+	for _, sig := range fc.storm {
+		tb.Signal(sig.Fiber, sig.PNN)
+	}
 	if _, err := tb.OpenState(dir); err != nil {
 		t.Fatal(err)
 	}
