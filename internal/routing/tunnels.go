@@ -197,24 +197,6 @@ func (ts *TunnelSet) ResidualCoverage() []topology.FiberID {
 	return violations
 }
 
-// DropReactive returns a copy containing only the pre-established tunnels —
-// §4.2's restoration "to its original state" once the failure is repaired
-// or the TE period passes without one. Tunnel IDs are reassigned densely.
-func (ts *TunnelSet) DropReactive() *TunnelSet {
-	out := &TunnelSet{
-		Net:    ts.Net,
-		Flows:  append([]Flow(nil), ts.Flows...),
-		byFlow: make(map[FlowID][]TunnelID),
-	}
-	for _, t := range ts.Tunnels {
-		if t.New {
-			continue
-		}
-		out.addTunnel(t.Flow, append(Path(nil), t.Links...), false)
-	}
-	return out
-}
-
 // Clone returns a deep copy of the tunnel set; reactive tunnel updates
 // operate on clones so that the pre-established table ("its original state",
 // §4.2) can be restored after a TE period without a failure.
