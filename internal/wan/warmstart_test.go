@@ -1,9 +1,15 @@
 package wan
 
 import (
+	"errors"
+	"fmt"
 	"reflect"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"prete/internal/obs"
+	"prete/internal/optical"
 	"prete/internal/scenario"
 )
 
@@ -173,4 +179,102 @@ func TestWarmRestartFingerprintMismatchSkipsPriming(t *testing.T) {
 	if st := tb.SolveCacheStats(); st.Misses != 0 && st.Hits != 0 {
 		t.Errorf("cache touched despite fingerprint mismatch: %+v", st)
 	}
+}
+
+// refuseInstalls dials agents over TCP and, while on is set, has every
+// switch refuse tunnel installs (an application-level rejection, which the
+// controller does not retry).
+type refuseInstalls struct{ on *atomic.Bool }
+
+func (r refuseInstalls) Dial(name, addr string) (Conn, error) {
+	cn, err := TCPTransport{}.Dial(name, addr)
+	if err != nil {
+		return nil, err
+	}
+	return refusingConn{Conn: cn, on: r.on}, nil
+}
+
+type refusingConn struct {
+	Conn
+	on *atomic.Bool
+}
+
+func (c refusingConn) RoundTrip(req *Request, timeout time.Duration) (*Response, error) {
+	if req.Type == MsgInstallTunnel && c.on.Load() {
+		return &Response{Err: "refused"}, errors.New("install refused")
+	}
+	return c.Conn.RoundTrip(req, timeout)
+}
+
+// TestWarmRestartReinstallsFallenBackEpisode: the journaled epoch fell back
+// to the base tunnels because its installs were refused, so its episode
+// never reached the agents. After a warm restart the loop rebuilds that
+// episode, and the first reaction round must install it before it pushes
+// rates onto its tunnels.
+func TestWarmRestartReinstallsFallenBackEpisode(t *testing.T) {
+	checkGoroutineLeaks(t)
+	dir := t.TempDir()
+	var refuse atomic.Bool
+	refuse.Store(true)
+	tr := refuseInstalls{on: &refuse}
+	tb, err := NewTestbedTransport(fastSwitch(), func(optical.Features) float64 { return 0.8 }, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(tb.Close)
+	tb.Ctl.Metrics = obs.NewRegistry()
+	tb.Ctl.Log = NewEventLog()
+	tb.SolveUnits = 200000
+	if _, err := tb.OpenState(dir); err != nil {
+		t.Fatal(err)
+	}
+	timing, err := tb.RunScenario(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !timing.Degraded || len(heldTunnels(tb)) != 0 {
+		t.Fatalf("refused installs: degraded=%v, agents hold %v", timing.Degraded, heldTunnels(tb))
+	}
+	baseRates := tb.Ctl.LastGoodRates()
+
+	refuse.Store(false)
+	if err := tb.RestartController(tr); err != nil {
+		t.Fatal(err)
+	}
+	if rec, err := tb.OpenState(dir); err != nil || !rec.Warm {
+		t.Fatalf("restart did not recover warm: %+v, %v", rec, err)
+	}
+	if timing, err = tb.RunScenario(7); err != nil {
+		t.Fatal(err)
+	}
+	if timing.Degraded {
+		t.Fatal("post-restart round degraded with installs accepted")
+	}
+	held := heldTunnels(tb)
+	var reactive int
+	for key := range tb.Ctl.LastGoodRates() {
+		if _, ok := baseRates[key]; ok {
+			continue
+		}
+		reactive++
+		if !held[key] {
+			t.Errorf("rates pushed onto %s, which no agent holds (agents hold %v)", key, held)
+		}
+	}
+	if reactive == 0 {
+		t.Fatal("the post-restart round planned on no reactive tunnel")
+	}
+}
+
+// heldTunnels returns the rate-table keys of the tunnels the agents hold.
+func heldTunnels(tb *Testbed) map[string]bool {
+	held := make(map[string]bool)
+	for _, a := range tb.Agents {
+		a.mu.Lock()
+		for id := range a.tunnels {
+			held[fmt.Sprintf("t%d", id)] = true
+		}
+		a.mu.Unlock()
+	}
+	return held
 }
