@@ -32,6 +32,18 @@ func DefaultSwitchConfig() SwitchConfig {
 // serialized through a mutex, reproducing the production choice that
 // "guarantees a consistent allocation of resource costs" (§5) and the
 // resulting linear update time of Fig 11b.
+//
+// Rate pushes merge into the installed table (entries of tunnels a later
+// table drops stay until overwritten) and are placed by their tags
+// (Request.Tag, Request.Base):
+//
+//   - Base 0: a full table; merge it.
+//   - the installed tag equals Base: a delta cut against this table; merge it.
+//   - the installed tag equals Tag: a duplicate delivery, or a retry after a
+//     lost response; answer OK and change nothing.
+//   - anything else (the agent restarted, or a late push overtook the one
+//     the delta was cut against): answer Resync and change nothing; the
+//     controller re-sends the full table.
 type SwitchAgent struct {
 	*server // the agent's listener: Addr, and an idempotent Close
 
@@ -41,6 +53,7 @@ type SwitchAgent struct {
 	mu           sync.Mutex
 	tunnels      map[int][]int
 	rates        map[string]float64
+	rateTag      uint64 // Tag of the last applied rate push (0 = none, or untagged)
 	maxGen       uint64 // highest controller generation seen (epoch fence)
 	genLeader    string // leader id that claimed maxGen ("" = unnamed)
 	lastSeq      uint64 // highest sequence seen from that generation
@@ -153,9 +166,22 @@ func (a *SwitchAgent) handle(req *Request) *Response {
 		a.mu.Unlock()
 	case MsgUpdateRates:
 		a.mu.Lock()
-		time.Sleep(a.cfg.RateLatency)
-		for k, v := range req.Rates {
-			a.rates[k] = v
+		switch {
+		case req.Base == 0 || req.Base == a.rateTag:
+			time.Sleep(a.cfg.RateLatency)
+			for k, v := range req.Rates {
+				a.rates[k] = v
+			}
+			a.rateTag = req.Tag
+		case req.Tag == a.rateTag:
+			// Already applied: a duplicate, or a retry after a lost response.
+		default:
+			held := a.rateTag
+			a.mu.Unlock()
+			return &Response{
+				Err:    fmt.Sprintf("rate delta cut against %016x, table is %016x", req.Base, held),
+				Resync: true,
+			}
 		}
 		a.mu.Unlock()
 	default:

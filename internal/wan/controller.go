@@ -3,6 +3,7 @@ package wan
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -103,15 +104,16 @@ func (p RetryPolicy) backoff(retry int, rng *stats.RNG) time.Duration {
 // falls back to the last good plan instead of wedging.
 type Controller struct {
 	conns map[string]Conn // by switch name
+	names []string        // switch names, sorted: the order of every fleet-wide sweep
 	// Timeout bounds one RPC attempt (not the whole retry loop).
 	Timeout time.Duration
 	// Retry is the per-RPC retry/backoff policy.
 	Retry RetryPolicy
 	// Metrics, when non-nil, receives per-RPC counters (wan.rpc.count,
 	// wan.rpc.errors, wan.rpc.retries, wan.rpc.giveups, wan.rpc.<type>),
-	// the wan.rpc.latency and wan.rpc.backoff timers, and the wan.fallback.*
-	// series. The instrumentation is write-only; protocol behaviour is
-	// unchanged.
+	// the wan.rpc.latency and wan.rpc.backoff timers, the rate push's
+	// wan.rates.{entries_sent,resyncs}, and the wan.fallback.* series. The
+	// instrumentation is write-only; protocol behaviour is unchanged.
 	Metrics *obs.Registry
 	// Log, when non-nil, records the ordered control-plane event sequence
 	// (RPC outcomes, retries, fallbacks) without wall-clock values, so
@@ -131,12 +133,13 @@ type Controller struct {
 	rng *stats.RNG // backoff jitter stream
 
 	mu        sync.Mutex
-	deadline  time.Time          // current round's retry-budget deadline (zero = none)
-	lastRates map[string]float64 // last table pushed fleet-wide without error
-	store     *persist.Store     // nil unless OpenState attached one
-	gen       uint64             // fence value stamped into RPCs (0 = unfenced)
-	epoch     uint64             // completed (journaled or recovered) epochs
-	peerSeq   map[string]uint64  // per-agent RPC sequence numbers
+	deadline  time.Time             // current round's retry-budget deadline (zero = none)
+	lastRates *rateTable            // last table pushed fleet-wide without error
+	acks      map[string]*rateTable // per agent: the table it last acknowledged (absent = unknown)
+	store     *persist.Store        // nil unless OpenState attached one
+	gen       uint64                // fence value stamped into RPCs (0 = unfenced)
+	epoch     uint64                // completed (journaled or recovered) epochs
+	peerSeq   map[string]uint64     // per-agent RPC sequence numbers
 	installed map[string]TunnelInstall
 	lastProbs []float64 // probability vector of the last journaled epoch
 	// lastFP is the scenario-set fingerprint of the last journaled (or
@@ -156,11 +159,17 @@ func NewController(agents map[string]string) (*Controller, error) {
 func NewControllerTransport(tr Transport, agents map[string]string) (*Controller, error) {
 	c := &Controller{
 		conns:   make(map[string]Conn, len(agents)),
+		names:   make([]string, 0, len(agents)),
+		acks:    make(map[string]*rateTable, len(agents)),
 		Timeout: 10 * time.Second,
 		Retry:   DefaultRetryPolicy(),
 		rng:     stats.NewRNG(0x77a11c0de),
 	}
-	for _, name := range sortedNames(agents) {
+	for name := range agents {
+		c.names = append(c.names, name)
+	}
+	sort.Strings(c.names)
+	for _, name := range c.names {
 		cn, err := tr.Dial(name, agents[name])
 		if err != nil {
 			c.Close()
@@ -169,15 +178,6 @@ func NewControllerTransport(tr Transport, agents map[string]string) (*Controller
 		c.conns[name] = cn
 	}
 	return c, nil
-}
-
-func sortedNames(m map[string]string) []string {
-	names := make([]string, 0, len(m))
-	for n := range m {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // BeginRound bounds the cumulative retry+backoff time of the reaction round
@@ -265,12 +265,36 @@ func (c *Controller) stamp(name string) (gen, seq uint64) {
 	return c.gen, c.peerSeq[name]
 }
 
+// rpcCounters holds each message type's wan.rpc.<type> counter name, built
+// once so counting an RPC concatenates nothing.
+var rpcCounters = func() map[MsgType]string {
+	m := make(map[MsgType]string)
+	for _, t := range []MsgType{MsgInstallTunnel, MsgRemoveTunnel, MsgUpdateRates, MsgPing, MsgReplRecord, MsgReplSnapshot} {
+		m[t] = "wan.rpc." + string(t)
+	}
+	return m
+}()
+
+func rpcCounter(t MsgType) string {
+	if name, ok := rpcCounters[t]; ok {
+		return name
+	}
+	return "wan.rpc." + string(t)
+}
+
 // rpc wraps a connection round trip with the controller's retry loop and
 // RPC metrics. Transport-level failures are retried up to
 // Retry.MaxAttempts with capped exponential backoff; application-level
 // rejections (the switch parsed and refused the request) return
-// immediately, since retrying identical content cannot succeed.
-func (c *Controller) rpc(name string, cn Conn, req *Request) (*Response, error) {
+// immediately, since retrying identical content cannot succeed. A failed RPC
+// forgets which rate table the agent holds (a lost response may hide an
+// applied push), so the next push to it is full.
+func (c *Controller) rpc(name string, cn Conn, req *Request) (resp *Response, err error) {
+	defer func() {
+		if err != nil {
+			c.setAck(name, nil)
+		}
+	}()
 	pol := c.Retry
 	if pol.MaxAttempts < 1 {
 		pol.MaxAttempts = 1
@@ -287,7 +311,7 @@ func (c *Controller) rpc(name string, cn Conn, req *Request) (*Response, error) 
 		resp, err := cn.RoundTrip(req, c.Timeout)
 		t.Stop(start)
 		c.Metrics.Counter("wan.rpc.count").Inc()
-		c.Metrics.Counter("wan.rpc." + string(req.Type)).Inc()
+		c.Metrics.Counter(rpcCounter(req.Type)).Inc()
 		if err == nil {
 			c.Log.Addf("rpc %s %s ok", name, req.Type)
 			return resp, nil
@@ -334,12 +358,7 @@ func (c *Controller) rpc(name string, cn Conn, req *Request) (*Response, error) 
 
 // Ping round-trips every agent (connectivity check) in name order.
 func (c *Controller) Ping() error {
-	names := make([]string, 0, len(c.conns))
-	for n := range c.conns {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range c.names {
 		if _, err := c.rpc(name, c.conns[name], &Request{Type: MsgPing}); err != nil {
 			return fmt.Errorf("wan: ping %s: %w", name, err)
 		}
@@ -392,23 +411,140 @@ func (c *Controller) untrackInstall(ins TunnelInstall) {
 	delete(c.installed, installKey(ins.Switch, ins.TunnelID))
 }
 
-// UpdateRates pushes a rate-adaptation table to every switch ("only
-// requires updating match-action entries at few switches", §2.1) and
-// returns the wall time. On full success the table is remembered as the
-// fleet's last good plan (LastGoodRates).
-func (c *Controller) UpdateRates(rates map[string]float64) (time.Duration, error) {
-	start := time.Now()
-	names := make([]string, 0, len(c.conns))
-	for n := range c.conns {
-		names = append(names, n)
+// rateTable is one immutable rate table and its content tag. lastRates and
+// every peer's ack share a single copy of each acknowledged table.
+type rateTable struct {
+	rates map[string]float64
+	tag   uint64
+}
+
+// entries returns the table's map (nil for no table); callers must not
+// modify it.
+func (t *rateTable) entries() map[string]float64 {
+	if t == nil {
+		return nil
 	}
-	sort.Strings(names)
-	for _, n := range names {
-		if _, err := c.rpc(n, c.conns[n], &Request{Type: MsgUpdateRates, Rates: rates}); err != nil {
-			return time.Since(start), err
+	return t.rates
+}
+
+// rateTag is Request.Tag for a table: the sum of one FNV-1a hash per
+// (name, value bits) entry, so it does not depend on map order, folded with
+// the entry count. It is never 0, which on the wire means "no tag".
+func rateTag(rates map[string]float64) uint64 {
+	const offset, prime = 14695981039346656037, 1099511628211
+	var sum uint64
+	for k, v := range rates {
+		h := uint64(offset)
+		for i := 0; i < len(k); i++ {
+			h = (h ^ uint64(k[i])) * prime
+		}
+		bits := math.Float64bits(v)
+		for i := 0; i < 64; i += 8 {
+			h = (h ^ ((bits >> i) & 0xff)) * prime
+		}
+		sum += h
+	}
+	tag := (uint64(offset) ^ sum) * prime
+	tag = (tag ^ uint64(len(rates))) * prime
+	if tag == 0 {
+		tag = 1
+	}
+	return tag
+}
+
+// sameRates reports whether two tables hold the same entries, bit for bit.
+func sameRates(a, b map[string]float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k, v := range a {
+		if w, ok := b[k]; !ok || math.Float64bits(w) != math.Float64bits(v) {
+			return false
 		}
 	}
-	c.setLastGoodRates(rates)
+	return true
+}
+
+// rateDelta is the entries of next that base lacks or holds with other
+// bits: what an agent holding base needs to hold next (nil when none).
+func rateDelta(base, next *rateTable) map[string]float64 {
+	var d map[string]float64
+	for k, v := range next.rates {
+		if w, ok := base.rates[k]; ok && math.Float64bits(w) == math.Float64bits(v) {
+			continue
+		}
+		if d == nil {
+			d = make(map[string]float64)
+		}
+		d[k] = v
+	}
+	return d
+}
+
+// ackedBy returns the table name last acknowledged (nil = unknown).
+func (c *Controller) ackedBy(name string) *rateTable {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.acks[name]
+}
+
+// setAck records (t non-nil) or forgets (t nil) the table name holds.
+func (c *Controller) setAck(name string, t *rateTable) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if t == nil {
+		delete(c.acks, name)
+		return
+	}
+	c.acks[name] = t
+}
+
+// UpdateRates pushes a rate-adaptation table to every switch ("only
+// requires updating match-action entries at few switches", §2.1) and
+// returns the wall time. Each agent gets the delta against the table it
+// last acknowledged: only the entries added or changed since, none for an
+// unchanged table (a heartbeat), and the full table when its table is
+// unknown — the first push of an incarnation, or after a failed RPC. An
+// agent that cannot place a delta answers Resync and gets the full table in
+// the same call. On full success the table is remembered as the fleet's
+// last good plan (LastGoodRates).
+func (c *Controller) UpdateRates(rates map[string]float64) (time.Duration, error) {
+	start := time.Now()
+	next := c.rateTableOf(rates)
+	type cut struct {
+		base  *rateTable
+		delta map[string]float64
+	}
+	var cuts []cut // one delta per distinct acknowledged table
+	full := Request{Type: MsgUpdateRates, Rates: next.rates, Tag: next.tag}
+	for _, n := range c.names {
+		req := full
+		if base := c.ackedBy(n); base != nil {
+			i := 0
+			for i < len(cuts) && cuts[i].base != base {
+				i++
+			}
+			if i == len(cuts) {
+				cuts = append(cuts, cut{base, rateDelta(base, next)})
+			}
+			req.Base, req.Rates = base.tag, cuts[i].delta
+		}
+		c.Metrics.Counter("wan.rates.entries_sent").Add(int64(len(req.Rates)))
+		resp, err := c.rpc(n, c.conns[n], &req)
+		if err != nil && resp != nil && resp.Resync {
+			c.Metrics.Counter("wan.rates.resyncs").Inc()
+			c.Metrics.Counter("wan.rates.entries_sent").Add(int64(len(full.Rates)))
+			req = full
+			_, err = c.rpc(n, c.conns[n], &req)
+		}
+		if err != nil {
+			return time.Since(start), err
+		}
+		c.setAck(n, next)
+	}
+	c.mu.Lock()
+	c.lastRates = next
+	c.mu.Unlock()
 	return time.Since(start), nil
 }
 
@@ -456,24 +592,24 @@ func (c *Controller) UpdateRatesWithFallback(rates map[string]float64) (time.Dur
 func (c *Controller) LastGoodRates() map[string]float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.lastRates == nil {
-		return nil
-	}
-	out := make(map[string]float64, len(c.lastRates))
-	for k, v := range c.lastRates {
-		out[k] = v
-	}
-	return out
+	return copyRates(c.lastRates.entries())
 }
 
-func (c *Controller) setLastGoodRates(rates map[string]float64) {
+// rateTableOf returns the immutable table for rates: the last good table
+// itself when rates equals it (the quiet epoch's case, and a restore),
+// otherwise a fresh copy.
+func (c *Controller) rateTableOf(rates map[string]float64) *rateTable {
+	c.mu.Lock()
+	last := c.lastRates
+	c.mu.Unlock()
+	if last != nil && sameRates(last.rates, rates) {
+		return last
+	}
 	cp := make(map[string]float64, len(rates))
 	for k, v := range rates {
 		cp[k] = v
 	}
-	c.mu.Lock()
-	c.lastRates = cp
-	c.mu.Unlock()
+	return &rateTable{rates: cp, tag: rateTag(cp)}
 }
 
 // RemoveTunnels deletes tunnels (the §4.2 restoration to the original

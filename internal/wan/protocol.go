@@ -38,9 +38,20 @@ const (
 // Leader names the sending controller incarnation (site id); it breaks
 // ties between two claimants that fenced to the same generation from
 // different sites, where no shared lock can arbitrate. Frame is a
-// replication frame (repl messages only). All three extension fields are
-// omitted from the wire when unset, keeping the legacy encoding
-// byte-identical.
+// replication frame (repl messages only).
+//
+// Tag and Base make update_rates a delta push. Tag is an order-independent
+// 64-bit content digest of the controller's full table (never 0); Base is
+// the tag the controller believes the agent holds, and Rates then carries
+// only the entries added or changed since that table (none for an
+// unchanged table: a heartbeat). Base 0 is a full push. A digest rather
+// than a counter, so two controller incarnations never mistake each
+// other's tables for their own. The agent merges a delta only onto the
+// table it was cut against; see SwitchAgent for the rules.
+//
+// Every extension field is omitted from the wire when unset, so install,
+// remove, ping and repl messages encode byte-identically to the legacy
+// protocol.
 type Request struct {
 	Type     MsgType            `json:"type"`
 	TunnelID int                `json:"tunnel_id,omitempty"`
@@ -50,6 +61,8 @@ type Request struct {
 	Seq      uint64             `json:"seq,omitempty"`
 	Leader   string             `json:"leader,omitempty"`
 	Frame    []byte             `json:"frame,omitempty"`
+	Base     uint64             `json:"base,omitempty"`
+	Tag      uint64             `json:"tag,omitempty"`
 }
 
 // Response is a switch -> controller message. Stale marks a fence
@@ -59,7 +72,9 @@ type Request struct {
 // Ack and Resync answer replication messages: Ack is the standby's
 // contiguous applied sequence prefix, and Resync asks the shipper to fall
 // back to a snapshot re-sync (the standby detected a gap or a corrupt
-// frame). Both are omitted from the wire when unset.
+// frame). An agent answers a rate delta it cannot place with Resync too:
+// it holds neither the delta's Base nor its Tag, and wants the full table.
+// Both are omitted from the wire when unset.
 type Response struct {
 	OK       bool    `json:"ok"`
 	Err      string  `json:"err,omitempty"`

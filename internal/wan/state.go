@@ -142,7 +142,9 @@ func (c *Controller) openState(dir string, minGen uint64) (*Recovery, error) {
 	if rec.Warm {
 		s := rec.State
 		c.epoch = s.Epoch
-		c.lastRates = copyRates(s.Rates)
+		if s.Rates != nil {
+			c.lastRates = &rateTable{rates: copyRates(s.Rates), tag: rateTag(s.Rates)}
+		}
 		c.lastProbs = append([]float64(nil), s.Probs...)
 		c.lastFP = scenario.Fingerprint(s.ScenarioFP)
 		c.peerSeq = make(map[string]uint64, len(s.PeerSeq))
@@ -246,7 +248,7 @@ func (c *Controller) JournalEpoch(probs []float64, fp scenario.Fingerprint) erro
 	c.lastFP = fp
 	state := &EpochState{
 		Epoch:      c.epoch,
-		Rates:      copyRates(c.lastRates),
+		Rates:      c.lastRates.entries(), // immutable: encoded below without a copy
 		Tunnels:    c.installedLocked(),
 		PeerSeq:    make(map[string]uint64, len(c.peerSeq)),
 		Probs:      append([]float64(nil), probs...),
