@@ -248,8 +248,7 @@ func haCell(opts Options, c haCellConfig) (haCellResult, error) {
 			"wan.failover.promotions", "wan.failover.reasserts",
 			"wan.failover.mirror_match", "wan.failover.mirror_mismatch",
 			"persist.repl.shipped", "persist.repl.acked", "persist.repl.resent",
-			"persist.repl.resyncs", "persist.tail.polls", "persist.tail.records",
-			"persist.tail.dead_files",
+			"persist.repl.resyncs", "persist.repl.tailed",
 		} {
 			opts.Metrics.Counter(name).Add(reg.Counter(name).Value())
 		}

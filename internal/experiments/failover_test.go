@@ -60,7 +60,7 @@ func TestFailoverExperiment(t *testing.T) {
 	if reg.Counter("wan.georep.elections").Value() == 0 {
 		t.Error("wan.georep.elections not mirrored into the experiment registry")
 	}
-	if reg.Counter("persist.tail.records").Value() == 0 {
-		t.Error("persist.tail.records not mirrored into the experiment registry")
+	if reg.Counter("persist.repl.tailed").Value() == 0 {
+		t.Error("persist.repl.tailed not mirrored into the experiment registry")
 	}
 }

@@ -32,8 +32,6 @@ type MIPOptions struct {
 	// cap is hit the best incumbent found so far is returned with
 	// Status == StatusIterLimit.
 	MaxNodes int
-	// Gap is the relative optimality gap at which search stops early.
-	Gap float64
 	// Budget, when non-nil, is spent cooperatively: one unit per
 	// branch-and-bound node plus one per pivot of every node LP. On
 	// exhaustion the best incumbent so far is returned with
@@ -82,7 +80,7 @@ func (m *MIP) SolveMIP(opts MIPOptions) *Solution {
 		}
 		nd := stack[bi]
 		stack = append(stack[:bi], stack[bi+1:]...)
-		if incumbent != nil && nd.bound >= incumbent.Objective-math.Abs(incumbent.Objective)*opts.Gap-1e-12 {
+		if incumbent != nil && nd.bound >= incumbent.Objective-1e-12 {
 			continue
 		}
 		sol := m.solveWithFixings(nd.fixed, opts.Budget)

@@ -18,6 +18,12 @@
 //     typed ErrNoState, never a panic (persist.FuzzRecover pins this over
 //     arbitrary bytes).
 //
+//   - One reader. Recovery and the Replicator read a state directory through
+//     one scan under one rule set, so what a standby applies is by
+//     construction what the leader would recover (persist.FuzzTail pins
+//     this). The Replicator's read takes no lock and never writes, so it can
+//     watch a live Store without perturbing it.
+//
 //   - Single opener. Open takes an OS-level advisory lock (flock) on the
 //     directory; a second opener fails fast with a typed *LockError instead
 //     of interleaving journal writes. The lock dies with the process, so a

@@ -6,9 +6,14 @@ import (
 	"testing"
 )
 
+// The Replicator reads a leader's state directory with the scan recovery
+// uses; these tests pin that reader: what it ships from a live, torn,
+// corrupt, pruned or not-yet-created directory, and that reading never
+// writes.
+
 // readOnlyFS hands reads through to inner and fails the test on any write
-// operation: proof that a Reader's filesystem footprint is read-only, which
-// is what makes it safe to point at a live leader's directory.
+// operation: proof that the Replicator's filesystem footprint is read-only,
+// which is what makes it safe to point at a live leader's directory.
 type readOnlyFS struct {
 	t     *testing.T
 	inner FS
@@ -52,20 +57,60 @@ func (r readOnlyFS) SyncDir(dir string) error {
 func (r readOnlyFS) ReadFile(name string) ([]byte, error) { return r.inner.ReadFile(name) }
 func (r readOnlyFS) ReadDir(dir string) ([]string, error) { return r.inner.ReadDir(dir) }
 
-// newTestReader opens a read-only reader over fs whose write methods fail
-// the test if ever invoked.
-func newTestReader(t *testing.T, fs FS, dir string) *Reader {
+// shipLog is a Pipe standing in for a standby that takes every frame: it
+// acks each one and records what was shipped.
+type shipLog struct {
+	shipped []record
+}
+
+func (p *shipLog) Ship(frame []byte, snapshot bool) (uint64, bool, error) {
+	seq, body, err := DecodeReplFrame(frame)
+	if err != nil {
+		return 0, true, nil
+	}
+	p.shipped = append(p.shipped, record{seq: seq, body: append([]byte(nil), body...)})
+	return seq, false, nil
+}
+
+// newest returns the last shipped record (seq 0 before the first).
+func (p *shipLog) newest() record {
+	if len(p.shipped) == 0 {
+		return record{}
+	}
+	return p.shipped[len(p.shipped)-1]
+}
+
+// newTestReplicator reads dir through opt.FS wrapped read-only (nil: the
+// operating system) and ships to one shipLog.
+func newTestReplicator(t *testing.T, dir string, opt ReplicatorOptions) (*Replicator, *shipLog) {
 	t.Helper()
-	rd, err := OpenReader(dir, ReaderOptions{FS: readOnlyFS{t: t, inner: fs}})
+	if opt.FS == nil {
+		opt.FS = osFS{}
+	}
+	opt.FS = readOnlyFS{t: t, inner: opt.FS}
+	r, err := NewReplicator(dir, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rd
+	log := &shipLog{}
+	r.AddTarget("standby", log)
+	return r, log
 }
 
-// TestReaderTailsLiveStore: a reader polling a directory a live store is
-// appending to surfaces each epoch exactly once, in order, across journal
-// appends, compaction rotations, and snapshot dedupe.
+// tick runs one Tick and returns the records it shipped.
+func tick(t *testing.T, r *Replicator, log *shipLog) []record {
+	t.Helper()
+	n := len(log.shipped)
+	if err := r.Tick(); err != nil {
+		t.Fatalf("tick: %v", err)
+	}
+	return log.shipped[n:]
+}
+
+// TestReaderTailsLiveStore: a replicator reading a directory a live store
+// is appending to ships each epoch exactly once, in order, across journal
+// appends, compaction rotations, and a snapshot and a journal record at one
+// sequence.
 func TestReaderTailsLiveStore(t *testing.T) {
 	fs := newMemFS(-1)
 	st, err := Open("state", Options{CompactEvery: 3, FS: fs})
@@ -73,10 +118,10 @@ func TestReaderTailsLiveStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	rd := newTestReader(t, fs, "state")
+	r, log := newTestReplicator(t, "state", ReplicatorOptions{FS: fs})
 
-	if recs, err := rd.Tail(); err != nil || len(recs) != 0 {
-		t.Fatalf("tail of empty store: recs=%v err=%v", recs, err)
+	if recs := tick(t, r, log); len(recs) != 0 {
+		t.Fatalf("tick over an empty store shipped %v", recs)
 	}
 	for e := uint64(1); e <= 8; e++ {
 		if err := st.Append(e, crashBody(e)); err != nil {
@@ -87,55 +132,46 @@ func TestReaderTailsLiveStore(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		recs, err := rd.Tail()
-		if err != nil {
-			t.Fatalf("epoch %d: tail: %v", e, err)
+		recs := tick(t, r, log)
+		if len(recs) != 1 || recs[0].seq != e {
+			t.Fatalf("epoch %d: shipped %v, want exactly seq %d", e, recs, e)
 		}
-		if len(recs) != 1 || recs[0].Seq != e {
-			t.Fatalf("epoch %d: tail surfaced %v, want exactly seq %d", e, recs, e)
+		if string(recs[0].body) != string(crashBody(e)) {
+			t.Fatalf("epoch %d: payload %q, want %q", e, recs[0].body, crashBody(e))
 		}
-		if string(recs[0].Payload) != string(crashBody(e)) {
-			t.Fatalf("epoch %d: payload %q, want %q", e, recs[0].Payload, crashBody(e))
-		}
-	}
-	if rd.LastSeq() != 8 {
-		t.Fatalf("reader position %d, want 8", rd.LastSeq())
 	}
 	// Quiet store: nothing new.
-	if recs, err := rd.Tail(); err != nil || len(recs) != 0 {
-		t.Fatalf("tail of quiet store: recs=%v err=%v", recs, err)
+	if recs := tick(t, r, log); len(recs) != 0 {
+		t.Fatalf("tick over a quiet store shipped %v", recs)
 	}
 }
 
-// TestReaderFromScratchCatchesUp: a reader opened against an already
-// populated directory returns all committed epochs ascending on its first
-// poll, deduplicated across the snapshot and the journal.
+// TestReaderFromScratchCatchesUp: a replicator started against an already
+// populated directory ships all committed epochs ascending on its first
+// tick, one per sequence across the snapshots and the journals.
 func TestReaderFromScratchCatchesUp(t *testing.T) {
 	fs := newMemFS(-1)
 	if acked := crashScript(fs, "state"); acked != 8 {
 		t.Fatalf("script acked %d, want 8", acked)
 	}
-	rd := newTestReader(t, fs, "state")
-	recs, err := rd.Tail()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range recs {
-		if i > 0 && recs[i-1].Seq >= r.Seq {
-			t.Fatalf("tail not strictly ascending: %v", recs)
+	r, log := newTestReplicator(t, "state", ReplicatorOptions{FS: fs})
+	recs := tick(t, r, log)
+	for i, rec := range recs {
+		if i > 0 && recs[i-1].seq >= rec.seq {
+			t.Fatalf("shipped seqs not strictly ascending: %v", recs)
 		}
-		if string(r.Payload) != string(crashBody(r.Seq)) {
-			t.Fatalf("seq %d: payload %q, want %q", r.Seq, r.Payload, crashBody(r.Seq))
+		if string(rec.body) != string(crashBody(rec.seq)) {
+			t.Fatalf("seq %d: payload %q, want %q", rec.seq, rec.body, crashBody(rec.seq))
 		}
 	}
-	if n := len(recs); n == 0 || recs[n-1].Seq != 8 {
-		t.Fatalf("catch-up tail ended at %v, want final seq 8", recs)
+	if n := len(recs); n != 8 || recs[n-1].seq != 8 {
+		t.Fatalf("catch-up shipped %d records ending at %v, want seqs 1..8", n, log.newest().seq)
 	}
 }
 
-// TestReaderTornTailCompletesLater: a record torn mid-append is invisible,
-// and once the remaining bytes land the very next poll surfaces it — the
-// reader must not give up on (or double-count) a file with a torn tail.
+// TestReaderTornTailCompletesLater: a record torn mid-append is not
+// shipped, and once the remaining bytes land the very next tick ships it —
+// exactly once.
 func TestReaderTornTailCompletesLater(t *testing.T) {
 	fs := newMemFS(-1)
 	full := append([]byte(nil), magic...)
@@ -147,28 +183,24 @@ func TestReaderTornTailCompletesLater(t *testing.T) {
 	cut := mark + 5 // mid-header of record 2
 	fs.files[name] = append([]byte(nil), full[:cut]...)
 
-	rd := newTestReader(t, fs, "state")
-	recs, err := rd.Tail()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 1 || recs[0].Seq != 1 {
-		t.Fatalf("torn tail surfaced %v, want only seq 1", recs)
+	r, log := newTestReplicator(t, "state", ReplicatorOptions{FS: fs})
+	if recs := tick(t, r, log); len(recs) != 1 || recs[0].seq != 1 {
+		t.Fatalf("torn tail shipped %v, want only seq 1", recs)
 	}
 	// The append completes (leader finished its write + fsync).
 	fs.files[name] = append([]byte(nil), full...)
-	recs, err = rd.Tail()
-	if err != nil {
-		t.Fatal(err)
+	recs := tick(t, r, log)
+	if len(recs) != 1 || recs[0].seq != 2 || string(recs[0].body) != "two" {
+		t.Fatalf("completed tail shipped %v, want seq 2 %q", recs, "two")
 	}
-	if len(recs) != 1 || recs[0].Seq != 2 || string(recs[0].Payload) != "two" {
-		t.Fatalf("completed tail surfaced %v, want seq 2 %q", recs, "two")
+	if recs := tick(t, r, log); len(recs) != 0 {
+		t.Fatalf("completed tail shipped again: %v", recs)
 	}
 }
 
-// TestReaderStopsAtCorruptRecord: a checksum-failing record blocks the
-// reader at the same point recovery would stop, and records behind it are
-// never surfaced — the stop-at-first-bad contract applies to tailing too.
+// TestReaderStopsAtCorruptRecord: a checksum-failing record stops the read
+// at the same point recovery stops, and records behind it are never
+// shipped.
 func TestReaderStopsAtCorruptRecord(t *testing.T) {
 	fs := newMemFS(-1)
 	b := append([]byte(nil), magic...)
@@ -179,45 +211,49 @@ func TestReaderStopsAtCorruptRecord(t *testing.T) {
 	b[mark+recordHeaderLen+2] ^= 0xff // flip a bit inside record 2's payload
 
 	fs.files["state/"+journalName(0, 1)] = b
-	rd := newTestReader(t, fs, "state")
+	r, log := newTestReplicator(t, "state", ReplicatorOptions{FS: fs})
 	for poll := 0; poll < 3; poll++ {
-		recs, err := rd.Tail()
-		if err != nil {
-			t.Fatal(err)
-		}
+		recs := tick(t, r, log)
 		if poll == 0 {
-			if len(recs) != 1 || recs[0].Seq != 1 {
-				t.Fatalf("corrupt tail surfaced %v, want only seq 1", recs)
+			if len(recs) != 1 || recs[0].seq != 1 {
+				t.Fatalf("corrupt journal shipped %v, want only seq 1", recs)
 			}
 		} else if len(recs) != 0 {
-			t.Fatalf("poll %d resurfaced records past corruption: %v", poll, recs)
+			t.Fatalf("tick %d shipped records past the corruption: %v", poll, recs)
 		}
 	}
 }
 
-// TestReaderMissingDirAndClose: a reader may be opened before its leader
-// creates the directory (no records, no error), and a closed reader fails
-// loudly.
+// TestReaderMissingDirAndClose: a replicator may start before its leader
+// creates the directory (nothing shipped, no error) and ships once it
+// appears; a closed replicator fails loudly.
 func TestReaderMissingDirAndClose(t *testing.T) {
-	rd, err := OpenReader(t.TempDir()+"/not-yet", ReaderOptions{})
-	if err != nil {
+	dir := t.TempDir() + "/not-yet"
+	r, log := newTestReplicator(t, dir, ReplicatorOptions{})
+	if recs := tick(t, r, log); len(recs) != 0 {
+		t.Fatalf("tick over an absent dir shipped %v", recs)
+	}
+	if err := os.Mkdir(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if recs, err := rd.Tail(); err != nil || len(recs) != 0 {
-		t.Fatalf("tail of absent dir: recs=%v err=%v", recs, err)
-	}
-	if err := rd.Close(); err != nil {
+	b := appendRecord(append([]byte(nil), magic...), 1, []byte("one"))
+	if err := os.WriteFile(dir+"/"+journalName(0, 1), b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rd.Tail(); err == nil {
-		t.Fatal("tail after Close succeeded")
+	if recs := tick(t, r, log); len(recs) != 1 || recs[0].seq != 1 {
+		t.Fatalf("tick over the created dir shipped %v, want seq 1", recs)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Tick(); err == nil {
+		t.Fatal("tick after Close succeeded")
 	}
 }
 
-// TestReaderAgainstLockedStoreOS: on the real filesystem, a Reader tails a
-// directory whose flock is held by a live store — the exact situation the
-// single-opener lock used to make impossible — while a second Store opener
-// still fails fast with the typed LockError.
+// TestReaderAgainstLockedStoreOS: on the real filesystem, a replicator
+// reads a directory whose flock is held by a live store, while a second
+// Store opener still fails fast with the typed LockError.
 func TestReaderAgainstLockedStoreOS(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir, Options{})
@@ -230,41 +266,31 @@ func TestReaderAgainstLockedStoreOS(t *testing.T) {
 	} else if _, ok := err.(*LockError); !ok {
 		t.Fatalf("second writer error %v, want *LockError", err)
 	}
-	rd, err := OpenReader(dir, ReaderOptions{})
-	if err != nil {
-		t.Fatalf("reader blocked by writer lock: %v", err)
-	}
+	r, log := newTestReplicator(t, dir, ReplicatorOptions{})
 	for e := uint64(1); e <= 3; e++ {
 		if err := st.Append(e, crashBody(e)); err != nil {
 			t.Fatal(err)
 		}
-		recs, err := rd.Tail()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(recs) != 1 || recs[0].Seq != e {
-			t.Fatalf("epoch %d: live tail surfaced %v", e, recs)
+		if recs := tick(t, r, log); len(recs) != 1 || recs[0].seq != e {
+			t.Fatalf("epoch %d: live tick shipped %v", e, recs)
 		}
 	}
 }
 
-// crashScriptTailing is crashScript with a reader polling after every write
-// the store acknowledges, validating each surfaced record against the
-// scripted bodies. The reader runs on a write-refusing FS wrapper, so any
-// interference with the store's files would fail the test immediately.
-func crashScriptTailing(t *testing.T, fs FS, dir string, rd *Reader) (acked uint64) {
+// crashScriptTailing is crashScript with a replicator ticking after every
+// write the store acknowledges, validating each shipped record against the
+// scripted bodies. The replicator reads through a write-refusing FS
+// wrapper, so any interference with the store's files would fail the test
+// immediately.
+func crashScriptTailing(t *testing.T, fs FS, dir string, r *Replicator, log *shipLog) (acked uint64) {
 	t.Helper()
 	poll := func() {
-		recs, err := rd.Tail()
-		if err != nil {
-			t.Fatalf("tail during crash script: %v", err)
-		}
-		for _, r := range recs {
-			if r.Seq < 1 || r.Seq > 8 {
-				t.Fatalf("tail surfaced epoch %d outside the script", r.Seq)
+		for _, rec := range tick(t, r, log) {
+			if rec.seq < 1 || rec.seq > 8 {
+				t.Fatalf("shipped epoch %d outside the script", rec.seq)
 			}
-			if string(r.Payload) != string(crashBody(r.Seq)) {
-				t.Fatalf("tail surfaced torn state for epoch %d: %q", r.Seq, r.Payload)
+			if string(rec.body) != string(crashBody(rec.seq)) {
+				t.Fatalf("shipped torn state for epoch %d: %q", rec.seq, rec.body)
 			}
 		}
 	}
@@ -293,11 +319,12 @@ func crashScriptTailing(t *testing.T, fs FS, dir string, rd *Reader) (acked uint
 }
 
 // TestReaderNonInterferenceCrashSweep is the multi-opener safety proof: the
-// crash-at-every-byte sweep is replayed with a concurrent polling Reader,
-// and at every cut point the acked count and the recovered state are
-// identical to the reader-free run — a reader can watch a leader die at any
-// byte offset without changing what the next incarnation recovers. The
-// reader itself must surface every acked epoch and never a torn one.
+// crash-at-every-byte sweep is replayed with a replicator ticking after
+// every write, and at every cut point the acked count and the recovered
+// state are identical to the replicator-free run — a standby can watch a
+// leader die at any byte offset without changing what the next incarnation
+// recovers. The newest shipped record is exactly what that incarnation
+// recovers.
 func TestReaderNonInterferenceCrashSweep(t *testing.T) {
 	ref := newMemFS(-1)
 	if acked := crashScript(ref, "state"); acked != 8 {
@@ -311,34 +338,33 @@ func TestReaderNonInterferenceCrashSweep(t *testing.T) {
 		recPlain, errPlain := recoverDir(plain, "state")
 
 		watched := newMemFS(cut)
-		rd := newTestReader(t, watched, "state")
-		ackedWatched := crashScriptTailing(t, watched, "state", rd)
+		r, log := newTestReplicator(t, "state", ReplicatorOptions{FS: watched})
+		ackedWatched := crashScriptTailing(t, watched, "state", r, log)
 
 		if ackedPlain != ackedWatched {
-			t.Fatalf("cut=%d: acked %d with reader, %d without — the reader interfered",
+			t.Fatalf("cut=%d: acked %d with a replicator, %d without — the replicator interfered",
 				cut, ackedWatched, ackedPlain)
 		}
 		recWatched, errWatched := recoverDir(watched, "state")
 		if (errPlain == nil) != (errWatched == nil) {
-			t.Fatalf("cut=%d: recovery err %v with reader, %v without", cut, errWatched, errPlain)
+			t.Fatalf("cut=%d: recovery err %v with a replicator, %v without", cut, errWatched, errPlain)
 		}
-		if errPlain == nil {
-			if recPlain.Seq != recWatched.Seq || string(recPlain.Payload) != string(recWatched.Payload) {
-				t.Fatalf("cut=%d: recovery diverged under a reader: seq %d vs %d",
-					cut, recWatched.Seq, recPlain.Seq)
-			}
+		if errPlain != nil {
+			continue
 		}
-		// The reader saw every epoch the store acked before the crash.
-		if rd.LastSeq() < ackedWatched {
-			t.Fatalf("cut=%d: reader position %d behind acked epoch %d",
-				cut, rd.LastSeq(), ackedWatched)
+		if recPlain.Seq != recWatched.Seq || string(recPlain.Payload) != string(recWatched.Payload) {
+			t.Fatalf("cut=%d: recovery diverged under a replicator: seq %d vs %d",
+				cut, recWatched.Seq, recPlain.Seq)
+		}
+		if got := log.newest(); got.seq != recWatched.Seq || string(got.body) != string(recWatched.Payload) {
+			t.Fatalf("cut=%d: newest shipped seq %d, recovery seq %d", cut, got.seq, recWatched.Seq)
 		}
 	}
 }
 
 // TestReaderSurvivesPruning: when compaction prunes old snapshots and
-// journals out from under the reader, already-surfaced records stay
-// surfaced-once and per-file state is dropped with the files.
+// journals out from under the replicator, shipped records stay shipped
+// once, and the buffer keeps only the newest record once the target acked.
 func TestReaderSurvivesPruning(t *testing.T) {
 	fs := newMemFS(-1)
 	st, err := Open("state", Options{CompactEvery: 1, FS: fs})
@@ -346,7 +372,7 @@ func TestReaderSurvivesPruning(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	rd := newTestReader(t, fs, "state")
+	r, log := newTestReplicator(t, "state", ReplicatorOptions{FS: fs})
 	for e := uint64(1); e <= 6; e++ {
 		if err := st.Append(e, crashBody(e)); err != nil {
 			t.Fatal(err)
@@ -354,22 +380,18 @@ func TestReaderSurvivesPruning(t *testing.T) {
 		if err := st.Compact(e, crashBody(e)); err != nil {
 			t.Fatal(err)
 		}
-		recs, err := rd.Tail()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(recs) != 1 || recs[0].Seq != e {
+		if recs := tick(t, r, log); len(recs) != 1 || recs[0].seq != e {
 			t.Fatalf("epoch %d under aggressive compaction: %v", e, recs)
 		}
 	}
-	if got := len(rd.files); got > 4 {
-		t.Fatalf("reader retains state for %d files after pruning", got)
+	if got := len(r.records); got != 1 {
+		t.Fatalf("replicator buffers %d records after every ack, want 1", got)
 	}
 }
 
 // TestReaderIgnoresForeignFiles: stray files (tmp leftovers, unrelated
-// names) are never scanned, and a wrong-magic journal is skipped without
-// wedging the poll.
+// names) are never read, and a wrong-magic journal is skipped and counted
+// dead without wedging the tick.
 func TestReaderIgnoresForeignFiles(t *testing.T) {
 	dir := t.TempDir()
 	good := append([]byte(nil), magic...)
@@ -386,15 +408,49 @@ func TestReaderIgnoresForeignFiles(t *testing.T) {
 	if err := os.WriteFile(dir+"/README", []byte("not a record file"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	rd, err := OpenReader(dir, ReaderOptions{})
+	r, log := newTestReplicator(t, dir, ReplicatorOptions{})
+	if recs := tick(t, r, log); len(recs) != 1 || recs[0].seq != 1 {
+		t.Fatalf("tick over foreign files shipped %v, want only seq 1", recs)
+	}
+	if got := r.Stats().TailDeadFiles; got != 1 {
+		t.Fatalf("TailDeadFiles = %d, want 1 (the wrong-magic journal)", got)
+	}
+}
+
+// TestReaderFollowsRecoveryRules pins the three cases where the reader
+// follows recovery: a file shorter than the magic is dead, a file that
+// shrank is read for its valid prefix, and of a snapshot and a journal
+// record at one sequence the later-scanned (the journal's) is shipped.
+func TestReaderFollowsRecoveryRules(t *testing.T) {
+	fs := newMemFS(-1)
+	fs.files["state/"+snapName(2)] = appendRecord(append([]byte(nil), magic...), 2, []byte("snap"))
+	journal := append([]byte(nil), magic...)
+	journal = appendRecord(journal, 1, []byte("one"))
+	journal = appendRecord(journal, 2, []byte("journal"))
+	fs.files["state/"+journalName(0, 1)] = journal
+	fs.files["state/"+journalName(2, 1)] = append([]byte(nil), magic[:3]...)
+
+	r, log := newTestReplicator(t, "state", ReplicatorOptions{FS: fs})
+	recs := tick(t, r, log)
+	rec, err := recoverDir(fs, "state")
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := rd.Tail()
-	if err != nil {
-		t.Fatal(err)
+	if len(recs) != 2 || recs[1].seq != 2 || string(recs[1].body) != "journal" {
+		t.Fatalf("shipped %v, want seqs 1 and 2 with the journal's body", recs)
 	}
-	if len(recs) != 1 || recs[0].Seq != 1 {
-		t.Fatalf("tail over foreign files surfaced %v, want only seq 1", recs)
+	if rec.Seq != 2 || string(rec.Payload) != "journal" {
+		t.Fatalf("recovered (%d, %q), want (2, %q)", rec.Seq, rec.Payload, "journal")
+	}
+	if got := r.Stats().TailDeadFiles; got != 1 {
+		t.Fatalf("TailDeadFiles = %d, want 1 (the file shorter than the magic)", got)
+	}
+
+	// The journal shrinks to its first record, then grows a new one: the
+	// valid prefix is still read and the new record ships.
+	shrunk := appendRecord(append([]byte(nil), magic...), 1, []byte("one"))
+	fs.files["state/"+journalName(0, 1)] = appendRecord(shrunk, 3, []byte("three"))
+	if recs := tick(t, r, log); len(recs) != 1 || recs[0].seq != 3 {
+		t.Fatalf("tick over the shrunk journal shipped %v, want seq 3", recs)
 	}
 }

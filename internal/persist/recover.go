@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"strconv"
@@ -65,83 +66,109 @@ func parseJournalName(name string) (base, gen uint64, ok bool) {
 	return bv, gv, err1 == nil && err2 == nil
 }
 
-// recoverDir scans dir through fs and returns the newest valid state. The
-// rule is simple and conservative: every snapshot contributes its single
-// record if the checksum holds; every journal contributes its valid record
-// prefix (scan stops at the first torn or corrupt record); the candidate
-// with the highest sequence wins. Nothing that fails a checksum is ever
-// returned, and a directory with no valid record returns ErrNoState.
-func recoverDir(fs FS, dir string) (*Recovered, error) {
+// stateFile is one record file of a state directory: a snapshot at seq, or
+// a journal based at seq and written by generation gen.
+type stateFile struct {
+	snap bool
+	seq  uint64
+	gen  uint64
+}
+
+func (f stateFile) name() string {
+	if f.snap {
+		return snapName(f.seq)
+	}
+	return journalName(f.seq, f.gen)
+}
+
+// listDir is the one listing of a state directory: its record files in scan
+// order, snapshots by sequence and then journals by (base, generation),
+// regardless of directory iteration order.
+func listDir(fs FS, dir string) ([]stateFile, error) {
 	names, err := fs.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("persist: scan %s: %w", dir, err)
 	}
-	type journalFile struct{ base, gen uint64 }
-	var snaps []uint64
-	var journals []journalFile
+	var files []stateFile
 	for _, name := range names {
 		if seq, ok := parseSnapName(name); ok {
-			snaps = append(snaps, seq)
+			files = append(files, stateFile{snap: true, seq: seq})
 		} else if base, gen, ok := parseJournalName(name); ok {
-			journals = append(journals, journalFile{base, gen})
+			files = append(files, stateFile{seq: base, gen: gen})
 		}
 	}
-	// Deterministic scan order regardless of directory iteration order.
-	sort.Slice(snaps, func(i, j int) bool { return snaps[i] < snaps[j] })
-	sort.Slice(journals, func(i, j int) bool {
-		if journals[i].base != journals[j].base {
-			return journals[i].base < journals[j].base
+	sort.Slice(files, func(i, j int) bool {
+		a, b := files[i], files[j]
+		if a.snap != b.snap {
+			return a.snap
 		}
-		return journals[i].gen < journals[j].gen
+		if a.seq != b.seq {
+			return a.seq < b.seq
+		}
+		return a.gen < b.gen
 	})
+	return files, nil
+}
 
-	rec := &Recovered{}
-	rec.Stats.Snapshots = len(snaps)
-	rec.Stats.Journals = len(journals)
-	found := false
-	consider := func(r record) {
-		rec.Stats.RecordsReplayed++
-		if !found || r.seq >= rec.Seq {
-			rec.Seq = r.seq
-			rec.Payload = append([]byte(nil), r.body...)
-			found = true
-		}
+// scanDir is the one reader of a state directory: it returns every
+// checksum-valid record in listDir's order. Every file contributes its valid
+// record prefix — the scan of a file stops at its first torn or corrupt
+// record, and a file without the magic contributes nothing — so nothing that
+// fails a checksum is ever returned. A snapshot is exactly one record;
+// trailing junk after it is ignored. stats counts what was read and what was
+// skipped; dead is the number of non-empty files without a valid magic.
+// Recovery keeps the newest record; the Replicator keeps those above its
+// high-water mark.
+func scanDir(fs FS, dir string) (recs []record, stats RecoveryStats, dead int, err error) {
+	files, err := listDir(fs, dir)
+	if err != nil {
+		return nil, stats, 0, err
 	}
-	for _, seq := range snaps {
-		b, err := fs.ReadFile(dir + "/" + snapName(seq))
+	for _, f := range files {
+		if f.snap {
+			stats.Snapshots++
+		} else {
+			stats.Journals++
+		}
+		b, err := fs.ReadFile(dir + "/" + f.name())
 		if err != nil {
-			rec.Stats.CorruptSkipped++
+			stats.CorruptSkipped++
 			continue
 		}
-		recs, torn, corrupt := scanRecords(b)
-		rec.Stats.CorruptSkipped += corrupt
-		// A snapshot is exactly one record; tolerate (ignore) trailing junk
-		// but never trust a snapshot whose record fails its checksum.
-		if torn && len(recs) == 0 {
-			continue
+		if len(b) > 0 && !bytes.HasPrefix(b, magic) {
+			dead++
 		}
-		for _, r := range recs {
-			consider(r)
+		fileRecs, torn, corrupt := scanRecords(b)
+		stats.CorruptSkipped += corrupt
+		if torn && !f.snap {
+			stats.TornTail = true
 		}
+		recs = append(recs, fileRecs...)
 	}
-	for _, j := range journals {
-		b, err := fs.ReadFile(dir + "/" + journalName(j.base, j.gen))
-		if err != nil {
-			rec.Stats.CorruptSkipped++
-			continue
-		}
-		recs, torn, corrupt := scanRecords(b)
-		rec.Stats.CorruptSkipped += corrupt
-		if torn {
-			rec.Stats.TornTail = true
-		}
-		for _, r := range recs {
-			consider(r)
-		}
+	stats.RecordsReplayed = len(recs)
+	return recs, stats, dead, nil
+}
+
+// recoverDir scans dir through fs and returns the newest valid state: the
+// record with the highest sequence wins, and of two at one sequence the
+// later-scanned. A directory with no valid record returns ErrNoState.
+func recoverDir(fs FS, dir string) (*Recovered, error) {
+	recs, stats, _, err := scanDir(fs, dir)
+	if err != nil {
+		return nil, err
 	}
-	if !found {
+	rec := &Recovered{Stats: stats}
+	if len(recs) == 0 {
 		return rec, ErrNoState
 	}
+	newest := recs[0]
+	for _, r := range recs[1:] {
+		if r.seq >= newest.seq {
+			newest = r
+		}
+	}
+	rec.Seq = newest.seq
+	rec.Payload = append([]byte(nil), newest.body...)
 	return rec, nil
 }
 

@@ -3,18 +3,20 @@ package persist
 import (
 	"errors"
 	"fmt"
+	iofs "io/fs"
+	"sort"
 	"sync"
 
 	"prete/internal/obs"
 )
 
 // This file is the cross-site replication engine: a leader-side Replicator
-// that tails its own state directory and ships CRC-framed records to remote
-// standbys, and a standby-side Applier that validates each frame and applies
-// it into the standby's *own* local Store. The wire frame is byte-identical
-// to the on-disk record framing (length, CRC-32C, seq-prefixed payload), so
-// a frame that survives the network survives the disk and vice versa — one
-// checksum contract end to end.
+// that reads its own state directory under recovery's rules and ships
+// CRC-framed records to remote standbys, and a standby-side Applier that
+// validates each frame and applies it into the standby's *own* local Store.
+// The wire frame is byte-identical to the on-disk record framing (length,
+// CRC-32C, seq-prefixed payload), so a frame that survives the network
+// survives the disk and vice versa — one checksum contract end to end.
 //
 // Delivery is at-least-once over an unreliable transport; the Applier makes
 // it exactly-once by sequence: duplicates (seq <= last applied) are
@@ -196,8 +198,9 @@ type ReplStats struct {
 	Resyncs int64
 	// Tailed counts records read from the leader's own directory.
 	Tailed int64
-	// TailDeadFiles mirrors the underlying Reader's dead-file count so the
-	// shipping side can alarm on its own directory going bad.
+	// TailDeadFiles is the number of leader files the latest Tick's scan
+	// found without a valid magic — files neither recovery nor shipping can
+	// read — so the shipping side can alarm on its own directory going bad.
 	TailDeadFiles int64
 	// TargetAcked is each target's contiguous acked prefix.
 	TargetAcked map[string]uint64
@@ -210,8 +213,9 @@ type ReplicatorOptions struct {
 	// buffer is caught up with a snapshot re-sync instead — bounding leader
 	// memory no matter how far a standby lags.
 	RetainRecords int
-	// FS substitutes the filesystem for the directory tailer; nil selects
-	// the operating system.
+	// FS substitutes the filesystem the leader directory is read through;
+	// nil selects the operating system. The Replicator only calls ReadDir
+	// and ReadFile on it.
 	FS FS
 	// Metrics, when non-nil, receives the leader-side persist.repl.* series
 	// (shipped, acked, resent, inflight, resyncs, tailed). Write-only.
@@ -226,37 +230,44 @@ type replTarget struct {
 	needSnapshot bool
 }
 
-// Replicator ships a leader's journal to remote standbys. It tails the
-// leader's state directory read-only (the same multi-opener seam hot
-// standbys use locally), buffers the newest records, and on every Tick
-// pushes each target forward: pending records in sequence order, or a
-// snapshot re-sync when the target is behind the buffer, reports a gap, or
-// receives a corrupt frame. All shipping is synchronous inside Tick — the
-// Replicator owns no goroutines.
+// Replicator ships a leader's journal to remote standbys. On every Tick it
+// re-reads the leader's state directory with the scan recovery uses —
+// read-only and lock-free, so it can watch a live Store without perturbing
+// it — buffers the records above its high-water mark, and pushes each target
+// forward: pending records in sequence order, or a snapshot re-sync when the
+// target is behind the buffer, reports a gap, or receives a corrupt frame.
+// What a standby applies is therefore by construction what the leader would
+// recover. All shipping is synchronous inside Tick — the Replicator owns no
+// goroutines.
 type Replicator struct {
-	rd      *Reader
+	dir     string
+	fs      FS
 	retain  int
 	metrics *obs.Registry
 
 	mu      sync.Mutex
-	records []TailRecord // buffered, ascending seq
+	last    uint64   // high-water mark: the highest seq read so far
+	records []record // buffered, ascending seq, bodies owned
 	targets []*replTarget
 	stats   ReplStats
 	closed  bool
 }
 
-// NewReplicator opens dir (the leader's own state directory) for tailing.
+// NewReplicator reads dir (the leader's own state directory) for shipping.
 // The directory may not exist yet; shipping starts once it appears.
 func NewReplicator(dir string, opt ReplicatorOptions) (*Replicator, error) {
-	rd, err := OpenReader(dir, ReaderOptions{FS: opt.FS, Metrics: opt.Metrics})
-	if err != nil {
-		return nil, err
+	if dir == "" {
+		return nil, fmt.Errorf("persist: new replicator: empty directory")
+	}
+	fs := opt.FS
+	if fs == nil {
+		fs = osFS{}
 	}
 	retain := opt.RetainRecords
 	if retain <= 0 {
 		retain = 64
 	}
-	return &Replicator{rd: rd, retain: retain, metrics: opt.Metrics}, nil
+	return &Replicator{dir: dir, fs: fs, retain: retain, metrics: opt.Metrics}, nil
 }
 
 // AddTarget registers a standby to ship to, starting from ack 0 (the first
@@ -286,7 +297,6 @@ func (r *Replicator) Stats() ReplStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	st := r.stats
-	st.TailDeadFiles = r.rd.Stats().DeadFiles
 	st.TargetAcked = make(map[string]uint64, len(r.targets))
 	for _, t := range r.targets {
 		st.TargetAcked[t.name] = t.acked
@@ -294,23 +304,25 @@ func (r *Replicator) Stats() ReplStats {
 	return st
 }
 
-// Tick tails the leader directory for new records and pushes every target
+// Tick reads the leader directory for new records and pushes every target
 // as far forward as the transport allows. Per-target delivery failures are
-// accounted (resent) but do not fail the Tick; only a tailing error does.
+// accounted (resent) but do not fail the Tick; only a read error does.
 func (r *Replicator) Tick() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
 		return fmt.Errorf("persist: tick on closed replicator")
 	}
-	recs, err := r.rd.Tail()
-	if err != nil {
-		return err
+	recs, _, dead, err := scanDir(r.fs, r.dir)
+	if err != nil && !errors.Is(err, iofs.ErrNotExist) {
+		return err // a missing directory is one not created yet: nothing to ship
 	}
-	if len(recs) > 0 {
-		r.records = append(r.records, recs...)
-		r.stats.Tailed += int64(len(recs))
-		r.metrics.Counter("persist.repl.tailed").Add(int64(len(recs)))
+	r.stats.TailDeadFiles = int64(dead)
+	if fresh := above(recs, r.last); len(fresh) > 0 {
+		r.records = append(r.records, fresh...)
+		r.last = fresh[len(fresh)-1].seq
+		r.stats.Tailed += int64(len(fresh))
+		r.metrics.Counter("persist.repl.tailed").Add(int64(len(fresh)))
 	}
 	r.pruneLocked()
 	for _, t := range r.targets {
@@ -318,6 +330,30 @@ func (r *Replicator) Tick() error {
 	}
 	r.pruneLocked()
 	return nil
+}
+
+// above returns the records of recs (in scan order) with a sequence above
+// hwm, one per sequence, ascending, with their bodies copied. Of two records
+// at one sequence the later-scanned wins, as in recovery, so the newest
+// record returned is the one Recover returns.
+func above(recs []record, hwm uint64) []record {
+	var out []record
+	for _, rec := range recs {
+		if rec.seq > hwm {
+			out = append(out, rec)
+		}
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].seq < out[j].seq })
+	n := 0
+	for i, rec := range out {
+		if i+1 < len(out) && out[i+1].seq == rec.seq {
+			continue
+		}
+		rec.body = append([]byte(nil), rec.body...)
+		out[n] = rec
+		n++
+	}
+	return out[:n]
 }
 
 // pruneLocked drops buffered records every target has acked and caps the
@@ -337,14 +373,14 @@ func (r *Replicator) pruneLocked() {
 		minAcked = 0
 	}
 	i := 0
-	for i < len(r.records)-1 && r.records[i].Seq <= minAcked {
+	for i < len(r.records)-1 && r.records[i].seq <= minAcked {
 		i++
 	}
 	if over := len(r.records) - i - r.retain; over > 0 {
 		i += over
 	}
 	if i > 0 {
-		r.records = append([]TailRecord(nil), r.records[i:]...)
+		r.records = append([]record(nil), r.records[i:]...)
 	}
 }
 
@@ -357,16 +393,16 @@ func (r *Replicator) shipToLocked(t *replTarget) {
 			return
 		}
 		newest := r.records[len(r.records)-1]
-		if t.acked >= newest.Seq && !t.needSnapshot {
+		if t.acked >= newest.seq && !t.needSnapshot {
 			return
 		}
 		// A target behind the buffer can't be walked forward record by
 		// record — the hole is already pruned — so catch it up wholesale.
-		behindBuffer := t.acked+1 < r.records[0].Seq
+		behindBuffer := t.acked+1 < r.records[0].seq
 		if t.needSnapshot || behindBuffer {
-			frame := EncodeReplFrame(newest.Seq, newest.Payload)
+			frame := EncodeReplFrame(newest.seq, newest.body)
 			acked, resync, err := r.shipFrame(t, frame, true)
-			if err != nil || resync || acked < newest.Seq {
+			if err != nil || resync || acked < newest.seq {
 				return // unresolved or refused; retry next Tick
 			}
 			t.acked = acked
@@ -379,7 +415,7 @@ func (r *Replicator) shipToLocked(t *replTarget) {
 		if !ok {
 			return
 		}
-		frame := EncodeReplFrame(next.Seq, next.Payload)
+		frame := EncodeReplFrame(next.seq, next.body)
 		acked, resync, err := r.shipFrame(t, frame, false)
 		switch {
 		case err != nil:
@@ -387,7 +423,7 @@ func (r *Replicator) shipToLocked(t *replTarget) {
 		case resync:
 			t.needSnapshot = true
 			continue // ship the snapshot immediately, same Tick
-		case acked >= next.Seq:
+		case acked >= next.seq:
 			t.acked = acked
 		default:
 			return // target refused without explanation; retry next Tick
@@ -396,13 +432,13 @@ func (r *Replicator) shipToLocked(t *replTarget) {
 }
 
 // recordAfterLocked returns the first buffered record with Seq > acked.
-func (r *Replicator) recordAfterLocked(acked uint64) (TailRecord, bool) {
+func (r *Replicator) recordAfterLocked(acked uint64) (record, bool) {
 	for _, rec := range r.records {
-		if rec.Seq > acked {
+		if rec.seq > acked {
 			return rec, true
 		}
 	}
-	return TailRecord{}, false
+	return record{}, false
 }
 
 // shipFrame performs one accounted ship attempt. Exactly one of acked or
@@ -427,13 +463,11 @@ func (r *Replicator) shipFrame(t *replTarget, frame []byte, snapshot bool) (acke
 	return acked, resync, err
 }
 
-// Close stops the replicator and its directory tailer. Idempotent.
+// Close stops the replicator; subsequent Ticks fail. It holds no locks or
+// open files, so Close releases nothing. Idempotent.
 func (r *Replicator) Close() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.closed {
-		return nil
-	}
 	r.closed = true
-	return r.rd.Close()
+	return nil
 }

@@ -374,6 +374,10 @@ func TestReplicatorNoGoroutines(t *testing.T) {
 	}
 }
 
+// TestReaderDeadFileStats: TailDeadFiles is the number of leader files the
+// latest scan found without a valid magic — the standby's alarm surface. A
+// journal truncated below its magic counts on every tick it is still there,
+// and stops counting once it is gone.
 func TestReaderDeadFileStats(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir, Options{})
@@ -385,22 +389,19 @@ func TestReaderDeadFileStats(t *testing.T) {
 	}
 	st.Close()
 
-	rd, err := OpenReader(dir, ReaderOptions{})
+	r, err := NewReplicator(dir, ReplicatorOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rd.Close()
-	if _, err := rd.Tail(); err != nil {
+	defer r.Close()
+	if err := r.Tick(); err != nil {
 		t.Fatal(err)
 	}
-	s := rd.Stats()
-	if s.Polls != 1 || s.Records != 1 || s.DeadFiles != 0 {
+	s := r.Stats()
+	if s.Tailed != 1 || s.TailDeadFiles != 0 {
 		t.Fatalf("healthy stats = %+v", s)
 	}
 
-	// Truncate the journal below what the reader has consumed: the file
-	// shrank, the tailer must abandon it AND the standby must be able to
-	// see that it did — that is the alarm surface.
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -417,18 +418,21 @@ func TestReaderDeadFileStats(t *testing.T) {
 	if err := os.Truncate(journal, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rd.Tail(); err != nil {
+	for poll := 0; poll < 2; poll++ {
+		if err := r.Tick(); err != nil {
+			t.Fatal(err)
+		}
+		if got := r.Stats().TailDeadFiles; got != 1 {
+			t.Fatalf("tick %d after truncation: TailDeadFiles = %d, want 1", poll, got)
+		}
+	}
+	if err := os.Remove(journal); err != nil {
 		t.Fatal(err)
 	}
-	s = rd.Stats()
-	if s.DeadFiles != 1 || s.CorruptFiles < 1 {
-		t.Fatalf("post-shrink stats = %+v, want DeadFiles=1", s)
-	}
-	// Dead is latched: further polls do not re-count the same corpse.
-	if _, err := rd.Tail(); err != nil {
+	if err := r.Tick(); err != nil {
 		t.Fatal(err)
 	}
-	if got := rd.Stats().DeadFiles; got != 1 {
-		t.Fatalf("dead files after repoll = %d, want 1", got)
+	if got := r.Stats().TailDeadFiles; got != 0 {
+		t.Fatalf("TailDeadFiles = %d after the dead file went, want 0", got)
 	}
 }

@@ -80,19 +80,18 @@ func (s *Store) open() error {
 
 	// Remember existing snapshots for compaction-time cleanup, and the
 	// highest generation stamped into any journal name.
-	names, err := s.fs.ReadDir(s.dir)
+	files, err := listDir(s.fs, s.dir)
 	if err != nil {
-		return fmt.Errorf("persist: scan %s: %w", s.dir, err)
+		return err
 	}
 	var maxJournalGen uint64
-	for _, name := range names {
-		if seq, ok := parseSnapName(name); ok {
-			s.snaps = append(s.snaps, seq)
-		} else if _, gen, ok := parseJournalName(name); ok && gen > maxJournalGen {
-			maxJournalGen = gen
+	for _, f := range files {
+		if f.snap {
+			s.snaps = append(s.snaps, f.seq)
+		} else if f.gen > maxJournalGen {
+			maxJournalGen = f.gen
 		}
 	}
-	sort.Slice(s.snaps, func(i, j int) bool { return s.snaps[i] < s.snaps[j] })
 
 	// Durably claim the next generation before any other write: a crash
 	// after the rename costs one generation number, never uniqueness. The
@@ -316,17 +315,16 @@ func (s *Store) prune() {
 		}
 	}
 	s.snaps = append([]uint64(nil), s.snaps[len(s.snaps)-2:]...)
-	names, err := s.fs.ReadDir(s.dir)
+	files, err := listDir(s.fs, s.dir)
 	if err != nil {
 		return
 	}
-	for _, name := range names {
-		base, gen, ok := parseJournalName(name)
-		if !ok || (base == s.journBase && gen == s.gen) {
+	for _, f := range files {
+		if f.snap || (f.seq == s.journBase && f.gen == s.gen) {
 			continue
 		}
-		if base < keepFrom {
-			if s.fs.Remove(s.dir+"/"+name) == nil {
+		if f.seq < keepFrom {
+			if s.fs.Remove(s.dir+"/"+f.name()) == nil {
 				s.opt.Metrics.Counter("persist.pruned").Inc()
 			}
 		}

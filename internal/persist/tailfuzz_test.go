@@ -19,12 +19,14 @@ func fuzzTailSeed() (full []byte, marks []int) {
 	return full, marks
 }
 
-// FuzzTail pins the standby's view of arbitrary directory bytes: for any
-// journal prefix, any appended growth (the leader writing — possibly torn,
-// possibly corrupt), and growth landing either in the journal or as a
-// snapshot file, Tail must never panic, must only surface records that are
-// checksum-valid in the bytes it read, must keep sequences strictly
-// ascending across polls, and must never surface a record twice.
+// FuzzTail pins what a Replicator ships from arbitrary directory bytes:
+// for any journal prefix, any appended growth (the leader writing —
+// possibly torn, possibly corrupt), and growth landing either in the
+// journal or as a snapshot file, ticking a Replicator into an in-memory Pipe
+// must never panic, must only ship records that are checksum-valid in the
+// bytes on disk, must keep sequences strictly ascending across ticks, and,
+// whenever Recover finds a sequence above the previous high-water mark,
+// must have shipped Recover's (Seq, Payload) last.
 func FuzzTail(f *testing.F) {
 	full, marks := fuzzTailSeed()
 	for _, m := range marks {
@@ -39,6 +41,9 @@ func FuzzTail(f *testing.F) {
 	snap := append([]byte(nil), magic...)
 	snap = appendRecord(snap, 9, []byte(`{"epoch":9}`))
 	f.Add(full, snap, true)
+	tie := appendRecord(nil, 4, []byte(`{"epoch":4,"try":1}`))
+	tie = appendRecord(tie, 4, []byte(`{"epoch":4,"try":2}`))
+	f.Add(full, tie, false) // two records at one seq: the later-scanned ships
 
 	f.Fuzz(func(t *testing.T, prefix, growth []byte, asSnap bool) {
 		if len(prefix)+len(growth) > 1<<20 {
@@ -49,15 +54,36 @@ func FuzzTail(f *testing.F) {
 		if err := os.WriteFile(journal, prefix, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		rd, err := OpenReader(dir, ReaderOptions{})
+		r, err := NewReplicator(dir, ReplicatorOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		first, err := rd.Tail()
-		if err != nil {
-			t.Fatalf("first tail: %v", err)
+		log := &shipLog{}
+		r.AddTarget("standby", log)
+		hwm := uint64(0)
+		tickAndCheck := func(phase string, images map[string][]byte) {
+			n, prev := len(log.shipped), hwm
+			if err := r.Tick(); err != nil {
+				t.Fatalf("%s tick: %v", phase, err)
+			}
+			shipped := log.shipped[n:]
+			checkSurfaced(t, phase, shipped, images)
+			for _, rec := range shipped {
+				if rec.seq <= hwm {
+					t.Fatalf("%s tick shipped seq %d, not strictly above %d", phase, rec.seq, hwm)
+				}
+				hwm = rec.seq
+			}
+			rec, err := Recover(dir)
+			if err != nil || rec.Seq <= prev {
+				return
+			}
+			if got := log.newest(); got.seq != rec.Seq || string(got.body) != string(rec.Payload) {
+				t.Fatalf("%s tick: newest shipped (%d, %q), Recover (%d, %q)",
+					phase, got.seq, got.body, rec.Seq, rec.Payload)
+			}
 		}
-		checkSurfaced(t, "first", first, map[string][]byte{journal: prefix})
+		tickAndCheck("first", map[string][]byte{journal: prefix})
 
 		// The "leader" writes: either more journal bytes or a snapshot.
 		images := map[string][]byte{journal: prefix}
@@ -74,29 +100,13 @@ func FuzzTail(f *testing.F) {
 			}
 			images[journal] = grown
 		}
-		second, err := rd.Tail()
-		if err != nil {
-			t.Fatalf("second tail: %v", err)
-		}
-		checkSurfaced(t, "second", second, images)
-
-		// Monotone, duplicate-free across polls.
-		last := uint64(0)
-		for _, batch := range [][]TailRecord{first, second} {
-			for _, r := range batch {
-				if r.Seq <= last {
-					t.Fatalf("sequence %d not strictly above %d across polls:\n%v\n%v",
-						r.Seq, last, first, second)
-				}
-				last = r.Seq
-			}
-		}
+		tickAndCheck("second", images)
 	})
 }
 
-// checkSurfaced asserts every surfaced record is a checksum-valid record in
-// the valid prefix of one of the file images the reader could have read.
-func checkSurfaced(t *testing.T, phase string, recs []TailRecord, images map[string][]byte) {
+// checkSurfaced asserts every shipped record is a checksum-valid record in
+// the valid prefix of one of the file images the replicator could have read.
+func checkSurfaced(t *testing.T, phase string, recs []record, images map[string][]byte) {
 	t.Helper()
 	valid := make(map[uint64][]string)
 	for _, img := range images {
@@ -107,15 +117,15 @@ func checkSurfaced(t *testing.T, phase string, recs []TailRecord, images map[str
 	}
 	for _, r := range recs {
 		found := false
-		for _, body := range valid[r.Seq] {
-			if body == string(r.Payload) {
+		for _, body := range valid[r.seq] {
+			if body == string(r.body) {
 				found = true
 				break
 			}
 		}
 		if !found {
-			t.Fatalf("%s tail surfaced seq %d payload %q not present as a valid record",
-				phase, r.Seq, r.Payload)
+			t.Fatalf("%s tick shipped seq %d payload %q not present as a valid record",
+				phase, r.seq, r.body)
 		}
 	}
 }

@@ -110,7 +110,6 @@ func (a *SwitchAgent) Rates() map[string]float64 {
 }
 
 func (a *SwitchAgent) handle(req *Request) *Response {
-	start := time.Now()
 	// Epoch fence: a fenced request (Gen > 0) from a generation older than
 	// one already seen comes from a dead controller incarnation — a delayed
 	// duplicate or a zombie that lost the state-directory lock — and must
@@ -187,6 +186,5 @@ func (a *SwitchAgent) handle(req *Request) *Response {
 	default:
 		return &Response{Err: fmt.Sprintf("unknown message %q", req.Type)}
 	}
-	resp.TookMS = float64(time.Since(start)) / float64(time.Millisecond)
 	return resp
 }

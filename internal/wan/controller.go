@@ -28,12 +28,6 @@ var ErrControllerHalted = errors.New("wan: controller halted")
 // trouble.
 var ErrStale = errors.New("wan: fenced by a newer controller generation")
 
-// ErrRetryBudget marks an RPC abandoned because the reaction round's retry
-// budget (BeginRound) ran out: sleeping through another backoff would
-// overrun the TE period, so the ladder must engage now instead of after the
-// deadline has already passed.
-var ErrRetryBudget = errors.New("wan: retry budget exhausted")
-
 // RetryPolicy bounds the controller's per-RPC retry loop: up to MaxAttempts
 // tries per request, waiting a capped exponential backoff between attempts.
 // Jitter is the fraction of each backoff randomized away (0 = fixed waits,
@@ -50,25 +44,6 @@ type RetryPolicy struct {
 // attempts, 5 ms initial backoff doubling to a 200 ms cap, half jittered.
 func DefaultRetryPolicy() RetryPolicy {
 	return RetryPolicy{MaxAttempts: 4, BaseBackoff: 5 * time.Millisecond, MaxBackoff: 200 * time.Millisecond, Jitter: 0.5}
-}
-
-// solvePeriodFraction is the share of one TE period the controller hands
-// the optimizer as its wall-clock ceiling. The remainder covers tunnel
-// installation (the Fig 11a-dominant stage), the rate push with its retry
-// budget, and slack for the next detection.
-const solvePeriodFraction = 0.5
-
-// SolveDeadline derives the TE solve's wall-clock ceiling from the TE
-// period: the period is a hard deadline for the whole reaction round, so
-// the anytime solve gets solvePeriodFraction of it and the rest is reserved
-// for installing whatever plan the solve returns. A nonpositive period
-// means no deadline (0) — deterministic runs bound the solve with work
-// units instead (core.Optimizer.BudgetUnits).
-func SolveDeadline(period time.Duration) time.Duration {
-	if period <= 0 {
-		return 0
-	}
-	return time.Duration(solvePeriodFraction * float64(period))
 }
 
 // backoff returns the wait before retry number retry (1-based).
@@ -120,10 +95,6 @@ type Controller struct {
 	// seeded chaos runs can be diffed for bit-identical replay.
 	Log *EventLog
 
-	// StateCompactEvery overrides the journal compaction cadence used by
-	// OpenState (0 = persist's default).
-	StateCompactEvery int
-
 	// LeaderID, when non-empty, names this controller incarnation in every
 	// fenced RPC (Request.Leader). Cross-site promotion sets it so agents can
 	// tie-break two claimants that fenced to the same generation; set it
@@ -133,7 +104,6 @@ type Controller struct {
 	rng *stats.RNG // backoff jitter stream
 
 	mu        sync.Mutex
-	deadline  time.Time             // current round's retry-budget deadline (zero = none)
 	lastRates *rateTable            // last table pushed fleet-wide without error
 	acks      map[string]*rateTable // per agent: the table it last acknowledged (absent = unknown)
 	store     *persist.Store        // nil unless OpenState attached one
@@ -178,31 +148,6 @@ func NewControllerTransport(tr Transport, agents map[string]string) (*Controller
 		c.conns[name] = cn
 	}
 	return c, nil
-}
-
-// BeginRound bounds the cumulative retry+backoff time of the reaction round
-// starting now: once budget has elapsed, in-flight RPCs stop sleeping
-// through further backoffs and fail with ErrRetryBudget so the degradation
-// ladder engages before the TE period is already blown. A nonpositive
-// budget clears the bound (the default — per-RPC MaxAttempts alone, which
-// keeps deterministic replay runs byte-identical). The bound is checked
-// before each backoff sleep, so a single RPC attempt can still run to its
-// own Timeout.
-func (c *Controller) BeginRound(budget time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if budget <= 0 {
-		c.deadline = time.Time{}
-		return
-	}
-	c.deadline = time.Now().Add(budget)
-}
-
-// roundDeadline returns the current round's retry-budget deadline.
-func (c *Controller) roundDeadline() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.deadline
 }
 
 // Close tears down all connections and releases the state store (and with
@@ -341,14 +286,7 @@ func (c *Controller) rpc(name string, cn Conn, req *Request) (resp *Response, er
 		}
 		c.Metrics.Counter("wan.rpc.retries").Inc()
 		c.Log.Addf("rpc %s %s retry attempt=%d", name, req.Type, attempt)
-		// The jitter draw happens unconditionally so the seeded stream
-		// advances identically whether or not a budget is set.
 		wait := pol.backoff(attempt, c.rng)
-		if dl := c.roundDeadline(); !dl.IsZero() && time.Now().Add(wait).After(dl) {
-			c.Metrics.Counter("wan.rpc.budget_giveups").Inc()
-			c.Log.Addf("rpc %s %s budget giveup attempt=%d", name, req.Type, attempt)
-			return nil, fmt.Errorf("wan: %s %s after %d attempts: %w", name, req.Type, attempt, ErrRetryBudget)
-		}
 		bt := c.Metrics.Timer("wan.rpc.backoff")
 		bstart := bt.Start()
 		time.Sleep(wait)

@@ -103,9 +103,6 @@ type SiteOptions struct {
 	// RetainRecords caps the leader-side replication buffer (see
 	// persist.ReplicatorOptions); <= 0 selects persist's default.
 	RetainRecords int
-	// CompactEvery is each site store's compaction cadence (0 = persist's
-	// default).
-	CompactEvery int
 	// Transport is what a promoted site dials the switch agents through;
 	// nil selects TCPTransport.
 	Transport Transport
@@ -116,10 +113,9 @@ type SiteOptions struct {
 	// Heartbeat supplies the per-site lease transport, dialed under
 	// "lease/<id>"; nil selects TCPTransport.
 	Heartbeat func(id int) Transport
-	// Timeout and Retry tune the promoted controller's RPCs (zero values
-	// keep the wan defaults).
-	Timeout time.Duration
-	Retry   RetryPolicy
+	// Retry tunes the promoted controller's RPCs (a zero value keeps the
+	// wan default).
+	Retry RetryPolicy
 	// Metrics receives the wan.georep.* series plus the persist.repl.*
 	// series of the underlying replicator and appliers.
 	Metrics *obs.Registry
@@ -254,10 +250,7 @@ func NewSiteSet(leaderDir, sitesRoot, leaseAddr string, agents map[string]string
 
 func (ss *SiteSet) addSite(id int, sitesRoot, leaseAddr string) error {
 	s := &site{id: id, dir: filepath.Join(sitesRoot, fmt.Sprintf("site-%d", id))}
-	st, err := persist.Open(s.dir, persist.Options{
-		CompactEvery: ss.opt.CompactEvery,
-		Metrics:      ss.opt.Metrics,
-	})
+	st, err := persist.Open(s.dir, persist.Options{Metrics: ss.opt.Metrics})
 	if err != nil {
 		return fmt.Errorf("wan: site %d: open: %w", id, err)
 	}
@@ -439,11 +432,11 @@ func (ss *SiteSet) Tick() (*SitePromotion, error) {
 			ss.opt.Metrics.Counter("wan.georep.ship_errors").Inc()
 			ss.opt.Log.Addf("repl tick error")
 		}
-		if dead := ss.repl.Stats().TailDeadFiles; dead > ss.deadFilesSeen() {
-			// Satellite of persist.TailStats: the leader's own directory has
-			// files the tailer abandoned — alarm instead of shipping a silent
+		if dead := ss.repl.Stats().TailDeadFiles; dead > ss.swapDeadFiles(dead) {
+			// The leader's own directory has more files without a valid
+			// magic than at the last scan: those files hold nothing recovery
+			// or shipping can read, so alarm instead of shipping a silent
 			// stale prefix forever.
-			ss.setDeadFilesSeen(dead)
 			ss.opt.Metrics.Counter("wan.georep.dead_file_alarms").Inc()
 			ss.opt.Log.Addf("repl dead files n=%d", dead)
 		}
@@ -464,16 +457,14 @@ func (ss *SiteSet) Tick() (*SitePromotion, error) {
 	return nil, nil
 }
 
-func (ss *SiteSet) deadFilesSeen() int64 {
+// swapDeadFiles records the latest scan's dead-file count and returns the
+// previous one.
+func (ss *SiteSet) swapDeadFiles(n int64) int64 {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
-	return ss.lastDead
-}
-
-func (ss *SiteSet) setDeadFilesSeen(n int64) {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
+	prev := ss.lastDead
 	ss.lastDead = n
+	return prev
 }
 
 // heartbeatSite runs one lease renewal probe for site s.
@@ -550,11 +541,7 @@ func (ss *SiteSet) Promote(id int) (*SitePromotion, error) {
 	}
 	ctl.Metrics = ss.opt.Metrics
 	ctl.Log = ss.opt.Log
-	ctl.StateCompactEvery = ss.opt.CompactEvery
 	ctl.LeaderID = fmt.Sprintf("site-%d", id)
-	if ss.opt.Timeout > 0 {
-		ctl.Timeout = ss.opt.Timeout
-	}
 	if ss.opt.Retry.MaxAttempts > 0 {
 		ctl.Retry = ss.opt.Retry
 	}
@@ -647,10 +634,7 @@ func (ss *SiteSet) stepDown(s *site, ctl *Controller, phase string) error {
 // rejoinStandby re-opens a site's directory for standby duty after a failed
 // promotion, re-attaching the apply path so replication resumes.
 func (ss *SiteSet) rejoinStandby(s *site) {
-	st, err := persist.Open(s.dir, persist.Options{
-		CompactEvery: ss.opt.CompactEvery,
-		Metrics:      ss.opt.Metrics,
-	})
+	st, err := persist.Open(s.dir, persist.Options{Metrics: ss.opt.Metrics})
 	if err != nil {
 		ss.opt.Metrics.Counter("wan.georep.rejoin_errors").Inc()
 		ss.opt.Log.Addf("site %d rejoin failed", s.id)

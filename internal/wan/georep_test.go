@@ -107,6 +107,71 @@ func TestSiteSetShipsAndMirrors(t *testing.T) {
 	}
 }
 
+// TestSiteSetDeadFileAlarm: a leader file whose magic is wiped holds nothing
+// recovery or shipping can read, so the next tick raises the dead-file alarm
+// — once, not again on the following tick while the count stays put.
+func TestSiteSetDeadFileAlarm(t *testing.T) {
+	checkGoroutineLeaks(t)
+	dir := t.TempDir()
+	tb := newStateTestbed(t)
+	if _, err := tb.OpenState(dir); err != nil {
+		t.Fatal(err)
+	}
+	lease, err := NewLeaseServer(tb.Ctl.Generation)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { lease.Close() })
+	ss, err := NewSiteSet(dir, t.TempDir(), lease.Addr(), tb.AgentAddrs(), SiteOptions{
+		Sites:   1,
+		Metrics: obs.NewRegistry(),
+		Log:     NewEventLog(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ss.Close() })
+
+	if _, err := tb.RunScenario(7); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ss.Tick(); err != nil {
+		t.Fatal(err)
+	}
+	journals, err := filepath.Glob(filepath.Join(dir, "journal-*"))
+	if err != nil || len(journals) != 1 {
+		t.Fatalf("leader journals = %v (err %v), want one", journals, err)
+	}
+	b, err := os.ReadFile(journals[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(b, make([]byte, 8)) // wipe the magic
+	if err := os.WriteFile(journals[0], b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := ss.Tick(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if v := ss.opt.Metrics.Counter("wan.georep.dead_file_alarms").Value(); v != 1 {
+		t.Errorf("wan.georep.dead_file_alarms = %d, want 1", v)
+	}
+	logged := 0
+	for _, ev := range ss.opt.Log.Events() {
+		if ev == "repl dead files n=1" {
+			logged++
+		}
+	}
+	if logged != 1 {
+		t.Errorf("logged %q %d times, want once", "repl dead files n=1", logged)
+	}
+	if got := ss.ReplStats().TailDeadFiles; got != 1 {
+		t.Errorf("TailDeadFiles = %d, want 1", got)
+	}
+}
+
 // TestSiteServerProtocol pins the replication wire contract between the
 // sitePipe shipper and a SiteServer: ack, re-sync, and refusal responses
 // map onto the persist.Pipe result exactly, the snapshot flag survives the
@@ -511,47 +576,6 @@ func TestSiteFailoverPromotesWarm(t *testing.T) {
 	}
 	if v := m.Counter("wan.failover.mirror_match").Value(); v != 1 {
 		t.Errorf("wan.failover.mirror_match = %d, want 1", v)
-	}
-}
-
-// TestRetryBudgetBoundsRound: with a round budget armed via BeginRound, a
-// controller facing a dead agent stops retrying once the next backoff
-// would overrun the budget, failing typed with ErrRetryBudget — while the
-// same fleet state without a budget runs the full retry ladder to a plain
-// giveup.
-func TestRetryBudgetBoundsRound(t *testing.T) {
-	checkGoroutineLeaks(t)
-	a := newTestAgent(t, "s1", fastSwitch())
-	ctl := newTestController(t, map[string]string{"s1": a.Addr()})
-	ctl.Metrics = obs.NewRegistry()
-	ctl.Retry = RetryPolicy{MaxAttempts: 8, BaseBackoff: 20 * time.Millisecond, MaxBackoff: 80 * time.Millisecond, Jitter: 0.5}
-	if err := ctl.Ping(); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Budgeted round: the first backoff already overruns 1 ms of remaining
-	// budget, so the round gives up typed long before 8 attempts elapse.
-	ctl.BeginRound(time.Millisecond)
-	start := time.Now()
-	err := ctl.Ping()
-	if !errors.Is(err, ErrRetryBudget) {
-		t.Fatalf("budgeted ping against a dead agent: err = %v, want ErrRetryBudget", err)
-	}
-	if took := time.Since(start); took > 5*time.Second {
-		t.Errorf("budgeted round ran %v — budget did not bound retries", took)
-	}
-	if v := ctl.Metrics.Counter("wan.rpc.budget_giveups").Value(); v < 1 {
-		t.Errorf("wan.rpc.budget_giveups = %d, want >= 1", v)
-	}
-
-	// Budget cleared: the same failure runs the full ladder to a plain
-	// giveup, not a budget error.
-	ctl.BeginRound(0)
-	if err := ctl.Ping(); err == nil || errors.Is(err, ErrRetryBudget) {
-		t.Fatalf("unbudgeted ping: err = %v, want a plain giveup", err)
 	}
 }
 

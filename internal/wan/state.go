@@ -111,11 +111,7 @@ func (c *Controller) openState(dir string, minGen uint64) (*Recovery, error) {
 		return nil, fmt.Errorf("wan: controller state already open")
 	}
 	c.mu.Unlock()
-	st, err := persist.Open(dir, persist.Options{
-		CompactEvery:  c.StateCompactEvery,
-		Metrics:       c.Metrics,
-		MinGeneration: minGen,
-	})
+	st, err := persist.Open(dir, persist.Options{Metrics: c.Metrics, MinGeneration: minGen})
 	if err != nil {
 		return nil, err
 	}

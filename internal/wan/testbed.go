@@ -56,18 +56,13 @@ type Testbed struct {
 	Agents  []*SwitchAgent
 	Ctl     *Controller
 	Predict Predictor
-	// TEPeriod, when positive, makes the TE period a hard deadline: the
-	// solve stage receives SolveDeadline(TEPeriod) as its wall-clock
-	// ceiling, so the round always has a plan to install before the next
-	// period starts. 0 leaves the solve wall-clock-unbounded.
-	TEPeriod time.Duration
 	// SolveUnits caps the deterministic work of each TE solve
-	// (core.Optimizer.BudgetUnits); 0 is unlimited. Unlike TEPeriod, unit
-	// budgets keep seeded chaos runs bit-identical.
+	// (core.Optimizer.BudgetUnits); 0 is unlimited. Unlike SolveTimeout,
+	// unit budgets keep seeded chaos runs bit-identical.
 	SolveUnits int64
 	// SolveTimeout, when positive, is an explicit wall-clock ceiling for the
-	// TE solve (the -budget UNITS:TIMEOUT CLI form). It overrides the
-	// TEPeriod derivation.
+	// TE solve (the -budget UNITS:TIMEOUT CLI form); 0 leaves the solve
+	// wall-clock-unbounded.
 	SolveTimeout time.Duration
 	// Classes, when non-nil and enabled (multi-tier), switches the reaction
 	// round onto the class-aware ladder: a strict-priority classed solve
@@ -90,21 +85,12 @@ type Testbed struct {
 	adm *Admission
 }
 
-// solveDeadline resolves the round's wall-clock solve ceiling: an explicit
-// SolveTimeout wins, otherwise it derives from the TE period.
-func (tb *Testbed) solveDeadline() time.Duration {
-	if tb.SolveTimeout > 0 {
-		return tb.SolveTimeout
-	}
-	return SolveDeadline(tb.TEPeriod)
-}
-
 // tune refreshes the loop's class spec and its optimizer's budget knobs
 // and metrics, which the caller may have changed between rounds.
 func (tb *Testbed) tune() {
 	tb.loop.Classes = tb.Classes
 	tb.opt.BudgetUnits = tb.SolveUnits
-	tb.opt.SolveTimeout = tb.solveDeadline()
+	tb.opt.SolveTimeout = tb.SolveTimeout
 	tb.opt.Metrics = tb.Ctl.Metrics
 }
 
@@ -302,13 +288,6 @@ func (tb *Testbed) RunScenarioStream(seed uint64, ratePerTick int) (*PipelineTim
 // rate-less).
 func (tb *Testbed) react(fiber topology.FiberID, ev telemetry.Event) (*PipelineTiming, error) {
 	var timing PipelineTiming
-	if tb.TEPeriod > 0 {
-		// The TE period bounds the whole reaction, retries included: an RPC
-		// that would still be backing off when the next epoch is due gives
-		// up instead of eating into it (see Controller.BeginRound).
-		tb.Ctl.BeginRound(tb.TEPeriod)
-		defer tb.Ctl.BeginRound(0)
-	}
 	tb.tune()
 	// Model inference ("only takes several milliseconds", §5).
 	t0 := time.Now()
@@ -551,7 +530,6 @@ func (tb *Testbed) RestartController(tr Transport) error {
 		ctl.Retry = old.Retry
 		ctl.Metrics = old.Metrics
 		ctl.Log = old.Log
-		ctl.StateCompactEvery = old.StateCompactEvery
 	}
 	tb.Ctl = ctl
 	// A real restart loses the loop's in-memory state too — signals,

@@ -32,10 +32,6 @@ type Config struct {
 	// Flows overrides the planned flow set; when nil, one flow per
 	// directed IP adjacency is used (the Table 3 convention).
 	Flows []Flow
-	// Parallelism bounds the worker count of the optimizer's class
-	// construction: <= 0 selects runtime.GOMAXPROCS(0), 1 forces the serial
-	// path. Plans are bit-identical at every setting (see internal/par).
-	Parallelism int
 	// Metrics, when non-nil, receives the system's observability series:
 	// ingest.* and telemetry.* from the pipeline behind Observe,
 	// core.epoch.* stage timings, and core.benders.* / core.lp.* from the
@@ -110,7 +106,6 @@ func NewSystem(net *Network, cfg Config) (*System, error) {
 	engine.Alpha = cfg.Alpha
 	engine.TunnelRatio = cfg.TunnelRatio
 	engine.ScenarioOpts = cfg.Scenario
-	engine.Opt.Parallelism = cfg.Parallelism
 	engine.Opt.Metrics = cfg.Metrics
 	icfg := ingest.DefaultConfig()
 	icfg.ConfirmSamples = cfg.ConfirmSamples
