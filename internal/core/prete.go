@@ -30,7 +30,6 @@ type PreTE struct {
 	TunnelRatio float64
 	// ScenarioOpts bounds failure-scenario enumeration.
 	ScenarioOpts scenario.Options
-	label        string
 }
 
 // New returns PreTE with the paper's defaults.
@@ -40,17 +39,7 @@ func New() *PreTE {
 		Alpha:        0.25,
 		TunnelRatio:  1,
 		ScenarioOpts: scenario.DefaultOptions(),
-		label:        "PreTE",
 	}
-}
-
-// NewNaive returns PreTE-naive (§6.4): degradation-calibrated probabilities
-// but no reactive tunnel establishment.
-func NewNaive() *PreTE {
-	p := New()
-	p.TunnelRatio = 0
-	p.label = "PreTE-naive"
-	return p
 }
 
 // NewTeaVar returns the TeaVaR-style static probabilistic scheme: alpha = 0
@@ -59,26 +48,7 @@ func NewTeaVar() *PreTE {
 	p := New()
 	p.Alpha = 0
 	p.TunnelRatio = 0
-	p.label = "TeaVar"
 	return p
-}
-
-// Name implements te.Scheme.
-func (p *PreTE) Name() string {
-	if p.label == "" {
-		return "PreTE"
-	}
-	return p.label
-}
-
-// Plan implements te.Scheme for a pre-built input whose scenario
-// probabilities are already calibrated; PlanEpoch is the full pipeline.
-func (p *PreTE) Plan(in *te.Input) (*te.Plan, error) {
-	res, err := p.Opt.Solve(in)
-	if err != nil {
-		return nil, err
-	}
-	return &te.Plan{Alloc: res.Alloc, MaxLoss: res.Phi, Tunnels: in.Tunnels}, nil
 }
 
 // EpochInput is the raw state of one TE period before calibration.

@@ -37,7 +37,6 @@ type Budget struct {
 	remaining atomic.Int64
 	spent     atomic.Int64
 	deadline  time.Time
-	expired   atomic.Bool
 }
 
 // NewBudget returns a budget of the given deterministic work units.
@@ -76,29 +75,9 @@ func (b *Budget) Spend(n int64) bool {
 	}
 	b.spent.Add(n)
 	if b.limited && b.remaining.Add(-n) < 0 {
-		b.expired.Store(true)
 		return false
 	}
-	if !b.deadline.IsZero() && time.Now().After(b.deadline) {
-		b.expired.Store(true)
-		return false
-	}
-	return !b.expired.Load()
-}
-
-// Exhausted reports whether a Spend has failed (without consuming anything).
-func (b *Budget) Exhausted() bool {
-	if b == nil {
-		return false
-	}
-	if b.expired.Load() {
-		return true
-	}
-	if !b.deadline.IsZero() && time.Now().After(b.deadline) {
-		b.expired.Store(true)
-		return true
-	}
-	return false
+	return b.deadline.IsZero() || !time.Now().After(b.deadline)
 }
 
 // Spent returns the total work units consumed so far.

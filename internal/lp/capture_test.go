@@ -87,13 +87,14 @@ func TestCertifyCoreLPs(t *testing.T) {
 // this.
 func TestCoreLPsUnchanged(t *testing.T) {
 	b4 := stormInput(t, "B4")
-	plan := func(s te.Scheme) func() {
+	plan := func(build func(*te.Input) (*te.Plan, error)) func() {
 		return func() {
-			if _, err := s.Plan(b4); err != nil {
+			if _, err := build(b4); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
+	minMaxLoss := func(in *te.Input) (*te.Plan, error) { return te.MinMaxLossPlan(in, nil) }
 	// Four B4 flows under few scenarios stay below core's exact-master limit,
 	// so this case walks the MIP master, several Benders rounds and
 	// SolveExact's monolithic MIP, none of which the storm solves reach.
@@ -116,8 +117,8 @@ func TestCoreLPsUnchanged(t *testing.T) {
 				t.Fatal(err)
 			}
 		}, 19, 0x2e5327f6f8ccd276},
-		{"B4 MinMaxLossPlan", plan(te.Flexile{}), 1, 0xed4c2b4b352b6abd},
-		{"B4 FFC-1", plan(te.FFC{K: 1}), 1, 0x9aa7086efeacf2d2},
+		{"B4 MinMaxLossPlan", plan(minMaxLoss), 1, 0xed4c2b4b352b6abd},
+		{"B4 FFC-1", plan(te.FFC{K: 1}.Plan), 1, 0x9aa7086efeacf2d2},
 	} {
 		problems, _ := lp.CaptureSolves(tc.solve)
 		h := fnv.New64a()

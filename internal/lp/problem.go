@@ -103,11 +103,6 @@ func (p *Problem) NumVars() int { return p.numVars }
 // NumConstraints returns the number of constraints added so far.
 func (p *Problem) NumConstraints() int { return len(p.constraints) }
 
-// SetObjective overwrites the objective coefficient of a variable.
-func (p *Problem) SetObjective(v int, coeff float64) {
-	p.objective[v] = coeff
-}
-
 // AddConstraint appends a constraint and returns its row index. Terms with
 // repeated variable indices are summed and zero coefficients dropped, in
 // place: the Problem takes ownership of terms.

@@ -1,9 +1,10 @@
 // Package par is the concurrency layer of the repository: a bounded worker
 // pool with deterministic, index-ordered fan-out/merge semantics. Every hot
-// path that parallelizes — failure-equivalence-class construction and
-// structural-cut seeding in internal/core, and the degradation-scenario and
-// (scheme, scale) sweeps in internal/sim and internal/experiments — goes
-// through this package, so the determinism argument lives in one place.
+// path that parallelizes — failure-equivalence-class construction in
+// internal/core (structural-cut seeding and the solves stay serial), and
+// the degradation-scenario and (scheme, scale) sweeps in internal/sim and
+// internal/experiments — goes through this package, so the determinism
+// argument lives in one place.
 // (Telemetry ingest, internal/ingest, is deliberately serial: a B4 tick is
 // 19 samples, far below the scale where a fan-out pays for its handoffs.)
 // The rules:
@@ -21,7 +22,7 @@
 // every parallelism level, including 1 — which is exactly what the
 // equivalence tests in core and sim assert.
 //
-// The parallelism knobs on core.Optimizer, sim.Config, prete.Config, and
+// The parallelism knobs on core.Optimizer, sim.Config and
 // experiments.Options all funnel into Limit: values <= 0 select
 // runtime.GOMAXPROCS(0) (the default everywhere), 1 forces the serial path,
 // and larger values bound the worker count.

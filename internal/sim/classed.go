@@ -5,8 +5,6 @@ import (
 	"sort"
 
 	"prete/internal/core"
-	"prete/internal/routing"
-	"prete/internal/scenario"
 	"prete/internal/te"
 	"prete/internal/topology"
 )
@@ -40,49 +38,22 @@ func (e *Env) StormFibers(k int) []int {
 	return out
 }
 
-// stormProbs is the truth distribution conditioned on a degradation storm:
-// every storm fiber fails with PCutGivenDeg, every other fiber with the
-// Theorem 4.1 residual probability.
-func (ev *Evaluator) stormProbs(storm []int) []float64 {
-	probs := make([]float64, len(ev.Env.PI))
-	for i, p := range ev.Env.PI {
-		probs[i] = (1 - ev.Cfg.Alpha) * p
-	}
-	for _, f := range storm {
-		probs[f] = ev.Cfg.PCutGivenDeg
-	}
-	return probs
-}
-
-// stormSignals is the degradation-signal set a predictor-driven scheme
-// sees during the storm: one signal per storm fiber at the predictor's
-// conditional-failure output.
-func (ev *Evaluator) stormSignals(storm []int) []core.DegradationSignal {
-	sigs := make([]core.DegradationSignal, len(storm))
-	for i, f := range storm {
-		sigs[i] = core.DegradationSignal{Fiber: topology.FiberID(f), PNN: ev.Quality.clampPHat(ev.Quality.PHatFail)}
-	}
-	return sigs
-}
-
 // EvaluateStormUniform measures a uniform (classless) scheme's availability
 // conditioned on a degradation storm: the scheme plans one epoch with the
 // storm's signals (ignored by TeaVar), and the plan is integrated over the
-// storm-conditioned failure distribution. Scheme names: PreTE, TeaVar. An
-// empty storm is a quiet epoch.
+// storm-conditioned failure distribution. Scheme names: PreTE, PreTE-naive,
+// TeaVar. An empty storm is a quiet epoch.
 func (ev *Evaluator) EvaluateStormUniform(schemeName string, scale float64, storm []int) (Availability, error) {
+	s, err := coreScheme(schemeName)
+	if err != nil {
+		return Availability{}, err
+	}
 	demands := ev.Env.BaseDemands.Scale(scale)
-	ep, err := ev.stormPlan(schemeName, demands, storm, nil)
+	ep, err := ev.stormPlan(s, demands, storm, nil)
 	if err != nil {
 		return Availability{}, err
 	}
-	perFlow, err := ev.stormIntegrate(storm, func(f routing.FlowID, cut map[topology.FiberID]bool) bool {
-		return te.Satisfied(ep.Plan, f, demands[f], cut)
-	})
-	if err != nil {
-		return Availability{}, err
-	}
-	return summarize(perFlow), nil
+	return ev.integrateStorm(storm, ev.creditFor(instant, ep.Plan, demands, demands))
 }
 
 // EvaluateStormClassed measures PreTE with per-class demands under a
@@ -96,68 +67,47 @@ func (ev *Evaluator) EvaluateStormClassed(scale float64, storm []int, spec *te.C
 	if !spec.Enabled() {
 		return ClassedAvailability{}, nil, fmt.Errorf("sim: classed storm evaluation needs a multi-tier class spec")
 	}
-	ep, err := ev.stormPlan("PreTE", ev.Env.BaseDemands.Scale(scale), storm, spec)
+	demands := ev.Env.BaseDemands.Scale(scale)
+	ep, err := ev.stormPlan(schemeTable["PreTE"], demands, storm, spec)
 	if err != nil {
 		return ClassedAvailability{}, nil, err
 	}
 	out := ClassedAvailability{}
 	for _, tier := range ep.Classed.Tiers {
 		plan := &te.Plan{Alloc: tier.Res.Alloc, MaxLoss: tier.Res.Phi, Tunnels: ep.Plan.Tunnels}
-		split := tier.Demands
-		perFlow, err := ev.stormIntegrate(storm, func(f routing.FlowID, cut map[topology.FiberID]bool) bool {
-			return te.Satisfied(plan, f, split[f], cut)
-		})
+		a, err := ev.integrateStorm(storm, ev.creditFor(instant, plan, demands, tier.Demands))
 		if err != nil {
 			return ClassedAvailability{}, nil, err
 		}
 		out.Tiers = append(out.Tiers, tier.Name)
-		out.PerTier = append(out.PerTier, summarize(perFlow))
+		out.PerTier = append(out.PerTier, a)
 	}
 	return out, ep, nil
 }
 
-// stormPlan computes one epoch plan under the storm's signals with the
-// named scheme (PreTE or TeaVar), classed when spec has more than one tier.
-func (ev *Evaluator) stormPlan(schemeName string, demands te.Demands, storm []int, spec *te.ClassSpec) (*core.EpochPlan, error) {
-	var p *core.PreTE
-	switch schemeName {
-	case "PreTE":
-		p = core.New()
-		p.Alpha = ev.Cfg.Alpha
-	case "TeaVar":
-		p = core.NewTeaVar()
-	default:
-		return nil, fmt.Errorf("sim: unknown storm scheme %q (want PreTE or TeaVar)", schemeName)
+// stormPlan computes one epoch plan under the storm's signals with scheme
+// s, classed when spec has more than one tier. The degradation-signal set
+// a predictor-driven scheme sees during the storm is one signal per storm
+// fiber at the predictor's conditional-failure output.
+func (ev *Evaluator) stormPlan(s scheme, demands te.Demands, storm []int, spec *te.ClassSpec) (*core.EpochPlan, error) {
+	in := ev.epochInput(demands, nil)
+	for _, f := range storm {
+		in.Signals = append(in.Signals, core.DegradationSignal{Fiber: topology.FiberID(f), PNN: ev.Quality.clampPHat(ev.Quality.PHatFail)})
 	}
-	p.ScenarioOpts = ev.Cfg.ScenarioOpts
-	p.Opt.Metrics = ev.Cfg.Metrics
-	p.Opt.BudgetUnits = ev.Cfg.SolveBudget
-	p.Opt.Parallelism = ev.Cfg.Parallelism
-	return p.PlanEpoch(core.EpochInput{
-		Net: ev.Env.Net, Tunnels: ev.Env.Tunnels, Demands: demands,
-		Beta: ev.Cfg.Beta, PI: ev.Env.PI,
-		Signals: ev.stormSignals(storm),
-		Classes: spec,
-	})
+	in.Classes = spec
+	return ev.planner(s, ev.Cfg.Parallelism).PlanEpoch(in)
 }
 
-// stormIntegrate integrates a per-flow satisfaction predicate over the
-// storm-conditioned failure distribution, returning the per-flow
-// availability vector. The un-enumerated failure tail counts as loss, as
-// in the main evaluation loop.
-func (ev *Evaluator) stormIntegrate(storm []int, ok func(f routing.FlowID, cut map[topology.FiberID]bool) bool) ([]float64, error) {
-	fs, err := ev.enumerate(ev.stormProbs(storm))
-	if err != nil {
-		return nil, err
+// integrateStorm integrates a credit over the truth distribution
+// conditioned on a degradation storm — every storm fiber fails with
+// PCutGivenDeg, every other fiber with the Theorem 4.1 residual
+// probability — as one degradation scenario of weight 1.
+func (ev *Evaluator) integrateStorm(storm []int, c credit) (Availability, error) {
+	probs := ev.Env.TruthProbs(ev.Cfg, -1)
+	for _, f := range storm {
+		probs[f] = ev.Cfg.PCutGivenDeg
 	}
-	ev.metrics().scenarios.Add(int64(len(fs.Scenarios)))
-	return integrateScenarios(fs, len(ev.Env.Tunnels.Flows), func(q scenario.Scenario, row []float64) error {
-		cut := q.CutSet()
-		for fi := range row {
-			if ok(routing.FlowID(fi), cut) {
-				row[fi] += q.Prob
-			}
-		}
-		return nil
+	return ev.integrate(1, func(int) ([]world, error) {
+		return []world{{1, probs, c}}, nil
 	})
 }

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -49,10 +51,8 @@ type Evaluator struct {
 	// post-failure plans. Cache values are pure functions of their keys
 	// (the LP solver is deterministic), so a racing duplicate computation
 	// produces the same plan and determinism is unaffected.
-	mu             sync.Mutex
-	recomputeCache map[string]*te.Plan // Flexile post-failure plans
-	oracleCache    map[string]*te.Plan // oracle per-cut plans
-	restoreCache   map[string]*te.Plan // ARROW post-restoration plans
+	mu    sync.Mutex
+	plans map[planKey]*te.Plan // per-cut plans: ARROW's, Flexile's and the oracle's
 	// enumCache memoizes scenario enumeration by input fingerprint
 	// (probability vector + Cfg.ScenarioOpts). Enumerate is a pure
 	// deterministic function of exactly those inputs, so the cached set is
@@ -68,10 +68,103 @@ type Evaluator struct {
 func NewEvaluator(env *Env, cfg Config) *Evaluator {
 	return &Evaluator{
 		Env: env, Cfg: cfg, Quality: NNQuality(),
-		recomputeCache: make(map[string]*te.Plan),
-		oracleCache:    make(map[string]*te.Plan),
-		restoreCache:   make(map[string]*te.Plan),
-		enumCache:      make(map[scenario.Fingerprint]*scenario.Set),
+		plans:     make(map[planKey]*te.Plan),
+		enumCache: make(map[scenario.Fingerprint]*scenario.Set),
+	}
+}
+
+// reaction is how a scheme's delivery responds to the failures of its
+// epoch (Table 9).
+type reaction int
+
+const (
+	// instant is proactive rate adaptation: the epoch's plan carries the
+	// flow through the cut, or nothing does.
+	instant reaction = iota
+	// restore is ARROW [41]: optical restoration rebuilds part of the cut
+	// capacity, and a flow the restored network can carry is whole again
+	// after ARROWRestorationS.
+	restore
+	// recompute is Flexile [21]: affected flows run on the stale plan
+	// until a centralized recomputation installs the post-failure optimum,
+	// FlexileConvergenceS later; a flow that plan can carry is whole again.
+	recompute
+	// perCut is the oracle: ahead of each cut it switches to that cut's
+	// optimal plan.
+	perCut
+	// predicted is PreTE: a degradation splits into the world where the
+	// episode cuts its fiber and the one where it does not, each planned
+	// from the predictor's output in that world and served instantly.
+	predicted
+)
+
+// scheme is one §6 scheme: how it plans and how it reacts to a cut.
+type scheme struct {
+	// plan computes a te baseline's one pre-failure plan.
+	plan func(in *te.Input) (*te.Plan, error)
+	// newCore returns the Fig 8 planner of a scheme built on internal/core.
+	newCore func() *core.PreTE
+	react   reaction
+}
+
+// schemeTable maps every scheme name Evaluate accepts to its scheme.
+var schemeTable = map[string]scheme{
+	"ECMP":        {plan: te.ECMP{}.Plan, react: instant},
+	"FFC-1":       {plan: te.FFC{K: 1}.Plan, react: instant},
+	"FFC-2":       {plan: te.FFC{K: 2}.Plan, react: instant},
+	"TeaVar":      {newCore: core.NewTeaVar, react: instant},
+	"ARROW":       {plan: failureOblivious, react: restore},
+	"Flexile":     {plan: failureOblivious, react: recompute},
+	"Oracle":      {react: perCut},
+	"PreTE":       {newCore: withRatio(1), react: predicted},
+	"PreTE-naive": {newCore: withRatio(0), react: predicted},
+}
+
+// failureOblivious is ARROW's and Flexile's pre-failure plan: optimal for
+// the intact network.
+func failureOblivious(in *te.Input) (*te.Plan, error) { return te.MinMaxLossPlan(in, nil) }
+
+// withRatio returns PreTE's planner at a new-tunnel ratio (§6.4): 1 is
+// PreTE, 0 is PreTE-naive.
+func withRatio(ratio float64) func() *core.PreTE {
+	return func() *core.PreTE {
+		p := core.New()
+		p.TunnelRatio = ratio
+		return p
+	}
+}
+
+// coreScheme returns the named scheme if internal/core plans it (PreTE,
+// PreTE-naive, TeaVar): the entry points that run its Fig 8 planner
+// directly accept only those.
+func coreScheme(name string) (scheme, error) {
+	s, ok := schemeTable[name]
+	if !ok || s.newCore == nil {
+		return scheme{}, fmt.Errorf("sim: %q is not a scheme internal/core plans (PreTE, PreTE-naive, TeaVar)", name)
+	}
+	return s, nil
+}
+
+// planner returns scheme s's Fig 8 planner under the evaluation's
+// settings; a predicting scheme calibrates with Cfg.Alpha.
+func (ev *Evaluator) planner(s scheme, parallelism int) *core.PreTE {
+	p := s.newCore()
+	if s.react == predicted {
+		p.Alpha = ev.Cfg.Alpha
+	}
+	p.ScenarioOpts = ev.Cfg.ScenarioOpts
+	p.Opt.Metrics = ev.Cfg.Metrics
+	p.Opt.BudgetUnits = ev.Cfg.SolveBudget
+	p.Opt.Parallelism = parallelism
+	return p
+}
+
+// epochInput is one TE period of the environment at the given demands and
+// degradation signals.
+func (ev *Evaluator) epochInput(demands te.Demands, signals []core.DegradationSignal) core.EpochInput {
+	return core.EpochInput{
+		Net: ev.Env.Net, Tunnels: ev.Env.Tunnels, Demands: demands,
+		Beta: ev.Cfg.Beta, PI: ev.Env.PI, Signals: signals,
 	}
 }
 
@@ -104,24 +197,64 @@ func (ev *Evaluator) enumerate(probs []float64) (*scenario.Set, error) {
 	return set, nil
 }
 
-// integrateScenarios reduces one degradation-scenario task's evaluation
-// matrix: contrib fills row (length nFlows, zeroed) with failure scenario
-// q's per-flow contribution, and the rows are summed in scenario order.
-func integrateScenarios(fs *scenario.Set, nFlows int, contrib func(q scenario.Scenario, row []float64) error) ([]float64, error) {
-	out := make([]float64, nFlows)
-	row := make([]float64, nFlows)
-	for _, q := range fs.Scenarios {
-		for i := range row {
-			row[i] = 0
-		}
-		if err := contrib(q, row); err != nil {
+// A world is one branch of a degradation scenario: its probability
+// weight, the per-fiber failure probabilities the truth cuts with in it,
+// and the scheme's credit under each of its failure scenarios.
+type world struct {
+	weight float64
+	probs  []float64
+	credit credit
+}
+
+// integrate is the §6 availability model, written once: degradation
+// scenario i of n expands into worlds(i), each world's failure scenarios
+// are enumerated through the memo, and flow f earns (weight · q.Prob) ·
+// credit under each. Terms sum per world in scenario order, worlds sum in
+// order into the degradation scenario's partial vector, and the partials
+// merge in scenario order, so the result is bit-identical at every
+// Parallelism. The un-enumerated failure tail counts as loss for every
+// flow.
+func (ev *Evaluator) integrate(n int, worlds func(i int) ([]world, error)) (Availability, error) {
+	m := ev.metrics()
+	nFlows := len(ev.Env.Tunnels.Flows)
+	partials, err := par.MapErr(n, ev.Cfg.Parallelism, func(i int) ([]float64, error) {
+		start := m.evalTime.Start()
+		defer m.evalTime.Stop(start)
+		defer m.degScenarios.Inc()
+		ws, err := worlds(i)
+		if err != nil {
 			return nil, err
 		}
-		for i, v := range row {
-			out[i] += v
+		part := make([]float64, nFlows)
+		sum := make([]float64, nFlows)
+		c := make([]float64, nFlows)
+		for _, w := range ws {
+			fs, err := ev.enumerate(w.probs)
+			if err != nil {
+				return nil, err
+			}
+			m.scenarios.Add(int64(len(fs.Scenarios)))
+			clear(sum)
+			for _, q := range fs.Scenarios {
+				if err := w.credit.fill(q, c); err != nil {
+					return nil, err
+				}
+				for f, v := range c {
+					// The conversion rounds the term before the add, so no
+					// platform fuses the two into one multiply-add.
+					sum[f] += float64(w.weight * q.Prob * v)
+				}
+			}
+			for f, v := range sum {
+				part[f] += v
+			}
 		}
+		return part, nil
+	})
+	if err != nil {
+		return Availability{}, err
 	}
-	return out, nil
+	return summarize(par.SumVectors(partials, nFlows)), nil
 }
 
 // Evaluate measures availability for a named scheme at a demand scale.
@@ -136,65 +269,287 @@ func (ev *Evaluator) Evaluate(schemeName string, scale float64) (Availability, e
 // true demands used to judge satisfaction — the workload-uncertainty knob
 // of Fig 17 (a scheme without demand prediction plans on stale demand).
 func (ev *Evaluator) EvaluateDemands(schemeName string, planned, truth te.Demands) (Availability, error) {
-	switch schemeName {
-	case "ECMP", "FFC-1", "FFC-2", "TeaVar", "ARROW", "Flexile":
-		return ev.evaluateStatic(schemeName, planned, truth)
-	case "Oracle":
-		return ev.evaluateOracle(planned, truth)
-	case "PreTE", "PreTE-naive":
-		ratio := 1.0
-		if schemeName == "PreTE-naive" {
-			ratio = 0
-		}
-		return ev.evaluatePreTE(planned, truth, ratio)
-	default:
+	s, ok := schemeTable[schemeName]
+	if !ok {
 		return Availability{}, fmt.Errorf("sim: unknown scheme %q", schemeName)
 	}
+	return ev.evaluate(s, planned, truth)
 }
 
 // EvaluatePreTERatio evaluates PreTE with an explicit new-tunnel ratio —
 // the §6.4 sensitivity knob of Fig 16.
 func (ev *Evaluator) EvaluatePreTERatio(scale, ratio float64) (Availability, error) {
 	d := ev.Env.BaseDemands.Scale(scale)
-	return ev.evaluatePreTE(d, d, ratio)
+	return ev.evaluate(scheme{newCore: withRatio(ratio), react: predicted}, d, d)
 }
 
-// staticPlan computes the single pre-failure plan of a static scheme.
-func (ev *Evaluator) staticPlan(schemeName string, demands te.Demands) (*te.Plan, error) {
-	set, err := ev.enumerate(scenario.Static(ev.Env.PI))
-	if err != nil {
-		return nil, err
-	}
-	in := &te.Input{
-		Net: ev.Env.Net, Tunnels: ev.Env.Tunnels, Demands: demands,
-		Scenarios: set, Beta: ev.Cfg.Beta,
-	}
-	switch schemeName {
-	case "ECMP":
-		return te.ECMP{}.Plan(in)
-	case "FFC-1":
-		return te.FFC{K: 1}.Plan(in)
-	case "FFC-2":
-		return te.FFC{K: 2}.Plan(in)
-	case "TeaVar":
-		tv := core.NewTeaVar()
-		tv.Opt.Parallelism = ev.Cfg.Parallelism
-		tv.Opt.BudgetUnits = ev.Cfg.SolveBudget
-		tv.Opt.Metrics = ev.Cfg.Metrics
-		ep, err := tv.PlanEpoch(core.EpochInput{
-			Net: ev.Env.Net, Tunnels: ev.Env.Tunnels, Demands: demands,
-			Beta: ev.Cfg.Beta, PI: ev.Env.PI,
+// evaluate integrates scheme s over the degradation scenarios. A scheme
+// that ignores degradation signals plans once, here, before the fan-out;
+// PreTE plans each degradation scenario's worlds inside it.
+func (ev *Evaluator) evaluate(s scheme, planned, truth te.Demands) (Availability, error) {
+	dss := ev.Env.DegScenarios(ev.Cfg)
+	if s.react == predicted {
+		// The fan-out across degradation scenarios owns the worker budget;
+		// the optimizer inside each epoch plan runs serially so the two
+		// levels don't multiply goroutines. (Either choice yields identical
+		// results.)
+		p := ev.planner(s, 1)
+		return ev.integrate(len(dss), func(i int) ([]world, error) {
+			return ev.predict(p, dss[i], planned, truth)
 		})
+	}
+	var plan *te.Plan
+	if s.react != perCut {
+		var err error
+		if plan, err = ev.staticPlan(s, planned); err != nil {
+			return Availability{}, err
+		}
+	}
+	c := ev.creditFor(s.react, plan, planned, truth)
+	return ev.integrate(len(dss), func(i int) ([]world, error) {
+		ds := dss[i]
+		return []world{{ds.Prob, ev.Env.TruthProbs(ev.Cfg, ds.Fiber), c}}, nil
+	})
+}
+
+// staticPlan computes the single pre-failure plan of a scheme that ignores
+// degradation signals.
+func (ev *Evaluator) staticPlan(s scheme, demands te.Demands) (*te.Plan, error) {
+	if s.newCore != nil {
+		// TeaVar's static plan enumerates with core's defaults, not with
+		// Cfg.ScenarioOpts as every other planner here does; aligning the
+		// two moves bench/ref's TeaVar row.
+		p := ev.planner(s, ev.Cfg.Parallelism)
+		p.ScenarioOpts = scenario.DefaultOptions()
+		ep, err := p.PlanEpoch(ev.epochInput(demands, nil))
 		if err != nil {
 			return nil, err
 		}
 		return ep.Plan, nil
-	case "ARROW":
-		return te.ARROW{RestorationS: ev.Cfg.ARROWRestorationS}.Plan(in)
-	case "Flexile":
-		return te.Flexile{ConvergenceS: ev.Cfg.FlexileConvergenceS}.Plan(in)
 	}
-	return nil, fmt.Errorf("sim: not a static scheme: %q", schemeName)
+	set, err := ev.enumerate(scenario.Static(ev.Env.PI))
+	if err != nil {
+		return nil, err
+	}
+	return s.plan(&te.Input{
+		Net: ev.Env.Net, Tunnels: ev.Env.Tunnels, Demands: demands,
+		Scenarios: set, Beta: ev.Cfg.Beta,
+	})
+}
+
+// predict returns PreTE's worlds for degradation scenario ds: the quiet
+// scenario keeps the Theorem 4.1-calibrated plan, and a degraded one splits
+// into the episode-fails and episode-benign worlds, with the predictor's
+// conditional output (the Quality knob) driving the plan in each.
+func (ev *Evaluator) predict(p *core.PreTE, ds DegScenario, planned, truth te.Demands) ([]world, error) {
+	if ds.Fiber < 0 {
+		ep, err := p.PlanEpoch(ev.epochInput(planned, nil))
+		if err != nil {
+			return nil, err
+		}
+		return []world{{ds.Prob, ev.Env.TruthProbs(ev.Cfg, -1), ev.creditFor(instant, ep.Plan, planned, truth)}}, nil
+	}
+	var ws []world
+	for _, branch := range []struct {
+		prob float64
+		pHat float64
+		pCut float64 // the degraded fiber's failure probability in this world
+	}{
+		{ev.Cfg.PCutGivenDeg, ev.Quality.PHatFail, 1},
+		{1 - ev.Cfg.PCutGivenDeg, ev.Quality.PHatOK, 0},
+	} {
+		sig := core.DegradationSignal{Fiber: topology.FiberID(ds.Fiber), PNN: ev.Quality.clampPHat(branch.pHat)}
+		ep, err := p.PlanEpoch(ev.epochInput(planned, []core.DegradationSignal{sig}))
+		if err != nil {
+			return nil, err
+		}
+		probs := ev.Env.TruthProbs(ev.Cfg, ds.Fiber)
+		probs[ds.Fiber] = branch.pCut
+		ws = append(ws, world{ds.Prob * branch.prob, probs, ev.creditFor(instant, ep.Plan, planned, truth)})
+	}
+	return ws, nil
+}
+
+func (q PredictorQuality) clampPHat(v float64) float64 {
+	if v < 0 {
+		return 0
+	}
+	if v > 1 {
+		return 1
+	}
+	return v
+}
+
+// credit judges one plan against the true demands under a reaction.
+// Credit is 0 or 1 except inside ARROW's and Flexile's windows.
+type credit struct {
+	ev    *Evaluator
+	react reaction
+	plan  *te.Plan // the epoch's plan; nil for the oracle, which plans per cut
+	// planned are the demands per-cut plans are computed for; dk is their
+	// plan-cache key, built once per evaluation, not per lookup.
+	planned te.Demands
+	dk      string
+	truth   te.Demands
+}
+
+// creditFor returns reaction r's credit for plan.
+func (ev *Evaluator) creditFor(r reaction, plan *te.Plan, planned, truth te.Demands) credit {
+	k := credit{ev: ev, react: r, plan: plan, planned: planned, truth: truth}
+	if r != instant {
+		k.dk = demandKey(planned)
+	}
+	return k
+}
+
+// fill sets c[f] to the fraction of the epoch during which flow f's full
+// demand is delivered under failure scenario q.
+func (k *credit) fill(q scenario.Scenario, c []float64) error {
+	ev, r := k.ev, k.react
+	cut := q.CutSet()
+	now := k.plan
+	if r == perCut {
+		var err error
+		if now, err = k.cutPlan(q, cut); err != nil {
+			return err
+		}
+	}
+	window := ev.Cfg.FlexileConvergenceS
+	if r == restore {
+		window = ev.Cfg.ARROWRestorationS
+	}
+	var post *te.Plan
+	built := false
+	for f := range c {
+		fid, d := routing.FlowID(f), k.truth[f]
+		c[f] = 0
+		switch {
+		case te.Satisfied(now, fid, d, cut):
+			c[f] = 1
+		case r == restore || r == recompute:
+			if !built {
+				var err error
+				if post, err = k.cutPlan(q, cut); err != nil {
+					return err
+				}
+				built = true
+			}
+			// ARROW's restored links carry traffic again, so its plan is
+			// judged with no cut.
+			under := cut
+			if r == restore {
+				under = nil
+			}
+			if post != nil && te.Satisfied(post, fid, d, under) {
+				c[f] = 1 - window/ev.Cfg.EpochS
+			}
+		}
+	}
+	return nil
+}
+
+// planKey keys a per-cut plan: the reaction that builds it, the cut, and
+// the whole planned demand vector.
+type planKey struct {
+	react   reaction
+	cut     string
+	demands string
+}
+
+// demandKey is the plan-cache key of a demand vector: the bits of every
+// entry.
+func demandKey(d te.Demands) string {
+	b := make([]byte, 0, 8*len(d))
+	for _, v := range d {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	return string(b)
+}
+
+// cutPlan returns (and caches) the plan k's reaction switches to after
+// failure scenario q, whose cut set is cut: ARROW's plan on the partially
+// restored network, Flexile's post-failure optimum, or the oracle's
+// optimum with detour tunnels for the cut fibers. A failed ARROW or
+// Flexile solve is cached as its nil plan (no credit), not retried per
+// scenario; a failed oracle plan is an error.
+func (k *credit) cutPlan(q scenario.Scenario, cut map[topology.FiberID]bool) (*te.Plan, error) {
+	ev := k.ev
+	return ev.cached(planKey{k.react, cutKey(cut), k.dk}, func() (*te.Plan, error) {
+		in := &te.Input{
+			Net: ev.Env.Net, Tunnels: ev.Env.Tunnels, Demands: k.planned,
+			Scenarios: &scenario.Set{Scenarios: []scenario.Scenario{{Prob: 1}}, Covered: 1},
+			Beta:      ev.Cfg.Beta,
+		}
+		switch k.react {
+		case restore:
+			// Links that rode cut fibers come back at ARROWRestoreFrac of
+			// their capacity.
+			caps := make(map[topology.LinkID]float64)
+			for f := range cut {
+				if !cut[f] {
+					continue
+				}
+				for _, lid := range ev.Env.Net.LinksOnFiber(f) {
+					caps[lid] = ev.Env.Net.Link(lid).Capacity * ev.Cfg.ARROWRestoreFrac
+				}
+			}
+			p, _ := te.MinMaxLossPlanWithCaps(in, nil, caps)
+			return p, nil
+		case recompute:
+			p, _ := te.MinMaxLossPlan(in, cut)
+			return p, nil
+		}
+		// With future knowledge the oracle pre-establishes detour tunnels
+		// for the fibers about to fail (the Fig 3 behaviour).
+		for _, f := range q.Cut {
+			res, err := core.UpdateTunnels(in.Tunnels, f, 1)
+			if err != nil {
+				return nil, err
+			}
+			in.Tunnels = res.Tunnels
+		}
+		return te.MinMaxLossPlan(in, cut)
+	})
+}
+
+// cached returns the plan stored under key, computing and storing it via
+// build on a miss; a build error is returned and nothing is stored.
+// Concurrent workers may duplicate a miss; the deterministic build makes
+// both results identical, and the first store wins so every later reader
+// sees one canonical *te.Plan.
+func (ev *Evaluator) cached(key planKey, build func() (*te.Plan, error)) (*te.Plan, error) {
+	m := ev.metrics()
+	ev.mu.Lock()
+	p, ok := ev.plans[key]
+	ev.mu.Unlock()
+	if ok {
+		m.cacheHits.Inc()
+		return p, nil
+	}
+	m.cacheMisses.Inc()
+	p, err := build()
+	if err != nil {
+		return nil, err
+	}
+	ev.mu.Lock()
+	if prev, ok := ev.plans[key]; ok {
+		p = prev
+	} else {
+		ev.plans[key] = p
+	}
+	ev.mu.Unlock()
+	return p, nil
+}
+
+// cutKey is the canonical plan-cache key of a cut: routing.AppendKey over
+// the map's fiber IDs in ascending order.
+func cutKey(cut map[topology.FiberID]bool) string {
+	ids := make([]topology.FiberID, 0, len(cut))
+	for f := range cut {
+		ids = append(ids, f)
+	}
+	slices.Sort(ids)
+	return string(routing.AppendKey(nil, ids))
 }
 
 // evalObs bundles the evaluator's metric handles, resolved once per
@@ -221,345 +576,4 @@ func (ev *Evaluator) metrics() evalObs {
 		enumHits:     r.Counter("sim.enum_cache.hits"),
 		enumMisses:   r.Counter("sim.enum_cache.misses"),
 	}
-}
-
-// evaluateStatic handles schemes whose plan ignores degradation signals.
-// Degradation scenarios are independent given the (single) pre-failure
-// plan, so they fan out; each worker fills a per-scenario partial vector
-// and the partials merge in scenario order.
-func (ev *Evaluator) evaluateStatic(schemeName string, planned, truth te.Demands) (Availability, error) {
-	plan, err := ev.staticPlan(schemeName, planned)
-	if err != nil {
-		return Availability{}, err
-	}
-	m := ev.metrics()
-	nFlows := len(ev.Env.Tunnels.Flows)
-	dss := ev.Env.DegScenarios(ev.Cfg)
-	partials, err := par.MapErr(len(dss), ev.Cfg.Parallelism, func(di int) ([]float64, error) {
-		start := m.evalTime.Start()
-		defer m.evalTime.Stop(start)
-		defer m.degScenarios.Inc()
-		ds := dss[di]
-		probs := ev.Env.TruthProbs(ev.Cfg, ds.Fiber)
-		fs, err := ev.enumerate(probs)
-		if err != nil {
-			return nil, err
-		}
-		m.scenarios.Add(int64(len(fs.Scenarios)))
-		// the un-enumerated failure tail counts as loss for every flow
-		return integrateScenarios(fs, nFlows, func(q scenario.Scenario, row []float64) error {
-			cut := q.CutSet()
-			for fi := range row {
-				credit := ev.credit(schemeName, plan, planned, truth, routing.FlowID(fi), cut)
-				row[fi] += ds.Prob * q.Prob * credit
-			}
-			return nil
-		})
-	})
-	if err != nil {
-		return Availability{}, err
-	}
-	return summarize(par.SumVectors(partials, nFlows)), nil
-}
-
-// credit returns the fraction of the epoch during which the flow's full
-// demand is delivered, per the scheme's reaction model.
-func (ev *Evaluator) credit(schemeName string, plan *te.Plan, planned, truth te.Demands, f routing.FlowID, cut map[topology.FiberID]bool) float64 {
-	d := truth[f]
-	if d <= 0 {
-		return 1
-	}
-	okNow := te.Satisfied(plan, f, d, cut)
-	switch schemeName {
-	case "ARROW":
-		if okNow {
-			return 1
-		}
-		// Restoration rebuilds a fraction of the lost capacity on surviving
-		// spectrum after the restoration window; the flow is whole again
-		// only if the restored network can carry it.
-		post := ev.arrowRestore(planned, cut)
-		if post != nil && te.Satisfied(post, f, d, nil) {
-			return 1 - ev.Cfg.ARROWRestorationS/ev.Cfg.EpochS
-		}
-		return 0
-	case "Flexile":
-		if okNow {
-			// Unaffected by this failure; recomputation may still shuffle
-			// it, but it keeps service.
-			return 1
-		}
-		post := ev.flexileRecompute(planned, cut)
-		if post != nil && te.Satisfied(post, f, d, cut) {
-			return 1 - ev.Cfg.FlexileConvergenceS/ev.Cfg.EpochS
-		}
-		return 0
-	default: // proactive rate adaptation: instant or nothing
-		if okNow {
-			return 1
-		}
-		return 0
-	}
-}
-
-// cached returns the plan stored under key in cache, computing and storing
-// it via build on a miss; a build error is returned and nothing is stored.
-// Concurrent workers may duplicate a miss; the deterministic build makes
-// both results identical, and the first store wins so every later reader
-// sees one canonical *te.Plan.
-func (ev *Evaluator) cached(cache map[string]*te.Plan, key string, build func() (*te.Plan, error)) (*te.Plan, error) {
-	m := ev.metrics()
-	ev.mu.Lock()
-	p, ok := cache[key]
-	ev.mu.Unlock()
-	if ok {
-		m.cacheHits.Inc()
-		return p, nil
-	}
-	m.cacheMisses.Inc()
-	p, err := build()
-	if err != nil {
-		return nil, err
-	}
-	ev.mu.Lock()
-	if prev, ok := cache[key]; ok {
-		p = prev
-	} else {
-		cache[key] = p
-	}
-	ev.mu.Unlock()
-	return p, nil
-}
-
-// flexileRecompute returns (and caches) the post-failure optimal plan.
-func (ev *Evaluator) flexileRecompute(demands te.Demands, cut map[topology.FiberID]bool) *te.Plan {
-	key := cutKey(cut) + fmt.Sprintf("|%f", demands[0])
-	p, _ := ev.cached(ev.recomputeCache, key, func() (*te.Plan, error) {
-		in := &te.Input{
-			Net: ev.Env.Net, Tunnels: ev.Env.Tunnels, Demands: demands,
-			Scenarios: &scenario.Set{Scenarios: []scenario.Scenario{{Prob: 1}}, Covered: 1},
-			Beta:      ev.Cfg.Beta,
-		}
-		// A failed recompute is cached as its nil plan (no credit), not
-		// retried per scenario.
-		p, _ := te.Flexile{}.Recompute(in, cut)
-		return p, nil
-	})
-	return p
-}
-
-// arrowRestore returns (and caches) the plan on the partially restored
-// network: links that rode cut fibers come back at ARROWRestoreFrac of
-// their capacity.
-func (ev *Evaluator) arrowRestore(demands te.Demands, cut map[topology.FiberID]bool) *te.Plan {
-	key := "arrow|" + cutKey(cut) + fmt.Sprintf("|%f", demands[0])
-	// As in flexileRecompute, a failed solve is cached as its nil plan.
-	p, _ := ev.cached(ev.restoreCache, key, func() (*te.Plan, error) {
-		caps := make(map[topology.LinkID]float64)
-		for f := range cut {
-			if !cut[f] {
-				continue
-			}
-			for _, lid := range ev.Env.Net.LinksOnFiber(f) {
-				caps[lid] = ev.Env.Net.Link(lid).Capacity * ev.Cfg.ARROWRestoreFrac
-			}
-		}
-		in := &te.Input{
-			Net: ev.Env.Net, Tunnels: ev.Env.Tunnels, Demands: demands,
-			Scenarios: &scenario.Set{Scenarios: []scenario.Scenario{{Prob: 1}}, Covered: 1},
-			Beta:      ev.Cfg.Beta,
-		}
-		p, _ := te.MinMaxLossPlanWithCaps(in, nil, caps)
-		return p, nil
-	})
-	return p
-}
-
-// cutKey is the canonical plan-cache key of a cut: routing.AppendKey over
-// the map's fiber IDs in ascending order.
-func cutKey(cut map[topology.FiberID]bool) string {
-	ids := make([]topology.FiberID, 0, len(cut))
-	for f := range cut {
-		ids = append(ids, f)
-	}
-	slices.Sort(ids)
-	return string(routing.AppendKey(nil, ids))
-}
-
-// evaluateOracle: per failure scenario, the oracle switches (ahead of the
-// failure) to the optimal plan for the post-failure topology, with new
-// tunnels for the cut fibers. Degradation scenarios fan out; the per-cut
-// oracle plans are shared through the mutex-guarded cache.
-func (ev *Evaluator) evaluateOracle(planned, truth te.Demands) (Availability, error) {
-	m := ev.metrics()
-	nFlows := len(ev.Env.Tunnels.Flows)
-	dss := ev.Env.DegScenarios(ev.Cfg)
-	partials, err := par.MapErr(len(dss), ev.Cfg.Parallelism, func(di int) ([]float64, error) {
-		start := m.evalTime.Start()
-		defer m.evalTime.Stop(start)
-		defer m.degScenarios.Inc()
-		ds := dss[di]
-		probs := ev.Env.TruthProbs(ev.Cfg, ds.Fiber)
-		fs, err := ev.enumerate(probs)
-		if err != nil {
-			return nil, err
-		}
-		m.scenarios.Add(int64(len(fs.Scenarios)))
-		return integrateScenarios(fs, nFlows, func(q scenario.Scenario, row []float64) error {
-			cut := q.CutSet()
-			plan, err := ev.oraclePlan(planned, q.Cut, cut)
-			if err != nil {
-				return err
-			}
-			for fi := range row {
-				if te.Satisfied(plan, routing.FlowID(fi), truth[fi], cut) {
-					row[fi] += ds.Prob * q.Prob
-				}
-			}
-			return nil
-		})
-	})
-	if err != nil {
-		return Availability{}, err
-	}
-	return summarize(par.SumVectors(partials, nFlows)), nil
-}
-
-// oraclePlan returns (and caches) the optimal plan for the network after
-// scenario q's cut, given as q.Cut and its set form.
-func (ev *Evaluator) oraclePlan(demands te.Demands, cutList []topology.FiberID, cut map[topology.FiberID]bool) (*te.Plan, error) {
-	key := cutKey(cut) + fmt.Sprintf("|%f", demands[0])
-	return ev.cached(ev.oracleCache, key, func() (*te.Plan, error) {
-		// With future knowledge the oracle pre-establishes detour tunnels
-		// for the fibers about to fail (the Fig 3 behaviour).
-		tunnels := ev.Env.Tunnels
-		for _, f := range cutList {
-			res, err := core.UpdateTunnels(tunnels, f, 1)
-			if err != nil {
-				return nil, err
-			}
-			tunnels = res.Tunnels
-		}
-		in := &te.Input{
-			Net: ev.Env.Net, Tunnels: tunnels, Demands: demands,
-			Scenarios: &scenario.Set{Scenarios: []scenario.Scenario{{Prob: 1}}, Covered: 1},
-			Beta:      ev.Cfg.Beta,
-		}
-		return te.MinMaxLossPlan(in, cut)
-	})
-}
-
-// evaluatePreTE: the quiet scenario uses the Theorem 4.1-calibrated static
-// plan; each degradation scenario splits into the episode-fails and
-// episode-benign worlds, with the predictor's conditional output (the
-// Quality knob) driving the plan in each.
-func (ev *Evaluator) evaluatePreTE(planned, truth te.Demands, ratio float64) (Availability, error) {
-	p := core.New()
-	p.TunnelRatio = ratio
-	p.ScenarioOpts = ev.Cfg.ScenarioOpts
-	p.Alpha = ev.Cfg.Alpha
-	p.Opt.Metrics = ev.Cfg.Metrics
-	p.Opt.BudgetUnits = ev.Cfg.SolveBudget
-	// The fan-out across degradation scenarios owns the worker budget; the
-	// optimizer inside each epoch plan runs serially so the two levels
-	// don't multiply goroutines. (Either choice yields identical results.)
-	p.Opt.Parallelism = 1
-
-	m := ev.metrics()
-	nFlows := len(ev.Env.Tunnels.Flows)
-	dss := ev.Env.DegScenarios(ev.Cfg)
-	partials, err := par.MapErr(len(dss), ev.Cfg.Parallelism, func(di int) ([]float64, error) {
-		start := m.evalTime.Start()
-		defer m.evalTime.Stop(start)
-		defer m.degScenarios.Inc()
-		ds := dss[di]
-		if ds.Fiber < 0 {
-			// Quiet epoch: calibrated plan, no signals.
-			ep, err := p.PlanEpoch(core.EpochInput{
-				Net: ev.Env.Net, Tunnels: ev.Env.Tunnels, Demands: planned,
-				Beta: ev.Cfg.Beta, PI: ev.Env.PI,
-			})
-			if err != nil {
-				return nil, err
-			}
-			return ev.accumulate(ds.Prob, truth, ep.Plan, ds.Fiber, -1)
-		}
-		// Degraded epoch: two worlds by the episode's true outcome, summed
-		// in world order into this scenario's partial vector.
-		part := make([]float64, nFlows)
-		for _, world := range []struct {
-			prob float64
-			pHat float64
-			fail bool
-		}{
-			{ev.Cfg.PCutGivenDeg, ev.Quality.PHatFail, true},
-			{1 - ev.Cfg.PCutGivenDeg, ev.Quality.PHatOK, false},
-		} {
-			ep, err := p.PlanEpoch(core.EpochInput{
-				Net: ev.Env.Net, Tunnels: ev.Env.Tunnels, Demands: planned,
-				Beta: ev.Cfg.Beta, PI: ev.Env.PI,
-				Signals: []core.DegradationSignal{{Fiber: topology.FiberID(ds.Fiber), PNN: ev.Quality.clampPHat(world.pHat)}},
-			})
-			if err != nil {
-				return nil, err
-			}
-			failFiber := -1
-			if world.fail {
-				failFiber = ds.Fiber
-			}
-			w, err := ev.accumulate(ds.Prob*world.prob, truth, ep.Plan, ds.Fiber, failFiber)
-			if err != nil {
-				return nil, err
-			}
-			for fi, v := range w {
-				part[fi] += v
-			}
-		}
-		return part, nil
-	})
-	if err != nil {
-		return Availability{}, err
-	}
-	return summarize(par.SumVectors(partials, nFlows)), nil
-}
-
-func (q PredictorQuality) clampPHat(v float64) float64 {
-	if v < 0 {
-		return 0
-	}
-	if v > 1 {
-		return 1
-	}
-	return v
-}
-
-// accumulate integrates a plan's per-flow credit over the failure
-// scenarios of one (degradation scenario, world) branch, returning the
-// branch's partial availability vector. failFiber >= 0 forces that fiber
-// to be cut (the episode truly fails); the remaining fibers fail with the
-// Theorem 4.1 residual probability.
-func (ev *Evaluator) accumulate(branchProb float64, truth te.Demands, plan *te.Plan, degFiber, failFiber int) ([]float64, error) {
-	probs := make([]float64, len(ev.Env.PI))
-	for i, p := range ev.Env.PI {
-		probs[i] = (1 - ev.Cfg.Alpha) * p
-	}
-	if failFiber >= 0 {
-		probs[failFiber] = 1
-	} else if degFiber >= 0 {
-		probs[degFiber] = 0 // benign world: this episode does not cut
-	}
-	fs, err := ev.enumerate(probs)
-	if err != nil {
-		return nil, err
-	}
-	ev.metrics().scenarios.Add(int64(len(fs.Scenarios)))
-	return integrateScenarios(fs, len(ev.Env.Tunnels.Flows), func(q scenario.Scenario, row []float64) error {
-		cut := q.CutSet()
-		for fi := range row {
-			if te.Satisfied(plan, routing.FlowID(fi), truth[fi], cut) {
-				row[fi] += branchProb * q.Prob
-			}
-		}
-		return nil
-	})
 }

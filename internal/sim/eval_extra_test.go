@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 
 	"prete/internal/stats"
@@ -142,5 +143,40 @@ func TestCutKeyCanonical(t *testing.T) {
 	}
 	if cutKey(map[topology.FiberID]bool{64: true}) == cutKey(map[topology.FiberID]bool{69: true}) {
 		t.Fatal("cutKey maps fibers 64 and 69 to one key")
+	}
+}
+
+// TestPlanCacheKeysWholeDemandVector: the per-cut plans of Flexile's
+// recompute, ARROW's restoration and the oracle are cached per demand
+// matrix. Two matrices that agree on flow 0 but differ elsewhere must not
+// share plans: evaluating one and then the other on a single Evaluator has
+// to match the second on a fresh Evaluator.
+func TestPlanCacheKeysWholeDemandVector(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.ScenarioOpts.MaxScenarios = 60
+	cfg.MaxDegScenarios = 2
+	env, err := BuildEnv("B4", 2025, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d1 := env.BaseDemands.Scale(2)
+	d2 := env.BaseDemands.Scale(4)
+	d2[0] = d1[0]
+	for _, s := range []string{"Oracle", "Flexile", "ARROW"} {
+		shared := NewEvaluator(env, cfg)
+		if _, err := shared.EvaluateDemands(s, d1, d1); err != nil {
+			t.Fatal(err)
+		}
+		got, err := shared.EvaluateDemands(s, d2, d2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := NewEvaluator(env, cfg).EvaluateDemands(s, d2, d2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: mean %.6f after another matrix with the same flow 0, %.6f fresh", s, got.Mean, want.Mean)
+		}
 	}
 }

@@ -18,7 +18,7 @@ import (
 // predictor scores them, the scheme plans, and the trace's actual cuts
 // determine delivered traffic.
 type ReplayConfig struct {
-	// Scheme is "PreTE" or "TeaVar".
+	// Scheme is "PreTE", "PreTE-naive" or "TeaVar".
 	Scheme string
 	Beta   float64
 	// DemandGbps is the uniform per-flow demand.
@@ -63,8 +63,9 @@ func (r ReplayResult) LossRate() float64 {
 
 // Replay runs the pipeline over the trace's event timeline.
 func Replay(tr *trace.Trace, cfg ReplayConfig) (*ReplayResult, error) {
-	if cfg.Scheme != "PreTE" && cfg.Scheme != "TeaVar" {
-		return nil, fmt.Errorf("sim: replay supports PreTE and TeaVar, not %q", cfg.Scheme)
+	s, err := coreScheme(cfg.Scheme)
+	if err != nil {
+		return nil, err
 	}
 	if cfg.MaxEventEpochs <= 0 {
 		cfg.MaxEventEpochs = 150
@@ -78,12 +79,7 @@ func Replay(tr *trace.Trace, cfg ReplayConfig) (*ReplayResult, error) {
 	for i := range demands {
 		demands[i] = cfg.DemandGbps
 	}
-	var planner *core.PreTE
-	if cfg.Scheme == "PreTE" {
-		planner = core.New()
-	} else {
-		planner = core.NewTeaVar()
-	}
+	planner := s.newCore()
 	planner.ScenarioOpts = cfg.ScenarioOpts
 
 	// Index events by epoch.

@@ -12,10 +12,7 @@ import (
 // any link would overload. It plans for no failures at all.
 type ECMP struct{}
 
-// Name implements Scheme.
-func (ECMP) Name() string { return "ECMP" }
-
-// Plan implements Scheme.
+// Plan computes the ECMP split of the input's demands.
 func (ECMP) Plan(in *Input) (*Plan, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
@@ -70,10 +67,8 @@ type FFC struct {
 	K int
 }
 
-// Name implements Scheme.
-func (f FFC) Name() string { return fmt.Sprintf("FFC-%d", f.K) }
-
-// Plan implements Scheme.
+// Plan minimizes the largest loss any flow suffers under any cut of up to
+// K fibers that leaves it a surviving tunnel.
 func (f FFC) Plan(in *Input) (*Plan, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
@@ -132,62 +127,4 @@ func enumerateCuts(numFibers, k int) []map[topology.FiberID]bool {
 		}
 	}
 	return out
-}
-
-// ARROW [41] plans aggressively for the no-failure case and relies on
-// optical restoration to rebuild lost capacity within RestorationS seconds
-// of a cut; the simulation charges affected flows that restoration window.
-type ARROW struct {
-	// RestorationS is the end-to-end restoration latency (§6.1: 8 s).
-	RestorationS float64
-}
-
-// Name implements Scheme.
-func (ARROW) Name() string { return "ARROW" }
-
-// Plan implements Scheme.
-func (a ARROW) Plan(in *Input) (*Plan, error) {
-	return MinMaxLossPlan(in, nil)
-}
-
-// Flexile [21] is the reactive representative: optimal for the current
-// topology, with a centralized recomputation after each failure that takes
-// ConvergenceS seconds during which affected flows run on the stale plan.
-type Flexile struct {
-	// ConvergenceS is the time to detect, recompute and install the new
-	// policy (reaction "Seconds" per Table 9).
-	ConvergenceS float64
-}
-
-// Name implements Scheme.
-func (Flexile) Name() string { return "Flexile" }
-
-// Plan implements Scheme.
-func (f Flexile) Plan(in *Input) (*Plan, error) {
-	return MinMaxLossPlan(in, nil)
-}
-
-// Recompute is Flexile's reaction: a fresh optimal plan for the
-// post-failure topology (reactive schemes may also establish new tunnels,
-// which the caller models by passing an extended tunnel set).
-func (f Flexile) Recompute(in *Input, cut map[topology.FiberID]bool) (*Plan, error) {
-	return MinMaxLossPlan(in, cut)
-}
-
-// Oracle has perfect future knowledge (§2.2): for each scenario it plans
-// the post-failure topology directly and switches before the failure bites.
-type Oracle struct{}
-
-// Name implements Scheme.
-func (Oracle) Name() string { return "Oracle" }
-
-// Plan implements Scheme (the no-failure plan; per-scenario plans come from
-// PlanFor).
-func (o Oracle) Plan(in *Input) (*Plan, error) {
-	return MinMaxLossPlan(in, nil)
-}
-
-// PlanFor returns the oracle's plan given certain knowledge of the cut set.
-func (o Oracle) PlanFor(in *Input, cut map[topology.FiberID]bool) (*Plan, error) {
-	return MinMaxLossPlan(in, cut)
 }

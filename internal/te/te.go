@@ -1,8 +1,12 @@
 // Package te defines the traffic-engineering abstractions shared by every
-// scheme in the evaluation (§6.1's benchmark list) and implements the
-// baselines: ECMP, FFC-1/FFC-2, ARROW, Flexile, and the oracle. PreTE
-// itself — and TeaVaR, which is exactly PreTE with alpha = 0 and no tunnel
-// updates (§4.1.2) — live in internal/core on top of the Benders machinery.
+// scheme in the evaluation (§6.1's benchmark list) and holds the
+// baselines' planning code: ECMP's even split, FFC-1/FFC-2's protected
+// allocation, and the min-max-loss plan ARROW, Flexile and the oracle plan
+// with (MinMaxLossPlan, and MinMaxLossPlanWithCaps for ARROW's partially
+// restored network). How each scheme reacts to a cut is internal/sim's
+// scheme table. PreTE itself — and TeaVaR, which is exactly PreTE with
+// alpha = 0 and no tunnel updates (§4.1.2) — live in internal/core on top
+// of the Benders machinery.
 package te
 
 import (
@@ -82,13 +86,6 @@ func (in *Input) Validate() error {
 		return fmt.Errorf("te: beta %v out of (0,1)", in.Beta)
 	}
 	return nil
-}
-
-// Scheme is one TE algorithm.
-type Scheme interface {
-	Name() string
-	// Plan computes the epoch's allocation.
-	Plan(in *Input) (*Plan, error)
 }
 
 // Delivered returns the bandwidth flow f receives under failure scenario

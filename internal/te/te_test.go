@@ -254,58 +254,59 @@ func TestFFC2OnTriangle(t *testing.T) {
 	}
 }
 
-func TestARROWPlansAggressively(t *testing.T) {
-	in := triangleInput(t, 10)
-	plan, err := ARROW{RestorationS: 8}.Plan(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// ARROW plans like the failure-oblivious optimum: full 20 units.
-	if plan.MaxLoss > 1e-6 {
-		t.Fatalf("ARROW loss = %v at demand 10, want 0", plan.MaxLoss)
-	}
-}
-
-func TestFlexileRecompute(t *testing.T) {
+// TestMinMaxLossPlanWithCaps checks the capacity override ARROW's
+// restoration model plans with: the links that rode a cut fiber come back
+// at a fraction of their capacity.
+func TestMinMaxLossPlanWithCaps(t *testing.T) {
 	in := triangleInput(t, 6)
-	fl := Flexile{ConvergenceS: 30}
-	pre, err := fl.Plan(in)
+	restored := func(c float64) map[topology.LinkID]float64 {
+		caps := make(map[topology.LinkID]float64)
+		for _, lid := range in.Net.LinksOnFiber(0) {
+			caps[lid] = c
+		}
+		return caps
+	}
+	// Fiber 0 back at 60%: 6 units on s1s2 still carry flow 0 whole.
+	plan, err := MinMaxLossPlanWithCaps(in, nil, restored(6))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pre.MaxLoss > 1e-6 {
-		t.Fatal("pre-failure plan should be lossless at demand 6")
+	if plan.MaxLoss > 1e-6 {
+		t.Fatalf("loss = %v with fiber 0 restored to 6 units, want 0", plan.MaxLoss)
 	}
-	cut := map[topology.FiberID]bool{0: true}
-	post, err := fl.Recompute(in, cut)
-	if err != nil {
+	loads := LinkLoads(plan)
+	for _, lid := range in.Net.LinksOnFiber(0) {
+		if loads[lid] > 6+1e-6 {
+			t.Fatalf("link %d carries %v over its restored capacity 6", lid, loads[lid])
+		}
+	}
+	// Nothing restored: 6+6 = 12 > 10 through the surviving fiber, so loss
+	// is unavoidable.
+	if plan, err = MinMaxLossPlanWithCaps(in, nil, restored(0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := CheckCapacity(in.Net, post); err != nil {
-		t.Fatal(err)
-	}
-	// 6+6 = 12 > 10 through the surviving fiber: loss is unavoidable.
-	if post.MaxLoss < 0.1 {
-		t.Fatalf("recomputed loss = %v, want > 0.1", post.MaxLoss)
+	if plan.MaxLoss < 0.1 {
+		t.Fatalf("loss = %v with fiber 0 unrestored, want > 0.1", plan.MaxLoss)
 	}
 }
 
-func TestOraclePlanFor(t *testing.T) {
+// TestMinMaxLossPlanFitsUnderCut is the oracle's per-cut plan on the
+// triangle: knowing fiber 0 will be cut, 5+5 = 10 fits the surviving fiber
+// exactly (Fig 3c's shape: the oracle keeps full service by pre-moving
+// traffic).
+func TestMinMaxLossPlanFitsUnderCut(t *testing.T) {
 	in := triangleInput(t, 5)
-	o := Oracle{}
 	cut := map[topology.FiberID]bool{0: true}
-	plan, err := o.PlanFor(in, cut)
+	plan, err := MinMaxLossPlan(in, cut)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 5+5 = 10 fits the surviving fiber exactly (Fig 3c's shape: oracle
-	// keeps full service by pre-moving traffic).
 	if plan.MaxLoss > 1e-6 {
-		t.Fatalf("oracle loss = %v under known cut, want 0", plan.MaxLoss)
+		t.Fatalf("loss = %v under known cut, want 0", plan.MaxLoss)
 	}
 	for _, fl := range in.Tunnels.Flows {
 		if !Satisfied(plan, fl.ID, 5, cut) {
-			t.Fatalf("oracle leaves flow %d unserved", fl.ID)
+			t.Fatalf("flow %d unserved under the known cut", fl.ID)
 		}
 	}
 }
