@@ -1,0 +1,104 @@
+package core
+
+import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
+	"slices"
+	"testing"
+
+	"prete/internal/routing"
+	"prete/internal/scenario"
+	"prete/internal/stats"
+	"prete/internal/te"
+)
+
+// driftEpochs runs B4 under te.DefaultClassSpec with one SolveCache per
+// tier over n probability-only epochs: every epoch each p_i drifts by up
+// to ±0.3% (its multiplier clamped to [0.9, 1.1]), and fiber 0 is held at
+// p 0.3 so some flows lose scenario mass and Phi is not trivial. Every
+// enumeration keeps all 191 scenarios (cutoff 0), so the structure never
+// moves. visit sees each epoch's classed result; the tier caches are
+// returned.
+func driftEpochs(t *testing.T, n int, visit func(*ClassedResult)) []*SolveCache {
+	t.Helper()
+	in := realInput(t, "B4", 5)
+	rng := stats.NewRNG(2025)
+	base := make([]float64, len(in.Net.Fibers))
+	for i := range base {
+		base[i] = 0.0002 + 0.001*rng.Float64()
+	}
+	base[0] = 0.3
+	in.Demands = in.Demands.Scale(8)
+	mult := make([]float64, len(base))
+	for i := range mult {
+		mult[i] = 1
+	}
+	spec := te.DefaultClassSpec()
+	caches := make([]*SolveCache, len(spec.Tiers))
+	for k := range caches {
+		caches[k] = &SolveCache{}
+	}
+	opt := DefaultOptimizer()
+	probs := make([]float64, len(base))
+	for e := 0; e < n; e++ {
+		for i := range probs {
+			if e > 0 && i != 0 {
+				mult[i] = math.Min(1.1, math.Max(0.9, mult[i]*(1+0.003*(2*rng.Float64()-1))))
+			}
+			probs[i] = base[i] * mult[i]
+		}
+		set, err := scenario.Enumerate(probs, scenario.Options{Cutoff: 0, MaxFailures: 2, MaxScenarios: 200})
+		if err != nil {
+			t.Fatal(err)
+		}
+		in.Scenarios = set
+		cr, err := opt.SolveClassedCached(in, spec, caches)
+		if err != nil {
+			t.Fatalf("epoch %d: %v", e, err)
+		}
+		visit(cr)
+	}
+	return caches
+}
+
+// TestSolveClassedDriftPinned pins the classed solve over 80 drifting
+// epochs bit for bit: FNV-64a over every tier's Phi, ExpectedLoss and
+// allocation (ascending tunnel order) of every epoch. Tier 0 revalidates
+// its cut pool every epoch after the first; tiers 1-2 re-solve on a
+// residual network that moves with the tier above. A change to how
+// survival is tested, how classes are built or how the cut pool is kept
+// must leave the hash alone.
+func TestSolveClassedDriftPinned(t *testing.T) {
+	h := fnv.New64a()
+	put := func(v uint64) { h.Write(binary.LittleEndian.AppendUint64(nil, v)) }
+	nontrivial := false
+	caches := driftEpochs(t, 80, func(cr *ClassedResult) {
+		for _, tier := range cr.Tiers {
+			put(math.Float64bits(tier.Res.Phi))
+			put(math.Float64bits(tier.ExpectedLoss))
+			tids := make([]routing.TunnelID, 0, len(tier.Res.Alloc))
+			for tid := range tier.Res.Alloc {
+				tids = append(tids, tid)
+			}
+			slices.Sort(tids)
+			for _, tid := range tids {
+				put(uint64(tid))
+				put(math.Float64bits(tier.Res.Alloc[tid]))
+			}
+			if tier.Res.Phi > 0 && tier.Res.Phi < 1 {
+				nontrivial = true
+			}
+		}
+	})
+	if !nontrivial {
+		t.Error("no tier of any epoch has 0 < Phi < 1; the pin exercises nothing")
+	}
+	if st := caches[0].Stats(); st.Misses != 1 || st.Revalidations != 79 {
+		t.Errorf("tier 0 cache: %d misses, %d revalidations; want 1 and 79", st.Misses, st.Revalidations)
+	}
+	const want = 0xcfa8e12f35ea5753
+	if got := h.Sum64(); got != want {
+		t.Errorf("classed drift hash %016x, pinned %016x", got, uint64(want))
+	}
+}
