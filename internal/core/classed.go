@@ -163,12 +163,13 @@ func expectedLoss(in *te.Input, alloc te.Allocation, demands te.Demands, offered
 	}
 	plan := &te.Plan{Alloc: alloc, Tunnels: in.Tunnels}
 	var carried float64
+	var cut topology.FiberSet
 	for _, q := range in.Scenarios.Scenarios {
-		cut := q.CutSet()
+		cut = q.CutInto(cut)
 		var del float64
 		for f, d := range demands {
 			if d > 0 {
-				del += te.Delivered(plan, routing.FlowID(f), d, cut)
+				del += te.DeliveredUnder(plan, routing.FlowID(f), d, cut)
 			}
 		}
 		carried += q.Prob * del

@@ -201,7 +201,7 @@ func TestPlanEpochClassed(t *testing.T) {
 	}
 	// The protected tier survives the predicted cut: its plan satisfies
 	// its split of every flow's demand with fiber 0 down.
-	cut := map[topology.FiberID]bool{0: true}
+	cut := topology.FiberSetOf(0)
 	lc := ep.Classed.Tiers[0]
 	lcPlan := &te.Plan{Alloc: lc.Res.Alloc, MaxLoss: lc.Res.Phi, Tunnels: ep.Plan.Tunnels}
 	for f, d := range lc.Demands {

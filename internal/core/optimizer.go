@@ -65,11 +65,13 @@ func buildFlowClasses(ts *routing.TunnelSet, set *scenario.Set, flow routing.Flo
 	at := make(map[string]int) // surviving-set key -> index in out
 	var out []Class
 	var key []byte
+	var cut topology.FiberSet
 	avail := make([]routing.TunnelID, 0, len(tids))
 	for _, sc := range set.Scenarios {
+		cut = sc.CutInto(cut)
 		avail = avail[:0]
 		for _, tid := range tids {
-			if survives(ts.Tunnel(tid), sc.Cut) {
+			if ts.Tunnel(tid).AvailableUnder(cut) {
 				avail = append(avail, tid)
 			}
 		}
@@ -83,17 +85,6 @@ func buildFlowClasses(ts *routing.TunnelSet, set *scenario.Set, flow routing.Flo
 		out[i].Prob += sc.Prob
 	}
 	return out
-}
-
-// survives is Tunnel.AvailableUnder over a scenario's cut list, without the
-// per-scenario set.
-func survives(t *routing.Tunnel, cut []topology.FiberID) bool {
-	for _, f := range cut {
-		if t.UsesFiber(f) {
-			return false
-		}
-	}
-	return true
 }
 
 // solveModel is everything one solve reads, built once by newSolveModel and

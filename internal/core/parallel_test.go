@@ -55,17 +55,25 @@ func TestBuildClassesParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// naiveClasses is the reference class builder: one cut-set map per scenario,
-// Tunnel.AvailableUnder per tunnel, merge by the printed surviving set —
-// the definition of a failure-equivalence class, with no attention to cost.
+// naiveClasses is the reference class builder: one cut-set map per
+// scenario, a tunnel surviving when no fiber under any of its links is
+// cut, merge by the printed surviving set — the definition of a
+// failure-equivalence class, with no attention to cost.
 func naiveClasses(ts *routing.TunnelSet, set *scenario.Set) []Class {
 	var out []Class
 	for _, fl := range ts.Flows {
 		at := make(map[string]int)
 		for _, sc := range set.Scenarios {
+			cut := sc.CutSet()
 			var avail []routing.TunnelID
 			for _, tid := range ts.TunnelsOf(fl.ID) {
-				if ts.Tunnel(tid).AvailableUnder(sc.CutSet()) {
+				up := true
+				for _, lid := range ts.Tunnel(tid).Links {
+					for _, f := range ts.Net.Link(lid).Fibers {
+						up = up && !cut[f]
+					}
+				}
+				if up {
 					avail = append(avail, tid)
 				}
 			}

@@ -5,13 +5,14 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"prete/internal/obs"
 	"prete/internal/routing"
 	"prete/internal/scenario"
 	"prete/internal/te"
+	"prete/internal/topology"
 )
 
 // SolveCache carries solve artifacts across TE epochs so that consecutive
@@ -169,8 +170,33 @@ func (c *SolveCache) storeLocked(fp uint64, sm *solveModel, cuts []bendersCut, r
 	c.inputFP = fp
 	c.set = sm.in.Scenarios
 	c.classKeys = classKeys(sm.classes)
-	c.cuts = cuts
+	c.cuts = distinctCuts(cuts)
 	c.result = cloneResult(res)
+}
+
+// distinctCuts returns the pool without repeats, in first-seen order. A cut
+// equal to an earlier one in its constant and every coefficient is the same
+// master row again. A probability-only revalidation re-derives a cut the
+// pool already holds (the subproblem never reads probabilities), so a pool
+// kept whole would grow by a duplicate every epoch.
+func distinctCuts(cuts []bendersCut) []bendersCut {
+	out := make([]bendersCut, 0, len(cuts))
+	seen := make(map[uint64][]int, len(cuts)) // content hash -> indices in out
+	for _, c := range cuts {
+		// FNV-1a over 64-bit words: a bucket key only, equality decides.
+		k := math.Float64bits(c.con)
+		for _, w := range c.coef {
+			k = (k ^ math.Float64bits(w)) * 1099511628211
+		}
+		if slices.ContainsFunc(seen[k], func(i int) bool {
+			return out[i].con == c.con && slices.Equal(out[i].coef, c.coef)
+		}) {
+			continue
+		}
+		seen[k] = append(seen[k], len(out))
+		out = append(out, c)
+	}
+	return out
 }
 
 func (c *SolveCache) evictLocked(m cacheObs) {
@@ -292,15 +318,10 @@ func (o *Optimizer) inputFingerprint(in *te.Input) uint64 {
 		for _, lid := range t.Links {
 			u(uint64(lid))
 		}
-		fibers := make([]int, 0, len(t.Fibers))
-		for fb := range t.Fibers {
-			fibers = append(fibers, int(fb))
-		}
-		sort.Ints(fibers)
-		u(uint64(len(fibers)))
-		for _, fb := range fibers {
-			u(uint64(fb))
-		}
+		n := 0
+		t.Fibers.Each(func(topology.FiberID) { n++ })
+		u(uint64(n))
+		t.Fibers.Each(func(fb topology.FiberID) { u(uint64(fb)) })
 	}
 	u(uint64(len(in.Demands)))
 	for _, d := range in.Demands {

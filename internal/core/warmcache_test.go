@@ -6,6 +6,7 @@ import (
 
 	"prete/internal/obs"
 	"prete/internal/scenario"
+	"prete/internal/stats"
 	"prete/internal/te"
 )
 
@@ -313,6 +314,56 @@ func TestWarmCacheMetrics(t *testing.T) {
 	}
 	if snap.Counters["core.warmcache.cuts_reused"] == 0 {
 		t.Errorf("core.warmcache.cuts_reused stayed 0 across a revalidation")
+	}
+}
+
+// TestWarmCachePoolBounded: a probability-only revalidation re-derives a
+// subproblem cut the pool already holds, so the pool kept across 200
+// drifting B4 epochs must be exactly as large as after the first solve —
+// not one duplicate larger per epoch.
+func TestWarmCachePoolBounded(t *testing.T) {
+	in := realInput(t, "B4", 5)
+	rng := stats.NewRNG(9)
+	base := make([]float64, len(in.Net.Fibers))
+	for i := range base {
+		base[i] = 0.0002 + 0.001*rng.Float64()
+	}
+	base[0] = 0.3
+	o := DefaultOptimizer()
+	cache := &SolveCache{}
+	probs := make([]float64, len(base))
+	first := 0
+	for e := 0; e < 200; e++ {
+		for i := range probs {
+			probs[i] = base[i] * (1 + 0.003*(2*rng.Float64()-1))
+		}
+		set, err := scenario.Enumerate(probs, scenario.Options{Cutoff: 0, MaxFailures: 2, MaxScenarios: 200})
+		if err != nil {
+			t.Fatal(err)
+		}
+		in.Scenarios = set
+		if _, err := o.SolveCached(in, cache); err != nil {
+			t.Fatalf("epoch %d: %v", e, err)
+		}
+		if e == 0 {
+			first = len(cache.cuts)
+		}
+	}
+	if st := cache.Stats(); st.Revalidations != 199 {
+		t.Fatalf("stats = %+v, want 199 revalidations", st)
+	}
+	if len(cache.cuts) != first {
+		t.Fatalf("cut pool grew from %d to %d cuts over 199 revalidations", first, len(cache.cuts))
+	}
+}
+
+func TestDistinctCuts(t *testing.T) {
+	a := bendersCut{coef: []float64{0, 1, 2}, con: 3, value: 1}
+	b := bendersCut{coef: []float64{0, 1, 2}, con: 4}
+	c := bendersCut{coef: []float64{0, 1, 5}, con: 3}
+	got := distinctCuts([]bendersCut{a, b, a, c, b, {coef: []float64{0, 1, 2}, con: 3, value: 9}})
+	if want := []bendersCut{a, b, c}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("distinctCuts = %+v, want %+v", got, want)
 	}
 }
 

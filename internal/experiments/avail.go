@@ -330,7 +330,7 @@ func fig18(w io.Writer, opts Options) error {
 	if !ok {
 		return fmt.Errorf("fig18: missing s1-s3 fiber")
 	}
-	cut := map[topology.FiberID]bool{degraded: true}
+	cut := topology.FiberSetOf(degraded)
 
 	// Traditional system: on failure the router switches to the
 	// pre-configured backup path (s1->s2->s3), overloading link s1-s2.
@@ -355,7 +355,7 @@ func fig18(w io.Writer, opts Options) error {
 	var preLoss float64
 	for _, fl := range ep.Plan.Tunnels.Flows {
 		d := demands[fl.ID]
-		preLoss += d - te.Delivered(ep.Plan, fl.ID, d, cut)
+		preLoss += d - te.DeliveredUnder(ep.Plan, fl.ID, d, cut)
 	}
 	header(w, "system", "sustained_loss_Gbps")
 	fmt.Fprintf(w, "traditional-backup\t%.0f\n", tradLoss)
@@ -453,7 +453,7 @@ func fig19(w io.Writer, opts Options) error {
 	// their allocation, failed tunnels drop to zero (local rate
 	// adaptation), so affected flows see large swings.
 	cutFiber := busiestFiber(env)
-	cut := map[topology.FiberID]bool{cutFiber: true}
+	cut := topology.FiberSetOf(cutFiber)
 	affected := make(map[routing.FlowID]bool)
 	for _, fl := range env.Tunnels.FlowsThroughFiber(cutFiber) {
 		affected[fl] = true

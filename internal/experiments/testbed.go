@@ -165,8 +165,8 @@ func fig237(w io.Writer, opts Options) error {
 	if err != nil {
 		return err
 	}
-	cut := map[topology.FiberID]bool{0: true}
-	preThroughput := te.Delivered(ep.Plan, 0, 5, cut) + te.Delivered(ep.Plan, 1, 5, cut)
+	cut := topology.FiberSetOf(0)
+	preThroughput := te.DeliveredUnder(ep.Plan, 0, 5, cut) + te.DeliveredUnder(ep.Plan, 1, 5, cut)
 
 	teavar := core.NewTeaVar()
 	teavar.Opt.Metrics = opts.Metrics
@@ -177,7 +177,7 @@ func fig237(w io.Writer, opts Options) error {
 	if err != nil {
 		return err
 	}
-	tvThroughput := te.Delivered(tvEp.Plan, 0, 5, cut) + te.Delivered(tvEp.Plan, 1, 5, cut)
+	tvThroughput := te.DeliveredUnder(tvEp.Plan, 0, 5, cut) + te.DeliveredUnder(tvEp.Plan, 1, 5, cut)
 	fmt.Fprintf(w, "(Fig 7b) post-cut throughput: PreTE %.0f units vs TeaVaR %.0f units; paper: 10 vs 5\n",
 		preThroughput, tvThroughput)
 	return nil

@@ -236,11 +236,11 @@ func FiberDisjointPaths(n *topology.Network, src, dst topology.NodeID, k int, w 
 }
 
 // PathFibers returns the set of fibers a path's lightpaths traverse.
-func PathFibers(n *topology.Network, p Path) map[topology.FiberID]bool {
-	fibers := make(map[topology.FiberID]bool)
+func PathFibers(n *topology.Network, p Path) topology.FiberSet {
+	var fibers topology.FiberSet
 	for _, lid := range p {
 		for _, f := range n.Link(lid).Fibers {
-			fibers[f] = true
+			fibers.Add(f)
 		}
 	}
 	return fibers

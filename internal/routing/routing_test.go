@@ -140,12 +140,8 @@ func TestFiberDisjointPaths(t *testing.T) {
 	if len(paths) != 2 {
 		t.Fatalf("expected exactly 2 fiber-disjoint 0->3 paths, got %d", len(paths))
 	}
-	f0 := PathFibers(n, paths[0])
-	f1 := PathFibers(n, paths[1])
-	for f := range f0 {
-		if f1[f] {
-			t.Fatalf("paths share fiber %d", f)
-		}
+	if PathFibers(n, paths[0]).Intersects(PathFibers(n, paths[1])) {
+		t.Fatal("paths share a fiber")
 	}
 }
 
@@ -188,11 +184,11 @@ func TestTunnelAvailability(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tn := range ts.Tunnels {
-		for f := range tn.Fibers {
-			if tn.AvailableUnder(map[topology.FiberID]bool{f: true}) {
+		tn.Fibers.Each(func(f topology.FiberID) {
+			if tn.AvailableUnder(topology.FiberSetOf(f)) {
 				t.Fatalf("tunnel %d claims availability with its own fiber %d cut", tn.ID, f)
 			}
-		}
+		})
 		if !tn.AvailableUnder(nil) {
 			t.Fatalf("tunnel %d unavailable with no cuts", tn.ID)
 		}
@@ -319,10 +315,8 @@ func TestQuickDisjointness(t *testing.T) {
 		for i := range paths {
 			fi := PathFibers(n, paths[i])
 			for j := i + 1; j < len(paths); j++ {
-				for f := range PathFibers(n, paths[j]) {
-					if fi[f] {
-						return false
-					}
+				if fi.Intersects(PathFibers(n, paths[j])) {
+					return false
 				}
 			}
 		}

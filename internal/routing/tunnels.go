@@ -19,12 +19,12 @@ type Flow struct {
 type TunnelID int
 
 // Tunnel is an end-to-end path for one flow, annotated with the fibers it
-// traverses so failure scenarios can be applied in O(1).
+// traverses so a failure scenario is applied with one set intersection.
 type Tunnel struct {
 	ID     TunnelID
 	Flow   FlowID
 	Links  Path
-	Fibers map[topology.FiberID]bool
+	Fibers topology.FiberSet
 	// New marks tunnels established reactively by Algorithm 1 in response
 	// to a degradation signal (the paper's Y^s_f), as opposed to the
 	// pre-established set T_f.
@@ -33,17 +33,10 @@ type Tunnel struct {
 
 // AvailableUnder reports whether the tunnel survives when the given fibers
 // are cut — membership in T_{f,q} (or Y^s_{f,q}) for failure scenario q.
-func (t *Tunnel) AvailableUnder(cut map[topology.FiberID]bool) bool {
-	for f := range cut {
-		if cut[f] && t.Fibers[f] {
-			return false
-		}
-	}
-	return true
-}
+func (t *Tunnel) AvailableUnder(cut topology.FiberSet) bool { return !t.Fibers.Intersects(cut) }
 
 // UsesFiber reports whether the tunnel's lightpath crosses fiber f.
-func (t *Tunnel) UsesFiber(f topology.FiberID) bool { return t.Fibers[f] }
+func (t *Tunnel) UsesFiber(f topology.FiberID) bool { return t.Fibers.Has(f) }
 
 // TunnelSet is the tunnel table for a network: all flows and their tunnels.
 type TunnelSet struct {
@@ -178,7 +171,7 @@ func (ts *TunnelSet) TunnelsThroughFiber(f topology.FiberID) []TunnelID {
 func (ts *TunnelSet) ResidualCoverage() []topology.FiberID {
 	var violations []topology.FiberID
 	for _, f := range ts.Net.Fibers {
-		cut := map[topology.FiberID]bool{f.ID: true}
+		cut := topology.FiberSetOf(f.ID)
 		for _, fl := range ts.Flows {
 			ok := false
 			for _, tid := range ts.byFlow[fl.ID] {
@@ -208,11 +201,10 @@ func (ts *TunnelSet) Clone() *TunnelSet {
 		byFlow:  make(map[FlowID][]TunnelID, len(ts.byFlow)),
 	}
 	for i, t := range ts.Tunnels {
-		fibers := make(map[topology.FiberID]bool, len(t.Fibers))
-		for f, v := range t.Fibers {
-			fibers[f] = v
+		cp.Tunnels[i] = Tunnel{
+			ID: t.ID, Flow: t.Flow, Links: append(Path(nil), t.Links...),
+			Fibers: append(topology.FiberSet(nil), t.Fibers...), New: t.New,
 		}
-		cp.Tunnels[i] = Tunnel{ID: t.ID, Flow: t.Flow, Links: append(Path(nil), t.Links...), Fibers: fibers, New: t.New}
 	}
 	for f, ids := range ts.byFlow {
 		cp.byFlow[f] = append([]TunnelID(nil), ids...)

@@ -36,7 +36,19 @@ func (s Scenario) Key() string {
 	return string(b)
 }
 
-// CutSet returns the scenario's cut fibers as a set.
+// CutInto returns the scenario's cut fibers as a FiberSet built in dst's
+// storage, which it overwrites: a loop over scenarios passes back what the
+// previous call returned and allocates only when a cut needs more words.
+func (s Scenario) CutInto(dst topology.FiberSet) topology.FiberSet {
+	dst = dst[:0]
+	for _, f := range s.Cut {
+		dst.Add(f)
+	}
+	return dst
+}
+
+// CutSet returns the scenario's cut fibers as a map, the form
+// te.Delivered takes.
 func (s Scenario) CutSet() map[topology.FiberID]bool {
 	m := make(map[topology.FiberID]bool, len(s.Cut))
 	for _, f := range s.Cut {

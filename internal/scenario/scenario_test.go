@@ -124,6 +124,14 @@ func TestScenarioKeyAndCutSet(t *testing.T) {
 	if !cs[1] || !cs[2] || cs[3] {
 		t.Errorf("cut set = %v", cs)
 	}
+	// CutInto reuses a buffer that held a wider set and leaves none of it.
+	buf := topology.FiberSetOf(3, 70, 130)
+	got := c.CutInto(buf)
+	var ids []topology.FiberID
+	got.Each(func(f topology.FiberID) { ids = append(ids, f) })
+	if len(ids) != 2 || ids[0] != 1 || ids[1] != 3 || &got[0] != &buf[0] {
+		t.Errorf("CutInto = %v in a fresh array %v, want [1 3] in the buffer", ids, &got[0] != &buf[0])
+	}
 }
 
 func TestCalibrated(t *testing.T) {

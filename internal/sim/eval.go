@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 
 	"prete/internal/core"
@@ -228,6 +227,7 @@ func (ev *Evaluator) integrate(n int, worlds func(i int) ([]world, error)) (Avai
 		part := make([]float64, nFlows)
 		sum := make([]float64, nFlows)
 		c := make([]float64, nFlows)
+		var cut topology.FiberSet
 		for _, w := range ws {
 			fs, err := ev.enumerate(w.probs)
 			if err != nil {
@@ -236,7 +236,8 @@ func (ev *Evaluator) integrate(n int, worlds func(i int) ([]world, error)) (Avai
 			m.scenarios.Add(int64(len(fs.Scenarios)))
 			clear(sum)
 			for _, q := range fs.Scenarios {
-				if err := w.credit.fill(q, c); err != nil {
+				cut = q.CutInto(cut)
+				if err := w.credit.fill(q, cut, c); err != nil {
 					return nil, err
 				}
 				for f, v := range c {
@@ -403,10 +404,9 @@ func (ev *Evaluator) creditFor(r reaction, plan *te.Plan, planned, truth te.Dema
 }
 
 // fill sets c[f] to the fraction of the epoch during which flow f's full
-// demand is delivered under failure scenario q.
-func (k *credit) fill(q scenario.Scenario, c []float64) error {
+// demand is delivered under failure scenario q, whose cut set is cut.
+func (k *credit) fill(q scenario.Scenario, cut topology.FiberSet, c []float64) error {
 	ev, r := k.ev, k.react
-	cut := q.CutSet()
 	now := k.plan
 	if r == perCut {
 		var err error
@@ -472,9 +472,9 @@ func demandKey(d te.Demands) string {
 // optimum with detour tunnels for the cut fibers. A failed ARROW or
 // Flexile solve is cached as its nil plan (no credit), not retried per
 // scenario; a failed oracle plan is an error.
-func (k *credit) cutPlan(q scenario.Scenario, cut map[topology.FiberID]bool) (*te.Plan, error) {
+func (k *credit) cutPlan(q scenario.Scenario, cut topology.FiberSet) (*te.Plan, error) {
 	ev := k.ev
-	return ev.cached(planKey{k.react, cutKey(cut), k.dk}, func() (*te.Plan, error) {
+	return ev.cached(planKey{k.react, cutKey(q.Cut), k.dk}, func() (*te.Plan, error) {
 		in := &te.Input{
 			Net: ev.Env.Net, Tunnels: ev.Env.Tunnels, Demands: k.planned,
 			Scenarios: &scenario.Set{Scenarios: []scenario.Scenario{{Prob: 1}}, Covered: 1},
@@ -485,10 +485,7 @@ func (k *credit) cutPlan(q scenario.Scenario, cut map[topology.FiberID]bool) (*t
 			// Links that rode cut fibers come back at ARROWRestoreFrac of
 			// their capacity.
 			caps := make(map[topology.LinkID]float64)
-			for f := range cut {
-				if !cut[f] {
-					continue
-				}
+			for _, f := range q.Cut {
 				for _, lid := range ev.Env.Net.LinksOnFiber(f) {
 					caps[lid] = ev.Env.Net.Link(lid).Capacity * ev.Cfg.ARROWRestoreFrac
 				}
@@ -541,16 +538,9 @@ func (ev *Evaluator) cached(key planKey, build func() (*te.Plan, error)) (*te.Pl
 	return p, nil
 }
 
-// cutKey is the canonical plan-cache key of a cut: routing.AppendKey over
-// the map's fiber IDs in ascending order.
-func cutKey(cut map[topology.FiberID]bool) string {
-	ids := make([]topology.FiberID, 0, len(cut))
-	for f := range cut {
-		ids = append(ids, f)
-	}
-	slices.Sort(ids)
-	return string(routing.AppendKey(nil, ids))
-}
+// cutKey is the plan-cache key of a scenario's cut: routing.AppendKey over
+// its fiber IDs, which Scenario.Cut already holds in ascending order.
+func cutKey(cut []topology.FiberID) string { return string(routing.AppendKey(nil, cut)) }
 
 // evalObs bundles the evaluator's metric handles, resolved once per
 // evaluation so the per-scenario hot loops touch only lock-free atomics.

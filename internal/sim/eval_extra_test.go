@@ -126,22 +126,20 @@ func TestBetterPredictionNeverHurts(t *testing.T) {
 }
 
 func TestCutKeyCanonical(t *testing.T) {
-	a := cutKey(map[topology.FiberID]bool{1: true, 5: true})
-	b := cutKey(map[topology.FiberID]bool{5: true, 1: true})
-	if a != b {
-		t.Fatal("cutKey depends on map order")
+	if cutKey([]topology.FiberID{1, 5}) == cutKey([]topology.FiberID{1, 6}) {
+		t.Fatal("cuts {1, 5} and {1, 6} share a key")
 	}
 	if cutKey(nil) != "" {
 		t.Fatal("empty cut should yield empty key")
 	}
 	// Past 64 fibers (TWAN has ~52, a larger WAN more) every fiber must
 	// still reach the key: two cuts differing only there are two plans.
-	lo := cutKey(map[topology.FiberID]bool{3: true})
-	hi := cutKey(map[topology.FiberID]bool{3: true, 69: true})
+	lo := cutKey([]topology.FiberID{3})
+	hi := cutKey([]topology.FiberID{3, 69})
 	if lo == hi {
 		t.Fatal("cutKey drops fibers >= 64: cuts {3} and {3, 69} share a key")
 	}
-	if cutKey(map[topology.FiberID]bool{64: true}) == cutKey(map[topology.FiberID]bool{69: true}) {
+	if cutKey([]topology.FiberID{64}) == cutKey([]topology.FiberID{69}) {
 		t.Fatal("cutKey maps fibers 64 and 69 to one key")
 	}
 }

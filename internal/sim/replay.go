@@ -111,6 +111,7 @@ func Replay(tr *trace.Trace, cfg ReplayConfig) (*ReplayResult, error) {
 	}
 
 	res := &ReplayResult{Scheme: cfg.Scheme}
+	var cut topology.FiberSet
 	for _, e := range epochs {
 		res.EventEpochs++
 		// Signals active this epoch (PreTE reacts; TeaVar's engine ignores
@@ -145,16 +146,16 @@ func Replay(tr *trace.Trace, cfg ReplayConfig) (*ReplayResult, error) {
 			continue
 		}
 		res.CutEpochs++
-		cut := make(map[topology.FiberID]bool)
+		cut = cut[:0]
 		for _, c := range cuts {
-			cut[topology.FiberID(c.Fiber)] = true
+			cut.Add(topology.FiberID(c.Fiber))
 			if predicted[c.Fiber] {
 				res.PredictedCuts++
 			}
 		}
 		for _, fl := range tunnels.Flows {
 			res.FlowEpochs++
-			delivered := te.Delivered(plan.Plan, fl.ID, demands[fl.ID], cut)
+			delivered := te.DeliveredUnder(plan.Plan, fl.ID, demands[fl.ID], cut)
 			if delivered < demands[fl.ID]*(1-1e-6) {
 				res.LostFlowEpochs++
 				res.LostGbps += demands[fl.ID] - delivered

@@ -157,14 +157,14 @@ func solveMinMaxLoss(net *topology.Network, ts *routing.TunnelSet, demands Deman
 // covered by all of its tunnels that survive the (possibly empty) cut set.
 // It is the recomputation step of reactive schemes and the planning step of
 // restoration-based ones.
-func MinMaxLossPlan(in *Input, cut map[topology.FiberID]bool) (*Plan, error) {
+func MinMaxLossPlan(in *Input, cut topology.FiberSet) (*Plan, error) {
 	return MinMaxLossPlanWithCaps(in, cut, nil)
 }
 
 // MinMaxLossPlanWithCaps is MinMaxLossPlan with per-link capacity
 // overrides: ARROW's restoration model re-plans on a network where links
 // that rode cut fibers come back at a fraction of their capacity.
-func MinMaxLossPlanWithCaps(in *Input, cut map[topology.FiberID]bool, capOverride map[topology.LinkID]float64) (*Plan, error) {
+func MinMaxLossPlanWithCaps(in *Input, cut topology.FiberSet, capOverride map[topology.LinkID]float64) (*Plan, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}

@@ -111,18 +111,16 @@ func (f FFC) Plan(in *Input) (*Plan, error) {
 	return &Plan{Alloc: alloc, MaxLoss: phi, Tunnels: in.Tunnels}, nil
 }
 
-// enumerateCuts lists all fiber cut sets of size 0..k.
-func enumerateCuts(numFibers, k int) []map[topology.FiberID]bool {
-	out := []map[topology.FiberID]bool{{}}
+// enumerateCuts lists all fiber cut sets of size 0..k (k <= 2).
+func enumerateCuts(numFibers, k int) []topology.FiberSet {
+	out := []topology.FiberSet{nil}
 	for i := 0; i < numFibers; i++ {
-		out = append(out, map[topology.FiberID]bool{topology.FiberID(i): true})
+		out = append(out, topology.FiberSetOf(topology.FiberID(i)))
 	}
 	if k >= 2 {
 		for i := 0; i < numFibers; i++ {
 			for j := i + 1; j < numFibers; j++ {
-				out = append(out, map[topology.FiberID]bool{
-					topology.FiberID(i): true, topology.FiberID(j): true,
-				})
+				out = append(out, topology.FiberSetOf(topology.FiberID(i), topology.FiberID(j)))
 			}
 		}
 	}

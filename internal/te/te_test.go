@@ -172,7 +172,7 @@ func TestMinMaxLossPlanUnderCut(t *testing.T) {
 	// then squeeze into fiber 1's 10 units, so at demand 10 each the best
 	// max loss is 50% (Fig 2c's situation for TeaVar).
 	in := triangleInput(t, 10)
-	cut := map[topology.FiberID]bool{0: true}
+	cut := topology.FiberSetOf(0)
 	plan, err := MinMaxLossPlan(in, cut)
 	if err != nil {
 		t.Fatal(err)
@@ -195,7 +195,7 @@ func TestFFC1SurvivesAnySingleCut(t *testing.T) {
 		t.Fatalf("FFC-1 loss = %v at demand 4, want 0", plan.MaxLoss)
 	}
 	for fi := range in.Net.Fibers {
-		cut := map[topology.FiberID]bool{topology.FiberID(fi): true}
+		cut := topology.FiberSetOf(topology.FiberID(fi))
 		for _, fl := range in.Tunnels.Flows {
 			if !Satisfied(plan, fl.ID, in.Demands[fl.ID], cut) {
 				t.Fatalf("FFC-1 leaves flow %d unprotected under fiber %d cut", fl.ID, fi)
@@ -245,7 +245,7 @@ func TestFFC2OnTriangle(t *testing.T) {
 	}
 	// single cuts must still be protected
 	for fi := range in.Net.Fibers {
-		cut := map[topology.FiberID]bool{topology.FiberID(fi): true}
+		cut := topology.FiberSetOf(topology.FiberID(fi))
 		for _, fl := range in.Tunnels.Flows {
 			if !Satisfied(plan, fl.ID, in.Demands[fl.ID], cut) {
 				t.Fatalf("FFC-2 lost single-cut protection for flow %d", fl.ID)
@@ -296,7 +296,7 @@ func TestMinMaxLossPlanWithCaps(t *testing.T) {
 // traffic).
 func TestMinMaxLossPlanFitsUnderCut(t *testing.T) {
 	in := triangleInput(t, 5)
-	cut := map[topology.FiberID]bool{0: true}
+	cut := topology.FiberSetOf(0)
 	plan, err := MinMaxLossPlan(in, cut)
 	if err != nil {
 		t.Fatal(err)

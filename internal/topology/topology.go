@@ -154,16 +154,13 @@ func (n *Network) FiberBetween(a, b NodeID) (FiberID, bool) {
 }
 
 // FailedLinks returns the set of IP links downed by cutting the given fibers.
-func (n *Network) FailedLinks(cut map[FiberID]bool) map[LinkID]bool {
+func (n *Network) FailedLinks(cut FiberSet) map[LinkID]bool {
 	failed := make(map[LinkID]bool)
-	for f := range cut {
-		if !cut[f] {
-			continue
-		}
+	cut.Each(func(f FiberID) {
 		for _, l := range n.linksOnFib[f] {
 			failed[l] = true
 		}
-	}
+	})
 	return failed
 }
 

@@ -130,7 +130,7 @@ func TestFailedLinks(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := n.Fibers[0].ID
-	failed := n.FailedLinks(map[FiberID]bool{f: true})
+	failed := n.FailedLinks(FiberSetOf(f))
 	if len(failed) < 2 {
 		t.Fatalf("cutting fiber %d failed only %d links; direct links alone are 2", f, len(failed))
 	}
@@ -146,7 +146,7 @@ func TestFailedLinks(t *testing.T) {
 			t.Fatalf("link %d reported failed but does not ride fiber %d", lid, f)
 		}
 	}
-	if got := n.FailedLinks(map[FiberID]bool{}); len(got) != 0 {
+	if got := n.FailedLinks(nil); len(got) != 0 {
 		t.Fatalf("no cuts should fail no links, got %d", len(got))
 	}
 }
@@ -158,7 +158,7 @@ func TestLostCapacityMatchesFailedLinks(t *testing.T) {
 	}
 	for _, f := range n.Fibers {
 		var sum float64
-		for lid := range n.FailedLinks(map[FiberID]bool{f.ID: true}) {
+		for lid := range n.FailedLinks(FiberSetOf(f.ID)) {
 			sum += n.Link(lid).Capacity
 		}
 		if got := n.LostCapacity(f.ID); got != sum {
@@ -223,14 +223,14 @@ func TestQuickFailedLinksMonotone(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := func(mask uint32, extra uint8) bool {
-		cut := make(map[FiberID]bool)
+		var cut FiberSet
 		for i := 0; i < len(n.Fibers); i++ {
 			if mask&(1<<uint(i)) != 0 {
-				cut[FiberID(i)] = true
+				cut.Add(FiberID(i))
 			}
 		}
 		small := n.FailedLinks(cut)
-		cut[FiberID(int(extra)%len(n.Fibers))] = true
+		cut.Add(FiberID(int(extra) % len(n.Fibers)))
 		big := n.FailedLinks(cut)
 		if len(big) < len(small) {
 			return false
