@@ -39,16 +39,15 @@ import (
 
 func main() {
 	var (
-		fast       = flag.Bool("fast", false, "millisecond-scale switch latencies")
-		seed       = flag.Uint64("seed", 2025, "random seed")
-		metrics    = flag.Bool("metrics", false, "print a JSON metrics snapshot after the run")
-		debugAddr  = flag.String("debug-addr", "", "serve /metrics, /debug/vars, and /debug/pprof on this address while running")
-		faults     = flag.String("faults", "", "fault-injection spec, e.g. 'seed=7,drop=0.1,delay=0.5:10ms-50ms,crash=0.01:25' (empty = no faults)")
-		budget     = flag.String("budget", "", "TE solve budget 'UNITS[:TIMEOUT]', e.g. '5000', '5000:150ms', ':2s' (empty = unlimited); units are deterministic, the timeout is a wall-clock safety net")
-		stateDir   = flag.String("state-dir", "", "directory for crash-safe controller state (journaled snapshots); restarting with the same directory warm-restarts from the last journaled epoch (empty = stateless)")
-		ingestRate = flag.Int("ingest-rate", 1, "samples per tick at which the VOA script is fed through the streaming ingest pipeline (>= 1)")
-		sites      = flag.Int("sites", 0, "standby sites (in-site or cross-site): each owns its own state directory under <state-dir>/sites/, fed by journal replication over the network, and would promote behind a time-bounded lease on leader death (requires -state-dir)")
-		classes    = flag.String("classes", "", "SLO tier spec 'name:share:weight[:policy],...' or 'default' (lc:0.2:100:protect,std:0.5:10:defer,bulk:0.3:1:shed); per-class demands run the strict-priority classed solve and the predictive admission ladder (empty = classless)")
+		fast      = flag.Bool("fast", false, "millisecond-scale switch latencies")
+		seed      = flag.Uint64("seed", 2025, "random seed")
+		metrics   = flag.Bool("metrics", false, "print a JSON metrics snapshot after the run")
+		debugAddr = flag.String("debug-addr", "", "serve /metrics, /debug/vars, and /debug/pprof on this address while running")
+		faults    = flag.String("faults", "", "fault-injection spec, e.g. 'seed=7,drop=0.1,delay=0.5:10ms-50ms,crash=0.01:25' (empty = no faults)")
+		budget    = flag.String("budget", "", "TE solve budget 'UNITS[:TIMEOUT]', e.g. '5000', '5000:150ms', ':2s' (empty = unlimited); units are deterministic, the timeout is a wall-clock safety net")
+		stateDir  = flag.String("state-dir", "", "directory for crash-safe controller state (journaled snapshots); restarting with the same directory warm-restarts from the last journaled epoch (empty = stateless)")
+		sites     = flag.Int("sites", 0, "standby sites (in-site or cross-site): each owns its own state directory under <state-dir>/sites/, fed by journal replication over the network, and would promote behind a time-bounded lease on leader death (requires -state-dir)")
+		classes   = flag.String("classes", "", "SLO tier spec 'name:share:weight[:policy],...' or 'default' (lc:0.2:100:protect,std:0.5:10:defer,bulk:0.3:1:shed); per-class demands run the strict-priority classed solve and the predictive admission ladder (empty = classless)")
 	)
 	flag.Parse()
 
@@ -58,10 +57,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *ingestRate < 1 {
-		fmt.Fprintln(os.Stderr, "prete-testbed: -ingest-rate must be >= 1")
-		os.Exit(2)
-	}
 	if *sites < 0 {
 		fmt.Fprintln(os.Stderr, "prete-testbed: -sites must be >= 0")
 		os.Exit(2)
@@ -177,13 +172,11 @@ func main() {
 		fmt.Printf("controller replication: leader + %d standby site(s) under %s\n", *sites, filepath.Join(*stateDir, "sites"))
 	}
 
-	timing, st, err := tb.RunScenarioStream(*seed, *ingestRate)
+	timing, err := tb.RunScenario(*seed)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "prete-testbed: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Printf("streaming ingest: %d samples/tick, %d ingested = %d emitted + %d dropped + %d merged + %d queued (%d watermark crossings)\n",
-		*ingestRate, st.Ingested, st.Emitted, st.Dropped, st.Merged, st.Queued, st.WatermarkCrossings)
 	fmt.Println("PreTE reaction pipeline (Fig 11a):")
 	fmt.Printf("  detection        %8.2f ms\n", ms(timing.Detection))
 	fmt.Printf("  model inference  %8.2f ms\n", ms(timing.Inference))

@@ -33,12 +33,11 @@ func fuzzNet(tb testing.TB) *topology.Network {
 }
 
 // FuzzIngest feeds arbitrary — malformed, out-of-order, duplicate-
-// timestamp, gappy, non-finite — arrival schedules through the streaming
-// pipeline. The pipeline must never panic; with backpressure disabled it
-// must agree with the batch replay (telemetry.ProcessBatch) at a per-tick
-// and a fuzz-chosen flush window; and under fuzz-chosen backpressure the
-// accounting identity ingested = emitted + dropped + merged must hold
-// exactly once the stream is flushed.
+// timestamp, gappy, non-finite — sample series through the streaming
+// pipeline at one sample per tick, at a fuzz-chosen chunking, and in one
+// tick. The pipeline must never panic and must agree with the batch replay
+// (telemetry.ProcessBatch) at every chunking. ringCap, drain and flushEvery
+// are unused; they keep the committed corpus decodable.
 func FuzzIngest(f *testing.F) {
 	f.Add([]byte{}, uint8(2), uint8(3), uint8(8), uint8(1), uint8(4))
 	// a clean degradation episode on fiber 0
@@ -47,7 +46,7 @@ func FuzzIngest(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 1, 0, 0, 1, 200, 0, 2, 0, 200, 0}, uint8(3), uint8(4), uint8(4), uint8(2), uint8(2))
 	// out-of-order timestamps (negative dt) across all three fibers
 	f.Add([]byte{1, 255, 60, 0, 0, 1, 30, 0, 2, 129, 90, 1, 1, 255, 60, 0}, uint8(1), uint8(5), uint8(2), uint8(1), uint8(3))
-	f.Fuzz(func(t *testing.T, data []byte, confirm, window, ringCap, drain, flushEvery uint8) {
+	f.Fuzz(func(t *testing.T, data []byte, confirm, window, _, _, _ uint8) {
 		net := fuzzNet(t)
 		// Decode: each 4-byte group is one sample — fiber selector, signed
 		// time delta (out-of-order and duplicate timestamps allowed), excess
@@ -82,61 +81,27 @@ func FuzzIngest(f *testing.F) {
 		}
 		conf := int(confirm%8) + 1
 
-		// Leg 1: no backpressure — the stream must equal the batch replay
-		// byte for byte at every flush window (NaN prints identically, so
-		// compare the printed form).
+		// The stream must equal the batch replay byte for byte at every
+		// chunking (NaN prints identically, so compare the printed form).
 		want, errB := telemetry.ProcessBatch(net, series, conf)
-		for _, flushTicks := range []int{1, int(window%16) + 1} {
+		whole := max(len(series[0].Samples), len(series[1].Samples), len(series[2].Samples), 1)
+		for _, perTick := range []int{1, int(window%16) + 1, whole} {
 			cfg := DefaultConfig()
-			cfg.FlushTicks = flushTicks
 			cfg.ConfirmSamples = conf
-			cfg.RingCapacity = 4
 			p, err := New(net, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, errS := p.RunReplay(series)
+			got, errS := streamChunked(t, p, series, perTick)
 			if (errS == nil) != (errB == nil) {
-				t.Fatalf("flush=%d: error disagreement: batch=%v stream=%v", flushTicks, errB, errS)
+				t.Fatalf("perTick=%d: error disagreement: batch=%v stream=%v", perTick, errB, errS)
 			}
 			if errS != nil {
 				return
 			}
 			if fmt.Sprintf("%#v", got) != fmt.Sprintf("%#v", want) {
-				t.Fatalf("flush=%d: stream diverges from batch replay:\nstream: %v\nbatch:  %v", flushTicks, got, want)
+				t.Fatalf("perTick=%d: stream diverges from batch replay:\nstream: %v\nbatch:  %v", perTick, got, want)
 			}
-		}
-
-		// Leg 2: fuzz-chosen backpressure — whatever is shed, the exact
-		// accounting identity must survive, per fiber and in total.
-		cfg := Config{
-			RingCapacity:   int(ringCap%16) + 1,
-			HighWatermark:  0.5,
-			DrainPerTick:   int(drain % 4), // 0 = unlimited
-			FlushTicks:     int(flushEvery%8) + 1,
-			ConfirmSamples: conf,
-		}
-		p, err := New(net, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := p.RunReplay(series); err != nil {
-			t.Fatal(err)
-		}
-		st := p.Stats()
-		if st.Queued != 0 {
-			t.Fatalf("%d samples queued after Flush", st.Queued)
-		}
-		if st.Ingested != st.Emitted+st.Dropped+st.Merged {
-			t.Fatalf("accounting leak: %+v", st)
-		}
-		var perDrop, perMerge int64
-		for i := range st.PerFiberDropped {
-			perDrop += st.PerFiberDropped[i]
-			perMerge += st.PerFiberMerged[i]
-		}
-		if perDrop != st.Dropped || perMerge != st.Merged {
-			t.Fatalf("per-fiber lineage disagrees with totals: %+v", st)
 		}
 	})
 }

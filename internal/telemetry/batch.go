@@ -40,8 +40,8 @@ func (d *Detector) ObserveSeries(samples []optical.Sample) []Event {
 // feature extraction for every event with a degradation window — over many
 // fibers, one after another, each with a fresh detector. It is the
 // whole-series reference the streaming front-end (internal/ingest) is
-// checked against: with backpressure never engaged, ingest's output equals
-// this byte for byte.
+// checked against: at any tick chunking, ingest's output equals this byte
+// for byte.
 //
 // Each fiber may appear at most once per batch (its detector is owned by
 // one row). The returned slice is parallel to series: out[i] holds fiber

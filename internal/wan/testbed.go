@@ -205,35 +205,19 @@ func (tb *Testbed) Close() {
 
 // RunScenario replays the §5 VOA script (healthy 0-65 s, degraded
 // 65-110 s, cut at 110 s) through the streaming ingest pipeline at one
-// sample per tick (RunScenarioStream(seed, 0), without the ingest stats)
-// and, on the degradation signal, executes the full PreTE reaction
-// pipeline, returning its timing breakdown. The optical timeline is
-// replayed at full speed — wall-clock costs are only incurred by the real
-// computations and the real TCP round-trips to the switch agents.
+// sample per tick and, on the first DegradationStart, executes the full
+// PreTE reaction pipeline, returning its timing breakdown. The optical
+// timeline is replayed at full speed — wall-clock costs are only incurred
+// by the real computations and the real TCP round-trips to the switch
+// agents.
 func (tb *Testbed) RunScenario(seed uint64) (*PipelineTiming, error) {
-	timing, _, err := tb.RunScenarioStream(seed, 0)
-	return timing, err
-}
-
-// RunScenarioStream is RunScenario with the ingest rate exposed: the VOA
-// script's samples arrive ratePerTick at a time on the VOA's fiber, flow
-// through the rings of internal/ingest, and the controller reacts to the
-// first flushed DegradationStart. ratePerTick <= 0 selects one sample per
-// tick. The returned ingest.Stats carries the pipeline's exact drop/merge
-// accounting for the run; at default capacities the script never crosses
-// the watermark, so the reaction is the same at every rate.
-func (tb *Testbed) RunScenarioStream(seed uint64, ratePerTick int) (*PipelineTiming, ingest.Stats, error) {
 	fiberSim := optical.NewFiberSim(tb.Net.Fiber(tb.voa).LengthKm, stats.NewRNG(seed))
 	samples := optical.TestbedScript().Replay(fiberSim, 0)
 	cfg := ingest.DefaultConfig()
-	cfg.ConfirmSamples = 2
 	cfg.Metrics = tb.Ctl.Metrics
 	pipe, err := ingest.New(tb.Net, cfg)
 	if err != nil {
-		return nil, ingest.Stats{}, err
-	}
-	if ratePerTick <= 0 {
-		ratePerTick = 1
+		return nil, err
 	}
 	react := func(batches []ingest.FiberEvents, detectStart time.Time) (*PipelineTiming, error) {
 		for _, b := range batches {
@@ -252,30 +236,25 @@ func (tb *Testbed) RunScenarioStream(seed uint64, ratePerTick int) (*PipelineTim
 		}
 		return nil, nil
 	}
-	for i := 0; i < len(samples); i += ratePerTick {
+	for _, s := range samples {
 		detectStart := time.Now()
-		end := min(i+ratePerTick, len(samples))
-		arrivals := make([]ingest.Arrival, 0, end-i)
-		for _, s := range samples[i:end] {
-			arrivals = append(arrivals, ingest.Arrival{Fiber: int(tb.voa), Sample: s})
-		}
-		batches, err := pipe.Tick(arrivals)
+		batches, err := pipe.Tick([]ingest.Arrival{{Fiber: int(tb.voa), Sample: s}})
 		if err != nil {
-			return nil, pipe.Stats(), err
+			return nil, err
 		}
 		if t, err := react(batches, detectStart); err != nil || t != nil {
-			return t, pipe.Stats(), err
+			return t, err
 		}
 	}
 	detectStart := time.Now()
 	batches, err := pipe.Flush()
 	if err != nil {
-		return nil, pipe.Stats(), err
+		return nil, err
 	}
 	if t, err := react(batches, detectStart); err != nil || t != nil {
-		return t, pipe.Stats(), err
+		return t, err
 	}
-	return nil, pipe.Stats(), fmt.Errorf("wan: the VOA script produced no degradation event")
+	return nil, fmt.Errorf("wan: the VOA script produced no degradation event")
 }
 
 // react runs one reaction round of the loop for a degradation confirmed on

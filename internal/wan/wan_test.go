@@ -1,8 +1,6 @@
 package wan
 
 import (
-	"fmt"
-	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -305,64 +303,6 @@ func TestBackoffSchedule(t *testing.T) {
 	for i, want := range []time.Duration{10, 20, 40, 40} {
 		if got := p.backoff(i+1, nil); got != want*time.Millisecond {
 			t.Errorf("backoff(%d) = %v, want %v", i+1, got, want*time.Millisecond)
-		}
-	}
-}
-
-// TestRunScenarioStream drives the reaction through the ingest pipeline at
-// several ingest rates and requires exact drop/merge accounting — and that
-// RunScenario, the same entry at the defaults, leaves the same event log
-// and the same rate table on every agent.
-func TestRunScenarioStream(t *testing.T) {
-	checkGoroutineLeaks(t)
-	run := func(name string, scenario func(tb *Testbed) (*PipelineTiming, error)) ([]string, []map[string]float64) {
-		tb, err := NewTestbed(fastSwitch(), func(f optical.Features) float64 { return 0.8 })
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer tb.Close()
-		tb.Ctl.Metrics = obs.NewRegistry()
-		tb.Ctl.Log = NewEventLog()
-		timing, err := scenario(tb)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if timing.TunnelUpdate <= 0 || timing.TECompute <= 0 || timing.ScenarioRegen <= 0 {
-			t.Errorf("%s: missing stage timings: %+v", name, timing)
-		}
-		rates := make([]map[string]float64, len(tb.Agents))
-		for i, a := range tb.Agents {
-			rates[i] = a.Rates()
-		}
-		return tb.Ctl.Log.Events(), rates
-	}
-	wantEvents, wantRates := run("RunScenario", func(tb *Testbed) (*PipelineTiming, error) { return tb.RunScenario(7) })
-	if len(wantEvents) == 0 || len(wantRates[0]) == 0 {
-		t.Fatalf("RunScenario left no evidence: %d events, rates %v", len(wantEvents), wantRates)
-	}
-	for _, rate := range []int{0, 1, 7, 50} {
-		name := fmt.Sprintf("rate=%d", rate)
-		events, rates := run(name, func(tb *Testbed) (*PipelineTiming, error) {
-			timing, st, err := tb.RunScenarioStream(7, rate)
-			if err != nil {
-				return nil, err
-			}
-			if st.Dropped != 0 || st.Merged != 0 {
-				t.Errorf("%s: VOA script triggered backpressure: %+v", name, st)
-			}
-			if st.Ingested == 0 || st.Ingested != st.Emitted+st.Queued {
-				t.Errorf("%s: accounting off: %+v", name, st)
-			}
-			if v := tb.Ctl.Metrics.Counter("ingest.samples.ingested").Value(); v != st.Ingested {
-				t.Errorf("%s: registry ingested = %d, stats = %d", name, v, st.Ingested)
-			}
-			return timing, nil
-		})
-		if !reflect.DeepEqual(events, wantEvents) {
-			t.Errorf("%s: event log differs from RunScenario's:\n got %q\nwant %q", name, events, wantEvents)
-		}
-		if !reflect.DeepEqual(rates, wantRates) {
-			t.Errorf("%s: agent rate tables differ from RunScenario's:\n got %v\nwant %v", name, rates, wantRates)
 		}
 	}
 }
