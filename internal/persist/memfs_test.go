@@ -117,14 +117,14 @@ func (m *memFS) Remove(name string) error {
 	return nil
 }
 
-func (m *memFS) ReadFile(name string) ([]byte, error) {
+func (m *memFS) AppendFile(buf []byte, name string) ([]byte, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	b, ok := m.files[name]
 	if !ok {
-		return nil, fmt.Errorf("memfs: read %s: not found", name)
+		return buf, fmt.Errorf("memfs: read %s: not found", name)
 	}
-	return append([]byte(nil), b...), nil
+	return append(buf, b...), nil
 }
 
 func (m *memFS) ReadDir(dir string) ([]string, error) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"syscall"
 )
 
@@ -43,7 +44,35 @@ func (osFS) Create(name string) (File, error) {
 
 func (osFS) Rename(oldname, newname string) error { return os.Rename(oldname, newname) }
 func (osFS) Remove(name string) error             { return os.Remove(name) }
-func (osFS) ReadFile(name string) ([]byte, error) { return os.ReadFile(name) }
+
+// AppendFile grows buf once to the size the file reports plus one byte, as
+// os.ReadFile sizes its buffer, so a read into a buffer that is already big
+// enough allocates no bytes for the contents and the probe for EOF never
+// forces a grow. A file that grows while it is read is read to its end.
+func (osFS) AppendFile(buf []byte, name string) ([]byte, error) {
+	f, err := os.Open(name)
+	if err != nil {
+		return buf, err
+	}
+	defer f.Close()
+	n := len(buf)
+	if fi, err := f.Stat(); err == nil {
+		buf = slices.Grow(buf, int(fi.Size())+1)
+	}
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		m, err := f.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+m]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf[:n], err
+		}
+	}
+}
 
 func (osFS) ReadDir(dir string) ([]string, error) {
 	ents, err := os.ReadDir(dir)

@@ -22,7 +22,11 @@
 //     one scan under one rule set, so what a standby applies is by
 //     construction what the leader would recover (persist.FuzzTail pins
 //     this). The Replicator's read takes no lock and never writes, so it can
-//     watch a live Store without perturbing it.
+//     watch a live Store without perturbing it. The scan appends every file
+//     into a buffer its caller owns: recovery reads into a fresh one, the
+//     Replicator into one it keeps across Ticks, copying out only the frames
+//     of records it has not read before, so a Tick's allocation does not grow
+//     with the directory.
 //
 //   - Single opener. Open takes an OS-level advisory lock (flock) on the
 //     directory; a second opener fails fast with a typed *LockError instead
@@ -111,7 +115,11 @@ type FS interface {
 	Create(name string) (File, error)
 	Rename(oldname, newname string) error
 	Remove(name string) error
-	ReadFile(name string) ([]byte, error)
+	// AppendFile appends the contents of name to buf and returns the
+	// extended slice, so a caller that reads repeatedly can reuse one
+	// buffer (a nil buf reads into a fresh one). On error it returns buf
+	// unextended.
+	AppendFile(buf []byte, name string) ([]byte, error)
 	// ReadDir returns the file names (not paths) in dir.
 	ReadDir(dir string) ([]string, error)
 	// SyncDir fsyncs the directory so renames and creations are durable.

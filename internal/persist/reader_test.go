@@ -54,7 +54,9 @@ func (r readOnlyFS) SyncDir(dir string) error {
 	return nil
 }
 
-func (r readOnlyFS) ReadFile(name string) ([]byte, error) { return r.inner.ReadFile(name) }
+func (r readOnlyFS) AppendFile(buf []byte, name string) ([]byte, error) {
+	return r.inner.AppendFile(buf, name)
+}
 func (r readOnlyFS) ReadDir(dir string) ([]string, error) { return r.inner.ReadDir(dir) }
 
 // shipLog is a Pipe standing in for a standby that takes every frame: it

@@ -40,10 +40,13 @@ func appendRecord(buf []byte, seq uint64, body []byte) []byte {
 	return append(buf, body...)
 }
 
-// record is one decoded journal/snapshot entry.
+// record is one decoded journal/snapshot entry. frame is its whole framed
+// image (header and payload), which ends with body; a record that was not
+// read from a framed image may leave it nil.
 type record struct {
-	seq  uint64
-	body []byte
+	seq   uint64
+	body  []byte
+	frame []byte
 }
 
 // readRecord decodes the record at the head of b. ok reports a record whose
@@ -64,8 +67,9 @@ func readRecord(b []byte) (rec record, rest []byte, ok bool) {
 		return record{}, nil, false
 	}
 	return record{
-		seq:  binary.LittleEndian.Uint64(payload[:seqLen]),
-		body: payload[seqLen:],
+		seq:   binary.LittleEndian.Uint64(payload[:seqLen]),
+		body:  payload[seqLen:],
+		frame: b[:recordHeaderLen+payloadLen],
 	}, b[recordHeaderLen+payloadLen:], true
 }
 
@@ -76,11 +80,17 @@ func readRecord(b []byte) (rec record, rest []byte, ok bool) {
 // epochs — records after a torn one could have been reordered by the
 // filesystem, so they are never trusted.
 func scanRecords(b []byte) (recs []record, torn bool, corrupt int) {
+	return appendRecords(nil, b)
+}
+
+// appendRecords is scanRecords appending to recs, so a repeated scan can
+// reuse one slice. The records alias b.
+func appendRecords(recs []record, b []byte) (_ []record, torn bool, corrupt int) {
 	if len(b) < len(magic) || string(b[:len(magic)]) != string(magic) {
 		if len(b) > 0 {
 			corrupt++
 		}
-		return nil, len(b) > 0, corrupt
+		return recs, len(b) > 0, corrupt
 	}
 	rest := b[len(magic):]
 	for len(rest) > 0 {

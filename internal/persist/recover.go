@@ -110,19 +110,31 @@ func listDir(fs FS, dir string) ([]stateFile, error) {
 	return files, nil
 }
 
-// scanDir is the one reader of a state directory: it returns every
-// checksum-valid record in listDir's order. Every file contributes its valid
-// record prefix — the scan of a file stops at its first torn or corrupt
-// record, and a file without the magic contributes nothing — so nothing that
-// fails a checksum is ever returned. A snapshot is exactly one record;
+// dirScan is one read of a state directory: every record file's bytes back
+// to back in buf, and the checksum-valid records parsed from them, whose
+// bodies and frames alias buf. A caller that reads the same directory
+// repeatedly keeps one dirScan, so each read reuses the buffers of the one
+// before; a record that must outlive the next read is copied out first.
+type dirScan struct {
+	buf  []byte
+	recs []record
+}
+
+// scanDir is the one reader of a state directory: it reads every record file
+// into s, in listDir's order, and keeps every checksum-valid record. Every
+// file contributes its valid record prefix — the scan of a file stops at its
+// first torn or corrupt record, and a file without the magic contributes
+// nothing — so nothing that fails a checksum is ever returned, and nothing is
+// parsed past the bytes this read appended. A snapshot is exactly one record;
 // trailing junk after it is ignored. stats counts what was read and what was
 // skipped; dead is the number of non-empty files without a valid magic.
 // Recovery keeps the newest record; the Replicator keeps those above its
 // high-water mark.
-func scanDir(fs FS, dir string) (recs []record, stats RecoveryStats, dead int, err error) {
+func scanDir(fs FS, dir string, s *dirScan) (stats RecoveryStats, dead int, err error) {
+	s.buf, s.recs = s.buf[:0], s.recs[:0]
 	files, err := listDir(fs, dir)
 	if err != nil {
-		return nil, stats, 0, err
+		return stats, 0, err
 	}
 	for _, f := range files {
 		if f.snap {
@@ -130,39 +142,43 @@ func scanDir(fs FS, dir string) (recs []record, stats RecoveryStats, dead int, e
 		} else {
 			stats.Journals++
 		}
-		b, err := fs.ReadFile(dir + "/" + f.name())
+		start := len(s.buf)
+		buf, err := fs.AppendFile(s.buf, dir+"/"+f.name())
 		if err != nil {
 			stats.CorruptSkipped++
 			continue
 		}
+		s.buf = buf
+		b := buf[start:]
 		if len(b) > 0 && !bytes.HasPrefix(b, magic) {
 			dead++
 		}
-		fileRecs, torn, corrupt := scanRecords(b)
+		recs, torn, corrupt := appendRecords(s.recs, b)
+		s.recs = recs
 		stats.CorruptSkipped += corrupt
 		if torn && !f.snap {
 			stats.TornTail = true
 		}
-		recs = append(recs, fileRecs...)
 	}
-	stats.RecordsReplayed = len(recs)
-	return recs, stats, dead, nil
+	stats.RecordsReplayed = len(s.recs)
+	return stats, dead, nil
 }
 
 // recoverDir scans dir through fs and returns the newest valid state: the
 // record with the highest sequence wins, and of two at one sequence the
 // later-scanned. A directory with no valid record returns ErrNoState.
 func recoverDir(fs FS, dir string) (*Recovered, error) {
-	recs, stats, _, err := scanDir(fs, dir)
+	var s dirScan
+	stats, _, err := scanDir(fs, dir, &s)
 	if err != nil {
 		return nil, err
 	}
 	rec := &Recovered{Stats: stats}
-	if len(recs) == 0 {
+	if len(s.recs) == 0 {
 		return rec, ErrNoState
 	}
-	newest := recs[0]
-	for _, r := range recs[1:] {
+	newest := s.recs[0]
+	for _, r := range s.recs[1:] {
 		if r.seq >= newest.seq {
 			newest = r
 		}

@@ -1,10 +1,11 @@
 package persist
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	iofs "io/fs"
-	"sort"
+	"slices"
 	"sync"
 
 	"prete/internal/obs"
@@ -215,7 +216,7 @@ type ReplicatorOptions struct {
 	RetainRecords int
 	// FS substitutes the filesystem the leader directory is read through;
 	// nil selects the operating system. The Replicator only calls ReadDir
-	// and ReadFile on it.
+	// and AppendFile on it, appending into one buffer it keeps across Ticks.
 	FS FS
 	// Metrics, when non-nil, receives the leader-side persist.repl.* series
 	// (shipped, acked, resent, inflight, resyncs, tailed). Write-only.
@@ -233,12 +234,15 @@ type replTarget struct {
 // Replicator ships a leader's journal to remote standbys. On every Tick it
 // re-reads the leader's state directory with the scan recovery uses —
 // read-only and lock-free, so it can watch a live Store without perturbing
-// it — buffers the records above its high-water mark, and pushes each target
-// forward: pending records in sequence order, or a snapshot re-sync when the
-// target is behind the buffer, reports a gap, or receives a corrupt frame.
-// What a standby applies is therefore by construction what the leader would
-// recover. All shipping is synchronous inside Tick — the Replicator owns no
-// goroutines.
+// it — into one scan buffer it keeps across Ticks, so a Tick at steady state
+// allocates only for the records it has not seen. It copies the on-disk frame
+// of each record above its high-water mark out of that buffer and pushes each
+// target forward: pending records in sequence order, or a snapshot re-sync
+// when the target is behind the buffer, reports a gap, or receives a corrupt
+// frame. Each frame is shipped as it was read from disk, since the wire
+// framing is the disk framing. What a standby applies is therefore by
+// construction what the leader would recover. All shipping is synchronous
+// inside Tick — the Replicator owns no goroutines.
 type Replicator struct {
 	dir     string
 	fs      FS
@@ -246,8 +250,9 @@ type Replicator struct {
 	metrics *obs.Registry
 
 	mu      sync.Mutex
+	scan    dirScan  // the latest Tick's read, reused by the next
 	last    uint64   // high-water mark: the highest seq read so far
-	records []record // buffered, ascending seq, bodies owned
+	records []record // buffered, ascending seq, frames owned
 	targets []*replTarget
 	stats   ReplStats
 	closed  bool
@@ -313,13 +318,14 @@ func (r *Replicator) Tick() error {
 	if r.closed {
 		return fmt.Errorf("persist: tick on closed replicator")
 	}
-	recs, _, dead, err := scanDir(r.fs, r.dir)
+	_, dead, err := scanDir(r.fs, r.dir, &r.scan)
 	if err != nil && !errors.Is(err, iofs.ErrNotExist) {
 		return err // a missing directory is one not created yet: nothing to ship
 	}
 	r.stats.TailDeadFiles = int64(dead)
-	if fresh := above(recs, r.last); len(fresh) > 0 {
-		r.records = append(r.records, fresh...)
+	n := len(r.records)
+	r.records = above(r.records, r.scan.recs, r.last)
+	if fresh := r.records[n:]; len(fresh) > 0 {
 		r.last = fresh[len(fresh)-1].seq
 		r.stats.Tailed += int64(len(fresh))
 		r.metrics.Counter("persist.repl.tailed").Add(int64(len(fresh)))
@@ -332,28 +338,31 @@ func (r *Replicator) Tick() error {
 	return nil
 }
 
-// above returns the records of recs (in scan order) with a sequence above
-// hwm, one per sequence, ascending, with their bodies copied. Of two records
-// at one sequence the later-scanned wins, as in recovery, so the newest
-// record returned is the one Recover returns.
-func above(recs []record, hwm uint64) []record {
-	var out []record
+// above appends to dst the records of recs (in scan order) with a sequence
+// above hwm, one per sequence, ascending, each with its whole frame copied
+// out of the scan buffer recs aliases, which the next scan overwrites. Of two
+// records at one sequence the later-scanned wins, as in recovery, so the
+// newest record appended is the one Recover returns.
+func above(dst, recs []record, hwm uint64) []record {
+	n := len(dst)
 	for _, rec := range recs {
 		if rec.seq > hwm {
-			out = append(out, rec)
+			dst = append(dst, rec)
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].seq < out[j].seq })
-	n := 0
-	for i, rec := range out {
-		if i+1 < len(out) && out[i+1].seq == rec.seq {
+	fresh := dst[n:]
+	slices.SortStableFunc(fresh, func(a, b record) int { return cmp.Compare(a.seq, b.seq) })
+	for i, rec := range fresh {
+		if i+1 < len(fresh) && fresh[i+1].seq == rec.seq {
 			continue
 		}
-		rec.body = append([]byte(nil), rec.body...)
-		out[n] = rec
+		rec.frame = append([]byte(nil), rec.frame...)
+		rec.body = rec.frame[recordHeaderLen+seqLen:]
+		dst[n] = rec
 		n++
 	}
-	return out[:n]
+	clear(dst[n:])
+	return dst[:n]
 }
 
 // pruneLocked drops buffered records every target has acked and caps the
@@ -380,7 +389,9 @@ func (r *Replicator) pruneLocked() {
 		i += over
 	}
 	if i > 0 {
-		r.records = append([]record(nil), r.records[i:]...)
+		n := copy(r.records, r.records[i:])
+		clear(r.records[n:])
+		r.records = r.records[:n]
 	}
 }
 
@@ -400,8 +411,7 @@ func (r *Replicator) shipToLocked(t *replTarget) {
 		// record — the hole is already pruned — so catch it up wholesale.
 		behindBuffer := t.acked+1 < r.records[0].seq
 		if t.needSnapshot || behindBuffer {
-			frame := EncodeReplFrame(newest.seq, newest.body)
-			acked, resync, err := r.shipFrame(t, frame, true)
+			acked, resync, err := r.shipFrame(t, newest, true)
 			if err != nil || resync || acked < newest.seq {
 				return // unresolved or refused; retry next Tick
 			}
@@ -415,8 +425,7 @@ func (r *Replicator) shipToLocked(t *replTarget) {
 		if !ok {
 			return
 		}
-		frame := EncodeReplFrame(next.seq, next.body)
-		acked, resync, err := r.shipFrame(t, frame, false)
+		acked, resync, err := r.shipFrame(t, next, false)
 		switch {
 		case err != nil:
 			return
@@ -441,19 +450,18 @@ func (r *Replicator) recordAfterLocked(acked uint64) (record, bool) {
 	return record{}, false
 }
 
-// shipFrame performs one accounted ship attempt. Exactly one of acked or
-// resent is incremented per attempt, keeping shipped = acked + inflight +
-// resent exact.
-func (r *Replicator) shipFrame(t *replTarget, frame []byte, snapshot bool) (acked uint64, resync bool, err error) {
+// shipFrame performs one accounted ship attempt of rec's on-disk frame.
+// Exactly one of acked or resent is incremented per attempt, keeping
+// shipped = acked + inflight + resent exact.
+func (r *Replicator) shipFrame(t *replTarget, rec record, snapshot bool) (acked uint64, resync bool, err error) {
 	r.stats.Shipped++
 	r.stats.Inflight++
 	r.metrics.Counter("persist.repl.shipped").Inc()
 	r.metrics.Gauge("persist.repl.inflight").Set(float64(r.stats.Inflight))
-	acked, resync, err = t.pipe.Ship(frame, snapshot)
+	acked, resync, err = t.pipe.Ship(rec.frame, snapshot)
 	r.stats.Inflight--
 	r.metrics.Gauge("persist.repl.inflight").Set(float64(r.stats.Inflight))
-	seq, _, _ := DecodeReplFrame(frame)
-	if err == nil && !resync && acked >= seq {
+	if err == nil && !resync && acked >= rec.seq {
 		r.stats.Acked++
 		r.metrics.Counter("persist.repl.acked").Inc()
 	} else {

@@ -436,3 +436,219 @@ func TestReaderDeadFileStats(t *testing.T) {
 		t.Fatalf("TailDeadFiles = %d after the dead file went, want 0", got)
 	}
 }
+
+// applyPipe wires a Replicator straight into an Applier, as a standby site
+// applies what arrives, without copying the frame on the way.
+type applyPipe struct{ ap *Applier }
+
+func (p applyPipe) Ship(frame []byte, snapshot bool) (uint64, bool, error) {
+	ack, err := p.ap.Apply(frame, snapshot)
+	return ack, false, err
+}
+
+// TestReplicatorTickAllocIndependentOfDirSize: a Tick's allocation does not
+// grow with the leader directory it re-reads. A live store with full-state
+// bodies is ticked into an Applier; the bytes one Append+Tick allocates over
+// a 60-record journal are within one record of those over a nearly empty
+// one, because the scan reads into the buffer the Replicator keeps and only
+// the fresh record is copied out of it.
+func TestReplicatorTickAllocIndependentOfDirSize(t *testing.T) {
+	const bodyLen = 4600 // a B4 full-state record
+	leaderDir := t.TempDir()
+	leader, err := Open(leaderDir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leader.Close()
+	standby, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer standby.Close()
+	r, err := NewReplicator(leaderDir, ReplicatorOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	r.AddTarget("standby", applyPipe{NewApplier(standby, ApplierOptions{})})
+
+	bodies := make([][]byte, 70)
+	for i := range bodies {
+		bodies[i] = bytes.Repeat([]byte{byte('a' + i%26)}, bodyLen)
+	}
+	var seq uint64
+	// op journals and ships the next epoch and returns the bytes it
+	// allocated.
+	op := func() uint64 {
+		seq++
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := leader.Append(seq, bodies[seq]); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Tick(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if got := standby.LastSeq(); got != seq {
+			t.Fatalf("standby at seq %d after shipping %d", got, seq)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	// least is the fewest bytes any of n ops allocated. The noise is
+	// one-sided: an op that grows the kept buffer to a size the directory
+	// has not reached before, or that refills a sync.Pool the runtime
+	// emptied, only adds bytes.
+	least := func(n int) uint64 {
+		m := op()
+		for i := 1; i < n; i++ {
+			m = min(m, op())
+		}
+		return m
+	}
+	compact := func() {
+		if err := leader.Compact(seq, bodies[seq]); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for seq < 55 {
+		op()
+	}
+	long := least(5) // the journal holds records 56..60
+
+	// Three compactions prune the long journal: the directory is left with
+	// two snapshots, a closed one-record journal and the live journal.
+	compact()
+	op()
+	compact()
+	op()
+	compact()
+	short := least(5) // the live journal holds records 63..67
+
+	t.Logf("bytes per Append+Tick: %d over a 60-record journal, %d over a nearly empty one", long, short)
+	diff := int64(long) - int64(short)
+	if diff < 0 {
+		diff = -diff
+	}
+	if record := int64(recordHeaderLen + seqLen + bodyLen); diff >= record {
+		t.Fatalf("an Append+Tick allocates %d B over a 60-record journal and %d B over a nearly empty one: "+
+			"they differ by %d B, at least one %d B record", long, short, diff, record)
+	}
+}
+
+// gatePipe is a standby that refuses every frame while closed; once open it
+// validates, records and acks each frame.
+type gatePipe struct {
+	t       *testing.T
+	open    bool
+	shipped []record
+}
+
+func (p *gatePipe) Ship(frame []byte, snapshot bool) (uint64, bool, error) {
+	if !p.open {
+		return 0, false, errors.New("gatePipe: closed")
+	}
+	seq, body, err := DecodeReplFrame(frame)
+	if err != nil {
+		p.t.Errorf("shipped frame failed validation: %v", err)
+		return 0, true, nil
+	}
+	p.shipped = append(p.shipped, record{seq: seq, body: append([]byte(nil), body...)})
+	return seq, false, nil
+}
+
+// TestReplicatorBufferedRecordsOwnTheirBytes: records buffered for a target
+// that refuses them do not alias the scan buffer the next Tick overwrites.
+// While the target refuses, the leader appends, compacts and prunes, and a
+// closed journal shrinks, so the directory the scan buffer holds shrinks and
+// shifts. After every Tick the kept-buffer scan must hold exactly what a
+// fresh scan holds, so nothing is parsed from bytes an earlier read left
+// behind. Once the target accepts, every shipped frame must decode to the
+// leader's body for its seq.
+func TestReplicatorBufferedRecordsOwnTheirBytes(t *testing.T) {
+	fs := newMemFS(-1)
+	st, err := Open("state", Options{CompactEvery: 3, FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	r, err := NewReplicator("state", ReplicatorOptions{FS: readOnlyFS{t: t, inner: fs}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe := &gatePipe{t: t}
+	r.AddTarget("standby", pipe)
+
+	// Bodies of different lengths, so a shifted frame never lines up with
+	// another record's.
+	body := func(e uint64) []byte {
+		return append([]byte(fmt.Sprintf("epoch %d:", e)), bytes.Repeat([]byte{byte('a' + e)}, int(40+29*(e%7)))...)
+	}
+	tick := func() {
+		t.Helper()
+		if err := r.Tick(); err != nil {
+			t.Fatal(err)
+		}
+		var fresh dirScan
+		if _, _, err := scanDir(fs, "state", &fresh); err != nil {
+			t.Fatal(err)
+		}
+		if len(r.scan.recs) != len(fresh.recs) {
+			t.Fatalf("the kept-buffer scan parsed %d records, a fresh scan %d", len(r.scan.recs), len(fresh.recs))
+		}
+		for i, rec := range r.scan.recs {
+			if rec.seq != fresh.recs[i].seq || !bytes.Equal(rec.frame, fresh.recs[i].frame) {
+				t.Fatalf("record %d of the kept-buffer scan is seq %d, of a fresh scan seq %d", i, rec.seq, fresh.recs[i].seq)
+			}
+		}
+	}
+
+	const epochs = 14
+	for e := uint64(1); e <= epochs; e++ {
+		if err := st.Append(e, body(e)); err != nil {
+			t.Fatal(err)
+		}
+		tick()
+		if st.NeedCompact() {
+			if err := st.Compact(e, body(e)); err != nil {
+				t.Fatal(err)
+			}
+			tick()
+		}
+	}
+	// The closed journal based at 9 loses its last record, 12, which the
+	// newest snapshot also holds: the file shrinks, the recovered state does
+	// not change.
+	closed := "state/" + journalName(9, st.Generation())
+	img, ok := fs.files[closed]
+	if !ok {
+		t.Fatalf("no closed journal %s", closed)
+	}
+	fs.files[closed] = img[:len(img)-len(appendRecord(nil, 12, body(12)))]
+	tick()
+	if got := r.Stats().Tailed; got != epochs {
+		t.Fatalf("tailed %d records, want %d", got, epochs)
+	}
+	if len(pipe.shipped) != 0 {
+		t.Fatalf("the closed target took %d frames", len(pipe.shipped))
+	}
+
+	pipe.open = true
+	tick()
+	if len(pipe.shipped) != epochs {
+		t.Fatalf("shipped %d frames once the target accepted, want %d", len(pipe.shipped), epochs)
+	}
+	for i, rec := range pipe.shipped {
+		if rec.seq != uint64(i+1) || !bytes.Equal(rec.body, body(rec.seq)) {
+			t.Fatalf("frame %d shipped seq %d body %q, want seq %d body %q", i, rec.seq, rec.body, i+1, body(uint64(i+1)))
+		}
+	}
+	rec, err := recoverDir(fs, "state")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Seq != epochs || !bytes.Equal(rec.Payload, body(epochs)) {
+		t.Fatalf("recovered seq %d, want %d", rec.Seq, epochs)
+	}
+}

@@ -24,6 +24,7 @@ type Store struct {
 	lastSeq   uint64
 	gen       uint64
 	snaps     []uint64 // known snapshot seqs, ascending
+	frame     []byte   // the last Append's framed record, reused by the next
 	recovered *Recovered
 	closed    bool
 	broken    error // first write failure; the store refuses further writes
@@ -122,7 +123,7 @@ func (s *Store) open() error {
 // damaged (the counter file is written atomically, so "damaged" means a
 // hand-edited directory; uniqueness degrades gracefully to freshness).
 func (s *Store) readGen() uint64 {
-	b, err := s.fs.ReadFile(s.dir + "/gen")
+	b, err := s.fs.AppendFile(nil, s.dir+"/gen")
 	if err != nil {
 		return 0
 	}
@@ -242,8 +243,10 @@ func (s *Store) Append(seq uint64, body []byte) error {
 			return err
 		}
 	}
-	buf := appendRecord(nil, seq, body)
-	if _, err := s.journal.Write(buf); err != nil {
+	// A File, like any io.Writer, does not retain what it is given, so the
+	// next Append may reuse the frame buffer.
+	s.frame = appendRecord(s.frame[:0], seq, body)
+	if _, err := s.journal.Write(s.frame); err != nil {
 		s.broken = err
 		return fmt.Errorf("persist: append: %w", err)
 	}
@@ -258,7 +261,7 @@ func (s *Store) Append(seq uint64, body []byte) error {
 	s.lastSeq = seq
 	s.count++
 	s.opt.Metrics.Counter("persist.appends").Inc()
-	s.opt.Metrics.Counter("persist.append_bytes").Add(int64(len(buf)))
+	s.opt.Metrics.Counter("persist.append_bytes").Add(int64(len(s.frame)))
 	return nil
 }
 
