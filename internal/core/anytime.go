@@ -19,7 +19,7 @@ var errBudgetExhausted = errors.New("core: compute budget exhausted")
 // Truncation is the typed error for a solve whose node or work budget
 // expired before any feasible incumbent existed at all. Callers distinguish
 // it from genuine infeasibility with errors.As; the anytime Solve path never
-// returns it (it falls back to HeuristicPlan instead), but SolveExact —
+// returns it (it falls back to heuristicPlan instead), but SolveExact —
 // which certifies optimality or nothing — does.
 type Truncation struct {
 	// Stage names the solve that was cut short ("exact", "benders").
@@ -33,7 +33,7 @@ func (t *Truncation) Error() string {
 	return fmt.Sprintf("core: %s solve truncated (%s limit) before any feasible incumbent", t.Stage, t.Limit)
 }
 
-// HeuristicPlan is the degradation ladder's third rung: a proportional
+// heuristicPlan is the degradation ladder's third rung: a proportional
 // allocation computed in one linear pass, used when the compute budget
 // expires before Benders finds any feasible incumbent. Each flow's demand is
 // split equally across its tunnels, then the whole allocation is scaled down
@@ -45,11 +45,6 @@ func (t *Truncation) Error() string {
 //
 // The construction is deterministic: tunnels and classes are walked in their
 // canonical slice order, so equal inputs produce bit-identical plans.
-func HeuristicPlan(in *te.Input) (te.Allocation, float64) {
-	sm := &solveModel{in: in, classes: BuildClasses(in.Tunnels, in.Scenarios)}
-	return sm.heuristicPlan()
-}
-
 func (sm *solveModel) heuristicPlan() (te.Allocation, float64) {
 	in := sm.in
 	alloc := make(te.Allocation)

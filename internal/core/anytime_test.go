@@ -131,7 +131,11 @@ func TestAnytimeExhaustedBudgetB4(t *testing.T) {
 func TestHeuristicPlanFeasible(t *testing.T) {
 	for _, topo := range []string{"B4", "IBM"} {
 		in := realInput(t, topo, 3)
-		alloc, phi := HeuristicPlan(in)
+		sm, err := newSolveModel(in, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alloc, phi := sm.heuristicPlan()
 		if phi < 0 || phi > 1 {
 			t.Fatalf("%s: heuristic phi %v outside [0,1]", topo, phi)
 		}

@@ -65,27 +65,20 @@ func residualNetwork(net *topology.Network, loads map[topology.LinkID]float64) *
 	return &n2
 }
 
-// SolveClassed runs the strict-priority classed solve: the input's demands
-// are split across the spec's tiers, and each tier runs the full Benders
-// solve (Eqns. 2-8) against the residual network left by every tier above
-// it. Strict priority is exact — the top tier's result is bit-identical to
-// a uniform solve of its demands alone, and no lower tier can degrade it.
-// Each tier solve inherits the optimizer's determinism contract, so the
-// whole classed result is bit-identical at any Parallelism setting.
-func (o *Optimizer) SolveClassed(in *te.Input, spec *te.ClassSpec) (*ClassedResult, error) {
-	return o.solveClassed(in, spec, nil)
-}
-
-// SolveClassedCached is SolveClassed with one cross-epoch SolveCache per
-// tier (caches[k] warms tier k; a nil slice or nil entry solves that tier
-// cold). Per-tier caches are required because each tier's input fingerprint
-// differs (its demand split), so sharing one cache would evict on every
-// tier.
+// SolveClassedCached runs the strict-priority classed solve: the input's
+// demands are split across the spec's tiers, and each tier runs the full
+// Benders solve (Eqns. 2-8) against the residual network left by every tier
+// above it. Strict priority is exact — the top tier's result is
+// bit-identical to a uniform solve of its demands alone, and no lower tier
+// can degrade it. Each tier solve inherits the optimizer's determinism
+// contract, so the whole classed result is bit-identical at any Parallelism
+// setting.
+//
+// Each tier has its own cross-epoch SolveCache (caches[k] warms tier k; a
+// nil slice or nil entry solves that tier cold). Per-tier caches are
+// required because each tier's input fingerprint differs (its demand
+// split), so sharing one cache would evict on every tier.
 func (o *Optimizer) SolveClassedCached(in *te.Input, spec *te.ClassSpec, caches []*SolveCache) (*ClassedResult, error) {
-	return o.solveClassed(in, spec, caches)
-}
-
-func (o *Optimizer) solveClassed(in *te.Input, spec *te.ClassSpec, caches []*SolveCache) (*ClassedResult, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}

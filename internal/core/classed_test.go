@@ -37,7 +37,7 @@ func TestSolveClassedStrictPriority(t *testing.T) {
 	in := triangleInput(t, 12, []float64{0.02, 0.01, 0.01}, 0.9)
 	opt := DefaultOptimizer()
 	spec := te.DefaultClassSpec()
-	cr, err := opt.SolveClassed(in, spec)
+	cr, err := opt.SolveClassedCached(in, spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,11 +100,11 @@ func TestSolveClassedDeterministicAcrossParallelism(t *testing.T) {
 	opt1.Parallelism = 1
 	opt4 := DefaultOptimizer()
 	opt4.Parallelism = 4
-	r1, err := opt1.SolveClassed(in, spec)
+	r1, err := opt1.SolveClassedCached(in, spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r4, err := opt4.SolveClassed(in, spec)
+	r4, err := opt4.SolveClassedCached(in, spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestSolveClassedDeterministicAcrossParallelism(t *testing.T) {
 func TestSolveClassedUniformSpecMatchesPlainSolve(t *testing.T) {
 	in := triangleInput(t, 8, []float64{0.005, 0.009, 0.001}, 0.99)
 	opt := DefaultOptimizer()
-	cr, err := opt.SolveClassed(in, te.UniformClassSpec())
+	cr, err := opt.SolveClassedCached(in, te.UniformClassSpec(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestSolveClassedCachedMatchesCold(t *testing.T) {
 	in := triangleInput(t, 12, []float64{0.02, 0.01, 0.01}, 0.9)
 	spec := te.DefaultClassSpec()
 	opt := DefaultOptimizer()
-	cold, err := opt.SolveClassed(in, spec)
+	cold, err := opt.SolveClassedCached(in, spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

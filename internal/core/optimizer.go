@@ -27,17 +27,11 @@ type Class struct {
 	Prob  float64            // summed probability of the merged scenarios
 }
 
-// BuildClasses groups a scenario set into per-flow failure-equivalence
-// classes, serially. It is BuildClassesP at parallelism 1.
-func BuildClasses(ts *routing.TunnelSet, set *scenario.Set) []Class {
-	return BuildClassesP(ts, set, 1)
-}
-
-// BuildClassesP is the parallel form of BuildClasses: flows are independent,
-// so each worker builds one flow's classes and the per-flow lists are
-// concatenated in flow order — the exact order the serial loop produces, so
-// the result is bit-identical at every parallelism level (<= 0 means
-// GOMAXPROCS).
+// BuildClassesP groups a scenario set into per-flow failure-equivalence
+// classes. Flows are independent, so each worker builds one flow's classes
+// and the per-flow lists are concatenated in flow order — the exact order a
+// serial loop produces, so the result is bit-identical at every parallelism
+// level (1 is serial, <= 0 means GOMAXPROCS).
 func BuildClassesP(ts *routing.TunnelSet, set *scenario.Set, parallelism int) []Class {
 	classes, _ := buildClasses(ts, set, parallelism)
 	return classes
@@ -183,7 +177,7 @@ type Optimizer struct {
 	// simplex pivots + branch-and-bound nodes + Benders iterations, each
 	// costing one unit; 0 is unlimited. When the budget expires the solve
 	// returns its best feasible incumbent with Result.Truncated set (or the
-	// HeuristicPlan fallback when no incumbent exists yet) instead of
+	// heuristicPlan fallback when no incumbent exists yet) instead of
 	// erroring, and equal budgets reproduce bit-identical results at every
 	// Parallelism setting (see lp.Budget).
 	BudgetUnits int64
@@ -219,7 +213,7 @@ type optObs struct {
 	budgetSpent     *obs.Counter   // work units consumed across solves
 	budgetExhausted *obs.Counter   // solves whose budget ran out
 	truncated       *obs.Counter   // solves returning a truncated incumbent
-	fallback        *obs.Counter   // solves degrading to HeuristicPlan
+	fallback        *obs.Counter   // solves degrading to heuristicPlan
 	firstIncumbent  *obs.Histogram // work units to the first feasible incumbent
 }
 
@@ -288,7 +282,7 @@ type Result struct {
 	// optimum.
 	Truncated bool
 	// Fallback reports no feasible incumbent existed when the budget
-	// expired, so Alloc is the proportional HeuristicPlan — rung three of
+	// expired, so Alloc is the proportional heuristicPlan — rung three of
 	// the degradation ladder.
 	Fallback bool
 	// WorkUnits is the deterministic work (pivots + B&B nodes + Benders
@@ -311,36 +305,31 @@ func (o *Optimizer) newBudget() *lp.Budget {
 
 // Solve runs Algorithm 2 on the input under the optimizer's configured
 // budget (BudgetUnits / SolveTimeout). The scenario set's probabilities
-// must already be calibrated (Eqn. 1) by the caller.
+// must already be calibrated (Eqn. 1) by the caller. The solve is anytime:
+// when the budget expires mid-search it returns the best feasible incumbent
+// found so far with Result.Truncated set, and when no incumbent exists yet
+// it returns the heuristic fallback plan (Result.Fallback) — the caller
+// always gets an installable plan. An unlimited optimizer reproduces the
+// historical unbudgeted solve exactly.
 func (o *Optimizer) Solve(in *te.Input) (*Result, error) {
-	return o.SolveBudget(in, o.newBudget())
-}
-
-// SolveBudget runs Algorithm 2 under an explicit compute budget, making the
-// solve anytime: when the budget expires mid-search it returns the best
-// feasible incumbent found so far with Result.Truncated set, and when no
-// incumbent exists yet it returns the HeuristicPlan fallback (Result.Fallback)
-// — the caller always gets an installable plan. A nil budget is unlimited
-// and reproduces Solve's historical behaviour exactly.
-func (o *Optimizer) SolveBudget(in *te.Input, budget *lp.Budget) (*Result, error) {
 	sm, err := newSolveModel(in, o.Parallelism)
 	if err != nil {
 		return nil, err
 	}
-	res, _, err := o.solve(sm, budget, nil)
+	res, _, err := o.solve(sm, o.newBudget(), nil)
 	return res, err
 }
 
-// solve is SolveBudget on a built model, with a warm-start seam; beside the
-// result it returns the full cut pool (structural + subproblem optimality
-// cuts) for the cross-epoch SolveCache. warm, when non-nil, is a pool of
-// optimality cuts already remapped to this model's class order (see
-// SolveCache): the solve then skips structural-cut seeding (the warm pool
-// subsumes it), seeds the master with the full pool, and — because the cuts
-// are valid for the new problem — lifts the lower bound from the initial
-// master solve, so a quiet epoch converges in one or two Benders iterations.
-// With warm nil the behaviour is bit-identical to the historic SolveBudget,
-// which the warm-cache invariant tests pin.
+// solve is Solve on a built model under an explicit budget (nil is
+// unlimited), with a warm-start seam; beside the result it returns the full
+// cut pool (structural + subproblem optimality cuts) for the cross-epoch
+// SolveCache. warm, when non-nil, is a pool of optimality cuts already
+// remapped to this model's class order (see SolveCache): the solve then
+// skips structural-cut seeding (the warm pool subsumes it), seeds the master
+// with the full pool, and — because the cuts are valid for the new problem —
+// lifts the lower bound from the initial master solve, so a quiet epoch
+// converges in one or two Benders iterations. With warm nil the behaviour is
+// bit-identical to a cold Solve, which the warm-cache invariant tests pin.
 func (o *Optimizer) solve(sm *solveModel, budget *lp.Budget, warm []bendersCut) (*Result, []bendersCut, error) {
 	in, classes := sm.in, sm.classes
 	if budget == nil {
@@ -779,7 +768,7 @@ func SolveExact(in *te.Input, nodeLimit int) (*Result, error) {
 	truncated := false
 	switch sol.Status {
 	case lp.Optimal:
-	case lp.StatusIterLimit, lp.Truncated:
+	case lp.IterationLimit, lp.Truncated:
 		// Node or work limit hit. The incumbent (if any) is feasible but
 		// uncertified; a fractional relaxation point is unusable — in that
 		// case surface a typed Truncation instead of a generic error so

@@ -18,11 +18,11 @@ func init() {
 
 // trainedModels fits the Table 5 model zoo on the shared trace.
 type trainedModels struct {
-	train, test []trace.LabeledExample
-	nn          *ml.NN
-	dt          *ml.DecisionTree
-	st          *ml.Statistic
-	naive       ml.NaiveTeaVar
+	test  []trace.LabeledExample
+	nn    *ml.NN
+	dt    *ml.DecisionTree
+	st    *ml.Statistic
+	naive ml.NaiveTeaVar
 }
 
 func fitModels(opts Options) (*trainedModels, error) {
@@ -51,8 +51,7 @@ func fitModels(opts Options) (*trainedModels, error) {
 		return nil, err
 	}
 	return &trainedModels{
-		train: train, test: test,
-		nn: nn, dt: dt, st: st, naive: ml.NaiveTeaVar{PI: 0.003},
+		test: test, nn: nn, dt: dt, st: st, naive: ml.NaiveTeaVar{PI: 0.003},
 	}, nil
 }
 

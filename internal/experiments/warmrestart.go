@@ -163,9 +163,8 @@ func warmrestartB4(w io.Writer, opts Options) error {
 		return err
 	}
 	state := wan.EpochState{
-		Rates:   make(map[string]float64, len(ts.Tunnels)),
-		PeerSeq: make(map[string]uint64, len(net.Nodes)),
-		Probs:   make([]float64, len(net.Fibers)),
+		Rates: make(map[string]float64, len(ts.Tunnels)),
+		Probs: make([]float64, len(net.Fibers)),
 	}
 	for _, tn := range ts.Tunnels {
 		state.Rates[fmt.Sprintf("t%d", tn.ID)] = 50
@@ -177,9 +176,6 @@ func warmrestartB4(w io.Writer, opts Options) error {
 		state.Tunnels = append(state.Tunnels, wan.TunnelInstall{
 			Switch: head.Name, TunnelID: int(tn.ID), Path: path,
 		})
-	}
-	for _, n := range net.Nodes {
-		state.PeerSeq[n.Name] = 1000
 	}
 	for i := range state.Probs {
 		state.Probs[i] = 0.005

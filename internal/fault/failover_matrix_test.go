@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -286,7 +287,7 @@ func runFailoverScenario(t *testing.T, fc failoverCase) failoverRun {
 
 	switch {
 	case fc.wantPromoted == 0:
-		if prom != nil || ss.Promoted() {
+		if prom != nil || slices.ContainsFunc(ss.Status(), func(st wan.SiteStatus) bool { return st.Promoted }) {
 			t.Fatalf("unexpected promotion: %+v", prom)
 		}
 		// Degradation ladder floor: with no candidate left, the agents keep

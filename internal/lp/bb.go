@@ -30,7 +30,7 @@ func (m *MIP) AddBinaryVar(objCoeff float64, name string) int {
 type MIPOptions struct {
 	// MaxNodes caps the search tree; 0 means a generous default. When the
 	// cap is hit the best incumbent found so far is returned with
-	// Status == StatusIterLimit.
+	// Status == IterationLimit.
 	MaxNodes int
 	// Budget, when non-nil, is spent cooperatively: one unit per
 	// branch-and-bound node plus one per pivot of every node LP. On
@@ -62,7 +62,7 @@ func (m *MIP) SolveMIP(opts MIPOptions) *Solution {
 	truncated := false
 	// lpLimited records a node LP that hit its hard pivot cap. Such a node
 	// cannot simply be pruned — its subtree may hold the true optimum — so
-	// the search result is downgraded to StatusIterLimit instead of being
+	// the search result is downgraded to IterationLimit instead of being
 	// silently reported as optimal.
 	lpLimited := false
 	for len(stack) > 0 && nodes < opts.MaxNodes {
@@ -120,7 +120,7 @@ func (m *MIP) SolveMIP(opts MIPOptions) *Solution {
 			// Search cut short before any integral solution: report the
 			// (possibly fractional) root relaxation rather than claiming
 			// infeasibility.
-			relax.Status = StatusIterLimit
+			relax.Status = IterationLimit
 			if truncated {
 				relax.Status = Truncated
 			}
@@ -133,12 +133,12 @@ func (m *MIP) SolveMIP(opts MIPOptions) *Solution {
 	case truncated:
 		incumbent.Status = Truncated
 	case len(stack) > 0 && nodes >= opts.MaxNodes:
-		incumbent.Status = StatusIterLimit
+		incumbent.Status = IterationLimit
 	case lpLimited:
 		// Every open node was closed, but at least one pruning decision
 		// rested on an uncertified (pivot-capped) LP: the incumbent is
 		// feasible yet not provably optimal.
-		incumbent.Status = StatusIterLimit
+		incumbent.Status = IterationLimit
 	}
 	incumbent.Pivots, incumbent.Nodes = pivots, nodes
 	return incumbent

@@ -50,13 +50,6 @@ func NewBudget(units int64) *Budget {
 	return b
 }
 
-// WithDeadline attaches a wall-clock deadline and returns the budget.
-// The zero time means no deadline.
-func (b *Budget) WithDeadline(t time.Time) *Budget {
-	b.deadline = t
-	return b
-}
-
 // WithTimeout attaches a deadline of now+d (no deadline when d <= 0) and
 // returns the budget.
 func (b *Budget) WithTimeout(d time.Duration) *Budget {

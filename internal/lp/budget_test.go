@@ -78,7 +78,8 @@ func TestBudgetSpendSemantics(t *testing.T) {
 }
 
 func TestBudgetDeadline(t *testing.T) {
-	b := NewBudget(0).WithDeadline(time.Now().Add(-time.Second))
+	b := NewBudget(0).WithTimeout(time.Nanosecond)
+	time.Sleep(time.Millisecond)
 	if b.Spend(1) {
 		t.Fatal("expired deadline must refuse work")
 	}
@@ -162,12 +163,12 @@ func TestMIPTruncates(t *testing.T) {
 	}
 }
 
-// TestMIPNodeLimitSurfaced pins the StatusIterLimit satellite: exhausting
+// TestMIPNodeLimitSurfaced pins the IterationLimit status: exhausting
 // MaxNodes with open nodes must surface the cap in Solution.Status, not
 // silently return the incumbent as optimal.
 func TestMIPNodeLimitSurfaced(t *testing.T) {
 	sol := solveBudgetMIP(t, MIPOptions{MaxNodes: 2})
-	if sol.Status != StatusIterLimit && sol.Status != Optimal {
+	if sol.Status != IterationLimit && sol.Status != Optimal {
 		t.Fatalf("node-capped MIP: status %v", sol.Status)
 	}
 	full := solveBudgetMIP(t, MIPOptions{})

@@ -169,12 +169,6 @@ const (
 	Truncated
 )
 
-// StatusIterLimit is the explicit name for the hard iteration-cap outcome:
-// a solve that burns through its pivot or node cap surfaces it here in
-// Solution.Status rather than silently returning its last iterate as if it
-// were optimal.
-const StatusIterLimit = IterationLimit
-
 // String names the solve status.
 func (s Status) String() string {
 	switch s {

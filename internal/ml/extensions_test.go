@@ -1,13 +1,38 @@
 package ml
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
+	"prete/internal/optical"
+	"prete/internal/stats"
 	"prete/internal/topology"
 	"prete/internal/trace"
 )
+
+func trainedTinyNN(t *testing.T) (*NN, []trace.LabeledExample) {
+	t.Helper()
+	rng := stats.NewRNG(44)
+	var data []trace.LabeledExample
+	for i := 0; i < 400; i++ {
+		degree := 3 + 7*rng.Float64()
+		data = append(data, trace.LabeledExample{
+			Features: optical.Features{
+				DegreeDB: degree, GradientDB: rng.Float64(), Fluctuation: rng.Float64(),
+				HourOfDay: rng.Intn(24), FiberID: rng.Intn(6),
+				Region: []string{"A", "B"}[rng.Intn(2)], Vendor: "V", LengthKm: 100 + rng.Float64()*900,
+			},
+			Failed: degree > 6.5,
+		})
+	}
+	cfg := DefaultNNConfig(44)
+	cfg.Epochs = 8
+	nn, err := TrainNN(data, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return nn, data
+}
 
 // extendedDataset generates a trace with the §8 extended indicators on.
 func extendedDataset(t *testing.T, seed uint64) (train, test []trace.LabeledExample) {
@@ -93,22 +118,6 @@ func TestDeepNetworkTrains(t *testing.T) {
 	c := Evaluate(deep, data)
 	if c.Accuracy() < 0.85 {
 		t.Fatalf("deep network accuracy %v on a separable problem", c.Accuracy())
-	}
-	var buf bytes.Buffer
-	if err := deep.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadNN(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(loaded.deep) != 2 {
-		t.Fatalf("loaded deep layers = %d", len(loaded.deep))
-	}
-	for _, ex := range data[:50] {
-		if math.Abs(deep.PredictProb(ex.Features)-loaded.PredictProb(ex.Features)) > 1e-12 {
-			t.Fatal("deep model round-trip diverged")
-		}
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package optical simulates the physical fiber layer that PreTE's telemetry
 // observes: per-second transmission-loss series for each fiber, the
 // healthy -> degraded -> cut state machine underlying the paper's §2/§3
-// measurements, and the variable optical attenuator (VOA) used to script
-// the §5 testbed scenario.
+// measurements, and the attenuation script the §5 testbed's variable optical
+// attenuator (VOA) plays.
 //
 // Loss conventions follow OpTel [28] as the paper does:
 //   - healthy: baseline attenuation (~0.2 dB/km plus connector losses) with

@@ -234,19 +234,6 @@ func TestFeatureSeparation(t *testing.T) {
 	}
 }
 
-func TestVOA(t *testing.T) {
-	var v VOA
-	if err := v.SetAttenuationDB(6); err != nil {
-		t.Fatal(err)
-	}
-	if got := v.AttenuationDB(); got != 6 {
-		t.Fatalf("attenuation = %v", got)
-	}
-	if err := v.SetAttenuationDB(-1); err == nil {
-		t.Fatal("negative attenuation accepted")
-	}
-}
-
 func TestTestbedScript(t *testing.T) {
 	s := TestbedScript()
 	cases := []struct {

@@ -29,9 +29,6 @@ type RecoveryStats struct {
 	// TornTail reports that at least one journal ended mid-record — the
 	// signature of a crash during Append.
 	TornTail bool
-	// Snapshots and Journals are the candidate files found in the
-	// directory (before validation).
-	Snapshots, Journals int
 }
 
 // snapName / journalName build the on-disk file names. Journals carry the
@@ -137,11 +134,6 @@ func scanDir(fs FS, dir string, s *dirScan) (stats RecoveryStats, dead int, err 
 		return stats, 0, err
 	}
 	for _, f := range files {
-		if f.snap {
-			stats.Snapshots++
-		} else {
-			stats.Journals++
-		}
 		start := len(s.buf)
 		buf, err := fs.AppendFile(s.buf, dir+"/"+f.name())
 		if err != nil {

@@ -46,7 +46,6 @@ type ReplayResult struct {
 	Scheme          string
 	EventEpochs     int // epochs replayed with a degradation and/or cut
 	CutEpochs       int // epochs in which a cut landed
-	PredictedCuts   int // cuts whose epoch had an active, predicted signal
 	FlowEpochs      int // flow-epoch pairs evaluated in event epochs
 	LostFlowEpochs  int // flow-epochs with unmet demand at the cut instant
 	LostGbps        float64
@@ -117,7 +116,6 @@ func Replay(tr *trace.Trace, cfg ReplayConfig) (*ReplayResult, error) {
 		// Signals active this epoch (PreTE reacts; TeaVar's engine ignores
 		// them by construction).
 		var signals []core.DegradationSignal
-		predicted := make(map[int]bool)
 		for _, ep := range episodesByEpoch[e] {
 			pHat := 0.40
 			if cfg.Predictor != nil {
@@ -126,9 +124,6 @@ func Replay(tr *trace.Trace, cfg ReplayConfig) (*ReplayResult, error) {
 			signals = append(signals, core.DegradationSignal{
 				Fiber: topology.FiberID(ep.Fiber), PNN: pHat,
 			})
-			if pHat >= 0.5 {
-				predicted[ep.Fiber] = true
-			}
 		}
 		plan, err := planner.PlanEpoch(core.EpochInput{
 			Net: net, Tunnels: tunnels, Demands: demands,
@@ -149,9 +144,6 @@ func Replay(tr *trace.Trace, cfg ReplayConfig) (*ReplayResult, error) {
 		cut = cut[:0]
 		for _, c := range cuts {
 			cut.Add(topology.FiberID(c.Fiber))
-			if predicted[c.Fiber] {
-				res.PredictedCuts++
-			}
 		}
 		for _, fl := range tunnels.Flows {
 			res.FlowEpochs++

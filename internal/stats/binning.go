@@ -127,23 +127,6 @@ func (e *ECDF) Quantile(p float64) float64 {
 // Len returns the sample size.
 func (e *ECDF) Len() int { return len(e.sorted) }
 
-// Series samples the ECDF at k evenly spaced points across the sample range,
-// producing (x, F(x)) pairs suitable for printing a CDF figure.
-func (e *ECDF) Series(k int) (xs, ys []float64) {
-	if len(e.sorted) == 0 || k < 2 {
-		return nil, nil
-	}
-	lo, hi := e.sorted[0], e.sorted[len(e.sorted)-1]
-	xs = make([]float64, k)
-	ys = make([]float64, k)
-	for i := 0; i < k; i++ {
-		x := lo + (hi-lo)*float64(i)/float64(k-1)
-		xs[i] = x
-		ys[i] = e.At(x)
-	}
-	return xs, ys
-}
-
 // Mean returns the arithmetic mean of xs (0 for empty input).
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -154,20 +137,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)))
 }
 
 // LinearFit returns the least-squares slope and intercept of y against x —

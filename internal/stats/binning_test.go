@@ -133,34 +133,12 @@ func TestECDF(t *testing.T) {
 	}
 }
 
-func TestECDFSeries(t *testing.T) {
-	e := NewECDF([]float64{0, 10})
-	xs, ys := e.Series(11)
-	if len(xs) != 11 || len(ys) != 11 {
-		t.Fatalf("series lengths %d/%d", len(xs), len(ys))
-	}
-	if xs[0] != 0 || xs[10] != 10 {
-		t.Fatalf("series range [%v, %v]", xs[0], xs[10])
-	}
-	if ys[10] != 1 {
-		t.Fatalf("series should end at 1, got %v", ys[10])
-	}
-	for i := 1; i < len(ys); i++ {
-		if ys[i] < ys[i-1] {
-			t.Fatalf("series not monotone at %d", i)
-		}
-	}
-}
-
 func TestMeanStdDev(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if got := Mean(xs); got != 5 {
 		t.Errorf("mean = %v", got)
 	}
-	if got := StdDev(xs); math.Abs(got-2) > 1e-12 {
-		t.Errorf("stddev = %v", got)
-	}
-	if Mean(nil) != 0 || StdDev(nil) != 0 {
+	if Mean(nil) != 0 {
 		t.Error("empty input should yield 0")
 	}
 }

@@ -49,12 +49,6 @@ func (w Weibull) Mean() float64 {
 	return w.Scale * math.Gamma(1+1/w.Shape)
 }
 
-// Scaled returns the distribution of c*X, exploiting the Weibull scaling
-// property.
-func (w Weibull) Scaled(c float64) Weibull {
-	return Weibull{Shape: w.Shape, Scale: w.Scale * c}
-}
-
 // Validate reports whether the parameters define a proper distribution.
 func (w Weibull) Validate() error {
 	if !(w.Shape > 0) || !(w.Scale > 0) {
@@ -136,6 +130,3 @@ func (l LogNormal) CDF(x float64) float64 {
 	}
 	return 0.5 * math.Erfc(-(math.Log(x)-l.Mu)/(l.Sigma*math.Sqrt2))
 }
-
-// Median returns exp(mu).
-func (l LogNormal) Median() float64 { return math.Exp(l.Mu) }

@@ -174,46 +174,6 @@ func (n *Network) LostCapacity(f FiberID) float64 {
 	return total
 }
 
-// Stats summarizes a network in Table 3's terms. Tunnel and traffic-matrix
-// counts live with the routing and simulation layers; this covers the static
-// graph quantities.
-type Stats struct {
-	Name            string
-	NumNodes        int
-	NumFibers       int
-	NumIPLinks      int
-	TotalCapacity   float64 // Gbps, summed over directed links
-	AvgFiberSpanKm  float64
-	AvgLinksPerFib  float64
-	MaxLostCapacity float64 // Gbps, worst single fiber cut
-}
-
-// ComputeStats derives Stats for the network.
-func (n *Network) ComputeStats() Stats {
-	s := Stats{
-		Name:       n.Name,
-		NumNodes:   len(n.Nodes),
-		NumFibers:  len(n.Fibers),
-		NumIPLinks: len(n.Links),
-	}
-	for _, l := range n.Links {
-		s.TotalCapacity += l.Capacity
-	}
-	var spanSum float64
-	for _, f := range n.Fibers {
-		spanSum += f.LengthKm
-		s.AvgLinksPerFib += float64(len(n.linksOnFib[f.ID]))
-		if lost := n.LostCapacity(f.ID); lost > s.MaxLostCapacity {
-			s.MaxLostCapacity = lost
-		}
-	}
-	if len(n.Fibers) > 0 {
-		s.AvgFiberSpanKm = spanSum / float64(len(n.Fibers))
-		s.AvgLinksPerFib /= float64(len(n.Fibers))
-	}
-	return s
-}
-
 // Regions returns the sorted set of fiber regions present in the network.
 func (n *Network) Regions() []string {
 	set := make(map[string]bool)

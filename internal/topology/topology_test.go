@@ -167,23 +167,6 @@ func TestLostCapacityMatchesFailedLinks(t *testing.T) {
 	}
 }
 
-func TestComputeStats(t *testing.T) {
-	n, err := B4()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := n.ComputeStats()
-	if s.NumNodes != 12 || s.NumFibers != 19 || s.NumIPLinks != 52 {
-		t.Fatalf("stats = %+v", s)
-	}
-	if s.TotalCapacity <= 0 || s.MaxLostCapacity <= 0 {
-		t.Fatalf("capacities not computed: %+v", s)
-	}
-	if s.AvgLinksPerFib < 2 {
-		t.Fatalf("each fiber carries at least its two direct links, got %v", s.AvgLinksPerFib)
-	}
-}
-
 func TestRegions(t *testing.T) {
 	n, err := B4()
 	if err != nil {

@@ -105,7 +105,7 @@ func NewAdmission(spec *te.ClassSpec, metrics *obs.Registry, log *EventLog) *Adm
 }
 
 // Decide computes the epoch's admission outcome from a classed solve
-// result. The result's tiers must match the spec's (core.SolveClassed
+// result. The result's tiers must match the spec's (core.SolveClassedCached
 // guarantees this). A successful decision becomes the new last-good.
 func (a *Admission) Decide(cr *core.ClassedResult, degraded bool) *AdmissionDecision {
 	a.mu.Lock()
@@ -176,13 +176,12 @@ func (a *Admission) DecideLastGood() *AdmissionDecision {
 	return dec
 }
 
-// Last returns the most recent decision (nil before the first).
+// Last returns the last decision Decide computed from a solve (nil before
+// the first). A DecideLastGood replay is never stored, so after a
+// fallen-back round Last still returns the decision it replayed.
 func (a *Admission) Last() *AdmissionDecision {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.lastGood == nil {
-		return nil
-	}
 	return a.lastGood
 }
 

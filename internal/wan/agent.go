@@ -56,7 +56,6 @@ type SwitchAgent struct {
 	rateTag      uint64 // Tag of the last applied rate push (0 = none, or untagged)
 	maxGen       uint64 // highest controller generation seen (epoch fence)
 	genLeader    string // leader id that claimed maxGen ("" = unnamed)
-	lastSeq      uint64 // highest sequence seen from that generation
 	fenceRejects int
 }
 
@@ -138,10 +137,6 @@ func (a *SwitchAgent) handle(req *Request) *Response {
 		if req.Gen > a.maxGen {
 			a.maxGen = req.Gen
 			a.genLeader = req.Leader
-			a.lastSeq = 0
-		}
-		if req.Seq > a.lastSeq {
-			a.lastSeq = req.Seq
 		}
 		a.mu.Unlock()
 	}

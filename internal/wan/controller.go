@@ -109,7 +109,6 @@ type Controller struct {
 	store     *persist.Store        // nil unless OpenState attached one
 	gen       uint64                // fence value stamped into RPCs (0 = unfenced)
 	epoch     uint64                // completed (journaled or recovered) epochs
-	peerSeq   map[string]uint64     // per-agent RPC sequence numbers
 	installed map[string]TunnelInstall
 	lastProbs []float64 // probability vector of the last journaled epoch
 	// lastFP is the scenario-set fingerprint of the last journaled (or
@@ -194,22 +193,6 @@ func (c *Controller) ReleaseState() error {
 	return st.Close()
 }
 
-// stamp assigns the fence generation and the next per-peer sequence number
-// for one logical RPC to name. Unfenced controllers (no state store) stamp
-// nothing, keeping the wire encoding identical to the legacy protocol.
-func (c *Controller) stamp(name string) (gen, seq uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.gen == 0 {
-		return 0, 0
-	}
-	if c.peerSeq == nil {
-		c.peerSeq = make(map[string]uint64)
-	}
-	c.peerSeq[name]++
-	return c.gen, c.peerSeq[name]
-}
-
 // rpcCounters holds each message type's wan.rpc.<type> counter name, built
 // once so counting an RPC concatenates nothing.
 var rpcCounters = func() map[MsgType]string {
@@ -244,9 +227,7 @@ func (c *Controller) rpc(name string, cn Conn, req *Request) (resp *Response, er
 	if pol.MaxAttempts < 1 {
 		pol.MaxAttempts = 1
 	}
-	// One sequence number per logical RPC: retried attempts re-send the same
-	// (gen, seq), so duplicate deliveries are recognizable as one request.
-	req.Gen, req.Seq = c.stamp(name)
+	req.Gen = c.Generation() // 0 without a state store: the legacy encoding
 	if req.Gen > 0 {
 		req.Leader = c.LeaderID
 	}

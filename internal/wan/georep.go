@@ -177,9 +177,8 @@ type SiteStatus struct {
 	Resyncs int64
 	// FencedClaims counts promotion claims this site lost at the agents.
 	FencedClaims int
-	// Crashed reports the site is dead (CrashSite); Promoted that it now
-	// leads.
-	Crashed, Promoted bool
+	// Promoted reports that the site now leads.
+	Promoted bool
 }
 
 // SitePromotion is the outcome of a successful takeover.
@@ -377,13 +376,6 @@ func (ss *SiteSet) CrashSite(id int) error {
 	return nil
 }
 
-// Promoted reports whether a site from this set has taken over.
-func (ss *SiteSet) Promoted() bool {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	return ss.promoted
-}
-
 // Status snapshots every site in id order.
 func (ss *SiteSet) Status() []SiteStatus {
 	ss.mu.Lock()
@@ -397,7 +389,6 @@ func (ss *SiteSet) Status() []SiteStatus {
 			LeaseGen:       s.lease.Gen(),
 			Resyncs:        s.resyncs,
 			FencedClaims:   s.fenced,
-			Crashed:        s.crashed,
 			Promoted:       s.promoted,
 		}
 		if s.mirror != nil {

@@ -55,7 +55,6 @@ type Lease struct {
 	mu     sync.Mutex
 	expiry uint64
 	gen    uint64
-	renews int64
 }
 
 // NewLease returns a lease on clock that expires duration ticks after its
@@ -73,7 +72,6 @@ func (l *Lease) Renew(gen uint64) uint64 {
 	if gen > l.gen {
 		l.gen = gen
 	}
-	l.renews++
 	return l.expiry
 }
 
@@ -92,26 +90,12 @@ func (l *Lease) Remaining() int64 {
 	return int64(l.expiry) - int64(l.clock.Now())
 }
 
-// Expiry returns the current expiry time.
-func (l *Lease) Expiry() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.expiry
-}
-
 // Gen returns the highest leader generation observed on any renewal (0
 // before the first renewal that carried one).
 func (l *Lease) Gen() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.gen
-}
-
-// Renews returns the number of successful renewals.
-func (l *Lease) Renews() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.renews
 }
 
 // LeaseServer is the leader-liveness endpoint of a replicated controller:

@@ -37,25 +37,26 @@ func TestLeaseLifecycle(t *testing.T) {
 	if exp := l.Renew(5); exp != 5 {
 		t.Fatalf("renew expiry = %d, want 5", exp)
 	}
-	if l.Expiry() != 5 {
-		t.Fatalf("expiry = %d, want 5", l.Expiry())
+	if got := l.Remaining(); got != 3 {
+		t.Fatalf("remaining after renew = %d, want 3", got)
 	}
-	l.Renew(4) // lower gen never regresses the fence floor
+	// A second renewal at the same instant keeps the expiry; a lower gen
+	// never regresses the fence floor.
+	if exp := l.Renew(4); exp != 5 {
+		t.Fatalf("second renew expiry = %d, want 5", exp)
+	}
 	if l.Gen() != 5 {
 		t.Fatalf("gen = %d, want 5 (max observed)", l.Gen())
-	}
-	if l.Renews() != 2 {
-		t.Fatalf("renews = %d, want 2", l.Renews())
 	}
 
 	// A full duration of silence expires the lease, exactly at the boundary.
 	c.Advance(2)
 	if l.Expired() {
-		t.Fatalf("expired at t=%d with expiry %d", c.Now(), l.Expiry())
+		t.Fatalf("expired at t=%d with %d ticks remaining", c.Now(), l.Remaining())
 	}
 	c.Advance(1)
 	if !l.Expired() {
-		t.Fatalf("not expired at t=%d with expiry %d", c.Now(), l.Expiry())
+		t.Fatalf("not expired at t=%d with %d ticks remaining", c.Now(), l.Remaining())
 	}
 	if got := l.Remaining(); got != 0 {
 		t.Fatalf("remaining at expiry = %d, want 0", got)

@@ -2,8 +2,8 @@
 // agents speaking a JSON-over-TCP protocol to a centralized controller that
 // installs tunnels (serially, matching the production behaviour behind
 // Fig 11b's linear update time) and pushes rate-adaptation tables. Combined
-// with the optical.VOA script it reproduces the §5 scenario end to end and
-// measures the Fig 11a latency breakdown.
+// with the optical.TestbedScript replay it reproduces the §5 scenario end to
+// end and measures the Fig 11a latency breakdown.
 package wan
 
 import (
@@ -30,11 +30,14 @@ const (
 	MsgReplSnapshot MsgType = "repl_snapshot"
 )
 
-// Request is a controller -> switch message. Gen and Seq implement the
-// controller-incarnation fence: Gen is the sender's durable generation
-// (persist.Store.Generation), Seq a per-peer monotone sequence. Both are
-// zero — and absent from the wire, keeping the encoding byte-identical to
-// the unfenced protocol — when the controller runs without a state store.
+// Request is a controller -> switch message. Gen implements the
+// controller-incarnation fence: it is the sender's durable generation
+// (persist.Store.Generation), zero — and absent from the wire, keeping the
+// encoding byte-identical to the unfenced protocol — when the controller
+// runs without a state store. No request carries a sequence number, because
+// a duplicate delivery is harmless: an install overwrites by tunnel ID, a
+// remove is idempotent, a rate push names its table (Tag, Base), and a
+// connection has one request in flight.
 // Leader names the sending controller incarnation (site id); it breaks
 // ties between two claimants that fenced to the same generation from
 // different sites, where no shared lock can arbitrate. Frame is a
@@ -58,7 +61,6 @@ type Request struct {
 	Path     []int              `json:"path,omitempty"` // link IDs
 	Rates    map[string]float64 `json:"rates,omitempty"`
 	Gen      uint64             `json:"gen,omitempty"`
-	Seq      uint64             `json:"seq,omitempty"`
 	Leader   string             `json:"leader,omitempty"`
 	Frame    []byte             `json:"frame,omitempty"`
 	Base     uint64             `json:"base,omitempty"`

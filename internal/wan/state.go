@@ -15,7 +15,9 @@ import (
 // needs to resume from "last-good" instead of an empty plan. The JSON
 // encoding is deterministic (maps sort by key, tunnels are sorted before
 // marshaling), so identical epochs journal byte-identically — the chaos
-// replay tests diff on this.
+// replay tests diff on this. Decoding ignores fields it does not know, so a
+// record from an older build, which also journaled per-agent RPC sequence
+// numbers ("peer_seq"), still recovers warm.
 type EpochState struct {
 	// Epoch is the 1-based count of completed reaction rounds.
 	Epoch uint64 `json:"epoch"`
@@ -25,9 +27,6 @@ type EpochState struct {
 	// Tunnels is the installed reactive tunnel set, sorted by
 	// (switch, tunnel id).
 	Tunnels []TunnelInstall `json:"tunnels,omitempty"`
-	// PeerSeq is the per-agent RPC sequence state, so a warm-restarted
-	// controller resumes numbering instead of restarting at zero.
-	PeerSeq map[string]uint64 `json:"peer_seq,omitempty"`
 	// Probs is the most recent calibrated per-fiber failure probability
 	// vector (Eqn. 1 output) the scenario set was built from.
 	Probs []float64 `json:"probs,omitempty"`
@@ -143,10 +142,6 @@ func (c *Controller) openState(dir string, minGen uint64) (*Recovery, error) {
 		}
 		c.lastProbs = append([]float64(nil), s.Probs...)
 		c.lastFP = scenario.Fingerprint(s.ScenarioFP)
-		c.peerSeq = make(map[string]uint64, len(s.PeerSeq))
-		for k, v := range s.PeerSeq {
-			c.peerSeq[k] = v
-		}
 		c.installed = make(map[string]TunnelInstall, len(s.Tunnels))
 		for _, tn := range s.Tunnels {
 			c.installed[installKey(tn.Switch, tn.TunnelID)] = tn
@@ -226,13 +221,13 @@ func (c *Controller) installedLocked() []TunnelInstall {
 }
 
 // JournalEpoch records the completion of one successful TE epoch: the
-// last-good rates, the installed tunnel set, per-peer RPC sequences, the
-// calibrated probability vector, and the fingerprint of the scenario set
-// solved (0 when the caller has none), fsynced into the journal before the
-// call returns, compacting into a snapshot on the store's cadence. A nil
-// store makes it a no-op — journaling is a write-only side channel, and
-// with StateDir unset the controller behaves byte-identically to one
-// without persistence compiled in.
+// last-good rates, the installed tunnel set, the calibrated probability
+// vector, and the fingerprint of the scenario set solved (0 when the caller
+// has none), fsynced into the journal before the call returns, compacting
+// into a snapshot on the store's cadence. A nil store makes it a no-op —
+// journaling is a write-only side channel, and with StateDir unset the
+// controller behaves byte-identically to one without persistence compiled
+// in.
 func (c *Controller) JournalEpoch(probs []float64, fp scenario.Fingerprint) error {
 	c.mu.Lock()
 	if c.store == nil {
@@ -246,12 +241,8 @@ func (c *Controller) JournalEpoch(probs []float64, fp scenario.Fingerprint) erro
 		Epoch:      c.epoch,
 		Rates:      c.lastRates.entries(), // immutable: encoded below without a copy
 		Tunnels:    c.installedLocked(),
-		PeerSeq:    make(map[string]uint64, len(c.peerSeq)),
 		Probs:      append([]float64(nil), probs...),
 		ScenarioFP: uint64(fp),
-	}
-	for k, v := range c.peerSeq {
-		state.PeerSeq[k] = v
 	}
 	st := c.store
 	seq := c.epoch

@@ -96,6 +96,73 @@ func TestWarmRestartResumesLastGood(t *testing.T) {
 	}
 }
 
+// parentJournalRecord is an epoch record exactly as a build that stamped
+// per-agent RPC sequence numbers journaled it (prete-testbed -fast, first
+// epoch): it carries a peer_seq map that EpochState no longer has.
+const parentJournalRecord = `{"epoch":1,"rates":{"t0":50,"t1":50,"t2":50},` +
+	`"tunnels":[{"Switch":"s1","TunnelID":2,"Path":[2,5]}],` +
+	`"peer_seq":{"s1":2,"s2":1,"s3":1},` +
+	`"probs":[0.8,0.006749999999999999,0.00075],"scenario_fp":42863850126226000}`
+
+// TestWarmRestartReadsParentJournal: a state directory whose newest record
+// was written by an older build (with peer_seq) still recovers warm, with
+// its epoch, rates, tunnels, probabilities and scenario fingerprint, and
+// the recovered controller's next rate push is accepted at its generation.
+func TestWarmRestartReadsParentJournal(t *testing.T) {
+	checkGoroutineLeaks(t)
+	dir := t.TempDir()
+	st, err := persist.Open(dir, persist.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Append(1, []byte(parentJournalRecord)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	tb := newStateTestbed(t)
+	rec, err := tb.OpenState(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rec.Warm || rec.Epoch != 1 || rec.Generation != 2 {
+		t.Fatalf("Recovery = %+v, want warm epoch 1 gen 2", rec)
+	}
+	wantRates := map[string]float64{"t0": 50, "t1": 50, "t2": 50}
+	if got := tb.Ctl.LastGoodRates(); !reflect.DeepEqual(got, wantRates) {
+		t.Errorf("recovered rates = %v, want %v", got, wantRates)
+	}
+	wantTunnels := []TunnelInstall{{Switch: "s1", TunnelID: 2, Path: []int{2, 5}}}
+	if got := tb.Ctl.InstalledTunnels(); !reflect.DeepEqual(got, wantTunnels) {
+		t.Errorf("recovered tunnels = %v, want %v", got, wantTunnels)
+	}
+	if got, want := tb.Ctl.LastProbs(), []float64{0.8, 0.006749999999999999, 0.00075}; !reflect.DeepEqual(got, want) {
+		t.Errorf("recovered probs = %v, want %v", got, want)
+	}
+	if got := tb.Ctl.LastScenarioFP(); got != 42863850126226000 {
+		t.Errorf("recovered scenario fingerprint = %d, want 42863850126226000", got)
+	}
+	if n := tb.Ctl.Metrics.Counter("wan.recovery.scenario_fp_mismatch").Value(); n != 0 {
+		t.Errorf("the recovered probabilities rebuilt a different scenario set (%d mismatches)", n)
+	}
+
+	next := map[string]float64{"t0": 40, "t1": 60, "t2": 50}
+	if _, err := tb.Ctl.UpdateRates(next); err != nil {
+		t.Fatalf("rate push after recovery: %v", err)
+	}
+	for _, a := range tb.Agents {
+		if got := a.Rates(); !reflect.DeepEqual(got, next) {
+			t.Errorf("agent %s rates = %v, want %v", a.Name, got, next)
+		}
+		if a.MaxGen() != rec.Generation || a.FenceRejections() != 0 {
+			t.Errorf("agent %s fenced to gen %d with %d rejections, want gen %d and none",
+				a.Name, a.MaxGen(), a.FenceRejections(), rec.Generation)
+		}
+	}
+}
+
 // TestFenceRejectsStaleGeneration checks the epoch fence: once an agent has
 // seen generation G, a request stamped with an older generation — a zombie
 // incarnation that lost the state directory but still holds sockets — is

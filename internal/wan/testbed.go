@@ -117,8 +117,10 @@ func (tb *Testbed) admissionLadder() *Admission {
 	return tb.adm
 }
 
-// LastAdmission returns the most recent admission decision (nil before the
-// first classed reaction round, and always nil with classes disabled).
+// LastAdmission returns the last admission decision computed from a solve
+// (nil before the first classed reaction round, and always nil with classes
+// disabled). A round that fell back to last-good replays that decision
+// without storing the replay, so it is still what LastAdmission returns.
 func (tb *Testbed) LastAdmission() *AdmissionDecision {
 	if tb.adm == nil {
 		return nil
