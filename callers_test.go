@@ -32,7 +32,7 @@ var callerExceptions = map[string]string{
 	"lp.MIP.IsBinary":                    "oracle: MIP tests check which columns are binary",
 	"lp.Problem.NumConstraints":          "oracle: the captured-LP tests check an LP's shape",
 	"lp.Problem.NumVars":                 "oracle: the captured-LP tests check an LP's shape",
-	"ml.DecisionTree.Depth":              "oracle: tests check the tree honours MaxDepth",
+	"ml.DecisionTree.Depth":              "oracle: tests check the tree honours its depth cap",
 	"ml.NewOracle":                       "oracle: the perfect-knowledge predictor tests compare against",
 	"optical.FiberSim.BaselineDB":        "oracle: tests check healthy loss against the fiber's baseline",
 	"persist.EncodeReplFrame":            "fault tool: replication tests and FuzzReplicationStream forge wire frames",
@@ -40,7 +40,6 @@ var callerExceptions = map[string]string{
 	"routing.ValidatePath":               "oracle: tests check every built tunnel is a valid path",
 	"routing.pq.Less":                    "container/heap calls it through heap.Interface",
 	"routing.pq.Swap":                    "container/heap calls it through heap.Interface",
-	"sim.Env.DiurnalDemands":             "oracle: tests check the diurnal demand shape; Table 3's 24 matrices would give it a caller (ROADMAP)",
 	"sim.ReplayResult.LossRate":          "oracle: replay tests compare schemes by loss rate",
 	"stats.Exponential.CDF":              "oracle: tests check Sample against the closed-form CDF",
 	"stats.Geometric.CDF":                "oracle: tests check Sample against the closed-form CDF",
@@ -67,22 +66,18 @@ type funcDecl struct {
 	file *ast.File
 }
 
-// TestEveryInternalFuncHasACaller parses every non-test Go file in the tree
-// (root, internal/, cmd/, examples/ and bench/) and fails when a function
-// or method declared under internal/ is referenced nowhere outside its own
-// body. Reachability starts from every function outside internal/, every
-// init function and every package-level variable; a function reached only
-// from unreferenced functions is unreferenced too.
-//
-// The check reads syntax only, so it errs towards "referenced": a package
-// function counts as referenced by its bare name inside its package or by
-// pkg.Name where pkg is imported, and a method by any selector spelling its
-// name, whatever the receiver.
-func TestEveryInternalFuncHasACaller(t *testing.T) {
+// srcFile is one parsed non-test Go file of the program.
+type srcFile struct {
+	pkg string // the package directory relative to the module root
+	f   *ast.File
+}
+
+// parseProgram parses every non-test Go file in the tree: root, internal/,
+// cmd/, examples/ and bench/.
+func parseProgram(t *testing.T) (*token.FileSet, []srcFile) {
+	t.Helper()
 	fset := token.NewFileSet()
-	var decls []*funcDecl
-	var roots []ast.Node // package-level declarations other than functions
-	var rootFiles []*ast.File
+	var files []srcFile
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -101,24 +96,45 @@ func TestEveryInternalFuncHasACaller(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		pkg := filepath.ToSlash(filepath.Dir(path))
-		for _, d := range f.Decls {
-			switch d := d.(type) {
-			case *ast.FuncDecl:
-				key := pkg + "." + d.Name.Name
-				if d.Recv != nil {
-					key = pkg + "." + recvType(d.Recv.List[0].Type) + "." + d.Name.Name
-				}
-				decls = append(decls, &funcDecl{key: key, pkg: pkg, fn: d, file: f})
-			case *ast.GenDecl:
-				roots = append(roots, d)
-				rootFiles = append(rootFiles, f)
-			}
-		}
+		files = append(files, srcFile{pkg: filepath.ToSlash(filepath.Dir(path)), f: f})
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	return fset, files
+}
+
+// TestEveryInternalFuncHasACaller parses every non-test Go file in the tree
+// (root, internal/, cmd/, examples/ and bench/) and fails when a function
+// or method declared under internal/ is referenced nowhere outside its own
+// body. Reachability starts from every function outside internal/, every
+// init function and every package-level variable; a function reached only
+// from unreferenced functions is unreferenced too.
+//
+// The check reads syntax only, so it errs towards "referenced": a package
+// function counts as referenced by its bare name inside its package or by
+// pkg.Name where pkg is imported, and a method by any selector spelling its
+// name, whatever the receiver.
+func TestEveryInternalFuncHasACaller(t *testing.T) {
+	fset, files := parseProgram(t)
+	var decls []*funcDecl
+	var roots []ast.Node // package-level declarations other than functions
+	var rootFiles []*ast.File
+	for _, sf := range files {
+		for _, d := range sf.f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				key := sf.pkg + "." + d.Name.Name
+				if d.Recv != nil {
+					key = sf.pkg + "." + recvType(d.Recv.List[0].Type) + "." + d.Name.Name
+				}
+				decls = append(decls, &funcDecl{key: key, pkg: sf.pkg, fn: d, file: sf.f})
+			case *ast.GenDecl:
+				roots = append(roots, d)
+				rootFiles = append(rootFiles, sf.f)
+			}
+		}
 	}
 
 	funcs := make(map[string][]int)   // "pkg.Name" -> package-level functions

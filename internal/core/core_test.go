@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"prete/internal/routing"
@@ -442,5 +443,23 @@ func TestBendersOnIBM(t *testing.T) {
 	}
 	if ep.Plan.MaxLoss < 0 || ep.Plan.MaxLoss > 1 {
 		t.Fatalf("Phi = %v", ep.Plan.MaxLoss)
+	}
+}
+
+// TestZeroOptimizerSolves pins that the zero Optimizer is the default one:
+// on the B4 reference input (the one root's TestAnytimeReferenceWork
+// counts), its solve is bit-identical to DefaultOptimizer's.
+func TestZeroOptimizerSolves(t *testing.T) {
+	in := realInput(t, "B4", 2025)
+	want, err := DefaultOptimizer().Solve(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := (&Optimizer{}).Solve(in)
+	if err != nil {
+		t.Fatalf("zero Optimizer: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("zero Optimizer: phi %v after %d iterations, DefaultOptimizer: phi %v after %d", got.Phi, got.Iterations, want.Phi, want.Iterations)
 	}
 }

@@ -122,8 +122,6 @@ func FuzzSolveBudget(f *testing.F) {
 		// budgets — the interesting truncation range — dominate.
 		units := int64(r.byte())<<2 | int64(r.byte())>>6
 		o := DefaultOptimizer()
-		o.MaxIters = 8
-		o.MasterNodes = 200
 		o.BudgetUnits = units
 		res, err := o.Solve(in)
 		if err != nil {

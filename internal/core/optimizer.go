@@ -151,15 +151,16 @@ func classMinLoss(in *te.Input, c Class) float64 {
 	return 1 - capSum/d
 }
 
+// Algorithm 2's limits.
+const (
+	epsilon     = 1e-4 // UB-LB convergence threshold (Algorithm 2's epsilon)
+	maxIters    = 30   // Benders iterations per solve
+	masterNodes = 2000 // branch-and-bound nodes per master solve
+)
+
 // Optimizer solves the PreTE formulation (Eqns. 2-8) with Benders
-// decomposition (Algorithm 2).
+// decomposition (Algorithm 2). The zero value is ready to use.
 type Optimizer struct {
-	// Epsilon is the UB-LB convergence threshold (Algorithm 2's epsilon).
-	Epsilon float64
-	// MaxIters bounds Benders iterations.
-	MaxIters int
-	// MasterNodes bounds the master's branch-and-bound tree.
-	MasterNodes int
 	// DisableStructuralCuts turns off the bottleneck-capacity seeding cuts
 	// (ablation knob: without them, Benders prunes hopeless classes one
 	// iteration at a time).
@@ -263,9 +264,9 @@ func (m optObs) solveLP(t *obs.Timer, p *lp.Problem, budget *lp.Budget, name str
 	return nil, fmt.Errorf("%s %v", name, sol.Status)
 }
 
-// DefaultOptimizer returns production-ish settings.
+// DefaultOptimizer returns an Optimizer with every setting at its default.
 func DefaultOptimizer() *Optimizer {
-	return &Optimizer{Epsilon: 1e-4, MaxIters: 30, MasterNodes: 2000}
+	return &Optimizer{}
 }
 
 // Result is the optimization outcome.
@@ -404,7 +405,7 @@ func (o *Optimizer) solve(sm *solveModel, budget *lp.Budget, warm []bendersCut) 
 	var firstIncumbentUnits int64
 	truncated := false
 	iters := 0
-	for ; iters < o.MaxIters; iters++ {
+	for ; iters < maxIters; iters++ {
 		// One Benders iteration = one work unit, charged before the
 		// subproblem so exhaustion stops the solve at an iteration boundary.
 		if !budget.Spend(1) {
@@ -432,7 +433,7 @@ func (o *Optimizer) solve(sm *solveModel, budget *lp.Budget, warm []bendersCut) 
 		}
 		cuts = append(cuts, sp.cut)
 		m.cutsAdded.Inc()
-		if ub-lb <= o.Epsilon {
+		if ub-lb <= epsilon {
 			iters++
 			break
 		}
@@ -449,7 +450,7 @@ func (o *Optimizer) solve(sm *solveModel, budget *lp.Budget, warm []bendersCut) 
 			lb = masterPhi
 		}
 		// Step 3: bound update and convergence check (line 5).
-		if ub-lb <= o.Epsilon {
+		if ub-lb <= epsilon {
 			iters++
 			break
 		}
@@ -556,9 +557,8 @@ func (o *Optimizer) polish(sm *solveModel, delta []bool, phiCap float64, m optOb
 
 // bendersCut is an optimality cut Phi >= sum(coef_i * delta_i) + constant.
 type bendersCut struct {
-	coef  []float64 // per class; zero entries omitted implicitly
-	con   float64
-	value float64 // subproblem optimum that produced it (diagnostic)
+	coef []float64 // per class; zero entries omitted implicitly
+	con  float64
 }
 
 type spSolution struct {
@@ -583,7 +583,7 @@ func (o *Optimizer) solveSubproblem(sm *solveModel, delta []bool, m optObs, budg
 	// Cut assembly: Phi >= sum_c w_c (delta_c - 1) + [sum_c w_c + sum_e c_e u_e']
 	// where w_c = d_f * y_c (y = coverage-row dual >= 0) and the capacity
 	// contribution is c_e * dual_e (dual_e <= 0 for LE rows).
-	cut := bendersCut{coef: make([]float64, len(covRow)), value: sol.X[te.Phi]}
+	cut := bendersCut{coef: make([]float64, len(covRow))}
 	for ci, row := range covRow {
 		if row < 0 {
 			continue
@@ -655,7 +655,7 @@ func (o *Optimizer) solveMaster(sm *solveModel, cuts []bendersCut, mo optObs, bu
 	}
 	if exact {
 		start := mo.masterSolve.Start()
-		sol := m.SolveMIP(lp.MIPOptions{MaxNodes: o.MasterNodes, Budget: budget})
+		sol := m.SolveMIP(lp.MIPOptions{MaxNodes: masterNodes, Budget: budget})
 		mo.masterSolve.Stop(start)
 		mo.observeLP(sol)
 		if sol.Status == lp.Truncated {

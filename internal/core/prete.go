@@ -5,6 +5,7 @@ import (
 	"prete/internal/scenario"
 	"prete/internal/te"
 	"prete/internal/topology"
+	"prete/internal/trace"
 )
 
 // DegradationSignal is one detected degradation with its NN-predicted
@@ -36,7 +37,7 @@ type PreTE struct {
 func New() *PreTE {
 	return &PreTE{
 		Opt:          DefaultOptimizer(),
-		Alpha:        0.25,
+		Alpha:        trace.PredictableFrac,
 		TunnelRatio:  1,
 		ScenarioOpts: scenario.DefaultOptions(),
 	}

@@ -270,7 +270,7 @@ func remapCuts(cuts []bendersCut, oldKeys, newKeys []string) []bendersCut {
 		for ni, oi := range perm {
 			coef[ni] = cut.coef[oi]
 		}
-		out[ci] = bendersCut{coef: coef, con: cut.con, value: cut.value}
+		out[ci] = bendersCut{coef: coef, con: cut.con}
 	}
 	return out
 }
@@ -329,9 +329,6 @@ func (o *Optimizer) inputFingerprint(in *te.Input) uint64 {
 	}
 	f(in.Beta)
 
-	f(o.Epsilon)
-	u(uint64(o.MaxIters))
-	u(uint64(o.MasterNodes))
 	b := uint64(0)
 	if o.DisableStructuralCuts {
 		b |= 1

@@ -142,7 +142,7 @@ func TestWarmCacheProbOnlyRevalidates(t *testing.T) {
 	// The warm solve takes a different path through cut space, so the
 	// allocation vertex may differ — but both must reach the same optimal
 	// loss bound (within the Benders convergence tolerance) feasibly.
-	if diff := warm.Phi - cold.Phi; diff > o.Epsilon+1e-9 || diff < -(o.Epsilon+1e-9) {
+	if diff := warm.Phi - cold.Phi; diff > epsilon+1e-9 || diff < -(epsilon+1e-9) {
 		t.Fatalf("warm phi %v vs cold phi %v beyond epsilon", warm.Phi, cold.Phi)
 	}
 	if warm.Iterations > cold.Iterations {
@@ -358,10 +358,10 @@ func TestWarmCachePoolBounded(t *testing.T) {
 }
 
 func TestDistinctCuts(t *testing.T) {
-	a := bendersCut{coef: []float64{0, 1, 2}, con: 3, value: 1}
+	a := bendersCut{coef: []float64{0, 1, 2}, con: 3}
 	b := bendersCut{coef: []float64{0, 1, 2}, con: 4}
 	c := bendersCut{coef: []float64{0, 1, 5}, con: 3}
-	got := distinctCuts([]bendersCut{a, b, a, c, b, {coef: []float64{0, 1, 2}, con: 3, value: 9}})
+	got := distinctCuts([]bendersCut{a, b, a, c, b, {coef: []float64{0, 1, 2}, con: 3}})
 	if want := []bendersCut{a, b, c}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("distinctCuts = %+v, want %+v", got, want)
 	}
@@ -369,7 +369,7 @@ func TestDistinctCuts(t *testing.T) {
 
 // TestRemapCuts covers the pure permutation logic, including refusal cases.
 func TestRemapCuts(t *testing.T) {
-	cuts := []bendersCut{{coef: []float64{1, 2, 3}, con: 4, value: 5}}
+	cuts := []bendersCut{{coef: []float64{1, 2, 3}, con: 4}}
 	old := []string{"a", "b", "c"}
 
 	got := remapCuts(cuts, old, []string{"c", "a", "b"})
@@ -379,8 +379,8 @@ func TestRemapCuts(t *testing.T) {
 	if want := []float64{3, 1, 2}; !reflect.DeepEqual(got[0].coef, want) {
 		t.Fatalf("remapped coef %v, want %v", got[0].coef, want)
 	}
-	if got[0].con != 4 || got[0].value != 5 {
-		t.Fatalf("constants not carried: %+v", got[0])
+	if got[0].con != 4 {
+		t.Fatalf("constant not carried: %+v", got[0])
 	}
 	// Mutating the remapped cut must not touch the source pool.
 	got[0].coef[0] = 99
@@ -411,8 +411,6 @@ func FuzzWarmCache(f *testing.F) {
 		r := &fuzzReader{data: data}
 		in := fuzzInput(t, r)
 		o := DefaultOptimizer()
-		o.MaxIters = 8
-		o.MasterNodes = 200
 		o.BudgetUnits = int64(r.byte()) << 2 // 0 = unlimited, else small budgets
 		cold, err := o.Solve(in)
 		if err != nil {

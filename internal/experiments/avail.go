@@ -13,6 +13,7 @@ import (
 	"prete/internal/stats"
 	"prete/internal/te"
 	"prete/internal/topology"
+	"prete/internal/wan"
 )
 
 func init() {
@@ -247,7 +248,7 @@ func fig16(w io.Writer, opts Options) error {
 		start := time.Now()
 		ep, err := p.PlanEpoch(core.EpochInput{
 			Net: env.Net, Tunnels: env.Tunnels,
-			Demands: env.BaseDemands.Scale(scale), Beta: cfg.Beta, PI: env.PI,
+			Demands: env.BaseDemands.Scale(scale), Beta: sim.Beta, PI: env.PI,
 			Signals: []core.DegradationSignal{{Fiber: busiestFiber(env), PNN: 0.5}},
 		})
 		if err != nil {
@@ -258,7 +259,7 @@ func fig16(w io.Writer, opts Options) error {
 		if ep.Update != nil {
 			newTunnels = ep.Update.NewTunnels
 		}
-		runtime := compute + float64(newTunnels)*cfg.TunnelInstallS
+		runtime := compute + float64(newTunnels)*wan.DefaultSwitchConfig().InstallLatency.Seconds()
 		fmt.Fprintf(w, "%.1f\t%.6f\t%d\t%.2f\n", ratio, a.Mean, newTunnels, runtime)
 	}
 	fmt.Fprintln(w, "# paper: ratio 1 balances runtime (~seconds) and availability; ratio 5 costs tens of seconds")
@@ -432,7 +433,7 @@ func fig19(w io.Writer, opts Options) error {
 	tv.Opt.Metrics = opts.Metrics
 	base := env.BaseDemands.Scale(2)
 	plan0, err := tv.PlanEpoch(core.EpochInput{
-		Net: env.Net, Tunnels: env.Tunnels, Demands: base, Beta: cfg.Beta, PI: env.PI,
+		Net: env.Net, Tunnels: env.Tunnels, Demands: base, Beta: sim.Beta, PI: env.PI,
 	})
 	if err != nil {
 		return err
@@ -444,7 +445,7 @@ func fig19(w io.Writer, opts Options) error {
 		jittered[i] = d * (1 + 0.05*rng.NormFloat64())
 	}
 	plan1, err := tv.PlanEpoch(core.EpochInput{
-		Net: env.Net, Tunnels: env.Tunnels, Demands: jittered, Beta: cfg.Beta, PI: env.PI,
+		Net: env.Net, Tunnels: env.Tunnels, Demands: jittered, Beta: sim.Beta, PI: env.PI,
 	})
 	if err != nil {
 		return err
@@ -516,10 +517,6 @@ func fig20b(w io.Writer, opts Options) error {
 	cfg := evalConfig(opts)
 	alphas := []float64{0.25, 0.9}
 	scales := []float64{2, 4}
-	if opts.Quick {
-		alphas = []float64{0.25, 0.9}
-		scales = []float64{2, 4}
-	}
 	header(w, "alpha", "scale", "availability", "nines")
 	for _, alpha := range alphas {
 		c := cfg

@@ -223,7 +223,7 @@ func fig5b(w io.Writer, opts Options) error {
 	fmt.Fprintf(w, "degradations\t%d\t%.2f\n", c.Degradations, float64(c.Degradations)/norm)
 	fmt.Fprintf(w, "fiber_cuts\t%d\t%.2f\n", c.Cuts, float64(c.Cuts)/norm)
 	fmt.Fprintf(w, "predictable_cuts\t%d\t%.2f\n", c.PredictableCuts, 1.0)
-	fmt.Fprintf(w, "# alpha = %.2f (paper: ~0.25), P(cut|deg) = %.2f (paper: ~0.40)\n", c.Alpha(), c.PCutGivenDeg())
+	fmt.Fprintf(w, "# alpha = %.2f (paper: ~%.2f), P(cut|deg) = %.2f (paper: ~%.2f)\n", c.Alpha(), trace.PredictableFrac, c.PCutGivenDeg(), trace.PCutGivenDeg)
 	return nil
 }
 

@@ -96,7 +96,7 @@ func fig8(w io.Writer, opts Options) error {
 	p.Opt.Metrics = opts.Metrics
 	ep, err := p.PlanEpoch(core.EpochInput{
 		Net: env.Net, Tunnels: env.Tunnels, Demands: env.BaseDemands,
-		Beta: cfg.Beta, PI: env.PI, Signals: signals,
+		Beta: sim.Beta, PI: env.PI, Signals: signals,
 	})
 	if err != nil {
 		return err

@@ -42,7 +42,7 @@ func fitModels(opts Options) (*trainedModels, error) {
 	if err != nil {
 		return nil, err
 	}
-	dt, err := ml.TrainDT(train, ml.DefaultDTConfig())
+	dt, err := ml.TrainDT(train)
 	if err != nil {
 		return nil, err
 	}

@@ -15,17 +15,13 @@ import (
 // fiber identity.
 type DecisionTree struct {
 	root *dtNode
-	cfg  DTConfig
 }
 
-// DTConfig bounds tree growth.
-type DTConfig struct {
-	MaxDepth       int
-	MinLeafSamples int
-}
-
-// DefaultDTConfig returns conservative growth limits.
-func DefaultDTConfig() DTConfig { return DTConfig{MaxDepth: 6, MinLeafSamples: 10} }
+// Conservative tree growth limits.
+const (
+	dtMaxDepth       = 6
+	dtMinLeafSamples = 10
+)
 
 type dtNode struct {
 	// leaf
@@ -46,15 +42,9 @@ func dtFeatures(f optical.Features) [dtNumFeatures]float64 {
 }
 
 // TrainDT fits a CART tree with Gini impurity splits.
-func TrainDT(examples []trace.LabeledExample, cfg DTConfig) (*DecisionTree, error) {
+func TrainDT(examples []trace.LabeledExample) (*DecisionTree, error) {
 	if len(examples) == 0 {
 		return nil, fmt.Errorf("ml: empty training set")
-	}
-	if cfg.MaxDepth <= 0 {
-		cfg.MaxDepth = 6
-	}
-	if cfg.MinLeafSamples <= 0 {
-		cfg.MinLeafSamples = 1
 	}
 	type row struct {
 		x [dtNumFeatures]float64
@@ -73,7 +63,7 @@ func TrainDT(examples []trace.LabeledExample, cfg DTConfig) (*DecisionTree, erro
 			}
 		}
 		prob := float64(pos) / float64(len(rows))
-		if depth >= cfg.MaxDepth || len(rows) < 2*cfg.MinLeafSamples || pos == 0 || pos == len(rows) {
+		if depth >= dtMaxDepth || len(rows) < 2*dtMinLeafSamples || pos == 0 || pos == len(rows) {
 			return &dtNode{leaf: true, prob: prob}
 		}
 		bestFeature, bestThresh, bestGini := -1, 0.0, giniOf(pos, len(rows))
@@ -91,7 +81,7 @@ func TrainDT(examples []trace.LabeledExample, cfg DTConfig) (*DecisionTree, erro
 				}
 				nl := i + 1
 				nr := len(sorted) - nl
-				if nl < cfg.MinLeafSamples || nr < cfg.MinLeafSamples {
+				if nl < dtMinLeafSamples || nr < dtMinLeafSamples {
 					continue
 				}
 				g := (float64(nl)*giniOf(leftPos, nl) + float64(nr)*giniOf(pos-leftPos, nr)) / float64(len(sorted))
@@ -120,7 +110,7 @@ func TrainDT(examples []trace.LabeledExample, cfg DTConfig) (*DecisionTree, erro
 			right:     build(right, depth+1),
 		}
 	}
-	return &DecisionTree{root: build(rows, 0), cfg: cfg}, nil
+	return &DecisionTree{root: build(rows, 0)}, nil
 }
 
 func giniOf(pos, n int) float64 {

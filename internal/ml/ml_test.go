@@ -195,7 +195,7 @@ func TestTable5Ordering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dt, err := TrainDT(train, DefaultDTConfig())
+	dt, err := TrainDT(train)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestDTLearnsThreshold(t *testing.T) {
 			Failed:   grad > 0.5,
 		})
 	}
-	dt, err := TrainDT(data, DefaultDTConfig())
+	dt, err := TrainDT(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,12 +257,12 @@ func TestDTRespectsDepthLimit(t *testing.T) {
 	if len(train) < 100 {
 		t.Skip("small dataset")
 	}
-	dt, err := TrainDT(train, DTConfig{MaxDepth: 3, MinLeafSamples: 5})
+	dt, err := TrainDT(train)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dt.Depth() > 3 {
-		t.Fatalf("depth = %d, limit 3", dt.Depth())
+	if dt.Depth() > dtMaxDepth {
+		t.Fatalf("depth = %d, limit %d", dt.Depth(), dtMaxDepth)
 	}
 }
 
@@ -306,7 +306,7 @@ func TestEmptyTrainingRejected(t *testing.T) {
 	if _, err := TrainNN(nil, DefaultNNConfig(1)); err == nil {
 		t.Error("NN accepted empty training set")
 	}
-	if _, err := TrainDT(nil, DefaultDTConfig()); err == nil {
+	if _, err := TrainDT(nil); err == nil {
 		t.Error("DT accepted empty training set")
 	}
 	if _, err := TrainStatistic(nil); err == nil {

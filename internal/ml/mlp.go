@@ -189,11 +189,9 @@ type NN struct {
 
 // NNConfig tunes training.
 type NNConfig struct {
-	Epochs     int
-	LearnRate  float64
-	Seed       uint64
-	Mask       FeatureMask
-	Oversample bool // §4.1.1: oversample the minority class to 1:1
+	Epochs int
+	Seed   uint64
+	Mask   FeatureMask
 	// ExtraHidden adds that many extra 64-unit ReLU layers before the
 	// decoder — the §8 "more efficient deep model" knob. 0 reproduces the
 	// paper's vanilla MLP.
@@ -202,7 +200,7 @@ type NNConfig struct {
 
 // DefaultNNConfig returns the Appendix A.2 hyperparameters.
 func DefaultNNConfig(seed uint64) NNConfig {
-	return NNConfig{Epochs: 30, LearnRate: LearnRate, Seed: seed, Mask: AllFeatures(), Oversample: true}
+	return NNConfig{Epochs: 30, Seed: seed, Mask: AllFeatures()}
 }
 
 // TrainNN fits the MLP on the labeled set.
@@ -212,9 +210,6 @@ func TrainNN(examples []trace.LabeledExample, cfg NNConfig) (*NN, error) {
 	}
 	if cfg.Epochs <= 0 {
 		cfg.Epochs = 30
-	}
-	if cfg.LearnRate <= 0 {
-		cfg.LearnRate = LearnRate
 	}
 	rng := stats.NewRNG(cfg.Seed)
 	n := &NN{mask: cfg.Mask, scaler: fitScaler(examples), vocab: buildVocab(examples)}
@@ -230,10 +225,7 @@ func TrainNN(examples []trace.LabeledExample, cfg NNConfig) (*NN, error) {
 	}
 	n.decoder = newLinear(HiddenUnits, 2, rng)
 
-	data := examples
-	if cfg.Oversample {
-		data = Oversample(examples, rng.Split())
-	}
+	data := Oversample(examples, rng.Split()) // §4.1.1: balance the classes 1:1
 	idx := make([]int, len(data))
 	for i := range idx {
 		idx[i] = i
@@ -245,7 +237,7 @@ func TrainNN(examples []trace.LabeledExample, cfg NNConfig) (*NN, error) {
 			idx[i], idx[j] = idx[j], idx[i]
 		}
 		for _, i := range idx {
-			n.trainStep(data[i], cfg.LearnRate)
+			n.trainStep(data[i], LearnRate)
 		}
 	}
 	return n, nil

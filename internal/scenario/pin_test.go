@@ -6,6 +6,7 @@ import (
 	"prete/internal/scenario"
 	"prete/internal/sim"
 	"prete/internal/topology"
+	"prete/internal/trace"
 )
 
 // TestEnumerateFingerprintsPinned records the sets Enumerate builds for the
@@ -35,7 +36,7 @@ func TestEnumerateFingerprintsPinned(t *testing.T) {
 		if c.storm > 0 {
 			degraded := map[topology.FiberID]float64{}
 			for _, f := range env.StormFibers(c.storm) {
-				degraded[topology.FiberID(f)] = cfg.PCutGivenDeg
+				degraded[topology.FiberID(f)] = trace.PCutGivenDeg
 			}
 			if probs, err = scenario.Calibrated(env.PI, degraded, cfg.Alpha); err != nil {
 				t.Fatal(err)

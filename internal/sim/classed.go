@@ -7,6 +7,7 @@ import (
 	"prete/internal/core"
 	"prete/internal/te"
 	"prete/internal/topology"
+	"prete/internal/trace"
 )
 
 // ClassedAvailability is a per-tier availability vector: one Availability
@@ -100,12 +101,12 @@ func (ev *Evaluator) stormPlan(s scheme, demands te.Demands, storm []int, spec *
 
 // integrateStorm integrates a credit over the truth distribution
 // conditioned on a degradation storm — every storm fiber fails with
-// PCutGivenDeg, every other fiber with the Theorem 4.1 residual
+// trace.PCutGivenDeg, every other fiber with the Theorem 4.1 residual
 // probability — as one degradation scenario of weight 1.
 func (ev *Evaluator) integrateStorm(storm []int, c credit) (Availability, error) {
 	probs := ev.Env.TruthProbs(ev.Cfg, -1)
 	for _, f := range storm {
-		probs[f] = ev.Cfg.PCutGivenDeg
+		probs[f] = trace.PCutGivenDeg
 	}
 	return ev.integrate(1, func(int) ([]world, error) {
 		return []world{{1, probs, c}}, nil

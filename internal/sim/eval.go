@@ -13,6 +13,7 @@ import (
 	"prete/internal/scenario"
 	"prete/internal/te"
 	"prete/internal/topology"
+	"prete/internal/trace"
 )
 
 // PredictorQuality models how good the failure predictor is, in the terms
@@ -82,11 +83,11 @@ const (
 	instant reaction = iota
 	// restore is ARROW [41]: optical restoration rebuilds part of the cut
 	// capacity, and a flow the restored network can carry is whole again
-	// after ARROWRestorationS.
+	// after arrowRestorationS.
 	restore
 	// recompute is Flexile [21]: affected flows run on the stale plan
 	// until a centralized recomputation installs the post-failure optimum,
-	// FlexileConvergenceS later; a flow that plan can carry is whole again.
+	// flexileConvergenceS later; a flow that plan can carry is whole again.
 	recompute
 	// perCut is the oracle: ahead of each cut it switches to that cut's
 	// optimal plan.
@@ -163,7 +164,7 @@ func (ev *Evaluator) planner(s scheme, parallelism int) *core.PreTE {
 func (ev *Evaluator) epochInput(demands te.Demands, signals []core.DegradationSignal) core.EpochInput {
 	return core.EpochInput{
 		Net: ev.Env.Net, Tunnels: ev.Env.Tunnels, Demands: demands,
-		Beta: ev.Cfg.Beta, PI: ev.Env.PI, Signals: signals,
+		Beta: Beta, PI: ev.Env.PI, Signals: signals,
 	}
 }
 
@@ -334,7 +335,7 @@ func (ev *Evaluator) staticPlan(s scheme, demands te.Demands) (*te.Plan, error) 
 	}
 	return s.plan(&te.Input{
 		Net: ev.Env.Net, Tunnels: ev.Env.Tunnels, Demands: demands,
-		Scenarios: set, Beta: ev.Cfg.Beta,
+		Scenarios: set, Beta: Beta,
 	})
 }
 
@@ -356,8 +357,8 @@ func (ev *Evaluator) predict(p *core.PreTE, ds DegScenario, planned, truth te.De
 		pHat float64
 		pCut float64 // the degraded fiber's failure probability in this world
 	}{
-		{ev.Cfg.PCutGivenDeg, ev.Quality.PHatFail, 1},
-		{1 - ev.Cfg.PCutGivenDeg, ev.Quality.PHatOK, 0},
+		{trace.PCutGivenDeg, ev.Quality.PHatFail, 1},
+		{1 - trace.PCutGivenDeg, ev.Quality.PHatOK, 0},
 	} {
 		sig := core.DegradationSignal{Fiber: topology.FiberID(ds.Fiber), PNN: ev.Quality.clampPHat(branch.pHat)}
 		ep, err := p.PlanEpoch(ev.epochInput(planned, []core.DegradationSignal{sig}))
@@ -406,7 +407,7 @@ func (ev *Evaluator) creditFor(r reaction, plan *te.Plan, planned, truth te.Dema
 // fill sets c[f] to the fraction of the epoch during which flow f's full
 // demand is delivered under failure scenario q, whose cut set is cut.
 func (k *credit) fill(q scenario.Scenario, cut topology.FiberSet, c []float64) error {
-	ev, r := k.ev, k.react
+	r := k.react
 	now := k.plan
 	if r == perCut {
 		var err error
@@ -414,9 +415,9 @@ func (k *credit) fill(q scenario.Scenario, cut topology.FiberSet, c []float64) e
 			return err
 		}
 	}
-	window := ev.Cfg.FlexileConvergenceS
+	window := flexileConvergenceS
 	if r == restore {
-		window = ev.Cfg.ARROWRestorationS
+		window = arrowRestorationS
 	}
 	var post *te.Plan
 	built := false
@@ -441,7 +442,7 @@ func (k *credit) fill(q scenario.Scenario, cut topology.FiberSet, c []float64) e
 				under = nil
 			}
 			if post != nil && te.Satisfied(post, fid, d, under) {
-				c[f] = 1 - window/ev.Cfg.EpochS
+				c[f] = 1 - window/epochS
 			}
 		}
 	}
@@ -478,16 +479,16 @@ func (k *credit) cutPlan(q scenario.Scenario, cut topology.FiberSet) (*te.Plan, 
 		in := &te.Input{
 			Net: ev.Env.Net, Tunnels: ev.Env.Tunnels, Demands: k.planned,
 			Scenarios: &scenario.Set{Scenarios: []scenario.Scenario{{Prob: 1}}, Covered: 1},
-			Beta:      ev.Cfg.Beta,
+			Beta:      Beta,
 		}
 		switch k.react {
 		case restore:
-			// Links that rode cut fibers come back at ARROWRestoreFrac of
+			// Links that rode cut fibers come back at arrowRestoreFrac of
 			// their capacity.
 			caps := make(map[topology.LinkID]float64)
 			for _, f := range q.Cut {
 				for _, lid := range ev.Env.Net.LinksOnFiber(f) {
-					caps[lid] = ev.Env.Net.Link(lid).Capacity * ev.Cfg.ARROWRestoreFrac
+					caps[lid] = ev.Env.Net.Link(lid).Capacity * arrowRestoreFrac
 				}
 			}
 			p, _ := te.MinMaxLossPlanWithCaps(in, nil, caps)

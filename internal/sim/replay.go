@@ -20,25 +20,18 @@ import (
 type ReplayConfig struct {
 	// Scheme is "PreTE", "PreTE-naive" or "TeaVar".
 	Scheme string
-	Beta   float64
 	// DemandGbps is the uniform per-flow demand.
 	DemandGbps float64
-	// Predictor scores degradation episodes; nil uses the 0.40 fallback.
+	// Predictor scores degradation episodes; nil uses trace.PCutGivenDeg.
 	Predictor ml.Predictor
 	// MaxEventEpochs caps how many event-bearing epochs are replayed (the
 	// quiet majority is accounted analytically with the quiet plan).
 	MaxEventEpochs int
-	// ScenarioOpts bounds planning scenario enumeration.
-	ScenarioOpts scenario.Options
 }
 
 // DefaultReplayConfig returns moderate settings.
 func DefaultReplayConfig(scheme string) ReplayConfig {
-	return ReplayConfig{
-		Scheme: scheme, Beta: 0.99, DemandGbps: 60,
-		MaxEventEpochs: 150,
-		ScenarioOpts:   scenario.Options{Cutoff: 1e-9, MaxFailures: 2, MaxScenarios: 300},
-	}
+	return ReplayConfig{Scheme: scheme, DemandGbps: 60, MaxEventEpochs: 150}
 }
 
 // ReplayResult summarizes a replay.
@@ -79,18 +72,17 @@ func Replay(tr *trace.Trace, cfg ReplayConfig) (*ReplayResult, error) {
 		demands[i] = cfg.DemandGbps
 	}
 	planner := s.newCore()
-	planner.ScenarioOpts = cfg.ScenarioOpts
+	planner.ScenarioOpts = scenario.Options{Cutoff: 1e-9, MaxFailures: 2, MaxScenarios: 300}
 
 	// Index events by epoch.
-	epochS := int64(tr.Cfg.EpochS)
 	episodesByEpoch := make(map[int64][]trace.Episode)
 	for _, ep := range tr.Episodes {
-		e := ep.OnsetUnixS / epochS
+		e := ep.OnsetUnixS / trace.EpochS
 		episodesByEpoch[e] = append(episodesByEpoch[e], ep)
 	}
 	cutsByEpoch := make(map[int64][]trace.Cut)
 	for _, c := range tr.Cuts {
-		e := c.AtUnixS / epochS
+		e := c.AtUnixS / trace.EpochS
 		cutsByEpoch[e] = append(cutsByEpoch[e], c)
 	}
 	epochSet := make(map[int64]bool)
@@ -117,7 +109,7 @@ func Replay(tr *trace.Trace, cfg ReplayConfig) (*ReplayResult, error) {
 		// them by construction).
 		var signals []core.DegradationSignal
 		for _, ep := range episodesByEpoch[e] {
-			pHat := 0.40
+			pHat := trace.PCutGivenDeg
 			if cfg.Predictor != nil {
 				pHat = cfg.Predictor.PredictProb(ep.Features)
 			}
@@ -127,7 +119,7 @@ func Replay(tr *trace.Trace, cfg ReplayConfig) (*ReplayResult, error) {
 		}
 		plan, err := planner.PlanEpoch(core.EpochInput{
 			Net: net, Tunnels: tunnels, Demands: demands,
-			Beta: cfg.Beta, PI: tr.CutProb, Signals: signals,
+			Beta: Beta, PI: tr.CutProb, Signals: signals,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("sim: replay epoch %d: %w", e, err)

@@ -22,28 +22,27 @@ import (
 	"prete/internal/stats"
 	"prete/internal/te"
 	"prete/internal/topology"
+	"prete/internal/trace"
 )
 
-// Config holds evaluation constants.
-type Config struct {
-	Beta   float64 // planning availability target (0.99)
-	EpochS float64 // TE period, 300 s (5 minutes)
-	Alpha  float64 // fraction of predictable cuts (0.25)
-	// PCutGivenDeg is the true conditional failure probability after a
-	// degradation (0.40).
-	PCutGivenDeg float64
-	// FlexileConvergenceS is the reactive recomputation window.
-	FlexileConvergenceS float64
-	// ARROWRestorationS is the optical restoration latency (8 s).
-	ARROWRestorationS float64
-	// ARROWRestoreFrac is the fraction of a cut link's capacity that
+// Beta is the planning availability target (99%) of every evaluation.
+const Beta = 0.99
+
+// The evaluation's timing constants, in seconds, and ARROW's restoration.
+const (
+	epochS              float64 = 300 // TE period (5 minutes)
+	flexileConvergenceS float64 = 30  // Flexile's reactive recomputation window
+	arrowRestorationS   float64 = 8   // ARROW's optical restoration latency
+	// arrowRestoreFrac is the fraction of a cut link's capacity that
 	// optical restoration rebuilds on surviving spectrum; restoration is
 	// partial in practice, which is what bends ARROW's curve down at high
 	// demand scales.
-	ARROWRestoreFrac float64
-	// TunnelInstallS is the serialized per-tunnel establishment time the
-	// testbed measures (Fig 11b: ~0.25 s each).
-	TunnelInstallS float64
+	arrowRestoreFrac = 0.6
+)
+
+// Config holds the evaluation's settings.
+type Config struct {
+	Alpha float64 // fraction of predictable cuts (trace.PredictableFrac)
 	// ScenarioOpts bounds failure-scenario enumeration.
 	ScenarioOpts scenario.Options
 	// MaxDegScenarios caps how many single-fiber degradation scenarios are
@@ -73,16 +72,9 @@ type Config struct {
 // DefaultConfig returns the paper-calibrated evaluation constants.
 func DefaultConfig() Config {
 	return Config{
-		Beta:                0.99,
-		EpochS:              300,
-		Alpha:               0.25,
-		PCutGivenDeg:        0.40,
-		FlexileConvergenceS: 30,
-		ARROWRestorationS:   8,
-		ARROWRestoreFrac:    0.6,
-		TunnelInstallS:      0.25,
-		ScenarioOpts:        scenario.Options{Cutoff: 1e-9, MaxFailures: 2, MaxScenarios: 600},
-		MaxDegScenarios:     16,
+		Alpha:           trace.PredictableFrac,
+		ScenarioOpts:    scenario.Options{Cutoff: 1e-9, MaxFailures: 2, MaxScenarios: 600},
+		MaxDegScenarios: 16,
 	}
 }
 
@@ -113,8 +105,8 @@ func BuildEnv(name string, seed uint64, cfg Config) (*Env, error) {
 		return nil, err
 	}
 	rng := stats.NewRNG(seed)
-	w := stats.Weibull{Shape: 0.8, Scale: 0.002}
-	slope := cfg.PCutGivenDeg / cfg.Alpha
+	w := stats.Weibull{Shape: trace.DegShape, Scale: trace.DegScale}
+	slope := trace.PCutGivenDeg / cfg.Alpha
 	pd := make([]float64, len(net.Fibers))
 	pi := make([]float64, len(net.Fibers))
 	for i := range pd {
@@ -138,22 +130,8 @@ func BuildEnv(name string, seed uint64, cfg Config) (*Env, error) {
 	return &Env{Net: net, Tunnels: ts, BaseDemands: demands, PD: pd, PI: pi}, nil
 }
 
-// DiurnalDemands returns the hour-of-day demand matrix: a sinusoidal
-// diurnal swing (peak at 20:00, trough at 04:00) with a deterministic
-// per-flow phase jitter — the "24 traffic matrices" of Table 3.
-func (e *Env) DiurnalDemands(hour int, seed uint64) te.Demands {
-	rng := stats.NewRNG(seed ^ 0xd1e5)
-	out := make(te.Demands, len(e.BaseDemands))
-	for i, base := range e.BaseDemands {
-		phase := rng.Float64() * 2 * math.Pi * 0.1
-		swing := 0.3 * math.Sin(2*math.Pi*float64(hour-14)/24+phase)
-		out[i] = base * (1 + swing)
-	}
-	return out
-}
-
 // TruthProbs returns the ground-truth per-fiber failure probabilities for a
-// degradation scenario: the degraded fiber fails with PCutGivenDeg, the
+// degradation scenario: the degraded fiber fails with trace.PCutGivenDeg, the
 // rest with the Theorem 4.1 residual (1 - alpha) * PI.
 func (e *Env) TruthProbs(cfg Config, degraded int) []float64 {
 	out := make([]float64, len(e.PI))
@@ -161,7 +139,7 @@ func (e *Env) TruthProbs(cfg Config, degraded int) []float64 {
 		out[i] = (1 - cfg.Alpha) * p
 	}
 	if degraded >= 0 {
-		out[degraded] = cfg.PCutGivenDeg
+		out[degraded] = trace.PCutGivenDeg
 	}
 	return out
 }

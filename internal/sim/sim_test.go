@@ -3,6 +3,8 @@ package sim
 import (
 	"math"
 	"testing"
+
+	"prete/internal/trace"
 )
 
 func b4Env(t *testing.T, cfg Config) *Env {
@@ -34,7 +36,7 @@ func TestBuildEnv(t *testing.T) {
 			t.Fatalf("non-positive probability at fiber %d", i)
 		}
 		// §6.1's linear relationship: p_i = (pCut/alpha) * p_d, capped.
-		want := math.Min(0.05, cfg.PCutGivenDeg/cfg.Alpha*env.PD[i])
+		want := math.Min(0.05, trace.PCutGivenDeg/cfg.Alpha*env.PD[i])
 		if math.Abs(env.PI[i]-want) > 1e-12 {
 			t.Fatalf("p_i[%d] = %v, want %v", i, env.PI[i], want)
 		}
@@ -44,30 +46,6 @@ func TestBuildEnv(t *testing.T) {
 	}
 	if _, err := BuildEnv("nope", 1, cfg); err == nil {
 		t.Fatal("unknown topology accepted")
-	}
-}
-
-func TestDiurnalDemands(t *testing.T) {
-	env := b4Env(t, fastConfig())
-	peak := env.DiurnalDemands(20, 1)
-	trough := env.DiurnalDemands(4, 1)
-	var peakSum, troughSum float64
-	for i := range peak {
-		peakSum += peak[i]
-		troughSum += trough[i]
-		if peak[i] <= 0 || trough[i] <= 0 {
-			t.Fatal("non-positive demand")
-		}
-	}
-	if peakSum <= troughSum {
-		t.Fatalf("evening peak %v should exceed 4am trough %v", peakSum, troughSum)
-	}
-	// determinism
-	again := env.DiurnalDemands(20, 1)
-	for i := range peak {
-		if peak[i] != again[i] {
-			t.Fatal("diurnal demands not deterministic")
-		}
 	}
 }
 
@@ -102,7 +80,7 @@ func TestTruthProbs(t *testing.T) {
 		}
 	}
 	deg := env.TruthProbs(cfg, 3)
-	if deg[3] != cfg.PCutGivenDeg {
+	if deg[3] != trace.PCutGivenDeg {
 		t.Fatalf("degraded fiber probability = %v", deg[3])
 	}
 }

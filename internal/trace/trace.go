@@ -27,22 +27,28 @@ import (
 	"prete/internal/topology"
 )
 
-// Config parameterizes trace generation.
-type Config struct {
-	Seed   uint64
-	Days   int // trace horizon; the paper collects "about one year"
-	EpochS int // epoch length in seconds; 900 (15 min) per §2.1 / Appendix A.1
-
-	// DegWeibull is the per-epoch degradation probability distribution
-	// across fibers (§6.1: shape 0.8, scale 0.002).
-	DegWeibull stats.Weibull
+// The paper's measured failure model. Every package that needs one of
+// these numbers refers to it here.
+const (
+	// PredictableFrac is alpha, the fraction of all cuts preceded by a
+	// degradation within a TE period (§3.1: about 25%).
+	PredictableFrac = 0.25
 	// PCutGivenDeg is the mean conditional failure probability after a
 	// degradation (§3.2: "only 40% of fiber degradation will lead to fiber
 	// cuts").
-	PCutGivenDeg float64
-	// PredictableFrac is alpha, the fraction of all cuts preceded by a
-	// degradation within a TE period (§3.1: about 25%).
-	PredictableFrac float64
+	PCutGivenDeg = 0.40
+	// DegShape and DegScale parameterize the Weibull per-epoch degradation
+	// probability distribution across fibers (§6.1).
+	DegShape, DegScale = 0.8, 0.002
+	// EpochS is the trace's epoch length in seconds: 900 (15 min) per
+	// §2.1 / Appendix A.1.
+	EpochS = 900
+)
+
+// Config parameterizes trace generation.
+type Config struct {
+	Seed uint64
+	Days int // trace horizon; the paper collects "about one year"
 	// ExtendedIndicators enables the §8 future-work telemetry: per-episode
 	// polarization mode dispersion and chromatic dispersion readings that
 	// carry additional failure signal, improving predictability beyond the
@@ -52,14 +58,7 @@ type Config struct {
 
 // DefaultConfig returns the paper-calibrated configuration.
 func DefaultConfig(seed uint64) Config {
-	return Config{
-		Seed:            seed,
-		Days:            365,
-		EpochS:          900,
-		DegWeibull:      stats.Weibull{Shape: 0.8, Scale: 0.002},
-		PCutGivenDeg:    0.40,
-		PredictableFrac: 0.25,
-	}
+	return Config{Seed: seed, Days: 365}
 }
 
 // Episode is one degradation event with its ground-truth outcome.
@@ -130,14 +129,8 @@ func trueFailureProbability(f optical.Features, fragility, bias float64) float64
 
 // Generate produces a Trace over the given topology's fibers.
 func Generate(cfg Config, net *topology.Network) (*Trace, error) {
-	if cfg.Days <= 0 || cfg.EpochS <= 0 {
-		return nil, fmt.Errorf("trace: non-positive horizon (days=%d epochS=%d)", cfg.Days, cfg.EpochS)
-	}
-	if err := cfg.DegWeibull.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.PCutGivenDeg <= 0 || cfg.PCutGivenDeg >= 1 || cfg.PredictableFrac <= 0 || cfg.PredictableFrac >= 1 {
-		return nil, fmt.Errorf("trace: probabilities out of (0,1): pCut=%v alpha=%v", cfg.PCutGivenDeg, cfg.PredictableFrac)
+	if cfg.Days <= 0 {
+		return nil, fmt.Errorf("trace: non-positive horizon (days=%d)", cfg.Days)
 	}
 	rng := stats.NewRNG(cfg.Seed)
 	nf := len(net.Fibers)
@@ -151,9 +144,10 @@ func Generate(cfg Config, net *topology.Network) (*Trace, error) {
 	// cuts scale linearly with degradations: p_i = slope * p_d where the
 	// slope follows from pCut|deg and alpha (predictable = pCut*deg,
 	// total cuts = predictable/alpha).
-	slope := cfg.PCutGivenDeg / cfg.PredictableFrac
+	slope := PCutGivenDeg / PredictableFrac
+	degWeibull := stats.Weibull{Shape: DegShape, Scale: DegScale}
 	for i := range tr.DegProb {
-		p := cfg.DegWeibull.Sample(rng)
+		p := degWeibull.Sample(rng)
 		if p > maxDegProb {
 			p = maxDegProb
 		}
@@ -165,7 +159,7 @@ func Generate(cfg Config, net *topology.Network) (*Trace, error) {
 	// probability over a feature sample matches PCutGivenDeg.
 	bias := calibrateBias(cfg, rng.Split(), tr.Fragility, net)
 
-	epochs := cfg.Days * 24 * 3600 / cfg.EpochS
+	epochs := cfg.Days * 24 * 3600 / EpochS
 	durDist := stats.LogNormal{Mu: math.Log(10), Sigma: 1.1}   // Fig 4a: median ~10 s
 	delayDist := stats.LogNormal{Mu: math.Log(60), Sigma: 0.9} // within the TE period
 	repairDist := stats.LogNormal{Mu: math.Log(4 * 3600), Sigma: 0.8}
@@ -174,9 +168,9 @@ func Generate(cfg Config, net *topology.Network) (*Trace, error) {
 		frng := rng.Split()
 		pd := tr.DegProb[fi]
 		// Unpredictable (abrupt) cut probability per epoch.
-		pAbrupt := tr.CutProb[fi] * (1 - cfg.PredictableFrac)
+		pAbrupt := tr.CutProb[fi] * (1 - PredictableFrac)
 		for e := 0; e < epochs; e++ {
-			epochStart := int64(e * cfg.EpochS)
+			epochStart := int64(e * EpochS)
 			if frng.Bernoulli(pd) {
 				ep := sampleEpisode(cfg, frng, net, fi, epochStart, durDist, delayDist, repairDist, tr.Fragility[fi], bias, tr)
 				tr.Episodes = append(tr.Episodes, ep)
@@ -184,7 +178,7 @@ func Generate(cfg Config, net *topology.Network) (*Trace, error) {
 			if frng.Bernoulli(pAbrupt) {
 				tr.Cuts = append(tr.Cuts, Cut{
 					Fiber:   fi,
-					AtUnixS: epochStart + int64(frng.Intn(cfg.EpochS)),
+					AtUnixS: epochStart + int64(frng.Intn(EpochS)),
 					RepairS: int(repairDist.Sample(frng)),
 				})
 			}
@@ -201,7 +195,7 @@ func sampleEpisode(cfg Config, rng *stats.RNG, net *topology.Network, fi int,
 	fragility, bias float64, tr *Trace) Episode {
 
 	fiber := net.Fibers[fi]
-	onset := epochStart + int64(rng.Intn(cfg.EpochS))
+	onset := epochStart + int64(rng.Intn(EpochS))
 	duration := int(durDist.Sample(rng))
 	if duration < 2 {
 		duration = 2
@@ -281,7 +275,7 @@ func sampleEpisode(cfg Config, rng *stats.RNG, net *topology.Network, fi int,
 }
 
 // calibrateBias finds the logistic intercept that makes the expected
-// conditional failure probability equal cfg.PCutGivenDeg, by bisection over
+// conditional failure probability equal PCutGivenDeg, by bisection over
 // a feature sample.
 func calibrateBias(cfg Config, rng *stats.RNG, fragility []float64, net *topology.Network) float64 {
 	const samples = 4000
@@ -321,7 +315,7 @@ func calibrateBias(cfg Config, rng *stats.RNG, fragility []float64, net *topolog
 	lo, hi := -10.0, 10.0
 	for iter := 0; iter < 60; iter++ {
 		mid := (lo + hi) / 2
-		if mean(mid) < cfg.PCutGivenDeg {
+		if mean(mid) < PCutGivenDeg {
 			lo = mid
 		} else {
 			hi = mid

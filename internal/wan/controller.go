@@ -70,6 +70,9 @@ func (p RetryPolicy) backoff(retry int, rng *stats.RNG) time.Duration {
 	return d
 }
 
+// rpcTimeout bounds one RPC attempt (not the whole retry loop).
+const rpcTimeout = 10 * time.Second
+
 // Controller is the centralized TE controller: it holds persistent
 // connections to every switch agent, installs tunnels serially across the
 // fleet, and pushes rate-adaptation updates. RPCs that fail at the
@@ -80,8 +83,6 @@ func (p RetryPolicy) backoff(retry int, rng *stats.RNG) time.Duration {
 type Controller struct {
 	conns map[string]Conn // by switch name
 	names []string        // switch names, sorted: the order of every fleet-wide sweep
-	// Timeout bounds one RPC attempt (not the whole retry loop).
-	Timeout time.Duration
 	// Retry is the per-RPC retry/backoff policy.
 	Retry RetryPolicy
 	// Metrics, when non-nil, receives per-RPC counters (wan.rpc.count,
@@ -127,12 +128,11 @@ func NewController(agents map[string]string) (*Controller, error) {
 // deterministically.
 func NewControllerTransport(tr Transport, agents map[string]string) (*Controller, error) {
 	c := &Controller{
-		conns:   make(map[string]Conn, len(agents)),
-		names:   make([]string, 0, len(agents)),
-		acks:    make(map[string]*rateTable, len(agents)),
-		Timeout: 10 * time.Second,
-		Retry:   DefaultRetryPolicy(),
-		rng:     stats.NewRNG(0x77a11c0de),
+		conns: make(map[string]Conn, len(agents)),
+		names: make([]string, 0, len(agents)),
+		acks:  make(map[string]*rateTable, len(agents)),
+		Retry: DefaultRetryPolicy(),
+		rng:   stats.NewRNG(0x77a11c0de),
 	}
 	for name := range agents {
 		c.names = append(c.names, name)
@@ -234,7 +234,7 @@ func (c *Controller) rpc(name string, cn Conn, req *Request) (resp *Response, er
 	for attempt := 1; ; attempt++ {
 		t := c.Metrics.Timer("wan.rpc.latency")
 		start := t.Start()
-		resp, err := cn.RoundTrip(req, c.Timeout)
+		resp, err := cn.RoundTrip(req, rpcTimeout)
 		t.Stop(start)
 		c.Metrics.Counter("wan.rpc.count").Inc()
 		c.Metrics.Counter(rpcCounter(req.Type)).Inc()

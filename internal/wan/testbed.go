@@ -507,7 +507,6 @@ func (tb *Testbed) RestartController(tr Transport) error {
 		return err
 	}
 	if old != nil {
-		ctl.Timeout = old.Timeout
 		ctl.Retry = old.Retry
 		ctl.Metrics = old.Metrics
 		ctl.Log = old.Log

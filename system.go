@@ -9,6 +9,7 @@ import (
 	"prete/internal/obs"
 	"prete/internal/routing"
 	"prete/internal/telemetry"
+	"prete/internal/trace"
 )
 
 // Config tunes a System.
@@ -45,7 +46,7 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Beta:           0.99,
-		Alpha:          0.25,
+		Alpha:          trace.PredictableFrac,
 		TunnelRatio:    1,
 		TunnelsPerFlow: 4,
 		ConfirmSamples: 2,
@@ -156,7 +157,7 @@ func (s *System) Observe(fiber FiberID, sample Sample) ([]telemetry.Event, error
 		for _, ev := range b.Events {
 			switch ev.Type {
 			case telemetry.DegradationStart:
-				pNN := 0.40 // the measured P(cut | degradation) fallback
+				pNN := trace.PCutGivenDeg // the measured P(cut | degradation) fallback
 				if s.predictor != nil && ev.HasFeatures {
 					pNN = s.predictor.PredictProb(ev.Features)
 				}
