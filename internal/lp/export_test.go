@@ -50,3 +50,25 @@ func HashProblem(h hash.Hash64, p *Problem) {
 		}
 	}
 }
+
+// RandomLP exposes randomLP (factor_test.go) to the external tests.
+var RandomLP = randomLP
+
+// HashSolution folds sol's Status, Pivots, Objective, X and Duals into h,
+// each as 8 bytes little-endian, floats by their bits.
+func HashSolution(h hash.Hash64, sol *Solution) {
+	var buf [8]byte
+	u := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	u(uint64(sol.Status))
+	u(uint64(sol.Pivots))
+	u(math.Float64bits(sol.Objective))
+	for _, v := range sol.X {
+		u(math.Float64bits(v))
+	}
+	for _, v := range sol.Duals {
+		u(math.Float64bits(v))
+	}
+}
