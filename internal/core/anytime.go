@@ -24,7 +24,7 @@ var errBudgetExhausted = errors.New("core: compute budget exhausted")
 type Truncation struct {
 	// Stage names the solve that was cut short ("exact", "benders").
 	Stage string
-	// Limit names what expired ("nodes", "budget").
+	// Limit names what expired ("nodes", "pivots", "budget").
 	Limit string
 }
 

@@ -666,6 +666,10 @@ func (o *Optimizer) solveMaster(sm *solveModel, cuts []bendersCut, mo optObs, bu
 		if sol.Status != lp.Optimal && sol.Status != lp.IterationLimit {
 			return nil, 0, fmt.Errorf("master MIP %v", sol.Status)
 		}
+		if sol.X == nil {
+			// The root relaxation hit its pivot cap: there is no point.
+			return nil, 0, fmt.Errorf("master MIP %v before any point", sol.Status)
+		}
 		delta := make([]bool, len(classes))
 		for i, v := range deltaVars {
 			delta[i] = sol.X[v] > 0.5
@@ -772,7 +776,11 @@ func SolveExact(in *te.Input, nodeLimit int) (*Result, error) {
 		// Node or work limit hit. The incumbent (if any) is feasible but
 		// uncertified; a fractional relaxation point is unusable — in that
 		// case surface a typed Truncation instead of a generic error so
-		// callers can raise the limit or fall back deliberately.
+		// callers can raise the limit or fall back deliberately. A root
+		// relaxation that hit its pivot cap carries no point at all.
+		if sol.X == nil {
+			return nil, &Truncation{Stage: "exact", Limit: "pivots"}
+		}
 		for _, v := range dVars {
 			x := sol.X[v]
 			if x > 1e-6 && x < 1-1e-6 {

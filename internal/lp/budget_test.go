@@ -125,6 +125,20 @@ func TestSimplexBudgetDeterministic(t *testing.T) {
 	}
 }
 
+// TestTruncatedSolveHasNoPoint pins what a cut-short solve returns: a
+// simplex solve stopped by its budget carries no X and no Duals, and
+// neither does a SolveMIP whose root relaxation was stopped, since it hands
+// that relaxation back as it is. Only an Optimal LP has a point.
+func TestTruncatedSolveHasNoPoint(t *testing.T) {
+	if sol := budgetLP(t).SolveBudget(NewBudget(1)); sol.Status != Truncated || sol.X != nil || sol.Duals != nil {
+		t.Fatalf("1-unit simplex solve: %v with X %v, Duals %v; want truncated, both nil", sol.Status, sol.X, sol.Duals)
+	}
+	m := &MIP{Problem: budgetLP(t), binary: map[int]bool{0: true}}
+	if sol := m.SolveMIP(MIPOptions{Budget: NewBudget(1)}); sol.Status != Truncated || sol.X != nil || sol.Nodes != 0 {
+		t.Fatalf("1-unit MIP: %v after %d nodes with X %v; want truncated in the root relaxation, X nil", sol.Status, sol.Nodes, sol.X)
+	}
+}
+
 // budgetMIP is a small knapsack-style binary program with a nontrivial tree.
 func budgetMIP(t *testing.T) *MIP {
 	t.Helper()
