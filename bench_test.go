@@ -142,7 +142,7 @@ func BenchmarkMIPKnapsack(b *testing.B) {
 		m := lp.NewMIP()
 		var terms []lp.Term
 		for j := 0; j < 12; j++ {
-			v := m.AddBinaryVar(float64(-(j%5 + 1)), "b")
+			v := m.AddBinaryVar(float64(-(j%5 + 1)))
 			terms = append(terms, lp.Term{Var: v, Coeff: float64(j%3 + 1)})
 		}
 		if _, err := m.AddConstraint(terms, lp.LE, 9, "cap"); err != nil {

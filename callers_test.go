@@ -49,7 +49,6 @@ var callerExceptions = map[string]string{
 	"telemetry.Downsample":               "oracle: tests check the detector's input rate against it",
 	"telemetry.ProcessBatch":             "oracle: the serial whole-series reference ingest is checked against",
 	"topology.Network.FailedLinks":       "oracle: tests check a fiber cut's IP links",
-	"wan.Controller.InstalledTunnels":    "oracle: restart tests compare the recovered tunnel set",
 	"wan.SiteSet.Clock":                  "fault tool: tests advance the lease clock to force expiries",
 	"wan.SiteSet.CrashSite":              "fault tool: kills a standby site",
 	"wan.SiteSet.SetLeaderReachable":     "fault tool: partitions the leader from its sites",

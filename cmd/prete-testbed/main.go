@@ -222,8 +222,8 @@ func main() {
 		fmt.Println("\nStandby site mirrors:")
 		for _, st := range siteSet.Status() {
 			warm := "cold"
-			if st.Epoch > 0 {
-				warm = fmt.Sprintf("warm @ epoch %d", st.Epoch)
+			if st.Applied > 0 {
+				warm = fmt.Sprintf("warm @ epoch %d", st.Applied)
 			}
 			fmt.Printf("  site %d  %s (applied seq %d, lease %d tick(s) left, %d snapshot re-sync(s))\n",
 				st.ID, warm, st.Applied, st.LeaseRemaining, st.Resyncs)

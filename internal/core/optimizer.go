@@ -618,13 +618,13 @@ func (o *Optimizer) solveMaster(sm *solveModel, cuts []bendersCut, mo optObs, bu
 	classes := sm.classes
 	exact := len(classes) <= exactMasterLimit
 	m := lp.NewMIP()
-	phi := m.AddVar(1, "phi")
+	phi := m.AddVar(1)
 	deltaVars := make([]int, len(classes))
 	for i := range classes {
 		if exact {
-			deltaVars[i] = m.AddBinaryVar(0, "delta")
+			deltaVars[i] = m.AddBinaryVar(0)
 		} else {
-			v := m.AddVar(0, "delta")
+			v := m.AddVar(0)
 			if err := m.AddUpperBound(v, 1, "delta<=1"); err != nil {
 				return nil, 0, err
 			}
@@ -742,11 +742,11 @@ func SolveExact(in *te.Input, nodeLimit int) (*Result, error) {
 	lVars := make([]int, len(classes))
 	dVars := make([]int, len(classes))
 	for i := range classes {
-		lVars[i] = m.AddVar(0, "l")
+		lVars[i] = m.AddVar(0)
 		if err := m.AddUpperBound(lVars[i], 1, "l<=1"); err != nil {
 			return nil, err
 		}
-		dVars[i] = m.AddBinaryVar(0, "delta")
+		dVars[i] = m.AddBinaryVar(0)
 	}
 	for i, c := range classes {
 		d := in.Demands[c.Flow]

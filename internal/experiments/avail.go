@@ -222,11 +222,10 @@ func fig16(w io.Writer, opts Options) error {
 	cfg := evalConfig(opts)
 	topo := "IBM"
 	ratios := []float64{0, 1, 5}
-	scale := 3.0
+	const scale = 3.0
 	if opts.Quick {
 		topo = "B4"
 		ratios = []float64{0, 1, 2}
-		scale = 3
 	}
 	env, err := sim.BuildEnv(topo, opts.Seed, cfg)
 	if err != nil {
@@ -335,7 +334,7 @@ func fig18(w io.Writer, opts Options) error {
 
 	// Traditional system: on failure the router switches to the
 	// pre-configured backup path (s1->s2->s3), overloading link s1-s2.
-	tradLoss := traditionalBackupLoss(net, ts, demands, degraded)
+	tradLoss := traditionalBackupLoss(net, demands)
 
 	// PreTE: the controller reacts to the degradation signal and "proactively
 	// calculates the optimal available backup tunnel, i.e., s1->s4->s3"
@@ -410,7 +409,7 @@ func ProductionCase() (*topology.Network, *routing.TunnelSet, te.Demands, error)
 // cuts, the router locally switches the 600 G flow onto its configured
 // backup path s1->s2->s3; the spare bandwidth on s1-s2 (1000 - 700 = 300 G)
 // cannot absorb it, so 300 G is lost until the next TE period.
-func traditionalBackupLoss(net *topology.Network, ts *routing.TunnelSet, demands te.Demands, degraded topology.FiberID) float64 {
+func traditionalBackupLoss(net *topology.Network, demands te.Demands) float64 {
 	s1s2, _ := net.LinkBetween(0, 1)
 	spare := net.Link(s1s2).Capacity - demands[0]
 	loss := demands[1] - spare
@@ -517,19 +516,17 @@ func fig20b(w io.Writer, opts Options) error {
 	cfg := evalConfig(opts)
 	alphas := []float64{0.25, 0.9}
 	scales := []float64{2, 4}
+	topo := "IBM"
+	if opts.Quick {
+		topo = "B4"
+	}
 	header(w, "alpha", "scale", "availability", "nines")
 	for _, alpha := range alphas {
 		c := cfg
 		c.Alpha = alpha
-		env, err := sim.BuildEnv("IBM", opts.Seed, c)
+		env, err := sim.BuildEnv(topo, opts.Seed, c)
 		if err != nil {
 			return err
-		}
-		if opts.Quick {
-			env, err = sim.BuildEnv("B4", opts.Seed, c)
-			if err != nil {
-				return err
-			}
 		}
 		ev := sim.NewEvaluator(env, c)
 		for _, scale := range scales {

@@ -168,14 +168,6 @@ func warmrestartB4(w io.Writer, opts Options) error {
 	}
 	for _, tn := range ts.Tunnels {
 		state.Rates[fmt.Sprintf("t%d", tn.ID)] = 50
-		head := net.Nodes[int(ts.Flows[tn.Flow].Src)]
-		path := make([]int, len(tn.Links))
-		for i, l := range tn.Links {
-			path[i] = int(l)
-		}
-		state.Tunnels = append(state.Tunnels, wan.TunnelInstall{
-			Switch: head.Name, TunnelID: int(tn.ID), Path: path,
-		})
 	}
 	for i := range state.Probs {
 		state.Probs[i] = 0.005

@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"slices"
 	"testing"
 	"time"
 
@@ -287,7 +286,7 @@ func runFailoverScenario(t *testing.T, fc failoverCase) failoverRun {
 
 	switch {
 	case fc.wantPromoted == 0:
-		if prom != nil || slices.ContainsFunc(ss.Status(), func(st wan.SiteStatus) bool { return st.Promoted }) {
+		if prom != nil || reg.Counter("wan.failover.promotions").Value() != 0 {
 			t.Fatalf("unexpected promotion: %+v", prom)
 		}
 		// Degradation ladder floor: with no candidate left, the agents keep
@@ -302,11 +301,14 @@ func runFailoverScenario(t *testing.T, fc failoverCase) failoverRun {
 			t.Errorf("promotion alone took %v, bound is %v", prom.Elapsed, tePeriod)
 		}
 		run.Promoted = prom.SiteID
-		run.Warm = prom.Recovery.Warm
-		run.Epoch = prom.Recovery.Epoch
+		// A cold recovery leaves the promoted lineage at epoch 0. No row
+		// loses a claim before this one, so the claim and re-assert
+		// counters are this promotion's.
+		run.Epoch = prom.Ctl.Epoch()
+		run.Warm = run.Epoch > 0
 		run.MirrorMatch = prom.MirrorMatch
-		run.Reasserted = prom.Reasserted
-		run.Degraded = prom.Degraded
+		run.Reasserted = reg.Counter("wan.failover.reasserts").Value() == 1
+		run.Degraded = reg.Counter("wan.georep.claim_degraded").Value()+reg.Counter("wan.failover.reassert_errors").Value() > 0
 		run.Resyncs = prom.Resyncs
 
 		if fc.secondClaim {
@@ -334,7 +336,7 @@ func runFailoverScenario(t *testing.T, fc failoverCase) failoverRun {
 		// (warm or cold).
 		zombie := tb.AdoptPromoted(prom.Ctl)
 		t.Cleanup(func() { zombie.Close() })
-		if prom.Reasserted {
+		if run.Reasserted {
 			want := prom.Ctl.LastGoodRates()
 			for _, a := range tb.Agents {
 				if got := a.Rates(); !reflect.DeepEqual(got, want) {

@@ -65,9 +65,6 @@ type Stats struct {
 	// Dropped and Merged are always zero: the pipeline never sheds a
 	// sample. They remain for the benchmark harness, which reads them.
 	Dropped, Merged int64
-	// Ticks and Flushes count Tick calls and flush rounds (one per Tick,
-	// plus each Flush).
-	Ticks, Flushes int64
 }
 
 // FiberEvents is one fiber's events emitted by a flush round, in detection
@@ -172,7 +169,7 @@ func (fs *fiberState) process(final bool) ([]telemetry.FiberEvent, error) {
 type Pipeline struct {
 	fibers []*fiberState // ascending fiber id
 
-	ingested, emitted, ticks, flushes int64
+	ingested, emitted int64
 
 	ingestedC, emittedC, eventsC, ticksC, flushesC *obs.Counter
 	tickT                                          *obs.Timer
@@ -218,7 +215,6 @@ func (p *Pipeline) Tick(arrivals []Arrival) ([]FiberEvents, error) {
 	}
 	p.ingested += int64(len(arrivals))
 	p.ingestedC.Add(int64(len(arrivals)))
-	p.ticks++
 	p.ticksC.Inc()
 	out, err := p.flush(false)
 	p.tickT.Stop(t0)
@@ -255,7 +251,6 @@ func (p *Pipeline) flush(final bool) ([]FiberEvents, error) {
 	}
 	p.emitted += fed
 	p.emittedC.Add(fed)
-	p.flushes++
 	p.flushesC.Inc()
 	p.eventsC.Add(nEvents)
 	return out, nil
@@ -264,7 +259,7 @@ func (p *Pipeline) flush(final bool) ([]FiberEvents, error) {
 // Stats snapshots the accounting. Call it from the driving goroutine
 // (between Ticks), like every other Pipeline method.
 func (p *Pipeline) Stats() Stats {
-	return Stats{Ingested: p.ingested, Emitted: p.emitted, Ticks: p.ticks, Flushes: p.flushes}
+	return Stats{Ingested: p.ingested, Emitted: p.emitted}
 }
 
 // RunReplay streams whole per-fiber series through the pipeline at one

@@ -19,8 +19,8 @@ func NewMIP() *MIP {
 }
 
 // AddBinaryVar introduces a variable constrained to {0, 1}.
-func (m *MIP) AddBinaryVar(objCoeff float64, name string) int {
-	v := m.Problem.AddVar(objCoeff, name)
+func (m *MIP) AddBinaryVar(objCoeff float64) int {
+	v := m.Problem.AddVar(objCoeff)
 	m.binary[v] = true
 	m.upper[v] = 1 // the relaxation's bound; x >= 0 is the default
 	return v

@@ -10,9 +10,9 @@ import (
 func TestMIPKnapsack(t *testing.T) {
 	// max 10a + 6b + 4c s.t. a + b + c <= 2 (binary) -> a,b -> 16.
 	m := NewMIP()
-	a := m.AddBinaryVar(-10, "a")
-	b := m.AddBinaryVar(-6, "b")
-	c := m.AddBinaryVar(-4, "c")
+	a := m.AddBinaryVar(-10)
+	b := m.AddBinaryVar(-6)
+	c := m.AddBinaryVar(-4)
 	if _, err := m.AddConstraint([]Term{{a, 1}, {b, 1}, {c, 1}}, LE, 2, "cap"); err != nil {
 		t.Fatal(err)
 	}
@@ -32,8 +32,8 @@ func TestMIPFractionalRelaxation(t *testing.T) {
 	// max 5a + 4b s.t. 6a + 5b <= 8: LP relaxation fractional, integer
 	// optimum is a single item: a (5) beats b (4).
 	m := NewMIP()
-	a := m.AddBinaryVar(-5, "a")
-	b := m.AddBinaryVar(-4, "b")
+	a := m.AddBinaryVar(-5)
+	b := m.AddBinaryVar(-4)
 	if _, err := m.AddConstraint([]Term{{a, 6}, {b, 5}}, LE, 8, "w"); err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestMIPFractionalRelaxation(t *testing.T) {
 
 func TestMIPInfeasible(t *testing.T) {
 	m := NewMIP()
-	a := m.AddBinaryVar(1, "a")
+	a := m.AddBinaryVar(1)
 	if _, err := m.AddConstraint([]Term{{a, 1}}, GE, 2, "impossible"); err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestMIPInfeasible(t *testing.T) {
 // fractional at the root; its a = 1 branch must be infeasible, leaving a = 0.
 func TestMIPFixingRespectsBounds(t *testing.T) {
 	m := NewMIP()
-	a := m.AddBinaryVar(-1, "a")
+	a := m.AddBinaryVar(-1)
 	if err := m.AddUpperBound(a, 0.5, "a<=0.5"); err != nil {
 		t.Fatal(err)
 	}
@@ -85,8 +85,8 @@ func TestMIPMixed(t *testing.T) {
 	// Mixed: binary gate g enables continuous x <= 10g; max x - 3g.
 	// With g=1: x=10, obj = 7 (we minimize -x + 3g = -7).
 	m := NewMIP()
-	x := m.AddVar(-1, "x")
-	g := m.AddBinaryVar(3, "g")
+	x := m.AddVar(-1)
+	g := m.AddBinaryVar(3)
 	if _, err := m.AddConstraint([]Term{{x, 1}, {g, -10}}, LE, 0, "gate"); err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestMIPAgainstBruteForce(t *testing.T) {
 		vars := make([]int, nb)
 		for i := 0; i < nb; i++ {
 			costs[i] = math.Floor(rng.Float64()*21) - 10
-			vars[i] = m.AddBinaryVar(costs[i], "b")
+			vars[i] = m.AddBinaryVar(costs[i])
 		}
 		weights := make([]float64, nb)
 		terms := make([]Term, nb)
@@ -146,7 +146,7 @@ func TestMIPNodeLimitReturnsIncumbent(t *testing.T) {
 	m := NewMIP()
 	var terms []Term
 	for i := 0; i < 12; i++ {
-		v := m.AddBinaryVar(-1, "b")
+		v := m.AddBinaryVar(-1)
 		terms = append(terms, Term{v, 1.5})
 	}
 	if _, err := m.AddConstraint(terms, LE, 7, "cap"); err != nil {
@@ -162,8 +162,8 @@ func TestMIPNodeLimitReturnsIncumbent(t *testing.T) {
 
 func TestIsBinary(t *testing.T) {
 	m := NewMIP()
-	x := m.AddVar(1, "x")
-	b := m.AddBinaryVar(1, "b")
+	x := m.AddVar(1)
+	b := m.AddBinaryVar(1)
 	if m.IsBinary(x) || !m.IsBinary(b) {
 		t.Fatal("IsBinary misreports")
 	}

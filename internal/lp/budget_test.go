@@ -10,9 +10,9 @@ import (
 func budgetLP(t *testing.T) *Problem {
 	t.Helper()
 	p := NewProblem()
-	x1 := p.AddVar(-1, "x1")
-	x2 := p.AddVar(-1, "x2")
-	x3 := p.AddVar(-0.5, "x3")
+	x1 := p.AddVar(-1)
+	x2 := p.AddVar(-1)
+	x3 := p.AddVar(-0.5)
 	for _, row := range []struct {
 		terms []Term
 		rhs   float64
@@ -147,7 +147,7 @@ func budgetMIP(t *testing.T) *MIP {
 	wts := []float64{4, 3, 2, 5, 1}
 	terms := make([]Term, len(vals))
 	for i, v := range vals {
-		terms[i] = Term{Var: m.AddBinaryVar(v, "b"), Coeff: wts[i]}
+		terms[i] = Term{Var: m.AddBinaryVar(v), Coeff: wts[i]}
 	}
 	if _, err := m.AddConstraint(terms, LE, 7, "knap"); err != nil {
 		t.Fatal(err)

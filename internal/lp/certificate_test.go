@@ -37,11 +37,11 @@ func Certify(p *Problem, sol *Solution) error {
 		slack, scale := c.RHS-act, tol*(1+math.Abs(c.RHS))
 		switch {
 		case c.Op != GE && slack < -scale, c.Op != LE && slack > scale:
-			return fmt.Errorf("row %d (%s): activity %v %v rhs %v", i, c.Name, act, c.Op, c.RHS)
+			return fmt.Errorf("row %d: activity %v %v rhs %v", i, act, c.Op, c.RHS)
 		case c.Op == LE && y > tol, c.Op == GE && y < -tol:
-			return fmt.Errorf("row %d (%s): dual %v has the wrong sign for %v", i, c.Name, y, c.Op)
+			return fmt.Errorf("row %d: dual %v has the wrong sign for %v", i, y, c.Op)
 		case math.Abs(y*slack) > scale:
-			return fmt.Errorf("row %d (%s): dual %v on a row with slack %v", i, c.Name, y, slack)
+			return fmt.Errorf("row %d: dual %v on a row with slack %v", i, y, slack)
 		}
 		dual += c.RHS * y
 	}
@@ -105,8 +105,8 @@ func certifyMIP(t testing.TB, m *MIP, sol *Solution) *Solution {
 func TestCertifyRejects(t *testing.T) {
 	// min -x - y s.t. x + y <= 10, x <= 6 (a bound): optimum -10.
 	p := NewProblem()
-	x := p.AddVar(-1, "x")
-	p.AddVar(-1, "y")
+	x := p.AddVar(-1)
+	p.AddVar(-1)
 	if err := p.AddUpperBound(x, 6, "xcap"); err != nil {
 		t.Fatal(err)
 	}

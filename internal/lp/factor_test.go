@@ -16,7 +16,7 @@ func randomLP(rng *stats.RNG, m, n int) *Problem {
 	p := NewProblem()
 	x0 := make([]float64, n)
 	for j := range x0 {
-		p.AddVar(math.Floor(rng.Float64()*8)-1, "x")
+		p.AddVar(math.Floor(rng.Float64()*8) - 1)
 		x0[j] = math.Floor(rng.Float64() * 4)
 		switch rng.Intn(4) {
 		case 0:
@@ -252,7 +252,7 @@ func TestFactorSolves(t *testing.T) {
 // columns: it must swap one for a slack and leave a basis it can solve with.
 func TestFactorRepairsSingularBasis(t *testing.T) {
 	p := NewProblem()
-	a, b, c := p.AddVar(0, "a"), p.AddVar(0, "b"), p.AddVar(0, "c")
+	a, b, c := p.AddVar(0), p.AddVar(0), p.AddVar(0)
 	mustConstraint(t, p, []Term{{a, 1}, {b, 1}, {c, 2}}, LE, 4, "r0")
 	mustConstraint(t, p, []Term{{a, 2}, {b, 2}, {c, 1}}, LE, 5, "r1")
 	mustConstraint(t, p, []Term{{c, 1}}, LE, 6, "r2")

@@ -50,7 +50,7 @@ func FuzzSimplex(f *testing.F) {
 		p := NewProblem()
 		x0 := make([]float64, nVars)
 		for i := 0; i < nVars; i++ {
-			p.AddVar(r.coeff(), "x")
+			p.AddVar(r.coeff())
 			x0[i] = r.pos01()
 		}
 		for c := 0; c < nCons; c++ {

@@ -66,7 +66,6 @@ type Constraint struct {
 	Terms []Term
 	Op    Op
 	RHS   float64
-	Name  string
 }
 
 // Problem is a linear program: minimize Objective . x subject to the
@@ -89,9 +88,8 @@ type Problem struct {
 func NewProblem() *Problem { return &Problem{} }
 
 // AddVar introduces a variable with the given objective coefficient and
-// bounds [0, +Inf), and returns its index. The name only labels the call
-// site; it is not stored.
-func (p *Problem) AddVar(objCoeff float64, name string) int {
+// bounds [0, +Inf), and returns its index.
+func (p *Problem) AddVar(objCoeff float64) int {
 	p.objective = append(p.objective, objCoeff)
 	p.lower = append(p.lower, 0)
 	p.upper = append(p.upper, math.Inf(1))
@@ -108,14 +106,15 @@ func (p *Problem) NumConstraints() int { return len(p.constraints) }
 
 // AddConstraint appends a constraint and returns its row index. Terms with
 // repeated variable indices are summed and zero coefficients dropped, in
-// place: the Problem takes ownership of terms.
+// place: the Problem takes ownership of terms. The name only labels the
+// error; it is not stored.
 func (p *Problem) AddConstraint(terms []Term, op Op, rhs float64, name string) (int, error) {
 	for _, t := range terms {
 		if t.Var < 0 || t.Var >= p.numVars {
 			return 0, fmt.Errorf("lp: constraint %q references unknown variable %d", name, t.Var)
 		}
 	}
-	p.constraints = append(p.constraints, Constraint{Terms: p.mergeTerms(terms), Op: op, RHS: rhs, Name: name})
+	p.constraints = append(p.constraints, Constraint{Terms: p.mergeTerms(terms), Op: op, RHS: rhs})
 	return len(p.constraints) - 1, nil
 }
 

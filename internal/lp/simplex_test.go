@@ -22,8 +22,8 @@ func TestSimplexBasicMax(t *testing.T) {
 	// max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18 (classic Dantzig
 	// example, optimum x=2, y=6, obj=36). Minimize the negation.
 	p := NewProblem()
-	x := p.AddVar(-3, "x")
-	y := p.AddVar(-5, "y")
+	x := p.AddVar(-3)
+	y := p.AddVar(-5)
 	mustConstraint(t, p, []Term{{x, 1}}, LE, 4, "c1")
 	mustConstraint(t, p, []Term{{y, 2}}, LE, 12, "c2")
 	mustConstraint(t, p, []Term{{x, 3}, {y, 2}}, LE, 18, "c3")
@@ -42,8 +42,8 @@ func TestSimplexBasicMax(t *testing.T) {
 func TestSimplexEquality(t *testing.T) {
 	// min x + 2y s.t. x + y == 10, x <= 6 -> x=6, y=4, obj=14.
 	p := NewProblem()
-	x := p.AddVar(1, "x")
-	y := p.AddVar(2, "y")
+	x := p.AddVar(1)
+	y := p.AddVar(2)
 	mustConstraint(t, p, []Term{{x, 1}, {y, 1}}, EQ, 10, "sum")
 	mustConstraint(t, p, []Term{{x, 1}}, LE, 6, "cap")
 	sol := certify(t, p, p.Solve())
@@ -57,8 +57,8 @@ func TestSimplexGE(t *testing.T) {
 	// intersection? Gradient prefers x (cheaper): x=4, y=0: check x-y=4 >=
 	// -2 ok. obj=8.
 	p := NewProblem()
-	x := p.AddVar(2, "x")
-	y := p.AddVar(3, "y")
+	x := p.AddVar(2)
+	y := p.AddVar(3)
 	mustConstraint(t, p, []Term{{x, 1}, {y, 1}}, GE, 4, "cover")
 	mustConstraint(t, p, []Term{{x, 1}, {y, -1}}, GE, -2, "skew")
 	sol := certify(t, p, p.Solve())
@@ -70,7 +70,7 @@ func TestSimplexGE(t *testing.T) {
 func TestSimplexNegativeRHS(t *testing.T) {
 	// min x s.t. -x <= -5  (i.e. x >= 5).
 	p := NewProblem()
-	x := p.AddVar(1, "x")
+	x := p.AddVar(1)
 	mustConstraint(t, p, []Term{{x, -1}}, LE, -5, "flip")
 	sol := certify(t, p, p.Solve())
 	if sol.Status != Optimal || math.Abs(sol.X[x]-5) > 1e-6 {
@@ -80,7 +80,7 @@ func TestSimplexNegativeRHS(t *testing.T) {
 
 func TestSimplexInfeasible(t *testing.T) {
 	p := NewProblem()
-	x := p.AddVar(1, "x")
+	x := p.AddVar(1)
 	mustConstraint(t, p, []Term{{x, 1}}, LE, 1, "le")
 	mustConstraint(t, p, []Term{{x, 1}}, GE, 2, "ge")
 	if sol := certify(t, p, p.Solve()); sol.Status != Infeasible {
@@ -90,7 +90,7 @@ func TestSimplexInfeasible(t *testing.T) {
 
 func TestSimplexUnbounded(t *testing.T) {
 	p := NewProblem()
-	x := p.AddVar(-1, "x") // maximize x with no cap
+	x := p.AddVar(-1) // maximize x with no cap
 	mustConstraint(t, p, []Term{{x, -1}}, LE, 0, "noop")
 	if sol := certify(t, p, p.Solve()); sol.Status != Unbounded {
 		t.Fatalf("status = %v, want unbounded", sol.Status)
@@ -100,10 +100,10 @@ func TestSimplexUnbounded(t *testing.T) {
 func TestSimplexDegenerate(t *testing.T) {
 	// Beale's cycling example; Bland fallback must terminate.
 	p := NewProblem()
-	x1 := p.AddVar(-0.75, "x1")
-	x2 := p.AddVar(150, "x2")
-	x3 := p.AddVar(-0.02, "x3")
-	x4 := p.AddVar(6, "x4")
+	x1 := p.AddVar(-0.75)
+	x2 := p.AddVar(150)
+	x3 := p.AddVar(-0.02)
+	x4 := p.AddVar(6)
 	mustConstraint(t, p, []Term{{x1, 0.25}, {x2, -60}, {x3, -1.0 / 25}, {x4, 9}}, LE, 0, "r1")
 	mustConstraint(t, p, []Term{{x1, 0.5}, {x2, -90}, {x3, -1.0 / 50}, {x4, 3}}, LE, 0, "r2")
 	mustConstraint(t, p, []Term{{x3, 1}}, LE, 1, "r3")
@@ -129,7 +129,7 @@ func TestSimplexTiePrefersLowestIndex(t *testing.T) {
 	p := NewProblem()
 	var a [6]int
 	for i := range a {
-		a[i] = p.AddVar(0, "a")
+		a[i] = p.AddVar(0)
 		mustConstraint(t, p, []Term{{a[i], 1}}, LE, 10, "cap")
 	}
 	mustConstraint(t, p, []Term{{a[0], 1}, {a[1], 1}, {a[2], 1}}, GE, 4, "cov")
@@ -152,8 +152,8 @@ func TestSimplexDualsLE(t *testing.T) {
 	// min -x - y s.t. x + y <= 10, x <= 6. At optimum obj = -10; the first
 	// row's shadow price is -1, the second's 0.
 	p := NewProblem()
-	x := p.AddVar(-1, "x")
-	y := p.AddVar(-1, "y")
+	x := p.AddVar(-1)
+	y := p.AddVar(-1)
 	r1 := mustConstraint(t, p, []Term{{x, 1}, {y, 1}}, LE, 10, "sum")
 	r2 := mustConstraint(t, p, []Term{{x, 1}}, LE, 6, "xcap")
 	sol := certify(t, p, p.Solve())
@@ -171,7 +171,7 @@ func TestSimplexDualsLE(t *testing.T) {
 func TestSimplexDualsGE(t *testing.T) {
 	// min 3x s.t. x >= 4: dual = 3 (shadow price of tightening).
 	p := NewProblem()
-	x := p.AddVar(3, "x")
+	x := p.AddVar(3)
 	r := mustConstraint(t, p, []Term{{x, 1}}, GE, 4, "floor")
 	sol := certify(t, p, p.Solve())
 	if sol.Status != Optimal || math.Abs(sol.Duals[r]-3) > 1e-6 {
@@ -183,8 +183,8 @@ func TestSimplexDualsEQ(t *testing.T) {
 	// min 2x + y s.t. x + y == 7, y <= 3 -> x=4, y=3, obj=11.
 	// d obj / d rhs of the EQ row: increasing 7 forces more x: +2.
 	p := NewProblem()
-	x := p.AddVar(2, "x")
-	y := p.AddVar(1, "y")
+	x := p.AddVar(2)
+	y := p.AddVar(1)
 	r1 := mustConstraint(t, p, []Term{{x, 1}, {y, 1}}, EQ, 7, "sum")
 	mustConstraint(t, p, []Term{{y, 1}}, LE, 3, "ycap")
 	sol := certify(t, p, p.Solve())
@@ -198,8 +198,8 @@ func TestSimplexDualsEQ(t *testing.T) {
 
 func TestMergeTerms(t *testing.T) {
 	p := NewProblem()
-	x := p.AddVar(1, "x")
-	y := p.AddVar(1, "y")
+	x := p.AddVar(1)
+	y := p.AddVar(1)
 	i := mustConstraint(t, p, []Term{{x, 1}, {x, 2}, {y, 1}, {y, -1}}, LE, 5, "merged")
 	c := p.constraints[i]
 	if len(c.Terms) != 1 || c.Terms[0].Var != x || c.Terms[0].Coeff != 3 {
@@ -209,7 +209,7 @@ func TestMergeTerms(t *testing.T) {
 
 func TestAddConstraintUnknownVar(t *testing.T) {
 	p := NewProblem()
-	p.AddVar(1, "x")
+	p.AddVar(1)
 	if _, err := p.AddConstraint([]Term{{Var: 5, Coeff: 1}}, LE, 1, "bad"); err == nil {
 		t.Fatal("unknown variable accepted")
 	}
@@ -229,7 +229,7 @@ func TestSimplexRandomTransportation(t *testing.T) {
 		for i := 0; i < m; i++ {
 			for j := 0; j < n; j++ {
 				costs[i][j] = 1 + math.Floor(rng.Float64()*9)
-				vars[i][j] = p.AddVar(costs[i][j], "x")
+				vars[i][j] = p.AddVar(costs[i][j])
 			}
 		}
 		supply := [m]float64{10, 10, 10}
@@ -302,7 +302,7 @@ func TestQuickStrongDuality(t *testing.T) {
 		n := 2 + rng.Intn(3)
 		vars := make([]int, n)
 		for i := range vars {
-			vars[i] = p.AddVar(math.Floor(rng.Float64()*10)-3, "x")
+			vars[i] = p.AddVar(math.Floor(rng.Float64()*10) - 3)
 		}
 		m := 2 + rng.Intn(3)
 		rhs := make([]float64, m)

@@ -110,7 +110,6 @@ type Sample struct {
 
 // FiberSim synthesizes loss series for one fiber.
 type FiberSim struct {
-	LengthKm float64
 	rng      *stats.RNG
 	baseline float64
 }
@@ -118,7 +117,6 @@ type FiberSim struct {
 // NewFiberSim returns a simulator for a fiber of the given span length.
 func NewFiberSim(lengthKm float64, rng *stats.RNG) *FiberSim {
 	return &FiberSim{
-		LengthKm: lengthKm,
 		rng:      rng,
 		baseline: lengthKm*BaselinePerKmDB + 2.0, // + connector/splice losses
 	}

@@ -3,6 +3,8 @@ package persist
 import (
 	"errors"
 	"testing"
+
+	"prete/internal/obs"
 )
 
 // replOp encodes one fuzzed ship into the script format FuzzReplicationStream
@@ -20,7 +22,7 @@ func replOp(flags, seq, n byte, body ...byte) []byte {
 //
 //   - Apply never panics and the applied prefix never moves backwards.
 //   - A failed Apply (bad frame, gap, store error) never moves the prefix.
-//   - Every Apply lands in exactly one stats bucket.
+//   - Every Apply lands in exactly one persist.repl.* counter.
 //   - No matter what garbage arrived, one valid snapshot above the prefix
 //     always re-syncs the standby — corruption can never wedge it.
 //   - The prefix is durable: a reopened store resumes at the same sequence.
@@ -46,7 +48,8 @@ func FuzzReplicationStream(f *testing.F) {
 			t.Fatal(err)
 		}
 		defer st.Close()
-		ap := NewApplier(st, ApplierOptions{})
+		reg := obs.NewRegistry()
+		ap := NewApplier(st, ApplierOptions{Metrics: reg})
 
 		calls := int64(0)
 		for len(script) >= 3 {
@@ -78,11 +81,14 @@ func FuzzReplicationStream(f *testing.F) {
 			if err != nil && !errors.Is(err, ErrBadFrame) && !errors.Is(err, ErrGap) {
 				t.Fatalf("apply error outside the protocol: %v", err)
 			}
-			s := ap.Stats()
-			if s.Applied+s.SnapshotApplies+s.Dups+s.Gaps+s.BadFrames+s.Errors != calls {
-				t.Fatalf("stats do not partition %d calls: %+v", calls, s)
+			var counted int64
+			for _, name := range []string{"applied", "snapshot_applies", "dups", "gaps", "bad_frames"} {
+				counted += reg.Counter("persist.repl." + name).Value()
 			}
-			if s.LastSeq != ack {
+			if counted != calls {
+				t.Fatalf("persist.repl.* counts %d of %d calls", counted, calls)
+			}
+			if s := ap.Stats(); s.LastSeq != ack {
 				t.Fatalf("stats prefix %d != returned prefix %d", s.LastSeq, ack)
 			}
 		}

@@ -64,32 +64,20 @@ func DecodeReplFrame(frame []byte) (seq uint64, body []byte, err error) {
 	return rec.seq, rec.body, nil
 }
 
-// ApplierStats is an Applier's cumulative accounting. Every Apply call lands
-// in exactly one of Applied, SnapshotApplies, Dups, Gaps, or BadFrames (plus
-// Errors for local store failures).
+// ApplierStats is an Applier's state as its callers see it.
 type ApplierStats struct {
-	// Applied counts record frames appended to the local journal.
-	Applied int64
-	// SnapshotApplies counts snapshot frames compacted into place (each one
-	// is a completed re-sync from the standby's point of view).
-	SnapshotApplies int64
-	// Dups counts frames at or below the applied prefix, acked without
-	// effect.
-	Dups int64
-	// Gaps counts record frames refused because they skip ahead.
-	Gaps int64
-	// BadFrames counts frames that failed validation.
-	BadFrames int64
-	// Errors counts local store write failures.
-	Errors int64
 	// LastSeq is the standby's contiguous applied prefix.
 	LastSeq uint64
 }
 
 // ApplierOptions tunes an Applier.
 type ApplierOptions struct {
-	// Metrics, when non-nil, receives the standby-side persist.repl.* series
-	// (applied, snapshot_applies, dups, gaps, bad_frames). Write-only.
+	// Metrics, when non-nil, receives the standby-side persist.repl.* series,
+	// one count per Apply call that did not fail on the local store: applied
+	// (record frames appended), snapshot_applies (snapshots compacted into
+	// place), dups (frames at or below the prefix, acked without effect),
+	// gaps (record frames that skip ahead) and bad_frames (frames that failed
+	// validation). Write-only.
 	Metrics *obs.Registry
 }
 
@@ -119,7 +107,7 @@ func (a *Applier) LastSeq() uint64 {
 	return a.stats.LastSeq
 }
 
-// Stats returns the applier's cumulative accounting.
+// Stats returns the applier's applied prefix.
 func (a *Applier) Stats() ApplierStats {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -137,7 +125,6 @@ func (a *Applier) Apply(frame []byte, snapshot bool) (uint64, error) {
 	defer a.mu.Unlock()
 	seq, body, err := DecodeReplFrame(frame)
 	if err != nil {
-		a.stats.BadFrames++
 		a.metrics.Counter("persist.repl.bad_frames").Inc()
 		return a.stats.LastSeq, err
 	}
@@ -145,26 +132,20 @@ func (a *Applier) Apply(frame []byte, snapshot bool) (uint64, error) {
 	case seq <= a.stats.LastSeq:
 		// At-least-once delivery: the shipper may not have seen our earlier
 		// ack. Acking again is free and keeps the stream moving.
-		a.stats.Dups++
 		a.metrics.Counter("persist.repl.dups").Inc()
 		return a.stats.LastSeq, nil
 	case snapshot:
 		if err := a.st.Compact(seq, body); err != nil {
-			a.stats.Errors++
 			return a.stats.LastSeq, fmt.Errorf("persist: apply snapshot %d: %w", seq, err)
 		}
-		a.stats.SnapshotApplies++
 		a.metrics.Counter("persist.repl.snapshot_applies").Inc()
 	case seq != a.stats.LastSeq+1:
-		a.stats.Gaps++
 		a.metrics.Counter("persist.repl.gaps").Inc()
 		return a.stats.LastSeq, fmt.Errorf("persist: apply seq %d after %d: %w", seq, a.stats.LastSeq, ErrGap)
 	default:
 		if err := a.st.Append(seq, body); err != nil {
-			a.stats.Errors++
 			return a.stats.LastSeq, fmt.Errorf("persist: apply record %d: %w", seq, err)
 		}
-		a.stats.Applied++
 		a.metrics.Counter("persist.repl.applied").Inc()
 	}
 	a.stats.LastSeq = seq
@@ -195,16 +176,10 @@ type ReplStats struct {
 	// Inflight counts attempts started but not yet resolved (zero whenever
 	// no Tick is executing).
 	Inflight int64
-	// Resyncs counts snapshot re-syncs completed (a target caught back up).
-	Resyncs int64
-	// Tailed counts records read from the leader's own directory.
-	Tailed int64
 	// TailDeadFiles is the number of leader files the latest Tick's scan
 	// found without a valid magic — files neither recovery nor shipping can
 	// read — so the shipping side can alarm on its own directory going bad.
 	TailDeadFiles int64
-	// TargetAcked is each target's contiguous acked prefix.
-	TargetAcked map[string]uint64
 }
 
 // ReplicatorOptions tunes a Replicator.
@@ -219,7 +194,9 @@ type ReplicatorOptions struct {
 	// and AppendFile on it, appending into one buffer it keeps across Ticks.
 	FS FS
 	// Metrics, when non-nil, receives the leader-side persist.repl.* series
-	// (shipped, acked, resent, inflight, resyncs, tailed). Write-only.
+	// (shipped, acked, resent, inflight, resyncs: snapshot re-syncs that
+	// caught a target back up, tailed: records read from the leader's own
+	// directory). Write-only.
 	Metrics *obs.Registry
 }
 
@@ -301,12 +278,7 @@ func (r *Replicator) RemoveTarget(name string) {
 func (r *Replicator) Stats() ReplStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	st := r.stats
-	st.TargetAcked = make(map[string]uint64, len(r.targets))
-	for _, t := range r.targets {
-		st.TargetAcked[t.name] = t.acked
-	}
-	return st
+	return r.stats
 }
 
 // Tick reads the leader directory for new records and pushes every target
@@ -327,7 +299,6 @@ func (r *Replicator) Tick() error {
 	r.records = above(r.records, r.scan.recs, r.last)
 	if fresh := r.records[n:]; len(fresh) > 0 {
 		r.last = fresh[len(fresh)-1].seq
-		r.stats.Tailed += int64(len(fresh))
 		r.metrics.Counter("persist.repl.tailed").Add(int64(len(fresh)))
 	}
 	r.pruneLocked()
@@ -417,7 +388,6 @@ func (r *Replicator) shipToLocked(t *replTarget) {
 			}
 			t.acked = acked
 			t.needSnapshot = false
-			r.stats.Resyncs++
 			r.metrics.Counter("persist.repl.resyncs").Inc()
 			continue
 		}

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"prete/internal/obs"
 )
 
 // memPipe is an in-process Pipe with programmable faults: a direct wire to
@@ -83,7 +85,8 @@ func TestApplierExactlyOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	ap := NewApplier(st, ApplierOptions{})
+	reg := obs.NewRegistry()
+	ap := NewApplier(st, ApplierOptions{Metrics: reg})
 
 	// In-order records apply.
 	for seq := uint64(1); seq <= 3; seq++ {
@@ -112,8 +115,12 @@ func TestApplierExactlyOnce(t *testing.T) {
 	if _, err := ap.Apply(bad, false); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("bad frame apply: %v, want ErrBadFrame", err)
 	}
-	s := ap.Stats()
-	if s.Applied != 3 || s.SnapshotApplies != 1 || s.Dups != 1 || s.Gaps != 1 || s.BadFrames != 1 || s.LastSeq != 9 {
+	for name, want := range map[string]int64{"applied": 3, "snapshot_applies": 1, "dups": 1, "gaps": 1, "bad_frames": 1} {
+		if got := reg.Counter("persist.repl." + name).Value(); got != want {
+			t.Errorf("persist.repl.%s = %d, want %d", name, got, want)
+		}
+	}
+	if s := ap.Stats(); s.LastSeq != 9 {
 		t.Fatalf("stats = %+v", s)
 	}
 
@@ -153,7 +160,8 @@ func TestReplicatorShipsAndAccounts(t *testing.T) {
 	defer siteStore.Close()
 	ap := NewApplier(siteStore, ApplierOptions{})
 
-	r, err := NewReplicator(leaderDir, ReplicatorOptions{})
+	reg := obs.NewRegistry()
+	r, err := NewReplicator(leaderDir, ReplicatorOptions{Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,14 +176,14 @@ func TestReplicatorShipsAndAccounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := r.Stats()
-	if st.TargetAcked["site-1"] != 5 || ap.LastSeq() != 5 {
-		t.Fatalf("after tick: acked=%v applied=%d", st.TargetAcked, ap.LastSeq())
+	if ap.LastSeq() != 5 {
+		t.Fatalf("after tick: applied=%d", ap.LastSeq())
 	}
 	if st.Shipped != st.Acked+st.Resent+st.Inflight || st.Inflight != 0 {
 		t.Fatalf("accounting identity violated: %+v", st)
 	}
-	if st.Resyncs != 0 || st.Acked != 5 {
-		t.Fatalf("clean stream stats: %+v", st)
+	if n := reg.Counter("persist.repl.resyncs").Value(); n != 0 || st.Acked != 5 {
+		t.Fatalf("clean stream stats: %+v, %d resyncs", st, n)
 	}
 
 	// A dropped ship is counted resent and retried to success next Tick.
@@ -184,15 +192,15 @@ func TestReplicatorShipsAndAccounts(t *testing.T) {
 	if err := r.Tick(); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Stats().TargetAcked["site-1"]; got != 5 {
-		t.Fatalf("acked after drop = %d, want 5", got)
+	if got := ap.LastSeq(); got != 5 {
+		t.Fatalf("applied after drop = %d, want 5", got)
 	}
 	if err := r.Tick(); err != nil {
 		t.Fatal(err)
 	}
 	st = r.Stats()
-	if st.TargetAcked["site-1"] != 6 || st.Resent != 1 {
-		t.Fatalf("after retry: %+v", st)
+	if ap.LastSeq() != 6 || st.Resent != 1 {
+		t.Fatalf("after retry: %+v applied=%d", st, ap.LastSeq())
 	}
 	if st.Shipped != st.Acked+st.Resent || st.Inflight != 0 {
 		t.Fatalf("accounting identity violated: %+v", st)
@@ -231,16 +239,17 @@ func TestReplicatorRemoveTarget(t *testing.T) {
 	}
 	r.RemoveTarget("site-2")
 	r.RemoveTarget("site-2") // absent name is a no-op
+	ships := gone.ships
 	leaderAppend(t, leader, 2)
 	if err := r.Tick(); err != nil {
 		t.Fatal(err)
 	}
 	st := r.Stats()
-	if st.TargetAcked["site-1"] != 2 || ap.LastSeq() != 2 {
-		t.Fatalf("surviving target stalled: %+v applied=%d", st.TargetAcked, ap.LastSeq())
+	if ap.LastSeq() != 2 {
+		t.Fatalf("surviving target stalled: applied=%d", ap.LastSeq())
 	}
-	if _, tracked := st.TargetAcked["site-2"]; tracked {
-		t.Fatalf("removed target still accounted: %+v", st.TargetAcked)
+	if gone.ships != ships {
+		t.Fatalf("removed target took %d more frames", gone.ships-ships)
 	}
 	if st.Shipped != st.Acked+st.Resent+st.Inflight {
 		t.Fatalf("accounting identity violated after removal: %+v", st)
@@ -259,8 +268,9 @@ func TestReplicatorCorruptFrameResyncs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer siteStore.Close()
-	ap := NewApplier(siteStore, ApplierOptions{})
-	r, err := NewReplicator(leaderDir, ReplicatorOptions{})
+	reg := obs.NewRegistry()
+	ap := NewApplier(siteStore, ApplierOptions{Metrics: reg})
+	r, err := NewReplicator(leaderDir, ReplicatorOptions{Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,12 +284,11 @@ func TestReplicatorCorruptFrameResyncs(t *testing.T) {
 	}
 	// The corrupted record was nacked by the site's CRC; the shipper fell
 	// back to a snapshot in the same Tick.
-	st := r.Stats()
-	if st.Resyncs != 1 || st.TargetAcked["site-1"] != 1 {
-		t.Fatalf("after corrupt ship: %+v", st)
+	if n := reg.Counter("persist.repl.resyncs").Value(); n != 1 || ap.LastSeq() != 1 {
+		t.Fatalf("after corrupt ship: %d resyncs, applied=%d", n, ap.LastSeq())
 	}
-	if ap.Stats().BadFrames != 1 || ap.Stats().SnapshotApplies != 1 {
-		t.Fatalf("applier stats: %+v", ap.Stats())
+	if b, sn := reg.Counter("persist.repl.bad_frames").Value(), reg.Counter("persist.repl.snapshot_applies").Value(); b != 1 || sn != 1 {
+		t.Fatalf("applier counts: bad_frames=%d snapshot_applies=%d, want 1 and 1", b, sn)
 	}
 }
 
@@ -295,8 +304,9 @@ func TestReplicatorBehindBufferResyncs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer siteStore.Close()
-	ap := NewApplier(siteStore, ApplierOptions{})
-	r, err := NewReplicator(leaderDir, ReplicatorOptions{RetainRecords: 1})
+	reg := obs.NewRegistry()
+	ap := NewApplier(siteStore, ApplierOptions{Metrics: reg})
+	r, err := NewReplicator(leaderDir, ReplicatorOptions{RetainRecords: 1, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,15 +323,14 @@ func TestReplicatorBehindBufferResyncs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := r.Stats()
-	if st.TargetAcked["site-1"] != 3 {
-		t.Fatalf("acked = %d, want 3 (snapshot catch-up)", st.TargetAcked["site-1"])
+	if got := ap.LastSeq(); got != 3 {
+		t.Fatalf("applied = %d, want 3 (snapshot catch-up)", got)
 	}
-	if st.Resyncs < 1 {
-		t.Fatalf("resyncs = %d, want >= 1", st.Resyncs)
+	if n := reg.Counter("persist.repl.resyncs").Value(); n < 1 {
+		t.Fatalf("resyncs = %d, want >= 1", n)
 	}
-	if ap.Stats().Applied != 0 || ap.Stats().SnapshotApplies < 1 {
-		t.Fatalf("site should have been caught up by snapshot only: %+v", ap.Stats())
+	if a, sn := reg.Counter("persist.repl.applied").Value(), reg.Counter("persist.repl.snapshot_applies").Value(); a != 0 || sn < 1 {
+		t.Fatalf("site should have been caught up by snapshot only: applied=%d snapshot_applies=%d", a, sn)
 	}
 	// The recovered state on the site is the newest epoch, not a stale
 	// prefix.
@@ -389,7 +398,8 @@ func TestReaderDeadFileStats(t *testing.T) {
 	}
 	st.Close()
 
-	r, err := NewReplicator(dir, ReplicatorOptions{})
+	reg := obs.NewRegistry()
+	r, err := NewReplicator(dir, ReplicatorOptions{Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,9 +407,8 @@ func TestReaderDeadFileStats(t *testing.T) {
 	if err := r.Tick(); err != nil {
 		t.Fatal(err)
 	}
-	s := r.Stats()
-	if s.Tailed != 1 || s.TailDeadFiles != 0 {
-		t.Fatalf("healthy stats = %+v", s)
+	if s, n := r.Stats(), reg.Counter("persist.repl.tailed").Value(); n != 1 || s.TailDeadFiles != 0 {
+		t.Fatalf("healthy stats = %+v, tailed %d", s, n)
 	}
 
 	entries, err := os.ReadDir(dir)
@@ -573,7 +582,8 @@ func TestReplicatorBufferedRecordsOwnTheirBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	r, err := NewReplicator("state", ReplicatorOptions{FS: readOnlyFS{t: t, inner: fs}})
+	reg := obs.NewRegistry()
+	r, err := NewReplicator("state", ReplicatorOptions{FS: readOnlyFS{t: t, inner: fs}, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -627,7 +637,7 @@ func TestReplicatorBufferedRecordsOwnTheirBytes(t *testing.T) {
 	}
 	fs.files[closed] = img[:len(img)-len(appendRecord(nil, 12, body(12)))]
 	tick()
-	if got := r.Stats().Tailed; got != epochs {
+	if got := reg.Counter("persist.repl.tailed").Value(); got != epochs {
 		t.Fatalf("tailed %d records, want %d", got, epochs)
 	}
 	if len(pipe.shipped) != 0 {

@@ -146,13 +146,6 @@ func (c DeltaClass) String() string {
 // predecessor.
 type Delta struct {
 	Class DeltaClass
-	// MaxDrift is the largest absolute per-scenario probability change
-	// across matched scenarios (0 when unchanged; also computed for
-	// structural deltas over the scenarios both sets share).
-	MaxDrift float64
-	// Added and Removed count scenarios present in only one of the two
-	// sets (both 0 unless the delta is structural).
-	Added, Removed int
 }
 
 // Diff classifies how the set differs from prev. A nil prev (first epoch)
@@ -160,32 +153,13 @@ type Delta struct {
 // not probabilistic: unchanged means bit-identical fingerprints, prob-only
 // means identical cut structure, and everything else is structural.
 func (s *Set) Diff(prev *Set) Delta {
-	if prev == nil {
-		return Delta{Class: DeltaStructural, Added: len(s.Scenarios)}
-	}
-	if s.Fingerprint() == prev.Fingerprint() {
+	switch {
+	case prev == nil:
+		return Delta{Class: DeltaStructural}
+	case s.Fingerprint() == prev.Fingerprint():
 		return Delta{Class: DeltaUnchanged}
+	case s.StructureFingerprint() != prev.StructureFingerprint():
+		return Delta{Class: DeltaStructural}
 	}
-	d := Delta{Class: DeltaProbOnly}
-	if s.StructureFingerprint() != prev.StructureFingerprint() {
-		d.Class = DeltaStructural
-	}
-	prevProb := make(map[string]float64, len(prev.Scenarios))
-	for _, sc := range prev.Scenarios {
-		prevProb[sc.Key()] = sc.Prob
-	}
-	matched := 0
-	for _, sc := range s.Scenarios {
-		p, ok := prevProb[sc.Key()]
-		if !ok {
-			d.Added++
-			continue
-		}
-		matched++
-		if drift := math.Abs(sc.Prob - p); drift > d.MaxDrift {
-			d.MaxDrift = drift
-		}
-	}
-	d.Removed = len(prev.Scenarios) - matched
-	return d
+	return Delta{Class: DeltaProbOnly}
 }

@@ -27,15 +27,6 @@ type Scenario struct {
 	Prob float64
 }
 
-// Key returns a canonical string identity for deduplication and maps.
-func (s Scenario) Key() string {
-	b := make([]byte, 0, len(s.Cut)*3)
-	for _, f := range s.Cut {
-		b = append(b, byte(f), byte(f>>8), ',')
-	}
-	return string(b)
-}
-
 // CutInto returns the scenario's cut fibers as a FiberSet built in dst's
 // storage, which it overwrites: a loop over scenarios passes back what the
 // previous call returned and allocates only when a cut needs more words.

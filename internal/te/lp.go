@@ -32,9 +32,9 @@ type AllocLP struct {
 // links in ARROW's model.
 func NewAllocLP(prob *lp.Problem, phiCost float64, net *topology.Network, ts *routing.TunnelSet, capOverride map[topology.LinkID]float64) (*AllocLP, error) {
 	m := &AllocLP{Problem: prob, tunnels: len(ts.Tunnels)}
-	prob.AddVar(phiCost, "phi")
+	prob.AddVar(phiCost)
 	for range ts.Tunnels {
-		prob.AddVar(0, "a")
+		prob.AddVar(0)
 	}
 	onLink := make([][]lp.Term, len(net.Links))
 	for _, t := range ts.Tunnels {
@@ -72,7 +72,7 @@ func (m *AllocLP) AddCoverage(lossVar int, d float64, tunnels []routing.TunnelID
 // (minimized) objective and the row d*s - sum of the tunnels' allocations
 // <= 0: s is the fraction of demand d the tunnels carry.
 func (m *AllocLP) AddSatisfaction(weight, d float64, tunnels []routing.TunnelID) error {
-	s := m.AddVar(-weight, "s")
+	s := m.AddVar(-weight)
 	if err := m.AddUpperBound(s, 1, "s<=1"); err != nil {
 		return err
 	}

@@ -41,8 +41,6 @@ type TierDecision struct {
 // AdmissionDecision is one epoch's full admission outcome, one entry per
 // tier in spec order.
 type AdmissionDecision struct {
-	// Tick numbers the decisions an Admission has made, from 1.
-	Tick int
 	// Degraded reports the epoch ran under a degradation signal.
 	Degraded bool
 	// LastGood reports the decision replays the previous epoch's numbers
@@ -81,12 +79,10 @@ func (d *AdmissionDecision) residual(t TierDecision) float64 {
 // solver results and prior decisions — no wall-clock, no randomness — so
 // replays are bit-identical.
 type Admission struct {
-	spec    *te.ClassSpec
 	metrics *obs.Registry
 	log     *EventLog
 
 	mu       sync.Mutex
-	tick     int
 	backlog  []float64
 	lastGood *AdmissionDecision
 }
@@ -97,7 +93,6 @@ type Admission struct {
 // of the controller).
 func NewAdmission(spec *te.ClassSpec, metrics *obs.Registry, log *EventLog) *Admission {
 	return &Admission{
-		spec:    spec,
 		metrics: metrics,
 		log:     log,
 		backlog: make([]float64, len(spec.Tiers)),
@@ -110,8 +105,7 @@ func NewAdmission(spec *te.ClassSpec, metrics *obs.Registry, log *EventLog) *Adm
 func (a *Admission) Decide(cr *core.ClassedResult, degraded bool) *AdmissionDecision {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.tick++
-	dec := &AdmissionDecision{Tick: a.tick, Degraded: degraded}
+	dec := &AdmissionDecision{Degraded: degraded}
 	for k, tier := range cr.Tiers {
 		base := tier.Offered
 		offered := base + a.backlog[k]
@@ -166,8 +160,7 @@ func (a *Admission) DecideLastGood() *AdmissionDecision {
 	if a.lastGood == nil {
 		return nil
 	}
-	a.tick++
-	dec := &AdmissionDecision{Tick: a.tick, Degraded: true, LastGood: true}
+	dec := &AdmissionDecision{Degraded: true, LastGood: true}
 	for _, td := range a.lastGood.Tiers {
 		td.Rung = "last-good"
 		dec.Tiers = append(dec.Tiers, td)

@@ -27,7 +27,8 @@ func fakeClassed(spec *te.ClassSpec, offered, phis []float64) *core.ClassedResul
 
 func TestAdmissionCleanEpoch(t *testing.T) {
 	spec := te.DefaultClassSpec()
-	a := NewAdmission(spec, nil, nil)
+	reg := obs.NewRegistry()
+	a := NewAdmission(spec, reg, nil)
 	dec := a.Decide(fakeClassed(spec, []float64{20, 50, 30}, []float64{0.5, 0.5, 0.5}), false)
 	if err := dec.Check(); err != nil {
 		t.Fatal(err)
@@ -37,8 +38,8 @@ func TestAdmissionCleanEpoch(t *testing.T) {
 			t.Errorf("clean epoch tier %s: %+v", td.Tier, td)
 		}
 	}
-	if dec.Tick != 1 || dec.Degraded {
-		t.Errorf("tick/degraded wrong: %+v", dec)
+	if n := reg.Counter("wan.admission.ticks").Value(); n != 1 || dec.Degraded {
+		t.Errorf("ticks %d, degraded %v: want 1 clean tick", n, dec.Degraded)
 	}
 }
 
@@ -88,15 +89,16 @@ func TestAdmissionLadderRungs(t *testing.T) {
 
 func TestAdmissionLastGood(t *testing.T) {
 	spec := te.DefaultClassSpec()
-	a := NewAdmission(spec, nil, nil)
+	reg := obs.NewRegistry()
+	a := NewAdmission(spec, reg, nil)
 	if dec := a.DecideLastGood(); dec != nil {
 		t.Fatalf("last-good before any decision should be nil, got %+v", dec)
 	}
 	cr := fakeClassed(spec, []float64{20, 50, 30}, []float64{0, 0.2, 0.4})
 	first := a.Decide(cr, true)
 	replay := a.DecideLastGood()
-	if replay == nil || !replay.LastGood || replay.Tick != first.Tick+1 {
-		t.Fatalf("last-good replay: %+v", replay)
+	if replay == nil || !replay.LastGood || reg.Counter("wan.admission.ticks").Value() != 2 {
+		t.Fatalf("last-good replay: %+v after %d ticks, want the second", replay, reg.Counter("wan.admission.ticks").Value())
 	}
 	if err := replay.Check(); err != nil {
 		t.Fatal(err)

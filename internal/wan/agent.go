@@ -128,10 +128,9 @@ func (a *SwitchAgent) handle(req *Request) *Response {
 			a.fenceRejects++
 			a.mu.Unlock()
 			return &Response{
-				Err:      fmt.Sprintf("stale controller generation %d, fenced to %d", req.Gen, gen),
-				TunnelID: req.TunnelID,
-				Stale:    true,
-				Gen:      gen,
+				Err:   fmt.Sprintf("stale controller generation %d, fenced to %d", req.Gen, gen),
+				Stale: true,
+				Gen:   gen,
 			}
 		}
 		if req.Gen > a.maxGen {
@@ -140,7 +139,7 @@ func (a *SwitchAgent) handle(req *Request) *Response {
 		}
 		a.mu.Unlock()
 	}
-	resp := &Response{OK: true, TunnelID: req.TunnelID}
+	resp := &Response{OK: true}
 	switch req.Type {
 	case MsgPing:
 		// nothing
@@ -148,7 +147,7 @@ func (a *SwitchAgent) handle(req *Request) *Response {
 		a.mu.Lock() // serializes installs
 		if len(a.tunnels) >= a.cfg.MaxTunnels {
 			a.mu.Unlock()
-			return &Response{Err: "tunnel table full", TunnelID: req.TunnelID}
+			return &Response{Err: "tunnel table full"}
 		}
 		time.Sleep(a.cfg.InstallLatency)
 		a.tunnels[req.TunnelID] = append([]int(nil), req.Path...)

@@ -110,8 +110,7 @@ type Controller struct {
 	store     *persist.Store        // nil unless OpenState attached one
 	gen       uint64                // fence value stamped into RPCs (0 = unfenced)
 	epoch     uint64                // completed (journaled or recovered) epochs
-	installed map[string]TunnelInstall
-	lastProbs []float64 // probability vector of the last journaled epoch
+	lastProbs []float64             // probability vector of the last journaled epoch
 	// lastFP is the scenario-set fingerprint of the last journaled (or
 	// recovered) epoch; 0 when none was recorded.
 	lastFP scenario.Fingerprint
@@ -308,26 +307,8 @@ func (c *Controller) InstallTunnels(installs []TunnelInstall) (time.Duration, er
 		}); err != nil {
 			return time.Since(start), err
 		}
-		c.trackInstall(ins)
 	}
 	return time.Since(start), nil
-}
-
-// trackInstall records a successfully installed tunnel for journaling.
-func (c *Controller) trackInstall(ins TunnelInstall) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.installed == nil {
-		c.installed = make(map[string]TunnelInstall)
-	}
-	ins.Path = append([]int(nil), ins.Path...)
-	c.installed[installKey(ins.Switch, ins.TunnelID)] = ins
-}
-
-func (c *Controller) untrackInstall(ins TunnelInstall) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.installed, installKey(ins.Switch, ins.TunnelID))
 }
 
 // rateTable is one immutable rate table and its content tag. lastRates and
@@ -542,7 +523,6 @@ func (c *Controller) RemoveTunnels(installs []TunnelInstall) error {
 		if _, err := c.rpc(ins.Switch, cn, &Request{Type: MsgRemoveTunnel, TunnelID: ins.TunnelID}); err != nil {
 			return err
 		}
-		c.untrackInstall(ins)
 	}
 	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"reflect"
 	"sync"
 	"time"
 
@@ -151,13 +150,11 @@ type site struct {
 	// Guarded by the owning SiteSet's mu.
 	store       *persist.Store
 	applier     *persist.Applier
-	mirror      *EpochState
 	lastApplied uint64
 	takenOver   bool // promotion owns the directory; apply path detached
 	missing     bool // currently in a heartbeat-miss streak
 	crashed     bool // dead site: no applies, no heartbeats, no claims
 	promoted    bool
-	fenced      int // claims lost at the agents
 	resyncs     int64
 }
 
@@ -165,9 +162,8 @@ type site struct {
 type SiteStatus struct {
 	// ID is the site id (1-based; the leader is site 0).
 	ID int
-	// Epoch is the site's mirrored epoch (0 = nothing applied yet).
-	Epoch uint64
-	// Applied is the site's contiguous applied journal sequence.
+	// Applied is the site's contiguous applied journal sequence, which is
+	// also the epoch it mirrors (0 = nothing applied yet).
 	Applied uint64
 	// LeaseRemaining is ticks until lease expiry (negative once expired).
 	LeaseRemaining int64
@@ -175,10 +171,6 @@ type SiteStatus struct {
 	LeaseGen uint64
 	// Resyncs counts snapshot re-syncs applied at this site.
 	Resyncs int64
-	// FencedClaims counts promotion claims this site lost at the agents.
-	FencedClaims int
-	// Promoted reports that the site now leads.
-	Promoted bool
 }
 
 // SitePromotion is the outcome of a successful takeover.
@@ -189,13 +181,10 @@ type SitePromotion struct {
 	// site's lease observed, state recovered from the site's own replicated
 	// directory, agents dialed. Ownership passes to the caller.
 	Ctl *Controller
-	// Recovery is what the promoted controller recovered locally.
-	Recovery *Recovery
-	// MirrorMatch reports the apply-path mirror agreed exactly with the
-	// durably recovered state.
+	// MirrorMatch reports that the site recovered exactly the prefix its
+	// apply path acknowledged: warm at the last applied epoch, or cold
+	// with nothing applied.
 	MirrorMatch bool
-	// Reasserted and Degraded report the fleet-wide re-assert outcome.
-	Reasserted, Degraded bool
 	// Resyncs is how many snapshot re-syncs this site needed over its
 	// standby lifetime (lag it had to recover from).
 	Resyncs int64
@@ -293,8 +282,8 @@ func (ss *SiteSet) addSite(id int, sitesRoot, leaseAddr string) error {
 }
 
 // applyFor builds site s's frame-apply function: validate and apply via the
-// site's Applier, keep the decoded mirror current, and translate gap/corrupt
-// errors into re-sync requests.
+// site's Applier, advance the site's applied prefix, and translate
+// gap/corrupt errors into re-sync requests.
 func (ss *SiteSet) applyFor(s *site) func([]byte, bool) (uint64, bool, string) {
 	return func(frame []byte, snapshot bool) (uint64, bool, string) {
 		ss.mu.Lock()
@@ -318,11 +307,6 @@ func (ss *SiteSet) applyFor(s *site) func([]byte, bool) (uint64, bool, string) {
 		defer ss.mu.Unlock()
 		if ack > s.lastApplied {
 			s.lastApplied = ack
-			if state, derr := decodeEpochState(frameBody(frame)); derr == nil {
-				s.mirror = state
-			} else {
-				ss.opt.Metrics.Counter("wan.georep.decode_errors").Inc()
-			}
 			if snapshot {
 				s.resyncs++
 				ss.opt.Metrics.Counter("wan.georep.site_resyncs").Inc()
@@ -333,15 +317,6 @@ func (ss *SiteSet) applyFor(s *site) func([]byte, bool) (uint64, bool, string) {
 		}
 		return ack, false, ""
 	}
-}
-
-// frameBody extracts the record body of an already-validated frame.
-func frameBody(frame []byte) []byte {
-	_, body, err := persist.DecodeReplFrame(frame)
-	if err != nil {
-		return nil
-	}
-	return body
 }
 
 // Clock returns the lease clock (tests advance it to force expiries).
@@ -382,19 +357,13 @@ func (ss *SiteSet) Status() []SiteStatus {
 	defer ss.mu.Unlock()
 	out := make([]SiteStatus, 0, len(ss.sites))
 	for _, s := range ss.sites {
-		st := SiteStatus{
+		out = append(out, SiteStatus{
 			ID:             s.id,
 			Applied:        s.lastApplied,
 			LeaseRemaining: s.lease.Remaining(),
 			LeaseGen:       s.lease.Gen(),
 			Resyncs:        s.resyncs,
-			FencedClaims:   s.fenced,
-			Promoted:       s.promoted,
-		}
-		if s.mirror != nil {
-			st.Epoch = s.mirror.Epoch
-		}
-		out = append(out, st)
+		})
 	}
 	return out
 }
@@ -523,7 +492,7 @@ func (ss *SiteSet) Promote(id int) (*SitePromotion, error) {
 	}
 	start := time.Now()
 	minGen := s.lease.Gen() + 1
-	resyncs, mirror := ss.detachApply(s)
+	resyncs, applied := ss.detachApply(s)
 
 	ctl, err := NewControllerTransport(ss.opt.Transport, ss.agents)
 	if err != nil {
@@ -542,8 +511,11 @@ func (ss *SiteSet) Promote(id int) (*SitePromotion, error) {
 		ss.rejoinStandby(s)
 		return nil, fmt.Errorf("wan: promote site %d: %w", id, err)
 	}
-	p := &SitePromotion{SiteID: id, Ctl: ctl, Recovery: rec, Resyncs: resyncs}
-	p.MirrorMatch = reflect.DeepEqual(mirror, rec.State)
+	// The audit: a journal record's seq is its EpochState.Epoch, and a
+	// CRC-valid record at seq N holds the bytes applied at N, so recovery
+	// matches the apply path exactly when it lands on the applied prefix.
+	p := &SitePromotion{SiteID: id, Ctl: ctl, Resyncs: resyncs}
+	p.MirrorMatch = (rec.Warm && rec.Epoch == applied) || (!rec.Warm && applied == 0)
 	if p.MirrorMatch {
 		ss.opt.Metrics.Counter("wan.failover.mirror_match").Inc()
 	} else {
@@ -559,7 +531,6 @@ func (ss *SiteSet) Promote(id int) (*SitePromotion, error) {
 		if errors.Is(perr, ErrStale) {
 			return nil, ss.stepDown(s, ctl, "claim")
 		}
-		p.Degraded = true
 		ss.opt.Metrics.Counter("wan.georep.claim_degraded").Inc()
 		ss.opt.Log.Addf("site %d claim probe degraded", id)
 	}
@@ -568,11 +539,9 @@ func (ss *SiteSet) Promote(id int) (*SitePromotion, error) {
 			if errors.Is(uerr, ErrStale) {
 				return nil, ss.stepDown(s, ctl, "reassert")
 			}
-			p.Degraded = true
 			ss.opt.Metrics.Counter("wan.failover.reassert_errors").Inc()
 			ss.opt.Log.Addf("failover reassert failed site=%d", id)
 		} else {
-			p.Reasserted = true
 			ss.opt.Metrics.Counter("wan.failover.reasserts").Inc()
 			ss.opt.Log.Addf("failover reassert site=%d epoch=%d", id, rec.Epoch)
 		}
@@ -591,20 +560,19 @@ func (ss *SiteSet) Promote(id int) (*SitePromotion, error) {
 // detachApply hands the site's directory from the apply path to a
 // promotion: the applier's store is closed (releasing the local flock) and
 // the replication ingress starts refusing frames. Returns the site's
-// standby-lifetime re-sync count and its mirror for the audit.
-func (ss *SiteSet) detachApply(s *site) (int64, *EpochState) {
+// standby-lifetime re-sync count and its applied prefix for the audit.
+func (ss *SiteSet) detachApply(s *site) (int64, uint64) {
 	ss.mu.Lock()
 	s.takenOver = true
 	st := s.store
 	s.store = nil
 	s.applier = nil
-	resyncs := s.resyncs
-	mirror := s.mirror
+	resyncs, applied := s.resyncs, s.lastApplied
 	ss.mu.Unlock()
 	if st != nil {
 		st.Close()
 	}
-	return resyncs, mirror
+	return resyncs, applied
 }
 
 // stepDown unwinds a claim the agents refused: the half-promoted
@@ -614,9 +582,6 @@ func (ss *SiteSet) detachApply(s *site) (int64, *EpochState) {
 func (ss *SiteSet) stepDown(s *site, ctl *Controller, phase string) error {
 	ctl.Close()
 	ss.rejoinStandby(s)
-	ss.mu.Lock()
-	s.fenced++
-	ss.mu.Unlock()
 	ss.opt.Metrics.Counter("wan.georep.fenced_claims").Inc()
 	ss.opt.Log.Addf("site %d %s fenced; stepping down", s.id, phase)
 	return fmt.Errorf("wan: site %d: %w", s.id, ErrClaimFenced)

@@ -55,7 +55,7 @@ func TestSiteSetShipsAndMirrors(t *testing.T) {
 		t.Fatalf("cold tick: promotion=%v err=%v", p, err)
 	}
 	for _, st := range ss.Status() {
-		if st.Epoch != 0 || st.Promoted {
+		if st.Applied != 0 {
 			t.Fatalf("cold site status = %+v", st)
 		}
 	}
@@ -68,13 +68,10 @@ func TestSiteSetShipsAndMirrors(t *testing.T) {
 			t.Fatalf("tick after epoch %d: promotion=%v err=%v", epoch, p, err)
 		}
 		for _, st := range ss.Status() {
-			if st.Epoch != epoch {
-				t.Errorf("site %d mirror epoch = %d after epoch %d", st.ID, st.Epoch, epoch)
-			}
-			if st.Applied < epoch {
+			if st.Applied != epoch {
 				t.Errorf("site %d applied prefix = %d after epoch %d", st.ID, st.Applied, epoch)
 			}
-			if st.Resyncs != 0 || st.FencedClaims != 0 || st.Promoted {
+			if st.Resyncs != 0 {
 				t.Errorf("site %d unexpected state: %+v", st.ID, st)
 			}
 			if st.LeaseRemaining <= 0 {
@@ -89,10 +86,10 @@ func TestSiteSetShipsAndMirrors(t *testing.T) {
 	// Exact shipping accounting: every shipped frame is acked, nothing is in
 	// flight, nothing needed a retry or a snapshot on a clean stream.
 	rs := ss.ReplStats()
-	if rs.Shipped == 0 || rs.Shipped != rs.Acked || rs.Inflight != 0 || rs.Resent != 0 || rs.Resyncs != 0 {
-		t.Errorf("clean-stream accounting off: %+v", rs)
-	}
 	m := ss.opt.Metrics
+	if rs.Shipped == 0 || rs.Shipped != rs.Acked || rs.Inflight != 0 || rs.Resent != 0 || m.Counter("persist.repl.resyncs").Value() != 0 {
+		t.Errorf("clean-stream accounting off: %+v, %d resyncs", rs, m.Counter("persist.repl.resyncs").Value())
+	}
 	if v := m.Counter("wan.georep.ticks").Value(); v != 3 {
 		t.Errorf("wan.georep.ticks = %d, want 3", v)
 	}
@@ -306,8 +303,8 @@ func TestDoublePromotionRace(t *testing.T) {
 			}
 			winner = i + 1
 			t.Cleanup(func() { r.p.Ctl.Close() })
-			if !r.p.Recovery.Warm || r.p.Recovery.Generation != 2 {
-				t.Errorf("winner recovery = %+v, want warm gen 2", r.p.Recovery)
+			if e, g := r.p.Ctl.Epoch(), r.p.Ctl.Generation(); e != 1 || g != 2 {
+				t.Errorf("winner recovered epoch %d gen %d, want warm epoch 1 gen 2", e, g)
 			}
 		case errors.Is(r.err, ErrClaimFenced):
 		default:
@@ -317,20 +314,17 @@ func TestDoublePromotionRace(t *testing.T) {
 	if winner == 0 {
 		t.Fatal("neither claim won")
 	}
-	if !anyPromoted(ss) {
-		t.Error("set not marked promoted after the race")
+	if got := promotedSites(ss); !reflect.DeepEqual(got, []int{winner}) {
+		t.Errorf("promoted sites after the race = %v, want [%d]", got, winner)
+	}
+	// The loser stepped down and re-opened its directory for standby duty
+	// with its applied prefix intact.
+	if v := ss.opt.Metrics.Counter("wan.georep.fenced_claims").Value(); v != 1 {
+		t.Errorf("wan.georep.fenced_claims = %d, want 1", v)
 	}
 	for _, st := range ss.Status() {
-		if st.ID == winner {
-			if !st.Promoted || st.FencedClaims != 0 {
-				t.Errorf("winning site status: %+v", st)
-			}
-			continue
-		}
-		// The loser stepped down and re-opened its directory for standby
-		// duty with its applied prefix intact.
-		if st.Promoted || st.FencedClaims != 1 || st.Applied != 1 {
-			t.Errorf("losing site status: %+v", st)
+		if st.Applied != 1 {
+			t.Errorf("site status after the race: %+v", st)
 		}
 	}
 	for _, a := range tb.Agents {
@@ -511,25 +505,22 @@ func TestSiteFailoverPromotesWarm(t *testing.T) {
 	if p.SiteID != 1 {
 		t.Errorf("promoted site = %d, want lowest site 1", p.SiteID)
 	}
-	if !p.Recovery.Warm || p.Recovery.Epoch != 1 || p.Recovery.Generation != 2 {
-		t.Errorf("promotion recovery = %+v, want warm epoch 1 gen 2", p.Recovery)
+	if e, g := p.Ctl.Epoch(), p.Ctl.Generation(); e != 1 || g != 2 {
+		t.Errorf("promotion recovered epoch %d gen %d, want warm epoch 1 gen 2", e, g)
 	}
 	if !p.MirrorMatch {
 		t.Error("replicated mirror did not match recovered state")
 	}
-	if !p.Reasserted || p.Degraded {
-		t.Errorf("re-assert: reasserted=%v degraded=%v, want clean re-assert", p.Reasserted, p.Degraded)
+	m := ss.opt.Metrics
+	if r, d, e := m.Counter("wan.failover.reasserts").Value(), m.Counter("wan.georep.claim_degraded").Value(),
+		m.Counter("wan.failover.reassert_errors").Value(); r != 1 || d != 0 || e != 0 {
+		t.Errorf("re-assert: reasserts=%d claim_degraded=%d reassert_errors=%d, want one clean re-assert", r, d, e)
 	}
 	if p.Elapsed >= 10*time.Second {
 		t.Errorf("promotion took %v, want well under one TE period", p.Elapsed)
 	}
-	if !anyPromoted(ss) {
-		t.Error("set not marked promoted")
-	}
-	for _, st := range ss.Status() {
-		if st.ID == 1 && !st.Promoted {
-			t.Errorf("site 1 status not promoted: %+v", st)
-		}
+	if got := promotedSites(ss); !reflect.DeepEqual(got, []int{1}) {
+		t.Errorf("promoted sites = %v, want [1]", got)
 	}
 
 	zombie := tb.AdoptPromoted(p.Ctl)
@@ -567,7 +558,6 @@ func TestSiteFailoverPromotesWarm(t *testing.T) {
 	if got := tb.Ctl.Epoch(); got != 2 {
 		t.Errorf("epoch after failover + one round = %d, want 2", got)
 	}
-	m := ss.opt.Metrics
 	if v := m.Counter("wan.georep.elections").Value(); v != 1 {
 		t.Errorf("wan.georep.elections = %d, want 1", v)
 	}
@@ -596,7 +586,7 @@ func TestSetLeaderReachablePausesStream(t *testing.T) {
 	if rs := ss.ReplStats(); rs.Shipped != 0 {
 		t.Fatalf("partitioned leader still shipped: %+v", rs)
 	}
-	if st := ss.Status()[0]; st.Epoch != 0 {
+	if st := ss.Status()[0]; st.Applied != 0 {
 		t.Fatalf("site mirror advanced across the partition: %+v", st)
 	}
 	// Heartbeats are governed by the lease endpoint, not the stream: the
@@ -610,10 +600,10 @@ func TestSetLeaderReachablePausesStream(t *testing.T) {
 		t.Fatalf("healed tick: promotion=%v err=%v", p, err)
 	}
 	rs := ss.ReplStats()
-	if rs.Shipped == 0 || rs.Shipped != rs.Acked || rs.Resyncs != 0 {
-		t.Fatalf("backlog did not ship cleanly after heal: %+v", rs)
+	if n := ss.opt.Metrics.Counter("persist.repl.resyncs").Value(); rs.Shipped == 0 || rs.Shipped != rs.Acked || n != 0 {
+		t.Fatalf("backlog did not ship cleanly after heal: %+v, %d resyncs", rs, n)
 	}
-	if st := ss.Status()[0]; st.Epoch != 1 {
+	if st := ss.Status()[0]; st.Applied != 1 {
 		t.Fatalf("site mirror behind after heal: %+v", st)
 	}
 	if got := ss.Clock().Now(); got != 2 {
@@ -663,11 +653,7 @@ func TestFencedClaimStepsDownAndRejoins(t *testing.T) {
 	if anyPromoted(ss) {
 		t.Fatal("fenced site still marked itself leader")
 	}
-	st := ss.Status()[0]
-	if st.FencedClaims != 1 || st.Promoted {
-		t.Fatalf("post-fence status: %+v", st)
-	}
-	if st.Applied != 1 {
+	if st := ss.Status()[0]; st.Applied != 1 {
 		t.Fatalf("rejoined standby lost its applied prefix: %+v", st)
 	}
 	m := ss.opt.Metrics
@@ -686,17 +672,23 @@ func TestFencedClaimStepsDownAndRejoins(t *testing.T) {
 	if _, err := ss.Tick(); !errors.Is(err, ErrClaimFenced) {
 		t.Fatalf("second claim: err = %v, want ErrClaimFenced", err)
 	}
-	if got := ss.Status()[0].FencedClaims; got != 2 {
-		t.Fatalf("fenced claims after second loss = %d, want 2", got)
+	if v := m.Counter("wan.georep.fenced_claims").Value(); v != 2 {
+		t.Fatalf("wan.georep.fenced_claims after second loss = %d, want 2", v)
 	}
 }
 
 // anyPromoted reports whether a site of ss has taken over.
-func anyPromoted(ss *SiteSet) bool {
-	for _, st := range ss.Status() {
-		if st.Promoted {
-			return true
+func anyPromoted(ss *SiteSet) bool { return len(promotedSites(ss)) > 0 }
+
+// promotedSites returns the ids of the sites of ss that have taken over.
+func promotedSites(ss *SiteSet) []int {
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	var ids []int
+	for _, s := range ss.sites {
+		if s.promoted {
+			ids = append(ids, s.id)
 		}
 	}
-	return false
+	return ids
 }

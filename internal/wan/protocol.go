@@ -78,13 +78,12 @@ type Request struct {
 // it holds neither the delta's Base nor its Tag, and wants the full table.
 // Both are omitted from the wire when unset.
 type Response struct {
-	OK       bool   `json:"ok"`
-	Err      string `json:"err,omitempty"`
-	TunnelID int    `json:"tunnel_id,omitempty"`
-	Stale    bool   `json:"stale,omitempty"`
-	Gen      uint64 `json:"gen,omitempty"`
-	Ack      uint64 `json:"ack,omitempty"`
-	Resync   bool   `json:"resync,omitempty"`
+	OK     bool   `json:"ok"`
+	Err    string `json:"err,omitempty"`
+	Stale  bool   `json:"stale,omitempty"`
+	Gen    uint64 `json:"gen,omitempty"`
+	Ack    uint64 `json:"ack,omitempty"`
+	Resync bool   `json:"resync,omitempty"`
 }
 
 // conn wraps a TCP connection with JSON framing (one JSON value per line,

@@ -3,7 +3,6 @@ package wan
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"time"
 
 	"prete/internal/persist"
@@ -12,21 +11,19 @@ import (
 
 // EpochState is the controller state journaled after every successful TE
 // epoch and recovered on warm restart: everything the degradation ladder
-// needs to resume from "last-good" instead of an empty plan. The JSON
-// encoding is deterministic (maps sort by key, tunnels are sorted before
-// marshaling), so identical epochs journal byte-identically — the chaos
-// replay tests diff on this. Decoding ignores fields it does not know, so a
-// record from an older build, which also journaled per-agent RPC sequence
-// numbers ("peer_seq"), still recovers warm.
+// needs to resume from "last-good" instead of an empty plan. The reactive
+// tunnels are not journaled: a restart re-derives them from Probs (§4.2).
+// The JSON encoding is deterministic (maps sort by key), so identical epochs
+// journal byte-identically — the chaos replay tests diff on this. Decoding
+// ignores fields it does not know, so a record from an older build, which
+// also journaled per-agent RPC sequence numbers ("peer_seq") or the
+// installed tunnel set ("tunnels"), still recovers warm.
 type EpochState struct {
 	// Epoch is the 1-based count of completed reaction rounds.
 	Epoch uint64 `json:"epoch"`
 	// Rates is the last rate table pushed fleet-wide without error (the
 	// ladder's last-good rung).
 	Rates map[string]float64 `json:"rates,omitempty"`
-	// Tunnels is the installed reactive tunnel set, sorted by
-	// (switch, tunnel id).
-	Tunnels []TunnelInstall `json:"tunnels,omitempty"`
 	// Probs is the most recent calibrated per-fiber failure probability
 	// vector (Eqn. 1 output) the scenario set was built from.
 	Probs []float64 `json:"probs,omitempty"`
@@ -78,8 +75,6 @@ type Recovery struct {
 	RecordsReplayed, CorruptSkipped int
 	// Elapsed is the wall time of open + recover + apply.
 	Elapsed time.Duration
-	// State is the recovered state itself (nil when cold).
-	State *EpochState
 }
 
 // OpenState attaches a crash-safe state store to the controller: it locks
@@ -118,9 +113,10 @@ func (c *Controller) openState(dir string, minGen uint64) (*Recovery, error) {
 	pr := st.Recovered()
 	rec.RecordsReplayed = pr.Stats.RecordsReplayed
 	rec.CorruptSkipped = pr.Stats.CorruptSkipped
+	var state *EpochState
 	if pr.Payload != nil {
-		state, err := decodeEpochState(pr.Payload)
-		if err != nil {
+		var err error
+		if state, err = decodeEpochState(pr.Payload); err != nil {
 			// A checksum-valid record that does not decode as controller
 			// state: treat as cold rather than wedging the restart, but
 			// count it — this is a versioning or tampering signal.
@@ -128,24 +124,18 @@ func (c *Controller) openState(dir string, minGen uint64) (*Recovery, error) {
 		} else {
 			rec.Warm = true
 			rec.Epoch = state.Epoch
-			rec.State = state
 		}
 	}
 	c.mu.Lock()
 	c.store = st
 	c.gen = st.Generation()
 	if rec.Warm {
-		s := rec.State
-		c.epoch = s.Epoch
-		if s.Rates != nil {
-			c.lastRates = &rateTable{rates: copyRates(s.Rates), tag: rateTag(s.Rates)}
+		c.epoch = state.Epoch
+		if state.Rates != nil {
+			c.lastRates = &rateTable{rates: copyRates(state.Rates), tag: rateTag(state.Rates)}
 		}
-		c.lastProbs = append([]float64(nil), s.Probs...)
-		c.lastFP = scenario.Fingerprint(s.ScenarioFP)
-		c.installed = make(map[string]TunnelInstall, len(s.Tunnels))
-		for _, tn := range s.Tunnels {
-			c.installed[installKey(tn.Switch, tn.TunnelID)] = tn
-		}
+		c.lastProbs = append([]float64(nil), state.Probs...)
+		c.lastFP = scenario.Fingerprint(state.ScenarioFP)
 	}
 	c.mu.Unlock()
 	rec.Elapsed = time.Since(start)
@@ -198,31 +188,8 @@ func (c *Controller) LastScenarioFP() scenario.Fingerprint {
 	return c.lastFP
 }
 
-// InstalledTunnels returns the tracked installed tunnel set, sorted by
-// (switch, tunnel id).
-func (c *Controller) InstalledTunnels() []TunnelInstall {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.installedLocked()
-}
-
-func (c *Controller) installedLocked() []TunnelInstall {
-	out := make([]TunnelInstall, 0, len(c.installed))
-	for _, tn := range c.installed {
-		out = append(out, tn)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Switch != out[j].Switch {
-			return out[i].Switch < out[j].Switch
-		}
-		return out[i].TunnelID < out[j].TunnelID
-	})
-	return out
-}
-
 // JournalEpoch records the completion of one successful TE epoch: the
-// last-good rates, the installed tunnel set, the calibrated probability
-// vector, and the fingerprint of the scenario set solved (0 when the caller
+// last-good rates, the calibrated probability vector, and the fingerprint of the scenario set solved (0 when the caller
 // has none), fsynced into the journal before the call returns, compacting
 // into a snapshot on the store's cadence. A nil store makes it a no-op —
 // journaling is a write-only side channel, and with StateDir unset the
@@ -240,7 +207,6 @@ func (c *Controller) JournalEpoch(probs []float64, fp scenario.Fingerprint) erro
 	state := &EpochState{
 		Epoch:      c.epoch,
 		Rates:      c.lastRates.entries(), // immutable: encoded below without a copy
-		Tunnels:    c.installedLocked(),
 		Probs:      append([]float64(nil), probs...),
 		ScenarioFP: uint64(fp),
 	}
@@ -273,5 +239,3 @@ func copyRates(rates map[string]float64) map[string]float64 {
 	}
 	return out
 }
-
-func installKey(sw string, id int) string { return fmt.Sprintf("%s/%d", sw, id) }

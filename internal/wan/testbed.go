@@ -140,9 +140,9 @@ func NewTestbed(cfg SwitchConfig, predict Predictor) (*Testbed, error) {
 func NewTestbedTransport(cfg SwitchConfig, predict Predictor, tr Transport) (*Testbed, error) {
 	nodes := []topology.Node{{ID: 0, Name: "s1"}, {ID: 1, Name: "s2"}, {ID: 2, Name: "s3"}}
 	fibers := []topology.Fiber{
-		{ID: 0, A: 0, B: 1, LengthKm: 100},
-		{ID: 1, A: 0, B: 2, LengthKm: 100},
-		{ID: 2, A: 1, B: 2, LengthKm: 100},
+		{ID: 0, A: 0, B: 1, LengthKm: 100, Region: "testbed", Vendor: "voa"},
+		{ID: 1, A: 0, B: 2, LengthKm: 100, Region: "testbed", Vendor: "voa"},
+		{ID: 2, A: 1, B: 2, LengthKm: 100, Region: "testbed", Vendor: "voa"},
 	}
 	var links []topology.Link
 	add := func(src, dst topology.NodeID, f topology.FiberID) {
@@ -227,8 +227,11 @@ func (tb *Testbed) RunScenario(seed uint64) (*PipelineTiming, error) {
 				if fe.Type != telemetry.DegradationStart {
 					continue
 				}
+				if !fe.HasFeatures {
+					return nil, fmt.Errorf("wan: degradation on fiber %d has an empty window", b.Fiber)
+				}
 				detection := time.Since(detectStart)
-				t, err := tb.react(topology.FiberID(b.Fiber), fe.Event)
+				t, err := tb.react(topology.FiberID(b.Fiber), fe.Features)
 				if err != nil {
 					return nil, err
 				}
@@ -260,23 +263,19 @@ func (tb *Testbed) RunScenario(seed uint64) (*PipelineTiming, error) {
 }
 
 // react runs one reaction round of the loop for a degradation confirmed on
-// fiber: inference -> tunnel update -> scenario regeneration -> TE
+// fiber, whose §3.2 features ingest extracted: inference -> tunnel update -> scenario regeneration -> TE
 // computation -> rate installation, timing each stage, then admission and
 // the journal. Control-plane failures that survive the controller's retry
 // loop do not abort the round: the degradation ladder plans on the base
 // tunnel set when the episode's tunnels cannot be programmed, and keeps
 // the last good rates when the adaptation push fails (agents are never left
 // rate-less).
-func (tb *Testbed) react(fiber topology.FiberID, ev telemetry.Event) (*PipelineTiming, error) {
+func (tb *Testbed) react(fiber topology.FiberID, feats optical.Features) (*PipelineTiming, error) {
 	var timing PipelineTiming
 	tb.tune()
 	// Model inference ("only takes several milliseconds", §5).
 	t0 := time.Now()
 	tb.Ctl.Log.Addf("stage inference")
-	feats, err := optical.ExtractFeatures(ev.Window, int(fiber), "testbed", "voa", tb.Net.Fiber(fiber).LengthKm)
-	if err != nil {
-		return nil, err
-	}
 	tb.loop.Signal(fiber, tb.Predict(feats))
 	timing.Inference = time.Since(t0)
 

@@ -75,9 +75,6 @@ func TestJournalFingerprintRoundtrip(t *testing.T) {
 	if !rec.Warm {
 		t.Fatalf("restart did not recover warm: %+v", rec)
 	}
-	if rec.State.ScenarioFP != uint64(want) {
-		t.Errorf("recovered EpochState.ScenarioFP = %#x, want %s", rec.State.ScenarioFP, want)
-	}
 	if got := tb.Ctl.LastScenarioFP(); got != want {
 		t.Errorf("LastScenarioFP after recovery = %s, want %s", got, want)
 	}
