@@ -131,7 +131,7 @@ func TestAnytimeExhaustedBudgetB4(t *testing.T) {
 func TestHeuristicPlanFeasible(t *testing.T) {
 	for _, topo := range []string{"B4", "IBM"} {
 		in := realInput(t, topo, 3)
-		sm, err := newSolveModel(in, 1)
+		sm, err := newSolveModel(in, lazyClasses(in, 1))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"testing"
 
+	"prete/internal/routing"
+	"prete/internal/stats"
 	"prete/internal/te"
 	"prete/internal/topology"
 )
@@ -207,6 +209,77 @@ func TestPlanEpochClassed(t *testing.T) {
 	for f, d := range lc.Demands {
 		if !te.Satisfied(lcPlan, ts.Flows[f].ID, d, cut) {
 			t.Errorf("protected tier flow %d unsatisfied under predicted cut (demand %v)", f, d)
+		}
+	}
+}
+
+// scenarioLoss is the definition expectedLoss must reproduce bit for bit:
+// te.DeliveredUnder for every (scenario, flow) pair, summed in
+// scenario-then-flow order.
+func scenarioLoss(in *te.Input, alloc te.Allocation, demands te.Demands, offered float64) float64 {
+	if offered <= 0 || in.Scenarios == nil {
+		return 0
+	}
+	plan := &te.Plan{Alloc: alloc, Tunnels: in.Tunnels}
+	var carried float64
+	for _, q := range in.Scenarios.Scenarios {
+		cut := topology.FiberSetOf(q.Cut...)
+		var del float64
+		for f, d := range demands {
+			if d > 0 {
+				del += te.DeliveredUnder(plan, routing.FlowID(f), d, cut)
+			}
+		}
+		carried += q.Prob * del
+	}
+	return min(1, max(0, 1-carried/offered))
+}
+
+// TestExpectedLossMatchesScenarioLoop checks the per-class expected loss
+// against scenarioLoss bit for bit on B4, IBM and B4 after three
+// UpdateTunnels: every tier of a classed solve, and random allocations
+// that overfill some flows (so the demand cap is read) and leave others
+// empty. The 80 drift epochs are checked in TestSolveClassedDriftPinned.
+func TestExpectedLossMatchesScenarioLoop(t *testing.T) {
+	b4, ibm := realInput(t, "B4", 11), realInput(t, "IBM", 11)
+	updated := *b4
+	for _, fiber := range []topology.FiberID{3, 7, 12} {
+		res, err := UpdateTunnels(updated.Tunnels, fiber, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		updated.Tunnels = res.Tunnels
+	}
+	rng := stats.NewRNG(41)
+	for _, tc := range []struct {
+		name string
+		in   *te.Input
+	}{{"B4", b4}, {"IBM", ibm}, {"B4 after three UpdateTunnels", &updated}} {
+		cr, err := DefaultOptimizer().SolveClassedCached(tc.in, te.DefaultClassSpec(), nil)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for _, tier := range cr.Tiers {
+			if want := scenarioLoss(tc.in, tier.Res.Alloc, tier.Demands, tier.Offered); tier.ExpectedLoss != want {
+				t.Errorf("%s tier %s: expected loss %v, scenario loop %v", tc.name, tier.Name, tier.ExpectedLoss, want)
+			}
+		}
+		classes := lazyClasses(tc.in, 1)
+		var offered float64
+		for _, d := range tc.in.Demands {
+			offered += d
+		}
+		for trial := 0; trial < 20; trial++ {
+			alloc := make(te.Allocation)
+			for _, tun := range tc.in.Tunnels.Tunnels {
+				if rng.Float64() < 0.7 {
+					alloc[tun.ID] = rng.Float64() * tc.in.Demands[tun.Flow] / 2
+				}
+			}
+			got := expectedLoss(tc.in.Scenarios, classes, alloc, tc.in.Demands, offered)
+			if want := scenarioLoss(tc.in, alloc, tc.in.Demands, offered); got != want {
+				t.Errorf("%s trial %d: expected loss %v, scenario loop %v", tc.name, trial, got, want)
+			}
 		}
 	}
 }

@@ -92,7 +92,9 @@ func naiveClasses(ts *routing.TunnelSet, set *scenario.Set) []Class {
 // TestBuildClassesMatchesOracle compares BuildClassesP with naiveClasses —
 // Flow, Avail, Prob bit for bit, and order — at every parallelism level. The
 // third tunnel set has been through three degradations, so some flows carry
-// more than four tunnels, reactive ones among them.
+// more than four tunnels, reactive ones among them. In the fourth, two flows
+// carry 74 and 134 tunnels, so their surviving-set masks span several
+// words and end mid-byte.
 func TestBuildClassesMatchesOracle(t *testing.T) {
 	b4, ibm := realInput(t, "B4", 11), realInput(t, "IBM", 11)
 	updated := b4.Tunnels
@@ -106,6 +108,16 @@ func TestBuildClassesMatchesOracle(t *testing.T) {
 	if updated.NumTunnels() == b4.Tunnels.NumTunnels() {
 		t.Fatal("three degradations established no reactive tunnel")
 	}
+	wide := b4.Tunnels.Clone()
+	for i, extra := range []int{70, 130} {
+		fl := wide.Flows[i]
+		for _, p := range routing.KShortest(wide.Net, fl.Src, fl.Dst, extra, nil) {
+			wide.AddTunnel(fl.ID, p)
+		}
+		if n := len(wide.TunnelsOf(fl.ID)); n != 4+extra {
+			t.Fatalf("flow %d has %d tunnels, want %d", fl.ID, n, 4+extra)
+		}
+	}
 	for _, tc := range []struct {
 		name string
 		ts   *routing.TunnelSet
@@ -114,6 +126,7 @@ func TestBuildClassesMatchesOracle(t *testing.T) {
 		{"B4", b4.Tunnels, b4.Scenarios},
 		{"IBM", ibm.Tunnels, ibm.Scenarios},
 		{"B4 after three UpdateTunnels", updated, b4.Scenarios},
+		{"B4 with two flows wider than 64 tunnels", wide, b4.Scenarios},
 	} {
 		want := naiveClasses(tc.ts, tc.set)
 		for _, p := range []int{1, 2, 8} {

@@ -47,16 +47,14 @@ func UpdateTunnels(ts *routing.TunnelSet, degraded topology.FiberID, ratio float
 	for _, lid := range net.LinksOnFiber(degraded) {
 		banned[lid] = true
 	}
+	weight := prunedWeight(net, banned)
 	for _, fl := range res.Tunnels.Flows {
 		// Step 2: Lambda = number of f's tunnels traversing e.
 		lambda := 0
-		existing := make(map[string]bool)
 		for _, tid := range res.Tunnels.TunnelsOf(fl.ID) {
-			t := res.Tunnels.Tunnel(tid)
-			if t.UsesFiber(degraded) {
+			if res.Tunnels.Tunnel(tid).UsesFiber(degraded) {
 				lambda++
 			}
-			existing[routing.PathKey(t.Links)] = true
 		}
 		if lambda == 0 {
 			continue
@@ -66,10 +64,14 @@ func UpdateTunnels(ts *routing.TunnelSet, degraded topology.FiberID, ratio float
 			continue // PreTE-naive (§6.4): recalibrate probabilities only
 		}
 		want := int(math.Ceil(ratio * float64(lambda)))
+		existing := make(map[string]bool)
+		for _, tid := range res.Tunnels.TunnelsOf(fl.ID) {
+			existing[routing.PathKey(res.Tunnels.Tunnel(tid).Links)] = true
+		}
 		// Establish up to `want` new tunnels from G'. Banned links carry a
 		// prohibitive weight so Yen avoids them whenever an alternative
 		// exists; any path still touching them is filtered.
-		paths := routing.KShortest(net, fl.Src, fl.Dst, want+len(existing), prunedWeight(net, banned))
+		paths := routing.KShortest(net, fl.Src, fl.Dst, want+len(existing), weight)
 		added := 0
 		for _, p := range paths {
 			if added >= want {
@@ -88,11 +90,14 @@ func UpdateTunnels(ts *routing.TunnelSet, degraded topology.FiberID, ratio float
 }
 
 // prunedWeight prices links riding the degraded fiber prohibitively so the
-// path search treats them as absent.
+// path search treats them as absent, and every other link by its fiber
+// length.
 func prunedWeight(net *topology.Network, banned map[topology.LinkID]bool) routing.Weight {
-	return func(l topology.Link) float64 {
+	w := make(routing.Weight, len(net.Links))
+	for i, l := range net.Links {
 		if banned[l.ID] {
-			return 1e12
+			w[i] = 1e12
+			continue
 		}
 		var km float64
 		for _, f := range l.Fibers {
@@ -101,8 +106,9 @@ func prunedWeight(net *topology.Network, banned map[topology.LinkID]bool) routin
 		if km <= 0 {
 			km = 1
 		}
-		return km
+		w[i] = km
 	}
+	return w
 }
 
 func touchesBanned(p routing.Path, banned map[topology.LinkID]bool) bool {

@@ -258,24 +258,6 @@ func TestWarmCacheNilCache(t *testing.T) {
 	}
 }
 
-// TestWarmCacheReset: Reset forces the next call cold.
-func TestWarmCacheReset(t *testing.T) {
-	in := cacheInput(t, []float64{0.005, 0.009, 0.001})
-	o := DefaultOptimizer()
-	cache := &SolveCache{}
-	if _, err := o.SolveCached(in, cache); err != nil {
-		t.Fatal(err)
-	}
-	cache.Reset()
-	if _, err := o.SolveCached(in, cache); err != nil {
-		t.Fatal(err)
-	}
-	st := cache.Stats()
-	if st.Hits != 0 || st.Misses != 1 {
-		t.Fatalf("post-Reset stats = %+v, want a single cold miss", st)
-	}
-}
-
 // TestWarmCacheMetrics: the core.warmcache.* series mirror the cache's own
 // counters, and enabling metrics does not perturb results.
 func TestWarmCacheMetrics(t *testing.T) {

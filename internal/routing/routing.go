@@ -19,12 +19,15 @@ import (
 // destination.
 type Path []topology.LinkID
 
-// Weight is a link cost function; nil means the fiber-length metric.
-type Weight func(topology.Link) float64
+// Weight is a link cost table indexed by LinkID; nil means the
+// fiber-length metric.
+type Weight []float64
 
-// lengthWeight costs a link by the total fiber distance its lightpath spans.
+// lengthWeight costs every link by the total fiber distance its lightpath
+// spans.
 func lengthWeight(n *topology.Network) Weight {
-	return func(l topology.Link) float64 {
+	w := make(Weight, len(n.Links))
+	for i, l := range n.Links {
 		var km float64
 		for _, f := range l.Fibers {
 			km += n.Fiber(f).LengthKm
@@ -32,8 +35,9 @@ func lengthWeight(n *topology.Network) Weight {
 		if km <= 0 {
 			km = 1
 		}
-		return km
+		w[i] = km
 	}
+	return w
 }
 
 // pqItem is a priority-queue entry for Dijkstra.
@@ -64,17 +68,21 @@ func ShortestPath(n *topology.Network, src, dst topology.NodeID, w Weight,
 	if w == nil {
 		w = lengthWeight(n)
 	}
-	dist := make(map[topology.NodeID]float64)
-	prev := make(map[topology.NodeID]topology.LinkID)
-	visited := make(map[topology.NodeID]bool)
+	// Node-indexed search state; seen marks a node dist has been set for.
+	type label struct {
+		dist          float64
+		prev          topology.LinkID
+		seen, visited bool
+	}
+	at := make([]label, len(n.Nodes))
 	q := &pq{{node: src, dist: 0}}
-	dist[src] = 0
+	at[src].seen = true
 	for q.Len() > 0 {
 		it := heap.Pop(q).(pqItem)
-		if visited[it.node] {
+		if at[it.node].visited {
 			continue
 		}
-		visited[it.node] = true
+		at[it.node].visited = true
 		if it.node == dst {
 			break
 		}
@@ -85,26 +93,25 @@ func ShortestPath(n *topology.Network, src, dst topology.NodeID, w Weight,
 			if bannedLinks[lid] {
 				continue
 			}
-			link := n.Link(lid)
-			if link.Dst != dst && bannedNodes[link.Dst] {
+			to := n.Links[lid].Dst
+			if to != dst && bannedNodes[to] {
 				continue
 			}
-			nd := it.dist + w(link)
-			if cur, ok := dist[link.Dst]; !ok || nd < cur {
-				dist[link.Dst] = nd
-				prev[link.Dst] = lid
-				heap.Push(q, pqItem{node: link.Dst, dist: nd})
+			nd := it.dist + w[lid]
+			if l := &at[to]; !l.seen || nd < l.dist {
+				l.dist, l.prev, l.seen = nd, lid, true
+				heap.Push(q, pqItem{node: to, dist: nd})
 			}
 		}
 	}
-	if !visited[dst] {
+	if !at[dst].visited {
 		return nil, false
 	}
 	var rev Path
-	for at := dst; at != src; {
-		lid := prev[at]
+	for v := dst; v != src; {
+		lid := at[v].prev
 		rev = append(rev, lid)
-		at = n.Link(lid).Src
+		v = n.Links[lid].Src
 	}
 	// reverse in place
 	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
@@ -114,10 +121,10 @@ func ShortestPath(n *topology.Network, src, dst topology.NodeID, w Weight,
 }
 
 // pathCost sums the weight of a path.
-func pathCost(n *topology.Network, p Path, w Weight) float64 {
+func pathCost(p Path, w Weight) float64 {
 	var c float64
 	for _, lid := range p {
-		c += w(n.Link(lid))
+		c += w[lid]
 	}
 	return c
 }
@@ -171,7 +178,7 @@ func KShortest(n *topology.Network, src, dst topology.NodeID, k int, w Weight) [
 				continue
 			}
 			seen[key] = true
-			candidates = append(candidates, candidate{path: total, cost: pathCost(n, total, w)})
+			candidates = append(candidates, candidate{path: total, cost: pathCost(total, w)})
 		}
 		if len(candidates) == 0 {
 			break

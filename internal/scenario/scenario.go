@@ -11,10 +11,10 @@
 package scenario
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"prete/internal/topology"
 )
@@ -166,7 +166,7 @@ func Enumerate(probs []float64, opts Options) (*Set, error) {
 
 	// Descending probability, stably, so equal-probability scenarios keep
 	// the append order of the loops above.
-	sort.SliceStable(out, func(a, b int) bool { return out[a].Prob > out[b].Prob })
+	slices.SortStableFunc(out, func(a, b Scenario) int { return cmp.Compare(b.Prob, a.Prob) })
 	if len(out) > opts.MaxScenarios {
 		out = out[:opts.MaxScenarios]
 	}

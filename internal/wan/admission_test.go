@@ -18,7 +18,7 @@ func fakeClassed(spec *te.ClassSpec, offered, phis []float64) *core.ClassedResul
 	cr := &core.ClassedResult{Alloc: make(te.Allocation)}
 	for k, tier := range spec.Tiers {
 		cr.Tiers = append(cr.Tiers, core.TierResult{
-			Name: tier.Name, Policy: tier.Policy, Weight: tier.Weight,
+			Name: tier.Name, Policy: tier.Policy,
 			Offered: offered[k], Res: &core.Result{Phi: phis[k]}, ExpectedLoss: phis[k],
 		})
 	}

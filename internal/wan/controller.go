@@ -1,6 +1,7 @@
 package wan
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -316,6 +317,18 @@ func (c *Controller) InstallTunnels(installs []TunnelInstall) (time.Duration, er
 type rateTable struct {
 	rates map[string]float64
 	tag   uint64
+
+	// The rates' JSON encoding, marshaled on the first journal record that
+	// carries the table and spliced into every later one.
+	jsonOnce sync.Once
+	json     []byte
+	jsonErr  error
+}
+
+// encoded returns json.Marshal(t.rates), computed once per table.
+func (t *rateTable) encoded() ([]byte, error) {
+	t.jsonOnce.Do(func() { t.json, t.jsonErr = json.Marshal(t.rates) })
+	return t.json, t.jsonErr
 }
 
 // entries returns the table's map (nil for no table); callers must not

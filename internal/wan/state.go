@@ -3,6 +3,7 @@ package wan
 import (
 	"encoding/json"
 	"fmt"
+	"strconv"
 	"time"
 
 	"prete/internal/persist"
@@ -36,8 +37,27 @@ type EpochState struct {
 	ScenarioFP uint64 `json:"scenario_fp,omitempty"`
 }
 
-// encode marshals the state deterministically.
-func (s *EpochState) encode() ([]byte, error) { return json.Marshal(s) }
+// encodeEpochState returns json.Marshal(&EpochState{epoch, rates.entries(),
+// probs, fp}) byte for byte, with the rate table's encoding taken from the
+// table (marshaled once per table) instead of re-sorted every epoch. "rates"
+// is the field after "epoch", so its key and value go right after the
+// epoch's digits; a nil or empty table is omitted, as omitempty omits it.
+func encodeEpochState(epoch uint64, rates *rateTable, probs []float64, fp uint64) ([]byte, error) {
+	b, err := json.Marshal(&EpochState{Epoch: epoch, Probs: probs, ScenarioFP: fp})
+	if err != nil || len(rates.entries()) == 0 {
+		return b, err
+	}
+	rj, err := rates.encoded()
+	if err != nil {
+		return nil, err
+	}
+	at := len(strconv.AppendUint([]byte(`{"epoch":`), epoch, 10))
+	out := make([]byte, 0, len(b)+len(`,"rates":`)+len(rj))
+	out = append(out, b[:at]...)
+	out = append(out, `,"rates":`...)
+	out = append(out, rj...)
+	return append(out, b[at:]...), nil
+}
 
 // decodeEpochState rejects records that parse but are not plausible state
 // (recovery must never resurrect garbage into the ladder).
@@ -204,17 +224,12 @@ func (c *Controller) JournalEpoch(probs []float64, fp scenario.Fingerprint) erro
 	c.epoch++
 	c.lastProbs = append([]float64(nil), probs...)
 	c.lastFP = fp
-	state := &EpochState{
-		Epoch:      c.epoch,
-		Rates:      c.lastRates.entries(), // immutable: encoded below without a copy
-		Probs:      append([]float64(nil), probs...),
-		ScenarioFP: uint64(fp),
-	}
+	rates, ps := c.lastRates, c.lastProbs // both immutable: encoded below without a copy
 	st := c.store
 	seq := c.epoch
 	c.mu.Unlock()
 
-	b, err := state.encode()
+	b, err := encodeEpochState(seq, rates, ps, uint64(fp))
 	if err != nil {
 		return fmt.Errorf("wan: journal epoch %d: %w", seq, err)
 	}

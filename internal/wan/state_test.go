@@ -1,13 +1,17 @@
 package wan
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
 	"prete/internal/obs"
 	"prete/internal/optical"
 	"prete/internal/persist"
+	"prete/internal/stats"
 )
 
 func newStateTestbed(t *testing.T) *Testbed {
@@ -287,5 +291,62 @@ func TestSecondOpenerFailsFastAtControllerLevel(t *testing.T) {
 	}
 	if rec.Generation != 2 {
 		t.Errorf("generation after release = %d, want 2", rec.Generation)
+	}
+}
+
+// TestEncodeEpochStateMatchesMarshal: a journal record spliced from a rate
+// table's cached encoding is byte-identical to json.Marshal of the whole
+// EpochState, for random states including a nil table, an empty one, nil
+// and empty probability vectors, epoch 1 and the largest epoch, and a
+// table encoded a second time from its cache.
+func TestEncodeEpochStateMatchesMarshal(t *testing.T) {
+	rng := stats.NewRNG(41)
+	for i := 0; i < 500; i++ {
+		var rates map[string]float64
+		switch i % 4 {
+		case 1:
+			rates = map[string]float64{}
+		case 2, 3:
+			rates = make(map[string]float64)
+			for n := rng.Intn(40); n >= 0; n-- {
+				rates[fmt.Sprintf("s%d/t%d<&>", rng.Intn(12), rng.Intn(300))] = rng.Float64() * 100
+			}
+		}
+		var table *rateTable
+		if rates != nil {
+			table = &rateTable{rates: rates, tag: rateTag(rates)}
+		}
+		var probs []float64
+		if i%3 == 1 {
+			probs = []float64{}
+		} else if i%3 == 2 {
+			for n := rng.Intn(30); n >= 0; n-- {
+				probs = append(probs, rng.Float64())
+			}
+		}
+		epoch := uint64(rng.Intn(1 << 20))
+		switch i % 5 {
+		case 0:
+			epoch = 1
+		case 1:
+			epoch = ^uint64(0)
+		}
+		var fp uint64
+		if i%2 == 0 {
+			fp = rng.Uint64()
+		}
+		want, err := json.Marshal(&EpochState{Epoch: epoch, Rates: rates, Probs: probs, ScenarioFP: fp})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pass := 0; pass < 2; pass++ {
+			got, err := encodeEpochState(epoch, table, probs, fp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("state %d pass %d:\n got %s\nwant %s", i, pass, got, want)
+			}
+		}
 	}
 }
