@@ -88,7 +88,7 @@ func BenchmarkSimplexTE(b *testing.B) {
 	}
 	in := &te.Input{
 		Net: net, Tunnels: ts, Demands: demands, Beta: 0.99,
-		Scenarios: &scenario.Set{Scenarios: []scenario.Scenario{{Prob: 1}}, Covered: 1},
+		Scenarios: &scenario.Set{Scenarios: []scenario.Scenario{{Prob: 1}}},
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

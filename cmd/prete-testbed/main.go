@@ -129,7 +129,6 @@ func main() {
 	}
 	// RPC counters and latency from the controller's round trips.
 	tb.Ctl.Metrics = reg
-	tb.Ctl.Log = wan.NewEventLog()
 
 	if *stateDir != "" {
 		rec, err := tb.OpenState(*stateDir)
@@ -162,7 +161,6 @@ func main() {
 		siteSet, err = wan.NewSiteSet(*stateDir, filepath.Join(*stateDir, "sites"), siteLease.Addr(), tb.AgentAddrs(), wan.SiteOptions{
 			Sites:   *sites,
 			Metrics: reg,
-			Log:     tb.Ctl.Log,
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "prete-testbed: -sites: %v\n", err)

@@ -47,7 +47,7 @@ func runChaosScenarioBudget(t *testing.T, spec Spec, workloadSeed uint64, solveU
 	t.Cleanup(tb.Close)
 	tb.SolveUnits = solveUnits
 	tb.Ctl.Metrics = reg
-	tb.Ctl.Log = wan.NewEventLog()
+	tb.Ctl.Log = new(wan.EventLog)
 	tb.Ctl.Retry = wan.RetryPolicy{MaxAttempts: 6, BaseBackoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond, Jitter: 0.5}
 	timing, err := tb.RunScenario(workloadSeed)
 	if err != nil {

@@ -40,7 +40,7 @@ func runCrashRestartScenario(t *testing.T, spec Spec, workloadSeed uint64, crash
 	}
 	t.Cleanup(tb.Close)
 	tb.Ctl.Metrics = reg
-	tb.Ctl.Log = wan.NewEventLog()
+	tb.Ctl.Log = new(wan.EventLog)
 	tb.Ctl.Retry = wan.RetryPolicy{MaxAttempts: 6, BaseBackoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond, Jitter: 0.5}
 	if stateDir != "" {
 		if _, err := tb.OpenState(stateDir); err != nil {

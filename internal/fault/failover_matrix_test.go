@@ -134,7 +134,7 @@ func agentRates(tb *wan.Testbed) []map[string]float64 {
 func runFailoverScenario(t *testing.T, fc failoverCase) failoverRun {
 	t.Helper()
 	reg := obs.NewRegistry()
-	log := wan.NewEventLog()
+	log := new(wan.EventLog)
 	dir := t.TempDir()
 	sitesRoot := t.TempDir()
 	siteDir := func(id int) string { return filepath.Join(sitesRoot, fmt.Sprintf("site-%d", id)) }

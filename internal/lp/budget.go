@@ -80,16 +80,3 @@ func (b *Budget) Spent() int64 {
 	}
 	return b.spent.Load()
 }
-
-// Remaining returns the unit allowance left, or -1 when the budget has no
-// unit limit.
-func (b *Budget) Remaining() int64 {
-	if b == nil || !b.limited {
-		return -1
-	}
-	r := b.remaining.Load()
-	if r < 0 {
-		r = 0
-	}
-	return r
-}

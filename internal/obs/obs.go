@@ -64,9 +64,6 @@ func NewRegistry() *Registry {
 	}
 }
 
-// Enabled reports whether the registry collects metrics (false for nil).
-func (r *Registry) Enabled() bool { return r != nil }
-
 // Counter returns (creating on first use) the named counter, or nil when the
 // registry is nil.
 func (r *Registry) Counter(name string) *Counter {

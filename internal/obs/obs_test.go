@@ -147,9 +147,6 @@ func TestConcurrentIncrements(t *testing.T) {
 // (asserted via the zero time contract).
 func TestNilRegistrySafe(t *testing.T) {
 	var r *Registry
-	if r.Enabled() {
-		t.Error("nil registry reports enabled")
-	}
 	r.Counter("x").Add(5)
 	r.Counter("x").Inc()
 	r.Gauge("x").Set(1)

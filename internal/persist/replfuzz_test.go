@@ -69,7 +69,7 @@ func FuzzReplicationStream(f *testing.F) {
 			}
 			snapshot := flags&4 != 0
 
-			prev := ap.LastSeq()
+			prev := ap.Stats().LastSeq
 			ack, err := ap.Apply(frame, snapshot)
 			calls++
 			if ack < prev {
@@ -95,7 +95,7 @@ func FuzzReplicationStream(f *testing.F) {
 
 		// Recoverability: however mangled the stream was, a valid snapshot
 		// above the prefix must land.
-		final := ap.LastSeq() + 1
+		final := ap.Stats().LastSeq + 1
 		ack, err := ap.Apply(EncodeReplFrame(final, []byte(`{"epoch":1}`)), true)
 		if err != nil || ack != final {
 			t.Fatalf("final snapshot re-sync: (%d, %v), want (%d, nil)", ack, err, final)
@@ -110,7 +110,7 @@ func FuzzReplicationStream(f *testing.F) {
 			t.Fatal(err)
 		}
 		defer st2.Close()
-		if got := NewApplier(st2, ApplierOptions{}).LastSeq(); got != final {
+		if got := NewApplier(st2, ApplierOptions{}).Stats().LastSeq; got != final {
 			t.Fatalf("reopened prefix = %d, want %d", got, final)
 		}
 	})

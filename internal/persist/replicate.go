@@ -100,13 +100,6 @@ func NewApplier(st *Store, opt ApplierOptions) *Applier {
 	return a
 }
 
-// LastSeq returns the standby's contiguous applied prefix.
-func (a *Applier) LastSeq() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.stats.LastSeq
-}
-
 // Stats returns the applier's applied prefix.
 func (a *Applier) Stats() ApplierStats {
 	a.mu.Lock()

@@ -133,7 +133,7 @@ func TestApplierExactlyOnce(t *testing.T) {
 	}
 	defer st2.Close()
 	ap2 := NewApplier(st2, ApplierOptions{})
-	if got := ap2.LastSeq(); got != 9 {
+	if got := ap2.Stats().LastSeq; got != 9 {
 		t.Fatalf("reopened applier LastSeq = %d, want 9", got)
 	}
 }
@@ -176,8 +176,8 @@ func TestReplicatorShipsAndAccounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := r.Stats()
-	if ap.LastSeq() != 5 {
-		t.Fatalf("after tick: applied=%d", ap.LastSeq())
+	if ap.Stats().LastSeq != 5 {
+		t.Fatalf("after tick: applied=%d", ap.Stats().LastSeq)
 	}
 	if st.Shipped != st.Acked+st.Resent+st.Inflight || st.Inflight != 0 {
 		t.Fatalf("accounting identity violated: %+v", st)
@@ -192,15 +192,15 @@ func TestReplicatorShipsAndAccounts(t *testing.T) {
 	if err := r.Tick(); err != nil {
 		t.Fatal(err)
 	}
-	if got := ap.LastSeq(); got != 5 {
+	if got := ap.Stats().LastSeq; got != 5 {
 		t.Fatalf("applied after drop = %d, want 5", got)
 	}
 	if err := r.Tick(); err != nil {
 		t.Fatal(err)
 	}
 	st = r.Stats()
-	if ap.LastSeq() != 6 || st.Resent != 1 {
-		t.Fatalf("after retry: %+v applied=%d", st, ap.LastSeq())
+	if ap.Stats().LastSeq != 6 || st.Resent != 1 {
+		t.Fatalf("after retry: %+v applied=%d", st, ap.Stats().LastSeq)
 	}
 	if st.Shipped != st.Acked+st.Resent || st.Inflight != 0 {
 		t.Fatalf("accounting identity violated: %+v", st)
@@ -245,8 +245,8 @@ func TestReplicatorRemoveTarget(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := r.Stats()
-	if ap.LastSeq() != 2 {
-		t.Fatalf("surviving target stalled: applied=%d", ap.LastSeq())
+	if ap.Stats().LastSeq != 2 {
+		t.Fatalf("surviving target stalled: applied=%d", ap.Stats().LastSeq)
 	}
 	if gone.ships != ships {
 		t.Fatalf("removed target took %d more frames", gone.ships-ships)
@@ -284,8 +284,8 @@ func TestReplicatorCorruptFrameResyncs(t *testing.T) {
 	}
 	// The corrupted record was nacked by the site's CRC; the shipper fell
 	// back to a snapshot in the same Tick.
-	if n := reg.Counter("persist.repl.resyncs").Value(); n != 1 || ap.LastSeq() != 1 {
-		t.Fatalf("after corrupt ship: %d resyncs, applied=%d", n, ap.LastSeq())
+	if n := reg.Counter("persist.repl.resyncs").Value(); n != 1 || ap.Stats().LastSeq != 1 {
+		t.Fatalf("after corrupt ship: %d resyncs, applied=%d", n, ap.Stats().LastSeq)
 	}
 	if b, sn := reg.Counter("persist.repl.bad_frames").Value(), reg.Counter("persist.repl.snapshot_applies").Value(); b != 1 || sn != 1 {
 		t.Fatalf("applier counts: bad_frames=%d snapshot_applies=%d, want 1 and 1", b, sn)
@@ -323,7 +323,7 @@ func TestReplicatorBehindBufferResyncs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := ap.LastSeq(); got != 3 {
+	if got := ap.Stats().LastSeq; got != 3 {
 		t.Fatalf("applied = %d, want 3 (snapshot catch-up)", got)
 	}
 	if n := reg.Counter("persist.repl.resyncs").Value(); n < 1 {

@@ -166,3 +166,12 @@ func TestFingerprintNilSet(t *testing.T) {
 		t.Fatalf("nil set fingerprints should be zero")
 	}
 }
+
+// covered returns the probability mass set enumerates.
+func covered(set *Set) float64 {
+	sum := 0.0
+	for _, s := range set.Scenarios {
+		sum += s.Prob
+	}
+	return sum
+}

@@ -161,8 +161,8 @@ func TestEnumerateProbabilitiesConsistent(t *testing.T) {
 		if len(set.Scenarios[0].Cut) != 0 {
 			t.Fatalf("trial %d: first scenario is not the empty scenario", trial)
 		}
-		if set.Covered > 1+1e-9 {
-			t.Fatalf("trial %d: covered mass %v > 1", trial, set.Covered)
+		if covered(set) > 1+1e-9 {
+			t.Fatalf("trial %d: covered mass %v > 1", trial, covered(set))
 		}
 		for si, s := range set.Scenarios {
 			want := 1.0

@@ -51,9 +51,6 @@ func (s Scenario) CutSet() map[topology.FiberID]bool {
 // Set is an enumerated scenario collection.
 type Set struct {
 	Scenarios []Scenario
-	// Covered is the total enumerated probability mass; 1 - Covered is the
-	// unplanned tail that availability accounting charges as loss.
-	Covered float64
 }
 
 // Options bounds enumeration.
@@ -179,11 +176,7 @@ func Enumerate(probs []float64, opts Options) (*Set, error) {
 			}
 		}
 	}
-	set := &Set{Scenarios: out}
-	for _, s := range out {
-		set.Covered += s.Prob
-	}
-	return set, nil
+	return &Set{Scenarios: out}, nil
 }
 
 // Calibrated computes Eqn. 1's per-fiber failure probabilities for a

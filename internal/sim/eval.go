@@ -478,7 +478,7 @@ func (k *credit) cutPlan(q scenario.Scenario, cut topology.FiberSet) (*te.Plan, 
 	return ev.cached(planKey{k.react, cutKey(q.Cut), k.dk}, func() (*te.Plan, error) {
 		in := &te.Input{
 			Net: ev.Env.Net, Tunnels: ev.Env.Tunnels, Demands: k.planned,
-			Scenarios: &scenario.Set{Scenarios: []scenario.Scenario{{Prob: 1}}, Covered: 1},
+			Scenarios: &scenario.Set{Scenarios: []scenario.Scenario{{Prob: 1}}},
 			Beta:      Beta,
 		}
 		switch k.react {

@@ -124,9 +124,6 @@ func (e *ECDF) Quantile(p float64) float64 {
 	return e.sorted[i]
 }
 
-// Len returns the sample size.
-func (e *ECDF) Len() int { return len(e.sorted) }
-
 // Mean returns the arithmetic mean of xs (0 for empty input).
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {

@@ -128,8 +128,8 @@ func TestECDF(t *testing.T) {
 	if got := e.Quantile(0.5); got != 2 {
 		t.Errorf("median = %v", got)
 	}
-	if e.Len() != 5 {
-		t.Errorf("Len = %d", e.Len())
+	if len(e.sorted) != 5 {
+		t.Errorf("len = %d", len(e.sorted))
 	}
 }
 
@@ -185,8 +185,8 @@ func TestConfusionMetrics(t *testing.T) {
 	if got := c.Accuracy(); math.Abs(got-0.93) > 1e-12 {
 		t.Errorf("accuracy = %v", got)
 	}
-	if c.Total() != 100 {
-		t.Errorf("total = %d", c.Total())
+	if total := c.TP + c.FP + c.TN + c.FN; total != 100 {
+		t.Errorf("total = %d", total)
 	}
 	var empty Confusion
 	if empty.Precision() != 0 || empty.Recall() != 0 || empty.F1() != 0 || empty.Accuracy() != 0 {

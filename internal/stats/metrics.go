@@ -56,9 +56,6 @@ func (c Confusion) Accuracy() float64 {
 	return float64(c.TP+c.TN) / float64(total)
 }
 
-// Total returns the number of observed pairs.
-func (c Confusion) Total() int { return c.TP + c.FP + c.TN + c.FN }
-
 // String renders the matrix compactly for experiment output.
 func (c Confusion) String() string {
 	return fmt.Sprintf("P=%.2f R=%.2f F1=%.2f Acc=%.2f (TP=%d FP=%d TN=%d FN=%d)",

@@ -37,9 +37,6 @@ func (r *RNG) next() uint64 {
 	return z ^ (z >> 31)
 }
 
-// Uint64 returns a uniformly distributed 64-bit value.
-func (r *RNG) Uint64() uint64 { return r.next() }
-
 // Split derives a new, decorrelated generator from r. The child stream is a
 // deterministic function of r's current state, so call order matters (and is
 // part of an experiment's reproducible identity).
@@ -96,16 +93,6 @@ func (r *RNG) NormFloat64() float64 {
 		s := u*u + v*v
 		if s > 0 && s < 1 {
 			return u * math.Sqrt(-2*math.Log(s)/s)
-		}
-	}
-}
-
-// ExpFloat64 returns an exponential variate with rate 1.
-func (r *RNG) ExpFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u)
 		}
 	}
 }

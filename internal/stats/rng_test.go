@@ -9,7 +9,7 @@ import (
 func TestRNGDeterminism(t *testing.T) {
 	a, b := NewRNG(42), NewRNG(42)
 	for i := 0; i < 1000; i++ {
-		if a.Uint64() != b.Uint64() {
+		if a.next() != b.next() {
 			t.Fatalf("same-seed RNGs diverged at step %d", i)
 		}
 	}
@@ -19,7 +19,7 @@ func TestRNGSeedSensitivity(t *testing.T) {
 	a, b := NewRNG(1), NewRNG(2)
 	same := 0
 	for i := 0; i < 100; i++ {
-		if a.Uint64() == b.Uint64() {
+		if a.next() == b.next() {
 			same++
 		}
 	}
@@ -95,7 +95,7 @@ func TestSplitDecorrelates(t *testing.T) {
 	// Parent and child should not emit the same stream.
 	same := 0
 	for i := 0; i < 100; i++ {
-		if r.Uint64() == child.Uint64() {
+		if r.next() == child.next() {
 			same++
 		}
 	}

@@ -39,8 +39,7 @@ func (e EventType) String() string {
 
 // Event is one detected fiber-state transition.
 type Event struct {
-	Type  EventType
-	UnixS int64
+	Type EventType
 	// Window holds the degraded samples observed so far (for
 	// DegradationStart/End and CutDetected events); feature extraction
 	// consumes it.
@@ -95,9 +94,6 @@ func (d *Detector) SetMetrics(r *obs.Registry) {
 	d.cutsC = r.Counter("telemetry.cuts.detected")
 }
 
-// State returns the detector's current confirmed state.
-func (d *Detector) State() optical.State { return d.state }
-
 // Observe feeds one sample and returns any events it triggers. A direct
 // healthy->cut observation (an abrupt cut, the unpredictable 75% in Fig 5b)
 // yields a CutDetected with an empty window.
@@ -134,22 +130,22 @@ func (d *Detector) Observe(s optical.Sample) []Event {
 	switch {
 	case prev == optical.Healthy && d.state == optical.Degraded:
 		d.window = append(d.window[:0], s)
-		events = append(events, Event{Type: DegradationStart, UnixS: s.UnixS, Window: snapshot(d.window)})
+		events = append(events, Event{Type: DegradationStart, Window: snapshot(d.window)})
 	case prev == optical.Degraded && d.state == optical.Healthy:
-		events = append(events, Event{Type: DegradationEnd, UnixS: s.UnixS, Window: snapshot(d.window)})
+		events = append(events, Event{Type: DegradationEnd, Window: snapshot(d.window)})
 		d.window = nil
 	case prev == optical.Degraded && d.state == optical.Cut:
-		events = append(events, Event{Type: CutDetected, UnixS: s.UnixS, Window: snapshot(d.window)})
+		events = append(events, Event{Type: CutDetected, Window: snapshot(d.window)})
 		d.window = nil
 	case prev == optical.Healthy && d.state == optical.Cut:
-		events = append(events, Event{Type: CutDetected, UnixS: s.UnixS})
+		events = append(events, Event{Type: CutDetected})
 	case prev == optical.Cut && d.state == optical.Healthy:
-		events = append(events, Event{Type: Repaired, UnixS: s.UnixS})
+		events = append(events, Event{Type: Repaired})
 	case prev == optical.Cut && d.state == optical.Degraded:
 		// Partial repair: treat as a fresh degradation episode.
 		d.window = append(d.window[:0], s)
-		events = append(events, Event{Type: Repaired, UnixS: s.UnixS},
-			Event{Type: DegradationStart, UnixS: s.UnixS, Window: snapshot(d.window)})
+		events = append(events, Event{Type: Repaired},
+			Event{Type: DegradationStart, Window: snapshot(d.window)})
 	}
 	d.eventsC.Add(int64(len(events)))
 	for _, e := range events {

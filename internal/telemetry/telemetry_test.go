@@ -62,8 +62,8 @@ func TestDetectorDegradationRecovers(t *testing.T) {
 	if len(events[1].Window) < 3 {
 		t.Fatalf("end window = %d samples", len(events[1].Window))
 	}
-	if d.State() != optical.Healthy {
-		t.Fatalf("state = %v", d.State())
+	if d.state != optical.Healthy {
+		t.Fatalf("state = %v", d.state)
 	}
 }
 

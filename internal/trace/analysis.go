@@ -124,14 +124,13 @@ func (t *Trace) ContingencyTable15Min() *stats.ContingencyTable {
 type LabeledExample struct {
 	Features optical.Features
 	Failed   bool
-	TrueP    float64
 }
 
 // Dataset returns all labeled degradation episodes.
 func (t *Trace) Dataset() []LabeledExample {
 	out := make([]LabeledExample, len(t.Episodes))
 	for i, e := range t.Episodes {
-		out[i] = LabeledExample{Features: e.Features, Failed: e.LedToCut, TrueP: e.TrueP}
+		out[i] = LabeledExample{Features: e.Features, Failed: e.LedToCut}
 	}
 	return out
 }
@@ -145,7 +144,7 @@ func (t *Trace) Split(trainFrac float64) (train, test []LabeledExample, err erro
 	}
 	perFiber := make(map[int][]LabeledExample)
 	for _, e := range t.Episodes {
-		perFiber[e.Fiber] = append(perFiber[e.Fiber], LabeledExample{Features: e.Features, Failed: e.LedToCut, TrueP: e.TrueP})
+		perFiber[e.Fiber] = append(perFiber[e.Fiber], LabeledExample{Features: e.Features, Failed: e.LedToCut})
 	}
 	fibers := make([]int, 0, len(perFiber))
 	for f := range perFiber {

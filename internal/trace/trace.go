@@ -69,10 +69,6 @@ type Episode struct {
 	Features   optical.Features
 	Profile    optical.DegradationProfile
 	LedToCut   bool
-	CutDelayS  int // onset -> cut, only when LedToCut
-	// TrueP is the generative failure probability; the oracle knows it,
-	// models must estimate it.
-	TrueP float64
 }
 
 // Cut is one fiber-cut event.
@@ -242,7 +238,6 @@ func sampleEpisode(cfg Config, rng *stats.RNG, net *topology.Network, fi int,
 		DurationS:  duration,
 		Features:   feats,
 		LedToCut:   led,
-		TrueP:      p,
 	}
 	ep.Profile = optical.DegradationProfile{
 		DegreeDB:     degree,
@@ -260,7 +255,6 @@ func sampleEpisode(cfg Config, rng *stats.RNG, net *topology.Network, fi int,
 		if delay > maxCutDelay {
 			delay = maxCutDelay
 		}
-		ep.CutDelayS = delay
 		ep.Profile.LeadsToCut = true
 		ep.Profile.CutDelayS = delay
 		ep.Profile.RepairS = int(repairDist.Sample(rng))

@@ -83,8 +83,8 @@ func TestPredictableCutsHaveBoundedDelay(t *testing.T) {
 		if !e.LedToCut {
 			continue
 		}
-		if e.CutDelayS <= 0 || e.CutDelayS > 300 {
-			t.Fatalf("predictable cut delay %d outside the 5-minute TE period", e.CutDelayS)
+		if d := e.Profile.CutDelayS; d <= 0 || d > 300 {
+			t.Fatalf("predictable cut delay %d outside the 5-minute TE period", d)
 		}
 	}
 }

@@ -14,9 +14,8 @@ import (
 // Offered - Admitted (never re-derived), so
 // Offered - Admitted - Shed - Deferred is exactly zero in floating point.
 type TierDecision struct {
-	// Tier and Policy echo the spec entry the decision applied.
-	Tier   string
-	Policy te.TierPolicy
+	// Tier echoes the name of the spec entry the decision applied.
+	Tier string
 	// Rung is the ladder rung taken: "clean" (no uncarriable residual),
 	// "protect" / "defer" / "shed" (the tier's policy applied to its
 	// residual), or "last-good" (solver unusable; previous decision
@@ -115,7 +114,7 @@ func (a *Admission) Decide(cr *core.ClassedResult, degraded bool) *AdmissionDeci
 		} else if phi > 1 {
 			phi = 1
 		}
-		td := TierDecision{Tier: tier.Name, Policy: tier.Policy, Offered: offered, Phi: phi}
+		td := TierDecision{Tier: tier.Name, Offered: offered, Phi: phi}
 		switch {
 		case !degraded || phi == 0:
 			// No provable residual: admit everything, drain the backlog.

@@ -45,7 +45,7 @@ func TestAdmissionCleanEpoch(t *testing.T) {
 
 func TestAdmissionLadderRungs(t *testing.T) {
 	spec := te.DefaultClassSpec() // lc:protect, std:defer, bulk:shed
-	a := NewAdmission(spec, obs.NewRegistry(), NewEventLog())
+	a := NewAdmission(spec, obs.NewRegistry(), new(EventLog))
 	cr := fakeClassed(spec, []float64{20, 50, 30}, []float64{0.5, 0.2, 0.4})
 	dec := a.Decide(cr, true)
 	if err := dec.Check(); err != nil {

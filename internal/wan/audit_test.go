@@ -42,7 +42,7 @@ func (tp *tapTransport) Dial(name, addr string) (wan.Conn, error) {
 // after the audit, so each outcome is read from the promotion event line.
 func TestPromotionAuditsAppliedPrefix(t *testing.T) {
 	reg := obs.NewRegistry()
-	log := wan.NewEventLog()
+	log := new(wan.EventLog)
 	dir, sitesRoot := t.TempDir(), t.TempDir()
 	tb, err := wan.NewTestbed(wan.SwitchConfig{
 		InstallLatency: 2 * time.Millisecond,

@@ -10,14 +10,12 @@ import (
 // Durations and other wall-clock values are deliberately excluded, so two
 // runs with the same workload and the same injected-fault seed produce
 // byte-identical logs — the chaos determinism tests diff them directly.
-// All methods are nil-safe; a nil log records nothing.
+// The zero value is an empty log. All methods are nil-safe; a nil log
+// records nothing.
 type EventLog struct {
 	mu     sync.Mutex
 	events []string
 }
-
-// NewEventLog returns an empty log.
-func NewEventLog() *EventLog { return &EventLog{} }
 
 // Addf appends one formatted event.
 func (l *EventLog) Addf(format string, args ...any) {
@@ -37,14 +35,4 @@ func (l *EventLog) Events() []string {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return append([]string(nil), l.events...)
-}
-
-// Len returns the number of recorded events.
-func (l *EventLog) Len() int {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.events)
 }

@@ -34,7 +34,7 @@ func newSiteHarness(t *testing.T, n int) (tb *Testbed, lease *LeaseServer, ss *S
 		LeaseTicks:       3,
 		HeartbeatTimeout: 100 * time.Millisecond,
 		Metrics:          obs.NewRegistry(),
-		Log:              NewEventLog(),
+		Log:              new(EventLog),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +122,7 @@ func TestSiteSetDeadFileAlarm(t *testing.T) {
 	ss, err := NewSiteSet(dir, t.TempDir(), lease.Addr(), tb.AgentAddrs(), SiteOptions{
 		Sites:   1,
 		Metrics: obs.NewRegistry(),
-		Log:     NewEventLog(),
+		Log:     new(EventLog),
 	})
 	if err != nil {
 		t.Fatal(err)

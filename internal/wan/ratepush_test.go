@@ -114,7 +114,7 @@ func newTapFleet(t *testing.T, n int) ([]*SwitchAgent, *Controller, *tapTranspor
 	}
 	t.Cleanup(func() { ctl.Close() })
 	ctl.Metrics = obs.NewRegistry()
-	ctl.Log = NewEventLog()
+	ctl.Log = new(EventLog)
 	return agents, ctl, tr
 }
 
@@ -196,7 +196,7 @@ func TestRatePushResyncsFreshAgent(t *testing.T) {
 	fresh := newTestAgent(t, "s2", agents[1].cfg)
 	tr.redirect(t, "s2", fresh.Addr())
 	tr.take()
-	before := ctl.Log.Len()
+	before := len(ctl.Log.Events())
 
 	next := map[string]float64{"t0": 1, "t1": 5, "t2": 3}
 	if _, err := ctl.UpdateRates(next); err != nil {

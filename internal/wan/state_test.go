@@ -22,7 +22,7 @@ func newStateTestbed(t *testing.T) *Testbed {
 	}
 	t.Cleanup(tb.Close)
 	tb.Ctl.Metrics = obs.NewRegistry()
-	tb.Ctl.Log = NewEventLog()
+	tb.Ctl.Log = new(EventLog)
 	tb.SolveUnits = 200000
 	return tb
 }
@@ -172,7 +172,7 @@ func TestFenceRejectsStaleGeneration(t *testing.T) {
 	// store is closed) while its connection to the agent stays alive.
 	zombie := newTestController(t, map[string]string{"s1": a.Addr()})
 	zombie.Metrics = obs.NewRegistry()
-	zombie.Log = NewEventLog()
+	zombie.Log = new(EventLog)
 	if _, err := zombie.OpenState(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func TestEncodeEpochStateMatchesMarshal(t *testing.T) {
 		}
 		var fp uint64
 		if i%2 == 0 {
-			fp = rng.Uint64()
+			fp = uint64(rng.Float64() * (1 << 64))
 		}
 		want, err := json.Marshal(&EpochState{Epoch: epoch, Rates: rates, Probs: probs, ScenarioFP: fp})
 		if err != nil {

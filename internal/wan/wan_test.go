@@ -229,7 +229,7 @@ func TestRunScenario(t *testing.T) {
 	t.Cleanup(tb.Close)
 	reg := obs.NewRegistry()
 	tb.Ctl.Metrics = reg
-	tb.Ctl.Log = NewEventLog()
+	tb.Ctl.Log = new(EventLog)
 	timing, err := tb.RunScenario(7)
 	if err != nil {
 		t.Fatal(err)

@@ -220,7 +220,7 @@ func TestWarmRestartReinstallsFallenBackEpisode(t *testing.T) {
 	}
 	t.Cleanup(tb.Close)
 	tb.Ctl.Metrics = obs.NewRegistry()
-	tb.Ctl.Log = NewEventLog()
+	tb.Ctl.Log = new(EventLog)
 	tb.SolveUnits = 200000
 	if _, err := tb.OpenState(dir); err != nil {
 		t.Fatal(err)

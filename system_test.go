@@ -203,17 +203,12 @@ func TestPlanEpochSignalOrderDeterministic(t *testing.T) {
 
 func TestConcurrentObserve(t *testing.T) {
 	sys := b4System(t)
-	rng := stats.NewRNG(1)
-	seeds := make([]uint64, 8)
-	for i := range seeds {
-		seeds[i] = rng.Uint64()
-	}
 	var wg sync.WaitGroup
 	for f := 0; f < 8; f++ {
 		wg.Add(1)
 		go func(f int) {
 			defer wg.Done()
-			local := stats.NewRNG(seeds[f])
+			local := stats.SubRNG(1, uint64(f))
 			for i := 0; i < 200; i++ {
 				excess := 0.0
 				if local.Bernoulli(0.1) {
