@@ -31,7 +31,6 @@ import (
 // callerExceptions lists the functions and methods that keep no program
 // caller on purpose. What an entry calls counts as called.
 var callerExceptions = map[string]string{
-	"core.BuildClassesP":                 "oracle: TestBuildClassesMatchesOracle and BenchmarkParallelBuildClasses build classes outside a solve",
 	"core.SolveExact":                    "oracle: the monolithic MIP that tests check the Benders solve against",
 	"experiments.MeasuredQuality":        "oracle: quality tests derive Fig 15's predictor quality from a trained model",
 	"fault.CrashPoint":                   "fault tool: derives a seeded controller crash point",

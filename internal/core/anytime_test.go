@@ -20,7 +20,7 @@ func checkFeasible(t *testing.T, in *te.Input, alloc te.Allocation) {
 
 // TestAnytimeMonotonicity is the determinism-and-monotonicity table: on real
 // topologies, equal deterministic budgets must reproduce bit-identical
-// results at every Parallelism setting, and a larger budget must never yield
+// results on every run, and a larger budget must never yield
 // a worse objective — each budget executes a strict prefix of the same
 // iteration sequence, and the incumbent bound only tightens.
 func TestAnytimeMonotonicity(t *testing.T) {
@@ -41,13 +41,12 @@ func TestAnytimeMonotonicity(t *testing.T) {
 		var prev *outcome
 		for _, units := range budgets {
 			var ref *outcome
-			for _, par := range []int{1, 2, 8, 0} {
+			for run := range 2 {
 				o := DefaultOptimizer()
-				o.Parallelism = par
 				o.BudgetUnits = units
 				res, err := o.Solve(in)
 				if err != nil {
-					t.Fatalf("%s budget=%d par=%d: %v", topo, units, par, err)
+					t.Fatalf("%s budget=%d run %d: %v", topo, units, run, err)
 				}
 				checkFeasible(t, in, res.Alloc)
 				got := &outcome{
@@ -60,15 +59,15 @@ func TestAnytimeMonotonicity(t *testing.T) {
 					continue
 				}
 				if math.Float64bits(got.phi) != math.Float64bits(ref.phi) {
-					t.Fatalf("%s budget=%d par=%d: phi %v != %v at par=1", topo, units, par, got.phi, ref.phi)
+					t.Fatalf("%s budget=%d run %d: phi %v != %v at run 0", topo, units, run, got.phi, ref.phi)
 				}
 				if got.truncated != ref.truncated || got.fallback != ref.fallback || got.work != ref.work {
-					t.Fatalf("%s budget=%d par=%d: flags/work (%v,%v,%d) != (%v,%v,%d)",
-						topo, units, par, got.truncated, got.fallback, got.work,
+					t.Fatalf("%s budget=%d run %d: flags/work (%v,%v,%d) != (%v,%v,%d)",
+						topo, units, run, got.truncated, got.fallback, got.work,
 						ref.truncated, ref.fallback, ref.work)
 				}
 				if !reflect.DeepEqual(got.alloc, ref.alloc) {
-					t.Fatalf("%s budget=%d par=%d: allocation diverges from serial", topo, units, par)
+					t.Fatalf("%s budget=%d run %d: allocation diverges from run 0", topo, units, run)
 				}
 			}
 			// budgets are sorted ascending with unlimited (0) last, so each
@@ -131,7 +130,7 @@ func TestAnytimeExhaustedBudgetB4(t *testing.T) {
 func TestHeuristicPlanFeasible(t *testing.T) {
 	for _, topo := range []string{"B4", "IBM"} {
 		in := realInput(t, topo, 3)
-		sm, err := newSolveModel(in, lazyClasses(in, 1))
+		sm, err := newSolveModel(in, lazyClasses(in))
 		if err != nil {
 			t.Fatal(err)
 		}

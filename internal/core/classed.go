@@ -70,8 +70,7 @@ func residualNetwork(net *topology.Network, loads map[topology.LinkID]float64) *
 // above it. Strict priority is exact — the top tier's result is
 // bit-identical to a uniform solve of its demands alone, and no lower tier
 // can degrade it. Each tier solve inherits the optimizer's determinism
-// contract, so the whole classed result is bit-identical at any Parallelism
-// setting.
+// contract, so the whole classed result is bit-identical from run to run.
 //
 // Each tier has its own cross-epoch SolveCache (caches[k] warms tier k; a
 // nil slice or nil entry solves that tier cold). Per-tier caches are
@@ -95,7 +94,7 @@ func (o *Optimizer) SolveClassedCached(in *te.Input, spec *te.ClassSpec, caches 
 		Alloc: make(te.Allocation),
 	}
 	loads := make(map[topology.LinkID]float64)
-	classes := lazyClasses(in, o.Parallelism)
+	classes := lazyClasses(in)
 	var wSum, wLoss float64
 	for k, tier := range spec.Tiers {
 		tierIn := &te.Input{
@@ -152,9 +151,8 @@ func (o *Optimizer) SolveClassedCached(in *te.Input, spec *te.ClassSpec, caches 
 // counted as total loss (only covered scenarios contribute delivered
 // mass). A flow delivers the same under every scenario of one class, so
 // each class's delivered Gbps is summed once (over Avail, in TunnelsOf
-// order, as te.DeliveredUnder sums) and read per (scenario, flow). Serial
-// accumulation in scenario-then-flow order keeps the sum bit-identical at
-// any Parallelism.
+// order, as te.DeliveredUnder sums) and read per (scenario, flow). The sum
+// accumulates in scenario-then-flow order, so its rounding is fixed.
 func expectedLoss(set *scenario.Set, classes func() *classModel, alloc te.Allocation, demands te.Demands, offered float64) float64 {
 	if offered <= 0 || set == nil {
 		return 0

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -95,23 +96,30 @@ func TestSolveClassedStrictPriority(t *testing.T) {
 	}
 }
 
+// TestSolveClassedDeterministicAcrossParallelism calls one Optimizer's
+// classed solve from many goroutines at once: every call must return the
+// serial result, tier by tier.
 func TestSolveClassedDeterministicAcrossParallelism(t *testing.T) {
-	in := triangleInput(t, 12, []float64{0.02, 0.01, 0.015}, 0.9)
+	in := realInput(t, "B4", 23)
 	spec := te.DefaultClassSpec()
-	opt1 := DefaultOptimizer()
-	opt1.Parallelism = 1
-	opt4 := DefaultOptimizer()
-	opt4.Parallelism = 4
-	r1, err := opt1.SolveClassedCached(in, spec, nil)
+	opt := DefaultOptimizer()
+	want, err := opt.SolveClassedCached(in, spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r4, err := opt4.SolveClassedCached(in, spec, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(r1, r4) {
-		t.Errorf("classed solve differs across parallelism:\n p1 %+v\n p4 %+v", r1, r4)
+	for _, n := range concurrentLevels {
+		got, err := concurrently(n, func() (*ClassedResult, error) { return opt.SolveClassedCached(in, spec, nil) })
+		if err != nil {
+			t.Fatalf("%d goroutines: %v", n, err)
+		}
+		for i, r := range got {
+			for k := range want.Tiers {
+				checkSameResult(t, fmt.Sprintf("goroutine %d of %d, tier %s", i, n, want.Tiers[k].Name), r.Tiers[k].Res, want.Tiers[k].Res)
+			}
+			if !reflect.DeepEqual(r, want) {
+				t.Errorf("goroutine %d of %d: classed result differs from the serial one", i, n)
+			}
+		}
 	}
 }
 
@@ -264,7 +272,7 @@ func TestExpectedLossMatchesScenarioLoop(t *testing.T) {
 				t.Errorf("%s tier %s: expected loss %v, scenario loop %v", tc.name, tier.Name, tier.ExpectedLoss, want)
 			}
 		}
-		classes := lazyClasses(tc.in, 1)
+		classes := lazyClasses(tc.in)
 		var offered float64
 		for _, d := range tc.in.Demands {
 			offered += d

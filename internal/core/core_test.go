@@ -75,7 +75,7 @@ func triangleInput(t *testing.T, demand float64, probs []float64, beta float64) 
 
 func TestBuildClasses(t *testing.T) {
 	in := triangleInput(t, 5, []float64{0.005, 0.009, 0.001}, 0.99)
-	classes := BuildClassesP(in.Tunnels, in.Scenarios, 1)
+	classes := buildClasses(in.Tunnels, in.Scenarios).classes
 	// probabilities per flow must sum to the covered mass
 	perFlow := make(map[routing.FlowID]float64)
 	for _, c := range classes {

@@ -10,7 +10,6 @@ import (
 
 	"prete/internal/lp"
 	"prete/internal/obs"
-	"prete/internal/par"
 	"prete/internal/routing"
 	"prete/internal/scenario"
 	"prete/internal/te"
@@ -27,15 +26,6 @@ type Class struct {
 	Flow  routing.FlowID
 	Avail []routing.TunnelID // surviving tunnels, sorted
 	Prob  float64            // summed probability of the merged scenarios
-}
-
-// BuildClassesP groups a scenario set into per-flow failure-equivalence
-// classes. Flows are independent, so each worker builds one flow's classes
-// and the per-flow lists are concatenated in flow order — the exact order a
-// serial loop produces, so the result is bit-identical at every parallelism
-// level (1 is serial, <= 0 means GOMAXPROCS).
-func BuildClassesP(ts *routing.TunnelSet, set *scenario.Set, parallelism int) []Class {
-	return buildClasses(ts, set, parallelism).classes
 }
 
 // classModel is the class structure of one tunnel table and scenario set.
@@ -58,10 +48,10 @@ type classModel struct {
 // span bounds the classes of the flow at position i.
 func (cm *classModel) span(i int) (lo, hi int) { return cm.flowAt[i], cm.flowAt[i+1] }
 
-// buildClasses builds the class model. Each scenario's cut set is built
-// once here and read by every flow's worker; worker i writes only row i of
-// classOf.
-func buildClasses(ts *routing.TunnelSet, set *scenario.Set, parallelism int) *classModel {
+// buildClasses builds the class model, one flow at a time in ts.Flows
+// order. Each scenario's cut set is built once here and read by every
+// flow.
+func buildClasses(ts *routing.TunnelSet, set *scenario.Set) *classModel {
 	cuts := cutSets(set)
 	nf, ns := len(ts.Flows), len(set.Scenarios)
 	of := make([]int32, nf*ns)
@@ -69,12 +59,11 @@ func buildClasses(ts *routing.TunnelSet, set *scenario.Set, parallelism int) *cl
 	for i := range cm.classOf {
 		cm.classOf[i] = of[i*ns : (i+1)*ns : (i+1)*ns]
 	}
-	perFlow := par.Map(nf, parallelism, func(i int) flowClasses {
-		return buildFlowClasses(ts, set, cuts, ts.Flows[i].ID, cm.classOf[i])
-	})
+	perFlow := make([]flowClasses, nf)
 	total := 0
-	for _, fc := range perFlow {
-		total += len(fc.classes)
+	for i, f := range ts.Flows {
+		perFlow[i] = buildFlowClasses(ts, set, cuts, f.ID, cm.classOf[i])
+		total += len(perFlow[i].classes)
 	}
 	cm.classes = make([]Class, 0, total)
 	cm.keys = make([]string, 0, total)
@@ -191,11 +180,11 @@ type solveModel struct {
 
 // lazyClasses returns a function that builds in's class model on its first
 // call and hands back the same model after.
-func lazyClasses(in *te.Input, parallelism int) func() *classModel {
+func lazyClasses(in *te.Input) func() *classModel {
 	var cm *classModel
 	return func() *classModel {
 		if cm == nil {
-			cm = buildClasses(in.Tunnels, in.Scenarios, parallelism)
+			cm = buildClasses(in.Tunnels, in.Scenarios)
 		}
 		return cm
 	}
@@ -274,19 +263,13 @@ type Optimizer struct {
 	// DisablePolish skips the satisfaction-maximizing re-solve (ablation
 	// knob: allocations then stop at exactly (1-Phi)d per flow).
 	DisablePolish bool
-	// Parallelism bounds the worker count of per-flow class construction,
-	// the optimizer's one parallel stage: <= 0 selects
-	// runtime.GOMAXPROCS(0), 1 forces the serial path. Results are
-	// bit-identical at every setting — work is partitioned by index and
-	// merged in a fixed order (see internal/par).
-	Parallelism int
 	// BudgetUnits caps the deterministic work one Solve may consume —
 	// simplex pivots + branch-and-bound nodes + Benders iterations, each
 	// costing one unit; 0 is unlimited. When the budget expires the solve
 	// returns its best feasible incumbent with Result.Truncated set (or the
 	// heuristicPlan fallback when no incumbent exists yet) instead of
-	// erroring, and equal budgets reproduce bit-identical results at every
-	// Parallelism setting (see lp.Budget).
+	// erroring, and equal budgets reproduce bit-identical results (see
+	// lp.Budget).
 	BudgetUnits int64
 	// SolveTimeout is the optional wall-clock ceiling per Solve — the
 	// safety net a production controller derives from its TE period; 0 is
@@ -419,7 +402,7 @@ func (o *Optimizer) newBudget() *lp.Budget {
 // always gets an installable plan. An unlimited optimizer reproduces the
 // historical unbudgeted solve exactly.
 func (o *Optimizer) Solve(in *te.Input) (*Result, error) {
-	return o.solveCached(in, nil, lazyClasses(in, o.Parallelism))
+	return o.solveCached(in, nil, lazyClasses(in))
 }
 
 // solve is Solve on a built model under an explicit budget (nil is
@@ -829,7 +812,7 @@ func (sm *solveModel) greedyRound(cuts []bendersCut) []bool {
 // 2-8 verbatim) by branch-and-bound. Exponential in the class count — used
 // by tests to certify the Benders implementation on small instances.
 func SolveExact(in *te.Input, nodeLimit int) (*Result, error) {
-	sm, err := newSolveModel(in, lazyClasses(in, 1))
+	sm, err := newSolveModel(in, lazyClasses(in))
 	if err != nil {
 		return nil, err
 	}

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"prete/internal/routing"
@@ -41,20 +43,6 @@ func realInput(t *testing.T, topo string, seed uint64) *te.Input {
 	return &te.Input{Net: net, Tunnels: ts, Demands: demands, Scenarios: set, Beta: 0.99}
 }
 
-func TestBuildClassesParallelMatchesSerial(t *testing.T) {
-	for _, topo := range []string{"B4", "IBM"} {
-		in := realInput(t, topo, 11)
-		want := BuildClassesP(in.Tunnels, in.Scenarios, 1)
-		for _, p := range []int{2, 8, 0} {
-			got := BuildClassesP(in.Tunnels, in.Scenarios, p)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: BuildClassesP(%d) diverges from serial (%d vs %d classes)",
-					topo, p, len(got), len(want))
-			}
-		}
-	}
-}
-
 // naiveClasses is the reference class builder: one cut-set map per
 // scenario, a tunnel surviving when no fiber under any of its links is
 // cut, merge by the printed surviving set — the definition of a
@@ -89,12 +77,12 @@ func naiveClasses(ts *routing.TunnelSet, set *scenario.Set) []Class {
 	return out
 }
 
-// TestBuildClassesMatchesOracle compares BuildClassesP with naiveClasses —
-// Flow, Avail, Prob bit for bit, and order — at every parallelism level. The
-// third tunnel set has been through three degradations, so some flows carry
-// more than four tunnels, reactive ones among them. In the fourth, two flows
-// carry 74 and 134 tunnels, so their surviving-set masks span several
-// words and end mid-byte.
+// TestBuildClassesMatchesOracle compares buildClasses with naiveClasses —
+// Flow, Avail, Prob bit for bit, and order. The third tunnel set has been
+// through three degradations, so some flows carry more than four tunnels,
+// reactive ones among them. In the fourth, two flows carry 74 and 134
+// tunnels, so their surviving-set masks span several words and end
+// mid-byte.
 func TestBuildClassesMatchesOracle(t *testing.T) {
 	b4, ibm := realInput(t, "B4", 11), realInput(t, "IBM", 11)
 	updated := b4.Tunnels
@@ -129,46 +117,73 @@ func TestBuildClassesMatchesOracle(t *testing.T) {
 		{"B4 with two flows wider than 64 tunnels", wide, b4.Scenarios},
 	} {
 		want := naiveClasses(tc.ts, tc.set)
-		for _, p := range []int{1, 2, 8} {
-			if got := BuildClassesP(tc.ts, tc.set, p); !reflect.DeepEqual(got, want) {
-				t.Errorf("%s: BuildClassesP(%d) differs from the naive builder (%d vs %d classes)", tc.name, p, len(got), len(want))
-			}
+		if got := buildClasses(tc.ts, tc.set).classes; !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: buildClasses differs from the naive builder (%d vs %d classes)", tc.name, len(got), len(want))
 		}
 	}
 }
 
-// TestSolveDeterministicAcrossParallelism is the PR's headline guarantee:
-// the Benders solve returns bit-identical results — allocation, objective,
-// bounds, iteration count, and scenario selection — at every parallelism
-// setting, on both evaluation topologies.
+// concurrentLevels are the goroutine counts the determinism tests call one
+// Optimizer from at once.
+var concurrentLevels = []int{1, 2, 8}
+
+// concurrently calls solve from n goroutines at once, the way sim's
+// degradation-scenario workers share one Optimizer, and returns each
+// call's result in goroutine order.
+func concurrently[T any](n int, solve func() (T, error)) ([]T, error) {
+	out := make([]T, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := range out {
+		go func() {
+			defer wg.Done()
+			out[i], errs[i] = solve()
+		}()
+	}
+	wg.Wait()
+	return out, errors.Join(errs...)
+}
+
+// checkSameResult fails t unless got matches want bit for bit in every
+// field a solve decides: allocation, objective, bounds, iteration count
+// and scenario selection.
+func checkSameResult(t *testing.T, label string, got, want *Result) {
+	t.Helper()
+	if !reflect.DeepEqual(got.Alloc, want.Alloc) {
+		t.Errorf("%s: allocation diverges", label)
+	}
+	if got.Phi != want.Phi || got.LB != want.LB || got.UB != want.UB {
+		t.Errorf("%s: phi/LB/UB = %v/%v/%v, want %v/%v/%v",
+			label, got.Phi, got.LB, got.UB, want.Phi, want.LB, want.UB)
+	}
+	if got.Iterations != want.Iterations {
+		t.Errorf("%s: %d iterations, want %d", label, got.Iterations, want.Iterations)
+	}
+	if !reflect.DeepEqual(got.Selected, want.Selected) {
+		t.Errorf("%s: scenario selection diverges", label)
+	}
+}
+
+// TestSolveDeterministicAcrossParallelism pins the contract sim's
+// evaluator relies on: one Optimizer called from many goroutines at once
+// returns, on every call, the result a serial call returns, on both
+// evaluation topologies.
 func TestSolveDeterministicAcrossParallelism(t *testing.T) {
 	for _, topo := range []string{"B4", "IBM"} {
 		in := realInput(t, topo, 23)
-		serial := DefaultOptimizer()
-		serial.Parallelism = 1
-		want, err := serial.Solve(in)
+		opt := DefaultOptimizer()
+		want, err := opt.Solve(in)
 		if err != nil {
 			t.Fatalf("%s serial: %v", topo, err)
 		}
-		for _, p := range []int{2, 8, 0} {
-			opt := DefaultOptimizer()
-			opt.Parallelism = p
-			got, err := opt.Solve(in)
+		for _, n := range concurrentLevels {
+			got, err := concurrently(n, func() (*Result, error) { return opt.Solve(in) })
 			if err != nil {
-				t.Fatalf("%s parallelism %d: %v", topo, p, err)
+				t.Fatalf("%s %d goroutines: %v", topo, n, err)
 			}
-			if !reflect.DeepEqual(got.Alloc, want.Alloc) {
-				t.Errorf("%s parallelism %d: allocation diverges", topo, p)
-			}
-			if got.Phi != want.Phi || got.LB != want.LB || got.UB != want.UB {
-				t.Errorf("%s parallelism %d: phi/LB/UB = %v/%v/%v, want %v/%v/%v",
-					topo, p, got.Phi, got.LB, got.UB, want.Phi, want.LB, want.UB)
-			}
-			if got.Iterations != want.Iterations {
-				t.Errorf("%s parallelism %d: %d iterations, want %d", topo, p, got.Iterations, want.Iterations)
-			}
-			if !reflect.DeepEqual(got.Selected, want.Selected) {
-				t.Errorf("%s parallelism %d: scenario selection diverges", topo, p)
+			for i, r := range got {
+				checkSameResult(t, fmt.Sprintf("%s goroutine %d of %d", topo, i, n), r, want)
 			}
 		}
 	}

@@ -36,8 +36,8 @@ import (
 //     silently bias the master.
 //
 // The determinism contract: SolveCached with an unchanged scenario set
-// returns a result bit-identical to a cold Solve on the same input, at
-// every Parallelism setting (pinned by TestWarmCache* and FuzzWarmCache).
+// returns a result bit-identical to a cold Solve on the same input
+// (pinned by TestWarmCache* and FuzzWarmCache).
 // A SolveCache is safe for concurrent use; the zero value is ready.
 type SolveCache struct {
 	mu sync.Mutex
@@ -83,7 +83,7 @@ func (c *SolveCache) Stats() CacheStats {
 // solver knobs) and takes the reuse ladder described on SolveCache; it
 // always stores the completed solve's artifacts for the next epoch.
 func (o *Optimizer) SolveCached(in *te.Input, cache *SolveCache) (*Result, error) {
-	return o.solveCached(in, cache, lazyClasses(in, o.Parallelism))
+	return o.solveCached(in, cache, lazyClasses(in))
 }
 
 // solveCached is SolveCached taking in's class model from classes (see
@@ -275,11 +275,9 @@ func cloneResult(r *Result) *Result {
 // inputFingerprint hashes everything outside the scenario set that a solve
 // depends on: link capacities and fiber composition, the tunnel table
 // (IDs, flows, link paths, fiber sets), demands, beta, and the solver
-// knobs that shape the search. Parallelism is deliberately excluded — by
-// the par contract it never changes results, so a controller resizing its
-// worker pool keeps its cache. Any other change evicts: cut coefficients
-// embed demands and capacities, so reusing them across such a change would
-// be unsound.
+// knobs that shape the search. Any change evicts: cut coefficients embed
+// demands and capacities, so reusing them across such a change would be
+// unsound.
 func (o *Optimizer) inputFingerprint(in *te.Input) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte

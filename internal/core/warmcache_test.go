@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -74,30 +75,36 @@ func TestWarmCacheHitBitIdentical(t *testing.T) {
 	}
 }
 
-// TestWarmCacheHitAcrossParallelism extends the bit-identity contract over
-// shard/worker counts: whatever Parallelism the optimizer runs at, hits
-// agree with the serial cold solve.
+// TestWarmCacheHitAcrossParallelism extends the bit-identity contract to
+// one SolveCache shared by many goroutines: whichever call misses and
+// whichever hits, every result matches the serial cold solve.
 func TestWarmCacheHitAcrossParallelism(t *testing.T) {
 	in := realInput(t, "B4", 11)
-	serial := DefaultOptimizer()
-	serial.Parallelism = 1
-	cold, err := serial.Solve(in)
+	o := DefaultOptimizer()
+	cold, err := o.Solve(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range []int{1, 2, 8} {
-		o := DefaultOptimizer()
-		o.Parallelism = p
+	for _, n := range concurrentLevels {
 		cache := &SolveCache{}
-		if _, err := o.SolveCached(in, cache); err != nil {
-			t.Fatalf("p=%d cold: %v", p, err)
-		}
-		hit, err := o.SolveCached(in, cache)
+		got, err := concurrently(n, func() ([2]*Result, error) {
+			first, err := o.SolveCached(in, cache)
+			if err != nil {
+				return [2]*Result{}, err
+			}
+			hit, err := o.SolveCached(in, cache)
+			return [2]*Result{first, hit}, err
+		})
 		if err != nil {
-			t.Fatalf("p=%d hit: %v", p, err)
+			t.Fatalf("%d goroutines: %v", n, err)
 		}
-		if !reflect.DeepEqual(hit, cold) {
-			t.Fatalf("p=%d: cached result diverges from serial cold solve", p)
+		for i, rs := range got {
+			for j, r := range rs {
+				checkSameResult(t, fmt.Sprintf("%d goroutines: goroutine %d call %d", n, i, j), r, cold)
+			}
+		}
+		if st := cache.Stats(); st.Hits < uint64(n) {
+			t.Errorf("%d goroutines: %d hits, want at least %d", n, st.Hits, n)
 		}
 	}
 }

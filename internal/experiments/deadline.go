@@ -101,7 +101,6 @@ func deadlineInput(topo string, seed uint64) (*te.Input, error) {
 
 func solveBudgeted(in *te.Input, units int64, opts Options) (*core.Result, error) {
 	o := core.DefaultOptimizer()
-	o.Parallelism = opts.Parallelism
 	o.BudgetUnits = units
 	o.Metrics = opts.Metrics
 	return o.Solve(in)

@@ -135,7 +135,6 @@ func incrementalBase(topo string, seed uint64) (*incrementalInstance, error) {
 func incrementalRun(base *incrementalInstance, mutate func(int, []float64), epochs int, cache *core.SolveCache, opts Options) ([]float64, int64, int64, error) {
 	probs := append([]float64(nil), base.probs...)
 	o := core.DefaultOptimizer()
-	o.Parallelism = opts.Parallelism
 	o.BudgetUnits = opts.Budget
 	o.Metrics = opts.Metrics
 	phis := make([]float64, 0, epochs)

@@ -91,7 +91,6 @@ func fig8(w io.Writer, opts Options) error {
 	// probability, which concentrates mass on scenarios the trimmed
 	// enumeration would cut off.
 	p := core.New()
-	p.Opt.Parallelism = opts.Parallelism
 	p.Opt.BudgetUnits = opts.Budget
 	p.Opt.Metrics = opts.Metrics
 	ep, err := p.PlanEpoch(core.EpochInput{

@@ -1,12 +1,14 @@
 // Package par is the concurrency layer of the repository: a bounded worker
-// pool with deterministic, index-ordered fan-out/merge semantics. Every hot
-// path that parallelizes — failure-equivalence-class construction in
-// internal/core (structural-cut seeding and the solves stay serial), and
-// the degradation-scenario and (scheme, scale) sweeps in internal/sim and
-// internal/experiments — goes through this package, so the determinism
-// argument lives in one place.
-// (Telemetry ingest, internal/ingest, is deliberately serial: a B4 tick is
-// 19 samples, far below the scale where a fan-out pays for its handoffs.)
+// pool with deterministic, index-ordered fan-out/merge semantics. The one
+// parallel stage is the offline evaluation: the degradation-scenario
+// fan-out in internal/sim and the (scheme, scale) sweeps in
+// internal/experiments above it both go through this package, so the
+// determinism argument lives in one place. Every solve runs on its
+// caller's goroutine: internal/core does not fan out, and one Optimizer
+// may be called from many workers here at once.
+// (Telemetry ingest, internal/ingest, is deliberately serial too: a B4 tick
+// is 19 samples, far below the scale where a fan-out pays for its
+// handoffs.)
 // The rules:
 //
 //   - Work is partitioned by index; workers pull indices from a shared
@@ -20,12 +22,12 @@
 //
 // Under those rules the output of any helper here is bit-identical for
 // every parallelism level, including 1 — which is exactly what the
-// equivalence tests in core and sim assert.
+// equivalence tests in sim and experiments assert.
 //
-// The parallelism knobs on core.Optimizer, sim.Config and
-// experiments.Options all funnel into Limit: values <= 0 select
-// runtime.GOMAXPROCS(0) (the default everywhere), 1 forces the serial path,
-// and larger values bound the worker count.
+// The parallelism knobs on sim.Config and experiments.Options both funnel
+// into Limit: values <= 0 select runtime.GOMAXPROCS(0) (the default
+// everywhere), 1 forces the serial path, and larger values bound the
+// worker count.
 package par
 
 import (
@@ -111,18 +113,12 @@ func ForEach(n, parallelism int, fn func(i int)) {
 	wg.Wait()
 }
 
-// Map computes out[i] = fn(i) for i in [0, n) with at most
-// Limit(parallelism) workers and returns the results in index order.
-func Map[T any](n, parallelism int, fn func(i int) T) []T {
-	out := make([]T, n)
-	ForEach(n, parallelism, func(i int) { out[i] = fn(i) })
-	return out
-}
-
-// MapErr is Map for fallible tasks. Every task runs to completion (no
-// cancellation, so the result slice is fully populated for the indices
-// that succeeded); the returned error is the lowest-index failure, which
-// makes error reporting independent of scheduling order too.
+// MapErr computes out[i], errs[i] = fn(i) for i in [0, n) with at most
+// Limit(parallelism) workers and returns the results in index order. Every
+// task runs to completion (no cancellation, so the result slice is fully
+// populated for the indices that succeeded); the returned error is the
+// lowest-index failure, which makes error reporting independent of
+// scheduling order too.
 func MapErr[T any](n, parallelism int, fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	errs := make([]error, n)

@@ -46,9 +46,16 @@ func TestForEachEmpty(t *testing.T) {
 }
 
 func TestMapOrderIndependentOfParallelism(t *testing.T) {
-	want := Map(100, 1, func(i int) int { return i * i })
+	square := func(i int) (int, error) { return i * i, nil }
+	want, err := MapErr(100, 1, square)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, p := range []int{2, 8, 0} {
-		got := Map(100, p, func(i int) int { return i * i })
+		got, err := MapErr(100, p, square)
+		if err != nil {
+			t.Fatalf("parallelism %d: %v", p, err)
+		}
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("parallelism %d: out[%d] = %d, want %d", p, i, got[i], want[i])

@@ -96,7 +96,7 @@ func (ev *Evaluator) stormPlan(s scheme, demands te.Demands, storm []int, spec *
 		in.Signals = append(in.Signals, core.DegradationSignal{Fiber: topology.FiberID(f), PNN: ev.Quality.clampPHat(ev.Quality.PHatFail)})
 	}
 	in.Classes = spec
-	return ev.planner(s, ev.Cfg.Parallelism).PlanEpoch(in)
+	return ev.planner(s).PlanEpoch(in)
 }
 
 // integrateStorm integrates a credit over the truth distribution

@@ -147,7 +147,7 @@ func coreScheme(name string) (scheme, error) {
 
 // planner returns scheme s's Fig 8 planner under the evaluation's
 // settings; a predicting scheme calibrates with Cfg.Alpha.
-func (ev *Evaluator) planner(s scheme, parallelism int) *core.PreTE {
+func (ev *Evaluator) planner(s scheme) *core.PreTE {
 	p := s.newCore()
 	if s.react == predicted {
 		p.Alpha = ev.Cfg.Alpha
@@ -155,7 +155,6 @@ func (ev *Evaluator) planner(s scheme, parallelism int) *core.PreTE {
 	p.ScenarioOpts = ev.Cfg.ScenarioOpts
 	p.Opt.Metrics = ev.Cfg.Metrics
 	p.Opt.BudgetUnits = ev.Cfg.SolveBudget
-	p.Opt.Parallelism = parallelism
 	return p
 }
 
@@ -291,11 +290,8 @@ func (ev *Evaluator) EvaluatePreTERatio(scale, ratio float64) (Availability, err
 func (ev *Evaluator) evaluate(s scheme, planned, truth te.Demands) (Availability, error) {
 	dss := ev.Env.DegScenarios(ev.Cfg)
 	if s.react == predicted {
-		// The fan-out across degradation scenarios owns the worker budget;
-		// the optimizer inside each epoch plan runs serially so the two
-		// levels don't multiply goroutines. (Either choice yields identical
-		// results.)
-		p := ev.planner(s, 1)
+		// Every worker plans through p on its own goroutine.
+		p := ev.planner(s)
 		return ev.integrate(len(dss), func(i int) ([]world, error) {
 			return ev.predict(p, dss[i], planned, truth)
 		})
@@ -321,7 +317,7 @@ func (ev *Evaluator) staticPlan(s scheme, demands te.Demands) (*te.Plan, error) 
 		// TeaVar's static plan enumerates with core's defaults, not with
 		// Cfg.ScenarioOpts as every other planner here does; aligning the
 		// two moves bench/ref's TeaVar row.
-		p := ev.planner(s, ev.Cfg.Parallelism)
+		p := ev.planner(s)
 		p.ScenarioOpts = scenario.DefaultOptions()
 		ep, err := p.PlanEpoch(ev.epochInput(demands, nil))
 		if err != nil {

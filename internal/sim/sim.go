@@ -50,10 +50,12 @@ type Config struct {
 	// mass is folded into the no-degradation scenario.
 	MaxDegScenarios int
 	// Parallelism bounds the evaluator's fan-out across degradation
-	// scenarios (and the experiment sweeps built on it): <= 0 selects
-	// runtime.GOMAXPROCS(0), 1 forces the serial path. Availability results
-	// are bit-identical at every setting — per-scenario partial vectors are
-	// merged in scenario order (see internal/par).
+	// scenarios, which with the experiment sweeps above it is the
+	// program's one parallel stage: <= 0 selects runtime.GOMAXPROCS(0), 1
+	// forces the serial path. Every solve inside a scenario runs on its
+	// worker's goroutine; the workers share one planner. Availability
+	// results are bit-identical at every setting — per-scenario partial
+	// vectors are merged in scenario order (see internal/par).
 	Parallelism int
 	// SolveBudget caps the deterministic work units each TE solve may
 	// consume (see core.Optimizer.BudgetUnits); 0 is unlimited. Budgeted

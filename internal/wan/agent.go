@@ -145,7 +145,7 @@ func (a *SwitchAgent) handle(req *Request) *Response {
 		// nothing
 	case MsgInstallTunnel:
 		a.mu.Lock() // serializes installs
-		if len(a.tunnels) >= a.cfg.MaxTunnels {
+		if _, held := a.tunnels[req.TunnelID]; !held && len(a.tunnels) >= a.cfg.MaxTunnels {
 			a.mu.Unlock()
 			return &Response{Err: "tunnel table full"}
 		}

@@ -133,6 +133,29 @@ func TestTunnelTableLimit(t *testing.T) {
 	}
 }
 
+// TestReinstallAtFullTable: re-programming a tunnel the agent already holds
+// takes no new table entry, so a retried install after a lost response
+// succeeds at a full table; a new ID is still refused.
+func TestReinstallAtFullTable(t *testing.T) {
+	checkGoroutineLeaks(t)
+	cfg := fastSwitch()
+	cfg.MaxTunnels = 2
+	a := newTestAgent(t, "s1", cfg)
+	ctl := newTestController(t, map[string]string{"s1": a.Addr()})
+	if _, err := ctl.InstallTunnels([]TunnelInstall{{Switch: "s1", TunnelID: 1}, {Switch: "s1", TunnelID: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ctl.InstallTunnels([]TunnelInstall{{Switch: "s1", TunnelID: 2}}); err != nil {
+		t.Fatalf("re-installing a held tunnel at a full table: %v", err)
+	}
+	if _, err := ctl.InstallTunnels([]TunnelInstall{{Switch: "s1", TunnelID: 3}}); err == nil {
+		t.Fatal("a new tunnel was accepted at a full table")
+	}
+	if got := a.NumTunnels(); got != 2 {
+		t.Fatalf("table = %d, want 2", got)
+	}
+}
+
 func TestUpdateRates(t *testing.T) {
 	checkGoroutineLeaks(t)
 	a := newTestAgent(t, "s1", fastSwitch())
