@@ -145,9 +145,7 @@ func BenchmarkMIPKnapsack(b *testing.B) {
 			v := m.AddBinaryVar(float64(-(j%5 + 1)))
 			terms = append(terms, lp.Term{Var: v, Coeff: float64(j%3 + 1)})
 		}
-		if _, err := m.AddConstraint(terms, lp.LE, 9, "cap"); err != nil {
-			b.Fatal(err)
-		}
+		m.AddConstraint(terms, lp.LE, 9)
 		if sol := m.SolveMIP(lp.MIPOptions{}); sol.Status != lp.Optimal {
 			b.Fatalf("status %v", sol.Status)
 		}

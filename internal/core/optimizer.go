@@ -205,18 +205,15 @@ func newSolveModel(in *te.Input, classes func() *classModel) (*solveModel, error
 // addBetaRows adds constraint (5) to p, one row per flow in flow order: the
 // probability mass of the flow's selected classes reaches beta.
 // deltaVars[ci] is the selection column of class ci.
-func (sm *solveModel) addBetaRows(p *lp.Problem, deltaVars []int) error {
+func (sm *solveModel) addBetaRows(p *lp.Problem, deltaVars []int) {
 	for i := range sm.in.Tunnels.Flows {
 		lo, hi := sm.span(i)
 		terms := make([]lp.Term, 0, hi-lo)
 		for ci := lo; ci < hi; ci++ {
 			terms = append(terms, lp.Term{Var: deltaVars[ci], Coeff: sm.classes[ci].Prob})
 		}
-		if _, err := p.AddConstraint(terms, lp.GE, sm.in.Beta, "beta"); err != nil {
-			return err
-		}
+		p.AddConstraint(terms, lp.GE, sm.in.Beta)
 	}
-	return nil
 }
 
 // classMinLoss lower-bounds a class's achievable loss from its surviving
@@ -592,30 +589,24 @@ func (o *Optimizer) solve(sm *solveModel, budget *lp.Budget, warm []bendersCut) 
 // allocation skeleton (constraint 3), constraint (4) — sum a + d*phi >= d —
 // for every selected class with demand, and Phi <= phiCap. covRow[ci] is
 // class ci's coverage row, -1 when it has none.
-func (sm *solveModel) selectedLP(phiCost float64, delta []bool, phiCap float64) (prob *te.AllocLP, covRow []int, err error) {
+func (sm *solveModel) selectedLP(phiCost float64, delta []bool, phiCap float64) (*te.AllocLP, []int) {
 	in := sm.in
-	if prob, err = te.NewAllocLP(lp.NewProblem(), phiCost, in.Net, in.Tunnels, nil); err != nil {
-		return nil, nil, err
-	}
-	covRow = make([]int, len(sm.classes))
+	prob := te.NewAllocLP(lp.NewProblem(), phiCost, in.Net, in.Tunnels, nil)
+	covRow := make([]int, len(sm.classes))
 	for ci, c := range sm.classes {
 		covRow[ci] = -1
 		if d := in.Demands[c.Flow]; delta[ci] && d > 0 {
-			if covRow[ci], err = prob.AddCoverage(te.Phi, d, c.Avail); err != nil {
-				return nil, nil, err
-			}
+			covRow[ci] = prob.AddCoverage(te.Phi, d, c.Avail)
 		}
 	}
-	return prob, covRow, prob.AddUpperBound(te.Phi, phiCap, "phi<=cap")
+	prob.AddUpperBound(te.Phi, phiCap)
+	return prob, covRow
 }
 
 // polish maximizes total satisfied demand fraction subject to the
 // converged delta and loss bound.
 func (o *Optimizer) polish(sm *solveModel, delta []bool, phiCap float64, m optObs, budget *lp.Budget) (te.Allocation, error) {
-	prob, _, err := sm.selectedLP(0, delta, phiCap+1e-7)
-	if err != nil {
-		return nil, err
-	}
+	prob, _ := sm.selectedLP(0, delta, phiCap+1e-7)
 	// Secondary objective: maximize the probability-weighted satisfied
 	// fraction across ALL significant classes (selected or not) — i.e. the
 	// expected availability itself. Protection beyond the beta-selected
@@ -628,9 +619,7 @@ func (o *Optimizer) polish(sm *solveModel, delta []bool, phiCap float64, m optOb
 		if d <= 0 || c.Prob < polishClassFloor || len(c.Avail) == 0 {
 			continue
 		}
-		if err := prob.AddSatisfaction(c.Prob, d, c.Avail); err != nil {
-			return nil, err
-		}
+		prob.AddSatisfaction(c.Prob, d, c.Avail)
 	}
 	sol, err := m.solveLP(m.polishSolve, prob.Problem, budget, "polish LP")
 	if err != nil {
@@ -656,10 +645,7 @@ type spSolution struct {
 // from its duals: w_{f,c} = d_f * y_{f,c} reconstructs a dual-feasible point
 // of the full SP of Appendix A.5.
 func (o *Optimizer) solveSubproblem(sm *solveModel, delta []bool, m optObs, budget *lp.Budget) (*spSolution, error) {
-	prob, covRow, err := sm.selectedLP(1, delta, 1)
-	if err != nil {
-		return nil, err
-	}
+	prob, covRow := sm.selectedLP(1, delta, 1)
 	sol, err := m.solveLP(m.subSolve, prob.Problem, budget, "subproblem LP")
 	if err != nil {
 		return nil, err
@@ -708,17 +694,12 @@ func (o *Optimizer) solveMaster(sm *solveModel, cuts []bendersCut, mo optObs, bu
 		if exact {
 			deltaVars[i] = m.AddBinaryVar(0)
 		} else {
-			v := m.AddVar(0)
-			if err := m.AddUpperBound(v, 1, "delta<=1"); err != nil {
-				return nil, 0, err
-			}
-			deltaVars[i] = v
+			deltaVars[i] = m.AddVar(0)
+			m.AddUpperBound(deltaVars[i], 1)
 		}
 	}
 	// Constraint (5): per flow, sum of selected class probabilities >= beta.
-	if err := sm.addBetaRows(m.Problem, deltaVars); err != nil {
-		return nil, 0, err
-	}
+	sm.addBetaRows(m.Problem, deltaVars)
 	// Optimality cuts: Phi - sum coef*delta >= con - sum coef.
 	for _, cut := range cuts {
 		terms := []lp.Term{{Var: phi, Coeff: 1}}
@@ -730,13 +711,9 @@ func (o *Optimizer) solveMaster(sm *solveModel, cuts []bendersCut, mo optObs, bu
 			terms = append(terms, lp.Term{Var: deltaVars[ci], Coeff: -w})
 			rhs -= w
 		}
-		if _, err := m.AddConstraint(terms, lp.GE, rhs, "cut"); err != nil {
-			return nil, 0, err
-		}
+		m.AddConstraint(terms, lp.GE, rhs)
 	}
-	if err := m.AddUpperBound(phi, 1, "phi<=1"); err != nil {
-		return nil, 0, err
-	}
+	m.AddUpperBound(phi, 1)
 	if exact {
 		start := mo.masterSolve.Start()
 		sol := m.SolveMIP(lp.MIPOptions{MaxNodes: masterNodes, Budget: budget})
@@ -819,39 +796,26 @@ func SolveExact(in *te.Input, nodeLimit int) (*Result, error) {
 	classes := sm.classes
 	m := lp.NewMIP()
 	// (3) capacity
-	prob, err := te.NewAllocLP(m.Problem, 1, in.Net, in.Tunnels, nil)
-	if err != nil {
-		return nil, err
-	}
+	prob := te.NewAllocLP(m.Problem, 1, in.Net, in.Tunnels, nil)
 	lVars := make([]int, len(classes))
 	dVars := make([]int, len(classes))
 	for i := range classes {
 		lVars[i] = m.AddVar(0)
-		if err := m.AddUpperBound(lVars[i], 1, "l<=1"); err != nil {
-			return nil, err
-		}
+		m.AddUpperBound(lVars[i], 1)
 		dVars[i] = m.AddBinaryVar(0)
 	}
 	for i, c := range classes {
 		d := in.Demands[c.Flow]
 		// (4): sum a >= (1 - l) d  <=>  sum a + d*l >= d
-		if _, err := prob.AddCoverage(lVars[i], d, c.Avail); err != nil {
-			return nil, err
-		}
+		prob.AddCoverage(lVars[i], d, c.Avail)
 		// (6): Phi >= l - 1 + delta
-		if _, err := m.AddConstraint([]lp.Term{
+		m.AddConstraint([]lp.Term{
 			{Var: te.Phi, Coeff: 1}, {Var: lVars[i], Coeff: -1}, {Var: dVars[i], Coeff: -1},
-		}, lp.GE, -1, "phibound"); err != nil {
-			return nil, err
-		}
+		}, lp.GE, -1)
 	}
 	// (5)
-	if err := sm.addBetaRows(m.Problem, dVars); err != nil {
-		return nil, err
-	}
-	if err := m.AddUpperBound(te.Phi, 1, "phi<=1"); err != nil {
-		return nil, err
-	}
+	sm.addBetaRows(m.Problem, dVars)
+	m.AddUpperBound(te.Phi, 1)
 	sol := m.SolveMIP(lp.MIPOptions{MaxNodes: nodeLimit})
 	truncated := false
 	switch sol.Status {

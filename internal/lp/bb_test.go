@@ -13,9 +13,7 @@ func TestMIPKnapsack(t *testing.T) {
 	a := m.AddBinaryVar(-10)
 	b := m.AddBinaryVar(-6)
 	c := m.AddBinaryVar(-4)
-	if _, err := m.AddConstraint([]Term{{a, 1}, {b, 1}, {c, 1}}, LE, 2, "cap"); err != nil {
-		t.Fatal(err)
-	}
+	m.AddConstraint([]Term{{a, 1}, {b, 1}, {c, 1}}, LE, 2)
 	sol := certifyMIP(t, m, m.SolveMIP(MIPOptions{}))
 	if sol.Status != Optimal {
 		t.Fatalf("status = %v", sol.Status)
@@ -34,9 +32,7 @@ func TestMIPFractionalRelaxation(t *testing.T) {
 	m := NewMIP()
 	a := m.AddBinaryVar(-5)
 	b := m.AddBinaryVar(-4)
-	if _, err := m.AddConstraint([]Term{{a, 6}, {b, 5}}, LE, 8, "w"); err != nil {
-		t.Fatal(err)
-	}
+	m.AddConstraint([]Term{{a, 6}, {b, 5}}, LE, 8)
 	sol := certifyMIP(t, m, m.SolveMIP(MIPOptions{}))
 	if sol.Status != Optimal || math.Abs(sol.Objective+5) > 1e-6 {
 		t.Fatalf("sol = %+v", sol)
@@ -52,9 +48,7 @@ func TestMIPFractionalRelaxation(t *testing.T) {
 func TestMIPInfeasible(t *testing.T) {
 	m := NewMIP()
 	a := m.AddBinaryVar(1)
-	if _, err := m.AddConstraint([]Term{{a, 1}}, GE, 2, "impossible"); err != nil {
-		t.Fatal(err)
-	}
+	m.AddConstraint([]Term{{a, 1}}, GE, 2)
 	if sol := certifyMIP(t, m, m.SolveMIP(MIPOptions{})); sol.Status != Infeasible {
 		t.Fatalf("status = %v", sol.Status)
 	}
@@ -66,9 +60,7 @@ func TestMIPInfeasible(t *testing.T) {
 func TestMIPFixingRespectsBounds(t *testing.T) {
 	m := NewMIP()
 	a := m.AddBinaryVar(-1)
-	if err := m.AddUpperBound(a, 0.5, "a<=0.5"); err != nil {
-		t.Fatal(err)
-	}
+	m.AddUpperBound(a, 0.5)
 	if sol := m.solveWithFixings(map[int]float64{a: 1}, nil); sol.Status != Infeasible {
 		t.Fatalf("a fixed at 1 above its upper bound 0.5: status = %v", sol.Status)
 	}
@@ -87,9 +79,7 @@ func TestMIPMixed(t *testing.T) {
 	m := NewMIP()
 	x := m.AddVar(-1)
 	g := m.AddBinaryVar(3)
-	if _, err := m.AddConstraint([]Term{{x, 1}, {g, -10}}, LE, 0, "gate"); err != nil {
-		t.Fatal(err)
-	}
+	m.AddConstraint([]Term{{x, 1}, {g, -10}}, LE, 0)
 	sol := certifyMIP(t, m, m.SolveMIP(MIPOptions{}))
 	if sol.Status != Optimal || math.Abs(sol.Objective+7) > 1e-6 {
 		t.Fatalf("sol = %+v", sol)
@@ -116,9 +106,7 @@ func TestMIPAgainstBruteForce(t *testing.T) {
 			terms[i] = Term{vars[i], weights[i]}
 		}
 		cap := 3 + math.Floor(rng.Float64()*10)
-		if _, err := m.AddConstraint(terms, LE, cap, "cap"); err != nil {
-			t.Fatal(err)
-		}
+		m.AddConstraint(terms, LE, cap)
 		sol := certifyMIP(t, m, m.SolveMIP(MIPOptions{}))
 		if sol.Status != Optimal {
 			t.Fatalf("trial %d: status %v", trial, sol.Status)
@@ -149,9 +137,7 @@ func TestMIPNodeLimitReturnsIncumbent(t *testing.T) {
 		v := m.AddBinaryVar(-1)
 		terms = append(terms, Term{v, 1.5})
 	}
-	if _, err := m.AddConstraint(terms, LE, 7, "cap"); err != nil {
-		t.Fatal(err)
-	}
+	m.AddConstraint(terms, LE, 7)
 	sol := certifyMIP(t, m, m.SolveMIP(MIPOptions{MaxNodes: 3}))
 	// With a tiny node budget the solver may or may not prove optimality,
 	// but it must return something sane, never panic.

@@ -21,9 +21,7 @@ func budgetLP(t *testing.T) *Problem {
 		{[]Term{{x1, 3}, {x2, -1}, {x3, 1}}, 9},
 		{[]Term{{x1, 1}, {x2, -1}, {x3, 2}}, 3},
 	} {
-		if _, err := p.AddConstraint(row.terms, LE, row.rhs, "c"); err != nil {
-			t.Fatal(err)
-		}
+		p.AddConstraint(row.terms, LE, row.rhs)
 	}
 	return p
 }
@@ -149,9 +147,7 @@ func budgetMIP(t *testing.T) *MIP {
 	for i, v := range vals {
 		terms[i] = Term{Var: m.AddBinaryVar(v), Coeff: wts[i]}
 	}
-	if _, err := m.AddConstraint(terms, LE, 7, "knap"); err != nil {
-		t.Fatal(err)
-	}
+	m.AddConstraint(terms, LE, 7)
 	return m
 }
 

@@ -107,10 +107,8 @@ func TestCertifyRejects(t *testing.T) {
 	p := NewProblem()
 	x := p.AddVar(-1)
 	p.AddVar(-1)
-	if err := p.AddUpperBound(x, 6, "xcap"); err != nil {
-		t.Fatal(err)
-	}
-	mustConstraint(t, p, []Term{{0, 1}, {1, 1}}, LE, 10, "sum")
+	p.AddUpperBound(x, 6)
+	p.AddConstraint([]Term{{0, 1}, {1, 1}}, LE, 10)
 	good := certify(t, p, p.Solve())
 	for name, bad := range map[string]Solution{
 		"infeasible row":   {X: []float64{6, 5}, Duals: []float64{-1}, Objective: -11},

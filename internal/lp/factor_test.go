@@ -40,9 +40,7 @@ func randomLP(rng *stats.RNG, m, n int) *Problem {
 		case GE:
 			dot -= math.Floor(rng.Float64() * 3)
 		}
-		if _, err := p.AddConstraint(terms, op, dot, "r"); err != nil {
-			panic(err)
-		}
+		p.AddConstraint(terms, op, dot)
 	}
 	return p
 }
@@ -253,9 +251,9 @@ func TestFactorSolves(t *testing.T) {
 func TestFactorRepairsSingularBasis(t *testing.T) {
 	p := NewProblem()
 	a, b, c := p.AddVar(0), p.AddVar(0), p.AddVar(0)
-	mustConstraint(t, p, []Term{{a, 1}, {b, 1}, {c, 2}}, LE, 4, "r0")
-	mustConstraint(t, p, []Term{{a, 2}, {b, 2}, {c, 1}}, LE, 5, "r1")
-	mustConstraint(t, p, []Term{{c, 1}}, LE, 6, "r2")
+	p.AddConstraint([]Term{{a, 1}, {b, 1}, {c, 2}}, LE, 4)
+	p.AddConstraint([]Term{{a, 2}, {b, 2}, {c, 1}}, LE, 5)
+	p.AddConstraint([]Term{{c, 1}}, LE, 6)
 	s := newSolver(p, nil)
 	for pos, v := range []int32{int32(a), int32(b), int32(c)} {
 		s.pos[s.basic[pos]] = -1

@@ -106,26 +106,19 @@ func (p *Problem) NumConstraints() int { return len(p.constraints) }
 
 // AddConstraint appends a constraint and returns its row index. Terms with
 // repeated variable indices are summed and zero coefficients dropped, in
-// place: the Problem takes ownership of terms. The name only labels the
-// error; it is not stored.
-func (p *Problem) AddConstraint(terms []Term, op Op, rhs float64, name string) (int, error) {
-	for _, t := range terms {
-		if t.Var < 0 || t.Var >= p.numVars {
-			return 0, fmt.Errorf("lp: constraint %q references unknown variable %d", name, t.Var)
-		}
-	}
+// place: the Problem takes ownership of terms. Every term's Var must be an
+// index AddVar returned; any other index is a bug in the caller and panics
+// (index out of range) in the merge.
+func (p *Problem) AddConstraint(terms []Term, op Op, rhs float64) int {
 	p.constraints = append(p.constraints, Constraint{Terms: p.mergeTerms(terms), Op: op, RHS: rhs})
-	return len(p.constraints) - 1, nil
+	return len(p.constraints) - 1
 }
 
 // AddUpperBound imposes x_v <= ub. It is a bound on the variable, not a
-// constraint row: it adds no entry to Solution.Duals.
-func (p *Problem) AddUpperBound(v int, ub float64, name string) error {
-	if v < 0 || v >= p.numVars {
-		return fmt.Errorf("lp: bound %q references unknown variable %d", name, v)
-	}
+// constraint row: it adds no entry to Solution.Duals. v must be an index
+// AddVar returned; any other index panics.
+func (p *Problem) AddUpperBound(v int, ub float64) {
 	p.upper[v] = math.Min(p.upper[v], ub)
-	return nil
 }
 
 // mergeTerms sums repeated variables into their first occurrence and drops

@@ -9,24 +9,15 @@ import (
 	"prete/internal/stats"
 )
 
-func mustConstraint(t *testing.T, p *Problem, terms []Term, op Op, rhs float64, name string) int {
-	t.Helper()
-	i, err := p.AddConstraint(terms, op, rhs, name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return i
-}
-
 func TestSimplexBasicMax(t *testing.T) {
 	// max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18 (classic Dantzig
 	// example, optimum x=2, y=6, obj=36). Minimize the negation.
 	p := NewProblem()
 	x := p.AddVar(-3)
 	y := p.AddVar(-5)
-	mustConstraint(t, p, []Term{{x, 1}}, LE, 4, "c1")
-	mustConstraint(t, p, []Term{{y, 2}}, LE, 12, "c2")
-	mustConstraint(t, p, []Term{{x, 3}, {y, 2}}, LE, 18, "c3")
+	p.AddConstraint([]Term{{x, 1}}, LE, 4)
+	p.AddConstraint([]Term{{y, 2}}, LE, 12)
+	p.AddConstraint([]Term{{x, 3}, {y, 2}}, LE, 18)
 	sol := certify(t, p, p.Solve())
 	if sol.Status != Optimal {
 		t.Fatalf("status = %v", sol.Status)
@@ -44,8 +35,8 @@ func TestSimplexEquality(t *testing.T) {
 	p := NewProblem()
 	x := p.AddVar(1)
 	y := p.AddVar(2)
-	mustConstraint(t, p, []Term{{x, 1}, {y, 1}}, EQ, 10, "sum")
-	mustConstraint(t, p, []Term{{x, 1}}, LE, 6, "cap")
+	p.AddConstraint([]Term{{x, 1}, {y, 1}}, EQ, 10)
+	p.AddConstraint([]Term{{x, 1}}, LE, 6)
 	sol := certify(t, p, p.Solve())
 	if sol.Status != Optimal || math.Abs(sol.Objective-14) > 1e-6 {
 		t.Fatalf("sol = %+v", sol)
@@ -59,8 +50,8 @@ func TestSimplexGE(t *testing.T) {
 	p := NewProblem()
 	x := p.AddVar(2)
 	y := p.AddVar(3)
-	mustConstraint(t, p, []Term{{x, 1}, {y, 1}}, GE, 4, "cover")
-	mustConstraint(t, p, []Term{{x, 1}, {y, -1}}, GE, -2, "skew")
+	p.AddConstraint([]Term{{x, 1}, {y, 1}}, GE, 4)
+	p.AddConstraint([]Term{{x, 1}, {y, -1}}, GE, -2)
 	sol := certify(t, p, p.Solve())
 	if sol.Status != Optimal || math.Abs(sol.Objective-8) > 1e-6 {
 		t.Fatalf("sol = %+v", sol)
@@ -71,7 +62,7 @@ func TestSimplexNegativeRHS(t *testing.T) {
 	// min x s.t. -x <= -5  (i.e. x >= 5).
 	p := NewProblem()
 	x := p.AddVar(1)
-	mustConstraint(t, p, []Term{{x, -1}}, LE, -5, "flip")
+	p.AddConstraint([]Term{{x, -1}}, LE, -5)
 	sol := certify(t, p, p.Solve())
 	if sol.Status != Optimal || math.Abs(sol.X[x]-5) > 1e-6 {
 		t.Fatalf("sol = %+v", sol)
@@ -81,8 +72,8 @@ func TestSimplexNegativeRHS(t *testing.T) {
 func TestSimplexInfeasible(t *testing.T) {
 	p := NewProblem()
 	x := p.AddVar(1)
-	mustConstraint(t, p, []Term{{x, 1}}, LE, 1, "le")
-	mustConstraint(t, p, []Term{{x, 1}}, GE, 2, "ge")
+	p.AddConstraint([]Term{{x, 1}}, LE, 1)
+	p.AddConstraint([]Term{{x, 1}}, GE, 2)
 	if sol := certify(t, p, p.Solve()); sol.Status != Infeasible {
 		t.Fatalf("status = %v, want infeasible", sol.Status)
 	}
@@ -91,7 +82,7 @@ func TestSimplexInfeasible(t *testing.T) {
 func TestSimplexUnbounded(t *testing.T) {
 	p := NewProblem()
 	x := p.AddVar(-1) // maximize x with no cap
-	mustConstraint(t, p, []Term{{x, -1}}, LE, 0, "noop")
+	p.AddConstraint([]Term{{x, -1}}, LE, 0)
 	if sol := certify(t, p, p.Solve()); sol.Status != Unbounded {
 		t.Fatalf("status = %v, want unbounded", sol.Status)
 	}
@@ -104,9 +95,9 @@ func TestSimplexDegenerate(t *testing.T) {
 	x2 := p.AddVar(150)
 	x3 := p.AddVar(-0.02)
 	x4 := p.AddVar(6)
-	mustConstraint(t, p, []Term{{x1, 0.25}, {x2, -60}, {x3, -1.0 / 25}, {x4, 9}}, LE, 0, "r1")
-	mustConstraint(t, p, []Term{{x1, 0.5}, {x2, -90}, {x3, -1.0 / 50}, {x4, 3}}, LE, 0, "r2")
-	mustConstraint(t, p, []Term{{x3, 1}}, LE, 1, "r3")
+	p.AddConstraint([]Term{{x1, 0.25}, {x2, -60}, {x3, -1.0 / 25}, {x4, 9}}, LE, 0)
+	p.AddConstraint([]Term{{x1, 0.5}, {x2, -90}, {x3, -1.0 / 50}, {x4, 3}}, LE, 0)
+	p.AddConstraint([]Term{{x3, 1}}, LE, 1)
 	sol := certify(t, p, p.Solve())
 	if sol.Status != Optimal {
 		t.Fatalf("status = %v", sol.Status)
@@ -130,10 +121,10 @@ func TestSimplexTiePrefersLowestIndex(t *testing.T) {
 	var a [6]int
 	for i := range a {
 		a[i] = p.AddVar(0)
-		mustConstraint(t, p, []Term{{a[i], 1}}, LE, 10, "cap")
+		p.AddConstraint([]Term{{a[i], 1}}, LE, 10)
 	}
-	mustConstraint(t, p, []Term{{a[0], 1}, {a[1], 1}, {a[2], 1}}, GE, 4, "cov")
-	mustConstraint(t, p, []Term{{a[3], 1}, {a[4], 1}, {a[5], 1}}, GE, 14, "cov")
+	p.AddConstraint([]Term{{a[0], 1}, {a[1], 1}, {a[2], 1}}, GE, 4)
+	p.AddConstraint([]Term{{a[3], 1}, {a[4], 1}, {a[5], 1}}, GE, 14)
 	sol := certify(t, p, p.Solve())
 	if sol.Status != Optimal {
 		t.Fatalf("status = %v", sol.Status)
@@ -154,8 +145,8 @@ func TestSimplexDualsLE(t *testing.T) {
 	p := NewProblem()
 	x := p.AddVar(-1)
 	y := p.AddVar(-1)
-	r1 := mustConstraint(t, p, []Term{{x, 1}, {y, 1}}, LE, 10, "sum")
-	r2 := mustConstraint(t, p, []Term{{x, 1}}, LE, 6, "xcap")
+	r1 := p.AddConstraint([]Term{{x, 1}, {y, 1}}, LE, 10)
+	r2 := p.AddConstraint([]Term{{x, 1}}, LE, 6)
 	sol := certify(t, p, p.Solve())
 	if sol.Status != Optimal {
 		t.Fatalf("status = %v", sol.Status)
@@ -172,7 +163,7 @@ func TestSimplexDualsGE(t *testing.T) {
 	// min 3x s.t. x >= 4: dual = 3 (shadow price of tightening).
 	p := NewProblem()
 	x := p.AddVar(3)
-	r := mustConstraint(t, p, []Term{{x, 1}}, GE, 4, "floor")
+	r := p.AddConstraint([]Term{{x, 1}}, GE, 4)
 	sol := certify(t, p, p.Solve())
 	if sol.Status != Optimal || math.Abs(sol.Duals[r]-3) > 1e-6 {
 		t.Fatalf("sol = %+v", sol)
@@ -185,8 +176,8 @@ func TestSimplexDualsEQ(t *testing.T) {
 	p := NewProblem()
 	x := p.AddVar(2)
 	y := p.AddVar(1)
-	r1 := mustConstraint(t, p, []Term{{x, 1}, {y, 1}}, EQ, 7, "sum")
-	mustConstraint(t, p, []Term{{y, 1}}, LE, 3, "ycap")
+	r1 := p.AddConstraint([]Term{{x, 1}, {y, 1}}, EQ, 7)
+	p.AddConstraint([]Term{{y, 1}}, LE, 3)
 	sol := certify(t, p, p.Solve())
 	if sol.Status != Optimal || math.Abs(sol.Objective-11) > 1e-6 {
 		t.Fatalf("sol = %+v", sol)
@@ -200,7 +191,7 @@ func TestMergeTerms(t *testing.T) {
 	p := NewProblem()
 	x := p.AddVar(1)
 	y := p.AddVar(1)
-	i := mustConstraint(t, p, []Term{{x, 1}, {x, 2}, {y, 1}, {y, -1}}, LE, 5, "merged")
+	i := p.AddConstraint([]Term{{x, 1}, {x, 2}, {y, 1}, {y, -1}}, LE, 5)
 	c := p.constraints[i]
 	if len(c.Terms) != 1 || c.Terms[0].Var != x || c.Terms[0].Coeff != 3 {
 		t.Fatalf("merged terms = %+v", c.Terms)
@@ -208,10 +199,21 @@ func TestMergeTerms(t *testing.T) {
 }
 
 func TestAddConstraintUnknownVar(t *testing.T) {
-	p := NewProblem()
-	p.AddVar(1)
-	if _, err := p.AddConstraint([]Term{{Var: 5, Coeff: 1}}, LE, 1, "bad"); err == nil {
-		t.Fatal("unknown variable accepted")
+	for name, add := range map[string]func(p *Problem){
+		"constraint": func(p *Problem) { p.AddConstraint([]Term{{Var: 5, Coeff: 1}}, LE, 1) },
+		"negative":   func(p *Problem) { p.AddConstraint([]Term{{Var: -1, Coeff: 1}}, LE, 1) },
+		"bound":      func(p *Problem) { p.AddUpperBound(5, 1) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("unknown variable accepted")
+				}
+			}()
+			p := NewProblem()
+			p.AddVar(1)
+			add(p)
+		})
 	}
 }
 
@@ -241,14 +243,14 @@ func TestSimplexRandomTransportation(t *testing.T) {
 			for j := 0; j < n; j++ {
 				terms[j] = Term{vars[i][j], 1}
 			}
-			mustConstraint(t, p, terms, LE, supply[i], "supply")
+			p.AddConstraint(terms, LE, supply[i])
 		}
 		for j := 0; j < n; j++ {
 			terms := make([]Term, m)
 			for i := 0; i < m; i++ {
 				terms[i] = Term{vars[i][j], 1}
 			}
-			mustConstraint(t, p, terms, GE, demand[j], "demand")
+			p.AddConstraint(terms, GE, demand[j])
 		}
 		sol := certify(t, p, p.Solve())
 		if sol.Status != Optimal {
@@ -312,9 +314,7 @@ func TestQuickStrongDuality(t *testing.T) {
 				terms = append(terms, Term{vars[j], math.Floor(rng.Float64() * 4)})
 			}
 			rhs[i] = 1 + math.Floor(rng.Float64()*10)
-			if _, err := p.AddConstraint(terms, LE, rhs[i], "r"); err != nil {
-				return false
-			}
+			p.AddConstraint(terms, LE, rhs[i])
 		}
 		sol := certify(t, p, p.Solve())
 		if sol.Status == Unbounded || sol.Status == Infeasible {

@@ -30,7 +30,7 @@ type AllocLP struct {
 // must be empty. phiCost is Phi's objective coefficient; capOverride
 // (optional) replaces the capacity of specific links — partially restored
 // links in ARROW's model.
-func NewAllocLP(prob *lp.Problem, phiCost float64, net *topology.Network, ts *routing.TunnelSet, capOverride map[topology.LinkID]float64) (*AllocLP, error) {
+func NewAllocLP(prob *lp.Problem, phiCost float64, net *topology.Network, ts *routing.TunnelSet, capOverride map[topology.LinkID]float64) *AllocLP {
 	m := &AllocLP{Problem: prob, tunnels: len(ts.Tunnels)}
 	prob.AddVar(phiCost)
 	for range ts.Tunnels {
@@ -50,12 +50,10 @@ func NewAllocLP(prob *lp.Problem, phiCost float64, net *topology.Network, ts *ro
 		if c, ok := capOverride[topology.LinkID(lid)]; ok {
 			capacity = c
 		}
-		if _, err := prob.AddConstraint(terms, lp.LE, capacity, "cap"); err != nil {
-			return nil, err
-		}
+		prob.AddConstraint(terms, lp.LE, capacity)
 		m.Caps = append(m.Caps, capacity)
 	}
-	return m, nil
+	return m
 }
 
 // Tunnel returns the column of tunnel t's allocation.
@@ -64,20 +62,17 @@ func (m *AllocLP) Tunnel(t routing.TunnelID) int { return 1 + int(t) }
 // AddCoverage adds one instance of constraint (4), sum of the surviving
 // tunnels' allocations + d*loss >= d, and returns its row. lossVar is Phi,
 // or a per-class loss column in the monolithic MIP.
-func (m *AllocLP) AddCoverage(lossVar int, d float64, tunnels []routing.TunnelID) (int, error) {
-	return m.AddConstraint(m.row(lossVar, d, 1, tunnels), lp.GE, d, "cov")
+func (m *AllocLP) AddCoverage(lossVar int, d float64, tunnels []routing.TunnelID) int {
+	return m.AddConstraint(m.row(lossVar, d, 1, tunnels), lp.GE, d)
 }
 
 // AddSatisfaction adds a column s in [0, 1] rewarded with weight in the
 // (minimized) objective and the row d*s - sum of the tunnels' allocations
 // <= 0: s is the fraction of demand d the tunnels carry.
-func (m *AllocLP) AddSatisfaction(weight, d float64, tunnels []routing.TunnelID) error {
+func (m *AllocLP) AddSatisfaction(weight, d float64, tunnels []routing.TunnelID) {
 	s := m.AddVar(-weight)
-	if err := m.AddUpperBound(s, 1, "s<=1"); err != nil {
-		return err
-	}
-	_, err := m.AddConstraint(m.row(s, d, -1, tunnels), lp.LE, 0, "sat")
-	return err
+	m.AddUpperBound(s, 1)
+	m.AddConstraint(m.row(s, d, -1, tunnels), lp.LE, 0)
 }
 
 // row is d*lead + sign * sum of the tunnels' allocations.
@@ -123,27 +118,18 @@ func solveMinMaxLoss(net *topology.Network, ts *routing.TunnelSet, demands Deman
 	// fraction sum_f s_f, s_f = min(1, sum_t a_{f,t}/d_f). A single LP with
 	// Phi weighted above the largest possible satisfaction gain gives the
 	// same Phi and a non-degenerate allocation.
-	m, err := NewAllocLP(lp.NewProblem(), float64(len(ts.Flows)+1)*10, net, ts, capOverride)
-	if err != nil {
-		return nil, 0, err
-	}
+	m := NewAllocLP(lp.NewProblem(), float64(len(ts.Flows)+1)*10, net, ts, capOverride)
 	for _, row := range rows {
 		if d := demands[row.Flow]; d > 0 {
-			if _, err := m.AddCoverage(Phi, d, row.Tunnels); err != nil {
-				return nil, 0, err
-			}
+			m.AddCoverage(Phi, d, row.Tunnels)
 		}
 	}
 	// Phi <= 1: loss is normalized (constraint 8)
-	if err := m.AddUpperBound(Phi, 1, "phi<=1"); err != nil {
-		return nil, 0, err
-	}
+	m.AddUpperBound(Phi, 1)
 	// One satisfaction column per flow over its full tunnel set.
 	for _, fl := range ts.Flows {
 		if d := demands[fl.ID]; d > 0 {
-			if err := m.AddSatisfaction(1, d, ts.TunnelsOf(fl.ID)); err != nil {
-				return nil, 0, err
-			}
+			m.AddSatisfaction(1, d, ts.TunnelsOf(fl.ID))
 		}
 	}
 	sol := m.Solve()
