@@ -243,7 +243,7 @@ func fig16(w io.Writer, opts Options) error {
 		p := core.New()
 		p.TunnelRatio = ratio
 		p.ScenarioOpts = cfg.ScenarioOpts
-		p.Opt.Metrics = opts.Metrics
+		budgeted(p.Opt, opts)
 		start := time.Now()
 		ep, err := p.PlanEpoch(core.EpochInput{
 			Net: env.Net, Tunnels: env.Tunnels,
@@ -343,7 +343,7 @@ func fig18(w io.Writer, opts Options) error {
 	// optimizer routes onto the one with spare capacity.
 	p := core.New()
 	p.TunnelRatio = 2
-	p.Opt.Metrics = opts.Metrics
+	budgeted(p.Opt, opts)
 	ep, err := p.PlanEpoch(core.EpochInput{
 		Net: net, Tunnels: ts, Demands: demands, Beta: 0.99,
 		PI:      []float64{0.002, 0.002, 0.002, 0.002, 0.002},
@@ -429,7 +429,7 @@ func fig19(w io.Writer, opts Options) error {
 	}
 	tv := core.NewTeaVar()
 	tv.ScenarioOpts = cfg.ScenarioOpts
-	tv.Opt.Metrics = opts.Metrics
+	budgeted(tv.Opt, opts)
 	base := env.BaseDemands.Scale(2)
 	plan0, err := tv.PlanEpoch(core.EpochInput{
 		Net: env.Net, Tunnels: env.Tunnels, Demands: base, Beta: sim.Beta, PI: env.PI,

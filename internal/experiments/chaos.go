@@ -7,7 +7,6 @@ import (
 
 	"prete/internal/fault"
 	"prete/internal/obs"
-	"prete/internal/optical"
 	"prete/internal/wan"
 )
 
@@ -33,16 +32,11 @@ func chaos(w io.Writer, opts Options) error {
 		delays = []time.Duration{0, 10 * time.Millisecond}
 		rounds = 3
 	}
-	cfg := wan.SwitchConfig{
-		InstallLatency: 3 * time.Millisecond,
-		RateLatency:    300 * time.Microsecond,
-		MaxTunnels:     20000,
-	}
 	header(w, "drop", "delay_ms", "rounds", "degraded", "retries", "giveups", "reaction_ms", "delta_ms", "plan_avail")
 	baseline := -1.0
 	for _, drop := range drops {
 		for _, delay := range delays {
-			cell, err := chaosCell(cfg, opts, drop, delay, rounds)
+			cell, err := chaosCell(opts, drop, delay, rounds)
 			if err != nil {
 				return err
 			}
@@ -69,7 +63,7 @@ type chaosCellResult struct {
 
 // chaosCell builds one faulted testbed and drives `rounds` reaction rounds
 // through it.
-func chaosCell(cfg wan.SwitchConfig, opts Options, drop float64, delay time.Duration, rounds int) (chaosCellResult, error) {
+func chaosCell(opts Options, drop float64, delay time.Duration, rounds int) (chaosCellResult, error) {
 	spec := fault.Spec{Seed: opts.Seed, Drop: drop}
 	if delay > 0 {
 		spec.DelayProb = 1
@@ -80,13 +74,11 @@ func chaosCell(cfg wan.SwitchConfig, opts Options, drop float64, delay time.Dura
 	if err != nil {
 		return chaosCellResult{}, err
 	}
-	tb, err := wan.NewTestbedTransport(cfg, func(f optical.Features) float64 { return 0.8 },
-		fault.NewTransport(wan.TCPTransport{}, inj))
+	tb, err := newTestbed(opts, fastSwitch, fault.NewTransport(wan.TCPTransport{}, inj), reg)
 	if err != nil {
 		return chaosCellResult{}, err
 	}
 	defer tb.Close()
-	tb.Ctl.Metrics = reg
 	tb.Ctl.Retry = wan.RetryPolicy{
 		MaxAttempts: 5, BaseBackoff: time.Millisecond,
 		MaxBackoff: 20 * time.Millisecond, Jitter: 0.5,
@@ -106,16 +98,10 @@ func chaosCell(cfg wan.SwitchConfig, opts Options, drop float64, delay time.Dura
 	res.meanMS = ms(total) / float64(rounds)
 	res.retries = reg.Counter("wan.rpc.retries").Value()
 	res.giveups = reg.Counter("wan.rpc.giveups").Value()
-	if opts.Metrics != nil {
-		// Mirror the cell's control-plane series into the caller's registry
-		// so `prete-sim -exp chaos -metrics` lights up the wan.* and fault.*
-		// namespaces (summed across cells).
-		for _, name := range []string{
-			"wan.rpc.count", "wan.rpc.errors", "wan.rpc.retries", "wan.rpc.giveups",
-			"wan.fallback.rounds", "wan.fallback.tunnel_rounds", "fault.rpcs",
-		} {
-			opts.Metrics.Counter(name).Add(reg.Counter(name).Value())
-		}
-	}
+	// `prete-sim -exp chaos -metrics` lights up the wan.* and fault.*
+	// namespaces.
+	foldCounters(opts, reg,
+		"wan.rpc.count", "wan.rpc.errors", "wan.rpc.retries", "wan.rpc.giveups",
+		"wan.fallback.rounds", "wan.fallback.tunnel_rounds", "fault.rpcs")
 	return res, nil
 }

@@ -5,11 +5,7 @@ import (
 	"io"
 
 	"prete/internal/core"
-	"prete/internal/routing"
-	"prete/internal/scenario"
-	"prete/internal/stats"
 	"prete/internal/te"
-	"prete/internal/topology"
 )
 
 func init() {
@@ -72,36 +68,17 @@ func deadline(w io.Writer, opts Options) error {
 	return nil
 }
 
-// deadlineInput builds the sweep's TE instance: 4 tunnels per flow, seeded
-// per-fiber failure probabilities, double-failure scenarios.
+// deadlineInput builds the sweep's TE instance: incremental's epoch-0
+// instance with its double-failure scenarios enumerated.
 func deadlineInput(topo string, seed uint64) (*te.Input, error) {
-	net, err := topology.ByName(topo)
+	base, err := incrementalBase(topo, seed)
 	if err != nil {
 		return nil, err
 	}
-	ts, err := routing.BuildTunnels(net, routing.Flows(net), 4)
-	if err != nil {
-		return nil, err
-	}
-	rng := stats.NewRNG(seed)
-	probs := make([]float64, len(net.Fibers))
-	for i := range probs {
-		probs[i] = 0.001 + 0.02*rng.Float64()
-	}
-	set, err := scenario.Enumerate(probs, scenario.Options{Cutoff: 1e-9, MaxFailures: 2, MaxScenarios: 200})
-	if err != nil {
-		return nil, err
-	}
-	demands := make(te.Demands, len(ts.Flows))
-	for i := range demands {
-		demands[i] = 20 + 10*rng.Float64()
-	}
-	return &te.Input{Net: net, Tunnels: ts, Demands: demands, Scenarios: set, Beta: 0.99}, nil
+	return base.input(base.probs)
 }
 
 func solveBudgeted(in *te.Input, units int64, opts Options) (*core.Result, error) {
-	o := core.DefaultOptimizer()
-	o.BudgetUnits = units
-	o.Metrics = opts.Metrics
-	return o.Solve(in)
+	opts.Budget = units
+	return budgeted(core.DefaultOptimizer(), opts).Solve(in)
 }

@@ -10,6 +10,7 @@ import (
 	"io"
 	"sort"
 
+	"prete/internal/core"
 	"prete/internal/obs"
 	"prete/internal/te"
 )
@@ -43,6 +44,15 @@ type Options struct {
 	// (sloclass); nil uses te.DefaultClassSpec(). Classless experiments
 	// ignore it.
 	Classes *te.ClassSpec
+}
+
+// budgeted puts o under opts' work budget and metrics registry and returns
+// it: every experiment that plans or solves directly configures its
+// optimizer here, so -budget and -metrics reach each of its solves.
+func budgeted(o *core.Optimizer, opts Options) *core.Optimizer {
+	o.BudgetUnits = opts.Budget
+	o.Metrics = opts.Metrics
+	return o
 }
 
 // Func runs one experiment, writing its table/series to w.

@@ -10,7 +10,6 @@ import (
 
 	"prete/internal/fault"
 	"prete/internal/obs"
-	"prete/internal/optical"
 	"prete/internal/wan"
 )
 
@@ -145,21 +144,14 @@ func b2i(b bool) int {
 // promotes, and the adopted lineage completes the next epoch.
 func haCell(opts Options, c haCellConfig) (haCellResult, error) {
 	var res haCellResult
-	cfg := wan.SwitchConfig{
-		InstallLatency: 3 * time.Millisecond,
-		RateLatency:    300 * time.Microsecond,
-		MaxTunnels:     20000,
-	}
 	reg := obs.NewRegistry()
 	ct := fault.NewCtlCrash(wan.TCPTransport{}, 0, reg)
 	ct.Disarm()
-	tb, err := wan.NewTestbedTransport(cfg, func(f optical.Features) float64 { return 0.8 }, ct)
+	tb, err := newTestbed(opts, fastSwitch, ct, reg)
 	if err != nil {
 		return res, err
 	}
 	defer tb.Close()
-	tb.SolveUnits = opts.Budget
-	tb.Ctl.Metrics = reg
 	root, err := os.MkdirTemp("", "prete-ha-*")
 	if err != nil {
 		return res, err
@@ -241,17 +233,12 @@ func haCell(opts Options, c haCellConfig) (haCellResult, error) {
 	if _, err := tb.RunScenario(opts.Seed); err != nil {
 		return res, fmt.Errorf("post-promotion epoch: %w", err)
 	}
-	if opts.Metrics != nil {
-		for _, name := range []string{
-			"wan.georep.ticks", "wan.georep.heartbeats", "wan.georep.misses",
-			"wan.georep.elections", "wan.georep.site_resyncs", "wan.georep.resync_requests",
-			"wan.failover.promotions", "wan.failover.reasserts",
-			"wan.failover.mirror_match", "wan.failover.mirror_mismatch",
-			"persist.repl.shipped", "persist.repl.acked", "persist.repl.resent",
-			"persist.repl.resyncs", "persist.repl.tailed",
-		} {
-			opts.Metrics.Counter(name).Add(reg.Counter(name).Value())
-		}
-	}
+	foldCounters(opts, reg,
+		"wan.georep.ticks", "wan.georep.heartbeats", "wan.georep.misses",
+		"wan.georep.elections", "wan.georep.site_resyncs", "wan.georep.resync_requests",
+		"wan.failover.promotions", "wan.failover.reasserts",
+		"wan.failover.mirror_match", "wan.failover.mirror_mismatch",
+		"persist.repl.shipped", "persist.repl.acked", "persist.repl.resent",
+		"persist.repl.resyncs", "persist.repl.tailed")
 	return res, nil
 }

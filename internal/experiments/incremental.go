@@ -104,9 +104,10 @@ type incrementalInstance struct {
 	probs   []float64
 }
 
-// incrementalBase builds the sweep's TE instance the same way the deadline
-// sweep does (4 tunnels per flow, seeded per-fiber probabilities), but keeps
-// the probability vector so each epoch can re-enumerate after drifting it.
+// incrementalBase builds the TE instance of this sweep and the deadline
+// sweep: 4 tunnels per flow, seeded per-fiber probabilities and demands. It
+// keeps the probability vector so each epoch can re-enumerate after
+// drifting it.
 func incrementalBase(topo string, seed uint64) (*incrementalInstance, error) {
 	net, err := topology.ByName(topo)
 	if err != nil {
@@ -128,26 +129,33 @@ func incrementalBase(topo string, seed uint64) (*incrementalInstance, error) {
 	return &incrementalInstance{net: net, tunnels: ts, demands: demands, probs: probs}, nil
 }
 
+// input enumerates probs' scenarios (up to double failures, 200 at most)
+// and returns the instance's TE input over them.
+func (b *incrementalInstance) input(probs []float64) (*te.Input, error) {
+	set, err := scenario.Enumerate(probs, scenario.Options{Cutoff: 1e-9, MaxFailures: 2, MaxScenarios: 200})
+	if err != nil {
+		return nil, err
+	}
+	return &te.Input{Net: b.net, Tunnels: b.tunnels, Demands: b.demands, Scenarios: set, Beta: 0.99}, nil
+}
+
 // incrementalRun replays one epoch sequence: drift the probabilities (epoch
 // 0 uses the base vector as-is), enumerate the scenario set, solve — through
 // cache when non-nil, cold otherwise — and accumulate the per-epoch
 // objectives plus the sequence's total iterations and work units.
 func incrementalRun(base *incrementalInstance, mutate func(int, []float64), epochs int, cache *core.SolveCache, opts Options) ([]float64, int64, int64, error) {
 	probs := append([]float64(nil), base.probs...)
-	o := core.DefaultOptimizer()
-	o.BudgetUnits = opts.Budget
-	o.Metrics = opts.Metrics
+	o := budgeted(core.DefaultOptimizer(), opts)
 	phis := make([]float64, 0, epochs)
 	var iters, work int64
 	for e := 0; e < epochs; e++ {
 		if e > 0 {
 			mutate(e, probs)
 		}
-		set, err := scenario.Enumerate(probs, scenario.Options{Cutoff: 1e-9, MaxFailures: 2, MaxScenarios: 200})
+		in, err := base.input(probs)
 		if err != nil {
 			return nil, 0, 0, err
 		}
-		in := &te.Input{Net: base.net, Tunnels: base.tunnels, Demands: base.demands, Scenarios: set, Beta: 0.99}
 		var res *core.Result
 		served := false
 		if cache != nil {

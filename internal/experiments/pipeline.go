@@ -91,8 +91,7 @@ func fig8(w io.Writer, opts Options) error {
 	// probability, which concentrates mass on scenarios the trimmed
 	// enumeration would cut off.
 	p := core.New()
-	p.Opt.BudgetUnits = opts.Budget
-	p.Opt.Metrics = opts.Metrics
+	budgeted(p.Opt, opts)
 	ep, err := p.PlanEpoch(core.EpochInput{
 		Net: env.Net, Tunnels: env.Tunnels, Demands: env.BaseDemands,
 		Beta: sim.Beta, PI: env.PI, Signals: signals,

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"prete/internal/core"
+	"prete/internal/obs"
 	"prete/internal/optical"
 	"prete/internal/routing"
 	"prete/internal/te"
@@ -19,6 +20,39 @@ func init() {
 	register("fig237", "The three-node illustrative example (Figs 2, 3, 7)", fig237)
 }
 
+// fastSwitch is the switch timing of the control-plane sweeps (chaos,
+// failover, georep, warmrestart): fast enough that a cell runs in
+// milliseconds.
+var fastSwitch = wan.SwitchConfig{
+	InstallLatency: 3 * time.Millisecond,
+	RateLatency:    300 * time.Microsecond,
+	MaxTunnels:     20000,
+}
+
+// newTestbed starts the §5 loopback testbed with cfg's switches, the
+// controller dialing through tr, a fixed 0.8 failure prediction, each TE
+// solve under opts.Budget and the controller's series in reg.
+func newTestbed(opts Options, cfg wan.SwitchConfig, tr wan.Transport, reg *obs.Registry) (*wan.Testbed, error) {
+	tb, err := wan.NewTestbedTransport(cfg, func(optical.Features) float64 { return 0.8 }, tr)
+	if err != nil {
+		return nil, err
+	}
+	tb.SolveUnits = opts.Budget
+	tb.Ctl.Metrics = reg
+	return tb, nil
+}
+
+// foldCounters adds the named counters of a cell's own registry into
+// opts.Metrics, when it is set, so a sweep's series sum across its cells.
+func foldCounters(opts Options, reg *obs.Registry, names ...string) {
+	if opts.Metrics == nil {
+		return
+	}
+	for _, name := range names {
+		opts.Metrics.Counter(name).Add(reg.Counter(name).Value())
+	}
+}
+
 // fig11 runs the §5 loopback testbed.
 func fig11(w io.Writer, opts Options) error {
 	cfg := wan.DefaultSwitchConfig()
@@ -26,7 +60,7 @@ func fig11(w io.Writer, opts Options) error {
 		cfg.InstallLatency = 3 * time.Millisecond
 		cfg.RateLatency = 300 * time.Microsecond
 	}
-	tb, err := wan.NewTestbed(cfg, func(f optical.Features) float64 { return 0.8 })
+	tb, err := newTestbed(opts, cfg, wan.TCPTransport{}, opts.Metrics)
 	if err != nil {
 		return err
 	}
@@ -156,7 +190,7 @@ func fig237(w io.Writer, opts Options) error {
 		return err
 	}
 	prete := core.New()
-	prete.Opt.Metrics = opts.Metrics
+	budgeted(prete.Opt, opts)
 	ep, err := prete.PlanEpoch(core.EpochInput{
 		Net: net, Tunnels: ts, Demands: te.Demands{5, 5}, Beta: 0.99,
 		PI:      []float64{p[0], p[1], p[2]},
@@ -169,7 +203,7 @@ func fig237(w io.Writer, opts Options) error {
 	preThroughput := te.DeliveredUnder(ep.Plan, 0, 5, cut) + te.DeliveredUnder(ep.Plan, 1, 5, cut)
 
 	teavar := core.NewTeaVar()
-	teavar.Opt.Metrics = opts.Metrics
+	budgeted(teavar.Opt, opts)
 	tvEp, err := teavar.PlanEpoch(core.EpochInput{
 		Net: net, Tunnels: ts, Demands: te.Demands{5, 5}, Beta: 0.99,
 		PI: []float64{p[0], p[1], p[2]},

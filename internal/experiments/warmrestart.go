@@ -9,7 +9,6 @@ import (
 
 	"prete/internal/fault"
 	"prete/internal/obs"
-	"prete/internal/optical"
 	"prete/internal/persist"
 	"prete/internal/routing"
 	"prete/internal/topology"
@@ -72,21 +71,14 @@ type warmrestartCellResult struct {
 // controller dies after crashRPC attempts of epoch 2, restarts, and (warm)
 // recovers its journal or (cold) starts empty.
 func warmrestartCell(opts Options, crashRPC int64, warm bool) (warmrestartCellResult, error) {
-	cfg := wan.SwitchConfig{
-		InstallLatency: 3 * time.Millisecond,
-		RateLatency:    300 * time.Microsecond,
-		MaxTunnels:     20000,
-	}
 	reg := obs.NewRegistry()
 	ct := fault.NewCtlCrash(wan.TCPTransport{}, 0, reg)
 	ct.Disarm()
-	tb, err := wan.NewTestbedTransport(cfg, func(f optical.Features) float64 { return 0.8 }, ct)
+	tb, err := newTestbed(opts, fastSwitch, ct, reg)
 	if err != nil {
 		return warmrestartCellResult{}, err
 	}
 	defer tb.Close()
-	tb.SolveUnits = opts.Budget
-	tb.Ctl.Metrics = reg
 	var dir string
 	if warm {
 		dir, err = os.MkdirTemp("", "prete-warmrestart-*")
@@ -134,15 +126,10 @@ func warmrestartCell(opts Options, crashRPC int64, warm bool) (warmrestartCellRe
 		}
 		res.ttfvp = time.Since(start)
 	}
-	if opts.Metrics != nil {
-		for _, name := range []string{
-			"wan.recovery.runs", "wan.recovery.warm", "wan.recovery.cold",
-			"wan.recovery.records", "wan.rpc.halted", "fault.ctlcrash.halts",
-			"persist.appends", "persist.snapshots",
-		} {
-			opts.Metrics.Counter(name).Add(reg.Counter(name).Value())
-		}
-	}
+	foldCounters(opts, reg,
+		"wan.recovery.runs", "wan.recovery.warm", "wan.recovery.cold",
+		"wan.recovery.records", "wan.rpc.halted", "fault.ctlcrash.halts",
+		"persist.appends", "persist.snapshots")
 	return res, nil
 }
 
