@@ -143,9 +143,9 @@ func TestEnumerateMassMonotoneInPrediction(t *testing.T) {
 }
 
 // TestEnumerateProbabilitiesConsistent checks the enumeration invariants on
-// random grids: scenario probabilities match the Bernoulli product exactly,
-// the empty scenario always survives in first position, and the covered
-// mass never exceeds 1.
+// random grids without a binding cap: scenario probabilities match the
+// Bernoulli product exactly, the empty scenario comes first, and the
+// covered mass never exceeds 1.
 func TestEnumerateProbabilitiesConsistent(t *testing.T) {
 	rng := stats.NewRNG(0x5ce)
 	for trial := 0; trial < 60; trial++ {

@@ -55,8 +55,8 @@ type Set struct {
 
 // Options bounds enumeration.
 type Options struct {
-	// Cutoff drops scenarios with probability below it (except the empty
-	// scenario, which is always kept).
+	// Cutoff drops scenarios with probability below it, except the empty
+	// scenario; MaxScenarios may still evict that one.
 	Cutoff float64
 	// MaxFailures caps the number of simultaneously cut fibers (>= 1).
 	// Enumeration materializes up to triple failures: 1 yields singles, 2
@@ -167,7 +167,7 @@ func Enumerate(probs []float64, opts Options) (*Set, error) {
 	if len(out) > opts.MaxScenarios {
 		out = out[:opts.MaxScenarios]
 	}
-	// The empty scenario must always survive the cap.
+	// The empty scenario goes first, if it survived the cap.
 	if len(out[0].Cut) != 0 {
 		for i := range out {
 			if len(out[i].Cut) == 0 {

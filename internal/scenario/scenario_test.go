@@ -67,6 +67,41 @@ func TestEnumerateCutoffAndCap(t *testing.T) {
 	}
 }
 
+// TestEnumerateCapMayEvictEmpty pins what MaxScenarios does to the empty
+// scenario: it is kept, and moved first, only when it is among the
+// MaxScenarios most probable; otherwise the cap evicts it like any other.
+func TestEnumerateCapMayEvictEmpty(t *testing.T) {
+	for _, tc := range []struct {
+		probs     []float64
+		max       int
+		wantEmpty bool
+	}{
+		{[]float64{0.9, 0.9, 0.9}, 2, false},          // two doubles outweigh it
+		{[]float64{1, 0.001, 0.001, 0.001}, 2, false}, // a certain cut leaves it probability 0
+		{[]float64{0.6, 0.6, 0.01}, 4, true},          // fourth most probable of seven, moved first
+	} {
+		set, err := Enumerate(tc.probs, Options{Cutoff: 0, MaxFailures: 2, MaxScenarios: tc.max})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(set.Scenarios) != tc.max {
+			t.Fatalf("%v cap %d: %d scenarios", tc.probs, tc.max, len(set.Scenarios))
+		}
+		empty := -1
+		for i, s := range set.Scenarios {
+			if len(s.Cut) == 0 {
+				empty = i
+			}
+		}
+		if tc.wantEmpty && empty != 0 {
+			t.Errorf("%v cap %d: empty scenario at %d, want first", tc.probs, tc.max, empty)
+		}
+		if !tc.wantEmpty && empty >= 0 {
+			t.Errorf("%v cap %d: empty scenario kept at %d, want evicted", tc.probs, tc.max, empty)
+		}
+	}
+}
+
 func TestEnumerateValidation(t *testing.T) {
 	if _, err := Enumerate([]float64{-0.1}, DefaultOptions()); err == nil {
 		t.Error("negative probability accepted")
