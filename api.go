@@ -3,7 +3,6 @@ package prete
 import (
 	"prete/internal/core"
 	"prete/internal/ml"
-	"prete/internal/obs"
 	"prete/internal/optical"
 	"prete/internal/routing"
 	"prete/internal/scenario"
@@ -12,8 +11,8 @@ import (
 	"prete/internal/trace"
 )
 
-// Domain types re-exported from the implementation packages so downstream
-// code can hold them without importing internal paths.
+// Domain types re-exported from the implementation packages so the examples
+// can hold them without importing internal paths; System builds the rest.
 type (
 	// Network is the two-layer WAN graph (fibers + IP links).
 	Network = topology.Network
@@ -71,12 +70,6 @@ type (
 	Trace = trace.Trace
 	// LabeledExample is one (features, failed) training sample.
 	LabeledExample = trace.LabeledExample
-
-	// MetricsRegistry is the observability registry (internal/obs): a
-	// concurrency-safe set of counters, gauges, histograms, and stage timers
-	// with deterministic snapshots. A nil registry disables all
-	// instrumentation at zero cost.
-	MetricsRegistry = obs.Registry
 )
 
 // Fiber state values.
@@ -93,16 +86,6 @@ func LoadTopology(name string) (*Network, error) { return topology.ByName(name) 
 // link references.
 func NewNetwork(name string, nodes []Node, fibers []Fiber, links []Link) (*Network, error) {
 	return topology.New(name, nodes, fibers, links)
-}
-
-// DefaultFlows derives the evaluation flow set (one per directed IP
-// adjacency, reproducing Table 3's tunnel counts).
-func DefaultFlows(net *Network) []Flow { return routing.Flows(net) }
-
-// BuildTunnels constructs perFlow tunnels per flow using k-shortest and
-// fiber-disjoint routing (§4.2).
-func BuildTunnels(net *Network, flows []Flow, perFlow int) (*TunnelSet, error) {
-	return routing.BuildTunnels(net, flows, perFlow)
 }
 
 // GenerateTrace synthesizes a production-shaped optical event history over
@@ -132,8 +115,3 @@ func EvaluatePredictor(p Predictor, test []LabeledExample) (precision, recall, f
 func Delivered(p *Plan, f FlowID, demand float64, cut map[FiberID]bool) float64 {
 	return te.Delivered(p, f, demand, cut)
 }
-
-// NewMetricsRegistry returns an empty observability registry. Hand it to
-// Config.Metrics (or sim.Config.Metrics, wan.Controller.Metrics, ...) to
-// collect counters and stage timings; results are unaffected.
-func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }

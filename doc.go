@@ -10,9 +10,9 @@
 // The root package is the stable facade: the System type wires the
 // telemetry -> prediction -> tunnel update -> optimization pipeline of the
 // paper's Fig 8 as one ingest pipeline feeding one controller loop
-// (internal/core's Loop, which the §5 testbed runs too), and the
-// re-exported constructors expose the substrates (topologies, tunnel
-// routing, the synthetic production trace and the model zoo) that the
+// (internal/core's Loop, which the §5 testbed runs too) at the paper's
+// β = 0.99, and the re-exported constructors expose the substrates
+// (topologies, the synthetic production trace and the model zoo) that the
 // examples are built on.
 //
 // Quick start:

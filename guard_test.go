@@ -21,11 +21,13 @@ import (
 	"testing"
 )
 
-// The exception tables name objects declared under internal/ as "pkg.Func",
-// "pkg.Type.Method" or "pkg.Type.Field", pkg being the directory under
-// internal/. An entry is only for a test oracle, a fault tool, a method the
-// standard library calls through an interface the checks cannot see, or a
-// test seam, one reason each. An entry whose object is gone or gains a
+// The checks cover every package of the module except bench/. The
+// exception tables name objects as "pkg.Func", "pkg.Type.Method" or
+// "pkg.Type.Field", pkg being the directory under internal/, "prete" for
+// the root package, or the directory's path for cmd/ and examples/. An
+// entry is only for a test oracle, a fault tool, a method the standard
+// library calls through an interface the checks cannot see, or a test
+// seam, one reason each. An entry whose object is gone or gains a
 // program use fails its test until it is dropped.
 
 // callerExceptions lists the functions and methods that keep no program
@@ -189,12 +191,19 @@ func (p *program) inModule(path string) bool {
 	return path == p.module || strings.HasPrefix(path, p.module+"/")
 }
 
-func (p *program) internal(path string) bool { return strings.HasPrefix(path, p.module+"/internal/") }
+// checked reports whether the checks cover the package at path: every
+// package but the benchmark harness's, which is its own module and may keep
+// what its runs need.
+func (p *program) checked(path string) bool { return !strings.HasPrefix(path+"/", p.module+"/bench/") }
 
 // key names obj, a package-level object or a method or field of the named
 // type typ (nil for none), as the exception tables do.
 func (p *program) key(typ *types.TypeName, obj types.Object) string {
-	k := strings.TrimPrefix(obj.Pkg().Path(), p.module+"/internal/") + "."
+	k := obj.Pkg().Path()
+	if k != p.module {
+		k = strings.TrimPrefix(strings.TrimPrefix(k, p.module+"/internal/"), p.module+"/")
+	}
+	k += "."
 	if typ != nil {
 		k += typ.Name() + "."
 	}
@@ -231,15 +240,15 @@ func (p *program) findings(decls map[types.Object]string, used map[types.Object]
 	return append(out, stale...)
 }
 
-// uncalled finds the functions and methods declared under internal/ that
-// no program code reaches. Reachability starts from every function outside
-// internal/, every init function and every package-level declaration other
-// than a function; a function reached only from unreached ones is
-// unreached too. A use is a reference to the callee's origin. A concrete
-// method is also reached when it is named String, Error or Unwrap, which
-// fmt and errors call, or when its type implements an interface that
-// reached code names or passes to a call and the method is in that
-// interface. What an exception reaches counts as used.
+// uncalled finds the functions and methods of the checked packages that no
+// program code reaches. Reachability starts from every main and init
+// function and every package-level declaration other than a function, the
+// benchmark harness's included; a function reached only from unreached
+// ones is unreached too. A use is a reference to the callee's origin. A
+// concrete method is also reached when it is named String, Error or
+// Unwrap, which fmt and errors call, or when its type implements an
+// interface that reached code names or passes to a call and the method is
+// in that interface. What an exception reaches counts as used.
 func (p *program) uncalled(exceptions map[string]string) []finding {
 	decls := make(map[types.Object]string)
 	body := make(map[types.Object]*ast.FuncDecl)
@@ -248,16 +257,20 @@ func (p *program) uncalled(exceptions map[string]string) []finding {
 		for _, f := range p.files[path] {
 			for _, d := range f.Decls {
 				fd, ok := d.(*ast.FuncDecl)
-				if !ok || !p.internal(path) || (fd.Recv == nil && fd.Name.Name == "init") {
+				if !ok || (fd.Recv == nil && (fd.Name.Name == "init" || fd.Name.Name == "main" && f.Name.Name == "main")) {
 					queue = append(queue, d)
 					continue
 				}
 				fn := p.info.Defs[fd.Name]
+				body[fn] = fd
+				if !p.checked(path) {
+					continue
+				}
 				var typ *types.TypeName
 				if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
 					typ = namedOf(recv.Type()).Obj()
 				}
-				decls[fn], body[fn] = p.key(typ, fn), fd
+				decls[fn] = p.key(typ, fn)
 			}
 		}
 	}
@@ -315,7 +328,7 @@ func (p *program) uncalled(exceptions map[string]string) []finding {
 					return true
 				})
 			}
-			for fn := range decls {
+			for fn := range body {
 				if !reached[fn] && dispatched(fn.(*types.Func)) {
 					mark(fn.(*types.Func))
 				}
@@ -347,13 +360,13 @@ func namedOf(t types.Type) *types.Named {
 }
 
 // structFields returns the key of every named field of every struct type
-// declared at package level under internal/.
+// declared at package level in a checked package.
 func (p *program) structFields() map[types.Object]string {
 	keys := make(map[types.Object]string)
 	for _, path := range p.paths {
 		for _, f := range p.files[path] {
 			for _, d := range f.Decls {
-				if gd, ok := d.(*ast.GenDecl); ok && gd.Tok == token.TYPE && p.internal(path) {
+				if gd, ok := d.(*ast.GenDecl); ok && gd.Tok == token.TYPE && p.checked(path) {
 					for _, spec := range gd.Specs {
 						ts := spec.(*ast.TypeSpec)
 						if st, ok := ts.Type.(*ast.StructType); ok {
@@ -381,7 +394,7 @@ func (p *program) field(sel *ast.SelectorExpr) types.Object {
 	return nil
 }
 
-// unreadFields finds the struct fields declared under internal/ that no
+// unreadFields finds the struct fields of the checked packages that no
 // program code reads. A read is a selection of the field, except as the
 // target of =, :=, op= or ++/-- (after stripping index expressions, so
 // x.F[k] = v writes F) and as the first argument of x.F = append(x.F,
@@ -457,7 +470,7 @@ func (p *program) unreadFields(exceptions map[string]string) []finding {
 }
 
 // unsetOptions finds each exported field of an exported *Config or
-// *Options struct under internal/, and of core.Optimizer, that program
+// *Options struct of a checked package, and of core.Optimizer, that program
 // code never writes, or writes only to a constant inside its own package:
 // in its Default* function, or where a zero value is defaulted. Such a
 // field has one value, so it belongs in a constant. A write is the target
@@ -559,9 +572,9 @@ func report(t *testing.T, check func(*program) []finding, table, unused, used st
 	}
 }
 
-// TestEveryInternalFuncHasACaller fails on every function or method under
-// internal/ that no program code (root, internal/, cmd/, examples/ and
-// bench/; never tests) reaches.
+// TestEveryInternalFuncHasACaller fails on every function or method outside
+// bench/ that no main or init function (of cmd/, examples/ or bench/; never
+// a test) reaches.
 func TestEveryInternalFuncHasACaller(t *testing.T) {
 	report(t, func(p *program) []finding { return p.uncalled(callerExceptions) }, "callerExceptions",
 		"has no caller outside tests: give it a program caller or delete it", "has a program caller")
@@ -574,7 +587,7 @@ func TestEveryOptionIsSet(t *testing.T) {
 		"is never set by program code, or only to a constant in its own package: make it a constant", "is set by program code")
 }
 
-// TestEveryFieldIsRead fails on every struct field under internal/ that
+// TestEveryFieldIsRead fails on every struct field outside bench/ that
 // program code never reads: state kept for nobody, to delete with whatever
 // fills it.
 func TestEveryFieldIsRead(t *testing.T) {
@@ -583,8 +596,10 @@ func TestEveryFieldIsRead(t *testing.T) {
 }
 
 // TestGuardFixture runs the three checks over testdata/guard, which plants
-// one case of each kind a name match hides beside its namesake, and one
-// stale entry per exception table.
+// one case of each kind a name match hides beside its namesake, one stale
+// entry per exception table, and in its root package an exported function
+// no program calls and a Config field set only in its DefaultConfig and
+// forwarded into internal/a's options.
 func TestGuardFixture(t *testing.T) {
 	p, err := loadProgram(filepath.Join("testdata", "guard"), "fixture")
 	if err != nil {
@@ -596,9 +611,9 @@ func TestGuardFixture(t *testing.T) {
 		want  []string
 	}{
 		{"callers", p.uncalled(map[string]string{"a.Oracle": "oracle", "a.Gone": "no such function"}),
-			[]string{"a.Uncalled.Run", "a.Gone (stale)"}},
+			[]string{"fixture.Unused", "a.Uncalled.Run", "a.Gone (stale)"}},
 		{"options", p.unsetOptions(map[string]string{"a.Options.Name": "the program sets it"}),
-			[]string{"a.Options.Level", "a.Options.Name (stale)"}},
+			[]string{"fixture.Config.Width", "a.Options.Level", "a.Options.Name (stale)"}},
 		{"fields", p.unreadFields(map[string]string{"a.Reader.Count": "the program reads it"}),
 			[]string{"a.Writer.Count", "a.Acc.Sum", "a.Reader.Count (stale)"}},
 	} {

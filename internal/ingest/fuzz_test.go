@@ -36,8 +36,9 @@ func fuzzNet(tb testing.TB) *topology.Network {
 // timestamp, gappy, non-finite — sample series through the streaming
 // pipeline at one sample per tick, at a fuzz-chosen chunking, and in one
 // tick. The pipeline must never panic and must agree with the batch replay
-// (telemetry.ProcessBatch) at every chunking. ringCap, drain and flushEvery
-// are unused; they keep the committed corpus decodable.
+// (telemetry.ProcessBatch, at the pipeline's confirmation count) at every
+// chunking. The confirmation count, ringCap, drain and flushEvery are
+// unused; they keep the committed corpus decodable.
 func FuzzIngest(f *testing.F) {
 	f.Add([]byte{}, uint8(2), uint8(3), uint8(8), uint8(1), uint8(4))
 	// a clean degradation episode on fiber 0
@@ -46,7 +47,7 @@ func FuzzIngest(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 1, 0, 0, 1, 200, 0, 2, 0, 200, 0}, uint8(3), uint8(4), uint8(4), uint8(2), uint8(2))
 	// out-of-order timestamps (negative dt) across all three fibers
 	f.Add([]byte{1, 255, 60, 0, 0, 1, 30, 0, 2, 129, 90, 1, 1, 255, 60, 0}, uint8(1), uint8(5), uint8(2), uint8(1), uint8(3))
-	f.Fuzz(func(t *testing.T, data []byte, confirm, window, _, _, _ uint8) {
+	f.Fuzz(func(t *testing.T, data []byte, _, window, _, _, _ uint8) {
 		net := fuzzNet(t)
 		// Decode: each 4-byte group is one sample — fiber selector, signed
 		// time delta (out-of-order and duplicate timestamps allowed), excess
@@ -79,16 +80,13 @@ func FuzzIngest(f *testing.F) {
 				Missing:  data[i+3]%2 == 1,
 			})
 		}
-		conf := int(confirm%8) + 1
 
 		// The stream must equal the batch replay byte for byte at every
 		// chunking (NaN prints identically, so compare the printed form).
-		want, errB := telemetry.ProcessBatch(net, series, conf)
+		want, errB := telemetry.ProcessBatch(net, series, confirmSamples)
 		whole := max(len(series[0].Samples), len(series[1].Samples), len(series[2].Samples), 1)
 		for _, perTick := range []int{1, int(window%16) + 1, whole} {
-			cfg := DefaultConfig()
-			cfg.ConfirmSamples = conf
-			p, err := New(net, cfg)
+			p, err := New(net, DefaultConfig())
 			if err != nil {
 				t.Fatal(err)
 			}

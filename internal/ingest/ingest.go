@@ -38,21 +38,20 @@ type Arrival struct {
 	Sample optical.Sample
 }
 
+// confirmSamples is the per-transition confirmation count of the per-fiber
+// detectors (telemetry.Detector): the paper's 2-sample confirmation.
+const confirmSamples = 2
+
 // Config tunes a Pipeline. Start from DefaultConfig.
 type Config struct {
-	// ConfirmSamples is the per-transition confirmation count of the
-	// per-fiber detectors (telemetry.Detector). Values < 1 select 1.
-	ConfirmSamples int
 	// Metrics, when non-nil, receives the ingest.* observability series and,
 	// through the detectors, the telemetry.* counters. Metrics are
 	// write-only: the pipeline never reads them.
 	Metrics *obs.Registry
 }
 
-// DefaultConfig returns the paper's 2-sample confirmation.
-func DefaultConfig() Config {
-	return Config{ConfirmSamples: 2}
-}
+// DefaultConfig returns the zero Config: no metrics.
+func DefaultConfig() Config { return Config{} }
 
 // Stats is a point-in-time snapshot of the pipeline's accounting. After a
 // final Flush, Ingested == Emitted.
@@ -181,10 +180,9 @@ func New(net *topology.Network, cfg Config) (*Pipeline, error) {
 	if net == nil {
 		return nil, fmt.Errorf("ingest: nil network")
 	}
-	confirm := max(cfg.ConfirmSamples, 1)
 	p := &Pipeline{fibers: make([]*fiberState, len(net.Fibers))}
 	for i := range net.Fibers {
-		det := telemetry.NewDetector(confirm)
+		det := telemetry.NewDetector(confirmSamples)
 		det.SetMetrics(cfg.Metrics)
 		p.fibers[i] = &fiberState{id: i, fib: net.Fibers[i], det: det}
 	}

@@ -233,32 +233,3 @@ func TestTickValidation(t *testing.T) {
 		t.Fatal("nil network accepted")
 	}
 }
-
-// TestConfigDefaultsResolved pins the ConfirmSamples clamp: an all-zero
-// config confirms every transition after one sample, like a detector built
-// with ConfirmSamples 1.
-func TestConfigDefaultsResolved(t *testing.T) {
-	net, err := topology.ByName("B4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	series := testSeries(t, net, 11)
-	want, err := telemetry.ProcessBatch(net, series, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if two, err := telemetry.ProcessBatch(net, series, 2); err != nil || reflect.DeepEqual(two, want) {
-		t.Fatalf("degenerate fixture: confirmation count does not change the events (err %v)", err)
-	}
-	p, err := New(net, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := p.RunReplay(series)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("a zero ConfirmSamples does not behave as 1")
-	}
-}

@@ -6,25 +6,19 @@ import (
 
 	"prete/internal/core"
 	"prete/internal/ingest"
-	"prete/internal/obs"
 	"prete/internal/routing"
 	"prete/internal/telemetry"
 	"prete/internal/trace"
 )
 
-// Config tunes a System.
+// Config tunes a System. Every System plans at β = 0.99 (constraint 5)
+// with core.New's α, the fraction of predictable cuts (Theorem 4.1).
 type Config struct {
-	// Beta is the target availability level (constraint 5).
-	Beta float64
-	// Alpha is the fraction of predictable fiber cuts (Theorem 4.1).
-	Alpha float64
 	// TunnelRatio is the number of reactive tunnels established per
 	// affected tunnel on a degradation signal (Algorithm 1; §6.4).
 	TunnelRatio float64
 	// TunnelsPerFlow sizes the pre-established tunnel table.
 	TunnelsPerFlow int
-	// ConfirmSamples is the detector's per-transition confirmation count.
-	ConfirmSamples int
 	// Scenario bounds failure-scenario enumeration.
 	Scenario ScenarioOptions
 	// StaticPI is the per-fiber static failure probability p_i; when nil a
@@ -33,23 +27,13 @@ type Config struct {
 	// Flows overrides the planned flow set; when nil, one flow per
 	// directed IP adjacency is used (the Table 3 convention).
 	Flows []Flow
-	// Metrics, when non-nil, receives the system's observability series:
-	// ingest.* and telemetry.* from the pipeline behind Observe,
-	// core.epoch.* stage timings, and core.benders.* / core.lp.* from the
-	// optimizer. Metrics are write-only — plans and events are bit-identical
-	// with Metrics set or nil.
-	Metrics *obs.Registry
 }
 
-// DefaultConfig returns the paper's defaults (beta 99%, alpha 25%,
-// ratio 1, 4 tunnels per flow).
+// DefaultConfig returns the paper's defaults (ratio 1, 4 tunnels per flow).
 func DefaultConfig() Config {
 	return Config{
-		Beta:           0.99,
-		Alpha:          trace.PredictableFrac,
 		TunnelRatio:    1,
 		TunnelsPerFlow: 4,
-		ConfirmSamples: 2,
 		Scenario:       core.New().ScenarioOpts,
 	}
 }
@@ -64,7 +48,7 @@ func DefaultConfig() Config {
 // the stages of an epoch that read the signals, and epochs with each other,
 // but an epoch's solve does not hold observations up.
 type System struct {
-	tunnels *TunnelSet
+	flows []Flow
 
 	// mu guards the pipeline, the predictor and the loop's signal set;
 	// epoch serializes PlanEpoch, whose solve runs under epoch alone.
@@ -82,9 +66,6 @@ func NewSystem(net *Network, cfg Config) (*System, error) {
 	}
 	if cfg.TunnelsPerFlow < 1 {
 		cfg.TunnelsPerFlow = 4
-	}
-	if cfg.Beta <= 0 || cfg.Beta >= 1 {
-		return nil, fmt.Errorf("prete: beta %v out of (0,1)", cfg.Beta)
 	}
 	flows := cfg.Flows
 	if flows == nil {
@@ -104,21 +85,16 @@ func NewSystem(net *Network, cfg Config) (*System, error) {
 		return nil, fmt.Errorf("prete: %d static probabilities for %d fibers", len(cfg.StaticPI), len(net.Fibers))
 	}
 	engine := core.New()
-	engine.Alpha = cfg.Alpha
 	engine.TunnelRatio = cfg.TunnelRatio
 	engine.ScenarioOpts = cfg.Scenario
-	engine.Opt.Metrics = cfg.Metrics
-	icfg := ingest.DefaultConfig()
-	icfg.ConfirmSamples = cfg.ConfirmSamples
-	icfg.Metrics = cfg.Metrics
-	pipe, err := ingest.New(net, icfg)
+	pipe, err := ingest.New(net, ingest.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
 	return &System{
-		tunnels: tunnels,
-		pipe:    pipe,
-		loop:    core.NewLoop(engine, core.EpochInput{Net: net, Tunnels: tunnels, Beta: cfg.Beta, PI: cfg.StaticPI}),
+		flows: tunnels.Flows,
+		pipe:  pipe,
+		loop:  core.NewLoop(engine, core.EpochInput{Net: net, Tunnels: tunnels, Beta: 0.99, PI: cfg.StaticPI}),
 	}, nil
 }
 
@@ -131,11 +107,8 @@ func (s *System) SetPredictor(p Predictor) {
 	s.mu.Unlock()
 }
 
-// Tunnels exposes the pre-established tunnel table.
-func (s *System) Tunnels() *TunnelSet { return s.tunnels }
-
 // Flows returns the flow set the system plans for.
-func (s *System) Flows() []Flow { return s.tunnels.Flows }
+func (s *System) Flows() []Flow { return s.flows }
 
 // Observe ingests one telemetry sample for a fiber as one tick of the
 // system's ingest pipeline — interpolation, the detector, and feature
@@ -177,16 +150,6 @@ func (s *System) ActiveSignals() []DegradationSignal {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.loop.Signals()
-}
-
-// ClearSignals resets degradation state (e.g. after the TE period passes
-// without a failure); the next PlanEpoch restores the tunnels (§4.2).
-func (s *System) ClearSignals() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, sig := range s.loop.Signals() {
-		s.loop.Clear(sig.Fiber)
-	}
 }
 
 // PlanEpoch runs one epoch of the controller loop for one TE period with

@@ -31,11 +31,6 @@ func TestNewSystemValidation(t *testing.T) {
 	}
 	net, _ := LoadTopology("B4")
 	bad := DefaultConfig()
-	bad.Beta = 1
-	if _, err := NewSystem(net, bad); err == nil {
-		t.Error("beta = 1 accepted")
-	}
-	bad = DefaultConfig()
 	bad.StaticPI = []float64{0.1}
 	if _, err := NewSystem(net, bad); err == nil {
 		t.Error("mismatched StaticPI accepted")
@@ -44,11 +39,15 @@ func TestNewSystemValidation(t *testing.T) {
 
 func TestSystemTopologyAndTunnels(t *testing.T) {
 	sys := b4System(t)
-	if got := sys.Tunnels().NumTunnels(); got != 208 {
-		t.Fatalf("tunnels = %d, want 208 (Table 3)", got)
-	}
 	if got := len(sys.Flows()); got != 52 {
 		t.Fatalf("flows = %d, want 52", got)
+	}
+	quiet, err := sys.PlanEpoch(make(Demands, len(sys.Flows())))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := quiet.Plan.Tunnels.NumTunnels(); got != 208 {
+		t.Fatalf("tunnels = %d, want 208 (Table 3)", got)
 	}
 }
 
@@ -123,10 +122,6 @@ func TestObserveUsesPredictor(t *testing.T) {
 	if len(sigs) != 1 || sigs[0].PNN != 0.77 {
 		t.Fatalf("signals = %+v", sigs)
 	}
-	sys.ClearSignals()
-	if len(sys.ActiveSignals()) != 0 {
-		t.Fatal("ClearSignals did not clear")
-	}
 }
 
 func TestPlanEpochQuietAndDegraded(t *testing.T) {
@@ -144,6 +139,11 @@ func TestPlanEpochQuietAndDegraded(t *testing.T) {
 	}
 	if quiet.Plan.MaxLoss > 1e-6 {
 		t.Fatalf("quiet-epoch loss = %v at light load", quiet.Plan.MaxLoss)
+	}
+	for f := range demands {
+		if got := Delivered(quiet.Plan, FlowID(f), demands[f], nil); got < demands[f]-1e-6 {
+			t.Fatalf("quiet epoch delivers %v of flow %d's %v", got, f, demands[f])
+		}
 	}
 	// now with an active degradation
 	sys.SetPredictor(constPredictor(0.9))
@@ -290,14 +290,6 @@ func TestPublicHelpers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flows := DefaultFlows(net)
-	ts, err := BuildTunnels(net, flows, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ts.NumTunnels() != 340 {
-		t.Fatalf("IBM tunnels = %d", ts.NumTunnels())
-	}
 	tr, err := GenerateTrace(net, 7, 30)
 	if err != nil {
 		t.Fatal(err)
@@ -305,8 +297,10 @@ func TestPublicHelpers(t *testing.T) {
 	if len(tr.Episodes) == 0 {
 		t.Fatal("empty trace")
 	}
-	if NewMetricsRegistry() == nil {
-		t.Fatal("nil registry")
+	// A constant 0.77 labels every example failed.
+	precision, recall, _, accuracy := EvaluatePredictor(constPredictor(0.77), []LabeledExample{{Failed: true}, {Failed: false}})
+	if precision != 0.5 || recall != 1 || accuracy != 0.5 {
+		t.Fatalf("precision, recall, accuracy = %v, %v, %v; want 0.5, 1, 0.5", precision, recall, accuracy)
 	}
 	// NewNetwork is the custom-topology entry: it must validate references.
 	if _, err := NewNetwork("x", []Node{{ID: 0, Name: "a"}}, []Fiber{{ID: 0, A: 0, B: 9}}, nil); err == nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 
+	"fixture"
 	"fixture/internal/a"
 )
 
@@ -17,5 +18,5 @@ func main() {
 	a.Called{}.Run()
 	o := a.DefaultOptions()
 	o.Name = os.Args[0]
-	fmt.Println(r.Count, o.Level, o.Name, a.Mark(1, 2), a.Smallest([]int{3, 1, 2}))
+	fmt.Println(r.Count, o.Level, o.Name, a.Mark(1, 2), a.Smallest([]int{3, 1, 2}), fixture.New(fixture.DefaultConfig()).Width)
 }

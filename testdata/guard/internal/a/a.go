@@ -29,10 +29,11 @@ type Uncalled struct{}
 func (Uncalled) Run() {}
 
 // Options is an option struct: Level is set only to a constant in this
-// package, Name by the program.
+// package, Name by the program and Width by the root package.
 type Options struct {
 	Level int
 	Name  string
+	Width int
 }
 
 // DefaultOptions returns the defaults.
