@@ -46,22 +46,13 @@ type ClassedResult struct {
 // residualNetwork returns the network with the given per-link loads already
 // subtracted from capacity (clamped at zero) — the capacity a lower
 // priority tier may plan against. A nil/empty load map returns the input
-// unchanged. Only the Links slice is copied; the topology indices are
-// shared (they never depend on capacity).
+// unchanged.
 func residualNetwork(net *topology.Network, loads map[topology.LinkID]float64) *topology.Network {
-	if len(loads) == 0 {
-		return net
-	}
-	n2 := *net
-	n2.Links = append([]topology.Link(nil), net.Links...)
+	caps := make(map[topology.LinkID]float64, len(loads))
 	for lid, load := range loads {
-		c := n2.Links[int(lid)].Capacity - load
-		if c < 0 {
-			c = 0
-		}
-		n2.Links[int(lid)].Capacity = c
+		caps[lid] = max(net.Link(lid).Capacity-load, 0)
 	}
-	return &n2
+	return net.WithCapacities(caps)
 }
 
 // SolveClassedCached runs the strict-priority classed solve: the input's

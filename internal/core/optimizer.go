@@ -591,7 +591,7 @@ func (o *Optimizer) solve(sm *solveModel, budget *lp.Budget, warm []bendersCut) 
 // class ci's coverage row, -1 when it has none.
 func (sm *solveModel) selectedLP(phiCost float64, delta []bool, phiCap float64) (*te.AllocLP, []int) {
 	in := sm.in
-	prob := te.NewAllocLP(lp.NewProblem(), phiCost, in.Net, in.Tunnels, nil)
+	prob := te.NewAllocLP(lp.NewProblem(), phiCost, in.Net, in.Tunnels)
 	covRow := make([]int, len(sm.classes))
 	for ci, c := range sm.classes {
 		covRow[ci] = -1
@@ -796,7 +796,7 @@ func SolveExact(in *te.Input, nodeLimit int) (*Result, error) {
 	classes := sm.classes
 	m := lp.NewMIP()
 	// (3) capacity
-	prob := te.NewAllocLP(m.Problem, 1, in.Net, in.Tunnels, nil)
+	prob := te.NewAllocLP(m.Problem, 1, in.Net, in.Tunnels)
 	lVars := make([]int, len(classes))
 	dVars := make([]int, len(classes))
 	for i := range classes {

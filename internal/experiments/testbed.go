@@ -185,7 +185,13 @@ func fig237(w io.Writer, opts Options) error {
 	// (Fig 7) PreTE on the degradation of s1s2: establish s1->s3->s2 and
 	// keep 10 units through the actual cut; TeaVaR's rate adaptation keeps
 	// only flow s1s3's surviving tunnel (Fig 2c: 5 units).
-	net, ts, err := triangleForExample()
+	// The Fig 2a network with the paper's sparse tunnel table: one tunnel
+	// for s1s2, so the degradation triggers Algorithm 1.
+	net, err := topology.Triangle(10)
+	if err != nil {
+		return err
+	}
+	ts, err := routing.BuildTunnels(net, []routing.Flow{{ID: 0, Src: 0, Dst: 1}, {ID: 1, Src: 0, Dst: 2}}, 1)
 	if err != nil {
 		return err
 	}
@@ -215,38 +221,4 @@ func fig237(w io.Writer, opts Options) error {
 	fmt.Fprintf(w, "(Fig 7b) post-cut throughput: PreTE %.0f units vs TeaVaR %.0f units; paper: 10 vs 5\n",
 		preThroughput, tvThroughput)
 	return nil
-}
-
-// triangleForExample builds the Fig 2a network with the paper's sparse
-// tunnel table (one tunnel for s1s2, so degradation triggers Algorithm 1).
-func triangleForExample() (*topology.Network, *routing.TunnelSet, error) {
-	nodes := []topology.Node{{ID: 0, Name: "s1"}, {ID: 1, Name: "s2"}, {ID: 2, Name: "s3"}}
-	fibers := []topology.Fiber{
-		{ID: 0, A: 0, B: 1, LengthKm: 100},
-		{ID: 1, A: 0, B: 2, LengthKm: 100},
-		{ID: 2, A: 1, B: 2, LengthKm: 100},
-	}
-	var links []topology.Link
-	add := func(src, dst topology.NodeID, f topology.FiberID) {
-		links = append(links, topology.Link{
-			ID: topology.LinkID(len(links)), Src: src, Dst: dst,
-			Capacity: 10, Fibers: []topology.FiberID{f},
-		})
-	}
-	add(0, 1, 0)
-	add(1, 0, 0)
-	add(0, 2, 1)
-	add(2, 0, 1)
-	add(1, 2, 2)
-	add(2, 1, 2)
-	net, err := topology.New("fig2a", nodes, fibers, links)
-	if err != nil {
-		return nil, nil, err
-	}
-	flows := []routing.Flow{{ID: 0, Src: 0, Dst: 1}, {ID: 1, Src: 0, Dst: 2}}
-	ts, err := routing.BuildTunnels(net, flows, 1)
-	if err != nil {
-		return nil, nil, err
-	}
-	return net, ts, nil
 }

@@ -487,7 +487,8 @@ func (k *credit) cutPlan(q scenario.Scenario, cut topology.FiberSet) (*te.Plan, 
 					caps[lid] = ev.Env.Net.Link(lid).Capacity * arrowRestoreFrac
 				}
 			}
-			p, _ := te.MinMaxLossPlanWithCaps(in, nil, caps)
+			in.Net = in.Net.WithCapacities(caps)
+			p, _ := te.MinMaxLossPlan(in, nil)
 			return p, nil
 		case recompute:
 			p, _ := te.MinMaxLossPlan(in, cut)

@@ -27,10 +27,8 @@ type AllocLP struct {
 }
 
 // NewAllocLP adds the shared columns and the capacity rows to prob, which
-// must be empty. phiCost is Phi's objective coefficient; capOverride
-// (optional) replaces the capacity of specific links — partially restored
-// links in ARROW's model.
-func NewAllocLP(prob *lp.Problem, phiCost float64, net *topology.Network, ts *routing.TunnelSet, capOverride map[topology.LinkID]float64) *AllocLP {
+// must be empty. phiCost is Phi's objective coefficient.
+func NewAllocLP(prob *lp.Problem, phiCost float64, net *topology.Network, ts *routing.TunnelSet) *AllocLP {
 	m := &AllocLP{Problem: prob, tunnels: len(ts.Tunnels)}
 	prob.AddVar(phiCost)
 	for range ts.Tunnels {
@@ -47,9 +45,6 @@ func NewAllocLP(prob *lp.Problem, phiCost float64, net *topology.Network, ts *ro
 			continue
 		}
 		capacity := net.Links[lid].Capacity
-		if c, ok := capOverride[topology.LinkID(lid)]; ok {
-			capacity = c
-		}
 		prob.AddConstraint(terms, lp.LE, capacity)
 		m.Caps = append(m.Caps, capacity)
 	}
@@ -111,14 +106,14 @@ type coverageRow struct {
 //	     0 <= Phi, 0 <= a
 //
 // It returns the allocation and the optimal Phi.
-func solveMinMaxLoss(net *topology.Network, ts *routing.TunnelSet, demands Demands, rows []coverageRow, capOverride map[topology.LinkID]float64) (Allocation, float64, error) {
+func solveMinMaxLoss(net *topology.Network, ts *routing.TunnelSet, demands Demands, rows []coverageRow) (Allocation, float64, error) {
 	// The objective is lexicographic in spirit: first minimize the max loss
 	// Phi, then — because a bare min-Phi LP is content to leave every flow
 	// at exactly (1-Phi) of its demand — maximize the total satisfied
 	// fraction sum_f s_f, s_f = min(1, sum_t a_{f,t}/d_f). A single LP with
 	// Phi weighted above the largest possible satisfaction gain gives the
 	// same Phi and a non-degenerate allocation.
-	m := NewAllocLP(lp.NewProblem(), float64(len(ts.Flows)+1)*10, net, ts, capOverride)
+	m := NewAllocLP(lp.NewProblem(), float64(len(ts.Flows)+1)*10, net, ts)
 	for _, row := range rows {
 		if d := demands[row.Flow]; d > 0 {
 			m.AddCoverage(Phi, d, row.Tunnels)
@@ -142,15 +137,9 @@ func solveMinMaxLoss(net *topology.Network, ts *routing.TunnelSet, demands Deman
 // MinMaxLossPlan computes the failure-oblivious optimal plan: every flow
 // covered by all of its tunnels that survive the (possibly empty) cut set.
 // It is the recomputation step of reactive schemes and the planning step of
-// restoration-based ones.
+// restoration-based ones (ARROW's plans on a copy of the network with the
+// restored capacities, topology.Network.WithCapacities).
 func MinMaxLossPlan(in *Input, cut topology.FiberSet) (*Plan, error) {
-	return MinMaxLossPlanWithCaps(in, cut, nil)
-}
-
-// MinMaxLossPlanWithCaps is MinMaxLossPlan with per-link capacity
-// overrides: ARROW's restoration model re-plans on a network where links
-// that rode cut fibers come back at a fraction of their capacity.
-func MinMaxLossPlanWithCaps(in *Input, cut topology.FiberSet, capOverride map[topology.LinkID]float64) (*Plan, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
@@ -167,7 +156,7 @@ func MinMaxLossPlanWithCaps(in *Input, cut topology.FiberSet, capOverride map[to
 		}
 		rows = append(rows, coverageRow{Flow: fl.ID, Tunnels: avail})
 	}
-	alloc, phi, err := solveMinMaxLoss(in.Net, in.Tunnels, in.Demands, rows, capOverride)
+	alloc, phi, err := solveMinMaxLoss(in.Net, in.Tunnels, in.Demands, rows)
 	if err != nil {
 		return nil, err
 	}

@@ -104,7 +104,7 @@ func (f FFC) Plan(in *Input) (*Plan, error) {
 			rows = append(rows, coverageRow{Flow: fl.ID, Tunnels: avail})
 		}
 	}
-	alloc, phi, err := solveMinMaxLoss(in.Net, in.Tunnels, in.Demands, rows, nil)
+	alloc, phi, err := solveMinMaxLoss(in.Net, in.Tunnels, in.Demands, rows)
 	if err != nil {
 		return nil, err
 	}

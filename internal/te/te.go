@@ -2,8 +2,8 @@
 // scheme in the evaluation (§6.1's benchmark list) and holds the
 // baselines' planning code: ECMP's even split, FFC-1/FFC-2's protected
 // allocation, and the min-max-loss plan ARROW, Flexile and the oracle plan
-// with (MinMaxLossPlan, and MinMaxLossPlanWithCaps for ARROW's partially
-// restored network). How each scheme reacts to a cut is internal/sim's
+// with (MinMaxLossPlan; ARROW's runs on a copy of the network with the
+// partially restored capacities). How each scheme reacts to a cut is internal/sim's
 // scheme table. PreTE itself — and TeaVaR, which is exactly PreTE with
 // alpha = 0 and no tunnel updates (§4.1.2) — live in internal/core on top
 // of the Benders machinery.

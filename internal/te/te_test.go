@@ -254,20 +254,23 @@ func TestFFC2OnTriangle(t *testing.T) {
 	}
 }
 
-// TestMinMaxLossPlanWithCaps checks the capacity override ARROW's
-// restoration model plans with: the links that rode a cut fiber come back
-// at a fraction of their capacity.
+// TestMinMaxLossPlanWithCaps checks the plan ARROW's restoration model
+// makes on a copy of the network (topology.Network.WithCapacities) where
+// the links that rode a cut fiber come back at a fraction of their
+// capacity.
 func TestMinMaxLossPlanWithCaps(t *testing.T) {
 	in := triangleInput(t, 6)
-	restored := func(c float64) map[topology.LinkID]float64 {
+	restored := func(c float64) (*Plan, error) {
 		caps := make(map[topology.LinkID]float64)
 		for _, lid := range in.Net.LinksOnFiber(0) {
 			caps[lid] = c
 		}
-		return caps
+		on := *in
+		on.Net = in.Net.WithCapacities(caps)
+		return MinMaxLossPlan(&on, nil)
 	}
 	// Fiber 0 back at 60%: 6 units on s1s2 still carry flow 0 whole.
-	plan, err := MinMaxLossPlanWithCaps(in, nil, restored(6))
+	plan, err := restored(6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +285,7 @@ func TestMinMaxLossPlanWithCaps(t *testing.T) {
 	}
 	// Nothing restored: 6+6 = 12 > 10 through the surviving fiber, so loss
 	// is unavoidable.
-	if plan, err = MinMaxLossPlanWithCaps(in, nil, restored(0)); err != nil {
+	if plan, err = restored(0); err != nil {
 		t.Fatal(err)
 	}
 	if plan.MaxLoss < 0.1 {

@@ -109,6 +109,24 @@ func ByName(name string) (*Network, error) {
 	}
 }
 
+// Triangle returns the three-site network of the §2.2 example (Fig 2a) and
+// the §5 testbed: sites s1, s2 and s3, one 100 km fiber per pair (s1-s2,
+// s1-s3, s2-s3, in that order) and one IP link each way on each fiber,
+// every link of the given capacity.
+func Triangle(capacity float64) (*Network, error) {
+	nodes := []Node{{ID: 0, Name: "s1"}, {ID: 1, Name: "s2"}, {ID: 2, Name: "s3"}}
+	var fibers []Fiber
+	var links []Link
+	for i, pair := range [][2]NodeID{{0, 1}, {0, 2}, {1, 2}} {
+		f := FiberID(i)
+		fibers = append(fibers, Fiber{ID: f, A: pair[0], B: pair[1], LengthKm: 100, Region: "testbed", Vendor: "voa"})
+		links = append(links,
+			Link{ID: LinkID(2 * i), Src: pair[0], Dst: pair[1], Capacity: capacity, Fibers: []FiberID{f}},
+			Link{ID: LinkID(2*i + 1), Src: pair[1], Dst: pair[0], Capacity: capacity, Fibers: []FiberID{f}})
+	}
+	return New("triangle", nodes, fibers, links)
+}
+
 // buildFromSpec constructs the two-layer network: one node per site, the
 // given fiber spans, direct IP links in both directions on every fiber, and
 // deterministic "express" IP links over two-fiber lightpaths until the IP

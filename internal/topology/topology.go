@@ -164,6 +164,21 @@ func (n *Network) FailedLinks(cut FiberSet) map[LinkID]bool {
 	return failed
 }
 
+// WithCapacities returns a copy of the network whose links in caps carry
+// the given capacities instead. Only the Links slice is copied; the indices
+// are shared, since none depends on capacity. An empty caps returns n.
+func (n *Network) WithCapacities(caps map[LinkID]float64) *Network {
+	if len(caps) == 0 {
+		return n
+	}
+	n2 := *n
+	n2.Links = append([]Link(nil), n.Links...)
+	for lid, c := range caps {
+		n2.Links[int(lid)].Capacity = c
+	}
+	return &n2
+}
+
 // LostCapacity returns the total IP capacity (Gbps) erased by cutting fiber
 // f — the quantity whose CDF Fig 1(b) reports.
 func (n *Network) LostCapacity(f FiberID) float64 {

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -34,6 +35,55 @@ func TestIBMShape(t *testing.T) {
 	}
 	if got := len(n.Links); got != 85 {
 		t.Errorf("IBM IP links = %d, want 85 (Table 3)", got)
+	}
+}
+
+// TestTriangle pins the §2.2/§5 triangle link by link: the testbed and
+// fig237 plan on it, so its order decides their tunnels and LPs.
+func TestTriangle(t *testing.T) {
+	n, err := Triangle(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantNodes := []Node{{ID: 0, Name: "s1"}, {ID: 1, Name: "s2"}, {ID: 2, Name: "s3"}}
+	wantFibers := []Fiber{
+		{ID: 0, A: 0, B: 1, LengthKm: 100, Region: "testbed", Vendor: "voa"},
+		{ID: 1, A: 0, B: 2, LengthKm: 100, Region: "testbed", Vendor: "voa"},
+		{ID: 2, A: 1, B: 2, LengthKm: 100, Region: "testbed", Vendor: "voa"},
+	}
+	var wantLinks []Link
+	for _, l := range [][3]int{{0, 1, 0}, {1, 0, 0}, {0, 2, 1}, {2, 0, 1}, {1, 2, 2}, {2, 1, 2}} {
+		wantLinks = append(wantLinks, Link{ID: LinkID(len(wantLinks)), Src: NodeID(l[0]), Dst: NodeID(l[1]), Capacity: 10, Fibers: []FiberID{FiberID(l[2])}})
+	}
+	if !reflect.DeepEqual(n.Nodes, wantNodes) || !reflect.DeepEqual(n.Fibers, wantFibers) || !reflect.DeepEqual(n.Links, wantLinks) {
+		t.Fatalf("Triangle(10) = %+v %+v %+v", n.Nodes, n.Fibers, n.Links)
+	}
+	if got := n.LinksOnFiber(2); !reflect.DeepEqual(got, []LinkID{4, 5}) {
+		t.Fatalf("links on fiber 2 = %v, want [4 5]", got)
+	}
+}
+
+// TestWithCapacities checks the copy replaces exactly the listed
+// capacities, leaves the original alone and keeps the shared indices.
+func TestWithCapacities(t *testing.T) {
+	n, err := Triangle(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if same := n.WithCapacities(nil); same != n {
+		t.Fatal("an empty override copied the network")
+	}
+	c := n.WithCapacities(map[LinkID]float64{0: 6, 3: 0})
+	for i, want := range []float64{6, 10, 10, 0, 10, 10} {
+		if got := c.Links[i].Capacity; got != want {
+			t.Errorf("copy link %d capacity = %v, want %v", i, got, want)
+		}
+		if got := n.Links[i].Capacity; got != 10 {
+			t.Errorf("original link %d capacity = %v, want 10", i, got)
+		}
+	}
+	if id, ok := c.LinkBetween(2, 0); !ok || id != 3 || c.LostCapacity(1) != 10 {
+		t.Fatalf("copy indices: LinkBetween(2,0) = %v %v, LostCapacity(1) = %v", id, ok, c.LostCapacity(1))
 	}
 }
 

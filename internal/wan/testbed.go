@@ -138,26 +138,7 @@ func NewTestbed(cfg SwitchConfig, predict Predictor) (*Testbed, error) {
 // through tr — the chaos experiments pass a fault.Transport here to inject
 // deterministic control-plane faults between controller and agents.
 func NewTestbedTransport(cfg SwitchConfig, predict Predictor, tr Transport) (*Testbed, error) {
-	nodes := []topology.Node{{ID: 0, Name: "s1"}, {ID: 1, Name: "s2"}, {ID: 2, Name: "s3"}}
-	fibers := []topology.Fiber{
-		{ID: 0, A: 0, B: 1, LengthKm: 100, Region: "testbed", Vendor: "voa"},
-		{ID: 1, A: 0, B: 2, LengthKm: 100, Region: "testbed", Vendor: "voa"},
-		{ID: 2, A: 1, B: 2, LengthKm: 100, Region: "testbed", Vendor: "voa"},
-	}
-	var links []topology.Link
-	add := func(src, dst topology.NodeID, f topology.FiberID) {
-		links = append(links, topology.Link{
-			ID: topology.LinkID(len(links)), Src: src, Dst: dst,
-			Capacity: 100, Fibers: []topology.FiberID{f}, // 100 Gbps per wavelength (§5)
-		})
-	}
-	add(0, 1, 0)
-	add(1, 0, 0)
-	add(0, 2, 1)
-	add(2, 0, 1)
-	add(1, 2, 2)
-	add(2, 1, 2)
-	net, err := topology.New("testbed", nodes, fibers, links)
+	net, err := topology.Triangle(100) // 100 Gbps per wavelength (§5)
 	if err != nil {
 		return nil, err
 	}
@@ -177,7 +158,7 @@ func NewTestbedTransport(cfg SwitchConfig, predict Predictor, tr Transport) (*Te
 		Net: net, Predict: predict, voa: 0, opt: engine.Opt,
 	}
 	agents := make(map[string]string, 3)
-	for _, n := range nodes {
+	for _, n := range net.Nodes {
 		a, err := NewSwitchAgent(n.Name, cfg)
 		if err != nil {
 			tb.Close()
