@@ -121,9 +121,6 @@ func TestAvailabilityExperimentsQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("minutes-long evaluation suite; skipped in -short mode")
 	}
-	if testing.Short() {
-		t.Skip("availability sweeps in -short mode")
-	}
 	for _, id := range []string{"fig16", "fig20b"} {
 		id := id
 		t.Run(id, func(t *testing.T) {
