@@ -185,12 +185,6 @@ func warmrestartB4(w io.Writer, opts Options) error {
 			st.Close()
 			return err
 		}
-		if st.NeedCompact() {
-			if err := st.Compact(uint64(e), b); err != nil {
-				st.Close()
-				return err
-			}
-		}
 	}
 	if err := st.Close(); err != nil {
 		return err

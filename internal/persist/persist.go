@@ -3,6 +3,14 @@
 // atomic snapshots on a configurable cadence, with single-opener locking and
 // a monotonic generation counter for split-brain fencing.
 //
+// Every record is the full state at its epoch (recovery returns the newest
+// record alone), so compaction is the store's job, not its callers': the
+// Append that brings a journal to Options.CompactEvery records also writes
+// that record as a snapshot and rotates the journal. The write API is
+// Append. A leader and a standby that applies the leader's records
+// therefore compact on one cadence, and either directory holds about
+// 2×CompactEvery records once three snapshots have been taken.
+//
 // The design goals, in the order they matter:
 //
 //   - Crash safety. Every mutation is either fully visible after a restart
@@ -56,7 +64,7 @@
 // CRC-32C (Castagnoli) of the payload, and the payload itself; the payload
 // starts with the 8-byte little-endian epoch sequence number. The store
 // fsyncs the journal after every append and fsyncs the directory after
-// every rename, so an Append or Compact that returned nil is durable.
+// every rename, so an Append that returned nil is durable, snapshot included.
 package persist
 
 import (
@@ -128,10 +136,10 @@ type FS interface {
 
 // Options tunes a Store.
 type Options struct {
-	// CompactEvery is the journal length (records) at which NeedCompact
-	// starts reporting true; <= 0 selects the default of 64. Compaction is
-	// caller-driven (the caller owns the full-state payload), so this is a
-	// cadence hint, not a hard cap.
+	// CompactEvery is the journal length (records) at which Append writes
+	// its record as a snapshot and rotates the journal; <= 0 selects the
+	// default of 64. It is the cadence, not a hint: no journal ever holds
+	// more than CompactEvery records.
 	CompactEvery int
 	// Metrics, when non-nil, receives the persist.* series (appends, bytes,
 	// snapshots, recovery counters and timers). Write-only.

@@ -23,9 +23,11 @@ import (
 // it exactly-once by sequence: duplicates (seq <= last applied) are
 // acknowledged without effect, and gaps (seq > last+1) are refused with
 // ErrGap so the shipper falls back to a snapshot re-sync. Because every
-// journal record in this repo carries the full epoch state, a snapshot
-// re-sync is simply the newest record shipped with the snapshot flag — the
-// standby compacts it into place and resumes record-by-record from there.
+// journal record carries the full epoch state, a snapshot re-sync is simply
+// the newest record shipped with the snapshot flag — the standby compacts it
+// into place and resumes record-by-record from there. Record frames go
+// through the standby's Store.Append, so the standby snapshots on the same
+// CompactEvery cadence as the leader and its directory stays as bounded.
 //
 // The Replicator keeps exact accounting with the invariant
 //
@@ -83,7 +85,7 @@ type ApplierOptions struct {
 
 // Applier applies replication frames into a standby's local Store. It owns
 // the dedup/gap policy, not the store: the store only sees monotone appends
-// and compactions. The caller owns the Store's lifecycle.
+// and re-sync snapshots. The caller owns the Store's lifecycle.
 type Applier struct {
 	st      *Store
 	metrics *obs.Registry
@@ -128,7 +130,7 @@ func (a *Applier) Apply(frame []byte, snapshot bool) (uint64, error) {
 		a.metrics.Counter("persist.repl.dups").Inc()
 		return a.stats.LastSeq, nil
 	case snapshot:
-		if err := a.st.Compact(seq, body); err != nil {
+		if err := a.st.compact(seq, body); err != nil {
 			return a.stats.LastSeq, fmt.Errorf("persist: apply snapshot %d: %w", seq, err)
 		}
 		a.metrics.Counter("persist.repl.snapshot_applies").Inc()

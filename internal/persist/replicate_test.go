@@ -138,6 +138,44 @@ func TestApplierExactlyOnce(t *testing.T) {
 	}
 }
 
+// TestApplierStandbyJournalBounded: a standby that applies record after
+// record snapshots on its store's cadence, as the leader does, so what its
+// recovery replays stays bounded by the cadence rather than by how many
+// records it has mirrored.
+func TestApplierStandbyJournalBounded(t *testing.T) {
+	const every = 8
+	dir := t.TempDir()
+	st, err := Open(dir, Options{CompactEvery: every})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	ap := NewApplier(st, ApplierOptions{})
+	const n = 3*every + 1
+	for seq := uint64(1); seq <= n; seq++ {
+		if _, err := ap.Apply(EncodeReplFrame(seq, crashBody(seq)), false); err != nil {
+			t.Fatalf("apply %d: %v", seq, err)
+		}
+	}
+	rec, err := Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Seq != n || !bytes.Equal(rec.Payload, crashBody(n)) {
+		t.Fatalf("standby recovered seq %d, want %d", rec.Seq, n)
+	}
+	if got := rec.Stats.RecordsReplayed; got > 2*every {
+		t.Errorf("standby recovery replayed %d records after %d applies, want at most %d", got, n, 2*every)
+	}
+	snaps, err := filepath.Glob(filepath.Join(dir, "snap-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snaps) == 0 {
+		t.Error("standby directory holds no snapshot")
+	}
+}
+
 // leaderAppend journals one full-state record on the leader store.
 func leaderAppend(t *testing.T, st *Store, seq uint64) {
 	t.Helper()
@@ -516,7 +554,7 @@ func TestReplicatorTickAllocIndependentOfDirSize(t *testing.T) {
 		return m
 	}
 	compact := func() {
-		if err := leader.Compact(seq, bodies[seq]); err != nil {
+		if err := leader.compact(seq, bodies[seq]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -620,12 +658,6 @@ func TestReplicatorBufferedRecordsOwnTheirBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 		tick()
-		if st.NeedCompact() {
-			if err := st.Compact(e, body(e)); err != nil {
-				t.Fatal(err)
-			}
-			tick()
-		}
 	}
 	// The closed journal based at 9 loses its last record, 12, which the
 	// newest snapshot also holds: the file shrinks, the recovered state does

@@ -9,8 +9,9 @@ import (
 )
 
 // Store is an open, locked state directory: an append-only journal of
-// per-epoch records plus caller-driven snapshot compaction. All methods are
-// safe for concurrent use; writes are serialized internally.
+// per-epoch records, compacted into a snapshot every Options.CompactEvery
+// appends. All methods are safe for concurrent use; writes are serialized
+// internally.
 type Store struct {
 	dir string
 	opt Options
@@ -18,7 +19,7 @@ type Store struct {
 
 	mu        sync.Mutex
 	lock      io.Closer
-	journal   File   // nil until the first Append after Open or Compact
+	journal   File   // nil until the first Append after Open or a compaction
 	journBase uint64 // the sequence the next fresh journal is based at
 	count     int    // records in the current journal
 	lastSeq   uint64
@@ -212,27 +213,19 @@ func (s *Store) LastSeq() uint64 {
 	return s.lastSeq
 }
 
-// NeedCompact reports whether the journal has reached the compaction
-// cadence (Options.CompactEvery) and the caller should Compact.
-func (s *Store) NeedCompact() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.count >= s.opt.CompactEvery
-}
-
 // Append journals one epoch record and fsyncs it: when Append returns nil
-// the record survives kill -9. Sequences must be strictly increasing; the
+// the record survives kill -9. The record that brings the journal to
+// Options.CompactEvery records is also written as a snapshot, and the
+// journal rotates (see snapshot). Sequences must be strictly increasing; the
 // first write failure poisons the store (a partial write leaves the tail
 // torn, which recovery handles, but further appends behind it would be
-// unreachable, so the store refuses them).
+// unreachable, so the store refuses them). An error from the snapshot step
+// leaves the record itself durable: LastSeq counts it.
 func (s *Store) Append(seq uint64, body []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("persist: append on closed store")
-	}
-	if s.broken != nil {
-		return fmt.Errorf("persist: store broken by earlier write failure: %w", s.broken)
+	if err := s.writable("append"); err != nil {
+		return err
 	}
 	if seq <= s.lastSeq {
 		return fmt.Errorf("persist: append seq %d not after %d", seq, s.lastSeq)
@@ -262,27 +255,46 @@ func (s *Store) Append(seq uint64, body []byte) error {
 	s.count++
 	s.opt.Metrics.Counter("persist.appends").Inc()
 	s.opt.Metrics.Counter("persist.append_bytes").Add(int64(len(s.frame)))
+	if s.count >= s.opt.CompactEvery {
+		return s.snapshot(seq, body)
+	}
 	return nil
 }
 
-// Compact writes the full state at seq as an atomic snapshot, closes the
-// journal (the next Append starts a fresh one based at seq), and prunes
-// files that recovery no longer needs (the newest two snapshots are kept:
-// the previous one is the fallback if the newest is ever damaged).
-func (s *Store) Compact(seq uint64, snapshot []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// writable reports why the store refuses a write, nil if it takes one.
+func (s *Store) writable(op string) error {
 	if s.closed {
-		return fmt.Errorf("persist: compact on closed store")
+		return fmt.Errorf("persist: %s on closed store", op)
 	}
 	if s.broken != nil {
 		return fmt.Errorf("persist: store broken by earlier write failure: %w", s.broken)
 	}
+	return nil
+}
+
+// compact installs the full state at seq as a snapshot without journaling
+// it: the Applier's re-sync, which jumps the store to the leader's newest
+// record. Every other snapshot is taken by Append.
+func (s *Store) compact(seq uint64, state []byte) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.writable("compact"); err != nil {
+		return err
+	}
 	if seq < s.lastSeq {
 		return fmt.Errorf("persist: compact seq %d behind journal seq %d", seq, s.lastSeq)
 	}
+	return s.snapshot(seq, state)
+}
+
+// snapshot writes the full state at seq as an atomic snapshot, closes the
+// journal (the next Append starts a fresh one based at seq), and prunes
+// files that recovery no longer needs (the newest two snapshots are kept:
+// the previous one is the fallback if the newest is ever damaged). The
+// caller holds s.mu.
+func (s *Store) snapshot(seq uint64, state []byte) error {
 	buf := append([]byte(nil), magic...)
-	buf = appendRecord(buf, seq, snapshot)
+	buf = appendRecord(buf, seq, state)
 	if err := s.writeAtomic(snapName(seq), buf); err != nil {
 		s.broken = err
 		return fmt.Errorf("persist: snapshot %d: %w", seq, err)
@@ -336,9 +348,8 @@ func (s *Store) prune() {
 
 // Close releases the journal and the directory lock. Idempotent: a second
 // Close is a no-op returning nil, so owners can both defer and explicitly
-// close. Close never flushes — every successful Append/Compact is already
-// durable — so closing is equivalent to a crash as far as recovery is
-// concerned.
+// close. Close never flushes — every successful write is already durable —
+// so closing is equivalent to a crash as far as recovery is concerned.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

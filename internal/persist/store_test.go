@@ -63,11 +63,6 @@ func TestCompactionAndPrune(t *testing.T) {
 		if err := st.Append(e, body(e)); err != nil {
 			t.Fatal(err)
 		}
-		if st.NeedCompact() {
-			if err := st.Compact(e, body(e)); err != nil {
-				t.Fatal(err)
-			}
-		}
 	}
 	// 10 appends with cadence 3 -> snapshots at 3, 6, 9; prune keeps 2.
 	ents, err := os.ReadDir(dir)
@@ -99,20 +94,14 @@ func TestCompactionAndPrune(t *testing.T) {
 
 func TestRecoveryFallsBackToOlderSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	st, err := Open(dir, Options{})
+	st, err := Open(dir, Options{CompactEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Append(1, body(1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Compact(1, body(1)); err != nil {
-		t.Fatal(err)
-	}
 	if err := st.Append(2, body(2)); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Compact(2, body(2)); err != nil {
 		t.Fatal(err)
 	}
 	st.Close()
@@ -227,7 +216,7 @@ func TestDoubleCloseAndClosedWrites(t *testing.T) {
 	if err := st.Append(1, body(1)); err == nil {
 		t.Fatal("append on closed store succeeded")
 	}
-	if err := st.Compact(1, body(1)); err == nil {
+	if err := st.compact(1, body(1)); err == nil {
 		t.Fatal("compact on closed store succeeded")
 	}
 }

@@ -161,14 +161,8 @@ func (c *Controller) Close() error {
 			first = err
 		}
 	}
-	c.mu.Lock()
-	st := c.store
-	c.store = nil
-	c.mu.Unlock()
-	if st != nil {
-		if err := st.Close(); err != nil && first == nil {
-			first = err
-		}
+	if err := c.ReleaseState(); err != nil && first == nil {
+		first = err
 	}
 	return first
 }

@@ -462,17 +462,19 @@ func (ss *SiteSet) findSite(id int) *site {
 // Promote claims leadership for site id. The claim is local-first: the
 // lease must have expired (time gate), the site detaches its apply path and
 // re-opens its own directory with a generation floored above every leader
-// generation its lease observed, and only then does it assert itself at the
-// agents — a fence probe (ping) followed by a re-assert of the recovered
-// last-good rates. A claim the agents refuse (a sibling already fenced the
-// fleet) steps down: the controller is torn back down, the site re-opens as
-// a standby, and ErrClaimFenced is returned. There is NO lock between sites
-// — a partitioned sibling can always *claim*, concurrently even; the agents
-// rejecting stale and tied generations are the sole arbiter, which is
-// exactly what the F5 and F11 matrix rows prove. Every claimant walks the
-// agents in the same name order and stops at its first refusal, so among
-// equal-generation claimants whoever reaches the first agent first wins the
-// whole fleet.
+// generation its lease observed (a standby opening its own replica
+// directory cannot inherit the zombie leader's counter through a shared
+// flock, so the floor and the agents' fence do that work), and only then
+// does it assert itself at the agents — a fence probe (ping) followed by a
+// re-assert of the recovered last-good rates. A claim the agents refuse (a
+// sibling already fenced the fleet) steps down: the controller is torn back
+// down, the site re-opens as a standby, and ErrClaimFenced is returned.
+// There is NO lock between sites — a partitioned sibling can always
+// *claim*, concurrently even; the agents rejecting stale and tied
+// generations are the sole arbiter, which is exactly what the F5 and F11
+// matrix rows prove. Every claimant walks the agents in the same name order
+// and stops at its first refusal, so among equal-generation claimants
+// whoever reaches the first agent first wins the whole fleet.
 func (ss *SiteSet) Promote(id int) (*SitePromotion, error) {
 	s := ss.findSite(id)
 	if s == nil {
@@ -505,7 +507,7 @@ func (ss *SiteSet) Promote(id int) (*SitePromotion, error) {
 	if ss.opt.Retry.MaxAttempts > 0 {
 		ctl.Retry = ss.opt.Retry
 	}
-	rec, err := ctl.OpenStateFenced(s.dir, minGen)
+	rec, err := ctl.openState(s.dir, minGen)
 	if err != nil {
 		ctl.Close()
 		ss.rejoinStandby(s)

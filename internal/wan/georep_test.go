@@ -569,6 +569,43 @@ func TestSiteFailoverPromotesWarm(t *testing.T) {
 	}
 }
 
+// TestPromotionReplaysBoundedJournal: a site that mirrors more than two
+// compaction cadences of leader epochs snapshots on the store's own cadence
+// (64), so its promotion replays at most 2×64 records, not one per epoch
+// mirrored. Epochs are journaled directly, without a TE round, to keep the
+// run short.
+func TestPromotionReplaysBoundedJournal(t *testing.T) {
+	checkGoroutineLeaks(t)
+	tb, lease, ss := newSiteHarness(t, 1)
+	const epochs = 3*64 + 1
+	probs := []float64{0.01, 0.02, 0.03}
+	for e := 1; e <= epochs; e++ {
+		if err := tb.Ctl.JournalEpoch(probs, 0); err != nil {
+			t.Fatal(err)
+		}
+		if p, err := ss.Tick(); p != nil || err != nil {
+			t.Fatalf("tick after epoch %d: promotion=%v err=%v", e, p, err)
+		}
+	}
+	if st := ss.Status()[0]; st.Applied != epochs || st.Resyncs != 0 {
+		t.Fatalf("site status before promotion = %+v, want %d applied without re-syncs", st, epochs)
+	}
+
+	lease.Close()
+	ss.Clock().Advance(3) // a full lease duration of silence: the lease lapses
+	p, err := ss.Promote(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { p.Ctl.Close() })
+	if p.Ctl.Epoch() != epochs || !p.MirrorMatch {
+		t.Fatalf("promotion recovered epoch %d (mirror match %v), want %d", p.Ctl.Epoch(), p.MirrorMatch, epochs)
+	}
+	if got := ss.opt.Metrics.Counter("wan.recovery.records").Value(); got > 2*64 {
+		t.Errorf("promotion replayed %d records of a %d-epoch mirror, want at most %d", got, epochs, 2*64)
+	}
+}
+
 // TestSetLeaderReachablePausesStream: a partitioned leader stops driving
 // the replication stream — sites fall behind — and resuming reachability
 // ships the backlog on the next tick without a re-sync.

@@ -107,16 +107,8 @@ func (c *Controller) OpenState(dir string) (*Recovery, error) {
 	return c.openState(dir, 0)
 }
 
-// OpenStateFenced is OpenState with a generation floor: the claimed
-// generation is at least minGen even if dir's own counter is behind. This
-// is the cross-site promotion step — a standby opening its *own* replica
-// directory cannot inherit the zombie leader's counter through a shared
-// flock, so it floors its generation above the highest leader generation
-// its lease ever observed, and the agents' fence does the rest.
-func (c *Controller) OpenStateFenced(dir string, minGen uint64) (*Recovery, error) {
-	return c.openState(dir, minGen)
-}
-
+// openState is OpenState with a generation floor: the claimed generation
+// is at least minGen even if dir's own counter is behind (SiteSet.Promote).
 func (c *Controller) openState(dir string, minGen uint64) (*Recovery, error) {
 	start := time.Now()
 	c.mu.Lock()
@@ -209,12 +201,12 @@ func (c *Controller) LastScenarioFP() scenario.Fingerprint {
 }
 
 // JournalEpoch records the completion of one successful TE epoch: the
-// last-good rates, the calibrated probability vector, and the fingerprint of the scenario set solved (0 when the caller
-// has none), fsynced into the journal before the call returns, compacting
-// into a snapshot on the store's cadence. A nil store makes it a no-op —
-// journaling is a write-only side channel, and with StateDir unset the
-// controller behaves byte-identically to one without persistence compiled
-// in.
+// last-good rates, the calibrated probability vector, and the fingerprint
+// of the scenario set solved (0 when the caller has none), fsynced into the
+// journal before the call returns (the store snapshots on its own cadence).
+// A nil store makes it a no-op — journaling is a write-only side channel,
+// and with StateDir unset the controller behaves byte-identically to one
+// without persistence compiled in.
 func (c *Controller) JournalEpoch(probs []float64, fp scenario.Fingerprint) error {
 	c.mu.Lock()
 	if c.store == nil {
@@ -235,11 +227,6 @@ func (c *Controller) JournalEpoch(probs []float64, fp scenario.Fingerprint) erro
 	}
 	if err := st.Append(seq, b); err != nil {
 		return fmt.Errorf("wan: journal epoch %d: %w", seq, err)
-	}
-	if st.NeedCompact() {
-		if err := st.Compact(seq, b); err != nil {
-			return fmt.Errorf("wan: compact epoch %d: %w", seq, err)
-		}
 	}
 	return nil
 }
