@@ -61,7 +61,7 @@ func b4IngestSeries(tb testing.TB, ticks int) (*topology.Network, []telemetry.Fi
 // neighbour.
 func runIngestEpoch(tb testing.TB, net *topology.Network, series []telemetry.FiberSeries) (int, ingest.Stats) {
 	tb.Helper()
-	p, err := ingest.New(net, ingest.DefaultConfig())
+	p, err := ingest.New(net, ingest.Config{})
 	if err != nil {
 		tb.Fatal(err)
 	}

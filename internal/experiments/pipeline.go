@@ -58,9 +58,7 @@ func fig8(w io.Writer, opts Options) error {
 		}
 		series[i] = telemetry.FiberSeries{Fiber: i, Samples: fsim.HealthySeries(1700000000, healthyS)}
 	}
-	icfg := ingest.DefaultConfig()
-	icfg.Metrics = opts.Metrics
-	pipe, err := ingest.New(env.Net, icfg)
+	pipe, err := ingest.New(env.Net, ingest.Config{Metrics: opts.Metrics})
 	if err != nil {
 		return err
 	}

@@ -42,7 +42,7 @@ type Arrival struct {
 // detectors (telemetry.Detector): the paper's 2-sample confirmation.
 const confirmSamples = 2
 
-// Config tunes a Pipeline. Start from DefaultConfig.
+// Config tunes a Pipeline. The zero Config runs without metrics.
 type Config struct {
 	// Metrics, when non-nil, receives the ingest.* observability series and,
 	// through the detectors, the telemetry.* counters. Metrics are

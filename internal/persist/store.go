@@ -21,7 +21,7 @@ type Store struct {
 	lock      io.Closer
 	journal   File   // nil until the first Append after Open or a compaction
 	journBase uint64 // the sequence the next fresh journal is based at
-	count     int    // records in the current journal
+	count     int    // records towards the next snapshot (see open)
 	lastSeq   uint64
 	gen       uint64
 	snaps     []uint64 // known snapshot seqs, ascending
@@ -115,8 +115,19 @@ func (s *Store) open() error {
 
 	// Never append to an inherited journal (its tail may be torn): the first
 	// Append starts a fresh one based at the recovered sequence, named with
-	// our generation.
+	// our generation. The records above the newest snapshot count towards
+	// the cadence, or a directory that restarts more often than every
+	// CompactEvery records would never compact. Sequences increase, so the
+	// distance from that snapshot bounds their number; overcounting only
+	// snapshots earlier.
 	s.journBase = s.lastSeq
+	var snapped uint64
+	if len(s.snaps) > 0 {
+		snapped = s.snaps[len(s.snaps)-1]
+	}
+	if s.lastSeq > snapped {
+		s.count = int(min(s.lastSeq-snapped, uint64(s.opt.CompactEvery)))
+	}
 	return nil
 }
 

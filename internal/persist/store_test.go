@@ -92,6 +92,52 @@ func TestCompactionAndPrune(t *testing.T) {
 	}
 }
 
+// TestCompactionAcrossRestarts: a directory whose store is reopened more
+// often than every CompactEvery records still compacts, because Open
+// counts the records above the newest snapshot towards the cadence. Twenty
+// incarnations of ten appends each at the default cadence leave a
+// directory that replays at most 2×CompactEvery+1 records.
+func TestCompactionAcrossRestarts(t *testing.T) {
+	dir := t.TempDir()
+	const every = 64 // the default cadence
+	seq := uint64(0)
+	for open := 0; open < 20; open++ {
+		st, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 10; i++ {
+			seq++
+			if err := st.Append(seq, body(seq)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rec, err := Recover(dir)
+	if err != nil || rec.Seq != seq {
+		t.Fatalf("recovered seq=%d err=%v, want %d", rec.Seq, err, seq)
+	}
+	if got := rec.Stats.RecordsReplayed; got > 2*every+1 {
+		t.Errorf("recovery replayed %d records of %d appended over 20 opens, want at most %d", got, seq, 2*every+1)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snaps := 0
+	for _, e := range ents {
+		if _, ok := parseSnapName(e.Name()); ok {
+			snaps++
+		}
+	}
+	if snaps == 0 {
+		t.Error("no snapshot after 20 opens of 10 appends each")
+	}
+}
+
 func TestRecoveryFallsBackToOlderSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir, Options{CompactEvery: 1})

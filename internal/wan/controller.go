@@ -106,12 +106,14 @@ type Controller struct {
 	rng *stats.RNG // backoff jitter stream
 
 	mu        sync.Mutex
-	lastRates *rateTable            // last table pushed fleet-wide without error
-	acks      map[string]*rateTable // per agent: the table it last acknowledged (absent = unknown)
-	store     *persist.Store        // nil unless OpenState attached one
-	gen       uint64                // fence value stamped into RPCs (0 = unfenced)
-	epoch     uint64                // completed (journaled or recovered) epochs
-	lastProbs []float64             // probability vector of the last journaled epoch
+	lastRates *rateTable // last table pushed fleet-wide without error
+	// acks is, per agent, the table it last acknowledged or, after a warm
+	// restart, is presumed to hold (absent = unknown).
+	acks      map[string]*rateTable
+	store     *persist.Store // nil unless OpenState attached one
+	gen       uint64         // fence value stamped into RPCs (0 = unfenced)
+	epoch     uint64         // completed (journaled or recovered) epochs
+	lastProbs []float64      // probability vector of the last journaled epoch
 	// lastFP is the scenario-set fingerprint of the last journaled (or
 	// recovered) epoch; 0 when none was recorded.
 	lastFP scenario.Fingerprint
@@ -411,10 +413,12 @@ func (c *Controller) setAck(name string, t *rateTable) {
 // returns the wall time. Each agent gets the delta against the table it
 // last acknowledged: only the entries added or changed since, none for an
 // unchanged table (a heartbeat), and the full table when its table is
-// unknown — the first push of an incarnation, or after a failed RPC. An
-// agent that cannot place a delta answers Resync and gets the full table in
-// the same call. On full success the table is remembered as the fleet's
-// last good plan (LastGoodRates).
+// unknown — the first push of a fresh controller, or after a failed RPC.
+// A warm restart presumes every agent holds the recovered table, so its
+// re-assert is a heartbeat. An agent that cannot place a delta (it holds
+// another table) answers Resync and gets the full table in the same call.
+// On full success the table is remembered as the fleet's last good plan
+// (LastGoodRates).
 func (c *Controller) UpdateRates(rates map[string]float64) (time.Duration, error) {
 	start := time.Now()
 	next := c.rateTableOf(rates)

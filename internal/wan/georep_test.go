@@ -516,6 +516,11 @@ func TestSiteFailoverPromotesWarm(t *testing.T) {
 		m.Counter("wan.failover.reassert_errors").Value(); r != 1 || d != 0 || e != 0 {
 		t.Errorf("re-assert: reasserts=%d claim_degraded=%d reassert_errors=%d, want one clean re-assert", r, d, e)
 	}
+	// The caught-up site presumes the fleet holds its recovered table: the
+	// re-assert is a heartbeat per agent and sends no rate entry.
+	if s, r := m.Counter("wan.rates.entries_sent").Value(), m.Counter("wan.rates.resyncs").Value(); s != 0 || r != 0 {
+		t.Errorf("re-assert sent %d rate entries with %d resyncs, want 0 and 0", s, r)
+	}
 	if p.Elapsed >= 10*time.Second {
 		t.Errorf("promotion took %v, want well under one TE period", p.Elapsed)
 	}

@@ -231,14 +231,15 @@ func TestRatePushResyncsFreshAgent(t *testing.T) {
 	checkPushes(t, "after resync", tr.take(), 2, 0, true)
 }
 
-// TestWarmRestartFirstPushIsFull: a warm-restarted incarnation recovers
-// the last good table but knows no agent's table, so its first push is
-// full even though every agent already holds it; its second is a delta.
-func TestWarmRestartFirstPushIsFull(t *testing.T) {
-	checkGoroutineLeaks(t)
+// warmRestart journals table from a controller on a fresh fleet of three,
+// lets between act on the dead incarnation's fleet, and opens a warm
+// incarnation on the same directory through a tapTransport dialing addrs
+// (the old fleet's addresses when nil).
+func warmRestart(t *testing.T, table map[string]float64,
+	between func(agents []*SwitchAgent, dead *Controller, addrs map[string]string)) ([]*SwitchAgent, *Controller, *tapTransport) {
+	t.Helper()
 	dir := t.TempDir()
 	agents, ctl, _ := newTapFleet(t, 3)
-	table := map[string]float64{"t0": 7, "t1": 8}
 	if _, err := ctl.OpenState(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -248,35 +249,137 @@ func TestWarmRestartFirstPushIsFull(t *testing.T) {
 	if err := ctl.JournalEpoch(nil, 0); err != nil {
 		t.Fatal(err)
 	}
-	ctl.Close()
-
 	addrs := make(map[string]string, len(agents))
 	for _, a := range agents {
 		addrs[a.Name] = a.Addr()
 	}
+	if between != nil {
+		between(agents, ctl, addrs)
+	}
+	ctl.Close()
+
 	tr := &tapTransport{}
 	warm, err := NewControllerTransport(tr, addrs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { warm.Close() })
+	warm.Metrics = obs.NewRegistry()
+	warm.Log = new(EventLog)
 	rec, err := warm.OpenState(dir)
 	if err != nil || !rec.Warm {
 		t.Fatalf("OpenState = %+v, %v; want a warm recovery", rec, err)
 	}
-	if _, err := warm.UpdateRates(warm.LastGoodRates()); err != nil {
-		t.Fatal(err)
-	}
-	checkPushes(t, "first push after restart", tr.take(), 3, len(table), false)
-	if _, err := warm.UpdateRates(warm.LastGoodRates()); err != nil {
-		t.Fatal(err)
-	}
-	checkPushes(t, "second push after restart", tr.take(), 3, 0, true)
-	for _, a := range agents {
-		if got := a.Rates(); !reflect.DeepEqual(got, table) {
-			t.Errorf("agent %s holds %v, want %v", a.Name, got, table)
+	return agents, warm, tr
+}
+
+// holdsEntries requires a to hold every entry of table, bit for bit.
+func holdsEntries(t *testing.T, a *SwitchAgent, table map[string]float64) {
+	t.Helper()
+	got := a.Rates()
+	for k, v := range table {
+		if w, ok := got[k]; !ok || math.Float64bits(w) != math.Float64bits(v) {
+			t.Errorf("agent %s holds %s=%v, want %v", a.Name, k, w, v)
 		}
 	}
+}
+
+// TestWarmRestartReassertsByTag: a warm incarnation presumes every agent
+// holds the recovered table, so its re-assert is a heartbeat at the
+// recovered tag, and the agents' tag check corrects the presumption where
+// it is wrong: only an agent whose table differs gets the full table.
+func TestWarmRestartReassertsByTag(t *testing.T) {
+	table := map[string]float64{"t0": 7, "t1": 8}
+	tag := rateTag(table)
+	reassert := func(t *testing.T, warm *Controller) {
+		t.Helper()
+		if _, err := warm.UpdateRates(warm.LastGoodRates()); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	t.Run("fleet holds the table", func(t *testing.T) {
+		checkGoroutineLeaks(t)
+		agents, warm, tr := warmRestart(t, table, nil)
+		reassert(t, warm)
+		pushes := tr.take()
+		checkPushes(t, "first push after restart", pushes, 3, 0, true)
+		for _, p := range pushes {
+			if p.base != tag || p.tag != tag {
+				t.Errorf("push to %s = %+v, want a heartbeat at the recovered tag %x", p.peer, p, tag)
+			}
+		}
+		if v := warm.Metrics.Counter("wan.rates.resyncs").Value(); v != 0 {
+			t.Errorf("wan.rates.resyncs = %d, want 0", v)
+		}
+		for _, a := range agents {
+			if got := a.Rates(); !reflect.DeepEqual(got, table) {
+				t.Errorf("agent %s holds %v, want %v", a.Name, got, table)
+			}
+			if got := a.MaxGen(); got != warm.Generation() {
+				t.Errorf("agent %s fenced to gen %d, want %d", a.Name, got, warm.Generation())
+			}
+		}
+		reassert(t, warm)
+		checkPushes(t, "second push after restart", tr.take(), 3, 0, true)
+	})
+
+	t.Run("an agent was replaced", func(t *testing.T) {
+		checkGoroutineLeaks(t)
+		var fresh *SwitchAgent
+		agents, warm, tr := warmRestart(t, table, func(agents []*SwitchAgent, _ *Controller, addrs map[string]string) {
+			fresh = newTestAgent(t, "s2", agents[1].cfg)
+			addrs["s2"] = fresh.Addr()
+		})
+		reassert(t, warm)
+		wantEvents := []string{
+			"rpc s1 update_rates ok",
+			"rpc s2 update_rates rejected",
+			"rpc s2 update_rates ok",
+			"rpc s3 update_rates ok",
+		}
+		if got := warm.Log.Events()[1:]; !reflect.DeepEqual(got, wantEvents) {
+			t.Errorf("events = %q, want %q", got, wantEvents)
+		}
+		wantPushes := []ratePush{{"s1", tag, tag, 0}, {"s2", tag, tag, 0}, {"s2", 0, tag, len(table)}, {"s3", tag, tag, 0}}
+		if got := tr.take(); !reflect.DeepEqual(got, wantPushes) {
+			t.Errorf("pushes = %+v, want %+v", got, wantPushes)
+		}
+		if v := warm.Metrics.Counter("wan.rates.resyncs").Value(); v != 1 {
+			t.Errorf("wan.rates.resyncs = %d, want 1", v)
+		}
+		holdsEntries(t, fresh, table)
+		holdsEntries(t, agents[0], table)
+		holdsEntries(t, agents[2], table)
+	})
+
+	t.Run("an unjournaled push reached one agent", func(t *testing.T) {
+		checkGoroutineLeaks(t)
+		newer := map[string]float64{"t0": 9, "t1": 8, "t2": 1}
+		agents, warm, tr := warmRestart(t, table, func(_ []*SwitchAgent, dead *Controller, _ map[string]string) {
+			// The dead incarnation's push of a newer table reached s3 only.
+			req := &Request{Type: MsgUpdateRates, Rates: newer, Tag: rateTag(newer)}
+			if _, err := dead.rpc("s3", dead.conns["s3"], req); err != nil {
+				t.Fatal(err)
+			}
+		})
+		reassert(t, warm)
+		var full []ratePush
+		for _, p := range tr.take() {
+			if p.base == 0 {
+				full = append(full, p)
+			}
+		}
+		if len(full) != 1 || full[0].peer != "s3" || full[0].entries != len(table) {
+			t.Errorf("full pushes = %+v, want one of %d entries to s3", full, len(table))
+		}
+		if v := warm.Metrics.Counter("wan.rates.resyncs").Value(); v != 1 {
+			t.Errorf("wan.rates.resyncs = %d, want 1", v)
+		}
+		for _, a := range agents {
+			holdsEntries(t, a, table)
+		}
+	})
 }
 
 // TestAgentRefusesStaleDelta drives the agent's handler directly: a delta

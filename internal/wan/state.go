@@ -101,7 +101,10 @@ type Recovery struct {
 // dir (failing fast with persist.LockError if another incarnation holds
 // it), recovers the newest valid snapshot+journal state, resumes the
 // degradation ladder from the recovered last-good rates, and fences all
-// subsequent RPCs with the store's generation. With no recoverable state
+// subsequent RPCs with the store's generation. A recovered rate table is
+// presumed to be every agent's, so re-asserting it (UpdateRates of
+// LastGoodRates) sends each agent a heartbeat at its tag, and only an agent
+// that holds another table gets the full table. With no recoverable state
 // the controller starts cold but still fenced. Call before the first RPC.
 func (c *Controller) OpenState(dir string) (*Recovery, error) {
 	return c.openState(dir, 0)
@@ -144,7 +147,13 @@ func (c *Controller) openState(dir string, minGen uint64) (*Recovery, error) {
 	if rec.Warm {
 		c.epoch = state.Epoch
 		if state.Rates != nil {
-			c.lastRates = &rateTable{rates: copyRates(state.Rates), tag: rateTag(state.Rates)}
+			// The decode owns state.Rates. Every agent is presumed to hold
+			// it; the agents' tag check corrects the presumption.
+			t := &rateTable{rates: state.Rates, tag: rateTag(state.Rates)}
+			c.lastRates = t
+			for _, n := range c.names {
+				c.acks[n] = t
+			}
 		}
 		c.lastProbs = append([]float64(nil), state.Probs...)
 		c.lastFP = scenario.Fingerprint(state.ScenarioFP)

@@ -196,9 +196,7 @@ func (tb *Testbed) Close() {
 func (tb *Testbed) RunScenario(seed uint64) (*PipelineTiming, error) {
 	fiberSim := optical.NewFiberSim(tb.Net.Fiber(tb.voa).LengthKm, stats.NewRNG(seed))
 	samples := optical.TestbedScript().Replay(fiberSim, 0)
-	cfg := ingest.DefaultConfig()
-	cfg.Metrics = tb.Ctl.Metrics
-	pipe, err := ingest.New(tb.Net, cfg)
+	pipe, err := ingest.New(tb.Net, ingest.Config{Metrics: tb.Ctl.Metrics})
 	if err != nil {
 		return nil, err
 	}
@@ -397,13 +395,13 @@ func (tb *Testbed) markSolve(timing *PipelineTiming, ep *core.EpochPlan) {
 
 // OpenState attaches a crash-safe state store under dir to the testbed's
 // controller and, on a warm start, re-asserts the recovered last-good rate
-// table fleet-wide — the agents of a restarted controller may themselves
-// have restarted, so recovery pushes the plan instead of assuming it —
-// then primes the loop's warm-start caches from the journaled probability
-// vector, so the first post-restart reaction round warm-starts instead of
-// solving cold. The returned Recovery reports what was found; rec.Warm ==
-// false is a cold start (the ladder begins empty, exactly as without a
-// state directory).
+// table fleet-wide — a heartbeat at the recovered table's tag, which also
+// raises every agent's fence; an agent that restarted or holds another
+// table answers Resync and gets the full table — then primes the loop's
+// warm-start caches from the journaled probability vector, so the first
+// post-restart reaction round warm-starts instead of solving cold. The
+// returned Recovery reports what was found; rec.Warm == false is a cold
+// start (the ladder begins empty, exactly as without a state directory).
 func (tb *Testbed) OpenState(dir string) (*Recovery, error) {
 	rec, err := tb.Ctl.OpenState(dir)
 	if err != nil {

@@ -87,7 +87,7 @@ func NewSystem(net *Network, cfg Config) (*System, error) {
 	engine := core.New()
 	engine.TunnelRatio = cfg.TunnelRatio
 	engine.ScenarioOpts = cfg.Scenario
-	pipe, err := ingest.New(net, ingest.DefaultConfig())
+	pipe, err := ingest.New(net, ingest.Config{})
 	if err != nil {
 		return nil, err
 	}
