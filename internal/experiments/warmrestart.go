@@ -21,7 +21,7 @@ func init() {
 
 // warmrestart sweeps the crash point within a TE epoch (how many RPCs the
 // epoch completed before the controller died) against the recovery mode
-// (cold: no state directory; warm: journaled snapshots under -state-dir)
+// (cold: no state directory; warm: the journal under -state-dir)
 // and reports, per cell, whether the restarted controller had a valid plan
 // before re-running the pipeline (plan_avail) and its time-to-first-valid-
 // plan (ttfvp_ms: warm = recover + re-assert the journaled last-good rates;
@@ -129,13 +129,13 @@ func warmrestartCell(opts Options, crashRPC int64, warm bool) (warmrestartCellRe
 	foldCounters(opts, reg,
 		"wan.recovery.runs", "wan.recovery.warm", "wan.recovery.cold",
 		"wan.recovery.records", "wan.rpc.halted", "fault.ctlcrash.halts",
-		"persist.appends", "persist.snapshots")
+		"persist.appends")
 	return res, nil
 }
 
 // warmrestartB4 journals a B4-scale controller state (Table 3: 12 nodes,
 // every directed IP adjacency a flow, 4 tunnels per flow) across enough
-// epochs to span snapshots plus a journal suffix, then times recovery. The
+// epochs to fill journals of 8 records, then times recovery. The
 // acceptance bound is one TE period: production TE runs minutes-scale
 // periods, so recovery must land far inside even an aggressive one.
 func warmrestartB4(w io.Writer, opts Options) error {

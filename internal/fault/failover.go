@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 )
 
@@ -15,33 +14,26 @@ import (
 // filesystem) and are exact — no randomness — so a corrupted-recovery
 // trace replays bit-identically.
 //
-// The persist on-disk names are part of its documented layout (snap-<seq>,
-// journal-<base>-<gen>, both zero-padded hex, so lexicographic order is
-// numeric order); the helpers match on those prefixes rather than reaching
-// into the persist package's internals.
+// The persist on-disk journal names are part of its documented layout
+// (journal-<base>-<gen>, zero-padded hex, so lexicographic order is numeric
+// order); the helpers match on that prefix rather than reaching into the
+// persist package's internals.
 
-// stateFiles lists dir's journal and snapshot files in name (= numeric)
-// order, ignoring everything else (LOCK, gen, *.tmp debris).
-func stateFiles(dir string) (journals, snaps []string, err error) {
+// journalFiles lists dir's journals in name (= numeric) order, ignoring
+// everything else (LOCK, gen, *.tmp debris).
+func journalFiles(dir string) ([]string, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, nil, fmt.Errorf("fault: scan state dir: %w", err)
+		return nil, fmt.Errorf("fault: scan state dir: %w", err)
 	}
+	var journals []string
 	for _, e := range ents {
 		name := e.Name()
-		if strings.HasSuffix(name, ".tmp") {
-			continue
-		}
-		switch {
-		case strings.HasPrefix(name, "journal-"):
+		if strings.HasPrefix(name, "journal-") && !strings.HasSuffix(name, ".tmp") {
 			journals = append(journals, name)
-		case strings.HasPrefix(name, "snap-"):
-			snaps = append(snaps, name)
 		}
 	}
-	sort.Strings(journals)
-	sort.Strings(snaps)
-	return journals, snaps, nil
+	return journals, nil
 }
 
 // TornJournalTail truncates the newest journal in dir by n bytes — the
@@ -54,7 +46,7 @@ func TornJournalTail(dir string, n int) error {
 	if n <= 0 {
 		return fmt.Errorf("fault: torn tail of %d bytes", n)
 	}
-	journals, _, err := stateFiles(dir)
+	journals, err := journalFiles(dir)
 	if err != nil {
 		return err
 	}
@@ -72,21 +64,21 @@ func TornJournalTail(dir string, n int) error {
 	return os.Truncate(path, fi.Size()-int64(n))
 }
 
-// WipeStateMagic overwrites the 8-byte magic header of every journal and
-// snapshot in dir — total storage corruption that keeps the file names (so
+// WipeStateMagic overwrites the 8-byte magic header of every journal in
+// dir — total storage corruption that keeps the file names (so
 // the persist generation counter, which also reads journal names, stays
 // monotone and fencing survives). Recovery over a wiped directory is a
 // cold start: every record is behind an invalid header and none may be
 // trusted.
 func WipeStateMagic(dir string) error {
-	journals, snaps, err := stateFiles(dir)
+	journals, err := journalFiles(dir)
 	if err != nil {
 		return err
 	}
-	if len(journals)+len(snaps) == 0 {
-		return fmt.Errorf("fault: no state files to wipe in %s", dir)
+	if len(journals) == 0 {
+		return fmt.Errorf("fault: no journals to wipe in %s", dir)
 	}
-	for _, name := range append(journals, snaps...) {
+	for _, name := range journals {
 		f, err := os.OpenFile(filepath.Join(dir, name), os.O_WRONLY, 0)
 		if err != nil {
 			return err

@@ -298,7 +298,8 @@ func (c *faultConn) RoundTrip(req *wan.Request, timeout time.Duration) (*wan.Res
 			// Replication streams see in-flight bit errors, not lost
 			// responses: deliver a flipped copy and let the receiver's CRC —
 			// not this injector — be what catches it. The site nacks with a
-			// re-sync request and the shipper falls back to a snapshot.
+			// re-sync request and the shipper re-syncs it with the newest
+			// record.
 			mangled := *req
 			mangled.Frame = append([]byte(nil), req.Frame...)
 			mangled.Frame[len(mangled.Frame)/2] ^= 0xFF

@@ -8,11 +8,11 @@ import (
 
 // crashScript drives one deterministic store lifetime against fs: open,
 // eight appended epochs, close. At CompactEvery 3 the Appends of epochs 3
-// and 6 also write snapshots, so a sweep over the written bytes kills
-// journal records, snapshot temp files and renames alike. It returns the
-// highest epoch the store reported committed (LastSeq, which counts a
-// record whose Append failed only in its snapshot step) — 0 when even Open
-// failed. Write failures are swallowed: after a crash the process would be
+// and 6 close their journals and those of epochs 4 and 7 start new ones
+// (pruning the journal based at 0 on the way), so a sweep over the written
+// bytes kills journal records, journal headers and the generation file's
+// temp file alike. It returns the highest epoch the store reported
+// committed (LastSeq) — 0 when even Open failed. Write failures are swallowed: after a crash the process would be
 // gone anyway, and the store's broken-flag keeps later writes from
 // resurrecting it.
 func crashScript(fs FS, dir string) (acked uint64) {

@@ -8,7 +8,7 @@ import (
 )
 
 // fuzzValidRecords collects every checksum-valid record reachable in the
-// three fuzzed files — the oracle set recovery is allowed to return from.
+// fuzzed journals — the oracle set recovery is allowed to return from.
 func fuzzValidRecords(files ...[]byte) []record {
 	var out []record
 	for _, b := range files {
@@ -18,8 +18,8 @@ func fuzzValidRecords(files ...[]byte) []record {
 	return out
 }
 
-// FuzzRecover feeds arbitrary bytes to the recovery path as a journal, a
-// snapshot, and a generation file. The contract under fuzz: recovery never
+// FuzzRecover feeds arbitrary bytes to the recovery path as a journal, an
+// older journal, and a generation file. The contract under fuzz: recovery never
 // panics, returns either ErrNoState or a record drawn verbatim from the
 // checksum-valid record set (never torn, never spliced), and the directory
 // stays usable — a fresh store must open over the wreckage, claim a newer
@@ -29,24 +29,24 @@ func FuzzRecover(f *testing.F) {
 	good := append([]byte(nil), magic...)
 	good = appendRecord(good, 1, []byte(`{"epoch":1}`))
 	good = appendRecord(good, 2, []byte(`{"epoch":2}`))
-	snap := append([]byte(nil), magic...)
-	snap = appendRecord(snap, 1, []byte(`{"epoch":1}`))
-	f.Add(good, snap, []byte{})
-	f.Add(good[:len(good)-4], snap, good)       // torn tail
-	f.Add([]byte{}, []byte{}, []byte{})         // empty files
-	f.Add([]byte("garbage"), []byte("x"), snap) // no magic
+	older := append([]byte(nil), magic...)
+	older = appendRecord(older, 1, []byte(`{"epoch":1}`))
+	f.Add(good, older, []byte{})
+	f.Add(good[:len(good)-4], older, good)       // torn tail
+	f.Add([]byte{}, []byte{}, []byte{})          // empty files
+	f.Add([]byte("garbage"), []byte("x"), older) // no magic
 	dup := append(append([]byte(nil), good...), good[len(magic):]...)
-	f.Add(dup, snap, snap) // duplicated records
+	f.Add(dup, older, older) // duplicated records
 	flip := append([]byte(nil), good...)
 	flip[len(flip)-2] ^= 0x40
-	f.Add(flip, snap, []byte{0xff, 0xfe})
+	f.Add(flip, older, []byte{0xff, 0xfe})
 
-	f.Fuzz(func(t *testing.T, journal, snapshot, gen []byte) {
+	f.Fuzz(func(t *testing.T, journal, olderJournal, gen []byte) {
 		dir := t.TempDir()
 		if err := os.WriteFile(dir+"/"+journalName(0, 1), journal, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(dir+"/"+snapName(3), snapshot, 0o644); err != nil {
+		if err := os.WriteFile(dir+"/"+journalName(0, 0), olderJournal, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if err := os.WriteFile(dir+"/gen", gen, 0o644); err != nil {
@@ -62,7 +62,7 @@ func FuzzRecover(f *testing.F) {
 			// bit for bit. Note the journal's valid prefix may be shorter
 			// than its valid-record set; membership is the safety property
 			// (nothing invented, nothing torn).
-			valid := fuzzValidRecords(journal, snapshot)
+			valid := fuzzValidRecords(journal, olderJournal)
 			found := false
 			for _, r := range valid {
 				if r.seq == rec.Seq && bytes.Equal(r.body, rec.Payload) {

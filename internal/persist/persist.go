@@ -1,26 +1,27 @@
 // Package persist is the controller's crash-safe state store: an
-// append-only, CRC-checksummed journal of per-epoch records, compacted into
-// atomic snapshots on a configurable cadence, with single-opener locking and
-// a monotonic generation counter for split-brain fencing.
+// append-only, CRC-checksummed journal of per-epoch records, rotated on a
+// configurable cadence, with single-opener locking and a monotonic
+// generation counter for split-brain fencing.
 //
 // Every record is the full state at its epoch (recovery returns the newest
-// record alone), so compaction is the store's job, not its callers': the
-// Append that brings a journal to Options.CompactEvery records also writes
-// that record as a snapshot and rotates the journal. The write API is
-// Append. A leader and a standby that applies the leader's records
-// therefore compact on one cadence, and either directory holds about
-// 2×CompactEvery records once three snapshots have been taken.
+// record alone), so the journal is the store: there is no second copy of
+// the state to take. The write API is Append. The Append that brings a
+// journal to Options.CompactEvery records closes it, and starting the next
+// journal deletes the journals that the previous one supersedes, so a
+// directory holds at most 2×CompactEvery records however often it
+// restarts. A leader and a standby that applies the leader's records
+// rotate on one cadence and are bounded alike.
 //
 // The design goals, in the order they matter:
 //
 //   - Crash safety. Every mutation is either fully visible after a restart
 //     or invisible: journal records are length-prefixed and checksummed, so
-//     a torn tail (kill -9 mid-write) is detected and discarded; snapshots
-//     and the generation counter are written temp-file + fsync + atomic
-//     rename, so a crashed writer never damages the previous copy.
+//     a torn tail (kill -9 mid-write) is detected and discarded; the
+//     generation counter is written temp-file + fsync + atomic rename, so a
+//     crashed writer never damages the previous copy.
 //
-//   - Corruption-tolerant recovery. Recover scans every snapshot and journal
-//     in the directory, validates record by record, and returns the
+//   - Corruption-tolerant recovery. Recover scans every journal in the
+//     directory, validates record by record, and returns the
 //     highest-sequence state whose checksum holds — never a torn record,
 //     never a reordered one. A directory with no valid state yields the
 //     typed ErrNoState, never a panic (persist.FuzzRecover pins this over
@@ -56,15 +57,15 @@
 //
 //	LOCK                       flock target (contents irrelevant)
 //	gen                        generation counter (one framed record)
-//	snap-<seq>                 snapshot: full state at epoch <seq>
-//	journal-<base>-<gen>       records with seq > <base>, one per epoch
+//	journal-<base>-<gen>       records with seq > <base>, one per epoch,
+//	                           written by generation <gen>
 //
 // File format: an 8-byte magic ("PRST\x00\x01\r\n") followed by framed
 // records. Each record is a 4-byte little-endian payload length, a 4-byte
 // CRC-32C (Castagnoli) of the payload, and the payload itself; the payload
 // starts with the 8-byte little-endian epoch sequence number. The store
 // fsyncs the journal after every append and fsyncs the directory after
-// every rename, so an Append that returned nil is durable, snapshot included.
+// creating a journal, so an Append that returned nil is durable.
 package persist
 
 import (
@@ -136,13 +137,13 @@ type FS interface {
 
 // Options tunes a Store.
 type Options struct {
-	// CompactEvery is the journal length (records) at which Append writes
-	// its record as a snapshot and rotates the journal; <= 0 selects the
+	// CompactEvery is the journal length (records) at which Append closes
+	// the journal; the next Append starts a new one; <= 0 selects the
 	// default of 64. It is the cadence, not a hint: no journal ever holds
 	// more than CompactEvery records.
 	CompactEvery int
 	// Metrics, when non-nil, receives the persist.* series (appends, bytes,
-	// snapshots, recovery counters and timers). Write-only.
+	// pruned journals, recovery counters and timers). Write-only.
 	Metrics *obs.Registry
 	// FS substitutes the filesystem; nil selects the operating system.
 	FS FS

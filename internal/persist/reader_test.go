@@ -4,6 +4,8 @@ import (
 	"io"
 	"os"
 	"testing"
+
+	"prete/internal/obs"
 )
 
 // The Replicator reads a leader's state directory with the scan recovery
@@ -111,8 +113,7 @@ func tick(t *testing.T, r *Replicator, log *shipLog) []record {
 
 // TestReaderTailsLiveStore: a replicator reading a directory a live store
 // is appending to ships each epoch exactly once, in order, across journal
-// appends, compaction rotations, and a snapshot and a journal record at one
-// sequence.
+// appends, rotations and the pruning of superseded journals.
 func TestReaderTailsLiveStore(t *testing.T) {
 	fs := newMemFS(-1)
 	st, err := Open("state", Options{CompactEvery: 3, FS: fs})
@@ -144,25 +145,26 @@ func TestReaderTailsLiveStore(t *testing.T) {
 }
 
 // TestReaderFromScratchCatchesUp: a replicator started against an already
-// populated directory ships all committed epochs ascending on its first
-// tick, one per sequence across the snapshots and the journals.
+// populated directory catches a fresh standby up on its first tick. The
+// script's rotations pruned epochs 1..3, so the directory no longer reaches
+// back to the standby's prefix, and the catch-up is one re-sync: the newest
+// epoch, shipped to skip the hole.
 func TestReaderFromScratchCatchesUp(t *testing.T) {
 	fs := newMemFS(-1)
 	if acked := crashScript(fs, "state"); acked != 8 {
 		t.Fatalf("script acked %d, want 8", acked)
 	}
-	r, log := newTestReplicator(t, "state", ReplicatorOptions{FS: fs})
+	reg := obs.NewRegistry()
+	r, log := newTestReplicator(t, "state", ReplicatorOptions{FS: fs, Metrics: reg})
 	recs := tick(t, r, log)
-	for i, rec := range recs {
-		if i > 0 && recs[i-1].seq >= rec.seq {
-			t.Fatalf("shipped seqs not strictly ascending: %v", recs)
-		}
-		if string(rec.body) != string(crashBody(rec.seq)) {
-			t.Fatalf("seq %d: payload %q, want %q", rec.seq, rec.body, crashBody(rec.seq))
-		}
+	if len(recs) != 1 || recs[0].seq != 8 || string(recs[0].body) != string(crashBody(8)) {
+		t.Fatalf("catch-up shipped %v, want epoch 8 alone", recs)
 	}
-	if n := len(recs); n != 8 || recs[n-1].seq != 8 {
-		t.Fatalf("catch-up shipped %d records ending at %v, want seqs 1..8", n, log.newest().seq)
+	if n := reg.Counter("persist.repl.resyncs").Value(); n != 1 {
+		t.Fatalf("catch-up took %d re-syncs, want 1", n)
+	}
+	if n := reg.Counter("persist.repl.tailed").Value(); n != 5 {
+		t.Fatalf("first tick read %d records, want 5 (epochs 4..8)", n)
 	}
 }
 
@@ -352,9 +354,9 @@ func TestReaderNonInterferenceCrashSweep(t *testing.T) {
 	}
 }
 
-// TestReaderSurvivesPruning: when compaction prunes old snapshots and
-// journals out from under the replicator, shipped records stay shipped
-// once, and the buffer keeps only the newest record once the target acked.
+// TestReaderSurvivesPruning: when rotation prunes old journals out from
+// under the replicator, shipped records stay shipped once, and the buffer
+// keeps only the newest record once the target acked.
 func TestReaderSurvivesPruning(t *testing.T) {
 	fs := newMemFS(-1)
 	st, err := Open("state", Options{CompactEvery: 1, FS: fs})
@@ -368,7 +370,7 @@ func TestReaderSurvivesPruning(t *testing.T) {
 			t.Fatal(err)
 		}
 		if recs := tick(t, r, log); len(recs) != 1 || recs[0].seq != e {
-			t.Fatalf("epoch %d under aggressive compaction: %v", e, recs)
+			t.Fatalf("epoch %d under rotation at every record: %v", e, recs)
 		}
 	}
 	if got := len(r.records); got != 1 {
@@ -377,8 +379,8 @@ func TestReaderSurvivesPruning(t *testing.T) {
 }
 
 // TestReaderIgnoresForeignFiles: stray files (tmp leftovers, unrelated
-// names) are never read, and a wrong-magic journal is skipped and counted
-// dead without wedging the tick.
+// names, a snapshot an older build wrote) are never read, and a wrong-magic
+// journal is skipped and counted dead without wedging the tick.
 func TestReaderIgnoresForeignFiles(t *testing.T) {
 	dir := t.TempDir()
 	good := append([]byte(nil), magic...)
@@ -389,7 +391,11 @@ func TestReaderIgnoresForeignFiles(t *testing.T) {
 	if err := os.WriteFile(dir+"/"+journalName(0, 2), []byte("NOTMAGIC"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(dir+"/"+snapName(9)+".tmp", []byte("half-written"), 0o644); err != nil {
+	if err := os.WriteFile(dir+"/"+journalName(1, 1)+".tmp", []byte("half-written"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	oldSnap := appendRecord(append([]byte(nil), magic...), 9, []byte("nine"))
+	if err := os.WriteFile(dir+"/snap-0000000000000009", oldSnap, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(dir+"/README", []byte("not a record file"), 0o644); err != nil {
@@ -406,11 +412,11 @@ func TestReaderIgnoresForeignFiles(t *testing.T) {
 
 // TestReaderFollowsRecoveryRules pins the three cases where the reader
 // follows recovery: a file shorter than the magic is dead, a file that
-// shrank is read for its valid prefix, and of a snapshot and a journal
-// record at one sequence the later-scanned (the journal's) is shipped.
+// shrank is read for its valid prefix, and of two journals' records at one
+// sequence the later-scanned is shipped.
 func TestReaderFollowsRecoveryRules(t *testing.T) {
 	fs := newMemFS(-1)
-	fs.files["state/"+snapName(2)] = appendRecord(append([]byte(nil), magic...), 2, []byte("snap"))
+	fs.files["state/"+journalName(0, 0)] = appendRecord(append([]byte(nil), magic...), 2, []byte("older"))
 	journal := append([]byte(nil), magic...)
 	journal = appendRecord(journal, 1, []byte("one"))
 	journal = appendRecord(journal, 2, []byte("journal"))
@@ -424,7 +430,7 @@ func TestReaderFollowsRecoveryRules(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(recs) != 2 || recs[1].seq != 2 || string(recs[1].body) != "journal" {
-		t.Fatalf("shipped %v, want seqs 1 and 2 with the journal's body", recs)
+		t.Fatalf("shipped %v, want seqs 1 and 2 with the later journal's body", recs)
 	}
 	if rec.Seq != 2 || string(rec.Payload) != "journal" {
 		t.Fatalf("recovered (%d, %q), want (2, %q)", rec.Seq, rec.Payload, "journal")

@@ -40,7 +40,7 @@ func appendRecord(buf []byte, seq uint64, body []byte) []byte {
 	return append(buf, body...)
 }
 
-// record is one decoded journal/snapshot entry. frame is its whole framed
+// record is one decoded journal entry. frame is its whole framed
 // image (header and payload), which ends with body; a record that was not
 // read from a framed image may leave it nil.
 type record struct {

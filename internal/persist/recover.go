@@ -2,8 +2,9 @@ package persist
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -21,7 +22,7 @@ type Recovered struct {
 // RecoveryStats counts what recovery read and what it had to discard.
 type RecoveryStats struct {
 	// RecordsReplayed is the number of checksum-valid records examined
-	// across snapshots and journals.
+	// across the journals.
 	RecordsReplayed int
 	// CorruptSkipped counts checksum failures, torn tails, and unreadable
 	// files that recovery stepped over record by record.
@@ -31,22 +32,11 @@ type RecoveryStats struct {
 	TornTail bool
 }
 
-// snapName / journalName build the on-disk file names. Journals carry the
+// journalName builds a journal's on-disk file name. Journals carry the
 // writing incarnation's generation so two incarnations recovering from the
 // same sequence never append to one another's files.
-func snapName(seq uint64) string { return fmt.Sprintf("snap-%016x", seq) }
-
 func journalName(base, gen uint64) string {
 	return fmt.Sprintf("journal-%016x-%08x", base, gen)
-}
-
-func parseSnapName(name string) (seq uint64, ok bool) {
-	s, found := strings.CutPrefix(name, "snap-")
-	if !found || strings.HasSuffix(s, ".tmp") {
-		return 0, false
-	}
-	v, err := strconv.ParseUint(s, 16, 64)
-	return v, err == nil
 }
 
 func parseJournalName(name string) (base, gen uint64, ok bool) {
@@ -63,24 +53,19 @@ func parseJournalName(name string) (base, gen uint64, ok bool) {
 	return bv, gv, err1 == nil && err2 == nil
 }
 
-// stateFile is one record file of a state directory: a snapshot at seq, or
-// a journal based at seq and written by generation gen.
+// stateFile is one record file of a state directory: a journal based at
+// base and written by generation gen.
 type stateFile struct {
-	snap bool
-	seq  uint64
+	base uint64
 	gen  uint64
 }
 
-func (f stateFile) name() string {
-	if f.snap {
-		return snapName(f.seq)
-	}
-	return journalName(f.seq, f.gen)
-}
+func (f stateFile) name() string { return journalName(f.base, f.gen) }
 
-// listDir is the one listing of a state directory: its record files in scan
-// order, snapshots by sequence and then journals by (base, generation),
-// regardless of directory iteration order.
+// listDir is the one listing of a state directory: its journals in scan
+// order, by (base, generation), regardless of directory iteration order.
+// Any other file (LOCK, gen, a *.tmp leftover, a snap-* file an older build
+// wrote) is not a record file and is never read.
 func listDir(fs FS, dir string) ([]stateFile, error) {
 	names, err := fs.ReadDir(dir)
 	if err != nil {
@@ -88,21 +73,12 @@ func listDir(fs FS, dir string) ([]stateFile, error) {
 	}
 	var files []stateFile
 	for _, name := range names {
-		if seq, ok := parseSnapName(name); ok {
-			files = append(files, stateFile{snap: true, seq: seq})
-		} else if base, gen, ok := parseJournalName(name); ok {
-			files = append(files, stateFile{seq: base, gen: gen})
+		if base, gen, ok := parseJournalName(name); ok {
+			files = append(files, stateFile{base: base, gen: gen})
 		}
 	}
-	sort.Slice(files, func(i, j int) bool {
-		a, b := files[i], files[j]
-		if a.snap != b.snap {
-			return a.snap
-		}
-		if a.seq != b.seq {
-			return a.seq < b.seq
-		}
-		return a.gen < b.gen
+	slices.SortFunc(files, func(a, b stateFile) int {
+		return cmp.Or(cmp.Compare(a.base, b.base), cmp.Compare(a.gen, b.gen))
 	})
 	return files, nil
 }
@@ -122,9 +98,9 @@ type dirScan struct {
 // file contributes its valid record prefix — the scan of a file stops at its
 // first torn or corrupt record, and a file without the magic contributes
 // nothing — so nothing that fails a checksum is ever returned, and nothing is
-// parsed past the bytes this read appended. A snapshot is exactly one record;
-// trailing junk after it is ignored. stats counts what was read and what was
-// skipped; dead is the number of non-empty files without a valid magic.
+// parsed past the bytes this read appended. stats counts what was read and
+// what was skipped; dead is the number of non-empty files without a valid
+// magic.
 // Recovery keeps the newest record; the Replicator keeps those above its
 // high-water mark.
 func scanDir(fs FS, dir string, s *dirScan) (stats RecoveryStats, dead int, err error) {
@@ -148,7 +124,7 @@ func scanDir(fs FS, dir string, s *dirScan) (stats RecoveryStats, dead int, err 
 		recs, torn, corrupt := appendRecords(s.recs, b)
 		s.recs = recs
 		stats.CorruptSkipped += corrupt
-		if torn && !f.snap {
+		if torn {
 			stats.TornTail = true
 		}
 	}

@@ -22,12 +22,13 @@ import (
 // Delivery is at-least-once over an unreliable transport; the Applier makes
 // it exactly-once by sequence: duplicates (seq <= last applied) are
 // acknowledged without effect, and gaps (seq > last+1) are refused with
-// ErrGap so the shipper falls back to a snapshot re-sync. Because every
-// journal record carries the full epoch state, a snapshot re-sync is simply
-// the newest record shipped with the snapshot flag — the standby compacts it
-// into place and resumes record-by-record from there. Record frames go
-// through the standby's Store.Append, so the standby snapshots on the same
-// CompactEvery cadence as the leader and its directory stays as bounded.
+// ErrGap so the shipper falls back to a re-sync. Because every journal
+// record carries the full epoch state, a re-sync is simply the newest record
+// shipped with the snapshot flag, which means "this frame may skip
+// sequences": the standby appends it past the hole and resumes
+// record-by-record from there. Every frame goes through the standby's
+// Store.Append, so the standby rotates on the same CompactEvery cadence as
+// the leader and its directory stays as bounded.
 //
 // The Replicator keeps exact accounting with the invariant
 //
@@ -45,7 +46,7 @@ var ErrBadFrame = errors.New("persist: replication frame failed validation")
 
 // ErrGap reports a replication frame whose sequence skips ahead of the
 // standby's contiguous prefix. Applying it would hide the hole forever, so
-// the Applier refuses and the shipper must re-sync with a snapshot.
+// the Applier refuses and the shipper must re-sync with the newest record.
 var ErrGap = errors.New("persist: replication sequence gap")
 
 // EncodeReplFrame frames (seq, body) for the wire exactly as a journal
@@ -76,16 +77,16 @@ type ApplierStats struct {
 type ApplierOptions struct {
 	// Metrics, when non-nil, receives the standby-side persist.repl.* series,
 	// one count per Apply call that did not fail on the local store: applied
-	// (record frames appended), snapshot_applies (snapshots compacted into
-	// place), dups (frames at or below the prefix, acked without effect),
-	// gaps (record frames that skip ahead) and bad_frames (frames that failed
-	// validation). Write-only.
+	// (record frames appended), snapshot_applies (re-sync frames appended
+	// past a hole), dups (frames at or below the prefix, acked without
+	// effect), gaps (record frames that skip ahead) and bad_frames (frames
+	// that failed validation). Write-only.
 	Metrics *obs.Registry
 }
 
 // Applier applies replication frames into a standby's local Store. It owns
-// the dedup/gap policy, not the store: the store only sees monotone appends
-// and re-sync snapshots. The caller owns the Store's lifecycle.
+// the dedup/gap policy, not the store: the store only sees monotone
+// appends. The caller owns the Store's lifecycle.
 type Applier struct {
 	st      *Store
 	metrics *obs.Registry
@@ -110,11 +111,11 @@ func (a *Applier) Stats() ApplierStats {
 }
 
 // Apply validates one replication frame and applies it to the local store,
-// returning the standby's contiguous applied prefix afterwards. Snapshot
-// frames reset the prefix via compaction (a re-sync); record frames must
-// extend it by exactly one sequence. Duplicates return nil without effect.
-// ErrBadFrame and ErrGap mean the caller should request a snapshot re-sync;
-// any other error is a local store failure.
+// returning the standby's contiguous applied prefix afterwards. A snapshot
+// frame (a re-sync) may skip sequences; a record frame must extend the
+// prefix by exactly one. Duplicates return nil without effect. ErrBadFrame
+// and ErrGap mean the caller should request a re-sync; any other error is a
+// local store failure.
 func (a *Applier) Apply(frame []byte, snapshot bool) (uint64, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -129,18 +130,16 @@ func (a *Applier) Apply(frame []byte, snapshot bool) (uint64, error) {
 		// ack. Acking again is free and keeps the stream moving.
 		a.metrics.Counter("persist.repl.dups").Inc()
 		return a.stats.LastSeq, nil
-	case snapshot:
-		if err := a.st.compact(seq, body); err != nil {
-			return a.stats.LastSeq, fmt.Errorf("persist: apply snapshot %d: %w", seq, err)
-		}
-		a.metrics.Counter("persist.repl.snapshot_applies").Inc()
-	case seq != a.stats.LastSeq+1:
+	case !snapshot && seq != a.stats.LastSeq+1:
 		a.metrics.Counter("persist.repl.gaps").Inc()
 		return a.stats.LastSeq, fmt.Errorf("persist: apply seq %d after %d: %w", seq, a.stats.LastSeq, ErrGap)
-	default:
-		if err := a.st.Append(seq, body); err != nil {
-			return a.stats.LastSeq, fmt.Errorf("persist: apply record %d: %w", seq, err)
-		}
+	}
+	if err := a.st.Append(seq, body); err != nil {
+		return a.stats.LastSeq, fmt.Errorf("persist: apply %d: %w", seq, err)
+	}
+	if snapshot {
+		a.metrics.Counter("persist.repl.snapshot_applies").Inc()
+	} else {
 		a.metrics.Counter("persist.repl.applied").Inc()
 	}
 	a.stats.LastSeq = seq
@@ -148,9 +147,10 @@ func (a *Applier) Apply(frame []byte, snapshot bool) (uint64, error) {
 }
 
 // Pipe is one shipping lane to a standby. Ship delivers a frame and returns
-// the standby's contiguous applied prefix plus whether it wants a snapshot
-// re-sync (gap or corruption on its side). A non-nil error means the frame's
-// fate is unknown (transport failure) and the shipper must retry.
+// the standby's contiguous applied prefix plus whether it wants a re-sync
+// (gap or corruption on its side). snapshot marks a re-sync frame, which may
+// skip sequences. A non-nil error means the frame's fate is unknown
+// (transport failure) and the shipper must retry.
 type Pipe interface {
 	Ship(frame []byte, snapshot bool) (acked uint64, resync bool, err error)
 }
@@ -160,7 +160,7 @@ type Pipe interface {
 // each ship attempt is counted shipped and inflight when it starts, and
 // moves to exactly one of acked or resent when it resolves.
 type ReplStats struct {
-	// Shipped counts ship attempts started (records and snapshots).
+	// Shipped counts ship attempts started (records and re-syncs).
 	Shipped int64
 	// Acked counts attempts the target acknowledged at or above the shipped
 	// sequence.
@@ -181,7 +181,7 @@ type ReplStats struct {
 type ReplicatorOptions struct {
 	// RetainRecords caps the records buffered for record-by-record catch-up;
 	// <= 0 selects the default of 64. A target whose ack falls behind the
-	// buffer is caught up with a snapshot re-sync instead — bounding leader
+	// buffer is caught up with a re-sync instead — bounding leader
 	// memory no matter how far a standby lags.
 	RetainRecords int
 	// FS substitutes the filesystem the leader directory is read through;
@@ -189,7 +189,7 @@ type ReplicatorOptions struct {
 	// and AppendFile on it, appending into one buffer it keeps across Ticks.
 	FS FS
 	// Metrics, when non-nil, receives the leader-side persist.repl.* series
-	// (shipped, acked, resent, inflight, resyncs: snapshot re-syncs that
+	// (shipped, acked, resent, inflight, resyncs: re-syncs that
 	// caught a target back up, tailed: records read from the leader's own
 	// directory). Write-only.
 	Metrics *obs.Registry
@@ -209,12 +209,13 @@ type replTarget struct {
 // it — into one scan buffer it keeps across Ticks, so a Tick at steady state
 // allocates only for the records it has not seen. It copies the on-disk frame
 // of each record above its high-water mark out of that buffer and pushes each
-// target forward: pending records in sequence order, or a snapshot re-sync
-// when the target is behind the buffer, reports a gap, or receives a corrupt
-// frame. Each frame is shipped as it was read from disk, since the wire
-// framing is the disk framing. What a standby applies is therefore by
-// construction what the leader would recover. All shipping is synchronous
-// inside Tick — the Replicator owns no goroutines.
+// target forward: pending records in sequence order, or a re-sync (the
+// newest record, flagged to skip sequences) when the target is behind the
+// buffer, reports a gap, or receives a corrupt frame. Each frame is shipped
+// as it was read from disk, since the wire framing is the disk framing. What
+// a standby applies is therefore by construction what the leader would
+// recover. All shipping is synchronous inside Tick — the Replicator owns no
+// goroutines.
 type Replicator struct {
 	dir     string
 	fs      FS
@@ -333,7 +334,7 @@ func above(dst, recs []record, hwm uint64) []record {
 
 // pruneLocked drops buffered records every target has acked and caps the
 // buffer to the newest retain records; at least one record is always kept so
-// a snapshot re-sync has something to ship.
+// a re-sync has something to ship.
 func (r *Replicator) pruneLocked() {
 	if len(r.records) == 0 {
 		return
@@ -361,8 +362,8 @@ func (r *Replicator) pruneLocked() {
 	}
 }
 
-// shipToLocked pushes one target as far forward as possible: a snapshot
-// re-sync when needed, then pending records in order, stopping at the first
+// shipToLocked pushes one target as far forward as possible: a re-sync
+// when needed, then pending records in order, stopping at the first
 // unresolved failure (retried next Tick).
 func (r *Replicator) shipToLocked(t *replTarget) {
 	for {
@@ -396,7 +397,7 @@ func (r *Replicator) shipToLocked(t *replTarget) {
 			return
 		case resync:
 			t.needSnapshot = true
-			continue // ship the snapshot immediately, same Tick
+			continue // re-sync immediately, same Tick
 		case acked >= next.seq:
 			t.acked = acked
 		default:

@@ -104,10 +104,10 @@ func TestApplierExactlyOnce(t *testing.T) {
 	if _, err := ap.Apply(EncodeReplFrame(9, []byte(`{"epoch":9}`)), false); !errors.Is(err, ErrGap) {
 		t.Fatalf("gap apply: %v, want ErrGap", err)
 	}
-	// Snapshot: jumps the prefix via compaction.
+	// Re-sync: the same frame flagged to skip sequences jumps the prefix.
 	ack, err = ap.Apply(EncodeReplFrame(9, []byte(`{"epoch":9}`)), true)
 	if err != nil || ack != 9 {
-		t.Fatalf("snapshot apply: (%d, %v), want (9, nil)", ack, err)
+		t.Fatalf("re-sync apply: (%d, %v), want (9, nil)", ack, err)
 	}
 	// Bad frame: refused with ErrBadFrame.
 	bad := EncodeReplFrame(10, []byte(`{"epoch":10}`))
@@ -139,9 +139,10 @@ func TestApplierExactlyOnce(t *testing.T) {
 }
 
 // TestApplierStandbyJournalBounded: a standby that applies record after
-// record snapshots on its store's cadence, as the leader does, so what its
+// record rotates on its store's cadence, as the leader does, so what its
 // recovery replays stays bounded by the cadence rather than by how many
-// records it has mirrored.
+// records it has mirrored. A re-sync frame that skips sequences is one more
+// record in the same journal and keeps the bound.
 func TestApplierStandbyJournalBounded(t *testing.T) {
 	const every = 8
 	dir := t.TempDir()
@@ -151,28 +152,90 @@ func TestApplierStandbyJournalBounded(t *testing.T) {
 	}
 	defer st.Close()
 	ap := NewApplier(st, ApplierOptions{})
-	const n = 3*every + 1
-	for seq := uint64(1); seq <= n; seq++ {
-		if _, err := ap.Apply(EncodeReplFrame(seq, crashBody(seq)), false); err != nil {
-			t.Fatalf("apply %d: %v", seq, err)
+	apply := func(seq uint64, resync bool) {
+		t.Helper()
+		if ack, err := ap.Apply(EncodeReplFrame(seq, crashBody(seq)), resync); err != nil || ack != seq {
+			t.Fatalf("apply %d (re-sync %v): (%d, %v)", seq, resync, ack, err)
+		}
+		rec, err := Recover(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Seq != seq || !bytes.Equal(rec.Payload, crashBody(seq)) {
+			t.Fatalf("standby recovered seq %d, want %d", rec.Seq, seq)
+		}
+		if got := rec.Stats.RecordsReplayed; got > 2*every {
+			t.Errorf("standby recovery replayed %d records at seq %d, want at most %d", got, seq, 2*every)
 		}
 	}
-	rec, err := Recover(dir)
-	if err != nil {
-		t.Fatal(err)
+	const n = 3*every + 1
+	for seq := uint64(1); seq <= n; seq++ {
+		apply(seq, false)
 	}
-	if rec.Seq != n || !bytes.Equal(rec.Payload, crashBody(n)) {
-		t.Fatalf("standby recovered seq %d, want %d", rec.Seq, n)
+	// The leader's buffer moved on past the standby: a re-sync jumps it to
+	// seq 100, and records follow from there.
+	apply(100, true)
+	for seq := uint64(101); seq <= 100+2*every; seq++ {
+		apply(seq, false)
 	}
-	if got := rec.Stats.RecordsReplayed; got > 2*every {
-		t.Errorf("standby recovery replayed %d records after %d applies, want at most %d", got, n, 2*every)
+}
+
+// TestNoWritePathLeavesSnapshotFiles: the journal is the only record file.
+// A leader that rotates and restarts, a standby that applies records
+// through its own rotations, and a standby re-synced past a hole leave
+// nothing in either directory but the lock, the generation counter and
+// journals: no snap-* file.
+func TestNoWritePathLeavesSnapshotFiles(t *testing.T) {
+	leaderDir, siteDir := t.TempDir(), t.TempDir()
+	onlyJournals := func(phase string) {
+		t.Helper()
+		for _, dir := range []string{leaderDir, siteDir} {
+			ents, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range ents {
+				if _, _, ok := parseJournalName(e.Name()); !ok && e.Name() != "LOCK" && e.Name() != "gen" {
+					t.Fatalf("%s: %s holds %s, which is not a journal", phase, dir, e.Name())
+				}
+			}
+		}
 	}
-	snaps, err := filepath.Glob(filepath.Join(dir, "snap-*"))
-	if err != nil {
-		t.Fatal(err)
+	reg := obs.NewRegistry()
+	seq := uint64(0)
+	for open := 1; open <= 3; open++ {
+		leader, err := Open(leaderDir, Options{CompactEvery: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		site, err := Open(siteDir, Options{CompactEvery: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewReplicator(leaderDir, ReplicatorOptions{RetainRecords: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The first two ships of each incarnation are lost, so the standby
+		// falls behind the one-record buffer and is re-synced past the hole.
+		r.AddTarget("site", &memPipe{ap: NewApplier(site, ApplierOptions{Metrics: reg}), drop: 2})
+		for i := 0; i < 5; i++ {
+			seq++
+			leaderAppend(t, leader, seq)
+			if err := r.Tick(); err != nil {
+				t.Fatal(err)
+			}
+			onlyJournals(fmt.Sprintf("open %d, seq %d", open, seq))
+		}
+		if got := site.LastSeq(); got != seq {
+			t.Fatalf("open %d: standby at seq %d, want %d", open, got, seq)
+		}
+		r.Close()
+		leader.Close()
+		site.Close()
 	}
-	if len(snaps) == 0 {
-		t.Error("standby directory holds no snapshot")
+	if n := reg.Counter("persist.repl.snapshot_applies").Value(); n < 3 {
+		t.Fatalf("%d re-syncs applied over three incarnations, want at least 3", n)
 	}
 }
 
@@ -496,9 +559,9 @@ func (p applyPipe) Ship(frame []byte, snapshot bool) (uint64, bool, error) {
 // TestReplicatorTickAllocIndependentOfDirSize: a Tick's allocation does not
 // grow with the leader directory it re-reads. A live store with full-state
 // bodies is ticked into an Applier; the bytes one Append+Tick allocates over
-// a 60-record journal are within one record of those over a nearly empty
-// one, because the scan reads into the buffer the Replicator keeps and only
-// the fresh record is copied out of it.
+// a 120-record directory are within one record of those over the 70-record
+// one that rotation prunes it to, because the scan reads into the buffer
+// the Replicator keeps and only the fresh record is copied out of it.
 func TestReplicatorTickAllocIndependentOfDirSize(t *testing.T) {
 	const bodyLen = 4600 // a B4 full-state record
 	leaderDir := t.TempDir()
@@ -519,7 +582,7 @@ func TestReplicatorTickAllocIndependentOfDirSize(t *testing.T) {
 	defer r.Close()
 	r.AddTarget("standby", applyPipe{NewApplier(standby, ApplierOptions{})})
 
-	bodies := make([][]byte, 70)
+	bodies := make([][]byte, 140)
 	for i := range bodies {
 		bodies[i] = bytes.Repeat([]byte{byte('a' + i%26)}, bodyLen)
 	}
@@ -553,33 +616,27 @@ func TestReplicatorTickAllocIndependentOfDirSize(t *testing.T) {
 		}
 		return m
 	}
-	compact := func() {
-		if err := leader.compact(seq, bodies[seq]); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	for seq < 55 {
+	// At the default cadence of 64 the journal based at 0 holds records
+	// 1..64 and the next one 65..128.
+	for seq < 115 {
 		op()
 	}
-	long := least(5) // the journal holds records 56..60
+	long := least(5) // the directory holds records 1..120
 
-	// Three compactions prune the long journal: the directory is left with
-	// two snapshots, a closed one-record journal and the live journal.
-	compact()
-	op()
-	compact()
-	op()
-	compact()
-	short := least(5) // the live journal holds records 63..67
+	// The Append of 129 starts the journal based at 128 and prunes the one
+	// based at 0.
+	for seq < 129 {
+		op()
+	}
+	short := least(5) // the directory holds records 65..134
 
-	t.Logf("bytes per Append+Tick: %d over a 60-record journal, %d over a nearly empty one", long, short)
+	t.Logf("bytes per Append+Tick: %d over a 120-record directory, %d over a 70-record one", long, short)
 	diff := int64(long) - int64(short)
 	if diff < 0 {
 		diff = -diff
 	}
 	if record := int64(recordHeaderLen + seqLen + bodyLen); diff >= record {
-		t.Fatalf("an Append+Tick allocates %d B over a 60-record journal and %d B over a nearly empty one: "+
+		t.Fatalf("an Append+Tick allocates %d B over a 120-record directory and %d B over a 70-record one: "+
 			"they differ by %d B, at least one %d B record", long, short, diff, record)
 	}
 }
@@ -607,7 +664,7 @@ func (p *gatePipe) Ship(frame []byte, snapshot bool) (uint64, bool, error) {
 
 // TestReplicatorBufferedRecordsOwnTheirBytes: records buffered for a target
 // that refuses them do not alias the scan buffer the next Tick overwrites.
-// While the target refuses, the leader appends, compacts and prunes, and a
+// While the target refuses, the leader appends, rotates and prunes, and a
 // closed journal shrinks, so the directory the scan buffer holds shrinks and
 // shifts. After every Tick the kept-buffer scan must hold exactly what a
 // fresh scan holds, so nothing is parsed from bytes an earlier read left
@@ -660,8 +717,8 @@ func TestReplicatorBufferedRecordsOwnTheirBytes(t *testing.T) {
 		tick()
 	}
 	// The closed journal based at 9 loses its last record, 12, which the
-	// newest snapshot also holds: the file shrinks, the recovered state does
-	// not change.
+	// replicator has already read: the file shrinks, the recovered state
+	// (epoch 14, in the newest journal) does not change.
 	closed := "state/" + journalName(9, st.Generation())
 	img, ok := fs.files[closed]
 	if !ok {

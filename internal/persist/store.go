@@ -1,17 +1,17 @@
 package persist
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"sync"
 )
 
 // Store is an open, locked state directory: an append-only journal of
-// per-epoch records, compacted into a snapshot every Options.CompactEvery
-// appends. All methods are safe for concurrent use; writes are serialized
-// internally.
+// per-epoch records, rotated every Options.CompactEvery appends. All
+// methods are safe for concurrent use; writes are serialized internally.
 type Store struct {
 	dir string
 	opt Options
@@ -19,13 +19,11 @@ type Store struct {
 
 	mu        sync.Mutex
 	lock      io.Closer
-	journal   File   // nil until the first Append after Open or a compaction
-	journBase uint64 // the sequence the next fresh journal is based at
-	count     int    // records towards the next snapshot (see open)
+	journal   File // nil until the first Append after Open or a rotation
+	count     int  // records in journal
 	lastSeq   uint64
 	gen       uint64
-	snaps     []uint64 // known snapshot seqs, ascending
-	frame     []byte   // the last Append's framed record, reused by the next
+	frame     []byte // the last Append's framed record, reused by the next
 	recovered *Recovered
 	closed    bool
 	broken    error // first write failure; the store refuses further writes
@@ -80,19 +78,14 @@ func (s *Store) open() error {
 	m.Counter("persist.recover.records_replayed").Add(int64(rec.Stats.RecordsReplayed))
 	m.Counter("persist.recover.corrupt_skipped").Add(int64(rec.Stats.CorruptSkipped))
 
-	// Remember existing snapshots for compaction-time cleanup, and the
-	// highest generation stamped into any journal name.
+	// The highest generation stamped into any journal name.
 	files, err := listDir(s.fs, s.dir)
 	if err != nil {
 		return err
 	}
 	var maxJournalGen uint64
 	for _, f := range files {
-		if f.snap {
-			s.snaps = append(s.snaps, f.seq)
-		} else if f.gen > maxJournalGen {
-			maxJournalGen = f.gen
-		}
+		maxJournalGen = max(maxJournalGen, f.gen)
 	}
 
 	// Durably claim the next generation before any other write: a crash
@@ -114,20 +107,7 @@ func (s *Store) open() error {
 	m.Gauge("persist.generation").Set(float64(s.gen))
 
 	// Never append to an inherited journal (its tail may be torn): the first
-	// Append starts a fresh one based at the recovered sequence, named with
-	// our generation. The records above the newest snapshot count towards
-	// the cadence, or a directory that restarts more often than every
-	// CompactEvery records would never compact. Sequences increase, so the
-	// distance from that snapshot bounds their number; overcounting only
-	// snapshots earlier.
-	s.journBase = s.lastSeq
-	var snapped uint64
-	if len(s.snaps) > 0 {
-		snapped = s.snaps[len(s.snaps)-1]
-	}
-	if s.lastSeq > snapped {
-		s.count = int(min(s.lastSeq-snapped, uint64(s.opt.CompactEvery)))
-	}
+	// Append starts a fresh one based at the recovered sequence.
 	return nil
 }
 
@@ -184,10 +164,10 @@ func (s *Store) writeAtomic(name string, b []byte) error {
 	return s.fs.SyncDir(s.dir)
 }
 
-// startJournal creates the empty journal based at journBase, named with
-// this incarnation's generation.
+// startJournal creates the empty journal based at lastSeq, named with this
+// incarnation's generation, and then prunes the journals it supersedes.
 func (s *Store) startJournal() error {
-	name := journalName(s.journBase, s.gen)
+	name := journalName(s.lastSeq, s.gen)
 	f, err := s.fs.OpenAppend(s.dir + "/" + name)
 	if err != nil {
 		return fmt.Errorf("persist: open journal %s: %w", name, err)
@@ -205,7 +185,37 @@ func (s *Store) startJournal() error {
 		return err
 	}
 	s.journal = f
+	s.prune()
 	return nil
+}
+
+// prune deletes the journals that the one holding the record at lastSeq
+// supersedes. A journal's records never pass the base of any journal written
+// after it (a later generation, or the same one at a higher base), since a
+// store starts each journal at its newest record. So a journal followed by a
+// later-written one based below lastSeq holds only older records and goes;
+// the journal holding lastSeq, the fallback if a newer record is ever
+// damaged, stays, and so does the new one. That leaves at most one closed
+// journal of records and the growing one: at most 2×CompactEvery records.
+// Judging a journal by what was written after it, not by its neighbour in
+// name order, keeps the fallback when a wiped earlier lineage left journals
+// based in between. Best-effort: a failed remove only costs disk. The caller
+// holds s.mu.
+func (s *Store) prune() {
+	files, err := listDir(s.fs, s.dir)
+	if err != nil {
+		return
+	}
+	slices.SortFunc(files, func(a, b stateFile) int { // newest-written first
+		return cmp.Or(cmp.Compare(b.gen, a.gen), cmp.Compare(b.base, a.base))
+	})
+	later := s.lastSeq // the lowest base written after the journal at hand
+	for _, f := range files {
+		if later < s.lastSeq && s.fs.Remove(s.dir+"/"+f.name()) == nil {
+			s.opt.Metrics.Counter("persist.pruned").Inc()
+		}
+		later = min(later, f.base)
+	}
 }
 
 // Recovered returns what Open recovered (Payload nil on a cold start).
@@ -226,17 +236,21 @@ func (s *Store) LastSeq() uint64 {
 
 // Append journals one epoch record and fsyncs it: when Append returns nil
 // the record survives kill -9. The record that brings the journal to
-// Options.CompactEvery records is also written as a snapshot, and the
-// journal rotates (see snapshot). Sequences must be strictly increasing; the
-// first write failure poisons the store (a partial write leaves the tail
-// torn, which recovery handles, but further appends behind it would be
-// unreachable, so the store refuses them). An error from the snapshot step
-// leaves the record itself durable: LastSeq counts it.
+// Options.CompactEvery records closes it, and the next Append starts a new
+// journal (see prune). Sequences must be strictly increasing but may skip:
+// a standby's re-sync appends the leader's newest record. The first write
+// failure poisons the store (a partial write leaves the tail torn, which
+// recovery handles, but further appends behind it would be unreachable, so
+// the store refuses them). An error from closing a full journal leaves the
+// record itself durable: LastSeq counts it.
 func (s *Store) Append(seq uint64, body []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.writable("append"); err != nil {
-		return err
+	if s.closed {
+		return fmt.Errorf("persist: append on closed store")
+	}
+	if s.broken != nil {
+		return fmt.Errorf("persist: store broken by earlier write failure: %w", s.broken)
 	}
 	if seq <= s.lastSeq {
 		return fmt.Errorf("persist: append seq %d not after %d", seq, s.lastSeq)
@@ -266,95 +280,16 @@ func (s *Store) Append(seq uint64, body []byte) error {
 	s.count++
 	s.opt.Metrics.Counter("persist.appends").Inc()
 	s.opt.Metrics.Counter("persist.append_bytes").Add(int64(len(s.frame)))
-	if s.count >= s.opt.CompactEvery {
-		return s.snapshot(seq, body)
+	if s.count < s.opt.CompactEvery {
+		return nil
 	}
-	return nil
-}
-
-// writable reports why the store refuses a write, nil if it takes one.
-func (s *Store) writable(op string) error {
-	if s.closed {
-		return fmt.Errorf("persist: %s on closed store", op)
-	}
-	if s.broken != nil {
-		return fmt.Errorf("persist: store broken by earlier write failure: %w", s.broken)
-	}
-	return nil
-}
-
-// compact installs the full state at seq as a snapshot without journaling
-// it: the Applier's re-sync, which jumps the store to the leader's newest
-// record. Every other snapshot is taken by Append.
-func (s *Store) compact(seq uint64, state []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.writable("compact"); err != nil {
-		return err
-	}
-	if seq < s.lastSeq {
-		return fmt.Errorf("persist: compact seq %d behind journal seq %d", seq, s.lastSeq)
-	}
-	return s.snapshot(seq, state)
-}
-
-// snapshot writes the full state at seq as an atomic snapshot, closes the
-// journal (the next Append starts a fresh one based at seq), and prunes
-// files that recovery no longer needs (the newest two snapshots are kept:
-// the previous one is the fallback if the newest is ever damaged). The
-// caller holds s.mu.
-func (s *Store) snapshot(seq uint64, state []byte) error {
-	buf := append([]byte(nil), magic...)
-	buf = appendRecord(buf, seq, state)
-	if err := s.writeAtomic(snapName(seq), buf); err != nil {
-		s.broken = err
-		return fmt.Errorf("persist: snapshot %d: %w", seq, err)
-	}
-	s.lastSeq = seq
-	s.snaps = append(s.snaps, seq)
-	sort.Slice(s.snaps, func(i, j int) bool { return s.snaps[i] < s.snaps[j] })
-	if s.journal != nil {
-		err := s.journal.Close()
-		s.journal = nil
-		if err != nil {
-			s.broken = err
-			return fmt.Errorf("persist: close journal: %w", err)
-		}
-	}
-	s.journBase = seq
-	s.count = 0
-	s.prune()
-	s.opt.Metrics.Counter("persist.snapshots").Inc()
-	return nil
-}
-
-// prune removes snapshots older than the newest two and journals subsumed
-// by the older kept snapshot. Best-effort: a failed remove only costs disk.
-func (s *Store) prune() {
-	if len(s.snaps) <= 2 {
-		return
-	}
-	keepFrom := s.snaps[len(s.snaps)-2]
-	for _, seq := range s.snaps[:len(s.snaps)-2] {
-		if s.fs.Remove(s.dir+"/"+snapName(seq)) == nil {
-			s.opt.Metrics.Counter("persist.pruned").Inc()
-		}
-	}
-	s.snaps = append([]uint64(nil), s.snaps[len(s.snaps)-2:]...)
-	files, err := listDir(s.fs, s.dir)
+	err = s.journal.Close()
+	s.journal, s.count = nil, 0
 	if err != nil {
-		return
+		s.broken = err
+		return fmt.Errorf("persist: close journal: %w", err)
 	}
-	for _, f := range files {
-		if f.snap || (f.seq == s.journBase && f.gen == s.gen) {
-			continue
-		}
-		if f.seq < keepFrom {
-			if s.fs.Remove(s.dir+"/"+f.name()) == nil {
-				s.opt.Metrics.Counter("persist.pruned").Inc()
-			}
-		}
-	}
+	return nil
 }
 
 // Close releases the journal and the directory lock. Idempotent: a second

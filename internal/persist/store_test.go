@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -52,6 +53,58 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 	}
 }
 
+// journalRecords returns the sequences of the checksum-valid records each
+// journal in dir holds, by file name.
+func journalRecords(t *testing.T, dir string) map[string][]uint64 {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string][]uint64{}
+	for _, e := range ents {
+		if _, _, ok := parseJournalName(e.Name()); !ok {
+			continue
+		}
+		b, err := os.ReadFile(dir + "/" + e.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, _, _ := scanRecords(b)
+		seqs := []uint64{}
+		for _, r := range recs {
+			seqs = append(seqs, r.seq)
+		}
+		out[e.Name()] = seqs
+	}
+	return out
+}
+
+// checkJournalsBounded asserts the directory bound the store keeps after
+// every Append: at most 2×every records in all.
+func checkJournalsBounded(t *testing.T, dir string, every int, newest uint64) {
+	t.Helper()
+	total := 0
+	for _, seqs := range journalRecords(t, dir) {
+		total += len(seqs)
+	}
+	if total > 2*every {
+		t.Errorf("directory holds %d records at record %d, want at most 2×%d", total, newest, every)
+	}
+}
+
+// checkJournalsRecent asserts that no journal in dir lies wholly every or
+// more sequences behind the newest record newest, which holds once the
+// journal after a full one has started.
+func checkJournalsRecent(t *testing.T, dir string, every int, newest uint64) {
+	t.Helper()
+	for name, seqs := range journalRecords(t, dir) {
+		if len(seqs) == 0 || seqs[len(seqs)-1]+uint64(every) <= newest {
+			t.Errorf("journal %s holds %v, wholly %d or more behind record %d", name, seqs, every, newest)
+		}
+	}
+}
+
 func TestCompactionAndPrune(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir, Options{CompactEvery: 3})
@@ -63,23 +116,23 @@ func TestCompactionAndPrune(t *testing.T) {
 		if err := st.Append(e, body(e)); err != nil {
 			t.Fatal(err)
 		}
+		checkJournalsBounded(t, dir, 3, e)
 	}
-	// 10 appends with cadence 3 -> snapshots at 3, 6, 9; prune keeps 2.
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
+	// 10 appends with cadence 3 -> journals based at 0, 3, 6 and 9; starting
+	// the one at 9 pruned those at 0 and 3.
+	got := journalRecords(t, dir)
+	want := map[string][]uint64{
+		journalName(6, st.Generation()): {7, 8, 9},
+		journalName(9, st.Generation()): {10},
 	}
-	snaps := 0
-	for _, e := range ents {
-		if seq, ok := parseSnapName(e.Name()); ok {
-			snaps++
-			if seq < 6 {
-				t.Errorf("pruning left old snapshot %s", e.Name())
-			}
+	if len(got) != len(want) {
+		t.Errorf("journals on disk = %v, want %v", got, want)
+	}
+	checkJournalsRecent(t, dir, 3, 10)
+	for name, seqs := range want {
+		if !slices.Equal(got[name], seqs) {
+			t.Errorf("journal %s holds %v, want %v", name, got[name], seqs)
 		}
-	}
-	if snaps != 2 {
-		t.Errorf("snapshots on disk = %d, want 2 (newest + fallback)", snaps)
 	}
 	st.Close()
 	st2, err := Open(dir, Options{})
@@ -88,15 +141,15 @@ func TestCompactionAndPrune(t *testing.T) {
 	}
 	defer st2.Close()
 	if rec := st2.Recovered(); rec.Seq != 10 || string(rec.Payload) != string(body(10)) {
-		t.Fatalf("recovered seq=%d, want 10 (journal suffix after snapshot)", rec.Seq)
+		t.Fatalf("recovered seq=%d, want 10 (the newest journal's record)", rec.Seq)
 	}
 }
 
 // TestCompactionAcrossRestarts: a directory whose store is reopened more
-// often than every CompactEvery records still compacts, because Open
-// counts the records above the newest snapshot towards the cadence. Twenty
-// incarnations of ten appends each at the default cadence leave a
-// directory that replays at most 2×CompactEvery+1 records.
+// often than every CompactEvery records stays bounded, because starting
+// each incarnation's journal prunes the journals the previous one
+// supersedes. Twenty incarnations of ten appends each at the default
+// cadence leave a directory that replays at most 2×CompactEvery records.
 func TestCompactionAcrossRestarts(t *testing.T) {
 	dir := t.TempDir()
 	const every = 64 // the default cadence
@@ -115,56 +168,109 @@ func TestCompactionAcrossRestarts(t *testing.T) {
 		if err := st.Close(); err != nil {
 			t.Fatal(err)
 		}
+		checkJournalsBounded(t, dir, every, seq)
+		checkJournalsRecent(t, dir, every, seq)
 	}
 	rec, err := Recover(dir)
 	if err != nil || rec.Seq != seq {
 		t.Fatalf("recovered seq=%d err=%v, want %d", rec.Seq, err, seq)
 	}
-	if got := rec.Stats.RecordsReplayed; got > 2*every+1 {
-		t.Errorf("recovery replayed %d records of %d appended over 20 opens, want at most %d", got, seq, 2*every+1)
-	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snaps := 0
-	for _, e := range ents {
-		if _, ok := parseSnapName(e.Name()); ok {
-			snaps++
-		}
-	}
-	if snaps == 0 {
-		t.Error("no snapshot after 20 opens of 10 appends each")
+	if got := rec.Stats.RecordsReplayed; got > 2*every {
+		t.Errorf("recovery replayed %d records of %d appended over 20 opens, want at most %d", got, seq, 2*every)
 	}
 }
 
+// TestRecoveryFallsBackToOlderSnapshot: when the newest journal's records
+// are corrupt, recovery falls back to the previous journal's newest record,
+// which starting the newest journal kept. At cadence 1 that is one record
+// of history.
 func TestRecoveryFallsBackToOlderSnapshot(t *testing.T) {
-	dir := t.TempDir()
-	st, err := Open(dir, Options{CompactEvery: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Append(1, body(1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Append(2, body(2)); err != nil {
-		t.Fatal(err)
-	}
-	st.Close()
-	// Drop the journals so only the snapshots can answer, then flip a byte
-	// inside the newest snapshot's payload.
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range ents {
-		if _, _, ok := parseJournalName(e.Name()); ok {
-			if err := os.Remove(dir + "/" + e.Name()); err != nil {
+	for _, every := range []int{1, 2, 3} {
+		dir := t.TempDir()
+		st, err := Open(dir, Options{CompactEvery: every})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := uint64(3*every + 1)
+		for e := uint64(1); e <= n; e++ {
+			if err := st.Append(e, body(e)); err != nil {
 				t.Fatal(err)
 			}
 		}
+		st.Close()
+		// The newest journal holds record n alone: flip a byte inside its
+		// payload.
+		name := dir + "/" + journalName(n-1, st.Generation())
+		b, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b[len(b)-1] ^= 0xff
+		if err := os.WriteFile(name, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rec, err := Recover(dir)
+		if err != nil {
+			t.Fatalf("every=%d: recovery with a corrupt newest journal: %v", every, err)
+		}
+		if rec.Seq != n-1 || string(rec.Payload) != string(body(n-1)) {
+			t.Fatalf("every=%d: recovered seq=%d payload=%q, want fallback to record %d", every, rec.Seq, rec.Payload, n-1)
+		}
+		if rec.Stats.CorruptSkipped == 0 {
+			t.Errorf("every=%d: corrupt record not counted in CorruptSkipped", every)
+		}
 	}
-	name := dir + "/" + snapName(2)
+}
+
+// TestPruneKeepsFallbackPastWipedJournals: journals that a wiped earlier
+// lineage left behind, based between the live journals, never make pruning
+// drop the journal that holds the fallback record. Pruning judges a journal
+// by the journals written after it (a later generation, or the same one at
+// a higher base), not by its neighbour in name order.
+func TestPruneKeepsFallbackPastWipedJournals(t *testing.T) {
+	dir := t.TempDir()
+	seq := uint64(0)
+	for open := 0; open < 2; open++ { // an earlier lineage: two short journals
+		st, err := Open(dir, Options{CompactEvery: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			seq++
+			if err := st.Append(seq, body(seq)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st.Close()
+	}
+	// Total storage corruption: every journal loses its magic, and the next
+	// incarnation starts cold among the wreckage (bases 0 and 2).
+	for name := range journalRecords(t, dir) {
+		b, err := os.ReadFile(dir + "/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		copy(b, "DEADBEEF")
+		if err := os.WriteFile(dir+"/"+name, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := Open(dir, Options{CompactEvery: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.LastSeq() != 0 {
+		t.Fatalf("open over wiped journals recovered seq %d, want a cold start", st.LastSeq())
+	}
+	// Records 1..4 fill the journal based at 0; the Append of 5 starts the
+	// one based at 4 and prunes.
+	for e := uint64(1); e <= 5; e++ {
+		if err := st.Append(e, body(e)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st.Close()
+	name := dir + "/" + journalName(4, st.Generation())
 	b, err := os.ReadFile(name)
 	if err != nil {
 		t.Fatal(err)
@@ -174,14 +280,8 @@ func TestRecoveryFallsBackToOlderSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec, err := Recover(dir)
-	if err != nil {
-		t.Fatalf("recovery with corrupt newest snapshot: %v", err)
-	}
-	if rec.Seq != 1 || string(rec.Payload) != string(body(1)) {
-		t.Fatalf("recovered seq=%d payload=%q, want fallback to snapshot 1", rec.Seq, rec.Payload)
-	}
-	if rec.Stats.CorruptSkipped == 0 {
-		t.Error("corrupt snapshot not counted in CorruptSkipped")
+	if err != nil || rec.Seq != 4 || string(rec.Payload) != string(body(4)) {
+		t.Fatalf("recovered %+v, %v; want the fallback record 4", rec, err)
 	}
 }
 
@@ -262,9 +362,6 @@ func TestDoubleCloseAndClosedWrites(t *testing.T) {
 	if err := st.Append(1, body(1)); err == nil {
 		t.Fatal("append on closed store succeeded")
 	}
-	if err := st.compact(1, body(1)); err == nil {
-		t.Fatal("compact on closed store succeeded")
-	}
 }
 
 func TestAppendSequenceMustAdvance(t *testing.T) {
@@ -307,12 +404,16 @@ func TestStoreNoGoroutineLeak(t *testing.T) {
 	}
 }
 
+// TestRecoverEmptyAndGarbageDirs: an empty directory and one holding only
+// junk are cold starts. A snap-* file, as older builds wrote next to their
+// journals, is not a record file: even a well-formed one is never read.
 func TestRecoverEmptyAndGarbageDirs(t *testing.T) {
 	if _, err := Recover(t.TempDir()); !errors.Is(err, ErrNoState) {
 		t.Fatalf("empty dir: err = %v, want ErrNoState", err)
 	}
 	dir := t.TempDir()
-	if err := os.WriteFile(dir+"/"+snapName(7), []byte("not a snapshot"), 0o644); err != nil {
+	oldSnap := appendRecord(append([]byte(nil), magic...), 7, body(7))
+	if err := os.WriteFile(dir+"/snap-0000000000000007", oldSnap, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(dir+"/"+journalName(0, 1), []byte("junk"), 0o644); err != nil {

@@ -22,11 +22,11 @@ func fuzzTailSeed() (full []byte, marks []int) {
 // FuzzTail pins what a Replicator ships from arbitrary directory bytes:
 // for any journal prefix, any appended growth (the leader writing —
 // possibly torn, possibly corrupt), and growth landing either in the
-// journal or as a snapshot file, ticking a Replicator into an in-memory Pipe
-// must never panic, must only ship records that are checksum-valid in the
-// bytes on disk, must keep sequences strictly ascending across ticks, and,
-// whenever Recover finds a sequence above the previous high-water mark,
-// must have shipped Recover's (Seq, Payload) last.
+// journal or in the next one the leader rotated to, ticking a Replicator
+// into an in-memory Pipe must never panic, must only ship records that are
+// checksum-valid in the bytes on disk, must keep sequences strictly
+// ascending across ticks, and, whenever Recover finds a sequence above the
+// previous high-water mark, must have shipped Recover's (Seq, Payload) last.
 func FuzzTail(f *testing.F) {
 	full, marks := fuzzTailSeed()
 	for _, m := range marks {
@@ -38,14 +38,14 @@ func FuzzTail(f *testing.F) {
 	f.Add(corrupt, []byte(nil), false)
 	f.Add([]byte("NOT-PRST"), full, false)
 	f.Add([]byte(nil), []byte(nil), false)
-	snap := append([]byte(nil), magic...)
-	snap = appendRecord(snap, 9, []byte(`{"epoch":9}`))
-	f.Add(full, snap, true)
+	next := append([]byte(nil), magic...)
+	next = appendRecord(next, 9, []byte(`{"epoch":9}`))
+	f.Add(full, next, true)
 	tie := appendRecord(nil, 4, []byte(`{"epoch":4,"try":1}`))
 	tie = appendRecord(tie, 4, []byte(`{"epoch":4,"try":2}`))
 	f.Add(full, tie, false) // two records at one seq: the later-scanned ships
 
-	f.Fuzz(func(t *testing.T, prefix, growth []byte, asSnap bool) {
+	f.Fuzz(func(t *testing.T, prefix, growth []byte, rotated bool) {
 		if len(prefix)+len(growth) > 1<<20 {
 			t.Skip("oversized input")
 		}
@@ -85,14 +85,14 @@ func FuzzTail(f *testing.F) {
 		}
 		tickAndCheck("first", map[string][]byte{journal: prefix})
 
-		// The "leader" writes: either more journal bytes or a snapshot.
+		// The "leader" writes: either more journal bytes or a new journal.
 		images := map[string][]byte{journal: prefix}
-		if asSnap {
-			snapFile := dir + "/" + snapName(9)
-			if err := os.WriteFile(snapFile, growth, 0o644); err != nil {
+		if rotated {
+			nextJournal := dir + "/" + journalName(3, 1)
+			if err := os.WriteFile(nextJournal, growth, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			images[snapFile] = growth
+			images[nextJournal] = growth
 		} else {
 			grown := append(append([]byte(nil), prefix...), growth...)
 			if err := os.WriteFile(journal, grown, 0o644); err != nil {

@@ -12,7 +12,8 @@ type SwitchConfig struct {
 	// milliseconds on production gear per §6.4; tests shrink it).
 	InstallLatency time.Duration
 	// RateLatency is the time to update rate-adaptation match-action
-	// entries ("relatively fast", §2.1 — milliseconds).
+	// entries ("relatively fast", §2.1 — milliseconds), paid by a rate push
+	// that carries entries and by a tunnel removal; a heartbeat pays none.
 	RateLatency time.Duration
 	// MaxTunnels bounds the tunnel table ("a commercial router can always
 	// support tens of thousands of tunnels", §6.3).
@@ -161,7 +162,9 @@ func (a *SwitchAgent) handle(req *Request) *Response {
 		a.mu.Lock()
 		switch {
 		case req.Base == 0 || req.Base == a.rateTag:
-			time.Sleep(a.cfg.RateLatency)
+			if len(req.Rates) > 0 { // a heartbeat touches no entry
+				time.Sleep(a.cfg.RateLatency)
+			}
 			for k, v := range req.Rates {
 				a.rates[k] = v
 			}

@@ -418,10 +418,14 @@ func (c *Controller) setAck(name string, t *rateTable) {
 // re-assert is a heartbeat. An agent that cannot place a delta (it holds
 // another table) answers Resync and gets the full table in the same call.
 // On full success the table is remembered as the fleet's last good plan
-// (LastGoodRates).
+// (LastGoodRates). A table with a negative or non-finite rate is refused
+// before any RPC: the journal could not recover it.
 func (c *Controller) UpdateRates(rates map[string]float64) (time.Duration, error) {
 	start := time.Now()
-	next := c.rateTableOf(rates)
+	next, err := c.rateTableOf(rates)
+	if err != nil {
+		return time.Since(start), err
+	}
 	type cut struct {
 		base  *rateTable
 		delta map[string]float64
@@ -508,19 +512,22 @@ func (c *Controller) LastGoodRates() map[string]float64 {
 
 // rateTableOf returns the immutable table for rates: the last good table
 // itself when rates equals it (the quiet epoch's case, and a restore),
-// otherwise a fresh copy.
-func (c *Controller) rateTableOf(rates map[string]float64) *rateTable {
+// otherwise a fresh copy, which must hold only finite, non-negative rates.
+func (c *Controller) rateTableOf(rates map[string]float64) (*rateTable, error) {
 	c.mu.Lock()
 	last := c.lastRates
 	c.mu.Unlock()
 	if last != nil && sameRates(last.rates, rates) {
-		return last
+		return last, nil
 	}
 	cp := make(map[string]float64, len(rates))
 	for k, v := range rates {
+		if !(v >= 0) || math.IsInf(v, 1) {
+			return nil, fmt.Errorf("wan: rate %s=%v is negative or not finite", k, v)
+		}
 		cp[k] = v
 	}
-	return &rateTable{rates: cp, tag: rateTag(cp)}
+	return &rateTable{rates: cp, tag: rateTag(cp)}, nil
 }
 
 // RemoveTunnels deletes tunnels (the §4.2 restoration to the original

@@ -39,7 +39,7 @@ var ErrClaimFenced = errors.New("wan: promotion claim fenced by a sibling")
 // SiteServer is a standby site's replication ingress: a loopback listener
 // accepting MsgReplRecord/MsgReplSnapshot frames and handing them to the
 // site's apply function, which returns the site's contiguous applied prefix
-// and whether it wants a snapshot re-sync. Like the other wan endpoints it
+// and whether it wants a re-sync. Like the other wan endpoints it
 // dies with its listener, so closing it models a site partition or crash.
 type SiteServer struct {
 	*server
@@ -69,7 +69,7 @@ type sitePipe struct {
 
 // Ship delivers one replication frame and interprets the site's answer: a
 // nil Response is a transport failure (retryable), Resync asks for a
-// snapshot, and any other rejection is surfaced as an error.
+// re-sync, and any other rejection is surfaced as an error.
 func (p sitePipe) Ship(frame []byte, snapshot bool) (uint64, bool, error) {
 	typ := MsgReplRecord
 	if snapshot {
@@ -169,7 +169,7 @@ type SiteStatus struct {
 	LeaseRemaining int64
 	// LeaseGen is the highest leader generation the site's lease observed.
 	LeaseGen uint64
-	// Resyncs counts snapshot re-syncs applied at this site.
+	// Resyncs counts re-syncs applied at this site.
 	Resyncs int64
 }
 
@@ -185,7 +185,7 @@ type SitePromotion struct {
 	// apply path acknowledged: warm at the last applied epoch, or cold
 	// with nothing applied.
 	MirrorMatch bool
-	// Resyncs is how many snapshot re-syncs this site needed over its
+	// Resyncs is how many re-syncs this site needed over its
 	// standby lifetime (lag it had to recover from).
 	Resyncs int64
 	// Elapsed is the wall time from claim to hand-off complete.

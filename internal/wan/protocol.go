@@ -23,8 +23,9 @@ const (
 	MsgUpdateRates   MsgType = "update_rates"
 	MsgPing          MsgType = "ping"
 	// MsgReplRecord carries one CRC-framed journal record from a leader to a
-	// cross-site standby (Request.Frame); MsgReplSnapshot carries a full-state
-	// snapshot frame for re-sync. Both are answered with Response.Ack (the
+	// cross-site standby (Request.Frame); MsgReplSnapshot carries the newest
+	// record for a re-sync, which the standby appends even though it skips
+	// sequences. Both are answered with Response.Ack (the
 	// standby's contiguous applied prefix) and possibly Response.Resync.
 	MsgReplRecord   MsgType = "repl_record"
 	MsgReplSnapshot MsgType = "repl_snapshot"
@@ -73,7 +74,7 @@ type Request struct {
 // reports the generation the agent is fenced to.
 // Ack and Resync answer replication messages: Ack is the standby's
 // contiguous applied sequence prefix, and Resync asks the shipper to fall
-// back to a snapshot re-sync (the standby detected a gap or a corrupt
+// back to a re-sync (the standby detected a gap or a corrupt
 // frame). An agent answers a rate delta it cannot place with Resync too:
 // it holds neither the delta's Base nor its Tag, and wants the full table.
 // Both are omitted from the wire when unset.

@@ -431,3 +431,78 @@ func TestAgentRefusesStaleDelta(t *testing.T) {
 		t.Fatalf("after the full push: %v, want %v", got, t3)
 	}
 }
+
+// TestRefusedTableKeepsWarmRestart: the controller refuses, before any RPC
+// or journal write, state its own recovery would refuse. A table with a
+// negative or non-finite rate never reaches an agent, LastGoodRates keeps
+// the previous table, and a probability outside [0, 1] journals nothing,
+// so the next incarnation recovers the previous table warm instead of
+// starting cold on a record it cannot decode.
+func TestRefusedTableKeepsWarmRestart(t *testing.T) {
+	checkGoroutineLeaks(t)
+	good := map[string]float64{"t0": 7, "t1": 8}
+	agents, warm, _ := warmRestart(t, good, func(agents []*SwitchAgent, dead *Controller, _ map[string]string) {
+		events := len(dead.Log.Events())
+		for _, bad := range []map[string]float64{
+			{"t0": 6.5, "t1": -3.75},
+			{"t0": math.NaN(), "t1": 8},
+			{"t0": 7, "t1": math.Inf(1)},
+		} {
+			if _, err := dead.UpdateRates(bad); err == nil {
+				t.Errorf("UpdateRates(%v) succeeded, want a refusal", bad)
+			}
+		}
+		if got := len(dead.Log.Events()); got != events {
+			t.Errorf("refused pushes logged %d RPC events, want none", got-events)
+		}
+		if got := dead.LastGoodRates(); !reflect.DeepEqual(got, good) {
+			t.Errorf("LastGoodRates after refused pushes = %v, want %v", got, good)
+		}
+		if err := dead.JournalEpoch(nil, 0); err != nil {
+			t.Fatal(err)
+		}
+		for _, probs := range [][]float64{{0.5, 1.5}, {-0.25}, {math.NaN()}} {
+			if err := dead.JournalEpoch(probs, 0); err == nil {
+				t.Errorf("JournalEpoch(%v) succeeded, want a refusal", probs)
+			}
+		}
+		if got := dead.Epoch(); got != 2 {
+			t.Errorf("refused journal writes advanced the epoch to %d, want 2", got)
+		}
+	})
+	if got := warm.Epoch(); got != 2 {
+		t.Errorf("warm restart recovered epoch %d, want 2", got)
+	}
+	if got := warm.LastGoodRates(); !reflect.DeepEqual(got, good) {
+		t.Errorf("warm restart recovered %v, want %v", got, good)
+	}
+	for _, a := range agents {
+		holdsEntries(t, a, good)
+	}
+}
+
+// TestHeartbeatSkipsRateLatency: an agent pays RateLatency for a rate push
+// that places entries, not for the empty-delta heartbeat of an unchanged
+// table, which touches none.
+func TestHeartbeatSkipsRateLatency(t *testing.T) {
+	checkGoroutineLeaks(t)
+	cfg := fastSwitch()
+	cfg.RateLatency = 300 * time.Millisecond
+	a := newTestAgent(t, "s1", cfg)
+	ctl := newTestController(t, map[string]string{"s1": a.Addr()})
+	table := map[string]float64{"t0": 7, "t1": 8}
+	full, err := ctl.UpdateRates(table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	heartbeat, err := ctl.UpdateRates(table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full < cfg.RateLatency {
+		t.Errorf("the full push took %v, want at least RateLatency %v", full, cfg.RateLatency)
+	}
+	if heartbeat >= cfg.RateLatency/2 {
+		t.Errorf("the heartbeat took %v, want under %v", heartbeat, cfg.RateLatency/2)
+	}
+}

@@ -99,7 +99,7 @@ type Recovery struct {
 
 // OpenState attaches a crash-safe state store to the controller: it locks
 // dir (failing fast with persist.LockError if another incarnation holds
-// it), recovers the newest valid snapshot+journal state, resumes the
+// it), recovers the newest valid journal record, resumes the
 // degradation ladder from the recovered last-good rates, and fences all
 // subsequent RPCs with the store's generation. A recovered rate table is
 // presumed to be every agent's, so re-asserting it (UpdateRates of
@@ -212,15 +212,23 @@ func (c *Controller) LastScenarioFP() scenario.Fingerprint {
 // JournalEpoch records the completion of one successful TE epoch: the
 // last-good rates, the calibrated probability vector, and the fingerprint
 // of the scenario set solved (0 when the caller has none), fsynced into the
-// journal before the call returns (the store snapshots on its own cadence).
-// A nil store makes it a no-op — journaling is a write-only side channel,
-// and with StateDir unset the controller behaves byte-identically to one
-// without persistence compiled in.
+// journal before the call returns (the store rotates on its own cadence).
+// A probability outside [0, 1] or NaN is refused before anything is
+// journaled, as recovery would refuse the record. A nil store makes it a
+// no-op — journaling is a write-only side channel, and with StateDir unset
+// the controller behaves byte-identically to one without persistence
+// compiled in.
 func (c *Controller) JournalEpoch(probs []float64, fp scenario.Fingerprint) error {
 	c.mu.Lock()
 	if c.store == nil {
 		c.mu.Unlock()
 		return nil
+	}
+	for i, p := range probs {
+		if !(p >= 0 && p <= 1) {
+			c.mu.Unlock()
+			return fmt.Errorf("wan: journal epoch %d: prob[%d]=%v out of [0,1]", c.epoch+1, i, p)
+		}
 	}
 	c.epoch++
 	c.lastProbs = append([]float64(nil), probs...)
