@@ -223,7 +223,7 @@ func main() {
 			if st.Applied > 0 {
 				warm = fmt.Sprintf("warm @ epoch %d", st.Applied)
 			}
-			fmt.Printf("  site %d  %s (applied seq %d, lease %d tick(s) left, %d snapshot re-sync(s))\n",
+			fmt.Printf("  site %d  %s (applied seq %d, lease %d tick(s) left, %d re-sync(s))\n",
 				st.ID, warm, st.Applied, st.LeaseRemaining, st.Resyncs)
 		}
 		fmt.Printf("  stream: %d shipped = %d acked + %d in flight (+%d resent)\n",

@@ -206,13 +206,13 @@ func newSolveModel(in *te.Input, classes func() *classModel) (*solveModel, error
 // probability mass of the flow's selected classes reaches beta.
 // deltaVars[ci] is the selection column of class ci.
 func (sm *solveModel) addBetaRows(p *lp.Problem, deltaVars []int) {
+	terms := make([]lp.Term, len(deltaVars))
+	for ci, v := range deltaVars {
+		terms[ci] = lp.Term{Var: v, Coeff: sm.classes[ci].Prob}
+	}
 	for i := range sm.in.Tunnels.Flows {
 		lo, hi := sm.span(i)
-		terms := make([]lp.Term, 0, hi-lo)
-		for ci := lo; ci < hi; ci++ {
-			terms = append(terms, lp.Term{Var: deltaVars[ci], Coeff: sm.classes[ci].Prob})
-		}
-		p.AddConstraint(terms, lp.GE, sm.in.Beta)
+		p.AddConstraint(terms[lo:hi:hi], lp.GE, sm.in.Beta)
 	}
 }
 
@@ -588,15 +588,22 @@ func (o *Optimizer) solve(sm *solveModel, budget *lp.Budget, warm []bendersCut) 
 // selectedLP starts the LP the subproblem and the polish share: the
 // allocation skeleton (constraint 3), constraint (4) — sum a + d*phi >= d —
 // for every selected class with demand, and Phi <= phiCap. covRow[ci] is
-// class ci's coverage row, -1 when it has none.
-func (sm *solveModel) selectedLP(phiCost float64, delta []bool, phiCap float64) (*te.AllocLP, []int) {
+// class ci's coverage row, -1 when it has none. extra is what the caller
+// adds after it.
+func (sm *solveModel) selectedLP(phiCost float64, delta []bool, phiCap float64, extra te.Size) (*te.AllocLP, []int) {
 	in := sm.in
-	prob := te.NewAllocLP(lp.NewProblem(), phiCost, in.Net, in.Tunnels)
+	covered := func(ci int) bool { return delta[ci] && in.Demands[sm.classes[ci].Flow] > 0 }
+	for ci, c := range sm.classes {
+		if covered(ci) {
+			extra.Coverage(c.Avail)
+		}
+	}
+	prob := te.NewAllocLP(lp.NewProblem(), phiCost, in.Net, in.Tunnels, extra)
 	covRow := make([]int, len(sm.classes))
 	for ci, c := range sm.classes {
 		covRow[ci] = -1
-		if d := in.Demands[c.Flow]; delta[ci] && d > 0 {
-			covRow[ci] = prob.AddCoverage(te.Phi, d, c.Avail)
+		if covered(ci) {
+			covRow[ci] = prob.AddCoverage(te.Phi, in.Demands[c.Flow], c.Avail)
 		}
 	}
 	prob.AddUpperBound(te.Phi, phiCap)
@@ -606,7 +613,6 @@ func (sm *solveModel) selectedLP(phiCost float64, delta []bool, phiCap float64) 
 // polish maximizes total satisfied demand fraction subject to the
 // converged delta and loss bound.
 func (o *Optimizer) polish(sm *solveModel, delta []bool, phiCap float64, m optObs, budget *lp.Budget) (te.Allocation, error) {
-	prob, _ := sm.selectedLP(0, delta, phiCap+1e-7)
 	// Secondary objective: maximize the probability-weighted satisfied
 	// fraction across ALL significant classes (selected or not) — i.e. the
 	// expected availability itself. Protection beyond the beta-selected
@@ -614,12 +620,20 @@ func (o *Optimizer) polish(sm *solveModel, delta []bool, phiCap float64, m optOb
 	// takes it; a plain per-flow satisfaction term would happily
 	// concentrate a flow onto one tunnel and die with its fiber.
 	const polishClassFloor = 1e-4 // skip classes too rare to move the objective
+	weighed := func(c Class) bool {
+		return sm.in.Demands[c.Flow] > 0 && c.Prob >= polishClassFloor && len(c.Avail) > 0
+	}
+	var size te.Size
 	for _, c := range sm.classes {
-		d := sm.in.Demands[c.Flow]
-		if d <= 0 || c.Prob < polishClassFloor || len(c.Avail) == 0 {
-			continue
+		if weighed(c) {
+			size.Satisfaction(c.Avail)
 		}
-		prob.AddSatisfaction(c.Prob, d, c.Avail)
+	}
+	prob, _ := sm.selectedLP(0, delta, phiCap+1e-7, size)
+	for _, c := range sm.classes {
+		if weighed(c) {
+			prob.AddSatisfaction(c.Prob, sm.in.Demands[c.Flow], c.Avail)
+		}
 	}
 	sol, err := m.solveLP(m.polishSolve, prob.Problem, budget, "polish LP")
 	if err != nil {
@@ -645,7 +659,7 @@ type spSolution struct {
 // from its duals: w_{f,c} = d_f * y_{f,c} reconstructs a dual-feasible point
 // of the full SP of Appendix A.5.
 func (o *Optimizer) solveSubproblem(sm *solveModel, delta []bool, m optObs, budget *lp.Budget) (*spSolution, error) {
-	prob, covRow := sm.selectedLP(1, delta, 1)
+	prob, covRow := sm.selectedLP(1, delta, 1, te.Size{})
 	sol, err := m.solveLP(m.subSolve, prob.Problem, budget, "subproblem LP")
 	if err != nil {
 		return nil, err
@@ -688,6 +702,7 @@ func (o *Optimizer) solveMaster(sm *solveModel, cuts []bendersCut, mo optObs, bu
 	classes := sm.classes
 	exact := len(classes) <= exactMasterLimit
 	m := lp.NewMIP()
+	m.Reserve(1+len(classes), len(sm.in.Tunnels.Flows)+len(cuts))
 	phi := m.AddVar(1)
 	deltaVars := make([]int, len(classes))
 	for i := range classes {
@@ -700,9 +715,13 @@ func (o *Optimizer) solveMaster(sm *solveModel, cuts []bendersCut, mo optObs, bu
 	}
 	// Constraint (5): per flow, sum of selected class probabilities >= beta.
 	sm.addBetaRows(m.Problem, deltaVars)
-	// Optimality cuts: Phi - sum coef*delta >= con - sum coef.
+	// Optimality cuts: Phi - sum coef*delta >= con - sum coef, every row's
+	// terms a window of one growing array (a row keeps the array it was
+	// written to when a later append moves on).
+	var terms []lp.Term
 	for _, cut := range cuts {
-		terms := []lp.Term{{Var: phi, Coeff: 1}}
+		start := len(terms)
+		terms = append(terms, lp.Term{Var: phi, Coeff: 1})
 		rhs := cut.con
 		for ci, w := range cut.coef {
 			if w == 0 {
@@ -711,7 +730,7 @@ func (o *Optimizer) solveMaster(sm *solveModel, cuts []bendersCut, mo optObs, bu
 			terms = append(terms, lp.Term{Var: deltaVars[ci], Coeff: -w})
 			rhs -= w
 		}
-		m.AddConstraint(terms, lp.GE, rhs)
+		m.AddConstraint(terms[start:len(terms):len(terms)], lp.GE, rhs)
 	}
 	m.AddUpperBound(phi, 1)
 	if exact {
@@ -796,7 +815,7 @@ func SolveExact(in *te.Input, nodeLimit int) (*Result, error) {
 	classes := sm.classes
 	m := lp.NewMIP()
 	// (3) capacity
-	prob := te.NewAllocLP(m.Problem, 1, in.Net, in.Tunnels)
+	prob := te.NewAllocLP(m.Problem, 1, in.Net, in.Tunnels, te.Size{})
 	lVars := make([]int, len(classes))
 	dVars := make([]int, len(classes))
 	for i := range classes {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -159,5 +160,40 @@ func TestUpdateTunnelsPinned(t *testing.T) {
 	const want = 0xc668460526a3ee1b
 	if got := h.Sum64(); got != want {
 		t.Errorf("tunnel update hash %016x, pinned %016x", got, uint64(want))
+	}
+}
+
+// TestUpdateTunnelsAllocBounded gates what one Algorithm 1 call allocates:
+// B4, fiber 2, ratio 1. Yen's spur searches share one pair of ban sets and
+// one Dijkstra state, whose heap holds its entries unboxed. The ceilings
+// are 5% over what was measured when they were set on go1.24 linux/amd64:
+// 2,400 allocations, of 126,232 B (132,856 B under -race, whose maps take
+// more); before, the call took 293,960 B in 7,481.
+func TestUpdateTunnelsAllocBounded(t *testing.T) {
+	net, err := topology.ByName("B4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts, err := routing.BuildTunnels(net, routing.Flows(net), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const maxBytes, maxAllocs = 139_498, 2_520
+	// The fewest of five calls: noise (a GC cycle's own allocations) only
+	// adds.
+	bytes, allocs := uint64(math.MaxUint64), uint64(math.MaxUint64)
+	for k := 0; k < 5; k++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := UpdateTunnels(ts, 2, 1); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+		allocs = min(allocs, after.Mallocs-before.Mallocs)
+	}
+	t.Logf("UpdateTunnels(B4, fiber 2): %d B in %d allocations", bytes, allocs)
+	if bytes > maxBytes || allocs > maxAllocs {
+		t.Errorf("UpdateTunnels(B4, fiber 2): %d B in %d allocations, ceilings %d B and %d", bytes, allocs, maxBytes, maxAllocs)
 	}
 }

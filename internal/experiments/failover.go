@@ -15,7 +15,7 @@ import (
 
 func init() {
 	register("failover", "Controller failover sweep: detection ticks, promotion time, and plan availability vs standby site count and crash point", failover)
-	register("georep", "Cross-site replication sweep: promotion time, plan availability, and snapshot re-syncs vs replication-stream loss and retention lag", georep)
+	register("georep", "Cross-site replication sweep: promotion time, plan availability, and re-syncs vs replication-stream loss and retention lag", georep)
 }
 
 // haPeriod is the recovery bound both sweeps report against: an aggressive
@@ -68,9 +68,9 @@ func failover(w io.Writer, opts Options) error {
 // the swept rate and the leader's replication buffer capped at the swept
 // retention. The leader's lease endpoint then dies; the surviving sites'
 // leases run out and the lowest site promotes from its own replica —
-// re-syncing by snapshot first if the loss pushed it behind the retention
-// window. Per cell the table adds to failover's columns the snapshot
-// re-syncs the winner needed and the retried frames on the lossy stream.
+// re-syncing first (the newest record, appended past a hole) if the loss
+// pushed it behind the retention window. Per cell the table adds to
+// failover's columns the re-syncs the winner needed and the retried frames on the lossy stream.
 func georep(w io.Writer, opts Options) error {
 	drops := []float64{0, 0.3, 0.6}
 	retains := []int{1, 64}
@@ -94,8 +94,8 @@ func georep(w io.Writer, opts Options) error {
 		}
 	}
 	fmt.Fprintln(w, "# drop: per-frame loss probability on the replication stream to site 1 (site 2's stream is clean)")
-	fmt.Fprintln(w, "# retain: leader-side replication buffer in records; a site behind it re-syncs by snapshot")
-	fmt.Fprintln(w, "# resyncs: snapshot re-syncs the winning site applied over its standby lifetime")
+	fmt.Fprintln(w, "# retain: leader-side replication buffer in records; a site behind it re-syncs: the newest record, appended past a hole")
+	fmt.Fprintln(w, "# resyncs: re-syncs the winning site applied over its standby lifetime")
 	fmt.Fprintln(w, "# resent: frames the leader re-shipped after loss (shipped = acked + resent at quiesce)")
 	fmt.Fprintln(w, "# promote_ms: lease expiry to hand-off complete (recover + fence + re-assert); wall clock, varies run to run")
 	return nil

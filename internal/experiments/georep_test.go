@@ -11,7 +11,7 @@ import (
 // TestGeorepExperiment runs the quick cross-site replication sweep end to
 // end and checks its invariants: every cell promotes site 1 with a plan
 // immediately available and a matching replicated mirror, the lossy cell
-// (drop 0.6 at retention 1) needed at least one snapshot re-sync, every
+// (drop 0.6 at retention 1) needed at least one re-sync, every
 // promotion stays inside one TE period, and the georep/replication series
 // are mirrored into the caller's registry. The wall-clock column
 // (promote_ms) is not asserted.

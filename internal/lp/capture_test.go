@@ -190,25 +190,25 @@ func TestCoreSolutionsUnchanged(t *testing.T) {
 }
 
 // TestSolveAllocBounded gates the bytes one Solve allocates for each LP of
-// a B4 storm solve, the benchmark's hot path: its workspace is sized from
-// the LP (m, n and the basis's non-zeros), not grown by append. Each ceiling
-// is 5% over the bytes measured when it was set (67,136, 180,672 and
-// 289,920 B on go1.24 linux/amd64), and at most 10% over the solver's
-// before the pivots went hypersparse (64,496, 173,826 and 287,172 B).
-// go.mod's go1.22 has not been measured. Every byte counted comes from a
-// make of a pointer-free slice, one append (the factor's pivot order), the
-// solver struct and the Solution, so the count is fixed by the runtime's
-// size classes and append's growth rule, both the same in go1.22 and
+// a B4 storm solve, the benchmark's hot path. A solve takes its workspace
+// from the pool, recycled from the solves before it, so all it allocates
+// is its answer: the Solution with its X and Duals. Each ceiling is 5% over
+// the bytes measured when it was set (5,712, 6,736 and 11,856 B on go1.24
+// linux/amd64, the same under -race), so a solve that allocates its own
+// workspace again fails here: each did before the pool, at 67,136, 180,672
+// and 289,920 B. go.mod's go1.22 has not been measured. Every byte counted
+// comes from the Solution and two make calls of pointer-free slices, so the
+// count is fixed by the runtime's size classes, the same in go1.22 and
 // go1.24. If a toolchain reads otherwise, measure there and re-set them.
 func TestSolveAllocBounded(t *testing.T) {
 	problems, _ := stormSolve(t, "B4")
-	ceilings := []uint64{70_486, 189_700, 304_413} // master, subproblem, polish
+	ceilings := []uint64{5_997, 7_072, 12_448} // master, subproblem, polish
 	if len(problems) != len(ceilings) {
 		t.Fatalf("captured %d LPs, want %d", len(problems), len(ceilings))
 	}
 	for i, p := range problems {
 		// The fewest bytes of five solves: noise (a GC cycle's own
-		// allocations) only adds.
+		// allocations, or one that empties the pool) only adds.
 		least := uint64(math.MaxUint64)
 		for k := 0; k < 5; k++ {
 			var before, after runtime.MemStats
@@ -222,6 +222,44 @@ func TestSolveAllocBounded(t *testing.T) {
 			t.Errorf("LP %d (%d rows): %d B per solve, ceiling %d", i, p.NumConstraints(), least, ceilings[i])
 		}
 	}
+}
+
+// TestRecycledWorkspaceSolvesLikeFresh pins the workspace pool's contract:
+// a solve re-initialises everything it reads of a recycled workspace. On
+// one goroutine, B4's subproblem is solved, then a small random LP (EQ, GE
+// and LE rows, fixed and boxed columns), then the subproblem again: through
+// the pool, and on one workspace overwritten with garbage before each
+// solve. Each repeat must return the first solve's X, Duals and Pivots, bit
+// for bit, and the small LP its own fresh solve's.
+func TestRecycledWorkspaceSolvesLikeFresh(t *testing.T) {
+	problems, solutions := stormSolve(t, "B4")
+	k := 0
+	for i, p := range problems {
+		if p.NumConstraints() > problems[k].NumConstraints() {
+			k = i
+		}
+	}
+	big, want := problems[k], solutions[k]
+	small := lp.RandomLP(stats.NewRNG(6), 40, 30)
+	// The first solve on a new workspace makes every array it uses.
+	wantSmall := lp.SolveOnPoisonedWorkspace(small)[0]
+	if want.Status != lp.Optimal || wantSmall.Status != lp.Optimal {
+		t.Fatalf("subproblem %v, small LP %v: want both optimal", want.Status, wantSmall.Status)
+	}
+	same := func(a, b *lp.Solution) bool {
+		return a.Status == b.Status && a.Pivots == b.Pivots && slices.Equal(a.X, b.X) && slices.Equal(a.Duals, b.Duals)
+	}
+	check := func(how string, got []*lp.Solution) {
+		t.Helper()
+		for i, w := range []*lp.Solution{want, wantSmall, want} {
+			if !same(got[i], w) {
+				t.Errorf("%s, solve %d: differs from a fresh workspace's (%v, %d pivots; want %v, %d)",
+					how, i, got[i].Status, got[i].Pivots, w.Status, w.Pivots)
+			}
+		}
+	}
+	check("through the pool", []*lp.Solution{big.Solve(), small.Solve(), big.Solve()})
+	check("on a poisoned workspace", lp.SolveOnPoisonedWorkspace(big, small, big))
 }
 
 // TestSolveSharesNothing pins the determinism contract's second half: a

@@ -4,7 +4,9 @@ import (
 	"encoding/binary"
 	"hash"
 	"math"
+	"reflect"
 	"sync"
+	"unsafe"
 )
 
 // CaptureSolves runs fn with every solve finished inside it — from any
@@ -70,5 +72,57 @@ func HashSolution(h hash.Hash64, sol *Solution) {
 	}
 	for _, v := range sol.Duals {
 		u(math.Float64bits(v))
+	}
+}
+
+// SolveOnPoisonedWorkspace solves ps in order on one workspace, overwriting
+// it with garbage before each solve: a load that leaves any array or
+// counter of the last solve as it was reads garbage.
+func SolveOnPoisonedWorkspace(ps ...*Problem) []*Solution {
+	s := new(solver)
+	sols := make([]*Solution, len(ps))
+	for i, p := range ps {
+		poison(reflect.ValueOf(s).Elem())
+		sols[i] = s.load(p, nil).run()
+	}
+	return sols
+}
+
+// poison overwrites every int field of the struct v, and every element of
+// every slice field out to the slice's capacity, with a value no fresh
+// workspace holds, descending into struct fields (the factor, the sparse
+// vectors). Pointers (the Problem, the Budget) are left alone.
+func poison(v reflect.Value) {
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		switch f.Kind() {
+		case reflect.Struct:
+			poison(f)
+		case reflect.Int:
+			*(*int)(f.Addr().UnsafePointer()) = 1 << 20
+		case reflect.Slice:
+			data, n := f.UnsafePointer(), f.Cap()
+			if n == 0 {
+				continue
+			}
+			switch f.Type().Elem().Kind() {
+			case reflect.Float64:
+				fill(unsafe.Slice((*float64)(data), n), math.NaN())
+			case reflect.Int32:
+				fill(unsafe.Slice((*int32)(data), n), 1<<20)
+			case reflect.Bool:
+				fill(unsafe.Slice((*bool)(data), n), true)
+			case reflect.Uint64:
+				fill(unsafe.Slice((*uint64)(data), n), math.MaxUint64)
+			default:
+				panic("poison: no garbage for " + f.Type().String())
+			}
+		}
+	}
+}
+
+func fill[T any](s []T, v T) {
+	for i := range s {
+		s[i] = v
 	}
 }

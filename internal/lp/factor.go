@@ -65,16 +65,19 @@ type factor struct {
 // shift) if refactorEvery ever exceeds that.
 const _ = uint64(1) << (64 - refactorEvery)
 
-func newFactor(m int) *factor {
-	return &factor{
-		stepRow: make([]int32, m), stepPos: make([]int32, m), rowStep: make([]int32, m),
-		lPtr: make([]int32, 1, m+1), uPtr: make([]int32, 1, m+1), uDiag: make([]float64, 0, m),
+// resize readies f for a basis of m rows, reusing its arrays: every array
+// is empty or zero, as a new factor's would be.
+func (f *factor) resize(m int) {
+	*f = factor{
+		stepRow: fit(f.stepRow, m), stepPos: fit(f.stepPos, m), rowStep: fit(f.rowStep, m),
+		lSteps: f.lSteps[:0], lPtr: slices.Grow(fit(f.lPtr, 1), m), lRow: f.lRow[:0], lVal: f.lVal[:0],
+		uPtr: slices.Grow(fit(f.uPtr, 1), m), uRow: f.uRow[:0], uVal: f.uVal[:0], uDiag: slices.Grow(f.uDiag[:0], m),
 		// An eta holds the entering column's non-zeros, a few per pivot on
 		// the LPs built here: m entries hold a whole eta file of them.
-		ePos: make([]int32, 0, refactorEvery), ePiv: make([]float64, 0, refactorEvery),
-		ePtr: make([]int32, 1, refactorEvery+1), eIdx: make([]int32, 0, m), eVal: make([]float64, 0, m),
-		uTPtr: make([]int32, m+1), etaMask: make([]uint64, m), posStep: make([]int32, m),
-		uOn: make([]bool, m), rowCount: make([]int32, m),
+		ePos: slices.Grow(f.ePos[:0], refactorEvery), ePiv: slices.Grow(f.ePiv[:0], refactorEvery),
+		ePtr: slices.Grow(fit(f.ePtr, 1), refactorEvery), eIdx: slices.Grow(f.eIdx[:0], m), eVal: slices.Grow(f.eVal[:0], m),
+		uTPtr: fit(f.uTPtr, m+1), uTStep: f.uTStep[:0], etaMask: fit(f.etaMask, m), posStep: fit(f.posStep, m),
+		uOn: fit(f.uOn, m), rowCount: fit(f.rowCount, m), order: f.order[:0],
 	}
 }
 
@@ -255,8 +258,10 @@ type sparse struct {
 	in  []bool // index is listed
 }
 
-func newSparse(n int) sparse {
-	return sparse{val: make([]float64, n), idx: make([]int32, 0, n), in: make([]bool, n)}
+// resize readies v for n indices, every one zero and unlisted, reusing its
+// arrays.
+func (v *sparse) resize(n int) {
+	v.val, v.idx, v.in = fit(v.val, n), slices.Grow(v.idx[:0], n), fit(v.in, n)
 }
 
 // list adds i to the list.

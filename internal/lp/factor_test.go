@@ -152,7 +152,7 @@ func denseSparse(v []float64) *sparse {
 func TestFactorSolves(t *testing.T) {
 	rng := stats.NewRNG(5)
 	p := randomLP(rng, 40, 60)
-	s := newSolver(p, nil)
+	s := new(solver).load(p, nil)
 	m := len(s.basic)
 	// A mixed basis: every third position takes a structural column.
 	for pos := 0; pos < m; pos += 3 {
@@ -254,7 +254,7 @@ func TestFactorRepairsSingularBasis(t *testing.T) {
 	p.AddConstraint([]Term{{a, 1}, {b, 1}, {c, 2}}, LE, 4)
 	p.AddConstraint([]Term{{a, 2}, {b, 2}, {c, 1}}, LE, 5)
 	p.AddConstraint([]Term{{c, 1}}, LE, 6)
-	s := newSolver(p, nil)
+	s := new(solver).load(p, nil)
 	for pos, v := range []int32{int32(a), int32(b), int32(c)} {
 		s.pos[s.basic[pos]] = -1
 		s.enter(int32(pos), v)
@@ -276,4 +276,11 @@ func TestFactorRepairsSingularBasis(t *testing.T) {
 	if r := residual(s, x.val, rhs); r > 1e-12 {
 		t.Fatalf("repaired basis: ftran residual %g", r)
 	}
+}
+
+// newSparse returns a zero vector of n indices, none listed.
+func newSparse(n int) sparse {
+	var v sparse
+	v.resize(n)
+	return v
 }

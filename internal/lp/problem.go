@@ -22,15 +22,18 @@
 // Determinism contract: a solve is a pure function of the Problem. Pricing
 // and ratio tests scan variables in index order and break ties by a fixed
 // rule, the cost perturbation that keeps the dual simplex from stalling is
-// a fixed function of the variable index, and every solve allocates its own
-// workspace, so a result depends neither on what was solved before nor on
-// how many solves run concurrently (internal/par) — identical Problems
-// pivot identically and return bit-identical Solutions.
+// a fixed function of the variable index, and a solve takes its workspace
+// from a pool of recycled ones, held by no other solve while it runs, and
+// re-initialises every array of it to what a fresh one holds, so a result
+// depends neither on what was solved before nor on how many solves run
+// concurrently (internal/par) — identical Problems pivot identically and
+// return bit-identical Solutions.
 package lp
 
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Op is a constraint comparison operator.
@@ -97,6 +100,21 @@ func (p *Problem) AddVar(objCoeff float64) int {
 	p.numVars++
 	return p.numVars - 1
 }
+
+// Reserve makes room for vars variables and rows constraints in all, so
+// that a builder that knows its LP's final size allocates the Problem's
+// arrays once instead of growing them one AddVar and one AddConstraint at
+// a time. Adding more than was reserved still works.
+func (p *Problem) Reserve(vars, rows int) {
+	p.objective = room(p.objective, vars)
+	p.lower = room(p.lower, vars)
+	p.upper = room(p.upper, vars)
+	p.mark = room(p.mark, vars)
+	p.constraints = room(p.constraints, rows)
+}
+
+// room returns s with capacity for n elements in all.
+func room[T any](s []T, n int) []T { return slices.Grow(s, max(0, n-len(s))) }
 
 // NumVars returns the number of variables added so far.
 func (p *Problem) NumVars() int { return p.numVars }

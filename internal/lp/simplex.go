@@ -3,6 +3,7 @@ package lp
 import (
 	"math"
 	"slices"
+	"sync"
 )
 
 const (
@@ -33,11 +34,10 @@ func (p *Problem) Solve() *Solution { return p.SolveBudget(nil) }
 // performed so far recorded) the moment the budget expires. A nil budget is
 // unlimited, making SolveBudget(nil) identical to Solve.
 func (p *Problem) SolveBudget(budget *Budget) *Solution {
-	s := newSolver(p, budget)
-	sol := &Solution{Status: s.solve(), Pivots: s.pivots}
-	if sol.Status == Optimal {
-		s.extract(sol)
-	}
+	s := workspaces.Get().(*solver)
+	sol := s.load(p, budget).run()
+	s.p, s.budget = nil, nil
+	workspaces.Put(s)
 	if solveHook != nil {
 		solveHook(p, sol)
 	}
@@ -47,6 +47,12 @@ func (p *Problem) SolveBudget(budget *Budget) *Solution {
 // solveHook is nil outside this package's tests, which set it (before any
 // solve runs) to capture the LPs other packages build.
 var solveHook func(*Problem, *Solution)
+
+// workspaces holds the solvers finished solves returned, so that a solve
+// takes its arrays from an earlier one instead of allocating them: load
+// gives every array a solve reads the contents a fresh make would, so a
+// recycled workspace solves exactly like a new one.
+var workspaces = sync.Pool{New: func() any { return new(solver) }}
 
 // solver is the workspace of one solve. Variables 0..n-1 are the Problem's,
 // variable n+i is the slack of row i (row_i . x + slack_i = rhs_i, bounded
@@ -74,7 +80,7 @@ type solver struct {
 	basic   []int32   // basis position -> variable
 	pos     []int32   // variable -> basis position, -1 when nonbasic
 
-	f     *factor
+	f     factor
 	y     []float64 // row duals of the last computeDuals
 	row   sparse    // row-indexed scratch, empty between uses
 	col   sparse    // position-indexed: ftran's result, btran's input
@@ -94,18 +100,24 @@ type solver struct {
 	viol   []float64
 }
 
-func newSolver(p *Problem, budget *Budget) *solver {
+// load re-initialises the workspace s, new or recycled, for a solve of p
+// and returns it. The struct is rebuilt field by field, so a field this
+// list misses starts out empty instead of holding the last solve's data.
+func (s *solver) load(p *Problem, budget *Budget) *solver {
 	m, n := len(p.constraints), p.numVars
-	s := &solver{
+	s.f.resize(m)
+	s.row.resize(m)
+	s.col.resize(m)
+	*s = solver{
 		p: p, n: n, budget: budget, iterLimit: 200 * (2*m + n + 10),
-		colPtr: make([]int32, n+1), rowNorm: make([]float64, m),
-		lo: make([]float64, n+m), up: make([]float64, n+m), cost: make([]float64, n+m),
-		x: make([]float64, n+m), d: make([]float64, n+m), atUpper: make([]bool, n+m),
-		basic: make([]int32, m), pos: make([]int32, n+m),
-		f: newFactor(m),
-		y: make([]float64, m), row: newSparse(m), col: newSparse(m),
-		alpha: make([]float64, n+m), inNZ: make([]bool, n),
-		heap: make([]int32, 0, m), heapAt: make([]int32, m), viol: make([]float64, m),
+		colPtr: fit(s.colPtr, n+1), colRow: s.colRow, colVal: s.colVal, rowNorm: fit(s.rowNorm, m),
+		lo: fit(s.lo, n+m), up: fit(s.up, n+m), cost: fit(s.cost, n+m),
+		x: fit(s.x, n+m), d: fit(s.d, n+m), atUpper: fit(s.atUpper, n+m),
+		basic: fit(s.basic, m), pos: fit(s.pos, n+m),
+		f: s.f,
+		y: fit(s.y, m), row: s.row, col: s.col,
+		alpha: fit(s.alpha, n+m), nz: s.nz[:0], inNZ: fit(s.inNZ, n), cand: s.cand[:0],
+		heap: slices.Grow(s.heap[:0], m), heapAt: fit(s.heapAt, m), viol: fit(s.viol, m),
 	}
 	nnz := 0
 	for i, c := range p.constraints {
@@ -123,7 +135,7 @@ func newSolver(p *Problem, budget *Budget) *solver {
 	for j := 0; j < n; j++ {
 		s.colPtr[j+1] += s.colPtr[j]
 	}
-	s.colRow, s.colVal = make([]int32, nnz), make([]float64, nnz)
+	s.colRow, s.colVal = fit(s.colRow, nnz), fit(s.colVal, nnz)
 	next := s.pos[:n] // each column's fill cursor, until the structurals go nonbasic
 	copy(next, s.colPtr)
 	for i, c := range p.constraints {
@@ -147,6 +159,15 @@ func newSolver(p *Problem, budget *Budget) *solver {
 	copy(s.up, p.upper)
 	copy(s.cost, p.objective)
 	return s
+}
+
+// run solves the loaded Problem.
+func (s *solver) run() *Solution {
+	sol := &Solution{Status: s.solve(), Pivots: s.pivots}
+	if sol.Status == Optimal {
+		s.extract(sol)
+	}
+	return sol
 }
 
 // solve runs the two passes: a dual simplex from the slack basis under
@@ -690,10 +711,22 @@ func (s *solver) entering() (q int32, dir float64) {
 	return q, 1
 }
 
+// fit returns buf with length n and every element zero, what make([]T, n)
+// returns, reusing buf's array when it has room.
+func fit[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
 // extract reads the solution off an optimal basis whose duals computeDuals
-// has just set under the true costs.
+// has just set under the true costs. The Solution owns its slices: the
+// workspace goes back to the pool.
 func (s *solver) extract(sol *Solution) {
-	sol.X, sol.Duals = make([]float64, s.n), s.y
+	sol.X, sol.Duals = make([]float64, s.n), slices.Clone(s.y)
 	for j := range sol.X {
 		sol.X[j] = math.Min(math.Max(s.x[j], s.lo[j]), s.up[j])
 		sol.Objective += s.p.objective[j] * sol.X[j]

@@ -377,7 +377,7 @@ func TestLeavingRowMatchesScan(t *testing.T) {
 		p := randomLP(rng, 60+rng.Intn(40), 50+rng.Intn(40))
 		steps, chosen := 0, 0
 		for k := int64(1); ; k++ {
-			s := newSolver(p, NewBudget(k))
+			s := new(solver).load(p, NewBudget(k))
 			status := s.solve()
 			for e := range s.f.ePos {
 				if !slices.IsSorted(s.f.eIdx[s.f.ePtr[e]:s.f.ePtr[e+1]]) {
@@ -483,7 +483,7 @@ func TestPrimalUnderBland(t *testing.T) {
 	pivots := 0
 	for trial := 0; trial < 10; trial++ {
 		p := randomLP(rng, 60, 50)
-		s := newSolver(p, nil)
+		s := new(solver).load(p, nil)
 		if s.solve() != Optimal {
 			continue
 		}

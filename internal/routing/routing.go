@@ -8,7 +8,6 @@
 package routing
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 
@@ -46,39 +45,76 @@ type pqItem struct {
 	dist float64
 }
 
+// pq is Dijkstra's min-heap on dist. push and pop sift exactly as
+// container/heap does, so equal distances pop in the same order, without
+// boxing every entry in an interface.
 type pq []pqItem
 
-func (q pq) Len() int            { return len(q) }
-func (q pq) Less(i, j int) bool  { return q[i].dist < q[j].dist }
-func (q pq) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *pq) Push(x interface{}) { *q = append(*q, x.(pqItem)) }
-func (q *pq) Pop() interface{} {
-	old := *q
-	it := old[len(old)-1]
-	*q = old[:len(old)-1]
-	return it
+func (q *pq) push(it pqItem) {
+	*q = append(*q, it)
+	h := *q
+	for j := len(h) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !(h[j].dist < h[i].dist) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
 }
 
-// ShortestPath runs Dijkstra from src to dst over links not in bannedLinks
-// and not touching nodes in bannedNodes (intermediate hops only; src/dst are
-// always allowed). It returns the path and true, or nil and false when dst
-// is unreachable.
-func ShortestPath(n *topology.Network, src, dst topology.NodeID, w Weight,
-	bannedLinks map[topology.LinkID]bool, bannedNodes map[topology.NodeID]bool) (Path, bool) {
-	if w == nil {
-		w = lengthWeight(n)
+func (q *pq) pop() pqItem {
+	h := *q
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j+1 < n && h[j+1].dist < h[j].dist {
+			j++
+		}
+		if !(h[j].dist < h[i].dist) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
 	}
-	// Node-indexed search state; seen marks a node dist has been set for.
-	type label struct {
-		dist          float64
-		prev          topology.LinkID
-		seen, visited bool
+	*q = h[:n]
+	return h[n]
+}
+
+// label is a node's Dijkstra state; seen marks a node dist has been set
+// for.
+type label struct {
+	dist          float64
+	prev          topology.LinkID
+	seen, visited bool
+}
+
+// search holds Dijkstra's arrays, reused by the searches of one KShortest
+// or FiberDisjointPaths call.
+type search struct {
+	at []label
+	q  pq
+}
+
+// shortestPath runs Dijkstra from src to dst under the weights w over links
+// not in bannedLinks and not touching nodes in bannedNodes (intermediate
+// hops only; src/dst are always allowed). The ban sets are indexed by
+// LinkID and NodeID; nil bans nothing. It returns the path and true, or nil
+// and false when dst is unreachable.
+func (s *search) shortestPath(n *topology.Network, src, dst topology.NodeID, w Weight, bannedLinks, bannedNodes []bool) (Path, bool) {
+	if cap(s.at) < len(n.Nodes) {
+		s.at = make([]label, len(n.Nodes))
 	}
-	at := make([]label, len(n.Nodes))
-	q := &pq{{node: src, dist: 0}}
+	at := s.at[:len(n.Nodes)]
+	clear(at)
+	s.q = append(s.q[:0], pqItem{node: src, dist: 0})
 	at[src].seen = true
-	for q.Len() > 0 {
-		it := heap.Pop(q).(pqItem)
+	for len(s.q) > 0 {
+		it := s.q.pop()
 		if at[it.node].visited {
 			continue
 		}
@@ -86,39 +122,41 @@ func ShortestPath(n *topology.Network, src, dst topology.NodeID, w Weight,
 		if it.node == dst {
 			break
 		}
-		if it.node != src && bannedNodes[it.node] {
+		if it.node != src && in(bannedNodes, it.node) {
 			continue
 		}
 		for _, lid := range n.OutLinks(it.node) {
-			if bannedLinks[lid] {
+			if in(bannedLinks, lid) {
 				continue
 			}
 			to := n.Links[lid].Dst
-			if to != dst && bannedNodes[to] {
+			if to != dst && in(bannedNodes, to) {
 				continue
 			}
 			nd := it.dist + w[lid]
 			if l := &at[to]; !l.seen || nd < l.dist {
 				l.dist, l.prev, l.seen = nd, lid, true
-				heap.Push(q, pqItem{node: to, dist: nd})
+				s.q.push(pqItem{node: to, dist: nd})
 			}
 		}
 	}
 	if !at[dst].visited {
 		return nil, false
 	}
-	var rev Path
-	for v := dst; v != src; {
-		lid := at[v].prev
-		rev = append(rev, lid)
-		v = n.Links[lid].Src
+	hops := 0
+	for v := dst; v != src; v = n.Links[at[v].prev].Src {
+		hops++
 	}
-	// reverse in place
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
+	p := make(Path, hops)
+	for v := dst; v != src; v = n.Links[at[v].prev].Src {
+		hops--
+		p[hops] = at[v].prev
 	}
-	return rev, true
+	return p, true
 }
+
+// in reports whether set, indexed by ID, holds id; a nil set holds nothing.
+func in[T ~int](set []bool, id T) bool { return set != nil && set[id] }
 
 // pathCost sums the weight of a path.
 func pathCost(p Path, w Weight) float64 {
@@ -135,7 +173,8 @@ func KShortest(n *topology.Network, src, dst topology.NodeID, k int, w Weight) [
 	if w == nil {
 		w = lengthWeight(n)
 	}
-	first, ok := ShortestPath(n, src, dst, w, nil, nil)
+	var search search
+	first, ok := search.shortestPath(n, src, dst, w, nil, nil)
 	if !ok {
 		return nil
 	}
@@ -146,6 +185,10 @@ func KShortest(n *topology.Network, src, dst topology.NodeID, k int, w Weight) [
 	}
 	var candidates []candidate
 	seen := map[string]bool{PathKey(first): true}
+	// One pair of ban sets serves every spur: each spur sets its bans and
+	// clears exactly those after its search.
+	bannedLinks, bannedNodes := make([]bool, len(n.Links)), make([]bool, len(n.Nodes))
+	var setLinks []topology.LinkID
 
 	for len(paths) < k {
 		prevPath := paths[len(paths)-1]
@@ -156,23 +199,31 @@ func KShortest(n *topology.Network, src, dst topology.NodeID, k int, w Weight) [
 				spurNode = n.Link(prevPath[i-1]).Dst
 			}
 			rootPath := prevPath[:i]
-			bannedLinks := make(map[topology.LinkID]bool)
+			setLinks = setLinks[:0]
 			for _, p := range paths {
 				if len(p) > i && samePrefix(p, rootPath, i) {
 					bannedLinks[p[i]] = true
+					setLinks = append(setLinks, p[i])
 				}
 			}
-			bannedNodes := make(map[topology.NodeID]bool)
 			at := src
 			for _, lid := range rootPath {
 				bannedNodes[at] = true
 				at = n.Link(lid).Dst
 			}
-			spur, ok := ShortestPath(n, spurNode, dst, w, bannedLinks, bannedNodes)
+			spur, ok := search.shortestPath(n, spurNode, dst, w, bannedLinks, bannedNodes)
+			for _, lid := range setLinks {
+				bannedLinks[lid] = false
+			}
+			at = src
+			for _, lid := range rootPath {
+				bannedNodes[at] = false
+				at = n.Link(lid).Dst
+			}
 			if !ok {
 				continue
 			}
-			total := append(append(Path(nil), rootPath...), spur...)
+			total := append(append(make(Path, 0, len(rootPath)+len(spur)), rootPath...), spur...)
 			key := PathKey(total)
 			if seen[key] {
 				continue
@@ -223,10 +274,11 @@ func FiberDisjointPaths(n *topology.Network, src, dst topology.NodeID, k int, w 
 	if w == nil {
 		w = lengthWeight(n)
 	}
-	banned := make(map[topology.LinkID]bool)
+	banned := make([]bool, len(n.Links))
+	var search search
 	var out []Path
 	for len(out) < k {
-		p, ok := ShortestPath(n, src, dst, w, banned, nil)
+		p, ok := search.shortestPath(n, src, dst, w, banned, nil)
 		if !ok {
 			break
 		}

@@ -44,7 +44,7 @@ func lineNet(t *testing.T) *topology.Network {
 
 func TestShortestPathPrefersShortFibers(t *testing.T) {
 	n := lineNet(t)
-	p, ok := ShortestPath(n, 0, 3, nil, nil, nil)
+	p, ok := shortestPath(n, 0, 3, nil, nil)
 	if !ok {
 		t.Fatal("no path 0->3")
 	}
@@ -60,12 +60,16 @@ func TestShortestPathWithBans(t *testing.T) {
 	n := lineNet(t)
 	// Ban the middle link 1->2: only the direct long-haul remains.
 	mid, _ := n.LinkBetween(1, 2)
-	p, ok := ShortestPath(n, 0, 3, nil, map[topology.LinkID]bool{mid: true}, nil)
+	bannedLinks := make([]bool, len(n.Links))
+	bannedLinks[mid] = true
+	p, ok := shortestPath(n, 0, 3, bannedLinks, nil)
 	if !ok || len(p) != 1 {
 		t.Fatalf("expected the direct path, got %v ok=%v", p, ok)
 	}
 	// Ban node 1 as intermediate: same.
-	p, ok = ShortestPath(n, 0, 3, nil, nil, map[topology.NodeID]bool{1: true})
+	bannedNodes := make([]bool, len(n.Nodes))
+	bannedNodes[1] = true
+	p, ok = shortestPath(n, 0, 3, nil, bannedNodes)
 	if !ok || len(p) != 1 {
 		t.Fatalf("expected the direct path with node ban, got %v ok=%v", p, ok)
 	}
@@ -73,11 +77,11 @@ func TestShortestPathWithBans(t *testing.T) {
 
 func TestShortestPathUnreachable(t *testing.T) {
 	n := lineNet(t)
-	banned := make(map[topology.LinkID]bool)
+	banned := make([]bool, len(n.Links))
 	for _, l := range n.Links {
 		banned[l.ID] = true
 	}
-	if _, ok := ShortestPath(n, 0, 3, nil, banned, nil); ok {
+	if _, ok := shortestPath(n, 0, 3, banned, nil); ok {
 		t.Fatal("found a path through fully banned network")
 	}
 }
@@ -218,7 +222,7 @@ func TestAddTunnelMarksNew(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := len(ts.TunnelsOf(0))
-	p, _ := ShortestPath(n, ts.Flows[0].Src, ts.Flows[0].Dst, nil, nil, nil)
+	p, _ := shortestPath(n, ts.Flows[0].Src, ts.Flows[0].Dst, nil, nil)
 	id := ts.AddTunnel(0, p)
 	if !ts.Tunnel(id).New {
 		t.Fatal("AddTunnel should mark tunnel as reactive")
@@ -235,7 +239,7 @@ func TestCloneIsDeep(t *testing.T) {
 		t.Fatal(err)
 	}
 	cp := ts.Clone()
-	p, _ := ShortestPath(n, ts.Flows[0].Src, ts.Flows[0].Dst, nil, nil, nil)
+	p, _ := shortestPath(n, ts.Flows[0].Src, ts.Flows[0].Dst, nil, nil)
 	cp.AddTunnel(0, p)
 	if len(cp.TunnelsOf(0)) == len(ts.TunnelsOf(0)) {
 		t.Fatal("clone shares byFlow with original")
@@ -274,7 +278,7 @@ func TestFlowsThroughFiber(t *testing.T) {
 	}
 }
 
-// Property: every path ShortestPath returns is a valid connected walk.
+// Property: every path shortestPath returns is a valid connected walk.
 func TestQuickShortestPathValid(t *testing.T) {
 	n, err := topology.IBM()
 	if err != nil {
@@ -287,7 +291,7 @@ func TestQuickShortestPathValid(t *testing.T) {
 		if src == dst {
 			return true
 		}
-		p, ok := ShortestPath(n, src, dst, nil, nil, nil)
+		p, ok := shortestPath(n, src, dst, nil, nil)
 		if !ok {
 			return false // IBM is connected
 		}
@@ -325,4 +329,10 @@ func TestQuickDisjointness(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// shortestPath is one search under the fiber-length metric.
+func shortestPath(n *topology.Network, src, dst topology.NodeID, bannedLinks, bannedNodes []bool) (Path, bool) {
+	var s search
+	return s.shortestPath(n, src, dst, lengthWeight(n), bannedLinks, bannedNodes)
 }

@@ -48,11 +48,10 @@ type Evaluator struct {
 	Quality PredictorQuality
 
 	// caches; mu guards them so concurrent scenario workers can share
-	// post-failure plans. Cache values are pure functions of their keys
-	// (the LP solver is deterministic), so a racing duplicate computation
-	// produces the same plan and determinism is unaffected.
+	// post-failure plans. Each key is built once: a worker that misses a
+	// key another is building waits for that build (see memo).
 	mu    sync.Mutex
-	plans map[planKey]*te.Plan // per-cut plans: ARROW's, Flexile's and the oracle's
+	plans map[planKey]*memo[*te.Plan] // per-cut plans: ARROW's, Flexile's and the oracle's
 	// enumCache memoizes scenario enumeration by input fingerprint
 	// (probability vector + Cfg.ScenarioOpts). Enumerate is a pure
 	// deterministic function of exactly those inputs, so the cached set is
@@ -61,15 +60,15 @@ type Evaluator struct {
 	// probabilities (e.g. the quiet-epoch vector, identical across all of
 	// ExpFig13's grid cells for a given env) reuses one enumeration
 	// instead of paying the O(fibers²) pair sweep again.
-	enumCache map[scenario.Fingerprint]*scenario.Set
+	enumCache map[scenario.Fingerprint]*memo[*scenario.Set]
 }
 
 // NewEvaluator builds an evaluator with the NN-quality predictor.
 func NewEvaluator(env *Env, cfg Config) *Evaluator {
 	return &Evaluator{
 		Env: env, Cfg: cfg, Quality: NNQuality(),
-		plans:     make(map[planKey]*te.Plan),
-		enumCache: make(map[scenario.Fingerprint]*scenario.Set),
+		plans:     make(map[planKey]*memo[*te.Plan]),
+		enumCache: make(map[scenario.Fingerprint]*memo[*scenario.Set]),
 	}
 }
 
@@ -168,32 +167,51 @@ func (ev *Evaluator) epochInput(demands te.Demands, signals []core.DegradationSi
 }
 
 // enumerate returns the scenario set for probs under Cfg.ScenarioOpts,
-// memoized through enumCache. Sets are shared read-only; concurrent workers
-// may duplicate a miss, in which case the first store wins and the racing
-// results are identical anyway (Enumerate is deterministic).
+// memoized through enumCache. Sets are shared read-only.
 func (ev *Evaluator) enumerate(probs []float64) (*scenario.Set, error) {
 	m := ev.metrics()
 	fp := scenario.FingerprintProbs(probs, ev.Cfg.ScenarioOpts)
-	ev.mu.Lock()
-	set, ok := ev.enumCache[fp]
-	ev.mu.Unlock()
+	return memoized(&ev.mu, ev.enumCache, fp, m.enumHits, m.enumMisses, func() (*scenario.Set, error) {
+		return scenario.Enumerate(probs, ev.Cfg.ScenarioOpts)
+	})
+}
+
+// memo is one cache entry, built once: done closes when val and err are
+// set.
+type memo[V any] struct {
+	done chan struct{}
+	val  V
+	err  error
+}
+
+// memoized returns the value cached under key, building it on a miss. The
+// first caller to miss a key builds it; a concurrent caller that finds the
+// key waits for that build and counts as a hit, so every key is built
+// once and every caller gets the one value. A failed build hands its error
+// to the callers that waited on it and stores nothing: the next caller
+// builds again.
+func memoized[K comparable, V any](mu *sync.Mutex, cache map[K]*memo[V], key K, hits, misses *obs.Counter, build func() (V, error)) (V, error) {
+	mu.Lock()
+	e, ok := cache[key]
+	if !ok {
+		e = &memo[V]{done: make(chan struct{})}
+		cache[key] = e
+	}
+	mu.Unlock()
 	if ok {
-		m.enumHits.Inc()
-		return set, nil
+		hits.Inc()
+		<-e.done
+		return e.val, e.err
 	}
-	m.enumMisses.Inc()
-	set, err := scenario.Enumerate(probs, ev.Cfg.ScenarioOpts)
-	if err != nil {
-		return nil, err
+	misses.Inc()
+	defer close(e.done)
+	e.val, e.err = build()
+	if e.err != nil {
+		mu.Lock()
+		delete(cache, key)
+		mu.Unlock()
 	}
-	ev.mu.Lock()
-	if prev, ok := ev.enumCache[fp]; ok {
-		set = prev
-	} else {
-		ev.enumCache[fp] = set
-	}
-	ev.mu.Unlock()
-	return set, nil
+	return e.val, e.err
 }
 
 // A world is one branch of a degradation scenario: its probability
@@ -507,33 +525,11 @@ func (k *credit) cutPlan(q scenario.Scenario, cut topology.FiberSet) (*te.Plan, 
 	})
 }
 
-// cached returns the plan stored under key, computing and storing it via
-// build on a miss; a build error is returned and nothing is stored.
-// Concurrent workers may duplicate a miss; the deterministic build makes
-// both results identical, and the first store wins so every later reader
-// sees one canonical *te.Plan.
+// cached returns the plan stored under key, building it on a miss (see
+// memoized): every reader sees one canonical *te.Plan.
 func (ev *Evaluator) cached(key planKey, build func() (*te.Plan, error)) (*te.Plan, error) {
 	m := ev.metrics()
-	ev.mu.Lock()
-	p, ok := ev.plans[key]
-	ev.mu.Unlock()
-	if ok {
-		m.cacheHits.Inc()
-		return p, nil
-	}
-	m.cacheMisses.Inc()
-	p, err := build()
-	if err != nil {
-		return nil, err
-	}
-	ev.mu.Lock()
-	if prev, ok := ev.plans[key]; ok {
-		p = prev
-	} else {
-		ev.plans[key] = p
-	}
-	ev.mu.Unlock()
-	return p, nil
+	return memoized(&ev.mu, ev.plans, key, m.cacheHits, m.cacheMisses, build)
 }
 
 // cutKey is the plan-cache key of a scenario's cut: routing.AppendKey over

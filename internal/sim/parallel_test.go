@@ -3,6 +3,8 @@ package sim
 import (
 	"reflect"
 	"testing"
+
+	"prete/internal/obs"
 )
 
 // TestEvaluateDeterministicAcrossParallelism pins the evaluator's
@@ -50,6 +52,61 @@ func TestEvaluateDeterministicAcrossParallelism(t *testing.T) {
 						topo, s, p, got.Min, got.Mean, want[s].Min, want[s].Mean)
 				}
 			}
+		}
+	}
+}
+
+// TestPlanCacheBuildsEachKeyOnce pins the per-cut plan cache and the
+// enumeration memo under concurrency: at parallelism 8, workers that miss
+// one key wait for a single build, so each cache's miss count equals the
+// number of keys it holds, and equals the serial run's, and the
+// availability is the serial run's bit for bit.
+func TestPlanCacheBuildsEachKeyOnce(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.ScenarioOpts.MaxScenarios = 30
+	cfg.MaxDegScenarios = 8
+	env, err := BuildEnv("B4", 2025, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type run struct {
+		avail             Availability
+		plans, planMisses int64
+		enums, enumMisses int64
+	}
+	evaluate := func(scheme string, parallelism int) run {
+		t.Helper()
+		c := cfg
+		c.Parallelism = parallelism
+		c.Metrics = obs.NewRegistry()
+		ev := NewEvaluator(env, c)
+		a, err := ev.Evaluate(scheme, 1.0)
+		if err != nil {
+			t.Fatalf("%s at parallelism %d: %v", scheme, parallelism, err)
+		}
+		counters := c.Metrics.Snapshot().Counters
+		return run{a, int64(len(ev.plans)), counters["sim.plan_cache.misses"],
+			int64(len(ev.enumCache)), counters["sim.enum_cache.misses"]}
+	}
+	for _, scheme := range []string{"Flexile", "Oracle"} {
+		serial, par := evaluate(scheme, 1), evaluate(scheme, 8)
+		if par.plans == 0 {
+			t.Fatalf("%s: no per-cut plan was cached", scheme)
+		}
+		for _, r := range []struct {
+			name string
+			run  run
+		}{{"serial", serial}, {"parallelism 8", par}} {
+			if r.run.planMisses != r.run.plans || r.run.enumMisses != r.run.enums {
+				t.Errorf("%s %s: %d plan misses for %d plans, %d enumeration misses for %d sets",
+					scheme, r.name, r.run.planMisses, r.run.plans, r.run.enumMisses, r.run.enums)
+			}
+		}
+		if par.planMisses != serial.planMisses {
+			t.Errorf("%s: %d plan misses at parallelism 8, %d serial", scheme, par.planMisses, serial.planMisses)
+		}
+		if !reflect.DeepEqual(par.avail, serial.avail) {
+			t.Errorf("%s: availability at parallelism 8 differs from the serial run's", scheme)
 		}
 	}
 }

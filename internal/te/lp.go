@@ -24,29 +24,69 @@ type AllocLP struct {
 	// Caps[r] is the capacity on the right-hand side of row r.
 	Caps    []float64
 	tunnels int
+	terms   []lp.Term // the rows' terms, each row a capped window of it
+}
+
+// Size counts what a caller adds to an AllocLP after NewAllocLP: columns,
+// rows, and the terms of those rows.
+type Size struct{ Vars, Rows, Terms int }
+
+// Coverage counts one AddCoverage row over tunnels.
+func (s *Size) Coverage(tunnels []routing.TunnelID) {
+	s.Rows++
+	s.Terms += 1 + len(tunnels)
+}
+
+// Satisfaction counts one AddSatisfaction column and row over tunnels.
+func (s *Size) Satisfaction(tunnels []routing.TunnelID) {
+	s.Vars++
+	s.Coverage(tunnels)
 }
 
 // NewAllocLP adds the shared columns and the capacity rows to prob, which
-// must be empty. phiCost is Phi's objective coefficient.
-func NewAllocLP(prob *lp.Problem, phiCost float64, net *topology.Network, ts *routing.TunnelSet) *AllocLP {
+// must be empty, and reserves room for the extra columns, rows and terms
+// the caller adds after them: an LP whose final size its caller states is
+// allocated once. phiCost is Phi's objective coefficient.
+func NewAllocLP(prob *lp.Problem, phiCost float64, net *topology.Network, ts *routing.TunnelSet, extra Size) *AllocLP {
 	m := &AllocLP{Problem: prob, tunnels: len(ts.Tunnels)}
+	// end[lid+1] counts the terms of link lid's row, then (summed) ends them
+	// in one array shared by every row: capacity rows first, in link order.
+	end := make([]int, len(net.Links)+1)
+	for _, t := range ts.Tunnels {
+		for _, lid := range t.Links {
+			end[lid+1]++
+		}
+	}
+	rows := 0
+	for lid := range net.Links {
+		if end[lid+1] > 0 {
+			rows++
+		}
+		end[lid+1] += end[lid]
+	}
+	prob.Reserve(1+len(ts.Tunnels)+extra.Vars, rows+extra.Rows)
 	prob.AddVar(phiCost)
 	for range ts.Tunnels {
 		prob.AddVar(0)
 	}
-	onLink := make([][]lp.Term, len(net.Links))
+	capTerms := end[len(net.Links)]
+	m.terms = make([]lp.Term, capTerms, capTerms+extra.Terms)
+	next := end[:len(net.Links)] // each row's fill cursor, which ends at the next row's start
 	for _, t := range ts.Tunnels {
 		for _, lid := range t.Links {
-			onLink[lid] = append(onLink[lid], lp.Term{Var: m.Tunnel(t.ID), Coeff: 1})
+			m.terms[next[lid]] = lp.Term{Var: m.Tunnel(t.ID), Coeff: 1}
+			next[lid]++
 		}
 	}
-	for lid, terms := range onLink {
-		if len(terms) == 0 {
-			continue
+	m.Caps = make([]float64, 0, rows)
+	start := 0
+	for lid, stop := range next {
+		if stop > start {
+			capacity := net.Links[lid].Capacity
+			prob.AddConstraint(m.terms[start:stop:stop], lp.LE, capacity)
+			m.Caps = append(m.Caps, capacity)
 		}
-		capacity := net.Links[lid].Capacity
-		prob.AddConstraint(terms, lp.LE, capacity)
-		m.Caps = append(m.Caps, capacity)
+		start = stop
 	}
 	return m
 }
@@ -70,14 +110,15 @@ func (m *AllocLP) AddSatisfaction(weight, d float64, tunnels []routing.TunnelID)
 	m.AddConstraint(m.row(s, d, -1, tunnels), lp.LE, 0)
 }
 
-// row is d*lead + sign * sum of the tunnels' allocations.
+// row is d*lead + sign * sum of the tunnels' allocations, appended to the
+// LP's term array.
 func (m *AllocLP) row(lead int, d, sign float64, tunnels []routing.TunnelID) []lp.Term {
-	terms := make([]lp.Term, 0, 1+len(tunnels))
-	terms = append(terms, lp.Term{Var: lead, Coeff: d})
+	start := len(m.terms)
+	m.terms = append(m.terms, lp.Term{Var: lead, Coeff: d})
 	for _, tid := range tunnels {
-		terms = append(terms, lp.Term{Var: m.Tunnel(tid), Coeff: sign})
+		m.terms = append(m.terms, lp.Term{Var: m.Tunnel(tid), Coeff: sign})
 	}
-	return terms
+	return m.terms[start:len(m.terms):len(m.terms)]
 }
 
 // Allocation reads the tunnel columns of a solution.
@@ -113,7 +154,18 @@ func solveMinMaxLoss(net *topology.Network, ts *routing.TunnelSet, demands Deman
 	// fraction sum_f s_f, s_f = min(1, sum_t a_{f,t}/d_f). A single LP with
 	// Phi weighted above the largest possible satisfaction gain gives the
 	// same Phi and a non-degenerate allocation.
-	m := NewAllocLP(lp.NewProblem(), float64(len(ts.Flows)+1)*10, net, ts)
+	var size Size
+	for _, row := range rows {
+		if demands[row.Flow] > 0 {
+			size.Coverage(row.Tunnels)
+		}
+	}
+	for _, fl := range ts.Flows {
+		if demands[fl.ID] > 0 {
+			size.Satisfaction(ts.TunnelsOf(fl.ID))
+		}
+	}
+	m := NewAllocLP(lp.NewProblem(), float64(len(ts.Flows)+1)*10, net, ts, size)
 	for _, row := range rows {
 		if d := demands[row.Flow]; d > 0 {
 			m.AddCoverage(Phi, d, row.Tunnels)
