@@ -78,12 +78,15 @@ func main() {
 		fmt.Fprintf(os.Stderr, "prete-sim: debug server on http://%s/metrics\n", addr)
 	}
 	opts := experiments.Options{Seed: *seed, Quick: *quick, Parallelism: *par_, Budget: units, Metrics: reg, Classes: classSpec}
+	failed := false
 	switch {
 	case *all:
+		// Run every experiment, so one failure hides none after it; the
+		// exit status reports them all.
 		for _, id := range experiments.IDs() {
 			if err := experiments.Run(id, os.Stdout, opts); err != nil {
 				fmt.Fprintf(os.Stderr, "prete-sim: %s: %v\n", id, err)
-				os.Exit(1)
+				failed = true
 			}
 			fmt.Println()
 		}
@@ -102,5 +105,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "prete-sim: metrics: %v\n", err)
 			os.Exit(1)
 		}
+	}
+	if failed {
+		os.Exit(1)
 	}
 }

@@ -37,7 +37,6 @@ var callerExceptions = map[string]string{
 	"experiments.MeasuredQuality":        "oracle: quality tests derive Fig 15's predictor quality from a trained model",
 	"fault.CrashPoint":                   "fault tool: derives a seeded controller crash point",
 	"fault.CtlCrash.ArmHook":             "fault tool: runs a hook at the crash point",
-	"fault.CtlCrash.Attempts":            "fault tool: RPC attempts the crash transport has seen",
 	"fault.CtlCrash.Halted":              "fault tool: reports that the injected crash fired",
 	"fault.TornJournalTail":              "fault tool: tears the tail of a journal on disk",
 	"fault.WipeStateMagic":               "fault tool: destroys a state file's magic",

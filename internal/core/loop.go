@@ -8,7 +8,6 @@ import (
 	"prete/internal/routing"
 	"prete/internal/scenario"
 	"prete/internal/te"
-	"prete/internal/telemetry"
 	"prete/internal/topology"
 )
 
@@ -39,12 +38,11 @@ type Loop struct {
 	PI      []float64
 	Classes *te.ClassSpec
 
-	p        *PreTE
-	net      *topology.Network
-	base     *routing.TunnelSet
-	beta     float64
-	signals  map[topology.FiberID]float64 // fiber -> predicted failure probability
-	conduits map[topology.FiberID][]topology.FiberID
+	p       *PreTE
+	net     *topology.Network
+	base    *routing.TunnelSet
+	beta    float64
+	signals map[topology.FiberID]float64 // fiber -> predicted failure probability
 
 	episode *UpdateResult      // Algorithm 1's output for derived; nil: none
 	derived []topology.FiberID // the fibers the episode was derived for
@@ -87,28 +85,15 @@ func newLoop(p *PreTE, in EpochInput) *Loop {
 	return l
 }
 
-// group returns the fibers sharing f's conduit (§3.1: they degrade, and
-// will likely cut, as one entity).
-func (l *Loop) group(f topology.FiberID) []topology.FiberID {
-	if l.conduits == nil {
-		l.conduits = telemetry.ConduitGroups(l.net)
-	}
-	return l.conduits[f]
-}
-
-// Signal records a confirmed degradation on fiber f's conduit group with
-// the predictor's failure probability pNN.
+// Signal records a confirmed degradation on fiber f with the predictor's
+// failure probability pNN, as one entry of EpochInput.Signals does.
 func (l *Loop) Signal(f topology.FiberID, pNN float64) {
-	for _, m := range l.group(f) {
-		l.signals[m] = pNN
-	}
+	l.signals[f] = pNN
 }
 
-// Clear ends the degradation on fiber f's conduit group.
+// Clear ends the degradation on fiber f.
 func (l *Loop) Clear(f topology.FiberID) {
-	for _, m := range l.group(f) {
-		delete(l.signals, m)
-	}
+	delete(l.signals, f)
 }
 
 // Signals returns the signals in force, in ascending fiber order.
@@ -154,7 +139,7 @@ func (l *Loop) Reset() {
 	*l = Loop{
 		Demands: l.Demands, PI: l.PI, Classes: l.Classes,
 		p: l.p, net: l.net, base: l.base, beta: l.beta, tunnels: l.base,
-		signals: make(map[topology.FiberID]float64), conduits: l.conduits,
+		signals: make(map[topology.FiberID]float64),
 	}
 	if warm {
 		l.cache = &SolveCache{}

@@ -34,8 +34,8 @@ func b4Epoch(t *testing.T, signals ...DegradationSignal) EpochInput {
 
 // TestPlanEpochSignalOrderDeterministic: the one-shot epoch plans its
 // signals in ascending fiber order whatever order the caller lists them in,
-// so two signals on B4's shared conduit (fibers 0 and 1) give one tunnel set
-// and one allocation either way round.
+// so signals on B4's fibers 0 and 1 give one tunnel set and one allocation
+// either way round.
 func TestPlanEpochSignalOrderDeterministic(t *testing.T) {
 	p := New()
 	p.ScenarioOpts.MaxScenarios = 150
@@ -150,8 +150,10 @@ func TestLoopKeepsEpisodeOnUnchangedFibers(t *testing.T) {
 	p := New()
 	p.ScenarioOpts.MaxScenarios = 150
 	l := NewLoop(p, b4Epoch(t))
-	l.Signal(0, 0.3) // and its conduit-mate, fiber 1
+	l.Signal(0, 0.3)
+	l.Signal(1, 0.3)
 	episode, _, first := epoch(t, l)
+	l.Signal(0, 0.5)
 	l.Signal(1, 0.5)
 	added, retired, second := epoch(t, l)
 	if len(added) != 0 || len(retired) != 0 || second.Update != first.Update {

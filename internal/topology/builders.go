@@ -144,8 +144,7 @@ func buildFromSpec(name string, numNodes int, spec []fiberSpec, targetLinks int,
 		fibers[i] = Fiber{
 			ID: FiberID(i), A: NodeID(s.a), B: NodeID(s.b),
 			LengthKm: s.km, Region: s.region,
-			Vendor:  vendors[rng.Intn(len(vendors))],
-			Conduit: i + 1, // refined below: ~10% of fibers share a conduit
+			Vendor: vendors[rng.Intn(len(vendors))],
 		}
 		nodes[s.a].Region = s.region
 		if nodes[s.b].Region == "" {
@@ -154,11 +153,6 @@ func buildFromSpec(name string, numNodes int, spec []fiberSpec, targetLinks int,
 		adj[NodeID(s.a)] = append(adj[NodeID(s.a)], NodeID(s.b))
 		adj[NodeID(s.b)] = append(adj[NodeID(s.b)], NodeID(s.a))
 	}
-	// Pair up some geographically adjacent fibers into shared conduits.
-	for i := 1; i < len(fibers); i += 9 {
-		fibers[i].Conduit = fibers[i-1].Conduit
-	}
-
 	var links []Link
 	addLink := func(src, dst NodeID, capacity float64, path []FiberID) {
 		links = append(links, Link{

@@ -37,10 +37,6 @@ type Fiber struct {
 	LengthKm float64
 	Region   string
 	Vendor   string
-	// Conduit groups fibers sharing a physical conduit; the telemetry layer
-	// treats fibers in one conduit as a single degradation entity (§3.1).
-	// Zero (the default) means the fiber shares no conduit.
-	Conduit int
 }
 
 // Link is a directed IP-layer link. Capacity is in Gbps. Fibers lists the

@@ -235,7 +235,7 @@ func (c *Controller) rpc(name string, cn Conn, req *Request) (resp *Response, er
 		c.Metrics.Counter("wan.rpc.count").Inc()
 		c.Metrics.Counter(rpcCounter(req.Type)).Inc()
 		if err == nil {
-			c.Log.Addf("rpc %s %s ok", name, req.Type)
+			c.logRPC(name, req.Type, "ok", 0)
 			return resp, nil
 		}
 		c.Metrics.Counter("wan.rpc.errors").Inc()
@@ -243,32 +243,45 @@ func (c *Controller) rpc(name string, cn Conn, req *Request) (resp *Response, er
 			// The process "died" mid-request: no retries, no fallback — the
 			// round is over and the next incarnation recovers from disk.
 			c.Metrics.Counter("wan.rpc.halted").Inc()
-			c.Log.Addf("rpc %s %s halted", name, req.Type)
+			c.logRPC(name, req.Type, "halted", 0)
 			return nil, fmt.Errorf("wan: %s %s: %w", name, req.Type, ErrControllerHalted)
 		}
 		if resp != nil {
 			if resp.Stale {
 				// Fenced by the agent: this incarnation is superseded.
 				c.Metrics.Counter("wan.recovery.fence_rejections").Inc()
-				c.Log.Addf("rpc %s %s fenced", name, req.Type)
+				c.logRPC(name, req.Type, "fenced", 0)
 				return resp, fmt.Errorf("wan: %s %s fenced to gen %d: %w", name, req.Type, resp.Gen, ErrStale)
 			}
-			c.Log.Addf("rpc %s %s rejected", name, req.Type)
+			c.logRPC(name, req.Type, "rejected", 0)
 			return resp, err
 		}
 		if attempt >= pol.MaxAttempts {
 			c.Metrics.Counter("wan.rpc.giveups").Inc()
-			c.Log.Addf("rpc %s %s giveup attempt=%d", name, req.Type, attempt)
+			c.logRPC(name, req.Type, "giveup", attempt)
 			return nil, fmt.Errorf("wan: %s %s failed after %d attempts: %w", name, req.Type, attempt, err)
 		}
 		c.Metrics.Counter("wan.rpc.retries").Inc()
-		c.Log.Addf("rpc %s %s retry attempt=%d", name, req.Type, attempt)
+		c.logRPC(name, req.Type, "retry", attempt)
 		wait := pol.backoff(attempt, c.rng)
 		bt := c.Metrics.Timer("wan.rpc.backoff")
 		bstart := bt.Start()
 		time.Sleep(wait)
 		bt.Stop(bstart)
 	}
+}
+
+// logRPC records one RPC outcome, with its attempt number when attempt > 0.
+// Its arguments are typed, so an RPC without a Log boxes nothing for it.
+func (c *Controller) logRPC(name string, t MsgType, outcome string, attempt int) {
+	if c.Log == nil {
+		return
+	}
+	if attempt > 0 {
+		c.Log.Addf("rpc %s %s %s attempt=%d", name, t, outcome, attempt)
+		return
+	}
+	c.Log.Addf("rpc %s %s %s", name, t, outcome)
 }
 
 // Ping round-trips every agent (connectivity check) in name order.

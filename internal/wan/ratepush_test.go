@@ -506,3 +506,41 @@ func TestHeartbeatSkipsRateLatency(t *testing.T) {
 		t.Errorf("the heartbeat took %v, want under %v", heartbeat, cfg.RateLatency/2)
 	}
 }
+
+// fixedTransport dials conns that answer every RPC with one response,
+// without a network or an agent.
+type fixedTransport struct{ resp *Response }
+
+type fixedConn struct{ resp *Response }
+
+func (tr fixedTransport) Dial(string, string) (Conn, error) { return fixedConn(tr), nil }
+
+func (c fixedConn) RoundTrip(*Request, time.Duration) (*Response, error) { return c.resp, nil }
+
+func (fixedConn) Close() error { return nil }
+
+// TestRPCWithoutLogAllocatesNothing: a controller without an event log
+// pays no allocation for the log in an RPC, and one with a log records the
+// RPC's outcome.
+func TestRPCWithoutLogAllocatesNothing(t *testing.T) {
+	c, err := NewControllerTransport(fixedTransport{&Response{OK: true}}, map[string]string{"s1": ""})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	cn, req := c.conns["s1"], &Request{Type: MsgUpdateRates}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := c.rpc("s1", cn, req); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("an RPC without a log allocates %v times, want 0", allocs)
+	}
+	c.Log = &EventLog{}
+	if _, err := c.rpc("s1", cn, req); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := c.Log.Events(), []string{"rpc s1 update_rates ok"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("events = %q, want %q", got, want)
+	}
+}

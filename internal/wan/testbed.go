@@ -94,10 +94,9 @@ func (tb *Testbed) tune() {
 	tb.opt.Metrics = tb.Ctl.Metrics
 }
 
-// Signal records a degradation on fiber f's conduit group with failure
-// probability pNN beside the VOA's, as a degradation storm does: every
-// later reaction round plans with it, and a warm restart recovers it from
-// the journal.
+// Signal records a degradation on fiber f alone with failure probability
+// pNN beside the VOA's, as a degradation storm does: every later reaction
+// round plans with it, and a warm restart recovers it from the journal.
 func (tb *Testbed) Signal(f topology.FiberID, pNN float64) {
 	tb.loop.Signal(f, pNN)
 }

@@ -41,12 +41,13 @@ func DefaultConfig() Config {
 // System is the full PreTE pipeline of Fig 8: the telemetry front-end
 // (internal/ingest: interpolation and a detector per fiber), the failure
 // predictor, and the controller loop (core.Loop: the sorted signal set,
-// Algorithm 1's reactive-tunnel episode, Eqn. 1, scenario enumeration and
-// the Benders-based optimizer with its warm-start caches). It is safe for
-// concurrent use (one goroutine per fiber collector is the expected
-// deployment shape): observations are serialized with each other and with
-// the stages of an epoch that read the signals, and epochs with each other,
-// but an epoch's solve does not hold observations up.
+// one signal per degraded fiber, Algorithm 1's reactive-tunnel episode,
+// Eqn. 1, scenario enumeration and the Benders-based optimizer with its
+// warm-start caches). It is safe for concurrent use (one goroutine per
+// fiber collector is the expected deployment shape): observations are
+// serialized with each other and with the stages of an epoch that read the
+// signals, and epochs with each other, but an epoch's solve does not hold
+// observations up.
 type System struct {
 	flows []Flow
 
@@ -116,8 +117,8 @@ func (s *System) Flows() []Flow { return s.flows }
 // is held until the fiber's next present sample, whose call returns the
 // gap's interpolated events along with its own. A DegradationStart asks the
 // predictor (when one is installed and the event carries features) and
-// signals the fiber's conduit group; a DegradationEnd or Repaired clears
-// it.
+// signals that fiber alone, as one EpochInput signal does; a DegradationEnd
+// or Repaired clears it.
 func (s *System) Observe(fiber FiberID, sample Sample) ([]telemetry.Event, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -6,8 +6,11 @@ import (
 	"testing"
 	"time"
 
+	"prete/internal/core"
 	"prete/internal/optical"
+	"prete/internal/routing"
 	"prete/internal/stats"
+	"prete/internal/trace"
 )
 
 func b4System(t *testing.T) *System {
@@ -63,8 +66,7 @@ func degradedSample(at int64, excess float64) Sample {
 
 func TestObserveLifecycle(t *testing.T) {
 	sys := b4System(t)
-	// Fiber 2 shares no conduit on B4, so exactly one signal results from
-	// two confirmed degraded samples.
+	// Two confirmed degraded samples on fiber 2 give exactly one signal.
 	if _, err := sys.Observe(2, degradedSample(1, 5)); err != nil {
 		t.Fatal(err)
 	}
@@ -90,21 +92,62 @@ func TestObserveLifecycle(t *testing.T) {
 	}
 }
 
-func TestObserveConduitPropagation(t *testing.T) {
-	// B4's builder pairs fibers 0 and 1 into one conduit (§3.1: fibers in
-	// one conduit are a single degradation entity).
-	sys := b4System(t)
-	sys.Observe(0, degradedSample(1, 5))
-	sys.Observe(0, degradedSample(2, 5))
-	sigs := sys.ActiveSignals()
-	if len(sigs) != 2 {
-		t.Fatalf("conduit-mates should both be signaled, got %+v", sigs)
+// TestObserveSignalsOneFiberLikePlanEpoch: a degradation on one fiber
+// signals that fiber alone in System, as an EpochInput signal does in the
+// one-shot epoch that sim and fig8 plan with. Two 6 dB samples on B4's fiber
+// 0, with the default config and no predictor, give the one signal
+// {0, P(cut|deg)}, and System's plan (tunnels and allocation) is bit for
+// bit core.PlanEpoch's over the same tunnels, p_i, beta, scenario options
+// and that signal.
+func TestObserveSignalsOneFiberLikePlanEpoch(t *testing.T) {
+	net, err := LoadTopology("B4")
+	if err != nil {
+		t.Fatal(err)
 	}
-	// recovery clears the whole group
-	sys.Observe(0, degradedSample(3, 0))
-	sys.Observe(0, degradedSample(4, 0))
-	if got := sys.ActiveSignals(); len(got) != 0 {
-		t.Fatalf("signals after recovery = %+v", got)
+	cfg := DefaultConfig()
+	sys, err := NewSystem(net, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Observe(0, degradedSample(1, 6))
+	sys.Observe(0, degradedSample(2, 6))
+	want := []DegradationSignal{{Fiber: 0, PNN: trace.PCutGivenDeg}}
+	if got := sys.ActiveSignals(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("signals = %+v, want %+v", got, want)
+	}
+	demands := make(Demands, len(sys.Flows()))
+	for i := range demands {
+		demands[i] = 30
+	}
+	got, err := sys.PlanEpoch(demands)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Update == nil || got.Update.NewTunnels == 0 {
+		t.Fatal("the degraded epoch established no reactive tunnels")
+	}
+
+	tunnels, err := routing.BuildTunnels(net, routing.Flows(net), cfg.TunnelsPerFlow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pi := make([]float64, len(net.Fibers))
+	for i := range pi {
+		pi[i] = 1e-3
+	}
+	p := core.New()
+	p.TunnelRatio = cfg.TunnelRatio
+	p.ScenarioOpts = cfg.Scenario
+	ref, err := p.PlanEpoch(core.EpochInput{Net: net, Tunnels: tunnels, Demands: demands, Beta: 0.99, PI: pi, Signals: want})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Plan.Tunnels.Tunnels, ref.Plan.Tunnels.Tunnels) {
+		t.Errorf("System planned %d tunnels, PlanEpoch %d: tunnel sets differ",
+			got.Plan.Tunnels.NumTunnels(), ref.Plan.Tunnels.NumTunnels())
+	}
+	if !reflect.DeepEqual(got.Plan.Alloc, ref.Plan.Alloc) {
+		t.Error("System's allocation differs from PlanEpoch's")
 	}
 }
 
@@ -161,21 +204,27 @@ func TestPlanEpochQuietAndDegraded(t *testing.T) {
 	}
 }
 
-// TestPlanEpochSignalOrderDeterministic: one confirmed degradation on B4's
-// fiber 0 signals its conduit-mate fiber 1 too, and Algorithm 1 then runs
-// once per signal. The reactive tunnels' IDs, and with them the LP's column
-// order and the vertex it returns, depend on that order, so every fresh
-// System must plan the two signals in the same order: one tunnel set and one
-// allocation, bit for bit, across 50 runs.
+// TestPlanEpochSignalOrderDeterministic: confirmed degradations on B4's
+// fibers 0 and 1 give two signals, and Algorithm 1 then runs once per
+// signal. The reactive tunnels' IDs, and with them the LP's column order and
+// the vertex it returns, depend on that order, so every fresh System must
+// plan the two signals in the same order, whichever fiber degraded first:
+// one tunnel set and one allocation, bit for bit, across 50 runs.
 func TestPlanEpochSignalOrderDeterministic(t *testing.T) {
 	var first *EpochPlan
 	for run := 0; run < 50; run++ {
 		sys := b4System(t)
 		sys.SetPredictor(constPredictor(0.05))
-		sys.Observe(0, degradedSample(1, 6))
-		sys.Observe(0, degradedSample(2, 6))
+		fibers := []FiberID{0, 1}
+		if run%2 == 1 {
+			fibers = []FiberID{1, 0}
+		}
+		for _, f := range fibers {
+			sys.Observe(f, degradedSample(1, 6))
+			sys.Observe(f, degradedSample(2, 6))
+		}
 		if sigs := sys.ActiveSignals(); len(sigs) != 2 {
-			t.Fatalf("signals = %+v, want fiber 0 and its conduit-mate", sigs)
+			t.Fatalf("signals = %+v, want fibers 0 and 1", sigs)
 		}
 		demands := make(Demands, len(sys.Flows()))
 		for i := range demands {
